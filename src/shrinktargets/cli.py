@@ -39,7 +39,6 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--precision", type=int, default=None, metavar="BITS")
         p.add_argument("--horizon", default=None, metavar="N[,N...]")
     return ap
 
@@ -76,8 +75,6 @@ def main(argv=None) -> int:
         doc["trials"] = args.trials
     if args.out is not None:
         doc["out"] = args.out
-    if args.precision is not None:
-        doc["precision_bits"] = args.precision
     if args.horizon is not None:
         doc["horizons"] = [int(h) for h in str(args.horizon).split(",") if h]
 

@@ -75,8 +75,17 @@ def _round_to_bits(x: Fraction, bits: int) -> Fraction:
     return Fraction(round(x * scale), scale)
 
 
-def cylinder_from_word(m: MapModel, word: Sequence[int],
-                       precision_bits: Optional[int] = None) -> Cylinder:
+def _compose_branches(m: MapModel, pairs) -> tuple:
+    """Exact (A, B) with G(y) = A + B*y, G the composition of the affine
+    branches of the (digit, next digit) pairs, outermost first."""
+    A, B = Fraction(0), Fraction(1)
+    for d_from, d_to in reversed(pairs):
+        a, b = m.branch_affine(d_from, d_to)
+        A, B = a + b * A, b * B
+    return A, B
+
+
+def cylinder_from_word(m: MapModel, word: Sequence[int]) -> Cylinder:
     """Exact interval of the cylinder with the given digit word."""
     word = tuple(word)
     if not word:
@@ -87,18 +96,23 @@ def cylinder_from_word(m: MapModel, word: Sequence[int],
                 f"digit not admissible: transition {word[k]}->{word[k+1]} forbidden"
             )
     lo, hi = m.block_interval(word[-1])
-    for d in reversed(word[:-1]):
-        a, b = m.inverse_branch(d, lo), m.inverse_branch(d, hi)
-        lo, hi = (a, b) if a <= b else (b, a)
+    if hasattr(m, "branch_affine"):
+        # each branch is restricted to the next digit's block, so a block
+        # endpoint never selects the neighbouring block's branch
+        A, B = _compose_branches(m, list(zip(word, word[1:])))
+        lo, hi = A + B * lo, A + B * hi
+    else:
+        for d in reversed(word[:-1]):
+            a, b = m.inverse_branch(d, lo), m.inverse_branch(d, hi)
+            lo, hi = (a, b) if a <= b else (b, a)
     exact = isinstance(lo, (int, Fraction)) and isinstance(hi, (int, Fraction))
     if exact:
         lo, hi = Fraction(lo), Fraction(hi)
         if isinstance(m, GaussMap) and len(word) - 1 > EXACT_DEPTH_CAP:
-            bits = precision_bits or PRECISION_BITS
-            lo = _round_to_bits(lo, bits)
-            hi = _round_to_bits(hi, bits)
+            lo = _round_to_bits(lo, PRECISION_BITS)
+            hi = _round_to_bits(hi, PRECISION_BITS)
             return Cylinder(word, lo, hi, m.key(), exact=False,
-                            precision_bits=bits)
+                            precision_bits=PRECISION_BITS)
     else:
         lo, hi = Fraction(float(lo)), Fraction(float(hi))
         return Cylinder(word, lo, hi, m.key(), exact=False, precision_bits=53)
@@ -122,10 +136,7 @@ def periodic_point(m: MapModel, period_word: Sequence[int]):
     w = tuple(period_word)
     if not hasattr(m, "branch_affine"):
         raise MapError(f"periodic points need affine branches, not {m.kind}")
-    A, B = Fraction(0), Fraction(1)
-    for k in range(len(w) - 1, -1, -1):
-        a, b = m.branch_affine(w[k], w[(k + 1) % len(w)])
-        A, B = a + b * A, b * B
+    A, B = _compose_branches(m, list(zip(w, w[1:] + w[:1])))
     return A / (1 - B)
 
 

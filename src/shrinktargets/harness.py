@@ -37,7 +37,6 @@ from .dimension import (
 from .maps import make_map
 from .measures import (
     entropy_birkhoff,
-    entropy_birkhoff_batch,
     entropy_closed_form,
     entropy_smb,
     make_measure,
@@ -72,15 +71,12 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     out: Optional[str] = None
-    precision_bits: int = 256
-    engine: Optional[str] = None
     params: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         rec = {"experiment": self.experiment, "trials": self.trials,
-               "seed": self.seed, "precision_bits": self.precision_bits,
-               "horizons": list(self.horizons)}
-        for k in ("map", "measure", "x0", "schedule", "engine", "out"):
+               "seed": self.seed, "horizons": list(self.horizons)}
+        for k in ("map", "measure", "x0", "schedule", "out"):
             v = getattr(self, k)
             if v is not None:
                 rec[k] = v
@@ -122,8 +118,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         trials=trials,
         seed=seed,
         out=doc.get("out"),
-        precision_bits=doc.get("precision_bits", 256),
-        engine=doc.get("engine"),
         params=doc.get("params", {}),
     )
 
@@ -267,10 +261,7 @@ def _run_entropy(cfg):
         est = entropy_closed_form(m, measure)
     elif method == "birkhoff":
         n_iter = int(cfg.params.get("n_iter", 10 ** 5))
-        if cfg.map.get("kind") == "gauss" and cfg.engine != "per-trial":
-            est = entropy_birkhoff_batch(m, measure, n_iter, cfg.trials, cfg.seed)
-        else:
-            est = entropy_birkhoff(m, measure, n_iter, cfg.trials, cfg.seed)
+        est = entropy_birkhoff(m, measure, n_iter, cfg.trials, cfg.seed)
     elif method == "smb":
         x0 = _parse_point(cfg.x0)
         est = entropy_smb(m, measure, x0, int(cfg.params.get("depth", 20)))

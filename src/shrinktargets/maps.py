@@ -13,7 +13,8 @@ All maps expose the same small surface: ``evaluate``, ``log_derivative``,
 ``inverse_branch``, ``digit_of``, ``block_interval``, ``admissible`` and a
 few structural attributes (``branch_count``, ``expansion_beta``,
 ``partition0``).  Linear maps and the Gauss map are exact on
-``fractions.Fraction`` inputs.
+``fractions.Fraction`` inputs; Gauss and Blaschke add vectorized float
+``step`` / ``log_derivative_array``.
 
 Digit conventions: interval maps use half-open blocks [left, right) so that
 itineraries are defined everywhere off a countable set.  The Gauss map uses
@@ -26,7 +27,9 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 Number = Union[int, float, Fraction]
 
@@ -55,6 +58,20 @@ class BoundaryHit(Exception):
 
 def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
+
+
+def primitivity_exponent(M) -> Optional[int]:
+    """Smallest n with M^n strictly positive, or None if M is not primitive."""
+    D = len(M)
+    pos = [[M[i][j] > 0 for j in range(D)] for i in range(D)]
+    cur = pos
+    # Wielandt: a primitive matrix has a positive power by (D-1)^2 + 1
+    for n in range(1, (D - 1) ** 2 + 2):
+        if all(all(row) for row in cur):
+            return n
+        cur = [[any(cur[i][k] and pos[k][j] for k in range(D)) for j in range(D)]
+               for i in range(D)]
+    return None
 
 
 class MapModel:
@@ -154,6 +171,8 @@ class DAryShift(MapModel):
 
     def branch_affine(self, d_from, d_to):
         """Exact (A, B) with G_{d_from}(y) = A + B*y on the block of d_to."""
+        if not (0 <= d_from < self.D and 0 <= d_to < self.D):
+            raise InadmissibleDigit(f"digits {d_from}->{d_to} out of range for D={self.D}")
         return Fraction(d_from, self.D), Fraction(1, self.D)
 
 
@@ -204,25 +223,13 @@ class MarkovLinear(MapModel):
             self._subcuts.append(tuple(sc))
         self.partition0 = tuple((cuts[i], cuts[i + 1]) for i in range(D))
 
-        self.mixing_steps = self._primitivity_exponent()
+        self.mixing_steps = primitivity_exponent(self.M)
+        if self.mixing_steps is None:
+            raise MapError("transition matrix not primitive")
         self.expansion_beta = self._certify_beta()
 
     def key(self):
         return f"markov({self.p},{self.M})"
-
-    def _primitivity_exponent(self) -> int:
-        D = self.D
-        pos = [[self.M[i][j] > 0 for j in range(D)] for i in range(D)]
-        cur = pos
-        # Wielandt: a primitive matrix has a positive power by (D-1)^2 + 1
-        for n in range(1, (D - 1) ** 2 + 2):
-            if all(all(row) for row in cur):
-                return n
-            cur = [
-                [any(cur[i][k] and pos[k][j] for k in range(D)) for j in range(D)]
-                for i in range(D)
-            ]
-        raise MapError("transition matrix not primitive")
 
     def slope(self, i: int, j: int) -> Fraction:
         if self.M[i][j] == 0:
@@ -373,6 +380,14 @@ class GaussMap(MapModel):
             raise MapError("log-derivative undefined at 0")
         return -2.0 * math.log(float(x))
 
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """Vectorized float T(x) (exact fractional part of 1/x); an orbit
+        that ends lands on 0."""
+        return np.modf(1.0 / x)[0]
+
+    def log_derivative_array(self, x: np.ndarray) -> np.ndarray:
+        return -2.0 * np.log(x)
+
     def inverse_branch(self, digit, y):
         if digit < 1:
             raise InadmissibleDigit(f"Gauss digit must be >= 1, got {digit}")
@@ -508,6 +523,22 @@ class BlaschkeBoundary(MapModel):
 
     def log_derivative(self, t) -> float:
         return math.log(self.derivative_abs(float(t) % 1.0))
+
+    def step(self, t: np.ndarray) -> np.ndarray:
+        """Vectorized float T(t) = arg B(e^{2 pi i t}) / (2 pi) mod 1."""
+        z = np.exp(2j * np.pi * t)
+        w = np.ones_like(z)
+        for a in self.zeros:
+            w = w * z if a == 0 else w * (abs(a) / a) * (z - a) / (1 - np.conj(a) * z)
+        return np.mod(np.angle(w) / (2 * np.pi), 1.0)
+
+    def log_derivative_array(self, t: np.ndarray) -> np.ndarray:
+        """Vectorized log|B'(e^{2 pi i t})|."""
+        z = np.exp(2j * np.pi * t)
+        tot = np.zeros(z.shape)
+        for a in self.zeros:
+            tot += (1 - abs(a) ** 2) / np.abs(z - a) ** 2
+        return np.log(tot)
 
     def inverse_branch(self, digit, y):
         if not 0 <= digit < self.N:

@@ -23,6 +23,7 @@ from .maps import (
     GaussMap,
     MapModel,
     MarkovLinear,
+    primitivity_exponent,
 )
 from .coding import cylinder_from_word, itinerary
 
@@ -206,15 +207,7 @@ def stationary_vector(M: Sequence[Sequence]) -> tuple:
     for i, row in enumerate(M):
         if len(row) != D or sum(row) != 1 or any(x < 0 for x in row):
             raise MeasureError(f"row {i} is not a probability vector")
-    # primitivity via boolean powers (Wielandt bound)
-    pos = [[M[i][j] > 0 for j in range(D)] for i in range(D)]
-    cur = pos
-    for _ in range((D - 1) ** 2 + 1):
-        if all(all(r) for r in cur):
-            break
-        cur = [[any(cur[i][k] and pos[k][j] for k in range(D)) for j in range(D)]
-               for i in range(D)]
-    else:
+    if primitivity_exponent(M) is None:
         raise MeasureError("transition matrix not primitive")
 
     # solve (M^T - I) p = 0 with sum p = 1 by exact elimination
@@ -272,12 +265,7 @@ def _blaschke_entropy_quadrature(m: BlaschkeBoundary, tol: float = 1e-11):
     geometrically; the mesh is doubled until successive values agree.
     """
     def mean_at(M):
-        ts = np.arange(M) / M
-        z = np.exp(2j * np.pi * ts)
-        tot = np.zeros(M)
-        for a in m.zeros:
-            tot += (1 - abs(a) ** 2) / np.abs(z - a) ** 2
-        return float(np.mean(np.log(tot)))
+        return float(np.mean(m.log_derivative_array(np.arange(M) / M)))
 
     M = 64
     prev = mean_at(M)
@@ -319,70 +307,71 @@ def entropy_closed_form(m: MapModel, measure: InvariantMeasure) -> EntropyEstima
         f"no closed-form entropy for ({m.kind}, {measure.kind})")
 
 
-def _orbit_log_derivative_sums(m, measure, n_iter, trials, rng):
-    """Vectorized Birkhoff sums of log|T'| for float-orbit maps."""
-    x = measure.sample(rng, trials)
-    s = np.zeros(trials)
-    resampled = 0
-    if isinstance(m, GaussMap):
-        for _ in range(n_iter):
-            inv = 1.0 / x
-            s += np.log(inv)
-            x = inv - np.floor(inv)
-            bad = (x <= 0) | (x >= 1)
-            if bad.any():
-                resampled += int(bad.sum())
-                x[bad] = measure.sample(rng, int(bad.sum()))
-        return 2.0 * s, resampled
-    if isinstance(m, BlaschkeBoundary):
-        for _ in range(n_iter):
-            z = np.exp(2j * np.pi * x)
-            deriv = np.zeros(trials)
-            w = np.ones(trials, dtype=complex)
-            for a in m.zeros:
-                deriv += (1 - abs(a) ** 2) / np.abs(z - a) ** 2
-                w = w * z if a == 0 else w * (abs(a) / a) * (z - a) / (1 - np.conj(a) * z)
-            s += np.log(deriv)
-            x = np.mod(np.angle(w) / (2 * np.pi), 1.0)
-        return s, resampled
-    raise MeasureError(f"no float-orbit engine for {m.kind}")
+def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int) -> np.ndarray:
+    """Digits of the stationary chain (p, M): one uniform for the first
+    digit, then one per transition, read against cumulative rows of M."""
+    cum = np.cumsum([[float(x) for x in row] for row in m.M], axis=1)
+    out = np.empty(length, dtype=np.int64)
+    out[0] = np.searchsorted(np.cumsum([float(x) for x in m.p]), rng.random(), side="right")
+    u = rng.random(length - 1)
+    for k in range(length - 1):
+        out[k + 1] = np.searchsorted(cum[out[k]], u[k], side="right")
+    return out
+
+
+def float_orbit_start(measure: InvariantMeasure, seeds):
+    """One generator per trial seed and the start points x ~ measure they draw."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    return rngs, np.array([measure.sample(r, 1)[0] for r in rngs])
+
+
+def float_orbit_step(m: MapModel, measure: InvariantMeasure, x: np.ndarray, rngs):
+    """(T x, restarts) for the orbits of all trials.  A Gauss orbit that ends
+    (T x = 0) restarts from its own trial's generator, so no trial's path
+    depends on how many trials run beside it."""
+    x = m.step(x)
+    if not isinstance(m, GaussMap) or x.all():
+        return x, 0
+    ended = np.flatnonzero(x == 0)
+    for t in ended:
+        x[t] = measure.sample(rngs[t], 1)[0]
+    return x, len(ended)
 
 
 def entropy_birkhoff(m: MapModel, measure: InvariantMeasure, n_iter: int,
                      n_trials: int, seed: int) -> EntropyEstimate:
     """Mean over trials of (1/n) sum_k log|T'(T^k x)| with x ~ measure.
 
-    Linear maps use the exact symbolic engine (digits drive the slopes);
-    Gauss and Blaschke maps use float pseudo-orbits.
+    Trial t draws only from its own trial_seed(seed, t) generator, so its
+    value does not depend on n_trials.  Linear maps use the exact symbolic
+    engine (digits drive the slopes); Gauss and Blaschke maps advance the
+    float pseudo-orbits of all trials in lockstep.
     """
     if n_iter < 1 or n_trials < 1:
         raise MeasureError("n_iter and n_trials must be >= 1")
-    vals = np.empty(n_trials)
+    seeds = [trial_seed(seed, t) for t in range(n_trials)]
     resampled = 0
     if isinstance(m, DAryShift):
-        vals[:] = math.log(m.D)  # constant integrand: exact every trial
+        vals = np.full(n_trials, math.log(m.D))  # constant integrand: exact every trial
     elif isinstance(m, MarkovLinear):
         logslope = np.full((m.D, m.D), np.nan)
         for i in range(m.D):
-            for j in range(m.D):
-                if m.M[i][j] > 0:
-                    logslope[i, j] = math.log(float(m.slope(i, j)))
-        pvec = np.array([float(x) for x in m.p])
-        cum = np.cumsum([[float(x) for x in row] for row in m.M], axis=1)
-        for t in range(n_trials):
-            rng = np.random.default_rng(trial_seed(seed, t))
-            chain = np.empty(n_iter + 1, dtype=np.int64)
-            chain[0] = np.searchsorted(np.cumsum(pvec), rng.random(), side="right")
-            u = rng.random(n_iter)
-            for k in range(n_iter):
-                chain[k + 1] = np.searchsorted(cum[chain[k]], u[k], side="right")
+            for j in m.branch_targets(i):
+                logslope[i, j] = math.log(float(m.slope(i, j)))
+        vals = np.empty(n_trials)
+        for t, s in enumerate(seeds):
+            chain = sample_chain(m, np.random.default_rng(s), n_iter + 1)
             vals[t] = float(np.mean(logslope[chain[:-1], chain[1:]]))
+    elif isinstance(m, (GaussMap, BlaschkeBoundary)):
+        rngs, x = float_orbit_start(measure, seeds)
+        s = np.zeros(n_trials)
+        for _ in range(n_iter):
+            s += m.log_derivative_array(x)
+            x, restarts = float_orbit_step(m, measure, x, rngs)
+            resampled += restarts
+        vals = s / n_iter
     else:
-        for t in range(n_trials):
-            rng = np.random.default_rng(trial_seed(seed, t))
-            s, res = _orbit_log_derivative_sums(m, measure, n_iter, 1, rng)
-            vals[t] = s[0] / n_iter
-            resampled += res
+        raise MeasureError(f"no Birkhoff engine for {m.kind}")
     stderr = float(vals.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else None
     return EntropyEstimate(float(vals.mean()), "birkhoff",
                            sample_size=n_iter, standard_error=stderr,
@@ -390,22 +379,8 @@ def entropy_birkhoff(m: MapModel, measure: InvariantMeasure, n_iter: int,
                                     "seed": seed, "resampled": resampled})
 
 
-def entropy_birkhoff_batch(m: GaussMap, measure: GaussMeasure, n_iter: int,
-                           n_trials: int, seed: int) -> EntropyEstimate:
-    """Gauss Birkhoff estimator with all trials advanced in lockstep.
-
-    Same estimator as entropy_birkhoff but one RNG stream drives the whole
-    batch, which is what the timed acceptance run uses.
-    """
-    rng = np.random.default_rng(trial_seed(seed, 0))
-    s, resampled = _orbit_log_derivative_sums(m, measure, n_iter, n_trials, rng)
-    vals = s / n_iter
-    stderr = float(vals.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else None
-    return EntropyEstimate(float(vals.mean()), "birkhoff",
-                           sample_size=n_iter, standard_error=stderr,
-                           details={"n_iter": n_iter, "n_trials": n_trials,
-                                    "seed": seed, "resampled": resampled,
-                                    "engine": "batch"})
+# Kept under its old name: callers and the benchmark address it by name.
+entropy_birkhoff_batch = entropy_birkhoff
 
 
 def entropy_smb(m: MapModel, measure: InvariantMeasure, x, n: int) -> EntropyEstimate:

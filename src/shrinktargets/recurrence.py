@@ -19,7 +19,6 @@ import numpy as np
 
 from .coding import WordTarget, cylinder_from_word, itinerary, periodic_point
 from .maps import (
-    BlaschkeBoundary,
     DAryShift,
     GaussMap,
     MapError,
@@ -32,11 +31,13 @@ from .measures import (
     LebesgueMeasure,
     MarkovStationaryMeasure,
     MeasureError,
+    float_orbit_start,
+    float_orbit_step,
+    sample_chain,
     trial_seed,
 )
 
 PREFIX_CAP = 64          # symbolic prefix depth cap (miss probability < 2^-64)
-RESAMPLE_STREAM = 10 ** 9  # reserved trial index for boundary resampling draws
 
 
 class ScheduleError(ValueError):
@@ -443,14 +444,7 @@ def _digit_stream(m: MapModel, measure: InvariantMeasure, rng, length: int):
     if isinstance(m, DAryShift):
         return rng.integers(0, m.D, size=length, dtype=np.int64)
     if isinstance(m, MarkovLinear):
-        cum = np.cumsum([[float(x) for x in row] for row in m.M], axis=1)
-        p = np.cumsum([float(x) for x in m.p])
-        out = np.empty(length, dtype=np.int64)
-        out[0] = np.searchsorted(p, rng.random(), side="right")
-        u = rng.random(length - 1)
-        for k in range(length - 1):
-            out[k + 1] = np.searchsorted(cum[out[k]], u[k], side="right")
-        return out
+        return sample_chain(m, rng, length)
     if isinstance(m, GaussMap):
         # digits of a pseudo-orbit started from a Gauss-distributed point
         x = float(np.exp2(rng.random()) - 1.0)
@@ -556,7 +550,7 @@ def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sched
                          kind="metric", ambiguous_resolved=amb,
                          window_minima=wmins, hit_indices=hit_idx)
     hits, wmins, resampled, hit_idx = _metric_float_orbit(
-        m, measure, x0f, radii, N, trials, seeds, seed, cps, collect_hits)
+        m, measure, x0f, radii, N, trials, seeds, cps, collect_hits)
     return HitSeries(cps, hits, norm, seeds, engine="float-orbit", kind="metric",
                      resampled=resampled, window_minima=wmins, hit_indices=hit_idx)
 
@@ -568,10 +562,14 @@ def _metric_linear(m, measure, target, radii, N, trials, seeds, cps, collect_hit
         W = int(min(52 if m.D == 2 else 40, max(need, 30)))
         margin = (1.0 / m.D) ** W * (W + 2)
     else:
-        maxp = max(float(max(row)) for row in m.M)
-        need = int(math.ceil(math.log(max(r_min, 1e-18)) / math.log(maxp))) + 25
+        # the certified contraction 1/beta holds over mixing_steps digits;
+        # fewer leftover digits contract by at most the worst single branch
+        c = 1.0 / m.expansion_beta
+        worst = max(float(1 / m.slope(i, j))
+                    for i in range(m.D) for j in m.branch_targets(i))
+        need = int(math.ceil(math.log(max(r_min, 1e-18)) / math.log(c))) + 25
         W = int(min(60, max(need, 30)))
-        margin = maxp ** W * (W + 2)
+        margin = c ** W * (W + 2) * (worst / c) ** (m.mixing_steps - 1)
     lo_b, hi_b = target.bracket(120)
     x0f = float((lo_b + hi_b) / 2)
     r_float = radii.astype(float)
@@ -611,37 +609,20 @@ def _metric_linear(m, measure, target, radii, N, trials, seeds, cps, collect_hit
     return hits, wmins, ambiguous, hit_idx
 
 
-def _metric_float_orbit(m, measure, x0f, radii, N, trials, seeds, master_seed,
-                        cps, collect_hits):
-    # initial points from the per-trial streams; batch advanced in lockstep
-    x = np.array([measure.sample(np.random.default_rng(s), 1)[0] for s in seeds])
-    resample_rng = np.random.default_rng(trial_seed(master_seed, RESAMPLE_STREAM))
+def _metric_float_orbit(m, measure, x0f, radii, N, trials, seeds, cps, collect_hits):
+    rngs, x = float_orbit_start(measure, seeds)
     resampled = 0
     hitcount = np.zeros(trials, dtype=np.int64)
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
     wmins = np.full((trials, len(cps)), np.inf)
     cp_set = {c: k for k, c in enumerate(cps)}
-    circle = m.circle
     hit_idx = [[] for _ in range(trials)] if collect_hits else None
-    if isinstance(m, BlaschkeBoundary):
-        zeros = np.asarray(m.zeros)
     window = 0
     for n in range(1, N + 1):
-        if isinstance(m, GaussMap):
-            inv = 1.0 / x
-            x = inv - np.floor(inv)
-            bad = (x <= 0) | (x >= 1)
-            if bad.any():
-                resampled += int(bad.sum())
-                x[bad] = measure.sample(resample_rng, int(bad.sum()))
-        else:
-            z = np.exp(2j * np.pi * x)
-            w = np.ones(trials, dtype=complex)
-            for a in zeros:
-                w = w * z if a == 0 else w * (abs(a) / a) * (z - a) / (1 - np.conj(a) * z)
-            x = np.mod(np.angle(w) / (2 * np.pi), 1.0)
+        x, restarts = float_orbit_step(m, measure, x, rngs)
+        resampled += restarts
         d = np.abs(x - x0f)
-        if circle:
+        if m.circle:
             d = np.minimum(d, 1.0 - d)
         r = radii[n - 1]
         sel = d <= r
@@ -752,37 +733,50 @@ def _classify_radii(m, measure, target, sched):
 def _classify_depths(m, measure, target, sched):
     depths = sched.depths_array(10 ** 4)
     masses = cylinder_mass_by_depth(measure, m, target, depths, exact_cap=200)
-    psums = list(np.cumsum(masses)[[999, 9999 // 2, 9999]])
+    psums = [float(v) for v in np.cumsum(masses)[[999, 9999 // 2, 9999]]]
     if sched.kind == "depth_const":
         return BCVerdict("FullMeasure", "sum mu(P(t, x0)) with constant t",
-                         None, [float(v) for v in psums],
-                         "constant-depth cylinder masses diverge linearly")
+                         None, psums, "constant-depth cylinder masses diverge linearly")
     if sched.kind == "depth_power_floor":
         # sum c^(n^kappa) converges for every kappa > 0 and c < 1
         return BCVerdict("MeasureZero",
                          "sum mu(P(floor(n^kappa), x0)) <= sum (max mass ratio)^(n^kappa)",
-                         None, [float(v) for v in psums],
+                         None, psums,
                          "stretched-geometric masses are summable for every kappa > 0")
     if sched.kind == "depth_log_floor":
         # masses ~ n^(-L/log base) with L the per-depth log-mass rate
-        rate = _mass_log_rate(m, measure, target)
         b = sched.params["base"]
-        expo = rate / math.log(b)
-        if expo < 1:
-            return BCVerdict("FullMeasure",
-                             f"sum mu(P(floor(log_{b:g} n), x0)) ~ sum n^-{expo:.3g}",
-                             None, [float(v) for v in psums],
+        expo = _mass_log_rate(m, measure, target) / math.log(b)
+        q = _uniform_digit_mass(m, measure)
+        if q is not None:
+            # exact: about (b-1) b^t indices n have t_n = t, each with mass
+            # q^(t+1), so the series diverges iff q*b >= 1
+            verdict = "FullMeasure" if q * Fraction(b) >= 1 else "MeasureZero"
+        else:
+            verdict = ("FullMeasure" if expo < 1 else
+                       "MeasureZero" if expo > 1 else "Inconclusive")
+        series = f"sum mu(P(floor(log_{b:g} n), x0)) ~ sum n^-{expo:.3g}"
+        if verdict == "FullMeasure":
+            return BCVerdict(verdict, series, None, psums,
                              "log-floor depths give a divergent power series "
                              f"(exponent {expo:.3g} <= 1)")
-        if expo > 1:
-            return BCVerdict("MeasureZero",
-                             f"sum mu(P(floor(log_{b:g} n), x0)) ~ sum n^-{expo:.3g}",
-                             None, [float(v) for v in psums],
+        if verdict == "MeasureZero":
+            return BCVerdict(verdict, series, None, psums,
                              f"convergent power series (exponent {expo:.3g} > 1)")
         return BCVerdict("Inconclusive", "borderline log-floor schedule",
-                         None, [float(v) for v in psums], "exponent = 1 exactly")
-    return _heuristic_from_partials([float(v) for v in psums],
-                                    "sum mu(P(t_n, x0)) (custom table)")
+                         None, psums, "exponent = 1 exactly")
+    return _heuristic_from_partials(psums, "sum mu(P(t_n, x0)) (custom table)")
+
+
+def _uniform_digit_mass(m, measure) -> Optional[Fraction]:
+    """q when every depth-t cylinder has mass exactly q^(t+1), else None."""
+    if isinstance(measure, LebesgueMeasure) and isinstance(m, DAryShift):
+        return Fraction(1, m.D)
+    chain = m if isinstance(measure, LebesgueMeasure) else measure
+    if not isinstance(chain, (MarkovLinear, MarkovStationaryMeasure)):
+        return None
+    entries = {x for row in chain.M for x in row}
+    return entries.pop() if len(entries) == 1 else None
 
 
 def _mass_log_rate(m, measure, target, depth: int = 24) -> float:

@@ -67,6 +67,17 @@ class TestCylinderFromWord:
         with pytest.raises(InadmissibleDigit, match="1->1"):
             cylinder_from_word(golden_markov, (0, 1, 1))
 
+    @pytest.mark.parametrize("word,left,right", [
+        ((1, 0), F(2, 3), F(1)),
+        ((0, 1, 0), F(1, 3), F(2, 3)),
+        ((1, 0, 1), F(5, 6), F(1)),
+        ((0, 0, 1), F(1, 6), F(1, 3)),
+    ])
+    def test_golden_mean_words(self, golden_markov, word, left, right):
+        # admissible words whose branches end on a block's right endpoint
+        c = cylinder_from_word(golden_markov, word)
+        assert (c.left, c.right) == (left, right)
+
     def test_locate_dyadic(self, dary2):
         c = locate_cylinder(dary2, 0.3, 1)
         assert c.word == (0, 1) and (c.left, c.right) == (F(1, 4), F(1, 2))

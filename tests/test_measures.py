@@ -20,7 +20,7 @@ from shrinktargets import (
     stationary_vector,
     trial_seed,
 )
-from shrinktargets.measures import GAUSS_ENTROPY
+from shrinktargets.measures import GAUSS_ENTROPY, float_orbit_start, float_orbit_step
 
 LOG2 = math.log(2)
 
@@ -118,6 +118,36 @@ class TestEntropyBirkhoff:
         closed = entropy_closed_form(markov, markov_measure).value
         est = entropy_birkhoff(markov, markov_measure, 20000, 10, 2)
         assert abs(est.value - closed) <= 4 * est.standard_error
+
+    def test_gauss_trials_independent_of_batching(self, gauss, gauss_measure):
+        """Trial t of a k-trial run is the scalar orbit from trial_seed(seed, t),
+        read off as k v_k - (k-1) v_{k-1} from the k-trial means v_k."""
+        n_iter, seed = 2000, 4
+
+        def oracle(t):
+            rng = np.random.default_rng(trial_seed(seed, t))
+            x, s = gauss_measure.sample(rng, 1)[0], 0.0
+            for _ in range(n_iter):
+                s += gauss.log_derivative(x)
+                x = gauss.evaluate(x)
+                if not 0 < x < 1:
+                    x = gauss_measure.sample(rng, 1)[0]
+            return s / n_iter
+
+        prev = 0.0
+        for k in range(1, 5):
+            v = entropy_birkhoff_batch(gauss, gauss_measure, n_iter, k, seed).value
+            assert k * v - (k - 1) * prev == pytest.approx(oracle(k - 1), rel=1e-12)
+            prev = v
+
+    def test_gauss_restart_draws_from_its_own_trial(self, gauss, gauss_measure):
+        rngs, x = float_orbit_start(gauss_measure, [7, 8])
+        x[0] = 0.5  # 1/x = 2: the orbit ends at 0
+        x, restarts = float_orbit_step(gauss, gauss_measure, x, rngs)
+        own, other = np.random.default_rng(7), np.random.default_rng(8)
+        gauss_measure.sample(own, 1), other.random()
+        assert restarts == 1 and x[0] == gauss_measure.sample(own, 1)[0]
+        assert rngs[1].random() == other.random()
 
     def test_gauss_within_three_stderr(self, gauss, gauss_measure):
         est = entropy_birkhoff_batch(gauss, gauss_measure, 10 ** 5, 12, 3)

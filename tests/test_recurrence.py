@@ -92,14 +92,15 @@ class TestMetricHits:
                              sched, N, 1, seed, collect_hits=True)
         rng = np.random.default_rng(trial_seed(seed, 0))
         stream = rng.integers(0, 2, size=N + 52 + 2, dtype=np.int64)
+        # the whole stream as one binary numeral: the window stream[i:] is
+        # the number formed by its last L - i bits
+        L = len(stream)
+        V = int("".join(map(str, stream.tolist())), 2)
         x0 = F(1, 3)
         hits = []
         for i in range(1, N + 1):
-            window = stream[i:]
-            lo = F(0)
-            for d in reversed(window.tolist()):
-                lo = (d + lo) / 2
-            hi = lo + F(1, 2 ** len(window))
+            lo = F(V % (1 << (L - i)), 1 << (L - i))
+            hi = lo + F(1, 1 << (L - i))
             r = F(float(sched.radius(i)))
             if hi <= x0 + r and lo >= x0 - r:
                 hits.append(i)
@@ -129,6 +130,17 @@ class TestMetricHits:
                              2000, 4, 3)
         assert hs.engine == "symbolic-window"
         assert 0.3 <= hs.mean_final_ratio() <= 2.0
+
+    def test_golden_mean_window_engine(self, golden_markov):
+        # the chain has max M_ij = 1, so the window width must come from the
+        # certified expansion; hit counts are compound Poisson with mean equal
+        # to the normalizer, variance inflated by at most 4 at a fixed point
+        mu = MarkovStationaryMeasure(golden_markov.p, golden_markov.M)
+        tgt = TargetPoint.from_point(golden_markov, F(1, 3))
+        hs = run_metric_hits(golden_markov, mu, tgt, Schedule.radii_power(2.0),
+                             400, 2, 6)
+        norm = float(hs.normalizer[-1])
+        assert abs(hs.mean_final_ratio() - 1) <= 5 * math.sqrt(4 / (2 * norm))
 
     def test_gauss_float_engine(self, gauss, gauss_measure):
         tgt = TargetPoint.from_word(gauss, (1,))
@@ -208,6 +220,15 @@ class TestClassifier:
         tgt = TargetPoint.from_word(m4, (0, 1, 2, 3))
         assert borel_cantelli_classify(
             m4, mu4, tgt, Schedule.depth_log_floor()).verdict == "MeasureZero"
+
+    @pytest.mark.parametrize("D", [2, 3, 10])
+    def test_log_floor_base_D_borderline_diverges(self, lebesgue, D):
+        # depth-t masses are D^-(t+1) and each D-adic block of n adds (D-1)/D
+        from shrinktargets import DAryShift
+        m = DAryShift(D)
+        tgt = TargetPoint.from_word(m, (0, 1))
+        v = borel_cantelli_classify(m, lebesgue, tgt, Schedule.depth_log_floor(D))
+        assert v.verdict == "FullMeasure" and not v.heuristic
 
     def test_borderline_alpha_inconclusive(self, dary2, lebesgue):
         tgt = TargetPoint.from_word(dary2, (0, 1))
