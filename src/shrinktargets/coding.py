@@ -144,7 +144,9 @@ class WordTarget:
     """A target point x_0 known through its digit word (possibly irrational).
 
     Provides exact nested brackets [lo, hi] via cylinder endpoints, which is
-    all the containment tests need.
+    all the containment tests need.  A finite word repeats periodically; on
+    a map with affine branches its point is then the exact rational
+    ``value``.
     """
 
     def __init__(self, m: MapModel, digits, value=None):
@@ -153,7 +155,12 @@ class WordTarget:
             self._fn = digits
         else:
             seq = tuple(digits)
-            self._fn = lambda k: seq[k % len(seq)] if k >= len(seq) else seq[k]
+            self._fn = lambda k: seq[k % len(seq)]
+            if value is None and hasattr(m, "branch_affine"):
+                try:
+                    value = periodic_point(m, seq)
+                except (MapError, IndexError):
+                    pass  # the word does not close into an admissible cycle
         self.value = value
 
     def digits(self, n: int) -> tuple:
@@ -176,40 +183,38 @@ def refine_depth(m: MapModel, x0, r, start: int = 0, max_depth: int = 100000) ->
     """Smallest t with P(t, x0) inside the closed ball of radius r about x0.
 
     ``x0`` may be an exact point or a WordTarget.  Containment is decided
-    with exact endpoint comparisons; for word targets the (possibly
-    irrational) center is bracketed by deeper cylinders until the
-    comparison is unambiguous.
+    with exact endpoint comparisons; a word target with an exact rational
+    value is compared against it, others have their (possibly irrational)
+    center bracketed by deeper cylinders until the comparison is
+    unambiguous.  (A rational center can sit exactly on a ball edge that is
+    a cylinder endpoint, where no bracket separates the two.)
     """
     if r >= 1:
         return 0
-    if isinstance(x0, WordTarget):
-        t = start
-        while t <= max_depth:
-            cyl = x0.cylinder(t)
-            extra = t + 8
-            while True:
-                lo, hi = x0.bracket(extra)
-                # certified yes: even the worst center position fits
-                if hi - r <= cyl.left and cyl.right <= lo + r:
-                    return_flag = True
-                    break
-                # certified no: even the best center position fails
-                if lo - r > cyl.left or cyl.right > hi + r:
-                    return_flag = False
-                    break
-                extra += 8
-                if extra > t + 200:
-                    raise RuntimeError("containment test failed to resolve")
-            if return_flag:
-                return t
-            t += 1
-        raise RuntimeError("max refinement depth exceeded")
-    t = start
-    while t <= max_depth:
-        if _contained_in_ball(locate_cylinder(m, x0, t), x0, r):
+    if not isinstance(x0, WordTarget):
+        inside = lambda t: _contained_in_ball(locate_cylinder(m, x0, t), x0, r)
+    elif isinstance(x0.value, (int, Fraction)):
+        inside = lambda t: _contained_in_ball(x0.cylinder(t), x0.value, r)
+    else:
+        inside = lambda t: _bracketed_containment(x0, t, r)
+    for t in range(start, max_depth + 1):
+        if inside(t):
             return t
-        t += 1
     raise RuntimeError("max refinement depth exceeded")
+
+
+def _bracketed_containment(x0: WordTarget, t: int, r) -> bool:
+    """P(t, x0) inside the closed ball about the bracketed center of x0."""
+    cyl = x0.cylinder(t)
+    for extra in range(t + 8, t + 201, 8):
+        lo, hi = x0.bracket(extra)
+        # certified yes: even the worst center position fits
+        if hi - r <= cyl.left and cyl.right <= lo + r:
+            return True
+        # certified no: even the best center position fails
+        if lo - r > cyl.left or cyl.right > hi + r:
+            return False
+    raise RuntimeError("containment test failed to resolve")
 
 
 def refine_schedule_to_depths(m: MapModel, x0, radii) -> list:

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -250,19 +251,43 @@ def _extrapolated_limit(seq: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 # Cantor stage construction
 
+DUMP_BLOCK_BUDGET = 2_000_000    # most blocks per level that dump_json writes
+
+
+class _BlockView(Sequence):
+    """Read-only sequence of n per-block values computed on access."""
+
+    def __init__(self, n: int, item):
+        self._n = n
+        self._item = item
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if not -self._n <= i < self._n:
+            raise IndexError("block index out of range")
+        return self._item(i % self._n)
+
+
 @dataclass
 class StageLevel:
-    """One level of the two-family construction, stored flat.
+    """One level of the two-family construction, stored as one family.
 
-    fine blocks (J~) carry the SMB-regular return words; nested blocks (J)
-    append the target's digits.  ``parent[i]`` indexes the previous level's
-    nested list (-1 for the root)."""
-    fine_parent: np.ndarray
-    fine_suffix: list            # list of digit tuples, one per fine block
-    fine_lam: list               # Fraction per fine block
-    fine_nu: list                # Fraction per fine block
+    Every parent (a nested block of the previous level, or the root word)
+    ends at ``base_digit``, so all parents share one family of fine blocks
+    (J~): block i is the parent i // F followed by ``suffixes[i % F]``, and
+    its lambda and nu are the parent's times that suffix's factors.  Each
+    fine block has one nested child (J) that appends the target's digits.
+    The ``fine_*`` and ``nested_lam`` views index blocks in that order."""
+    suffixes: tuple              # digit tuples of the fine family
+    suffix_lam: tuple            # Fraction lam(J~)/lam(parent) per suffix
+    suffix_nu: tuple             # Fraction nu(J~)/nu(parent) per suffix
     nested_suffix: tuple         # shared x0-digit suffix appended to each fine block
-    nested_lam: list             # Fraction per nested block (parallel to fine)
+    nested_rel: Fraction         # lam(J)/lam(J~)
+    parent_lam: Sequence         # lam of each parent block
+    parent_nu: Sequence          # nu of each parent block
+    base_digit: int = 0          # last digit of every parent
     N_j: int = 0
     k_j: int = 0
     d_j: int = 0                 # depth of the fine blocks
@@ -270,6 +295,39 @@ class StageLevel:
     beta_j: float = 0.0          # max lam(J~)/lam(J_parent)
     gamma_j: float = 0.0         # min lam(J)/lam(J~)
     delta_j: float = 0.0         # min_parent lam(family)/lam(parent)
+
+    @property
+    def count(self) -> int:
+        return len(self.parent_lam) * len(self.suffixes)
+
+    def _view(self, item) -> _BlockView:
+        F = len(self.suffixes)
+        return _BlockView(self.count, lambda i: item(*divmod(i, F)))
+
+    @property
+    def fine_parent(self):
+        return self._view(lambda p, s: p)
+
+    @property
+    def fine_suffix(self):
+        return self._view(lambda p, s: self.suffixes[s])
+
+    @property
+    def fine_lam(self):
+        return self._view(lambda p, s: self.parent_lam[p] * self.suffix_lam[s])
+
+    @property
+    def fine_nu(self):
+        return self._view(lambda p, s: self.parent_nu[p] * self.suffix_nu[s])
+
+    @property
+    def nested_lam(self):
+        return self._view(lambda p, s: self.parent_lam[p] * self.suffix_lam[s]
+                          * self.nested_rel)
+
+
+def _log(q: Fraction) -> float:
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 @dataclass
@@ -285,39 +343,68 @@ class CantorStage:
     notes: dict = field(default_factory=dict)
 
     # -- iteration ------------------------------------------------------
-    def fine_count(self, j: int) -> int:
-        return len(self.levels[j].fine_suffix)
-
     def fine_word(self, j: int, i: int) -> tuple:
-        """Full digit word of the j-th level's i-th fine block (1-based levels)."""
-        lvl = self.levels[j]
-        parts = [lvl.fine_suffix[i]]
-        parent = int(lvl.fine_parent[i])
-        for k in range(j - 1, -1, -1):
-            plvl = self.levels[k]
-            parts.append(plvl.nested_suffix)
-            parts.append(plvl.fine_suffix[parent])
-            parent = int(plvl.fine_parent[parent])
+        """Full digit word of the i-th fine block of ``levels[j]``."""
+        parts = []
+        for k in range(j, -1, -1):
+            lvl = self.levels[k]
+            i, s = divmod(i, len(lvl.suffixes))
+            if k < j:
+                parts.append(lvl.nested_suffix)
+            parts.append(lvl.suffixes[s])
         parts.append(self.root_word)
-        out = []
-        for p in reversed(parts):
-            out.extend(p)
-        return tuple(out)
+        return tuple(d for p in reversed(parts) for d in p)
 
     def nested_word(self, j: int, i: int) -> tuple:
         return self.fine_word(j, i) + self.levels[j].nested_suffix
 
     def iter_blocks(self, j: int, kind: str = "fine"):
+        """(word, lam, nu) of the fine or nested blocks of ``levels[j]`` in
+        block order."""
         lvl = self.levels[j]
-        for i in range(len(lvl.fine_suffix)):
-            if kind == "fine":
-                yield self.fine_word(j, i), lvl.fine_lam[i], lvl.fine_nu[i]
-            else:
-                yield self.nested_word(j, i), lvl.nested_lam[i], lvl.fine_nu[i]
+        tail, rel = (lvl.nested_suffix, lvl.nested_rel) if kind == "nested" else ((), 1)
+        family = [(suf + tail, lam * rel, nu)
+                  for suf, lam, nu in zip(lvl.suffixes, lvl.suffix_lam, lvl.suffix_nu)]
+        parents = self.iter_blocks(j - 1, "nested") if j else \
+            [(self.root_word, self.root_lam, Fraction(1))]
+        for w, lam, nu in parents:
+            for suf, s_lam, s_nu in family:
+                yield w + suf, lam * s_lam, nu * s_nu
+
+    def level_classes(self) -> list:
+        """Per level, the distinct (fine lam, nested lam, nu) of its blocks
+        with their multiplicities, in the order the block list first meets
+        them.
+
+        A block's class is fixed by its parent's class and its suffix's
+        lam, so a level costs (parent classes) x (distinct suffix masses).
+        Both are visited in order of their first block, and the first block
+        of such a pair is (first parent) * F + (first suffix), so classes
+        enter ``merged`` in block order."""
+        out = []
+        parents = [(0, self.root_lam, Fraction(1), 1)]   # (first block, lam, nu, count)
+        for lvl in self.levels:
+            F = len(lvl.suffixes)
+            family = {}                                  # suffix lam -> (first, count, nu)
+            for s, (s_lam, s_nu) in enumerate(zip(lvl.suffix_lam, lvl.suffix_nu)):
+                first, cnt, _ = family.get(s_lam, (s, 0, s_nu))
+                family[s_lam] = (first, cnt + 1, s_nu)
+            merged = {}
+            for p_first, p_lam, p_nu, p_cnt in parents:
+                for s_lam, (s_first, s_cnt, s_nu) in family.items():
+                    key = (p_lam * s_lam, p_nu * s_nu)
+                    first, cnt = merged.get(key, (p_first * F + s_first, 0))
+                    merged[key] = (first, cnt + p_cnt * s_cnt)
+            out.append([(lam, lam * lvl.nested_rel, nu, cnt)
+                        for (lam, nu), (_, cnt) in merged.items()])
+            parents = [(first, lam * lvl.nested_rel, nu, cnt)
+                       for (lam, nu), (first, cnt) in merged.items()]
+        return out
 
     # -- invariants -----------------------------------------------------
     def nu_level_sums(self) -> list:
-        return [sum(lvl.fine_nu, Fraction(0)) for lvl in self.levels]
+        return [sum((cnt * nu for _, _, nu, cnt in classes), Fraction(0))
+                for classes in self.level_classes()]
 
     def nesting_violations(self) -> int:
         """Blocks whose closure is not strictly inside the coarse parent.
@@ -341,7 +428,7 @@ class CantorStage:
                     flush_right = False
                 prev = d
             if flush_left or flush_right:
-                bad += len(lvl.fine_suffix)
+                bad += lvl.count
         return bad
 
     def _admissible_extremes(self, prev, j, pos):
@@ -394,36 +481,47 @@ class CantorStage:
 
     # -- serialization ----------------------------------------------------
     def dump_json(self, path):
+        """Write every fine and nested block with its exact lambda and nu.
+
+        The file grows with the number of blocks, so a stage with a level
+        of more than DUMP_BLOCK_BUDGET blocks is refused before writing."""
+        for j, lvl in enumerate(self.levels, start=1):
+            if lvl.count > DUMP_BLOCK_BUDGET:
+                raise DimensionError(
+                    f"level {j}: {lvl.count} blocks exceed the dump budget "
+                    f"{DUMP_BLOCK_BUDGET}")
         with open(path, "w") as fh:
             fh.write('{"levels": [\n')
             for j in range(len(self.levels)):
-                recs = []
+                sep = "["
                 for kind in ("fine", "nested"):
                     for word, lam, nu in self.iter_blocks(j, kind):
-                        recs.append(json.dumps({
+                        fh.write(sep + json.dumps({
                             "kind": kind,
                             "word": list(word),
                             "lambda": f"{lam.numerator}/{lam.denominator}",
                             "nu": f"{nu.numerator}/{nu.denominator}",
                         }))
-                fh.write("[" + ",\n".join(recs) + "]")
+                        sep = ",\n"
+                fh.write("]")
                 fh.write(",\n" if j + 1 < len(self.levels) else "\n")
             fh.write("]}\n")
 
 
-def _extend_lam(measure: MarkovStationaryMeasure, lam: Fraction, last: int,
-                suffix) -> tuple:
-    """(new mass, new last digit) after appending suffix digits."""
+def _relative_lam(measure: MarkovStationaryMeasure, last: int, suffix) -> Fraction:
+    """lambda(w + suffix) / lambda(w) for a word w ending at digit ``last``
+    (integer products, reduced once)."""
+    num = den = 1
     for d in suffix:
-        lam *= measure.M[last][d]
+        num *= measure.M[last][d].numerator
+        den *= measure.M[last][d].denominator
         last = d
-    return lam, last
+    return Fraction(num, den)
 
 
 def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
                        level_sizes: Sequence[int], epsilon: float = 0.3,
-                       root_depth: int = 0, max_fine_blocks: int = 2_000_000
-                       ) -> CantorStage:
+                       root_depth: int = 0) -> CantorStage:
     """Finite-depth realization of the two-family nested construction.
 
     Per level j: d_j = (previous depth) + N_j; the fine family collects the
@@ -431,7 +529,9 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     onto P(0, x0); each fine block gains one nested child by appending
     x0's digits to depth k_j, where k_j is the refine depth for r_{d_j}
     (radii schedules) or t_{d_j} (depth schedules).  The mass nu splits
-    proportionally to lambda within each admissible family.
+    proportionally to lambda within each admissible family.  A level
+    stores its family once, so the cost is the sum of the family sizes,
+    not their product.
     """
     if not isinstance(m, (DAryShift, MarkovLinear)):
         raise DimensionError("stage construction needs a finite-alphabet linear map")
@@ -461,8 +561,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
 
     stage_levels = []
     depth = len(root_word) - 1           # current nested depth d_{j-1} + k_{j-1}
-    parent_lams = [root_lam]
-    parent_count = 1
+    parent_lam, parent_nu = (root_lam,), (Fraction(1),)
     base_digit = root_word[-1]           # block the next family must start from
 
     for j, N_j in enumerate([int(n) for n in level_sizes], start=1):
@@ -475,7 +574,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
             raise StageConstructionError(
                 f"level {j}: SMB regularity window empty at N_j={N_j} "
                 f"(hypothesis of the regular-family mass bound violated)")
-        suffixes = [w[1:] for w in words]           # entry digit is the base block
+        suffixes = tuple(w[1:] for w in words)      # entry digit is the base block
         d_j = depth + N_j
 
         # k_j from the schedule at index d_j
@@ -489,48 +588,21 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
             k_j = max(int(sched.depth(d_j)), 0)
         nested_suffix = tuple(digits_to(k_j)[1:k_j + 1])
 
-        # per-parent family: same suffix set for every parent (all parents
-        # end at the same base digit), so masses repeat parent-wise
-        fam_lams = []
-        for suf in suffixes:
-            lam_rel, _ = _extend_lam(measure, Fraction(1), base_digit, suf)
-            fam_lams.append(lam_rel)
-        fam_total_rel = sum(fam_lams, Fraction(0))
-
-        count = parent_count * len(suffixes)
-        if count > max_fine_blocks:
-            raise StageConstructionError(
-                f"level {j}: {count} blocks exceed the budget {max_fine_blocks}")
-
-        fine_parent = np.repeat(np.arange(parent_count), len(suffixes))
-        fine_suffix = suffixes * parent_count
-        fine_lam = []
-        fine_nu = []
-        nested_lam = []
-        nu_parents = (stage_levels[-1].fine_nu if stage_levels else [Fraction(1)])
-        nested_rel, _ = _extend_lam(measure, Fraction(1), x0_digits[0], nested_suffix)
-        for pi in range(parent_count):
-            plam = parent_lams[pi]
-            pnu = nu_parents[pi]
-            for si, suf in enumerate(suffixes):
-                lam = plam * fam_lams[si]
-                fine_lam.append(lam)
-                fine_nu.append(pnu * fam_lams[si] / fam_total_rel)
-                nested_lam.append(lam * nested_rel)
-
-        alpha_j = float(min(fam_lams))
-        beta_j = float(max(fam_lams))
-        gamma_j = float(nested_rel)
-        delta_j = float(fam_total_rel)
-        lvl = StageLevel(fine_parent, fine_suffix, fine_lam, fine_nu,
-                         nested_suffix, nested_lam, N_j=N_j, k_j=k_j, d_j=d_j,
-                         alpha_j=alpha_j, beta_j=beta_j, gamma_j=gamma_j,
-                         delta_j=delta_j)
+        # every parent ends at the same base digit, so one family serves all
+        suffix_lam = tuple(_relative_lam(measure, base_digit, suf) for suf in suffixes)
+        family_lam = sum(suffix_lam, Fraction(0))
+        nested_rel = _relative_lam(measure, x0_digits[0], nested_suffix)
+        lvl = StageLevel(suffixes, suffix_lam,
+                         tuple(lam / family_lam for lam in suffix_lam),
+                         nested_suffix, nested_rel, parent_lam, parent_nu,
+                         base_digit, N_j=N_j, k_j=k_j, d_j=d_j,
+                         alpha_j=float(min(suffix_lam)),
+                         beta_j=float(max(suffix_lam)),
+                         gamma_j=float(nested_rel), delta_j=float(family_lam))
         stage_levels.append(lvl)
 
         depth = d_j + k_j
-        parent_lams = nested_lam
-        parent_count = count
+        parent_lam, parent_nu = lvl.nested_lam, lvl.fine_nu
         base_digit = nested_suffix[-1] if nested_suffix else x0_digits[0]
 
     stage = CantorStage(m, measure, tuple(x0_digits), root_word, root_lam,
@@ -555,31 +627,31 @@ def frostman_exponent(stage: CantorStage, c_cap: float = 1e3,
     (where nu aggregates over siblings).  Cylinders between a fine block
     and its nested child carry constant nu with shrinking lambda, so only
     the nested endpoint binds; those are skipped.  The log-log regression
-    slope over the blocks is reported for diagnostics.
+    slope over the blocks is reported for diagnostics.  Blocks of one
+    (lambda, nu) class give one constraint and one weighted point.
     """
     log_cap = math.log(c_cap)
     constraints = []
     pairs = []       # (log lam, log nu, count) over distinct block classes
     total_blocks = 0
-    for j in range(len(stage.levels)):
-        lvl = stage.levels[j]
-        classes = {}
-        for i in range(len(lvl.fine_suffix)):
-            key = (lvl.fine_lam[i], lvl.nested_lam[i], lvl.fine_nu[i])
-            classes[key] = classes.get(key, 0) + 1
-        for (lam_f, lam_n, nu), cnt in classes.items():
-            ln = math.log(nu.numerator) - math.log(nu.denominator)
+    classes = stage.level_classes()
+    for lvl, level_classes in zip(stage.levels, classes):
+        for lam_f, lam_n, nu, cnt in level_classes:
+            ln = _log(nu)
             for lam in ((lam_f, lam_n) if lam_n != lam_f else (lam_f,)):
-                ll = math.log(lam.numerator) - math.log(lam.denominator)
+                ll = _log(lam)
                 constraints.append((log_cap - ln) / (-ll))
                 pairs.append((ll, ln, cnt))
-        total_blocks += len(lvl.fine_suffix) * (2 if lvl.nested_suffix else 1)
+        total_blocks += lvl.count * (2 if lvl.nested_suffix else 1)
     if total_blocks < 10:
         raise DimensionError("insufficient resolution: fewer than 10 blocks")
 
     if include_intermediate:
-        for j in range(len(stage.levels)):
-            constraints.extend(_intermediate_constraints(stage, j, log_cap))
+        parents = [(stage.root_lam, Fraction(1))]
+        for lvl, level_classes in zip(stage.levels, classes):
+            constraints.extend(_intermediate_constraints(stage.measure, lvl,
+                                                         parents, log_cap))
+            parents = [(lam_n, nu) for _, lam_n, nu, _ in level_classes]
 
     gamma = min(1.0, min(constraints))
     xs = np.array([p[0] for p in pairs])
@@ -594,50 +666,35 @@ def frostman_exponent(stage: CantorStage, c_cap: float = 1e3,
             "regression_slope": slope, "regression_rms_residual": resid}
 
 
-def _intermediate_constraints(stage: CantorStage, j: int, log_cap: float):
-    """Constraints from prefixes strictly between the parent and the fine
-    family of level j (nu sums over the children sharing the prefix)."""
-    lvl = stage.levels[j]
-    out = []
-    parents = {}
-    for i in range(len(lvl.fine_suffix)):
-        parents.setdefault(int(lvl.fine_parent[i]), []).append(i)
-    measure = stage.measure
-    seen_classes = set()
-    for pi, idxs in parents.items():
-        if j == 0:
-            plam = stage.root_lam
-            last0 = stage.root_word[-1]
-        else:
-            plvl = stage.levels[j - 1]
-            plam = plvl.nested_lam[pi]
-            last0 = (plvl.nested_suffix[-1] if plvl.nested_suffix
-                     else stage.x0_digits[0])
-        # parents with identical (mass, nu) contribute identical constraints
-        cls = (plam, lvl.fine_nu[idxs[0]])
-        if cls in seen_classes:
-            continue
-        seen_classes.add(cls)
-        suf_len = len(lvl.fine_suffix[idxs[0]])
-        groups = {(): (plam, last0, sum((lvl.fine_nu[i] for i in idxs),
-                                        Fraction(0)))}
-        for pos in range(suf_len - 1):
-            new = {}
-            for i in idxs:
-                key = lvl.fine_suffix[i][:pos + 1]
-                if key in new:
-                    new[key] = (new[key][0], new[key][1],
-                                new[key][2] + lvl.fine_nu[i])
-                else:
-                    pref_lam, pref_last, _ = groups[key[:-1]]
-                    lam = pref_lam * measure.M[pref_last][key[-1]]
-                    new[key] = (lam, key[-1], lvl.fine_nu[i])
-            groups = new
-            for lam, _, nu in groups.values():
-                ll = math.log(lam.numerator) - math.log(lam.denominator)
-                ln = math.log(nu.numerator) - math.log(nu.denominator)
-                out.append((log_cap - ln) / (-ll))
-    return out
+def _intermediate_constraints(measure: MarkovStationaryMeasure, lvl: StageLevel,
+                              parents, log_cap: float):
+    """Constraints from prefixes strictly between a parent and its fine
+    children, where nu sums over the children sharing the prefix.
+
+    Every parent sees the same prefixes, so the family is walked once for
+    the prefixes' relative (lam, nu), which then scale by each distinct
+    parent (lam, nu).  The walk adds integers: lam scaled by the common
+    denominator of the family, reduced once per prefix."""
+    scale = math.lcm(*(lam.denominator for lam in lvl.suffix_lam))
+    by_length = [{suf: lam.numerator * (scale // lam.denominator)
+                  for suf, lam in zip(lvl.suffixes, lvl.suffix_lam)}]
+    for n in range(len(lvl.suffixes[0]) - 1, 0, -1):
+        shorter = {}                                   # prefix -> scaled lam of its children
+        for key, w in by_length[-1].items():
+            shorter[key[:n]] = shorter.get(key[:n], 0) + w
+        by_length.append(shorter)
+    total = sum(by_length[0].values())
+    lams = {(): (1, 1)}                                # prefix -> relative lam (num, den)
+    rel = {}
+    for prefixes in reversed(by_length[1:]):
+        for key, w in prefixes.items():
+            q = measure.M[key[-2] if len(key) > 1 else lvl.base_digit][key[-1]]
+            num, den = lams[key[:-1]]
+            lams[key] = num * q.numerator, den * q.denominator
+            rel[lams[key] + (w,)] = None
+    rel = [(Fraction(num, den), Fraction(w, total)) for num, den, w in rel]
+    return [(log_cap - _log(p_nu * nu)) / (-_log(p_lam * lam))
+            for p_lam, p_nu in parents for lam, nu in rel]
 
 
 # ---------------------------------------------------------------------------

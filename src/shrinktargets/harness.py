@@ -156,6 +156,8 @@ def _build_schedule(spec: dict) -> Schedule:
             return Schedule.custom_depths(args["table"])
     except KeyError as e:
         raise ConfigError([f"schedule {kind} missing parameter {e}"]) from None
+    except (ValueError, TypeError) as e:      # ScheduleError or a non-numeric value
+        raise ConfigError([f"schedule {kind}: {e}"]) from None
     raise ConfigError([f"unknown schedule kind {kind!r}"])
 
 

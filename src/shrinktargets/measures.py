@@ -524,9 +524,10 @@ def pushforward_defect(m: MapModel, measure: InvariantMeasure, a, b,
                 lo, hi = max(a, blk[0]), min(b, blk[1])
                 if hi <= lo:
                     continue
-                x1, x2 = m.inverse_branch(d, lo), m.inverse_branch(d, hi)
-                lo2, hi2 = (x1, x2) if x1 <= x2 else (x2, x1)
-                total += Fraction(measure.interval_mass(lo2, hi2))
+                # the branch restricted to block j, so that a block's right
+                # endpoint does not select the next block's branch
+                A, B = m.branch_affine(d, j)
+                total += Fraction(measure.interval_mass(A + B * lo, A + B * hi))
         return abs(float(total - Fraction(measure.interval_mass(a, b))))
     if isinstance(m, GaussMap) and isinstance(measure, GaussMeasure):
         af, bf = float(a), float(b)

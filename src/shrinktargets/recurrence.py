@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coding import WordTarget, cylinder_from_word, itinerary, periodic_point
+from .coding import WordTarget, cylinder_from_word, itinerary
 from .maps import (
     DAryShift,
     GaussMap,
@@ -75,6 +75,8 @@ class Schedule:
             raise ScheduleError("alpha must be > 0")
         if self.kind == "radii_exp" and self.params["kappa"] <= 0:
             raise ScheduleError("kappa must be > 0")
+        if self.kind == "depth_log_floor" and not self.params["base"] > 1:
+            raise ScheduleError("log base must be > 1")
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -232,15 +234,7 @@ class TargetPoint:
     @classmethod
     def from_word(cls, m: MapModel, digits, value=None) -> "TargetPoint":
         wt = WordTarget(m, digits, value)
-        val = value
-        if val is None and isinstance(m, (DAryShift, MarkovLinear)):
-            try:
-                period = digits if not callable(digits) else None
-                if period is not None:
-                    val = periodic_point(m, tuple(period))
-            except Exception:
-                val = None
-        return cls(m, value=val, word_target=wt)
+        return cls(m, value=wt.value, word_target=wt)
 
     def digits(self, n: int) -> tuple:
         if self.word_target is not None:

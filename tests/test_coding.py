@@ -205,6 +205,15 @@ class TestRefine:
         ts = refine_schedule_to_depths(gauss, target, radii)
         assert all(a <= b for a, b in zip(ts, ts[1:]))
 
+    def test_periodic_word_matches_its_point(self, dary2):
+        # (01)^inf is 1/3; at r = 1/12 the ball edge 1/4 is a cylinder
+        # endpoint, which brackets of the center never separate
+        radii = [F(1, k) for k in range(2, 502)]
+        word = WordTarget(dary2, (0, 1))
+        assert word.value == F(1, 3)
+        assert refine_schedule_to_depths(dary2, word, radii) == \
+            refine_schedule_to_depths(dary2, F(1, 3), radii)
+
     def test_golden_gauss_bracket_refinement(self, gauss):
         # golden-mean target: fibonacci-denominator cylinder must fit in the
         # ball; verified against an exact interval scan using brackets

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -26,6 +28,7 @@ from shrinktargets import (
     grid_transfer,
     rectangle_counterexample_balls,
 )
+from shrinktargets.dimension import _intermediate_constraints
 
 LOG2 = math.log(2)
 GAUSS_H = math.pi ** 2 / (6 * LOG2)
@@ -198,9 +201,13 @@ class TestCantorStage:
         assert stage.nesting_violations() == 0
 
     def test_level_ratio_bounds(self, stage):
-        for lvl in stage.levels:
+        for j, lvl in enumerate(stage.levels):
             for i in range(0, len(lvl.fine_suffix), 4097):
-                ratio = lvl.fine_lam[i]  # relative to parent checked via params
+                parent = int(lvl.fine_parent[i])
+                parent_lam = stage.root_lam if j == 0 else \
+                    stage.levels[j - 1].nested_lam[parent]
+                ratio = float(lvl.fine_lam[i] / parent_lam)
+                assert lvl.alpha_j <= ratio <= lvl.beta_j
             assert lvl.alpha_j <= lvl.beta_j
             assert lvl.gamma_j > 0 and 0 < lvl.delta_j <= 1
 
@@ -302,6 +309,121 @@ class TestCantorStage:
         recs = doc["levels"][0]
         assert all("/" in r["lambda"] and "/" in r["nu"] for r in recs)
         assert {r["kind"] for r in recs} == {"fine", "nested"}
+
+
+def _flat_oracle(stage, c_cap=1e3):
+    """Block-by-block recomputation over iter_blocks: nu level sums, the
+    (fine lam, nested lam, nu) classes in first-occurrence order, the
+    Frostman gamma, the block count and the set of intermediate-prefix
+    constraints."""
+    log_cap = math.log(c_cap)
+
+    def lg(q):
+        return math.log(q.numerator) - math.log(q.denominator)
+
+    def key(*qs):                       # exact and cheap to hash
+        return tuple(x for q in qs for x in (q.numerator, q.denominator))
+
+    M = stage.measure.M
+    nu_sums, classes, constraints, inter, blocks = [], [], [], set(), 0
+    parents = {stage.root_word: stage.root_lam}        # nested word -> lam
+    for j, lvl in enumerate(stage.levels):
+        plen = len(next(iter(parents)))
+        counts, children, nested, nu_by_den = {}, {}, {}, {}
+        for (w, lam, nu), (wn, lam_n) in zip(
+                stage.iter_blocks(j),
+                ((wn, lam_n) for wn, lam_n, _ in stage.iter_blocks(j, "nested"))):
+            assert wn[:len(w)] == w
+            nu_by_den[nu.denominator] = nu_by_den.get(nu.denominator, 0) + nu.numerator
+            k = key(lam, lam_n, nu)
+            counts[k] = counts.get(k, 0) + 1
+            children.setdefault(w[:plen], []).append((w[plen:], nu))
+            if j + 1 < len(stage.levels):
+                nested[wn] = lam_n
+        nu_sums.append(sum((F(n, d) for d, n in nu_by_den.items()), F(0)))
+        counts = {(F(a, b), F(c, d), F(e, f)): cnt
+                  for (a, b, c, d, e, f), cnt in counts.items()}
+        classes.append([k + (cnt,) for k, cnt in counts.items()])
+        blocks += sum(counts.values()) * (2 if lvl.nested_suffix else 1)
+        for (lam_f, lam_n, nu) in counts:
+            for lam in {lam_f, lam_n}:
+                constraints.append((log_cap - lg(nu)) / -lg(lam))
+        seen = set()
+        for pword, kids in children.items():
+            cls = (parents[pword], kids[0][1])
+            if cls in seen:
+                continue
+            seen.add(cls)
+            for n in range(1, len(kids[0][0])):
+                groups = {}
+                for suf, nu in kids:
+                    groups[suf[:n]] = groups.get(suf[:n], 0) + nu
+                for pref, nu in groups.items():
+                    lam, last = parents[pword], pword[-1]
+                    for d in pref:
+                        lam, last = lam * M[last][d], d
+                    inter.add((log_cap - lg(nu)) / -lg(lam))
+        parents = nested
+    return nu_sums, classes, min(1.0, min(constraints), min(inter)), blocks, inter
+
+
+class TestFactorizedStage:
+
+    @pytest.mark.parametrize("name", ["dary2-8-12", "markov-6-8", "depthconst-4-5"])
+    def test_matches_flat_oracle(self, name, stage, markov):
+        st_ = {
+            "dary2-8-12": lambda: stage,
+            "markov-6-8": lambda: build_cantor_stage(
+                markov, (0, 1), Schedule.radii_exp(LOG2), 2, (6, 8)),
+            "depthconst-4-5": lambda: build_cantor_stage(
+                DAryShift(2), (0, 1), Schedule.depth_const(0), 2, (4, 5)),
+        }[name]()
+        nu_sums, classes, gamma, blocks, inter = _flat_oracle(st_)
+        assert st_.nu_level_sums() == nu_sums == [F(1)] * len(st_.levels)
+        assert st_.level_classes() == classes
+        fr = frostman_exponent(st_)
+        assert fr["gamma"] == gamma
+        assert fr["blocks"] == blocks
+        # every intermediate constraint, not only the binding one
+        parents, factorized = [(st_.root_lam, F(1))], set()
+        for lvl, level_classes in zip(st_.levels, classes):
+            factorized.update(_intermediate_constraints(st_.measure, lvl, parents,
+                                                        math.log(1e3)))
+            parents = [(lam_n, nu) for _, lam_n, nu, _ in level_classes]
+        assert factorized == inter
+
+    def test_views_index_like_sequences(self, stage):
+        lvl = stage.levels[1]
+        n = len(lvl.fine_lam)
+        first = list(itertools.islice(stage.iter_blocks(1), 3000))
+        for i in (0, 2047, 2048, 2999):          # 2048 suffixes per parent
+            word, lam, nu = first[i]
+            assert stage.fine_word(1, i) == word
+            assert (lvl.fine_lam[i], lvl.fine_nu[i]) == (lam, nu)
+            assert lvl.nested_lam[i] == lam * lvl.nested_rel
+        assert lvl.fine_lam[-1] == lvl.fine_lam[n - 1]
+        with pytest.raises(IndexError):
+            lvl.fine_nu[n]
+
+    def test_three_levels(self):
+        t0 = time.perf_counter()
+        st3 = build_cantor_stage(DAryShift(2), (0, 1), Schedule.radii_exp(LOG2),
+                                 3, (8, 12, 14))
+        fr = frostman_exponent(st3)
+        elapsed = time.perf_counter() - t0
+        assert st3.nu_level_sums() == [F(1)] * 3
+        assert st3.nesting_violations() == 0
+        assert len(st3.levels[2].fine_suffix) == 2 ** 31
+        assert 0 < fr["gamma"] <= 1
+        assert elapsed < 5
+
+    def test_dump_budget(self, stage, tmp_path, monkeypatch):
+        from shrinktargets import dimension
+        monkeypatch.setattr(dimension, "DUMP_BLOCK_BUDGET", 1000)
+        path = tmp_path / "stage.json"
+        with pytest.raises(DimensionError, match="dump budget"):
+            stage.dump_json(path)
+        assert not path.exists()
 
 
 class TestGridProbes:

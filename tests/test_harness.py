@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import shrinktargets
 from shrinktargets.harness import (
     ConfigError,
     emit_report,
@@ -172,8 +173,12 @@ class TestReports:
 
 class TestCLI:
     def _run(self, args):
+        # the child finds the package where this process found it
+        src = os.path.dirname(os.path.dirname(shrinktargets.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-m", "shrinktargets.cli"] + args,
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
 
     def test_classify_ok(self, tmp_path):
         cfgp = tmp_path / "c.json"
@@ -194,6 +199,17 @@ class TestCLI:
         r = self._run(["simulate", "--config", str(cfgp)])
         assert r.returncode == 2
         assert "horizons" in r.stderr
+
+    @pytest.mark.parametrize("base", [1, "x"])
+    def test_bad_log_base_exit_2(self, tmp_path, base):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "experiment": "classify", "map": {"kind": "dary", "D": 2},
+            "x0": {"word": [0, 1]},
+            "schedule": {"kind": "depth_log_floor", "base": base}}))
+        r = self._run(["classify", "--config", str(cfgp)])
+        assert r.returncode == 2
+        assert "depth_log_floor" in r.stderr and "Traceback" not in r.stderr
 
     def test_numerical_failure_exit_3(self, tmp_path):
         cfgp = tmp_path / "c.json"

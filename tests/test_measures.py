@@ -209,6 +209,14 @@ class TestInvariance:
                 assert pushforward_defect(blaschke_two, lebesgue, a, b) < 1e-12
 
 
+    def test_pushforward_forbidden_transition(self, golden_markov):
+        # a block's right endpoint must not select the next block's branch
+        stationary = MarkovStationaryMeasure(golden_markov.p, golden_markov.M)
+        for a, b in [(0, 1), (F(1, 5), F(4, 5)), (F(1, 3), F(2, 3)),
+                     (F(2, 3), 1), (0, F(2, 3)), (F(1, 7), F(5, 6))]:
+            assert pushforward_defect(golden_markov, stationary, a, b) == 0
+
+
 class TestComparability:
     def test_gauss_density_bounds(self, gauss_measure):
         lo, hi = gauss_measure.density_bounds()

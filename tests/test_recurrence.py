@@ -38,6 +38,11 @@ class TestSchedule:
         with pytest.raises(ScheduleError):
             Schedule.radii_power(-1)
 
+    @pytest.mark.parametrize("base", [0.5, 1])
+    def test_log_base_at_most_one_rejected(self, base):
+        with pytest.raises(ScheduleError, match="base"):
+            Schedule.depth_log_floor(base)
+
     def test_depth_arrays(self):
         s = Schedule.depth_log_floor(2)
         t = s.depths_array(16)
