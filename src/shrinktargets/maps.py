@@ -222,6 +222,12 @@ class MarkovLinear(MapModel):
                 sc.append(sc[-1] + p[i] * M[i][j])
             self._subcuts.append(tuple(sc))
         self.partition0 = tuple((cuts[i], cuts[i + 1]) for i in range(D))
+        # exact (A, B) of every admissible branch, built once: the cylinder
+        # compositions and the window engine read them per digit
+        self._affine = tuple(
+            tuple((self._subcuts[i][j] - cuts[j] / self.slope(i, j), 1 / self.slope(i, j))
+                  if M[i][j] > 0 else None for j in range(D))
+            for i in range(D))
 
         self.mixing_steps = primitivity_exponent(self.M)
         if self.mixing_steps is None:
@@ -314,15 +320,16 @@ class MarkovLinear(MapModel):
     def inverse_branch(self, digit, y):
         if not (0 <= y <= 1):
             raise MapError(f"{y} outside [0,1)")
-        j = self.digit_of(y) if y < 1 else self.D - 1
-        lo, _ = self.subblock_interval(digit, j)  # raises InadmissibleDigit if forbidden
-        return lo + (y - self._cuts[j]) / self.slope(digit, j)
+        A, B = self.branch_affine(digit, self.digit_of(y) if y < 1 else self.D - 1)
+        return A + B * y
 
     def branch_affine(self, d_from, d_to):
         """Exact (A, B) with G_{d_from}(y) = A + B*y on the block of d_to."""
-        lo, _ = self.subblock_interval(d_from, d_to)
-        B = 1 / self.slope(d_from, d_to)
-        return lo - self._cuts[d_to] * B, B
+        pair = self._affine[d_from][d_to]
+        if pair is None:
+            raise InadmissibleDigit(f"transition {d_from}->{d_to} forbidden "
+                                    f"(M[{d_from}][{d_to}]=0)")
+        return pair
 
 
 class GaussMap(MapModel):

@@ -29,6 +29,7 @@ from .coding import cylinder_from_word, itinerary
 
 LOG2 = math.log(2)
 GAUSS_ENTROPY = math.pi ** 2 / (6 * LOG2)
+_SCAN_CHUNK = 1 << 16    # rows composed per numpy call of the chain scan
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -309,13 +310,36 @@ def entropy_closed_form(m: MapModel, measure: InvariantMeasure) -> EntropyEstima
 
 def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int) -> np.ndarray:
     """Digits of the stationary chain (p, M): one uniform for the first
-    digit, then one per transition, read against cumulative rows of M."""
+    digit, then one per transition, read against cumulative rows of M.
+
+    Row k of the table g is the step map state -> next state of uniform k.
+    A Hillis-Steele doubling scan (Blelloch, "Prefix sums and their
+    applications", 1990) turns row k into g_k o ... o g_0 in place, in
+    ceil(log2 length) passes.  A pass updates chunks from the top down, so
+    each chunk reads rows that this pass has not yet updated.
+    """
     cum = np.cumsum([[float(x) for x in row] for row in m.M], axis=1)
+    # a float row sum may fall short of 1; a uniform past it takes the last
+    # admissible digit, never digit D
+    for i in range(m.D):
+        cum[i, max(m.branch_targets(i)):] = 1.0
     out = np.empty(length, dtype=np.int64)
-    out[0] = np.searchsorted(np.cumsum([float(x) for x in m.p]), rng.random(), side="right")
+    out[0] = min(np.searchsorted(np.cumsum([float(x) for x in m.p]), rng.random(),
+                                 side="right"), m.D - 1)
     u = rng.random(length - 1)
-    for k in range(length - 1):
-        out[k + 1] = np.searchsorted(cum[out[k]], u[k], side="right")
+    g = np.empty((length - 1, m.D), dtype=np.min_scalar_type(m.D))
+    for lo in range(0, len(g), _SCAN_CHUNK):
+        for s in range(m.D):
+            g[lo:lo + _SCAN_CHUNK, s] = np.searchsorted(cum[s], u[lo:lo + _SCAN_CHUNK],
+                                                        side="right")
+    row = np.arange(_SCAN_CHUNK)[:, None] * m.D   # flat offset of each row of a chunk
+    step = 1
+    while step < len(g):
+        for hi in range(len(g), step, -_SCAN_CHUNK):
+            lo = max(hi - _SCAN_CHUNK, step)
+            g[lo:hi] = g[lo:hi].ravel()[g[lo - step:hi - step] + row[:hi - lo]]
+        step *= 2
+    out[1:] = g[:, out[0]]
     return out
 
 
@@ -458,37 +482,40 @@ def smb_regular_cylinders(measure: MarkovStationaryMeasure, N: int, eps: float,
     """Depth-N cylinders inside P_block_from mapping onto P_block_to whose
     mass lies in the SMB window (e^{-N(h+eps)}, e^{-N(h-eps)}).
 
-    Returns (words, total_mass) with exact Fraction masses.  Thresholds are
-    compared in log space with floats; the window has O(N*eps) slack so the
-    comparisons are far from the rounding scale.
+    Returns (words, total_mass) with exact Fraction masses.  M is scaled by
+    the lcm Q of its denominators, so a word's mass is p_b * prod / Q^N with
+    prod an integer product; the tree carries only these integers, and the
+    sum of the prods is divided once at the end.  Thresholds are compared in
+    log space with floats; the window has O(N*eps) slack so the comparisons
+    are far from the rounding scale.
     """
     D = len(measure.p)
     if h is None:
         h = -sum(float(measure.p[i] * measure.M[i][j]) * math.log(float(measure.M[i][j]))
                  for i in range(D) for j in range(D) if measure.M[i][j] > 0)
-    lo, hi = -N * (h + eps), -N * (h - eps)
+    Q = math.lcm(*(x.denominator for row in measure.M for x in row))
+    scaled = [[(d, int(x * Q)) for d, x in enumerate(row) if x > 0] for row in measure.M]
+    pb = measure.p[block_from]
+    # log mass = log prod + log p_b - N log Q, compared against the window
+    shift = math.log(pb.numerator) - math.log(pb.denominator) - N * math.log(Q)
+    lo, hi = -N * (h + eps) - shift, -N * (h - eps) - shift
     words = []
-    total = Fraction(0)
+    total = 0
 
-    def rec(word, mass):
+    def rec(word, prod):
         if len(word) == N + 1:
-            if word[-1] != block_to:
-                return
-            lm = math.log(mass.numerator) - math.log(mass.denominator)
-            if lo < lm < hi:
+            if word[-1] == block_to and lo < math.log(prod) < hi:
                 words.append(tuple(word))
                 nonlocal total
-                total += mass
+                total += prod
             return
-        last = word[-1]
-        for d in range(D):
-            if measure.M[last][d] > 0:
-                word.append(d)
-                rec(word, mass * measure.M[last][d])
-                word.pop()
+        for d, q in scaled[word[-1]]:
+            word.append(d)
+            rec(word, prod * q)
+            word.pop()
 
-    rec([block_from], measure.p[block_from])
-    return words, total
+    rec([block_from], 1)
+    return words, pb * Fraction(total, Q ** N)
 
 
 # ---------------------------------------------------------------------------

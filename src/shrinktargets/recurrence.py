@@ -498,11 +498,73 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
 # ---------------------------------------------------------------------------
 # metric engines
 
-def _window_positions_dary(m: DAryShift, stream: np.ndarray, N: int, W: int):
-    # np.correlate computes sum_k a[j+k] v[k]: no kernel flip
-    w = (1.0 / m.D) ** np.arange(1, W + 1)
-    vals = np.correlate(stream[1:N + W + 1].astype(float), w, mode="valid")
-    return vals[:N]
+def _window_width(m, r_min):
+    """(W, truncation, rounding): window width for radii down to r_min and
+    the two parts of the certified margin of a window position.
+
+    Position i applies the branches of the W digit pairs after digit i to a
+    start point y_W (0 in the D-ary correlation, 1/2 for Markov maps).  A
+    run of n consecutive branches contracts by at most K c^n, c = 1/beta,
+    K = (worst single branch / c)^(mixing_steps - 1), so the exact window
+    value lies within truncation = K c^W (W + 2) of the true point.
+
+    rounding bounds the float error of the distance |pos - x0f| against the
+    exact |window value - bracket midpoint|, with u = 2^-53 and
+    |fl(x) - x| <= u |x|:
+    * Markov: y_{k-1} = fl(A_k + fl(B_k y_k)) with A, B rounded branch
+      constants adds at most u(|A_k| + 2 B_k |y_k| + |y_{k-1}|) per step,
+      which the outer branches scale by at most K.  Every y_k lies within
+      K/2 of a point of [0, 1], so |y_k| <= Y = 1 + K/2 and
+      P = K W (a + (2 b + 1) Y), with a, b the largest |A| and B.
+    * D-ary: the weights fl(fl(1/D)^k) (pow within one unit in the last
+      place) carry a relative error of at most (k + 2) u, at most 4u summed
+      over the digits; the products and the sum add at most W u, as the
+      terms sum to below 1.  P = W + 4, Y = 1.
+    * Both: rounding x0f adds u and the subtraction u |pos - x0f| <= u (Y + 1).
+    Hence rounding = 1.05 u (P + Y + 2), the factor 1.05 covering the
+    second-order terms.  Rounding is monotone, so the float test
+    |d - r| <= margin flags every step whose computed d is within margin
+    of r.
+    """
+    c = 1.0 / m.expansion_beta
+    if isinstance(m, DAryShift):
+        need = int(math.ceil(-math.log(max(r_min, 1e-18)) / math.log(m.D))) + 25
+        W = int(min(52 if m.D == 2 else 40, max(need, 30)))
+        K, Y, P = 1.0, 1.0, W + 4
+    else:
+        need = int(math.ceil(math.log(max(r_min, 1e-18)) / math.log(c))) + 25
+        W = int(min(60, max(need, 30)))
+        A, B = _branch_table(m)
+        K = (B.max() / c) ** (m.mixing_steps - 1)
+        Y = 1 + K / 2
+        P = K * W * (np.abs(A).max() + (2 * B.max() + 1) * Y)
+    return W, K * c ** W * (W + 2), 1.05 * 2.0 ** -53 * (P + Y + 2)
+
+
+def _branch_table(m: MarkovLinear):
+    """Float copies (A, B) of the exact branches, indexed [digit, next digit];
+    0 where the transition is forbidden."""
+    AB = np.array([[m.branch_affine(i, j) if m.admissible(i, j) else (0, 0)
+                    for j in range(m.D)] for i in range(m.D)], dtype=float)
+    return AB[..., 0], AB[..., 1]
+
+
+def _window_positions(m, stream: np.ndarray, N: int, W: int) -> np.ndarray:
+    """Float positions of T^i x, i = 1..N, from the W digits after digit i."""
+    if isinstance(m, DAryShift):
+        # np.correlate computes sum_k a[j+k] v[k]: no kernel flip
+        w = (1.0 / m.D) ** np.arange(1, W + 1)
+        return np.correlate(stream[1:N + W + 1].astype(float), w, mode="valid")[:N]
+    # pair j is (stream[j+1], stream[j+2]), so the innermost branch of each
+    # window leads to a stream digit and is admissible
+    A, B = _branch_table(m)
+    pair = stream[1:N + W + 1] * m.D + stream[2:N + W + 2]
+    a, b = A.ravel()[pair], B.ravel()[pair]
+    y = np.full(N, 0.5)
+    for k in range(W - 1, -1, -1):
+        y *= b[k:k + N]
+        y += a[k:k + N]
+    return y
 
 
 def _resolve_ambiguous_linear(m, stream, i, x0_lo, x0_hi, r_exact) -> bool:
@@ -550,20 +612,8 @@ def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sched
 
 
 def _metric_linear(m, measure, target, radii, N, trials, seeds, cps, collect_hits):
-    r_min = float(radii[-1])
-    if isinstance(m, DAryShift):
-        need = int(math.ceil(-math.log(max(r_min, 1e-18)) / math.log(m.D))) + 25
-        W = int(min(52 if m.D == 2 else 40, max(need, 30)))
-        margin = (1.0 / m.D) ** W * (W + 2)
-    else:
-        # the certified contraction 1/beta holds over mixing_steps digits;
-        # fewer leftover digits contract by at most the worst single branch
-        c = 1.0 / m.expansion_beta
-        worst = max(float(1 / m.slope(i, j))
-                    for i in range(m.D) for j in m.branch_targets(i))
-        need = int(math.ceil(math.log(max(r_min, 1e-18)) / math.log(c))) + 25
-        W = int(min(60, max(need, 30)))
-        margin = c ** W * (W + 2) * (worst / c) ** (m.mixing_steps - 1)
+    W, truncation, rounding = _window_width(m, float(radii[-1]))
+    margin = truncation + rounding
     lo_b, hi_b = target.bracket(120)
     x0f = float((lo_b + hi_b) / 2)
     r_float = radii.astype(float)
@@ -575,15 +625,7 @@ def _metric_linear(m, measure, target, radii, N, trials, seeds, cps, collect_hit
     for t in range(trials):
         rng = np.random.default_rng(seeds[t])
         stream = _digit_stream(m, measure, rng, N + W + 2)
-        if isinstance(m, DAryShift):
-            pos = _window_positions_dary(m, stream, N, W)
-        else:
-            pos = np.empty(N)
-            for i in range(N):
-                y = 0.5
-                for d in reversed(stream[i + 1: i + 1 + W]):
-                    y = float(m.inverse_branch(int(d), y))
-                pos[i] = y
+        pos = _window_positions(m, stream, N, W)
         d = np.abs(pos - x0f)
         hit = d <= r_float
         unsure = np.abs(d - r_float) <= margin + (hi_b - lo_b)

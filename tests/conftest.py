@@ -50,6 +50,14 @@ def golden_markov():
 
 
 @pytest.fixture(scope="session")
+def zero_diagonal():
+    # three states, every self-transition forbidden; 1/2 lies in the block
+    # of digit 1, whose own branch 1->1 does not exist
+    h = F(1, 2)
+    return MarkovLinear([[0, h, h], [h, 0, h], [h, h, 0]], [F(1, 3)] * 3)
+
+
+@pytest.fixture(scope="session")
 def blaschke_square():
     return BlaschkeBoundary([0, 0])
 

@@ -222,6 +222,26 @@ class TestCLI:
         assert r.returncode == 3
         assert "primitive" in r.stderr
 
+    def test_zero_diagonal_chain_simulates(self, tmp_path):
+        # no self-transitions: 1/2 lies in the block of digit 1, whose branch
+        # 1->1 does not exist, so a window may not end on digit_of(1/2)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "experiment": "simulate",
+            "map": {"kind": "markov", "M": [["0", "1/2", "1/2"], ["1/2", "0", "1/2"],
+                                            ["1/2", "1/2", "0"]],
+                    "p": ["1/3", "1/3", "1/3"]},
+            "x0": {"word": [0, 1, 2]},
+            "schedule": {"kind": "radii_power", "alpha": 2.0},
+            "horizons": [1000, 5000], "trials": 4, "seed": 1}))
+        outd = tmp_path / "out"
+        r = self._run(["simulate", "--config", str(cfgp), "--out", str(outd)])
+        assert r.returncode == 0, r.stderr
+        summary = json.loads((outd / "results.json").read_text())["summary"]
+        # compound-Poisson band: 5 deviations, variance inflated by at most 4
+        half = 5 * math.sqrt(4 / (4 * summary["normalizer"][-1]))
+        assert abs(summary["mean_ratio"] - 1) <= half
+
     def test_flag_overrides_and_out(self, tmp_path):
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps({

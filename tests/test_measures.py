@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shrinktargets import (
+    MarkovLinear,
     MarkovStationaryMeasure,
     MeasureError,
     bernoulli_map,
@@ -20,7 +21,12 @@ from shrinktargets import (
     stationary_vector,
     trial_seed,
 )
-from shrinktargets.measures import GAUSS_ENTROPY, float_orbit_start, float_orbit_step
+from shrinktargets.measures import (
+    GAUSS_ENTROPY,
+    float_orbit_start,
+    float_orbit_step,
+    sample_chain,
+)
 
 LOG2 = math.log(2)
 
@@ -289,6 +295,114 @@ class TestSMBRegularFamily:
             for b2 in (0, 1):
                 _, total = smb_regular_cylinders(mu, 10, 0.3, b1, b2)
                 assert total >= mu.p[b1] * mu.p[b2] / 2
+
+
+def _smb_fraction_oracle(measure, N, eps, block_from, block_to):
+    """The SMB enumeration with a Fraction mass at every node of the tree."""
+    D = len(measure.p)
+    h = -sum(float(measure.p[i] * measure.M[i][j]) * math.log(float(measure.M[i][j]))
+             for i in range(D) for j in range(D) if measure.M[i][j] > 0)
+    lo, hi = -N * (h + eps), -N * (h - eps)
+    words, total = [], F(0)
+
+    def rec(word, mass):
+        nonlocal total
+        if len(word) == N + 1:
+            lm = math.log(mass.numerator) - math.log(mass.denominator)
+            if word[-1] == block_to and lo < lm < hi:
+                words.append(tuple(word))
+                total += mass
+            return
+        for d in range(D):
+            if measure.M[word[-1]][d] > 0:
+                rec(word + [d], mass * measure.M[word[-1]][d])
+
+    rec([block_from], measure.p[block_from])
+    return words, total
+
+
+class TestSMBIntegerEnumeration:
+    def test_bernoulli_families_equal_fraction_oracle(self):
+        # the families of acceptance 9 (eps 0.3) and their eps 0.35 neighbours
+        mu = MarkovStationaryMeasure.bernoulli([F(1, 3), F(2, 3)])
+        for eps in (0.3, 0.35):
+            for b1 in (0, 1):
+                for b2 in (0, 1):
+                    assert smb_regular_cylinders(mu, 14, eps, b1, b2) == \
+                        _smb_fraction_oracle(mu, 14, eps, b1, b2)
+
+    def test_markov_families_equal_fraction_oracle(self, markov_measure, golden_markov):
+        golden = MarkovStationaryMeasure(golden_markov.p, golden_markov.M)
+        M3 = [[F(1, 5), F(3, 5), F(1, 5)], [F(1, 2), F(1, 4), F(1, 4)],
+              [F(1, 3), F(1, 3), F(1, 3)]]
+        three = MarkovStationaryMeasure(stationary_vector(M3), M3)
+        for mu, N in ((markov_measure, 11), (golden, 12), (three, 7)):
+            for eps in (0.05, 0.3):
+                for b1 in range(len(mu.p)):
+                    for b2 in range(len(mu.p)):
+                        assert smb_regular_cylinders(mu, N, eps, b1, b2) == \
+                            _smb_fraction_oracle(mu, N, eps, b1, b2)
+
+
+def _chain_oracle(m, rng, length):
+    """The sequential chain: one searchsorted per digit on the previous state."""
+    cum = np.cumsum([[float(x) for x in row] for row in m.M], axis=1)
+    out = np.empty(length, dtype=np.int64)
+    out[0] = np.searchsorted(np.cumsum([float(x) for x in m.p]), rng.random(), side="right")
+    u = rng.random(length - 1)
+    for k in range(length - 1):
+        out[k + 1] = np.searchsorted(cum[out[k]], u[k], side="right")
+    return out
+
+
+class TestChainSampler:
+    # lengths around powers of two, where the scan's passes change count
+    LENGTHS = (1, 2, 3, 7, 8, 9, 1023, 1024, 1025, 10007)
+
+    @pytest.mark.parametrize("name", ["markov", "golden_markov", "zero_diagonal"])
+    def test_equals_sequential_chain(self, request, name):
+        m = request.getfixturevalue(name)
+        for seed in (0, 1, 2):
+            for length in self.LENGTHS:
+                got = sample_chain(m, np.random.default_rng(seed), length)
+                want = _chain_oracle(m, np.random.default_rng(seed), length)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist(), (seed, length)
+        for seed in (5, 6):
+            for length in (2 ** 16 + 1, 2 ** 16 + 2):   # tables of one and two scan chunks
+                got = sample_chain(m, np.random.default_rng(seed), length)
+                assert np.array_equal(got, _chain_oracle(m, np.random.default_rng(seed), length))
+
+    def test_forbidden_transitions_never_drawn(self, zero_diagonal):
+        chain = sample_chain(zero_diagonal, np.random.default_rng(3), 50_000)
+        assert not np.any(chain[1:] == chain[:-1])
+        assert set(chain.tolist()) == {0, 1, 2}
+
+    def test_uniform_above_a_float_row_sum_stays_in_range(self):
+        # float(1/10) summed ten times is 0.9999999999999999, so a uniform
+        # just below 1 lies past the cumulative row; it must still give the
+        # last digit, not digit D
+        tenth = [F(1, 10)] * 10
+        m = MarkovLinear([tenth] * 10, tenth)
+        assert np.cumsum([float(x) for x in tenth])[-1] < 1
+
+        class NearOne:
+            def random(self, size=None):
+                return 1 - 2 ** -53 if size is None else np.full(size, 1 - 2 ** -53)
+
+        assert sample_chain(m, NearOne(), 5).tolist() == [9] * 5
+
+    def test_million_digits_in_a_few_megabytes(self, markov):
+        import tracemalloc
+        n = 10 ** 6
+        tracemalloc.start()
+        try:
+            sample_chain(markov, np.random.default_rng(0), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the uniforms and the int64 output take 16 bytes a digit; the table
+        # (one byte a state) and the scan's chunks must stay within 8 MiB more
+        assert peak - 16 * n <= 8 * 2 ** 20
 
 
 class TestTrialSeeds:

@@ -1,22 +1,27 @@
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from shrinktargets import (
+    DAryShift,
     Schedule,
     ScheduleError,
     TargetPoint,
     ball_mass_array,
     ball_mass_bruteforce,
     borel_cantelli_classify,
+    cylinder_from_word,
+    entropy_birkhoff,
     refine_schedule_to_depths,
     run_metric_hits,
     run_symbolic_hits,
     trial_seed,
 )
 from shrinktargets.measures import MarkovStationaryMeasure
+from shrinktargets.recurrence import _digit_stream, _window_positions, _window_width
 
 LOG2 = math.log(2)
 
@@ -187,6 +192,79 @@ class TestMetricHits:
                              10 ** 4, 20, 9, horizons=[10 ** 2, 10 ** 3, 10 ** 4])
         med = np.median(hs.window_minima, axis=0)
         assert med[0] < med[1] < med[2]
+
+
+def _band(hs, trials):
+    """Mean hitting ratio within 5 compound-Poisson deviations of 1 (variance
+    inflated by at most 4 at a periodic target)."""
+    norm = float(hs.normalizer[-1])
+    return abs(hs.mean_final_ratio() - 1) <= 5 * math.sqrt(4 / (trials * norm))
+
+
+class TestMarkovFastPath:
+    def test_seeded_outputs_pinned(self, markov, markov_measure, golden_markov):
+        """Seeded Markov outputs pinned to the values of a digit-by-digit
+        chain and of windows composed one Fraction branch at a time."""
+        stream = _digit_stream(markov, markov_measure, np.random.default_rng(11), 40)
+        assert stream.tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1,
+                                   1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]
+        alt = TargetPoint.from_word(markov, (0, 1))
+        sym = run_symbolic_hits(markov, markov_measure, alt, Schedule.depth_log_floor(4),
+                                10000, 4, 3)
+        assert sym.hits.tolist() == [[46], [51], [34], [40]]
+        met = run_metric_hits(markov, markov_measure, alt, Schedule.radii_power(2.0), 300, 2, 0)
+        assert met.hits.tolist() == [[64], [60]] and met.ambiguous_resolved == 4
+        golden_mu = MarkovStationaryMeasure(golden_markov.p, golden_markov.M)
+        met = run_metric_hits(golden_markov, golden_mu,
+                              TargetPoint.from_point(golden_markov, F(1, 3)),
+                              Schedule.radii_power(2.0), 400, 2, 0)
+        assert met.hits.tolist() == [[77], [76]] and met.ambiguous_resolved == 3
+        est = entropy_birkhoff(markov, markov_measure, 5000, 8, 5)
+        assert (est.value, est.standard_error) == (0.6040988158870807, 0.0031843492106405666)
+
+    @pytest.mark.parametrize("kind", ["dary2", "dary3", "dary10", "chain", "golden"])
+    def test_float_positions_within_rounding_term(self, kind, markov, golden_markov, lebesgue):
+        m = {"dary2": DAryShift(2), "dary3": DAryShift(3), "dary10": DAryShift(10),
+             "chain": markov, "golden": golden_markov}[kind]
+        N = 150
+        W, truncation, rounding = _window_width(m, 1 / math.sqrt(N))
+        start = F(0) if isinstance(m, DAryShift) else F(1, 2)
+        worst = F(0)
+        for seed in (0, 1, 2):
+            stream = _digit_stream(m, lebesgue, np.random.default_rng(seed), N + W + 2)
+            pos = _window_positions(m, stream, N, W)
+            s = stream.tolist()
+            for i in range(N):
+                y = start
+                for k in range(i + W, i, -1):
+                    A, B = m.branch_affine(s[k], s[k + 1])
+                    y = A + B * y
+                worst = max(worst, abs(F(float(pos[i])) - y))
+        assert worst <= rounding
+        if kind == "dary10":
+            assert worst > truncation    # the truncation term alone misses rounding
+
+    def test_zero_diagonal_chain_runs_every_engine(self, zero_diagonal):
+        m = zero_diagonal
+        mu = MarkovStationaryMeasure(m.p, m.M)
+        c = cylinder_from_word(m, (0, 1, 2, 0))
+        assert (c.left, c.right) == (F(1, 12), F(1, 8))
+        target = TargetPoint.from_word(m, (0, 1, 2))
+        sym = run_symbolic_hits(m, mu, target, Schedule.depth_log_floor(2), 20000, 4, 1)
+        met = run_metric_hits(m, mu, target, Schedule.radii_power(2.0), 20000, 4, 1)
+        assert _band(sym, 4) and _band(met, 4)
+        # every branch has slope 2
+        assert entropy_birkhoff(m, mu, 5000, 4, 1).value == pytest.approx(LOG2, abs=1e-12)
+
+    def test_speed_gate(self, markov, markov_measure):
+        """Budgeted run of the Markov window engine: chain [[3/4,1/4],[1/2,1/2]],
+        r_n = n^-1/2, 100,000 steps x 2 trials within 10 s."""
+        t0 = time.perf_counter()
+        hs = run_metric_hits(markov, markov_measure, TargetPoint.from_word(markov, (0, 1)),
+                             Schedule.radii_power(2.0), 100_000, 2, 0)
+        elapsed = time.perf_counter() - t0
+        assert elapsed <= 10.0, f"{elapsed:.2f} s over the 10 s budget"
+        assert _band(hs, 2)
 
 
 class TestNormalizer:
