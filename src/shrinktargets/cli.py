@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,7 +29,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser unchanged
     ap = argparse.ArgumentParser(prog="shrinktargets",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)

@@ -126,12 +126,21 @@ def _parse_point(spec):
     if spec is None:
         return None
     if "rational" in spec:
-        return Fraction(spec["rational"])
-    if "decimal" in spec:
-        return float(spec["decimal"])
-    if "word" in spec:
+        parse, raw = Fraction, spec["rational"]
+    elif "decimal" in spec:
+        parse, raw = float, spec["decimal"]
+    elif "word" in spec:
         return tuple(spec["word"])
-    raise ConfigError(["x0 must give 'rational', 'decimal', or 'word'"])
+    else:
+        raise ConfigError(["x0 must give 'rational', 'decimal', or 'word'"])
+    try:
+        x = parse(raw)
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        raise ConfigError([f"x0 {raw!r}: {e}"]) from None
+    # every map acts on [0, 1]; the circle maps read x0 as an angle / 2 pi
+    if not 0 <= x <= 1:
+        raise ConfigError([f"x0 {raw!r} lies outside the domain [0, 1]"])
+    return x
 
 
 def _build_schedule(spec: dict) -> Schedule:
@@ -159,6 +168,13 @@ def _build_schedule(spec: dict) -> Schedule:
     except (ValueError, TypeError) as e:      # ScheduleError or a non-numeric value
         raise ConfigError([f"schedule {kind}: {e}"]) from None
     raise ConfigError([f"unknown schedule kind {kind!r}"])
+
+
+def _build_block(name: str, build, spec: dict):
+    try:
+        return build(spec)
+    except KeyError as e:
+        raise ConfigError([f"{name} {spec.get('kind')} missing parameter {e}"]) from None
 
 
 def _default_measure(map_spec: dict) -> dict:
@@ -225,8 +241,8 @@ def _target_for(cfg, m):
 
 
 def _run_simulate(cfg):
-    m = make_map(cfg.map)
-    measure = make_measure(cfg.measure or _default_measure(cfg.map))
+    m = _build_block("map", make_map, cfg.map)
+    measure = _build_block("measure", make_measure, cfg.measure or _default_measure(cfg.map))
     sched = _build_schedule(cfg.schedule)
     target = _target_for(cfg, m)
     N = max(cfg.horizons)
@@ -244,8 +260,8 @@ def _run_simulate(cfg):
 
 
 def _run_classify(cfg):
-    m = make_map(cfg.map)
-    measure = make_measure(cfg.measure or _default_measure(cfg.map))
+    m = _build_block("map", make_map, cfg.map)
+    measure = _build_block("measure", make_measure, cfg.measure or _default_measure(cfg.map))
     sched = _build_schedule(cfg.schedule)
     target = _target_for(cfg, m)
     v = borel_cantelli_classify(m, measure, target, sched)
@@ -256,8 +272,8 @@ def _run_classify(cfg):
 
 
 def _run_entropy(cfg):
-    m = make_map(cfg.map)
-    measure = make_measure(cfg.measure or _default_measure(cfg.map))
+    m = _build_block("map", make_map, cfg.map)
+    measure = _build_block("measure", make_measure, cfg.measure or _default_measure(cfg.map))
     method = cfg.params.get("method", "closed_form")
     if method == "closed_form":
         est = entropy_closed_form(m, measure)
@@ -308,7 +324,7 @@ def _run_bounds(cfg):
 
 
 def _run_cantor(cfg):
-    m = make_map(cfg.map)
+    m = _build_block("map", make_map, cfg.map)
     sched = _build_schedule(cfg.schedule) if cfg.schedule else Schedule.depth_const(0)
     x0 = _parse_point(cfg.x0)
     levels = int(cfg.params.get("levels", 2))

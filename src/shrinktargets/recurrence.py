@@ -63,6 +63,8 @@ class Schedule:
                  "custom_depths"}
         if self.kind not in known:
             raise ScheduleError(f"unknown schedule kind {self.kind!r}")
+        if self.kind.startswith("custom") and not self.params["table"]:
+            raise ScheduleError("custom table is empty")
         if self.kind == "custom_radii":
             tab = self.params["table"]
             if any(b > a for a, b in zip(tab, tab[1:])):
@@ -71,6 +73,10 @@ class Schedule:
             tab = self.params["table"]
             if any(b < a for a, b in zip(tab, tab[1:])):
                 raise ScheduleError("custom depths must be non-decreasing")
+            if tab[0] < 0:
+                raise ScheduleError("custom depths must be >= 0")
+        if self.kind == "depth_const" and self.params["t"] < 0:
+            raise ScheduleError("depth must be >= 0")
         if self.kind == "radii_power" and self.params["alpha"] <= 0:
             raise ScheduleError("alpha must be > 0")
         if self.kind == "radii_exp" and self.params["kappa"] <= 0:
@@ -417,18 +423,17 @@ def target_mass_rates(sched: Schedule, m: MapModel, measure: InvariantMeasure,
 def cylinder_mass_by_depth(measure: InvariantMeasure, m: MapModel,
                            target: TargetPoint, depths: np.ndarray,
                            exact_cap: int = 400) -> np.ndarray:
-    """Masses mu(P(t, x0)) for each distinct depth t, gathered to all n."""
-    uniq = np.unique(depths)
-    mass = {}
-    for t in uniq:
-        t = int(t)
-        word = target.digits(min(t, exact_cap))
-        if t > exact_cap:
-            # mass below any representable float; record 0 (target unhittable)
-            mass[t] = 0.0
-            continue
-        mass[t] = float(measure.cylinder_mass(m, word))
-    return np.asarray([mass[int(t)] for t in depths])
+    """Masses mu(P(t, x0)) for each distinct depth t, gathered to all n.
+
+    One target word, at the largest depth needed, serves every depth as a
+    prefix.  Depths past exact_cap get mass 0: the mass lies below any
+    representable float, so the target is unhittable.
+    """
+    uniq, inverse = np.unique(depths, return_inverse=True)
+    word = target.digits(int(min(uniq[-1], exact_cap)))
+    mass = np.array([float(measure.cylinder_mass(m, word[:t + 1])) if t <= exact_cap
+                     else 0.0 for t in uniq.tolist()])
+    return mass[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -696,13 +701,16 @@ class BCVerdict:
         }
 
 
-def _partial_sums(term_fn, scales=(10 ** 3, 10 ** 4, 10 ** 5)) -> list:
+PARTIAL_SUM_SCALES = (10 ** 3, 10 ** 4, 10 ** 5)
+
+
+def _partial_sums(terms: np.ndarray) -> list:
+    """Partial sums of the series terms[n-1], n = 1.., up to each scale."""
     out = []
     total = 0.0
     prev = 0
-    for s in scales:
-        n = np.arange(prev + 1, s + 1, dtype=float)
-        total += float(np.sum(term_fn(n)))
+    for s in PARTIAL_SUM_SCALES:
+        total += float(np.sum(terms[prev:s]))
         out.append(total)
         prev = s
     return out
@@ -731,8 +739,8 @@ def _classify_radii(m, measure, target, sched):
     tau, _ = target.tau_bar()
     logbeta = math.log(m.expansion_beta)
     e0 = dbar + tau / logbeta
-    psums = _partial_sums(lambda n: ball_mass_array(
-        measure, m, x0, np.asarray([sched.radius(int(k)) for k in n])))
+    psums = _partial_sums(ball_mass_array(
+        measure, m, x0, sched.radii_array(PARTIAL_SUM_SCALES[-1])))
     if sched.kind == "radii_const":
         return BCVerdict("FullMeasure", "sum mu(B(x0,r)) with constant r",
                          None, psums,
@@ -752,7 +760,8 @@ def _classify_radii(m, measure, target, sched):
                              "direct Borel-Cantelli")
         if alpha > e0:
             eps = (alpha - e0) / 2
-            strengthened = _partial_sums(lambda n: n ** (-(e0 + eps) / alpha))
+            n = np.arange(1, PARTIAL_SUM_SCALES[-1] + 1, dtype=float)
+            strengthened = _partial_sums(n ** (-(e0 + eps) / alpha))
             return BCVerdict("FullMeasure",
                              f"sum r_n^(delta_bar + tau_bar/log beta + eps), "
                              f"alpha={alpha}",
@@ -782,13 +791,14 @@ def _classify_depths(m, measure, target, sched):
     if sched.kind == "depth_log_floor":
         # masses ~ n^(-L/log base) with L the per-depth log-mass rate
         b = sched.params["base"]
-        expo = _mass_log_rate(m, measure, target) / math.log(b)
-        q = _uniform_digit_mass(m, measure)
+        q = _uniform_digit_mass(m, measure, target)
         if q is not None:
             # exact: about (b-1) b^t indices n have t_n = t, each with mass
-            # q^(t+1), so the series diverges iff q*b >= 1
+            # c q^t, so the series diverges iff q*b >= 1
+            expo = math.log(1 / q) / math.log(b)
             verdict = "FullMeasure" if q * Fraction(b) >= 1 else "MeasureZero"
         else:
+            expo = _mass_log_rate(m, measure, target) / math.log(b)
             verdict = ("FullMeasure" if expo < 1 else
                        "MeasureZero" if expo > 1 else "Inconclusive")
         series = f"sum mu(P(floor(log_{b:g} n), x0)) ~ sum n^-{expo:.3g}"
@@ -804,14 +814,29 @@ def _classify_depths(m, measure, target, sched):
     return _heuristic_from_partials(psums, "sum mu(P(t_n, x0)) (custom table)")
 
 
-def _uniform_digit_mass(m, measure) -> Optional[Fraction]:
-    """q when every depth-t cylinder has mass exactly q^(t+1), else None."""
+def _uniform_digit_mass(m, measure, target) -> Optional[Fraction]:
+    """q when every depth-t cylinder about the target has mass exactly c q^t,
+    with c > 0 fixed by its first digit; else None.
+
+    A chain qualifies when all its nonzero entries equal q and every
+    transition of the map has positive probability.  With forbidden
+    transitions the target must also be a point of the map: a word that does
+    not close into an admissible cycle has no exact value and may leave the
+    chain's support.
+    """
     if isinstance(measure, LebesgueMeasure) and isinstance(m, DAryShift):
         return Fraction(1, m.D)
     chain = m if isinstance(measure, LebesgueMeasure) else measure
-    if not isinstance(chain, (MarkovLinear, MarkovStationaryMeasure)):
+    if not (isinstance(chain, (MarkovLinear, MarkovStationaryMeasure))
+            and isinstance(m, (DAryShift, MarkovLinear)) and len(chain.M) == m.D):
+        return None
+    if any(chain.M[i][j] == 0 and m.admissible(i, j)
+           for i in range(m.D) for j in range(m.D)):
         return None
     entries = {x for row in chain.M for x in row}
+    if 0 in entries and target.value is None:
+        return None
+    entries.discard(0)
     return entries.pop() if len(entries) == 1 else None
 
 
@@ -819,6 +844,8 @@ def _mass_log_rate(m, measure, target, depth: int = 24) -> float:
     """Per-depth exponential rate of cylinder masses at the target."""
     word = target.digits(depth)
     mass = measure.cylinder_mass(m, word)
+    if mass == 0:
+        return math.inf     # the word left the support: finitely many terms
     if isinstance(mass, Fraction):
         lm = math.log(mass.numerator) - math.log(mass.denominator)
     else:

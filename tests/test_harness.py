@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import shrinktargets
+from shrinktargets import cli
 from shrinktargets.harness import (
     ConfigError,
     emit_report,
@@ -210,6 +211,63 @@ class TestCLI:
         r = self._run(["classify", "--config", str(cfgp)])
         assert r.returncode == 2
         assert "depth_log_floor" in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("map_spec, key", [
+        ({"kind": "dary"}, "D"),
+        ({"kind": "markov", "p": ["2/3", "1/3"]}, "M"),
+        ({"kind": "markov", "M": [["3/4", "1/4"], ["1/2", "1/2"]]}, "p"),
+        ({"kind": "blaschke"}, "zeros"),
+    ])
+    def test_map_missing_parameter_exit_2(self, tmp_path, capsys, map_spec, key):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "experiment": "simulate", "map": map_spec, "x0": {"decimal": 0.3},
+            "schedule": {"kind": "radii_power", "alpha": 2.0}, "horizons": [100]}))
+        assert cli.main(["simulate", "--config", str(cfgp)]) == 2
+        assert f"missing parameter '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x0", [{"rational": "3/2"}, {"decimal": -0.1},
+                                    {"rational": "1/0"}, {"decimal": "nan"}])
+    def test_bad_x0_exit_2(self, tmp_path, capsys, x0):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "experiment": "simulate", "map": {"kind": "dary", "D": 2}, "x0": x0,
+            "schedule": {"kind": "radii_power", "alpha": 2.0}, "horizons": [100]}))
+        assert cli.main(["simulate", "--config", str(cfgp)]) == 2
+        assert "config error: x0" in capsys.readouterr().err
+
+    def test_in_process_calls_match_fresh_runs(self, tmp_path, capsys):
+        # main builds its parser once per process; repeated calls, also
+        # right after an argparse exit, behave as fresh processes do
+        docs = {
+            "classify": {"experiment": "classify", "map": {"kind": "dary", "D": 2},
+                         "x0": {"word": [0, 1]},
+                         "schedule": {"kind": "depth_log_floor", "base": 2}},
+            "simulate": {"experiment": "simulate", "map": {"kind": "dary", "D": 2},
+                         "x0": {"word": [0, 1]}, "schedule": {"kind": "depth_const", "t": 1},
+                         "horizons": [200], "trials": 2, "seed": 3},
+            "entropy": {"experiment": "entropy", "map": {"kind": "dary"}},
+        }
+        calls = [["classify"], ["classify", "--config", "classify.json"],
+                 ["simulate", "--config", "simulate.json", "--trials", "x"],
+                 ["simulate", "--config", "simulate.json", "--horizon", "50,200"],
+                 ["entropy", "--config", "entropy.json"],
+                 ["classify", "--config", "classify.json"]]
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        calls = [[str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+                 for argv in calls]
+        fresh = []
+        for argv in calls:
+            r = self._run(argv)
+            fresh.append((r.returncode, r.stdout))
+        for argv, want in zip(calls, fresh):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:
+                code = e.code
+            assert (code, capsys.readouterr().out) == want
+        assert [c for c, _ in fresh] == [2, 0, 2, 0, 2, 0]
 
     def test_numerical_failure_exit_3(self, tmp_path):
         cfgp = tmp_path / "c.json"

@@ -20,8 +20,14 @@ from shrinktargets import (
     run_symbolic_hits,
     trial_seed,
 )
+from shrinktargets.maps import BoundaryHit
 from shrinktargets.measures import MarkovStationaryMeasure
-from shrinktargets.recurrence import _digit_stream, _window_positions, _window_width
+from shrinktargets.recurrence import (
+    _digit_stream,
+    _window_positions,
+    _window_width,
+    cylinder_mass_by_depth,
+)
 
 LOG2 = math.log(2)
 
@@ -42,6 +48,16 @@ class TestSchedule:
             Schedule.custom_depths([3, 2])
         with pytest.raises(ScheduleError):
             Schedule.radii_power(-1)
+
+    @pytest.mark.parametrize("make, msg", [
+        (lambda: Schedule.custom_depths([-1, 2]), ">= 0"),
+        (lambda: Schedule.depth_const(-1), ">= 0"),
+        (lambda: Schedule.custom_depths([]), "empty"),
+        (lambda: Schedule.custom_radii([]), "empty"),
+    ])
+    def test_negative_depth_or_empty_table_rejected(self, make, msg):
+        with pytest.raises(ScheduleError, match=msg):
+            make()
 
     @pytest.mark.parametrize("base", [0.5, 1])
     def test_log_base_at_most_one_rejected(self, base):
@@ -276,6 +292,74 @@ class TestNormalizer:
             assert float(np.abs(fast - np.asarray(slow)).max()) < 1e-12
 
 
+def _per_depth_masses(measure, m, target, depths, exact_cap):
+    """Reference: one target word and one mass per distinct depth."""
+    mass = {}
+    for t in np.unique(depths):
+        t = int(t)
+        word = target.digits(min(t, exact_cap))
+        mass[t] = 0.0 if t > exact_cap else float(measure.cylinder_mass(m, word))
+    return np.asarray([mass[int(t)] for t in depths])
+
+
+class _CountingTarget(TargetPoint):
+    calls = 0
+
+    def digits(self, n):
+        type(self).calls += 1
+        return super().digits(n)
+
+
+class TestNormalizerByDepth:
+    # with exact_cap 6 these hold depths below, at and past the cap
+    DEPTHS = (np.repeat(np.arange(0, 12), 3),
+              Schedule.depth_power_floor(2).depths_array(40),
+              Schedule.depth_log_floor(2).depths_array(3000),
+              np.full(5, 6))
+
+    @pytest.mark.parametrize("case", ["dary-word", "dary-point", "markov-word",
+                                      "markov-measure", "markov-point", "gauss-word",
+                                      "gauss-point", "gauss-rational"])
+    def test_matches_per_depth_oracle(self, case, dary2, markov, gauss, lebesgue,
+                                      markov_measure, gauss_measure):
+        m, mu, tgt = {
+            "dary-word": (dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1, 1))),
+            "dary-point": (dary2, lebesgue, TargetPoint.from_point(dary2, F(2, 7))),
+            "markov-word": (markov, lebesgue, TargetPoint.from_word(markov, (0, 1))),
+            "markov-measure": (markov, markov_measure,
+                               TargetPoint.from_word(markov, (0, 0, 1))),
+            "markov-point": (markov, lebesgue, TargetPoint.from_point(markov, 0.45)),
+            "gauss-word": (gauss, gauss_measure, TargetPoint.from_word(gauss, (1, 2))),
+            "gauss-point": (gauss, gauss_measure, TargetPoint.from_point(gauss, 0.41)),
+            # the itinerary of 3/7 = [0; 2, 3] ends at 0: BoundaryHit past depth 1
+            "gauss-rational": (gauss, gauss_measure,
+                               TargetPoint.from_point(gauss, F(3, 7))),
+        }[case]
+        raised = 0
+        for depths in self.DEPTHS:
+            for exact_cap in (0, 6, 400):
+                try:
+                    want = _per_depth_masses(mu, m, tgt, depths, exact_cap)
+                except BoundaryHit as e:
+                    with pytest.raises(BoundaryHit) as got:
+                        cylinder_mass_by_depth(mu, m, tgt, depths, exact_cap)
+                    assert got.value.args == e.args
+                    raised += 1
+                    continue
+                got = cylinder_mass_by_depth(mu, m, tgt, depths, exact_cap)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (raised > 0) == (case == "gauss-rational")
+
+    def test_one_target_word_per_call(self, dary2, lebesgue):
+        tgt = _CountingTarget(dary2, value=F(1, 3))
+        for sched, N in ((Schedule.depth_power_floor(2), 10 ** 4),
+                         (Schedule.depth_log_floor(2), 10 ** 5),
+                         (Schedule.depth_const(3), 10)):
+            before = _CountingTarget.calls
+            cylinder_mass_by_depth(lebesgue, dary2, tgt, sched.depths_array(N))
+            assert _CountingTarget.calls - before == 1
+
+
 class TestClassifier:
     def test_gauss_dichotomy(self, gauss, gauss_measure):
         tgt = TargetPoint.from_word(gauss, (1,))
@@ -312,6 +396,56 @@ class TestClassifier:
         tgt = TargetPoint.from_word(m, (0, 1))
         v = borel_cantelli_classify(m, lebesgue, tgt, Schedule.depth_log_floor(D))
         assert v.verdict == "FullMeasure" and not v.heuristic
+
+    @pytest.mark.parametrize("chain_measure", [False, True])
+    def test_log_floor_zero_diagonal_exact(self, zero_diagonal, lebesgue, chain_measure):
+        # every depth-t cylinder has mass 1/3 * 2^-t: divergent iff base >= 2
+        mu = MarkovStationaryMeasure(zero_diagonal.p, zero_diagonal.M) \
+            if chain_measure else lebesgue
+        tgt = TargetPoint.from_word(zero_diagonal, (0, 1, 2))
+        for base, want in ((2, "FullMeasure"), (2.03, "FullMeasure"),
+                           (1.9, "MeasureZero")):
+            v = borel_cantelli_classify(zero_diagonal, mu, tgt,
+                                        Schedule.depth_log_floor(base))
+            assert v.verdict == want and not v.heuristic
+
+    def test_log_floor_word_outside_support(self, zero_diagonal):
+        # (0, 0, 1)^inf uses the forbidden 0 -> 0: every mass past depth 0 is 0
+        mu = MarkovStationaryMeasure(zero_diagonal.p, zero_diagonal.M)
+        tgt = TargetPoint.from_word(zero_diagonal, (0, 0, 1))
+        v = borel_cantelli_classify(zero_diagonal, mu, tgt, Schedule.depth_log_floor(3))
+        assert v.verdict == "MeasureZero"
+
+    def test_fraction_radii_on_gauss(self, gauss, gauss_measure):
+        tgt = TargetPoint.from_word(gauss, (1,))
+        exact = borel_cantelli_classify(gauss, gauss_measure, tgt,
+                                        Schedule.radii_const(F(1, 7)))
+        flt = borel_cantelli_classify(gauss, gauss_measure, tgt,
+                                      Schedule.radii_const(1 / 7))
+        assert exact.verdict == "FullMeasure"
+        assert exact.partial_sums == flt.partial_sums
+        table = [F(1, k) for k in range(2, 3000)]
+        v = borel_cantelli_classify(gauss, gauss_measure, tgt,
+                                    Schedule.custom_radii(table))
+        assert v.heuristic and len(v.partial_sums) == 3
+
+    # schedules whose verdict reports the mass series itself
+    @pytest.mark.parametrize("sched", [Schedule.radii_power(1.0), Schedule.radii_power(0.5),
+                                       Schedule.radii_exp(0.5), Schedule.radii_const(0.1),
+                                       Schedule.custom_radii([0.4 / k for k in range(1, 500)])])
+    def test_radii_partial_sums_match_per_index_oracle(self, sched, dary2, gauss, lebesgue,
+                                                      gauss_measure):
+        # the classifier sums the float radii table; the reference evaluates
+        # each radius on its own
+        for m, mu, tgt in ((dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1))),
+                           (gauss, gauss_measure, TargetPoint.from_word(gauss, (1,)))):
+            want, total, prev = [], 0.0, 0
+            for s in (10 ** 3, 10 ** 4, 10 ** 5):
+                r = np.asarray([sched.radius(k) for k in range(prev + 1, s + 1)])
+                total += float(np.sum(ball_mass_array(mu, m, tgt.float_value(), r)))
+                want.append(total)
+                prev = s
+            assert borel_cantelli_classify(m, mu, tgt, sched).partial_sums == want
 
     def test_borderline_alpha_inconclusive(self, dary2, lebesgue):
         tgt = TargetPoint.from_word(dary2, (0, 1))
