@@ -54,6 +54,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    if not isinstance(doc, dict):
+        print(f"config error: the config must be a JSON object, got {doc!r}", file=sys.stderr)
+        return EXIT_CONFIG
 
     if args.command == "report":
         try:
@@ -79,7 +82,12 @@ def main(argv=None) -> int:
     if args.out is not None:
         doc["out"] = args.out
     if args.horizon is not None:
-        doc["horizons"] = [int(h) for h in str(args.horizon).split(",") if h]
+        try:
+            doc["horizons"] = [int(h) for h in args.horizon.split(",") if h]
+        except ValueError:
+            print(f"config error: --horizon {args.horizon!r} is not a list of integers",
+                  file=sys.stderr)
+            return EXIT_CONFIG
 
     try:
         cfg = parse_config(doc)

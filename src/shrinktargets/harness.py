@@ -34,8 +34,9 @@ from .dimension import (
     grid_transfer,
     rectangle_counterexample_balls,
 )
-from .maps import make_map
+from .maps import MAP_KINDS, MapError, make_map
 from .measures import (
+    MeasureError,
     entropy_birkhoff,
     entropy_closed_form,
     entropy_smb,
@@ -106,6 +107,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
         violations.append(f"{exp} needs a map block")
     if exp in ("simulate", "classify") and "schedule" not in doc:
         violations.append(f"{exp} needs a schedule block")
+    for key in ("map", "measure", "x0", "schedule", "params"):
+        if doc.get(key) is not None and not isinstance(doc[key], dict):
+            violations.append(f"{key} must be an object, got {doc[key]!r}")
+    if isinstance(doc.get("map"), dict) and doc["map"].get("kind") not in MAP_KINDS:
+        violations.append(f"map kind must be one of {MAP_KINDS}, "
+                          f"got {doc['map'].get('kind')!r}")
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(
@@ -175,6 +182,10 @@ def _build_block(name: str, build, spec: dict):
         return build(spec)
     except KeyError as e:
         raise ConfigError([f"{name} {spec.get('kind')} missing parameter {e}"]) from None
+    except (MapError, MeasureError):
+        raise                 # parameters that parse but that the theory rejects
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        raise ConfigError([f"{name} {spec.get('kind')}: {e}"]) from None
 
 
 def _default_measure(map_spec: dict) -> dict:
@@ -234,6 +245,11 @@ def run(cfg: ExperimentConfig) -> ResultSet:
 def _target_for(cfg, m):
     x0 = _parse_point(cfg.x0)
     if isinstance(x0, tuple):
+        try:
+            for d in x0:
+                m.block_interval(d)       # raises for a digit out of range
+        except (MapError, TypeError) as e:
+            raise ConfigError([f"x0 word {list(x0)}: {e}"]) from None
         return TargetPoint.from_word(m, x0)
     if x0 is None:
         raise ConfigError(["this experiment needs an x0 block"])

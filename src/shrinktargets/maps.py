@@ -560,6 +560,18 @@ class BlaschkeBoundary(MapModel):
         return self._solve_lift(m + float(y), lo, hi) % 1.0
 
 
+_MAP_BUILDERS = {
+    "dary": lambda spec: DAryShift(int(spec["D"])),
+    "markov": lambda spec: MarkovLinear([[Fraction(str(x)) for x in row] for row in spec["M"]],
+                                        [Fraction(str(x)) for x in spec["p"]]),
+    "gauss": lambda spec: GaussMap(),
+    "blaschke": lambda spec: BlaschkeBoundary(
+        [complex(z[0], z[1]) if isinstance(z, (list, tuple)) else complex(z)
+         for z in spec["zeros"]]),
+}
+MAP_KINDS = tuple(_MAP_BUILDERS)
+
+
 def make_map(spec: dict) -> MapModel:
     """Build a map from a config block: {'kind': ..., parameters}.
 
@@ -567,19 +579,9 @@ def make_map(spec: dict) -> MapModel:
     row-major.
     """
     kind = spec.get("kind")
-    if kind == "dary":
-        return DAryShift(int(spec["D"]))
-    if kind == "markov":
-        M = [[Fraction(str(x)) for x in row] for row in spec["M"]]
-        p = [Fraction(str(x)) for x in spec["p"]]
-        return MarkovLinear(M, p)
-    if kind == "gauss":
-        return GaussMap()
-    if kind == "blaschke":
-        zeros = [complex(z[0], z[1]) if isinstance(z, (list, tuple)) else complex(z)
-                 for z in spec["zeros"]]
-        return BlaschkeBoundary(zeros)
-    raise MapError(f"unknown map kind {kind!r}")
+    if kind not in _MAP_BUILDERS:
+        raise MapError(f"unknown map kind {kind!r}")
+    return _MAP_BUILDERS[kind](spec)
 
 
 def bernoulli_map(weights: Sequence[Number]) -> MarkovLinear:

@@ -30,6 +30,7 @@ from .coding import cylinder_from_word, itinerary
 LOG2 = math.log(2)
 GAUSS_ENTROPY = math.pi ** 2 / (6 * LOG2)
 _SCAN_CHUNK = 1 << 16    # rows composed per numpy call of the chain scan
+ORBIT_BLOCK = 128        # rows x_n per block of the float-orbit engines
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -354,12 +355,33 @@ def float_orbit_step(m: MapModel, measure: InvariantMeasure, x: np.ndarray, rngs
     (T x = 0) restarts from its own trial's generator, so no trial's path
     depends on how many trials run beside it."""
     x = m.step(x)
-    if not isinstance(m, GaussMap) or x.all():
+    if not isinstance(m, GaussMap) or np.count_nonzero(x) == len(x):
         return x, 0
     ended = np.flatnonzero(x == 0)
     for t in ended:
         x[t] = measure.sample(rngs[t], 1)[0]
     return x, len(ended)
+
+
+def float_orbit_blocks(m: MapModel, measure: InvariantMeasure, seeds, N: int):
+    """The float orbits x_0, ..., x_N of all trials, ORBIT_BLOCK rows at a time.
+
+    Yields (n0, xs, restarts): xs[i] holds x_{n0+i} of every trial, and
+    restarts counts the Gauss restarts of the steps that made the block.
+    xs is a view of one buffer that the next block overwrites.  Only the
+    map step runs once per n; consumers decide on whole blocks.
+    """
+    rngs, x = float_orbit_start(measure, seeds)
+    buf = np.empty((ORBIT_BLOCK, len(seeds)))
+    buf[0] = x
+    for n0 in range(0, N + 1, ORBIT_BLOCK):
+        rows = min(ORBIT_BLOCK, N + 1 - n0)
+        restarts = 0
+        for i in range(1 if n0 == 0 else 0, rows):
+            x, r = float_orbit_step(m, measure, x, rngs)
+            buf[i] = x
+            restarts += r
+        yield n0, buf[:rows], restarts
 
 
 def entropy_birkhoff(m: MapModel, measure: InvariantMeasure, n_iter: int,
@@ -369,7 +391,8 @@ def entropy_birkhoff(m: MapModel, measure: InvariantMeasure, n_iter: int,
     Trial t draws only from its own trial_seed(seed, t) generator, so its
     value does not depend on n_trials.  Linear maps use the exact symbolic
     engine (digits drive the slopes); Gauss and Blaschke maps advance the
-    float pseudo-orbits of all trials in lockstep.
+    float pseudo-orbits of all trials in lockstep and take log|T'| of whole
+    blocks of them (float_orbit_blocks).
     """
     if n_iter < 1 or n_trials < 1:
         raise MeasureError("n_iter and n_trials must be >= 1")
@@ -387,13 +410,14 @@ def entropy_birkhoff(m: MapModel, measure: InvariantMeasure, n_iter: int,
             chain = sample_chain(m, np.random.default_rng(s), n_iter + 1)
             vals[t] = float(np.mean(logslope[chain[:-1], chain[1:]]))
     elif isinstance(m, (GaussMap, BlaschkeBoundary)):
-        rngs, x = float_orbit_start(measure, seeds)
-        s = np.zeros(n_trials)
-        for _ in range(n_iter):
-            s += m.log_derivative_array(x)
-            x, restarts = float_orbit_step(m, measure, x, rngs)
+        s = np.zeros((1, n_trials))
+        for n0, xs, restarts in float_orbit_blocks(m, measure, seeds, n_iter):
             resampled += restarts
-        vals = s / n_iter
+            L = m.log_derivative_array(xs[:n_iter - n0])
+            # accumulate, not sum: the terms add one n at a time, as in a
+            # running sum, so the result does not depend on the block size
+            s = np.add.accumulate(np.concatenate((s, L)))[-1:]
+        vals = s[0] / n_iter
     else:
         raise MeasureError(f"no Birkhoff engine for {m.kind}")
     stderr = float(vals.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else None

@@ -31,8 +31,7 @@ from .measures import (
     LebesgueMeasure,
     MarkovStationaryMeasure,
     MeasureError,
-    float_orbit_start,
-    float_orbit_step,
+    float_orbit_blocks,
     sample_chain,
     trial_seed,
 )
@@ -510,8 +509,12 @@ def _window_width(m, r_min):
     Position i applies the branches of the W digit pairs after digit i to a
     start point y_W (0 in the D-ary correlation, 1/2 for Markov maps).  A
     run of n consecutive branches contracts by at most K c^n, c = 1/beta,
-    K = (worst single branch / c)^(mixing_steps - 1), so the exact window
-    value lies within truncation = K c^W (W + 2) of the true point.
+    K = (worst single branch / c)^(mixing_steps - 1).  The composition G of
+    the W branches is affine with slope at most K c^W, and the true point
+    is G(z) with z = T^W of it, a point of [0, 1].  So the exact window
+    value G(y_W) lies within K c^W |y_W - z| of the true point, and
+    truncation = K c^W / 2 for Markov maps (y_W = 1/2) and c^W for the
+    D-ary map (y_W = 0, K = 1).
 
     rounding bounds the float error of the distance |pos - x0f| against the
     exact |window value - bracket midpoint|, with u = 2^-53 and
@@ -535,7 +538,7 @@ def _window_width(m, r_min):
     if isinstance(m, DAryShift):
         need = int(math.ceil(-math.log(max(r_min, 1e-18)) / math.log(m.D))) + 25
         W = int(min(52 if m.D == 2 else 40, max(need, 30)))
-        K, Y, P = 1.0, 1.0, W + 4
+        K, Y, P, gap = 1.0, 1.0, W + 4, 1.0    # gap: max |y_W - z| over z in [0, 1]
     else:
         need = int(math.ceil(math.log(max(r_min, 1e-18)) / math.log(c))) + 25
         W = int(min(60, max(need, 30)))
@@ -543,7 +546,8 @@ def _window_width(m, r_min):
         K = (B.max() / c) ** (m.mixing_steps - 1)
         Y = 1 + K / 2
         P = K * W * (np.abs(A).max() + (2 * B.max() + 1) * Y)
-    return W, K * c ** W * (W + 2), 1.05 * 2.0 ** -53 * (P + Y + 2)
+        gap = 0.5
+    return W, K * c ** W * gap, 1.05 * 2.0 ** -53 * (P + Y + 2)
 
 
 def _branch_table(m: MarkovLinear):
@@ -616,17 +620,55 @@ def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sched
                      resampled=resampled, window_minima=wmins, hit_indices=hit_idx)
 
 
+class _CheckpointTally:
+    """Cumulative hits at the checkpoints, minima of d/r_n over each window
+    (cps[k-1], cps[k]] and, if asked, the hit indices, fed in blocks of
+    consecutive orbit indices: rows are n, columns trials."""
+
+    def __init__(self, cps, trials, collect_hits):
+        self.cps = np.asarray(cps)
+        self.count = np.zeros(trials, dtype=np.int64)
+        self.hits = np.zeros((trials, len(cps)), dtype=np.int64)
+        self.wmins = np.full((trials, len(cps)), np.inf)
+        self.found = [] if collect_hits else None
+
+    def add(self, n0, hit, scaled, t0=0):
+        """Rows n0, n0+1, ... of hit and scaled, for trials t0, t0+1, ..."""
+        cols = slice(t0, t0 + hit.shape[1])
+        n1 = n0 + len(hit) - 1
+        k0, k1, k2 = np.searchsorted(self.cps, [n0, n1, n1 + 1])
+        # windows k0..k1 meet the block; window k > k0 starts at row cps[k-1]+1,
+        # and checkpoints k0..k2-1 close the first k2-k0 of them
+        starts = np.concatenate(([0], self.cps[k0:k1] + 1 - n0))
+        cum = np.add.reduceat(hit, starts, axis=0, dtype=np.int64).cumsum(axis=0)
+        cum += self.count[cols]
+        self.hits[cols, k0:k2] = cum[:k2 - k0].T
+        self.count[cols] = cum[-1]
+        seg = np.minimum.reduceat(scaled, starts, axis=0)
+        np.minimum(self.wmins[cols, k0:k1 + 1], seg.T, out=self.wmins[cols, k0:k1 + 1])
+        if self.found is not None:
+            t, i = np.nonzero(hit.T)
+            self.found.append((t + t0, i + n0))
+
+    def hit_indices(self):
+        """Per trial, the ascending orbit indices of its hits."""
+        if self.found is None:
+            return None
+        t = np.concatenate([t for t, _ in self.found])
+        n = np.concatenate([n for _, n in self.found])
+        # blocks arrive in ascending n, so a stable sort by trial keeps order
+        n = n[np.argsort(t, kind="stable")]
+        return np.split(n, np.cumsum(np.bincount(t, minlength=len(self.count)))[:-1])
+
+
 def _metric_linear(m, measure, target, radii, N, trials, seeds, cps, collect_hits):
     W, truncation, rounding = _window_width(m, float(radii[-1]))
     margin = truncation + rounding
     lo_b, hi_b = target.bracket(120)
     x0f = float((lo_b + hi_b) / 2)
     r_float = radii.astype(float)
-    hits = np.zeros((trials, len(cps)), dtype=np.int64)
-    nwin = len(cps)
-    wmins = np.full((trials, nwin), np.inf)
+    tally = _CheckpointTally(cps, trials, collect_hits)
     ambiguous = 0
-    hit_idx = [] if collect_hits else None
     for t in range(trials):
         rng = np.random.default_rng(seeds[t])
         stream = _digit_stream(m, measure, rng, N + W + 2)
@@ -638,44 +680,23 @@ def _metric_linear(m, measure, target, radii, N, trials, seeds, cps, collect_hit
             ambiguous += 1
             hit[i] = _resolve_ambiguous_linear(
                 m, stream, int(i) + 1, lo_b, hi_b, Fraction(float(r_float[i])))
-        cum = np.cumsum(hit)
-        hits[t] = cum[np.asarray(cps) - 1]
-        scaled = d / r_float
-        prev = 0
-        for k, c in enumerate(cps):
-            wmins[t, k] = scaled[prev:c].min() if c > prev else np.inf
-            prev = c
-        if collect_hits:
-            hit_idx.append(np.flatnonzero(hit) + 1)
-    return hits, wmins, ambiguous, hit_idx
+        tally.add(1, hit[:, None], (d / r_float)[:, None], t0=t)
+    return tally.hits, tally.wmins, ambiguous, tally.hit_indices()
 
 
 def _metric_float_orbit(m, measure, x0f, radii, N, trials, seeds, cps, collect_hits):
-    rngs, x = float_orbit_start(measure, seeds)
+    tally = _CheckpointTally(cps, trials, collect_hits)
     resampled = 0
-    hitcount = np.zeros(trials, dtype=np.int64)
-    hits = np.zeros((trials, len(cps)), dtype=np.int64)
-    wmins = np.full((trials, len(cps)), np.inf)
-    cp_set = {c: k for k, c in enumerate(cps)}
-    hit_idx = [[] for _ in range(trials)] if collect_hits else None
-    window = 0
-    for n in range(1, N + 1):
-        x, restarts = float_orbit_step(m, measure, x, rngs)
+    for n0, xs, restarts in float_orbit_blocks(m, measure, seeds, N):
         resampled += restarts
-        d = np.abs(x - x0f)
+        if n0 == 0:
+            n0, xs = 1, xs[1:]          # x_0 is the start, not a visit
+        d = np.abs(xs - x0f)
         if m.circle:
             d = np.minimum(d, 1.0 - d)
-        r = radii[n - 1]
-        sel = d <= r
-        hitcount += sel
-        if collect_hits and sel.any():
-            for t in np.flatnonzero(sel):
-                hit_idx[t].append(n)
-        np.minimum(wmins[:, window], d / r, out=wmins[:, window])
-        if n in cp_set:
-            hits[:, cp_set[n]] = hitcount
-            window = min(window + 1, len(cps) - 1)
-    return hits, wmins, resampled, hit_idx
+        r = radii[n0 - 1:n0 - 1 + len(xs), None]
+        tally.add(n0, d <= r, d / r)
+    return tally.hits, tally.wmins, resampled, tally.hit_indices()
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,23 @@ class TestCLI:
         assert cli.main(["simulate", "--config", str(cfgp)]) == 2
         assert "config error: x0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, argv", [
+        ({"map": {"kind": "dary", "D": "x"}}, []),
+        ({"map": 3}, []),
+        ({"x0": 0.3}, []),
+        ({}, ["--horizon", "x"]),
+        ({"map": {"kind": "tent"}}, []),
+        ({"x0": {"word": [0, 5]}}, []),
+        ([1, 2], []),
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, change, argv):
+        doc = {"experiment": "classify", "map": {"kind": "dary", "D": 2},
+               "x0": {"word": [0, 1]}, "schedule": {"kind": "radii_power", "alpha": 2.0}}
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({**doc, **change} if isinstance(change, dict) else change))
+        assert cli.main(["classify", "--config", str(cfgp), *argv]) == 2
+        assert "config error: " in capsys.readouterr().err
+
     def test_in_process_calls_match_fresh_runs(self, tmp_path, capsys):
         # main builds its parser once per process; repeated calls, also
         # right after an argparse exit, behave as fresh processes do

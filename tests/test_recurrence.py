@@ -7,6 +7,7 @@ import pytest
 
 from shrinktargets import (
     DAryShift,
+    GaussMap,
     Schedule,
     ScheduleError,
     TargetPoint,
@@ -21,7 +22,12 @@ from shrinktargets import (
     trial_seed,
 )
 from shrinktargets.maps import BoundaryHit
-from shrinktargets.measures import MarkovStationaryMeasure
+from shrinktargets.measures import (
+    GaussMeasure,
+    MarkovStationaryMeasure,
+    float_orbit_start,
+    float_orbit_step,
+)
 from shrinktargets.recurrence import (
     _digit_stream,
     _window_positions,
@@ -102,6 +108,25 @@ class TestSymbolicHits:
                               Schedule.radii_power(1.0), 100, 1, 0)
 
 
+def _exact_binary_hits(stream, x0, sched, N):
+    """Hit indices of the D = 2 metric engine decided exactly from its digit
+    stream.  The whole stream is one binary numeral: the window stream[i:]
+    is the number formed by its last L - i bits."""
+    L = len(stream)
+    V = int("".join(map(str, stream.tolist())), 2)
+    hits = []
+    for i in range(1, N + 1):
+        lo = F(V % (1 << (L - i)), 1 << (L - i))
+        hi = lo + F(1, 1 << (L - i))
+        r = F(float(sched.radius(i)))
+        if hi <= x0 + r and lo >= x0 - r:
+            hits.append(i)
+        else:
+            # certified miss (the bracket is far finer than the margin)
+            assert lo > x0 + r or hi < x0 - r
+    return hits
+
+
 class TestMetricHits:
     def test_const_radius_everything(self, dary2, lebesgue):
         hs = run_metric_hits(dary2, lebesgue, TargetPoint.from_point(dary2, F(1, 3)),
@@ -118,22 +143,24 @@ class TestMetricHits:
                              sched, N, 1, seed, collect_hits=True)
         rng = np.random.default_rng(trial_seed(seed, 0))
         stream = rng.integers(0, 2, size=N + 52 + 2, dtype=np.int64)
-        # the whole stream as one binary numeral: the window stream[i:] is
-        # the number formed by its last L - i bits
-        L = len(stream)
-        V = int("".join(map(str, stream.tolist())), 2)
-        x0 = F(1, 3)
-        hits = []
-        for i in range(1, N + 1):
-            lo = F(V % (1 << (L - i)), 1 << (L - i))
-            hi = lo + F(1, 1 << (L - i))
-            r = F(float(sched.radius(i)))
-            if hi <= x0 + r and lo >= x0 - r:
-                hits.append(i)
-            else:
-                # certified miss (the bracket is far finer than the margin)
-                assert lo > x0 + r or hi < x0 - r
-        assert hits == hs.hit_indices[0].tolist()
+        assert _exact_binary_hits(stream, F(1, 3), sched, N) == hs.hit_indices[0].tolist()
+
+    def test_borderline_step_resolved_exactly(self, dary2, lebesgue):
+        """A constant radius equal to the float distance at step 1 puts that
+        step inside the margin: the exact resolver decides it, and every
+        decision matches the exact stream.  At this seed the float test
+        alone would call step 1 a hit; the exact point lies outside."""
+        N, seed, x0 = 200, 10, F(1, 3)
+        W = _window_width(dary2, 0.05)[0]
+        stream = np.random.default_rng(trial_seed(seed, 0)).integers(
+            0, 2, size=N + W + 2, dtype=np.int64)
+        r = abs(float(_window_positions(dary2, stream, N, W)[0]) - float(x0))
+        assert _window_width(dary2, r)[0] == W
+        sched = Schedule.radii_const(r)
+        hs = run_metric_hits(dary2, lebesgue, TargetPoint.from_point(dary2, x0),
+                             sched, N, 1, seed, collect_hits=True)
+        assert hs.ambiguous_resolved >= 1 and hs.hit_indices[0][0] != 1
+        assert _exact_binary_hits(stream, x0, sched, N) == hs.hit_indices[0].tolist()
 
     def test_reciprocal_radii_ratio_near_one(self, dary2, lebesgue):
         # r_n = 1/n at the uniform shift: the quantitative limit is 1
@@ -210,6 +237,103 @@ class TestMetricHits:
         assert med[0] < med[1] < med[2]
 
 
+class _HalfStartGauss(GaussMeasure):
+    """Gauss measure whose first draw, the start of trial 0, is 1/2: the map
+    sends it to 0, so trial 0 restarts from its own generator at n = 1."""
+
+    def __init__(self):
+        self.first = True
+
+    def sample(self, rng, size):
+        if self.first:
+            self.first = False
+            return np.array([0.5])
+        return super().sample(rng, size)
+
+
+def _metric_float_orbit_per_step(m, measure, x0f, radii, N, trials, seeds, cps,
+                                 collect_hits):
+    """The float-orbit metric engine as one Python step per n: the reference
+    that the block engine must match bit for bit."""
+    rngs, x = float_orbit_start(measure, seeds)
+    resampled = 0
+    hitcount = np.zeros(trials, dtype=np.int64)
+    hits = np.zeros((trials, len(cps)), dtype=np.int64)
+    wmins = np.full((trials, len(cps)), np.inf)
+    cp_set = {c: k for k, c in enumerate(cps)}
+    hit_idx = [[] for _ in range(trials)] if collect_hits else None
+    window = 0
+    for n in range(1, N + 1):
+        x, restarts = float_orbit_step(m, measure, x, rngs)
+        resampled += restarts
+        d = np.abs(x - x0f)
+        if m.circle:
+            d = np.minimum(d, 1.0 - d)
+        r = radii[n - 1]
+        sel = d <= r
+        hitcount += sel
+        if collect_hits and sel.any():
+            for t in np.flatnonzero(sel):
+                hit_idx[t].append(n)
+        np.minimum(wmins[:, window], d / r, out=wmins[:, window])
+        if n in cp_set:
+            hits[:, cp_set[n]] = hitcount
+            window = min(window + 1, len(cps) - 1)
+    return hits, wmins, resampled, hit_idx
+
+
+def _birkhoff_float_per_step(m, measure, n_iter, seeds):
+    """(mean, stderr, resampled) of the float Birkhoff sums, one step per n."""
+    rngs, x = float_orbit_start(measure, seeds)
+    s = np.zeros(len(seeds))
+    resampled = 0
+    for _ in range(n_iter):
+        s += m.log_derivative_array(x)
+        x, restarts = float_orbit_step(m, measure, x, rngs)
+        resampled += restarts
+    vals = s / n_iter
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(seeds))), resampled
+
+
+class TestFloatOrbitBlocks:
+    """The block engine (one map step per n, decisions per block of rows)
+    is bit-identical to the per-step loop, also across block edges."""
+
+    @staticmethod
+    def _case(kind, blaschke_two, lebesgue):
+        if kind == "gauss":
+            return GaussMap(), _HalfStartGauss, (1,)
+        return blaschke_two, lambda: lebesgue, 0.3
+
+    @pytest.mark.parametrize("kind", ["gauss", "blaschke"])
+    @pytest.mark.parametrize("N", [1, 127, 128, 129, 2 * 128 + 5])
+    @pytest.mark.parametrize("horizons", [None, [127, 128, 255, 256], [1, 5, 100, 200]])
+    def test_metric_matches_per_step_loop(self, kind, N, horizons, blaschke_two, lebesgue):
+        m, measure, x0 = self._case(kind, blaschke_two, lebesgue)
+        tgt = TargetPoint.from_word(m, x0) if isinstance(x0, tuple) \
+            else TargetPoint.from_point(m, x0)
+        sched = Schedule.radii_power(1.0)
+        hs = run_metric_hits(m, measure(), tgt, sched, N, 4, 5, horizons=horizons,
+                             collect_hits=True)
+        hits, wmins, resampled, hit_idx = _metric_float_orbit_per_step(
+            m, measure(), tgt.float_value(), sched.radii_array(N), N, 4,
+            hs.trial_seeds, hs.checkpoints, True)
+        assert hs.hits.tolist() == hits.tolist()
+        assert hs.window_minima.tolist() == wmins.tolist()
+        assert [h.tolist() for h in hs.hit_indices] == hit_idx
+        assert hs.resampled == resampled and resampled >= (kind == "gauss")
+
+    @pytest.mark.parametrize("kind", ["gauss", "blaschke"])
+    @pytest.mark.parametrize("n_iter", [1, 127, 128, 129, 2 * 128 + 5])
+    def test_birkhoff_matches_per_step_loop(self, kind, n_iter, blaschke_two, lebesgue):
+        m, measure, _ = self._case(kind, blaschke_two, lebesgue)
+        est = entropy_birkhoff(m, measure(), n_iter, 4, 5)
+        seeds = [trial_seed(5, t) for t in range(4)]
+        want = _birkhoff_float_per_step(m, measure(), n_iter, seeds)
+        assert (est.value, est.standard_error, est.details["resampled"]) == want
+        assert want[2] >= (kind == "gauss")
+
+
 def _band(hs, trials):
     """Mean hitting ratio within 5 compound-Poisson deviations of 1 (variance
     inflated by at most 4 at a periodic target)."""
@@ -229,12 +353,12 @@ class TestMarkovFastPath:
                                 10000, 4, 3)
         assert sym.hits.tolist() == [[46], [51], [34], [40]]
         met = run_metric_hits(markov, markov_measure, alt, Schedule.radii_power(2.0), 300, 2, 0)
-        assert met.hits.tolist() == [[64], [60]] and met.ambiguous_resolved == 4
+        assert met.hits.tolist() == [[64], [60]] and met.ambiguous_resolved == 0
         golden_mu = MarkovStationaryMeasure(golden_markov.p, golden_markov.M)
         met = run_metric_hits(golden_markov, golden_mu,
                               TargetPoint.from_point(golden_markov, F(1, 3)),
                               Schedule.radii_power(2.0), 400, 2, 0)
-        assert met.hits.tolist() == [[77], [76]] and met.ambiguous_resolved == 3
+        assert met.hits.tolist() == [[77], [76]] and met.ambiguous_resolved == 0
         est = entropy_birkhoff(markov, markov_measure, 5000, 8, 5)
         assert (est.value, est.standard_error) == (0.6040988158870807, 0.0031843492106405666)
 
@@ -242,12 +366,13 @@ class TestMarkovFastPath:
     def test_float_positions_within_rounding_term(self, kind, markov, golden_markov, lebesgue):
         m = {"dary2": DAryShift(2), "dary3": DAryShift(3), "dary10": DAryShift(10),
              "chain": markov, "golden": golden_markov}[kind]
-        N = 150
+        N, extra = 150, 40
         W, truncation, rounding = _window_width(m, 1 / math.sqrt(N))
         start = F(0) if isinstance(m, DAryShift) else F(1, 2)
-        worst = F(0)
+        worst = worst_cut = F(0)
         for seed in (0, 1, 2):
-            stream = _digit_stream(m, lebesgue, np.random.default_rng(seed), N + W + 2)
+            stream = _digit_stream(m, lebesgue, np.random.default_rng(seed),
+                                   N + W + extra + 2)
             pos = _window_positions(m, stream, N, W)
             s = stream.tolist()
             for i in range(N):
@@ -256,7 +381,11 @@ class TestMarkovFastPath:
                     A, B = m.branch_affine(s[k], s[k + 1])
                     y = A + B * y
                 worst = max(worst, abs(F(float(pos[i])) - y))
+                # the true point lies in the cylinder of the longer word
+                c = cylinder_from_word(m, s[i + 1:i + W + extra + 2])
+                worst_cut = max(worst_cut, abs(c.left - y), abs(c.right - y))
         assert worst <= rounding
+        assert worst_cut <= truncation
         if kind == "dary10":
             assert worst > truncation    # the truncation term alone misses rounding
 
