@@ -1,18 +1,21 @@
 """Symbolic itineraries and exact cylinder intervals.
 
 A depth-n cylinder is the set of points whose first n+1 digits agree with a
-given word; its interval is obtained by composing inverse branches
-right-to-left onto the block of the last digit.  Endpoints are exact
-rationals for DAryShift, MarkovLinear and GaussMap.  Gauss endpoints grow
-exponentially, so beyond depth EXACT_DEPTH_CAP they are rounded to
-PRECISION_BITS bits and the cylinder is marked inexact.
+given word.  One PrefixWalk yields the cylinders of every prefix of a word,
+adding one factor per digit, and every cylinder in the package comes from
+such a walk.  Endpoints are exact rationals for DAryShift, MarkovLinear and
+GaussMap.  Gauss endpoints grow exponentially, so beyond depth
+EXACT_DEPTH_CAP they are rounded to PRECISION_BITS bits and the cylinder is
+marked inexact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from typing import Optional, Sequence
 
 from .maps import BoundaryHit, GaussMap, InadmissibleDigit, MapError, MapModel
@@ -38,9 +41,6 @@ class Cylinder:
     def length(self) -> Fraction:
         return self.right - self.left
 
-    def contains(self, x) -> bool:
-        return self.left <= x <= self.right
-
     def to_json(self) -> dict:
         rec = {
             "word": list(self.word),
@@ -56,33 +56,108 @@ class Cylinder:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
+def orbit_digits(m: MapModel, x):
+    """Digits i_0, i_1, ... of x, one evaluate per digit read."""
+    digs = []
+    while True:
+        try:
+            digs.append(m.digit_of(x))
+        except BoundaryHit as e:
+            raise BoundaryHit(len(digs), tuple(digs), e.reason) from None
+        yield digs[-1]
+        x = m.evaluate(x)
+
+
 def itinerary(m: MapModel, x, n: int):
     """Digits (i_0, ..., i_n) of x; raises BoundaryHit with the partial word."""
-    digs = []
-    pt = x
-    for k in range(n + 1):
-        try:
-            digs.append(m.digit_of(pt))
-        except BoundaryHit as e:
-            raise BoundaryHit(k, tuple(digs), e.reason) from None
-        if k < n:
-            pt = m.evaluate(pt)
-    return tuple(digs)
+    return tuple(islice(orbit_digits(m, x), n + 1))
 
 
-def _round_to_bits(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(round(x * scale), scale)
+class PrefixWalk:
+    """The cylinders P(0), P(1), ... of one digit sequence, one factor per digit.
 
+    The state after t digits is the integer matrix (a, b, c, d) of the
+    composed inverse branches y -> (a*y + b)/(c*y + d); P(t) is its image of
+    the block of digit t.  A new digit multiplies in one branch: for affine
+    maps A <- A + B*a, B <- B*b, the branch restricted to the next digit's
+    block so that a block endpoint never selects its neighbour's branch; for
+    the Gauss map the convergent recurrence p_t = a_t p_{t-1} + p_{t-2}, and
+    the same for q_t (Khinchin).  Blaschke maps have no exact forward step
+    and compose their float inverse branches right-to-left per depth.
 
-def _compose_branches(m: MapModel, pairs) -> tuple:
-    """Exact (A, B) with G(y) = A + B*y, G the composition of the affine
-    branches of the (digit, next digit) pairs, outermost first."""
-    A, B = Fraction(0), Fraction(1)
-    for d_from, d_to in reversed(pairs):
-        a, b = m.branch_affine(d_from, d_to)
-        A, B = a + b * A, b * B
-    return A, B
+    Digits are read, endpoints computed and Cylinders built only on demand.
+    A walk takes its depth-0 cylinder from cylinder_from_word, so a tracer
+    on that function sees every walk; cylinder_from_word walks unseeded.
+    """
+
+    def __init__(self, m: MapModel, digits, seeded: bool = True):
+        self.map = m
+        self.word = []
+        self._next = iter(digits).__next__
+        self._seeded = seeded
+        self._exact = hasattr(m, "branch_affine") or isinstance(m, GaussMap)
+        self._mats = []         # composed branches per depth
+        self._ends = {}         # depth -> (left, right, precision bits or None)
+
+    def _read(self, t: int):
+        m, word = self.map, self.word
+        while len(word) <= t:
+            d = self._next()
+            if not word:
+                if self._seeded:
+                    c = cylinder_from_word(m, (d,))
+                    self._ends[0] = (c.left, c.right, c.precision_bits)
+                self._mats.append((1, 0, 0, 1))
+            elif not m.admissible(word[-1], d):
+                raise InadmissibleDigit(
+                    f"digit not admissible: transition {word[-1]}->{d} forbidden")
+            elif self._exact:
+                e, f, g, h = self._branch(word[-1], d)
+                a, b, c, k = self._mats[-1]
+                self._mats.append((a * e + b * g, a * f + b * h, c * e + k * g, c * f + k * h))
+            word.append(d)
+
+    def _branch(self, prev: int, d: int):
+        """Integer matrix of the inverse branch from digit prev onto digit d's block."""
+        if isinstance(self.map, GaussMap):
+            return 0, 1, 1, prev
+        self.map.block_interval(d)
+        A, B = self.map.branch_affine(prev, d)
+        L = math.lcm(A.denominator, B.denominator)
+        return B.numerator * (L // B.denominator), A.numerator * (L // A.denominator), 0, L
+
+    def _endpoints(self, t: int):
+        """(left, right, precision bits or None) of P(t), computed once."""
+        if t not in self._ends:
+            self._read(t)
+            m, (lo, hi) = self.map, self.map.block_interval(self.word[t])
+            if self._exact:
+                a, b, c, d = self._mats[t]
+                lo, hi = sorted(Fraction(a * e.numerator + b * e.denominator,
+                                         c * e.numerator + d * e.denominator) for e in (lo, hi))
+                bits = PRECISION_BITS if isinstance(m, GaussMap) and t > EXACT_DEPTH_CAP else None
+                if bits:
+                    lo, hi = (Fraction(round(e * (1 << bits)), 1 << bits) for e in (lo, hi))
+            else:
+                for d in reversed(self.word[:t]):
+                    a, b = m.inverse_branch(d, lo), m.inverse_branch(d, hi)
+                    lo, hi = (a, b) if a <= b else (b, a)
+                lo, hi, bits = Fraction(float(lo)), Fraction(float(hi)), 53
+            self._ends[t] = lo, hi, bits
+        return self._ends[t]
+
+    def digits(self, n: int) -> tuple:
+        self._read(n)
+        return tuple(self.word[:n + 1])
+
+    def bounds(self, t: int):
+        """(left, right) of the depth-t cylinder."""
+        return self._endpoints(t)[:2]
+
+    def cylinder(self, t: int) -> Cylinder:
+        lo, hi, bits = self._endpoints(t)
+        return Cylinder(tuple(self.word[:t + 1]), lo, hi, self.map.key(),
+                        exact=bits is None, precision_bits=bits)
 
 
 def cylinder_from_word(m: MapModel, word: Sequence[int]) -> Cylinder:
@@ -90,38 +165,17 @@ def cylinder_from_word(m: MapModel, word: Sequence[int]) -> Cylinder:
     word = tuple(word)
     if not word:
         raise ValueError("empty word")
-    for k in range(len(word) - 1):
-        if not m.admissible(word[k], word[k + 1]):
-            raise InadmissibleDigit(
-                f"digit not admissible: transition {word[k]}->{word[k+1]} forbidden"
-            )
-    lo, hi = m.block_interval(word[-1])
-    if hasattr(m, "branch_affine"):
-        # each branch is restricted to the next digit's block, so a block
-        # endpoint never selects the neighbouring block's branch
-        A, B = _compose_branches(m, list(zip(word, word[1:])))
-        lo, hi = A + B * lo, A + B * hi
-    else:
-        for d in reversed(word[:-1]):
-            a, b = m.inverse_branch(d, lo), m.inverse_branch(d, hi)
-            lo, hi = (a, b) if a <= b else (b, a)
-    exact = isinstance(lo, (int, Fraction)) and isinstance(hi, (int, Fraction))
-    if exact:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if isinstance(m, GaussMap) and len(word) - 1 > EXACT_DEPTH_CAP:
-            lo = _round_to_bits(lo, PRECISION_BITS)
-            hi = _round_to_bits(hi, PRECISION_BITS)
-            return Cylinder(word, lo, hi, m.key(), exact=False,
-                            precision_bits=PRECISION_BITS)
-    else:
-        lo, hi = Fraction(float(lo)), Fraction(float(hi))
-        return Cylinder(word, lo, hi, m.key(), exact=False, precision_bits=53)
-    return Cylinder(word, lo, hi, m.key())
+    return PrefixWalk(m, word, seeded=False).cylinder(len(word) - 1)
+
+
+def prefix_walk(m: MapModel, x0) -> PrefixWalk:
+    """The walk of a target that has one, or along the itinerary of a point."""
+    return x0.walk() if hasattr(x0, "walk") else PrefixWalk(m, orbit_digits(m, x0))
 
 
 def locate_cylinder(m: MapModel, x, n: int) -> Cylinder:
     """P(n, x): the depth-n cylinder containing x."""
-    cyl = cylinder_from_word(m, itinerary(m, x, n))
+    cyl = prefix_walk(m, x).cylinder(n)
     assert cyl.left <= x <= cyl.right
     return cyl
 
@@ -129,15 +183,17 @@ def locate_cylinder(m: MapModel, x, n: int) -> Cylinder:
 def periodic_point(m: MapModel, period_word: Sequence[int]):
     """Exact point whose itinerary repeats the given word.
 
-    Only for maps with affine branches (DAryShift, MarkovLinear): composes
-    the branch inverses restricted to the correct target blocks (pairwise,
-    wrapping around the period) and solves the affine fixed-point equation.
+    Only for maps with affine branches (DAryShift, MarkovLinear): walks
+    w + w[:1], so the branches close around the period, and solves the
+    fixed-point equation x = (a*x + b)/d of the composed branches.
     """
     w = tuple(period_word)
     if not hasattr(m, "branch_affine"):
         raise MapError(f"periodic points need affine branches, not {m.kind}")
-    A, B = _compose_branches(m, list(zip(w, w[1:] + w[:1])))
-    return A / (1 - B)
+    walk = PrefixWalk(m, w + w[:1], seeded=False)
+    walk.digits(len(w))
+    a, b, _, d = walk._mats[len(w)]
+    return Fraction(b, d - a)
 
 
 class WordTarget:
@@ -166,53 +222,32 @@ class WordTarget:
     def digits(self, n: int) -> tuple:
         return tuple(self._fn(k) for k in range(n + 1))
 
+    def walk(self) -> PrefixWalk:
+        return PrefixWalk(self.map, map(self._fn, count()))
+
     def cylinder(self, n: int) -> Cylinder:
-        return cylinder_from_word(self.map, self.digits(n))
+        return self.walk().cylinder(n)
 
     def bracket(self, n: int):
-        c = self.cylinder(n)
-        return c.left, c.right
+        return self.walk().bounds(n)
 
 
-def _contained_in_ball(cyl: Cylinder, x0, r) -> bool:
-    """Closed-interval containment P subset closed-ball(x0, r)."""
-    return x0 - r <= cyl.left and cyl.right <= x0 + r
+def refine_depth(m: MapModel, x0, r) -> int:
+    """Smallest t with P(t, x0) inside the closed ball of radius r about x0."""
+    return refine_schedule_to_depths(m, x0, (r,))[0]
 
 
-def refine_depth(m: MapModel, x0, r, start: int = 0, max_depth: int = 100000) -> int:
-    """Smallest t with P(t, x0) inside the closed ball of radius r about x0.
-
-    ``x0`` may be an exact point or a WordTarget.  Containment is decided
-    with exact endpoint comparisons; a word target with an exact rational
-    value is compared against it, others have their (possibly irrational)
-    center bracketed by deeper cylinders until the comparison is
-    unambiguous.  (A rational center can sit exactly on a ball edge that is
-    a cylinder endpoint, where no bracket separates the two.)
-    """
-    if r >= 1:
-        return 0
-    if not isinstance(x0, WordTarget):
-        inside = lambda t: _contained_in_ball(locate_cylinder(m, x0, t), x0, r)
-    elif isinstance(x0.value, (int, Fraction)):
-        inside = lambda t: _contained_in_ball(x0.cylinder(t), x0.value, r)
-    else:
-        inside = lambda t: _bracketed_containment(x0, t, r)
-    for t in range(start, max_depth + 1):
-        if inside(t):
-            return t
-    raise RuntimeError("max refinement depth exceeded")
-
-
-def _bracketed_containment(x0: WordTarget, t: int, r) -> bool:
-    """P(t, x0) inside the closed ball about the bracketed center of x0."""
-    cyl = x0.cylinder(t)
+def _bracketed_containment(walk: PrefixWalk, t: int, r) -> bool:
+    """P(t, x0) inside the closed ball about the center bracketed by deeper
+    cylinders of the same walk."""
+    left, right = walk.bounds(t)
     for extra in range(t + 8, t + 201, 8):
-        lo, hi = x0.bracket(extra)
+        lo, hi = walk.bounds(extra)
         # certified yes: even the worst center position fits
-        if hi - r <= cyl.left and cyl.right <= lo + r:
+        if hi - r <= left and right <= lo + r:
             return True
         # certified no: even the best center position fails
-        if lo - r > cyl.left or cyl.right > hi + r:
+        if lo - r > left or right > hi + r:
             return False
     raise RuntimeError("containment test failed to resolve")
 
@@ -220,16 +255,30 @@ def _bracketed_containment(x0: WordTarget, t: int, r) -> bool:
 def refine_schedule_to_depths(m: MapModel, x0, radii) -> list:
     """Minimal depths t_k with P(t_k, x0) inside closed B(x0, r_k).
 
-    ``radii`` is any iterable of radii (non-increasing radii give
-    non-decreasing depths, and the scan exploits that).
+    ``x0`` may be an exact point or a WordTarget, and all radii share one
+    prefix walk of it.  Containment is decided with exact endpoint
+    comparisons; a word target with an exact rational value is compared
+    against it, others have their (possibly irrational) center bracketed by
+    deeper cylinders until the comparison is unambiguous.  (A rational
+    center can sit exactly on a ball edge that is a cylinder endpoint, where
+    no bracket separates the two.)  Non-increasing radii give
+    non-decreasing depths, and the scan exploits that.
     """
-    out = []
-    t = 0
-    prev_r = None
+    walk = prefix_walk(m, x0)
+    center = x0.value if isinstance(x0, WordTarget) else x0
+    if isinstance(x0, WordTarget) and not isinstance(center, (int, Fraction)):
+        inside = lambda t, r: _bracketed_containment(walk, t, r)
+    else:
+        inside = lambda t, r: center - r <= walk.bounds(t)[0] and walk.bounds(t)[1] <= center + r
+
+    out, t, prev_r = [], 0, None
     for r in radii:
-        if prev_r is not None and r > prev_r:
-            t = 0  # radii increased; restart the scan
-        t = refine_depth(m, x0, r, start=t)
+        if r >= 1 or (prev_r is not None and r > prev_r):
+            t = 0   # radii increased; restart the scan
+        while r < 1 and not inside(t, r):
+            t += 1
+            if t > 100000:
+                raise RuntimeError("max refinement depth exceeded")
         out.append(t)
         prev_r = r
     return out

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .maps import DAryShift, MapModel, MarkovLinear
-from .measures import MarkovStationaryMeasure, smb_regular_cylinders
+from .measures import MarkovStationaryMeasure, log_mass, smb_regular_cylinders
 from .coding import refine_depth
 from .recurrence import Schedule, TargetPoint
 
@@ -120,9 +120,6 @@ def bound_code_w(w_bar: float) -> DimensionBound:
     """Grid lower bound 1/(1 + w_bar) from the depth-growth rate alone."""
     if w_bar < 0:
         raise DimensionError("w_bar must be nonnegative")
-    if math.isinf(w_bar):
-        return DimensionBound(grid_lower=0.0, formula="1/(1+w)",
-                              inputs={"w_bar": w_bar})
     return DimensionBound(grid_lower=_clamp01(1.0 / (1.0 + w_bar)),
                           formula="1/(1+w)", inputs={"w_bar": w_bar})
 
@@ -324,10 +321,6 @@ class StageLevel:
     def nested_lam(self):
         return self._view(lambda p, s: self.parent_lam[p] * self.suffix_lam[s]
                           * self.nested_rel)
-
-
-def _log(q: Fraction) -> float:
-    return math.log(q.numerator) - math.log(q.denominator)
 
 
 @dataclass
@@ -542,9 +535,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     measure = (MarkovStationaryMeasure.bernoulli([Fraction(1, m.D)] * m.D)
                if isinstance(m, DAryShift)
                else MarkovStationaryMeasure(m.p, m.M))
-    if not isinstance(target, TargetPoint):
-        target = TargetPoint.from_word(m, target) if isinstance(target, (tuple, list)) \
-            else TargetPoint.from_point(m, target)
+    target = TargetPoint.of(m, target)
 
     deep = sum(int(n) for n in level_sizes) * 4 + 64
     x0_digits = list(target.digits(deep))
@@ -637,9 +628,9 @@ def frostman_exponent(stage: CantorStage, c_cap: float = 1e3,
     classes = stage.level_classes()
     for lvl, level_classes in zip(stage.levels, classes):
         for lam_f, lam_n, nu, cnt in level_classes:
-            ln = _log(nu)
+            ln = log_mass(nu)
             for lam in ((lam_f, lam_n) if lam_n != lam_f else (lam_f,)):
-                ll = _log(lam)
+                ll = log_mass(lam)
                 constraints.append((log_cap - ln) / (-ll))
                 pairs.append((ll, ln, cnt))
         total_blocks += lvl.count * (2 if lvl.nested_suffix else 1)
@@ -693,7 +684,7 @@ def _intermediate_constraints(measure: MarkovStationaryMeasure, lvl: StageLevel,
             lams[key] = num * q.numerator, den * q.denominator
             rel[lams[key] + (w,)] = None
     rel = [(Fraction(num, den), Fraction(w, total)) for num, den, w in rel]
-    return [(log_cap - _log(p_nu * nu)) / (-_log(p_lam * lam))
+    return [(log_cap - log_mass(p_nu * nu)) / (-log_mass(p_lam * lam))
             for p_lam, p_nu in parents for lam, nu in rel]
 
 

@@ -36,6 +36,7 @@ from .dimension import (
 )
 from .maps import MAP_KINDS, MapError, make_map
 from .measures import (
+    MEASURE_KINDS,
     MeasureError,
     entropy_birkhoff,
     entropy_closed_form,
@@ -110,9 +111,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for key in ("map", "measure", "x0", "schedule", "params"):
         if doc.get(key) is not None and not isinstance(doc[key], dict):
             violations.append(f"{key} must be an object, got {doc[key]!r}")
-    if isinstance(doc.get("map"), dict) and doc["map"].get("kind") not in MAP_KINDS:
-        violations.append(f"map kind must be one of {MAP_KINDS}, "
-                          f"got {doc['map'].get('kind')!r}")
+    for key, kinds in (("map", MAP_KINDS), ("measure", MEASURE_KINDS)):
+        if isinstance(doc.get(key), dict) and doc[key].get("kind") not in kinds:
+            violations.append(f"{key} kind must be one of {kinds}, "
+                              f"got {doc[key].get('kind')!r}")
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(
@@ -297,8 +299,7 @@ def _run_entropy(cfg):
         n_iter = int(cfg.params.get("n_iter", 10 ** 5))
         est = entropy_birkhoff(m, measure, n_iter, cfg.trials, cfg.seed)
     elif method == "smb":
-        x0 = _parse_point(cfg.x0)
-        est = entropy_smb(m, measure, x0, int(cfg.params.get("depth", 20)))
+        est = entropy_smb(m, measure, _target_for(cfg, m), int(cfg.params.get("depth", 20)))
     else:
         raise ConfigError([f"unknown entropy method {method!r}"])
     rec = est.to_json()
@@ -342,13 +343,13 @@ def _run_bounds(cfg):
 def _run_cantor(cfg):
     m = _build_block("map", make_map, cfg.map)
     sched = _build_schedule(cfg.schedule) if cfg.schedule else Schedule.depth_const(0)
-    x0 = _parse_point(cfg.x0)
+    target = _target_for(cfg, m)
     levels = int(cfg.params.get("levels", 2))
     sizes = cfg.params.get("level_sizes")
     if not sizes or len(sizes) != levels:
         raise ConfigError(["cantor needs params.level_sizes matching params.levels"])
     eps = float(cfg.params.get("epsilon", 0.3))
-    stage = build_cantor_stage(m, x0, sched, levels, sizes, epsilon=eps)
+    stage = build_cantor_stage(m, target, sched, levels, sizes, epsilon=eps)
     fr = frostman_exponent(stage, c_cap=float(cfg.params.get("c_cap", 1e3)))
     nu_sums = stage.nu_level_sums()
     summary = {

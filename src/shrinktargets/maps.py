@@ -98,10 +98,6 @@ class MapModel:
         """Digits d such that P_d is covered by T(P_digit)."""
         raise NotImplementedError
 
-    def orientation(self, digit: int) -> int:
-        """+1 for increasing branches, -1 for decreasing."""
-        return 1
-
     def distance(self, x, y):
         d = abs(x - y)
         if self.circle:
@@ -374,9 +370,6 @@ class GaussMap(MapModel):
 
     def branch_targets(self, digit):
         return None  # full: T(I_d) = (0,1)
-
-    def orientation(self, digit):
-        return -1
 
     def evaluate(self, x):
         d = self.digit_of(x)

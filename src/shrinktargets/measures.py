@@ -25,7 +25,7 @@ from .maps import (
     MarkovLinear,
     primitivity_exponent,
 )
-from .coding import cylinder_from_word, itinerary
+from .coding import cylinder_from_word, prefix_walk
 
 LOG2 = math.log(2)
 GAUSS_ENTROPY = math.pi ** 2 / (6 * LOG2)
@@ -45,6 +45,13 @@ def trial_seed(master_seed: int, trial: int) -> int:
 
 class MeasureError(ValueError):
     pass
+
+
+def log_mass(mass) -> float:
+    """log of a mass; exact masses below the float range keep a finite log."""
+    if isinstance(mass, Fraction):
+        return math.log(mass.numerator) - math.log(mass.denominator)
+    return math.log(float(mass))
 
 
 class InvariantMeasure:
@@ -146,54 +153,33 @@ class MarkovStationaryMeasure(InvariantMeasure):
     def cylinder_mass(self, m, word):
         return self.word_mass(word)
 
-    def interval_mass(self, a, b, m: Optional[MapModel] = None, max_depth: int = 40):
-        """Mass of [a,b) by decomposing it into maximal cylinders of the
-        interval model (equals b-a; kept as an independent route)."""
+    def interval_mass(self, a, b):
+        """Mass of [a, b); on the interval model it is the length b - a."""
         if a > b:
             raise MeasureError("reversed endpoints")
-        if m is None:
-            return max(min(b, 1) - max(a, 0), 0)
-        return self._interval_by_cylinders(m, Fraction(a), Fraction(b), max_depth)
-
-    def _interval_by_cylinders(self, m, a, b, max_depth):
-        total = Fraction(0)
-        work = [(d,) for d in range(len(self.p))]
-        while work:
-            word = work.pop()
-            c = cylinder_from_word(m, word)
-            lo, hi = c.left, c.right
-            if hi <= a or lo >= b:
-                continue
-            if a <= lo and hi <= b:
-                total += self.word_mass(word)
-                continue
-            if len(word) - 1 >= max_depth:
-                # straddling sliver; count the overlapped fraction
-                overlap = min(hi, b) - max(lo, a)
-                total += self.word_mass(word) * overlap / (hi - lo)
-                continue
-            for d in range(len(self.p)):
-                if self.M[word[-1]][d] > 0:
-                    work.append(word + (d,))
-        return total
+        return max(min(b, 1) - max(a, 0), 0)
 
     def sample(self, rng, size):
         return rng.random(size)
 
 
+_MEASURE_BUILDERS = {
+    "lebesgue": lambda spec: LebesgueMeasure(),
+    "gauss": lambda spec: GaussMeasure(),
+    "markov": lambda spec: MarkovStationaryMeasure(
+        M=[[Fraction(str(x)) for x in row] for row in spec["M"]],
+        p=[Fraction(str(x)) for x in spec["p"]]),
+    "bernoulli": lambda spec: MarkovStationaryMeasure.bernoulli(
+        [Fraction(str(x)) for x in spec["p"]]),
+}
+MEASURE_KINDS = tuple(_MEASURE_BUILDERS)
+
+
 def make_measure(spec: dict) -> InvariantMeasure:
     kind = spec.get("kind")
-    if kind == "lebesgue":
-        return LebesgueMeasure()
-    if kind == "gauss":
-        return GaussMeasure()
-    if kind == "markov":
-        M = [[Fraction(str(x)) for x in row] for row in spec["M"]]
-        p = [Fraction(str(x)) for x in spec["p"]]
-        return MarkovStationaryMeasure(p, M)
-    if kind == "bernoulli":
-        return MarkovStationaryMeasure.bernoulli([Fraction(str(x)) for x in spec["p"]])
-    raise MeasureError(f"unknown measure kind {spec.get('kind')!r}")
+    if kind not in _MEASURE_BUILDERS:
+        raise MeasureError(f"unknown measure kind {kind!r}")
+    return _MEASURE_BUILDERS[kind](spec)
 
 
 # ---------------------------------------------------------------------------
@@ -432,17 +418,16 @@ entropy_birkhoff_batch = entropy_birkhoff
 
 
 def entropy_smb(m: MapModel, measure: InvariantMeasure, x, n: int) -> EntropyEstimate:
-    """Finite-depth SMB quotient (1/n) log(1/mu(P(n,x)))."""
+    """Finite-depth SMB quotient (1/n) log(1/mu(P(n,x))); x is a point or a
+    target with its own prefix walk."""
     if n < 1:
         raise MeasureError("n must be >= 1")
-    word = itinerary(m, x, n)
+    walk = prefix_walk(m, x)
+    word = walk.digits(n)
     if isinstance(measure, GaussMeasure):
-        c = cylinder_from_word(m, word)
-        logmass = measure.log_interval_mass(c.left, c.right)
+        logmass = measure.log_interval_mass(*walk.bounds(n))
     else:
-        mass = measure.cylinder_mass(m, word)
-        logmass = math.log(float(mass)) if not isinstance(mass, Fraction) else \
-            math.log(mass.numerator) - math.log(mass.denominator)
+        logmass = log_mass(measure.cylinder_mass(m, word))
     return EntropyEstimate(-logmass / n, "smb", sample_size=n,
                            details={"depth": n, "word_head": list(word[:8])})
 
@@ -521,7 +506,7 @@ def smb_regular_cylinders(measure: MarkovStationaryMeasure, N: int, eps: float,
     scaled = [[(d, int(x * Q)) for d, x in enumerate(row) if x > 0] for row in measure.M]
     pb = measure.p[block_from]
     # log mass = log prod + log p_b - N log Q, compared against the window
-    shift = math.log(pb.numerator) - math.log(pb.denominator) - N * math.log(Q)
+    shift = log_mass(pb) - N * math.log(Q)
     lo, hi = -N * (h + eps) - shift, -N * (h - eps) - shift
     words = []
     total = 0

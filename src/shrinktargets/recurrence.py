@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coding import WordTarget, cylinder_from_word, itinerary
+from .coding import PrefixWalk, WordTarget, cylinder_from_word, itinerary, prefix_walk
 from .maps import (
     DAryShift,
     GaussMap,
@@ -32,6 +32,7 @@ from .measures import (
     MarkovStationaryMeasure,
     MeasureError,
     float_orbit_blocks,
+    log_mass,
     sample_chain,
     trial_seed,
 )
@@ -76,12 +77,11 @@ class Schedule:
                 raise ScheduleError("custom depths must be >= 0")
         if self.kind == "depth_const" and self.params["t"] < 0:
             raise ScheduleError("depth must be >= 0")
-        if self.kind == "radii_power" and self.params["alpha"] <= 0:
-            raise ScheduleError("alpha must be > 0")
-        if self.kind == "radii_exp" and self.params["kappa"] <= 0:
-            raise ScheduleError("kappa must be > 0")
-        if self.kind == "depth_log_floor" and not self.params["base"] > 1:
-            raise ScheduleError("log base must be > 1")
+        key, low = {"radii_power": ("alpha", 0), "radii_exp": ("kappa", 0),
+                    "radii_const": ("r", 0), "depth_power_floor": ("kappa", 0),
+                    "depth_log_floor": ("base", 1)}.get(self.kind, (None, 0))
+        if key and not (math.isfinite(self.params[key]) and self.params[key] > low):
+            raise ScheduleError(f"{key} must be finite and > {low}")
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -180,14 +180,12 @@ class Schedule:
 
     def rates(self) -> dict:
         """Closed-form exponential rates of the schedule."""
-        if self.kind == "radii_power":
+        if self.kind in ("radii_power", "radii_const"):
             return {"ell_bar": 0.0, "ell_lower": 0.0}
         if self.kind == "radii_exp":
             k = self.params["kappa"]
             return {"ell_bar": k, "ell_lower": k}
-        if self.kind == "radii_const":
-            return {"ell_bar": 0.0, "ell_lower": 0.0}
-        if self.kind == "depth_log_floor":
+        if self.kind in ("depth_log_floor", "depth_const"):
             return {"w_bar": 0.0, "w_lower": 0.0}
         if self.kind == "depth_power_floor":
             k = self.params["kappa"]
@@ -196,8 +194,6 @@ class Schedule:
             if k == 1:
                 return {"w_bar": 1.0, "w_lower": 1.0}
             return {"w_bar": math.inf, "w_lower": math.inf}
-        if self.kind == "depth_const":
-            return {"w_bar": 0.0, "w_lower": 0.0}
         # custom: numeric estimate from the table (flagged)
         tab = self.params["table"]
         n = np.arange(1, len(tab) + 1, dtype=float)
@@ -241,10 +237,21 @@ class TargetPoint:
         wt = WordTarget(m, digits, value)
         return cls(m, value=wt.value, word_target=wt)
 
+    @classmethod
+    def of(cls, m: MapModel, target) -> "TargetPoint":
+        """target itself, or the target of a digit word or of a point."""
+        if isinstance(target, TargetPoint):
+            return target
+        return cls.from_word(m, target) if isinstance(target, (tuple, list)) \
+            else cls.from_point(m, target)
+
     def digits(self, n: int) -> tuple:
         if self.word_target is not None:
             return self.word_target.digits(n)
         return itinerary(self.map, self.value, n)
+
+    def walk(self) -> PrefixWalk:
+        return prefix_walk(self.map, self.word_target or self.value)
 
     def float_value(self) -> float:
         if self.value is not None:
@@ -258,17 +265,13 @@ class TargetPoint:
         x = Fraction(self.value)
         return x, x
 
-    def cylinder(self, n: int):
-        return cylinder_from_word(self.map, self.digits(n))
-
     def local_dims(self, measure: InvariantMeasure, depth_cap: int = 30):
         """(delta_lower, delta_bar) from log mass / log diam, with the exact
         value 1 for finite-partition interval maps."""
         if isinstance(self.map, (DAryShift, MarkovLinear)):
             return 1.0, 1.0, {"exact": True}
         vals = []
-        for n in range(max(2, depth_cap - 10), depth_cap + 1):
-            c = self.cylinder(n)
+        for c in map(self.walk().cylinder, range(max(2, depth_cap - 10), depth_cap + 1)):
             num = measure.interval_mass(c.left, c.right) if not isinstance(
                 measure, MarkovStationaryMeasure) else measure.cylinder_mass(self.map, c.word)
             lnum = math.log(float(num)) if float(num) > 0 else -math.inf
@@ -280,19 +283,14 @@ class TargetPoint:
         partitions, and 0 for Gauss targets with subexponential digits."""
         if isinstance(self.map, (DAryShift, MarkovLinear)):
             return 0.0, {"exact": True}
-        if isinstance(self.map, GaussMap):
-            # if log i_n = o(n) the decay rate vanishes; digits bounded over
-            # the sampled depth is the desk-scale proxy for that condition
-            digs = self.digits(depth_cap)
-            if max(digs) <= 10 ** 6:
-                return 0.0, {"exact": False,
-                             "justification": "bounded digits to sampled depth"}
-        vals = []
-        prev = self.cylinder(1)
-        for n in range(2, depth_cap + 1):
-            cur = self.cylinder(n)
-            vals.append(math.log(float(prev.length / cur.length)) / (n - 1))
-            prev = cur
+        walk = self.walk()
+        # if log i_n = o(n) the decay rate vanishes; digits bounded over
+        # the sampled depth is the desk-scale proxy for that condition
+        if isinstance(self.map, GaussMap) and max(walk.digits(depth_cap)) <= 10 ** 6:
+            return 0.0, {"exact": False, "justification": "bounded digits to sampled depth"}
+        lengths = [hi - lo for lo, hi in map(walk.bounds, range(1, depth_cap + 1))]
+        vals = [math.log(float(prev / cur)) / (n - 1)
+                for n, prev, cur in zip(range(2, depth_cap + 1), lengths, lengths[1:])]
         return max(vals[-5:]), {"exact": False}
 
 
@@ -381,18 +379,6 @@ def ball_mass_array(measure: InvariantMeasure, m: MapModel, x0: float,
     return hi - lo  # Lebesgue / Markov-stationary on the interval model
 
 
-def ball_mass_bruteforce(measure: InvariantMeasure, m: MapModel, x0: float,
-                         radii) -> list:
-    """Per-ball masses via measure_interval, as an independent route."""
-    out = []
-    for r in radii:
-        if m.circle:
-            out.append(min(2 * float(r), 1.0))
-        else:
-            out.append(float(measure.interval_mass(max(x0 - r, 0), min(x0 + r, 1))))
-    return out
-
-
 def target_mass_rates(sched: Schedule, m: MapModel, measure: InvariantMeasure,
                       target: "TargetPoint", n_grid=(50, 200, 1000)) -> dict:
     """Exponential rates L of the target cylinder masses along a depth
@@ -405,12 +391,7 @@ def target_mass_rates(sched: Schedule, m: MapModel, measure: InvariantMeasure,
     for n in n_grid:
         t = sched.depth(n)
         word = target.digits(min(t, 200))
-        mass = measure.cylinder_mass(m, word)
-        if isinstance(mass, Fraction):
-            lm = math.log(mass.numerator) - math.log(mass.denominator)
-        else:
-            lm = math.log(float(mass))
-        vals.append(-lm / n)
+        vals.append(-log_mass(measure.cylinder_mass(m, word)) / n)
     out = {"L_bar": max(vals), "L_lower": min(vals), "samples": vals}
     if isinstance(m, DAryShift):
         r = sched.rates()
@@ -425,13 +406,24 @@ def cylinder_mass_by_depth(measure: InvariantMeasure, m: MapModel,
     """Masses mu(P(t, x0)) for each distinct depth t, gathered to all n.
 
     One target word, at the largest depth needed, serves every depth as a
-    prefix.  Depths past exact_cap get mass 0: the mass lies below any
+    prefix, and one prefix walk (or, for the Markov measure, one running
+    product) adds one factor per depth.  Depths past exact_cap get mass 0: the mass lies below any
     representable float, so the target is unhittable.
     """
     uniq, inverse = np.unique(depths, return_inverse=True)
     word = target.digits(int(min(uniq[-1], exact_cap)))
-    mass = np.array([float(measure.cylinder_mass(m, word[:t + 1])) if t <= exact_cap
-                     else 0.0 for t in uniq.tolist()])
+    if isinstance(measure, MarkovStationaryMeasure):
+        # the running product p_{w_0} M[w_0][w_1] ... M[w_{t-1}][w_t]
+        prefix = [measure.p[word[0]]]
+        for a, b in zip(word, word[1:]):
+            prefix.append(prefix[-1] * measure.M[a][b])
+        mass_at = prefix.__getitem__
+    else:
+        walk = PrefixWalk(m, word)
+        of_ends = (lambda lo, hi: hi - lo) if isinstance(measure, LebesgueMeasure) \
+            else measure.interval_mass
+        mass_at = lambda t: of_ends(*walk.bounds(t))
+    mass = np.array([float(mass_at(t)) if t <= exact_cap else 0.0 for t in uniq.tolist()])
     return mass[inverse]
 
 
@@ -464,9 +456,7 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
     """Count visits T^i(x) in P(t_i, x0) by exact word-prefix comparison."""
     if sched.is_radii:
         raise ScheduleError("symbolic runs need a depth schedule")
-    if not isinstance(target, TargetPoint):
-        target = TargetPoint.from_point(m, target) if not isinstance(target, (tuple, list)) \
-            else TargetPoint.from_word(m, target)
+    target = TargetPoint.of(m, target)
     depths = sched.depths_array(N)
     cap = int(min(depths.max(), PREFIX_CAP))
     word = np.asarray(target.digits(cap), dtype=np.int64)
@@ -599,9 +589,7 @@ def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sched
     minima of the scaled distance d/r_n between consecutive checkpoints."""
     if not sched.is_radii:
         raise ScheduleError("metric runs need a radii schedule")
-    if not isinstance(target, TargetPoint):
-        target = TargetPoint.from_point(m, target) if not isinstance(target, (tuple, list)) \
-            else TargetPoint.from_word(m, target)
+    target = TargetPoint.of(m, target)
     x0f = target.float_value()
     cps = _checkpoints(N, horizons)
     radii = sched.radii_array(N)
@@ -746,9 +734,7 @@ def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
     cylinder targets, or via the epsilon-strengthened radii series with
     exponent delta_bar + tau_bar/log(beta) for metric targets.
     """
-    if not isinstance(target, TargetPoint):
-        target = TargetPoint.from_point(m, target) if not isinstance(target, (tuple, list)) \
-            else TargetPoint.from_word(m, target)
+    target = TargetPoint.of(m, target)
     if sched.is_radii:
         return _classify_radii(m, measure, target, sched)
     return _classify_depths(m, measure, target, sched)
@@ -867,11 +853,7 @@ def _mass_log_rate(m, measure, target, depth: int = 24) -> float:
     mass = measure.cylinder_mass(m, word)
     if mass == 0:
         return math.inf     # the word left the support: finitely many terms
-    if isinstance(mass, Fraction):
-        lm = math.log(mass.numerator) - math.log(mass.denominator)
-    else:
-        lm = math.log(float(mass))
-    return -lm / (depth + 1)
+    return -log_mass(mass) / (depth + 1)
 
 
 def _heuristic_from_partials(psums, series):

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrinktargets import (
+    BlaschkeBoundary,
     BoundaryHit,
+    Cylinder,
     DAryShift,
     GaussMap,
     InadmissibleDigit,
@@ -20,7 +22,7 @@ from shrinktargets import (
     refine_depth,
     refine_schedule_to_depths,
 )
-from shrinktargets.coding import EXACT_DEPTH_CAP
+from shrinktargets.coding import EXACT_DEPTH_CAP, PRECISION_BITS, PrefixWalk
 
 
 class TestItinerary:
@@ -225,3 +227,181 @@ class TestRefine:
         assert hi - r <= c.left and c.right <= lo + r
         prev = target.cylinder(t - 1)
         assert not (hi - r <= prev.left and prev.right <= lo + r)
+
+
+# ---------------------------------------------------------------------------
+# the prefix walk against per-depth oracles
+
+def _oracle_cylinder(m, word):
+    """Cylinder of an admissible word by right-to-left composition of the
+    inverse branches onto the block of its last digit."""
+    word = tuple(word)
+    lo, hi = m.block_interval(word[-1])
+    if hasattr(m, "branch_affine"):
+        A, B = F(0), F(1)
+        for d_from, d_to in reversed(list(zip(word, word[1:]))):
+            a, b = m.branch_affine(d_from, d_to)
+            A, B = a + b * A, b * B
+        lo, hi = A + B * lo, A + B * hi
+    else:
+        for d in reversed(word[:-1]):
+            a, b = m.inverse_branch(d, lo), m.inverse_branch(d, hi)
+            lo, hi = (a, b) if a <= b else (b, a)
+    if not (isinstance(lo, F) and isinstance(hi, F)):
+        return Cylinder(word, F(float(lo)), F(float(hi)), m.key(), exact=False,
+                        precision_bits=53)
+    if isinstance(m, GaussMap) and len(word) - 1 > EXACT_DEPTH_CAP:
+        s = 1 << PRECISION_BITS
+        return Cylinder(word, F(round(lo * s), s), F(round(hi * s), s), m.key(),
+                        exact=False, precision_bits=PRECISION_BITS)
+    return Cylinder(word, lo, hi, m.key())
+
+
+def _oracle_itinerary(m, x, n):
+    digs = []
+    for k in range(n + 1):
+        try:
+            digs.append(m.digit_of(x))
+        except BoundaryHit as e:
+            raise BoundaryHit(k, tuple(digs), e.reason) from None
+        if k < n:
+            x = m.evaluate(x)
+    return tuple(digs)
+
+
+def _oracle_refine(m, x0, radii):
+    """One scan per radius, every cylinder rebuilt from its word."""
+    word = isinstance(x0, WordTarget)
+
+    def cyl(t):
+        return _oracle_cylinder(m, x0.digits(t) if word else _oracle_itinerary(m, x0, t))
+
+    def inside(t, r):
+        c = cyl(t)
+        if word and not isinstance(x0.value, (int, F)):
+            for extra in range(t + 8, t + 201, 8):
+                b = cyl(extra)
+                if b.right - r <= c.left and c.right <= b.left + r:
+                    return True
+                if b.left - r > c.left or c.right > b.right + r:
+                    return False
+            raise RuntimeError("containment test failed to resolve")
+        x = x0.value if word else x0
+        return x - r <= c.left and c.right <= x + r
+
+    out, t, prev = [], 0, None
+    for r in radii:
+        if r >= 1 or (prev is not None and r > prev):
+            t = 0
+        while r < 1 and not inside(t, r):
+            t += 1
+        out.append(t)
+        prev = r
+    return out
+
+
+def _admissible_word(m, rng, n):
+    D = m.N if isinstance(m, BlaschkeBoundary) else m.D
+    word = [int(rng.integers(D))]
+    while len(word) < n:
+        d = int(rng.integers(D))
+        if m.admissible(word[-1], d):
+            word.append(d)
+    return tuple(word)
+
+
+class TestPrefixWalk:
+    @pytest.mark.parametrize("case", ["dary2", "dary3", "dary10", "chain", "golden",
+                                      "zero-diagonal", "gauss", "blaschke"])
+    def test_every_prefix_matches_oracle(self, case, dary2, dary3, markov, golden_markov,
+                                         zero_diagonal, gauss, blaschke_two):
+        rng = np.random.default_rng(11)
+        m = {"dary2": dary2, "dary3": dary3, "dary10": DAryShift(10), "chain": markov,
+             "golden": golden_markov, "zero-diagonal": zero_diagonal, "gauss": gauss,
+             "blaschke": blaschke_two}[case]
+        if case == "gauss":
+            # past EXACT_DEPTH_CAP the endpoints are rounded and marked inexact
+            words = [tuple(int(d) for d in rng.integers(1, 41, size=n)) for n in (66, 80, 90)]
+        elif case == "blaschke":
+            words = [_admissible_word(m, rng, 12)]
+        else:
+            words = [_admissible_word(m, rng, n) for n in (1, 40, 90)]
+        for word in words:
+            walk = PrefixWalk(m, word)
+            for t in range(len(word)):
+                want = _oracle_cylinder(m, word[:t + 1])
+                assert walk.cylinder(t) == want
+                assert walk.bounds(t) == (want.left, want.right)
+                assert cylinder_from_word(m, word[:t + 1]) == want
+        if case == "gauss":
+            assert not walk.cylinder(EXACT_DEPTH_CAP + 1).exact
+
+    def test_digits_are_read_lazily(self, gauss):
+        def digits():
+            yield from (2, 3)
+            raise AssertionError("read past the depth asked for")
+        assert PrefixWalk(gauss, digits()).cylinder(1) == _oracle_cylinder(gauss, (2, 3))
+        # 3/7 = [0; 2, 3]: the orbit ends at 0, so depth 2 has no digit
+        assert locate_cylinder(gauss, F(3, 7), 1) == _oracle_cylinder(gauss, (2, 3))
+        with pytest.raises(BoundaryHit) as got:
+            locate_cylinder(gauss, F(3, 7), 2)
+        assert (got.value.step, got.value.partial) == (2, (2, 3))
+
+    @pytest.mark.parametrize("case, bad", [("golden-11", 4), ("gauss-0", 3), ("dary-5", 3),
+                                           ("gauss-first-0", 0)])
+    def test_inadmissible_digit_raises_at_its_depth(self, case, bad, golden_markov, gauss,
+                                                    dary2):
+        m, word = {"golden-11": (golden_markov, (0, 1, 0, 1, 1)),
+                   "gauss-0": (gauss, (1, 2, 3, 0, 2)),
+                   "dary-5": (dary2, (0, 1, 1, 5, 0)),
+                   "gauss-first-0": (gauss, (0, 1))}[case]
+        walk = PrefixWalk(m, word)
+        for t in range(bad):
+            assert walk.cylinder(t) == _oracle_cylinder(m, word[:t + 1])
+        with pytest.raises(InadmissibleDigit):
+            walk.cylinder(bad)
+        with pytest.raises(InadmissibleDigit):
+            cylinder_from_word(m, word)
+
+    def test_periodic_point_closes_the_walk(self, dary2, markov, golden_markov,
+                                            zero_diagonal):
+        # the fixed point of the branches composed right to left around the
+        # period; it lies in every closed cylinder of the repeated word
+        for m, w in ((dary2, (0, 1)), (markov, (0, 1, 1)), (golden_markov, (0, 1)),
+                     (zero_diagonal, (0, 1, 2)), (DAryShift(10), (3, 1, 4, 1, 5))):
+            A, B = F(0), F(1)
+            for d_from, d_to in reversed(list(zip(w, w[1:] + w[:1]))):
+                a, b = m.branch_affine(d_from, d_to)
+                A, B = a + b * A, b * B
+            x = periodic_point(m, w)
+            assert x == A / (1 - B)
+            for t in range(3 * len(w)):
+                c = cylinder_from_word(m, (w * 3)[:t + 1])
+                assert c.left <= x <= c.right
+
+class TestRefineScan:
+    @pytest.mark.parametrize("case", ["point-third", "gauss-golden-word", "word-01"])
+    def test_bench_radii_families(self, case, dary2, gauss):
+        m, x0, radii = {
+            "point-third": (dary2, F(1, 3), [F(1, k) for k in range(2, 2002)]),
+            "gauss-golden-word": (gauss, WordTarget(gauss, (1,)),
+                                  [F(1, k) for k in range(2, 1002)]),
+            "word-01": (dary2, WordTarget(dary2, (0, 1)), [F(1, k) for k in range(2, 502)]),
+        }[case]
+        assert refine_schedule_to_depths(m, x0, radii) == _oracle_refine(m, x0, radii)
+
+    def test_large_and_increasing_radii_restart(self, dary2, gauss, markov):
+        radii = [F(3), F(1, 50), F(1), F(1, 7), F(1, 9), F(1, 3), F(1, 1000), F(2, 3)]
+        for m, x0 in ((dary2, F(2, 7)), (markov, WordTarget(markov, (0, 1, 1))),
+                      (gauss, WordTarget(gauss, (1, 2)))):
+            assert refine_schedule_to_depths(m, x0, radii) == _oracle_refine(m, x0, radii)
+        assert [refine_depth(dary2, F(2, 7), r) for r in radii] == \
+            [_oracle_refine(dary2, F(2, 7), [r])[0] for r in radii]
+
+    def test_ended_gauss_orbit_raises_the_same_boundary_hit(self, gauss):
+        radii = [F(1, k) for k in range(2, 200)]
+        with pytest.raises(BoundaryHit) as want:
+            _oracle_refine(gauss, F(3, 7), radii)
+        with pytest.raises(BoundaryHit) as got:
+            refine_schedule_to_depths(gauss, F(3, 7), radii)
+        assert got.value.args == want.value.args

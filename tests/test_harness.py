@@ -253,6 +253,40 @@ class TestCLI:
         assert cli.main(["classify", "--config", str(cfgp), *argv]) == 2
         assert "config error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, change, code", [
+        ("simulate", {"schedule": {"kind": "radii_power", "alpha": math.nan}}, 2),
+        ("classify", {"schedule": {"kind": "radii_power", "alpha": math.nan}}, 2),
+        ("simulate", {"schedule": {"kind": "radii_exp", "kappa": math.nan}}, 2),
+        ("classify", {"schedule": {"kind": "radii_exp", "kappa": math.nan}}, 2),
+        ("simulate", {"schedule": {"kind": "radii_const", "r": math.nan}}, 2),
+        ("classify", {"schedule": {"kind": "radii_const", "r": math.nan}}, 2),
+        ("classify", {"schedule": {"kind": "depth_power_floor", "kappa": math.nan}}, 2),
+        ("classify", {"schedule": {"kind": "radii_power", "alpha": math.inf}}, 2),
+        ("classify", {"schedule": {"kind": "radii_const", "r": -0.5}}, 2),
+        ("classify", {"schedule": {"kind": "depth_power_floor", "kappa": -1}}, 2),
+        ("classify", {"schedule": {"kind": "depth_log_floor", "base": math.inf}}, 2),
+        ("entropy", {"measure": {"kind": "foo"}}, 2),
+        ("entropy", {"params": {"method": "smb"}}, 0),
+        ("entropy", {"params": {"method": "smb"}, "x0": None}, 2),
+        ("cantor", {"x0": {"word": [7, 1]}, "params": {"levels": 2, "level_sizes": [4, 5]}}, 2),
+        ("cantor", {"schedule": {"kind": "radii_exp", "kappa": math.log(2)},
+                    "params": {"levels": 2, "level_sizes": [4, 5]}}, 0),
+    ])
+    def test_domain_of_every_block_checked(self, tmp_path, capsys, experiment, change, code):
+        doc = {"experiment": experiment, "map": {"kind": "dary", "D": 2},
+               "x0": {"word": [0, 1]}, "schedule": {"kind": "radii_power", "alpha": 2.0},
+               "horizons": [100], **change}
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+        assert cli.main([experiment, "--config", str(cfgp)]) == code
+        assert ("config error: " in capsys.readouterr().err) == (code == 2)
+
+    def test_smb_word_matches_its_point(self):
+        def value(x0):
+            return run(parse_config({"experiment": "entropy", "map": {"kind": "dary", "D": 2},
+                                     "x0": x0, "params": {"method": "smb"}})).summary
+        assert value({"word": [0, 1]}) == value({"rational": "1/3"})
+
     def test_in_process_calls_match_fresh_runs(self, tmp_path, capsys):
         # main builds its parser once per process; repeated calls, also
         # right after an argparse exit, behave as fresh processes do

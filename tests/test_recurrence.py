@@ -12,7 +12,6 @@ from shrinktargets import (
     ScheduleError,
     TargetPoint,
     ball_mass_array,
-    ball_mass_bruteforce,
     borel_cantelli_classify,
     cylinder_from_word,
     entropy_birkhoff,
@@ -412,12 +411,18 @@ class TestMarkovFastPath:
         assert _band(hs, 2)
 
 
+def _ball_mass_bruteforce(measure, m, x0, radii) -> list:
+    """Per-ball masses one interval_mass call at a time."""
+    return [min(2 * float(r), 1.0) if m.circle else
+            float(measure.interval_mass(max(x0 - r, 0), min(x0 + r, 1))) for r in radii]
+
+
 class TestNormalizer:
     def test_closed_form_vs_bruteforce(self, dary2, gauss, lebesgue, gauss_measure):
         radii = Schedule.radii_power(1.0).radii_array(10 ** 4)
         for m, mu, x0 in ((dary2, lebesgue, 1 / 3), (gauss, gauss_measure, 0.41)):
             fast = ball_mass_array(mu, m, x0, radii)
-            slow = ball_mass_bruteforce(mu, m, x0, radii)
+            slow = _ball_mass_bruteforce(mu, m, x0, radii)
             assert float(np.abs(fast - np.asarray(slow)).max()) < 1e-12
 
 
@@ -478,6 +483,21 @@ class TestNormalizerByDepth:
                 got = cylinder_mass_by_depth(mu, m, tgt, depths, exact_cap)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
         assert (raised > 0) == (case == "gauss-rational")
+
+    @pytest.mark.parametrize("case", ["dary-01", "gauss-12"])
+    def test_depths_0_to_400_in_one_walk(self, case, dary2, gauss, lebesgue, gauss_measure):
+        # one factor per depth: 401 distinct depths cost one walk, not 401
+        m, mu, tgt = {
+            "dary-01": (dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1))),
+            "gauss-12": (gauss, gauss_measure, TargetPoint.from_word(gauss, (1, 2))),
+        }[case]
+        depths = np.arange(401)
+        t0 = time.perf_counter()
+        got = cylinder_mass_by_depth(mu, m, tgt, depths)
+        elapsed = time.perf_counter() - t0
+        want = _per_depth_masses(mu, m, tgt, depths, 400)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert elapsed < 0.1, f"{elapsed:.3f} s for depths 0..400"
 
     def test_one_target_word_per_call(self, dary2, lebesgue):
         tgt = _CountingTarget(dary2, value=F(1, 3))
