@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, cycle, islice
 from typing import Optional, Sequence
 
 from .maps import BoundaryHit, GaussMap, InadmissibleDigit, MapError, MapModel
@@ -98,23 +98,30 @@ class PrefixWalk:
         self._exact = hasattr(m, "branch_affine") or isinstance(m, GaussMap)
         self._mats = []         # composed branches per depth
         self._ends = {}         # depth -> (left, right, precision bits or None)
+        self._failed = None
 
     def _read(self, t: int):
         m, word = self.map, self.word
         while len(word) <= t:
-            d = self._next()
-            if not word:
-                if self._seeded:
-                    c = cylinder_from_word(m, (d,))
-                    self._ends[0] = (c.left, c.right, c.precision_bits)
-                self._mats.append((1, 0, 0, 1))
-            elif not m.admissible(word[-1], d):
-                raise InadmissibleDigit(
-                    f"digit not admissible: transition {word[-1]}->{d} forbidden")
-            elif self._exact:
-                e, f, g, h = self._branch(word[-1], d)
-                a, b, c, k = self._mats[-1]
-                self._mats.append((a * e + b * g, a * f + b * h, c * e + k * g, c * f + k * h))
+            if self._failed:
+                raise self._failed
+            try:
+                d = self._next()
+                if not word:
+                    if self._seeded:
+                        c = cylinder_from_word(m, (d,))
+                        self._ends[0] = (c.left, c.right, c.precision_bits)
+                    self._mats.append((1, 0, 0, 1))
+                elif not m.admissible(word[-1], d):
+                    raise InadmissibleDigit(
+                        f"digit not admissible: transition {word[-1]}->{d} forbidden")
+                elif self._exact:
+                    e, f, g, h = self._branch(word[-1], d)
+                    a, b, c, k = self._mats[-1]
+                    self._mats.append((a * e + b * g, a * f + b * h, c * e + k * g, c * f + k * h))
+            except (BoundaryHit, MapError) as e:
+                self._failed = e    # the digit is spent: a shared walk fails alike again
+                raise
             word.append(d)
 
     def _branch(self, prev: int, d: int):
@@ -168,14 +175,9 @@ def cylinder_from_word(m: MapModel, word: Sequence[int]) -> Cylinder:
     return PrefixWalk(m, word, seeded=False).cylinder(len(word) - 1)
 
 
-def prefix_walk(m: MapModel, x0) -> PrefixWalk:
-    """The walk of a target that has one, or along the itinerary of a point."""
-    return x0.walk() if hasattr(x0, "walk") else PrefixWalk(m, orbit_digits(m, x0))
-
-
 def locate_cylinder(m: MapModel, x, n: int) -> Cylinder:
     """P(n, x): the depth-n cylinder containing x."""
-    cyl = prefix_walk(m, x).cylinder(n)
+    cyl = Target.of(m, x).walk().cylinder(n)
     assert cyl.left <= x <= cyl.right
     return cyl
 
@@ -196,40 +198,91 @@ def periodic_point(m: MapModel, period_word: Sequence[int]):
     return Fraction(b, d - a)
 
 
-class WordTarget:
-    """A target point x_0 known through its digit word (possibly irrational).
+class Target:
+    """A target x_0: a point, or a digit word whose point may be irrational.
 
-    Provides exact nested brackets [lo, hi] via cylinder endpoints, which is
-    all the containment tests need.  A finite word repeats periodically; on
-    a map with affine branches its point is then the exact rational
-    ``value``.
+    It holds its map, one digit source and the exact value when one is
+    known.  The source is a finite word repeated periodically (on a map with
+    affine branches its point is the exact periodic point), a digit function
+    k -> i_k, or the itinerary of a given point, read lazily through
+    orbit_digits.  A given point, a float included, is its own exact value.
+    One prefix walk over the source, shared by every caller, gives the
+    cylinders and the brackets of x_0.
     """
 
-    def __init__(self, m: MapModel, digits, value=None):
+    def __init__(self, m: MapModel, digits=None, value=None):
         self.map = m
         if callable(digits):
-            self._fn = digits
-        else:
-            seq = tuple(digits)
-            self._fn = lambda k: seq[k % len(seq)]
+            self._source = lambda: map(digits, count())
+        elif digits is not None:
+            word = tuple(digits)
+            if not word:
+                raise ValueError("empty target word")
+            self._source = lambda: cycle(word)
             if value is None and hasattr(m, "branch_affine"):
                 try:
-                    value = periodic_point(m, seq)
+                    value = periodic_point(m, word)
                 except (MapError, IndexError):
                     pass  # the word does not close into an admissible cycle
+        else:
+            self._source = lambda: orbit_digits(m, value)
         self.value = value
+        self._walk = PrefixWalk(m, self._source())
+        self._point = None if value is None else (Fraction(value),) * 2
+
+    @classmethod
+    def from_point(cls, m: MapModel, x0) -> "Target":
+        return cls(m, value=x0)
+
+    @classmethod
+    def from_word(cls, m: MapModel, digits, value=None) -> "Target":
+        return cls(m, digits, value)
+
+    @classmethod
+    def of(cls, m: MapModel, target) -> "Target":
+        """target itself, or the target of a digit word or of a point."""
+        if isinstance(target, Target):
+            return target
+        return cls(m, target) if isinstance(target, (tuple, list)) else cls(m, value=target)
 
     def digits(self, n: int) -> tuple:
-        return tuple(self._fn(k) for k in range(n + 1))
+        """(i_0, ..., i_n), read afresh and not checked for admissibility."""
+        return tuple(islice(self._source(), n + 1))
 
     def walk(self) -> PrefixWalk:
-        return PrefixWalk(self.map, map(self._fn, count()))
-
-    def cylinder(self, n: int) -> Cylinder:
-        return self.walk().cylinder(n)
+        return self._walk
 
     def bracket(self, n: int):
-        return self.walk().bounds(n)
+        """Exact [lo, hi] about x_0: (value, value) when the value is known,
+        else the depth-n cylinder."""
+        return self._walk.bounds(n) if self._point is None else self._point
+
+    def float_value(self) -> float:
+        lo, hi = self.bracket(80 if hasattr(self.map, "branch_affine") else 40)
+        return float((lo + hi) / 2)
+
+
+# Former names of the one target class.
+TargetPoint = WordTarget = Target
+
+
+def ball_holds(point, centre, r, depth: int) -> bool:
+    """Whether a point lies in the closed ball of radius r about a centre.
+
+    point(k) and centre(k) are exact brackets [lo, hi] of the two, nested in
+    k.  "Inside" must hold for every position of the centre in its bracket
+    and "outside" for every position of the point in its bracket.  The test
+    reads depths depth, depth + 8, ..., depth + 192 until one certifies the
+    verdict, and raises RuntimeError if none does.
+    """
+    for k in range(depth, depth + 193, 8):
+        lo, hi = point(k)
+        c_lo, c_hi = centre(k)
+        if c_hi - r <= lo and hi <= c_lo + r:
+            return True
+        if hi < c_lo - r or lo > c_hi + r:
+            return False
+    raise RuntimeError("ball test failed to resolve")
 
 
 def refine_depth(m: MapModel, x0, r) -> int:
@@ -237,39 +290,26 @@ def refine_depth(m: MapModel, x0, r) -> int:
     return refine_schedule_to_depths(m, x0, (r,))[0]
 
 
-def _bracketed_containment(walk: PrefixWalk, t: int, r) -> bool:
-    """P(t, x0) inside the closed ball about the center bracketed by deeper
-    cylinders of the same walk."""
-    left, right = walk.bounds(t)
-    for extra in range(t + 8, t + 201, 8):
-        lo, hi = walk.bounds(extra)
-        # certified yes: even the worst center position fits
-        if hi - r <= left and right <= lo + r:
-            return True
-        # certified no: even the best center position fails
-        if lo - r > left or right > hi + r:
-            return False
-    raise RuntimeError("containment test failed to resolve")
-
-
 def refine_schedule_to_depths(m: MapModel, x0, radii) -> list:
     """Minimal depths t_k with P(t_k, x0) inside closed B(x0, r_k).
 
-    ``x0`` may be an exact point or a WordTarget, and all radii share one
-    prefix walk of it.  Containment is decided with exact endpoint
-    comparisons; a word target with an exact rational value is compared
-    against it, others have their (possibly irrational) center bracketed by
-    deeper cylinders until the comparison is unambiguous.  (A rational
-    center can sit exactly on a ball edge that is a cylinder endpoint, where
-    no bracket separates the two.)  Non-increasing radii give
-    non-decreasing depths, and the scan exploits that.
+    ``x0`` is a point, a digit word or a Target, and all radii share the
+    target's one prefix walk.  P(t) = [left, right] lies in B(x0, r) exactly
+    when x0 lies in the closed ball of radius r - (right - left)/2 about the
+    cylinder's midpoint, which ball_holds decides against the brackets of
+    x0.  (A rational center can sit exactly on a ball edge that is a
+    cylinder endpoint, where only its exact value decides.)  Non-increasing
+    radii give non-decreasing depths, and the scan exploits that.
     """
-    walk = prefix_walk(m, x0)
-    center = x0.value if isinstance(x0, WordTarget) else x0
-    if isinstance(x0, WordTarget) and not isinstance(center, (int, Fraction)):
-        inside = lambda t, r: _bracketed_containment(walk, t, r)
-    else:
-        inside = lambda t, r: center - r <= walk.bounds(t)[0] and walk.bounds(t)[1] <= center + r
+    target = Target.of(m, x0)
+    balls = {}      # t -> (midpoint, half length) of P(t)
+
+    def inside(t, r):
+        if t not in balls:
+            left, right = target.walk().bounds(t)
+            balls[t] = (left + right) / 2, (right - left) / 2
+        mid, half = balls[t]
+        return ball_holds(target.bracket, lambda k: (mid, mid), r - half, t + 8)
 
     out, t, prev_r = [], 0, None
     for r in radii:

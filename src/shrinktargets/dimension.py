@@ -26,8 +26,8 @@ import numpy as np
 
 from .maps import DAryShift, MapModel, MarkovLinear
 from .measures import MarkovStationaryMeasure, log_mass, smb_regular_cylinders
-from .coding import refine_depth
-from .recurrence import Schedule, TargetPoint
+from .coding import Target, refine_depth
+from .recurrence import Schedule
 
 
 class DimensionError(ValueError):
@@ -535,16 +535,10 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     measure = (MarkovStationaryMeasure.bernoulli([Fraction(1, m.D)] * m.D)
                if isinstance(m, DAryShift)
                else MarkovStationaryMeasure(m.p, m.M))
-    target = TargetPoint.of(m, target)
-
+    target = Target.of(m, target)
+    walk = target.walk()
     deep = sum(int(n) for n in level_sizes) * 4 + 64
-    x0_digits = list(target.digits(deep))
-
-    def digits_to(n):
-        # the refine depth can outrun the precomputed budget for fast radii
-        while len(x0_digits) <= n:
-            x0_digits.extend(target.digits(2 * len(x0_digits))[len(x0_digits):])
-        return x0_digits
+    x0_digits = walk.digits(deep)
 
     root_word = (x0_digits[0],) if root_depth == 0 else tuple(x0_digits[:root_depth + 1])
     root_lam = measure.word_mass(root_word)
@@ -572,12 +566,10 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
         if sched.is_radii:
             r_j = sched.radius(d_j)
             r_j = Fraction(r_j) if isinstance(r_j, (int, Fraction)) else Fraction(float(r_j))
-            refine_target = target.word_target if target.word_target is not None \
-                else target.value
-            k_j = refine_depth(m, refine_target, r_j)
+            k_j = refine_depth(m, target, r_j)
         else:
             k_j = max(int(sched.depth(d_j)), 0)
-        nested_suffix = tuple(digits_to(k_j)[1:k_j + 1])
+        nested_suffix = walk.digits(k_j)[1:k_j + 1]
 
         # every parent ends at the same base digit, so one family serves all
         suffix_lam = tuple(_relative_lam(measure, base_digit, suf) for suf in suffixes)
@@ -596,7 +588,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
         parent_lam, parent_nu = lvl.nested_lam, lvl.fine_nu
         base_digit = nested_suffix[-1] if nested_suffix else x0_digits[0]
 
-    stage = CantorStage(m, measure, tuple(x0_digits), root_word, root_lam,
+    stage = CantorStage(m, measure, walk.digits(max(deep, depth)), root_word, root_lam,
                         stage_levels, epsilon, sched)
     bad = stage.nesting_violations()
     if bad:

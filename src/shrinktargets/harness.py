@@ -43,9 +43,9 @@ from .measures import (
     entropy_smb,
     make_measure,
 )
+from .coding import Target
 from .recurrence import (
     Schedule,
-    TargetPoint,
     borel_cantelli_classify,
     run_metric_hits,
     run_symbolic_hits,
@@ -87,8 +87,12 @@ class ExperimentConfig:
         return rec
 
 
+BLOCKS = ("map", "measure", "x0", "schedule", "params")
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     violations = []
+    doc = {k: v for k, v in doc.items() if v is not None or k not in BLOCKS}   # null = missing
     exp = doc.get("experiment")
     if exp not in EXPERIMENTS:
         violations.append(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
@@ -108,8 +112,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         violations.append(f"{exp} needs a map block")
     if exp in ("simulate", "classify") and "schedule" not in doc:
         violations.append(f"{exp} needs a schedule block")
-    for key in ("map", "measure", "x0", "schedule", "params"):
-        if doc.get(key) is not None and not isinstance(doc[key], dict):
+    for key in BLOCKS:
+        if key in doc and not isinstance(doc[key], dict):
             violations.append(f"{key} must be an object, got {doc[key]!r}")
     for key, kinds in (("map", MAP_KINDS), ("measure", MEASURE_KINDS)):
         if isinstance(doc.get(key), dict) and doc[key].get("kind") not in kinds:
@@ -139,7 +143,11 @@ def _parse_point(spec):
     elif "decimal" in spec:
         parse, raw = float, spec["decimal"]
     elif "word" in spec:
-        return tuple(spec["word"])
+        word = spec["word"]
+        if not (isinstance(word, list) and word and all(type(d) is int for d in word)):
+            raise ConfigError([f"x0 word must be a non-empty list of integer digits, "
+                               f"got {word!r}"])
+        return tuple(word)
     else:
         raise ConfigError(["x0 must give 'rational', 'decimal', or 'word'"])
     try:
@@ -174,7 +182,7 @@ def _build_schedule(spec: dict) -> Schedule:
             return Schedule.custom_depths(args["table"])
     except KeyError as e:
         raise ConfigError([f"schedule {kind} missing parameter {e}"]) from None
-    except (ValueError, TypeError) as e:      # ScheduleError or a non-numeric value
+    except (ValueError, TypeError, OverflowError) as e:   # ScheduleError or a bad number
         raise ConfigError([f"schedule {kind}: {e}"]) from None
     raise ConfigError([f"unknown schedule kind {kind!r}"])
 
@@ -186,8 +194,16 @@ def _build_block(name: str, build, spec: dict):
         raise ConfigError([f"{name} {spec.get('kind')} missing parameter {e}"]) from None
     except (MapError, MeasureError):
         raise                 # parameters that parse but that the theory rejects
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
         raise ConfigError([f"{name} {spec.get('kind')}: {e}"]) from None
+
+
+def _int_param(params: dict, key: str, default: int) -> int:
+    try:
+        return int(params.get(key, default))
+    except (ValueError, TypeError, OverflowError):
+        raise ConfigError([f"params.{key} must be an integer, "
+                           f"got {params[key]!r}"]) from None
 
 
 def _default_measure(map_spec: dict) -> dict:
@@ -246,16 +262,15 @@ def run(cfg: ExperimentConfig) -> ResultSet:
 
 def _target_for(cfg, m):
     x0 = _parse_point(cfg.x0)
+    if x0 is None:
+        raise ConfigError(["this experiment needs an x0 block"])
     if isinstance(x0, tuple):
         try:
             for d in x0:
                 m.block_interval(d)       # raises for a digit out of range
-        except (MapError, TypeError) as e:
+        except MapError as e:
             raise ConfigError([f"x0 word {list(x0)}: {e}"]) from None
-        return TargetPoint.from_word(m, x0)
-    if x0 is None:
-        raise ConfigError(["this experiment needs an x0 block"])
-    return TargetPoint.from_point(m, x0)
+    return Target.of(m, x0)
 
 
 def _run_simulate(cfg):
@@ -296,10 +311,10 @@ def _run_entropy(cfg):
     if method == "closed_form":
         est = entropy_closed_form(m, measure)
     elif method == "birkhoff":
-        n_iter = int(cfg.params.get("n_iter", 10 ** 5))
+        n_iter = _int_param(cfg.params, "n_iter", 10 ** 5)
         est = entropy_birkhoff(m, measure, n_iter, cfg.trials, cfg.seed)
     elif method == "smb":
-        est = entropy_smb(m, measure, _target_for(cfg, m), int(cfg.params.get("depth", 20)))
+        est = entropy_smb(m, measure, _target_for(cfg, m), _int_param(cfg.params, "depth", 20))
     else:
         raise ConfigError([f"unknown entropy method {method!r}"])
     rec = est.to_json()
@@ -344,7 +359,7 @@ def _run_cantor(cfg):
     m = _build_block("map", make_map, cfg.map)
     sched = _build_schedule(cfg.schedule) if cfg.schedule else Schedule.depth_const(0)
     target = _target_for(cfg, m)
-    levels = int(cfg.params.get("levels", 2))
+    levels = _int_param(cfg.params, "levels", 2)
     sizes = cfg.params.get("level_sizes")
     if not sizes or len(sizes) != levels:
         raise ConfigError(["cantor needs params.level_sizes matching params.levels"])

@@ -25,7 +25,7 @@ from .maps import (
     MarkovLinear,
     primitivity_exponent,
 )
-from .coding import cylinder_from_word, prefix_walk
+from .coding import Target, cylinder_from_word
 
 LOG2 = math.log(2)
 GAUSS_ENTROPY = math.pi ** 2 / (6 * LOG2)
@@ -295,9 +295,11 @@ def entropy_closed_form(m: MapModel, measure: InvariantMeasure) -> EntropyEstima
         f"no closed-form entropy for ({m.kind}, {measure.kind})")
 
 
-def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int) -> np.ndarray:
+def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int,
+                 start=None) -> np.ndarray:
     """Digits of the stationary chain (p, M): one uniform for the first
-    digit, then one per transition, read against cumulative rows of M.
+    digit (or the given start digit, without a draw), then one per
+    transition, read against cumulative rows of M.
 
     Row k of the table g is the step map state -> next state of uniform k.
     A Hillis-Steele doubling scan (Blelloch, "Prefix sums and their
@@ -311,8 +313,8 @@ def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int) -> np.n
     for i in range(m.D):
         cum[i, max(m.branch_targets(i)):] = 1.0
     out = np.empty(length, dtype=np.int64)
-    out[0] = min(np.searchsorted(np.cumsum([float(x) for x in m.p]), rng.random(),
-                                 side="right"), m.D - 1)
+    out[0] = start if start is not None else min(
+        np.searchsorted(np.cumsum([float(x) for x in m.p]), rng.random(), side="right"), m.D - 1)
     u = rng.random(length - 1)
     g = np.empty((length - 1, m.D), dtype=np.min_scalar_type(m.D))
     for lo in range(0, len(g), _SCAN_CHUNK):
@@ -422,7 +424,7 @@ def entropy_smb(m: MapModel, measure: InvariantMeasure, x, n: int) -> EntropyEst
     target with its own prefix walk."""
     if n < 1:
         raise MeasureError("n must be >= 1")
-    walk = prefix_walk(m, x)
+    walk = Target.of(m, x).walk()
     word = walk.digits(n)
     if isinstance(measure, GaussMeasure):
         logmass = measure.log_interval_mass(*walk.bounds(n))

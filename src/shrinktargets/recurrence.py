@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coding import PrefixWalk, WordTarget, cylinder_from_word, itinerary, prefix_walk
+from .coding import PrefixWalk, Target, ball_holds, cylinder_from_word  # noqa: F401 (re-exported)
 from .maps import (
     DAryShift,
     GaussMap,
@@ -213,88 +213,6 @@ class Schedule:
 
 
 # ---------------------------------------------------------------------------
-# target points
-
-@dataclass
-class TargetPoint:
-    """A target x0 with its local scaling data.
-
-    For maps with a finite partition the local dimension is 1 and the decay
-    rate tau is 0 (exact); for the Gauss map they depend on the digits and
-    are estimated from exact cylinder masses when not known.
-    """
-
-    map: MapModel
-    value: Optional[object] = None      # exact Fraction / float when known
-    word_target: Optional[WordTarget] = None
-
-    @classmethod
-    def from_point(cls, m: MapModel, x0) -> "TargetPoint":
-        return cls(m, value=x0)
-
-    @classmethod
-    def from_word(cls, m: MapModel, digits, value=None) -> "TargetPoint":
-        wt = WordTarget(m, digits, value)
-        return cls(m, value=wt.value, word_target=wt)
-
-    @classmethod
-    def of(cls, m: MapModel, target) -> "TargetPoint":
-        """target itself, or the target of a digit word or of a point."""
-        if isinstance(target, TargetPoint):
-            return target
-        return cls.from_word(m, target) if isinstance(target, (tuple, list)) \
-            else cls.from_point(m, target)
-
-    def digits(self, n: int) -> tuple:
-        if self.word_target is not None:
-            return self.word_target.digits(n)
-        return itinerary(self.map, self.value, n)
-
-    def walk(self) -> PrefixWalk:
-        return prefix_walk(self.map, self.word_target or self.value)
-
-    def float_value(self) -> float:
-        if self.value is not None:
-            return float(self.value)
-        lo, hi = self.word_target.bracket(80 if isinstance(self.map, (DAryShift, MarkovLinear)) else 40)
-        return float((lo + hi) / 2)
-
-    def bracket(self, depth: int):
-        if self.word_target is not None:
-            return self.word_target.bracket(depth)
-        x = Fraction(self.value)
-        return x, x
-
-    def local_dims(self, measure: InvariantMeasure, depth_cap: int = 30):
-        """(delta_lower, delta_bar) from log mass / log diam, with the exact
-        value 1 for finite-partition interval maps."""
-        if isinstance(self.map, (DAryShift, MarkovLinear)):
-            return 1.0, 1.0, {"exact": True}
-        vals = []
-        for c in map(self.walk().cylinder, range(max(2, depth_cap - 10), depth_cap + 1)):
-            num = measure.interval_mass(c.left, c.right) if not isinstance(
-                measure, MarkovStationaryMeasure) else measure.cylinder_mass(self.map, c.word)
-            lnum = math.log(float(num)) if float(num) > 0 else -math.inf
-            vals.append(lnum / math.log(float(c.length)))
-        return min(vals), max(vals), {"exact": False, "depth_cap": depth_cap}
-
-    def tau_bar(self, depth_cap: int = 30):
-        """Decay rate of consecutive cylinder masses; 0 exactly for finite
-        partitions, and 0 for Gauss targets with subexponential digits."""
-        if isinstance(self.map, (DAryShift, MarkovLinear)):
-            return 0.0, {"exact": True}
-        walk = self.walk()
-        # if log i_n = o(n) the decay rate vanishes; digits bounded over
-        # the sampled depth is the desk-scale proxy for that condition
-        if isinstance(self.map, GaussMap) and max(walk.digits(depth_cap)) <= 10 ** 6:
-            return 0.0, {"exact": False, "justification": "bounded digits to sampled depth"}
-        lengths = [hi - lo for lo, hi in map(walk.bounds, range(1, depth_cap + 1))]
-        vals = [math.log(float(prev / cur)) / (n - 1)
-                for n, prev, cur in zip(range(2, depth_cap + 1), lengths, lengths[1:])]
-        return max(vals[-5:]), {"exact": False}
-
-
-# ---------------------------------------------------------------------------
 # hit series
 
 @dataclass
@@ -380,7 +298,7 @@ def ball_mass_array(measure: InvariantMeasure, m: MapModel, x0: float,
 
 
 def target_mass_rates(sched: Schedule, m: MapModel, measure: InvariantMeasure,
-                      target: "TargetPoint", n_grid=(50, 200, 1000)) -> dict:
+                      target: Target, n_grid=(50, 200, 1000)) -> dict:
     """Exponential rates L of the target cylinder masses along a depth
     schedule: L = (1/n) log(1/mu(P(t_n, x0))), sampled at the grid and
     reported as (max, min) over the tail; exact closed form L = w * rate
@@ -401,7 +319,7 @@ def target_mass_rates(sched: Schedule, m: MapModel, measure: InvariantMeasure,
 
 
 def cylinder_mass_by_depth(measure: InvariantMeasure, m: MapModel,
-                           target: TargetPoint, depths: np.ndarray,
+                           target: Target, depths: np.ndarray,
                            exact_cap: int = 400) -> np.ndarray:
     """Masses mu(P(t, x0)) for each distinct depth t, gathered to all n.
 
@@ -419,7 +337,7 @@ def cylinder_mass_by_depth(measure: InvariantMeasure, m: MapModel,
             prefix.append(prefix[-1] * measure.M[a][b])
         mass_at = prefix.__getitem__
     else:
-        walk = PrefixWalk(m, word)
+        walk = target.walk()
         of_ends = (lambda lo, hi: hi - lo) if isinstance(measure, LebesgueMeasure) \
             else measure.interval_mass
         mass_at = lambda t: of_ends(*walk.bounds(t))
@@ -430,11 +348,14 @@ def cylinder_mass_by_depth(measure: InvariantMeasure, m: MapModel,
 # ---------------------------------------------------------------------------
 # symbolic engine
 
-def _digit_stream(m: MapModel, measure: InvariantMeasure, rng, length: int):
+def _digit_stream(m: MapModel, measure: InvariantMeasure, rng, length: int, after=None):
+    """length digits of a random orbit; a chain stream that reads on past
+    the digit ``after`` steps from that digit's row of M."""
     if isinstance(m, DAryShift):
         return rng.integers(0, m.D, size=length, dtype=np.int64)
     if isinstance(m, MarkovLinear):
-        return sample_chain(m, rng, length)
+        return sample_chain(m, rng, length) if after is None \
+            else sample_chain(m, rng, length + 1, start=after)[1:]
     if isinstance(m, GaussMap):
         # digits of a pseudo-orbit started from a Gauss-distributed point
         x = float(np.exp2(rng.random()) - 1.0)
@@ -456,7 +377,7 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
     """Count visits T^i(x) in P(t_i, x0) by exact word-prefix comparison."""
     if sched.is_radii:
         raise ScheduleError("symbolic runs need a depth schedule")
-    target = TargetPoint.of(m, target)
+    target = Target.of(m, target)
     depths = sched.depths_array(N)
     cap = int(min(depths.max(), PREFIX_CAP))
     word = np.asarray(target.digits(cap), dtype=np.int64)
@@ -566,22 +487,6 @@ def _window_positions(m, stream: np.ndarray, N: int, W: int) -> np.ndarray:
     return y
 
 
-def _resolve_ambiguous_linear(m, stream, i, x0_lo, x0_hi, r_exact) -> bool:
-    """Exact hit decision at orbit index i from the stored digit window."""
-    word = tuple(int(d) for d in stream[i: i + min(120, len(stream) - i)])
-    c = cylinder_from_word(m, word)
-    lo, hi = c.left, c.right
-    # certified inside / outside the closed ball around [x0_lo, x0_hi]
-    if x0_lo - r_exact <= lo and hi <= x0_hi + r_exact:
-        return True
-    if hi < x0_lo - r_exact or lo > x0_hi + r_exact:
-        return False
-    # window exhausted while straddling; declare by the midpoint (documented)
-    mid = (lo + hi) / 2
-    x0m = (x0_lo + x0_hi) / 2
-    return abs(mid - x0m) <= r_exact
-
-
 def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Schedule,
                     N: int, trials: int, seed: int, horizons=None,
                     collect_hits: bool = False) -> HitSeries:
@@ -589,7 +494,7 @@ def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sched
     minima of the scaled distance d/r_n between consecutive checkpoints."""
     if not sched.is_radii:
         raise ScheduleError("metric runs need a radii schedule")
-    target = TargetPoint.of(m, target)
+    target = Target.of(m, target)
     x0f = target.float_value()
     cps = _checkpoints(N, horizons)
     radii = sched.radii_array(N)
@@ -620,8 +525,12 @@ class _CheckpointTally:
         self.wmins = np.full((trials, len(cps)), np.inf)
         self.found = [] if collect_hits else None
 
-    def add(self, n0, hit, scaled, t0=0):
-        """Rows n0, n0+1, ... of hit and scaled, for trials t0, t0+1, ..."""
+    def add(self, n0, hit, d, r, t0=0):
+        """Rows n0, n0+1, ... of the hits and the distances d to radii r, for
+        trials t0, t0+1, ...  A radius that underflowed to 0 scales to inf
+        (or nan at d = 0) without a numpy warning."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scaled = d / r
         cols = slice(t0, t0 + hit.shape[1])
         n1 = n0 + len(hit) - 1
         k0, k1, k2 = np.searchsorted(self.cps, [n0, n1, n1 + 1])
@@ -654,21 +563,26 @@ def _metric_linear(m, measure, target, radii, N, trials, seeds, cps, collect_hit
     margin = truncation + rounding
     lo_b, hi_b = target.bracket(120)
     x0f = float((lo_b + hi_b) / 2)
-    r_float = radii.astype(float)
     tally = _CheckpointTally(cps, trials, collect_hits)
+    reach = W + 193         # digits of T^n x that the exact test may read
     ambiguous = 0
     for t in range(trials):
         rng = np.random.default_rng(seeds[t])
         stream = _digit_stream(m, measure, rng, N + W + 2)
         pos = _window_positions(m, stream, N, W)
         d = np.abs(pos - x0f)
-        hit = d <= r_float
-        unsure = np.abs(d - r_float) <= margin + (hi_b - lo_b)
+        hit = d <= radii
+        unsure = np.abs(d - radii) <= margin + (hi_b - lo_b)
         for i in np.flatnonzero(unsure):
+            n = int(i) + 1
+            if len(stream) < n + reach:
+                # the orbit reads on from the trial's own generator, once per trial
+                stream = np.concatenate(
+                    (stream, _digit_stream(m, measure, rng, reach, after=int(stream[-1]))))
+            point = PrefixWalk(m, stream[n:n + reach].tolist())
+            hit[i] = ball_holds(point.bounds, target.bracket, Fraction(float(radii[i])), W)
             ambiguous += 1
-            hit[i] = _resolve_ambiguous_linear(
-                m, stream, int(i) + 1, lo_b, hi_b, Fraction(float(r_float[i])))
-        tally.add(1, hit[:, None], (d / r_float)[:, None], t0=t)
+        tally.add(1, hit[:, None], d[:, None], radii[:, None], t0=t)
     return tally.hits, tally.wmins, ambiguous, tally.hit_indices()
 
 
@@ -683,7 +597,7 @@ def _metric_float_orbit(m, measure, x0f, radii, N, trials, seeds, cps, collect_h
         if m.circle:
             d = np.minimum(d, 1.0 - d)
         r = radii[n0 - 1:n0 - 1 + len(xs), None]
-        tally.add(n0, d <= r, d / r)
+        tally.add(n0, d <= r, d, r)
     return tally.hits, tally.wmins, resampled, tally.hit_indices()
 
 
@@ -734,16 +648,48 @@ def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
     cylinder targets, or via the epsilon-strengthened radii series with
     exponent delta_bar + tau_bar/log(beta) for metric targets.
     """
-    target = TargetPoint.of(m, target)
+    target = Target.of(m, target)
     if sched.is_radii:
         return _classify_radii(m, measure, target, sched)
     return _classify_depths(m, measure, target, sched)
 
 
+def local_dims(target: Target, measure: InvariantMeasure, depth_cap: int = 30):
+    """(delta_lower, delta_bar) at the target from log mass / log diam, with
+    the exact value 1 for finite-partition interval maps."""
+    m = target.map
+    if isinstance(m, (DAryShift, MarkovLinear)):
+        return 1.0, 1.0, {"exact": True}
+    vals = []
+    for c in map(target.walk().cylinder, range(max(2, depth_cap - 10), depth_cap + 1)):
+        num = measure.interval_mass(c.left, c.right) if not isinstance(
+            measure, MarkovStationaryMeasure) else measure.cylinder_mass(m, c.word)
+        lnum = math.log(float(num)) if float(num) > 0 else -math.inf
+        vals.append(lnum / math.log(float(c.length)))
+    return min(vals), max(vals), {"exact": False, "depth_cap": depth_cap}
+
+
+def tau_bar(target: Target, depth_cap: int = 30):
+    """Decay rate of consecutive cylinder masses at the target; 0 exactly
+    for finite partitions, and 0 for Gauss targets with subexponential
+    digits."""
+    if isinstance(target.map, (DAryShift, MarkovLinear)):
+        return 0.0, {"exact": True}
+    walk = target.walk()
+    # if log i_n = o(n) the decay rate vanishes; digits bounded over
+    # the sampled depth is the desk-scale proxy for that condition
+    if isinstance(target.map, GaussMap) and max(walk.digits(depth_cap)) <= 10 ** 6:
+        return 0.0, {"exact": False, "justification": "bounded digits to sampled depth"}
+    lengths = [hi - lo for lo, hi in map(walk.bounds, range(1, depth_cap + 1))]
+    vals = [math.log(float(prev / cur)) / (n - 1)
+            for n, prev, cur in zip(range(2, depth_cap + 1), lengths, lengths[1:])]
+    return max(vals[-5:]), {"exact": False}
+
+
 def _classify_radii(m, measure, target, sched):
     x0 = target.float_value()
-    dlo, dbar, _ = target.local_dims(measure)
-    tau, _ = target.tau_bar()
+    dlo, dbar, _ = local_dims(target, measure)
+    tau, _ = tau_bar(target)
     logbeta = math.log(m.expansion_beta)
     e0 = dbar + tau / logbeta
     psums = _partial_sums(ball_mass_array(

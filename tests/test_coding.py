@@ -22,7 +22,7 @@ from shrinktargets import (
     refine_depth,
     refine_schedule_to_depths,
 )
-from shrinktargets.coding import EXACT_DEPTH_CAP, PRECISION_BITS, PrefixWalk
+from shrinktargets.coding import EXACT_DEPTH_CAP, PRECISION_BITS, PrefixWalk, ball_holds
 
 
 class TestItinerary:
@@ -223,9 +223,9 @@ class TestRefine:
         r = F(1, 1000)
         t = refine_depth(gauss, target, r)
         lo, hi = target.bracket(t + 30)
-        c = target.cylinder(t)
+        c = target.walk().cylinder(t)
         assert hi - r <= c.left and c.right <= lo + r
-        prev = target.cylinder(t - 1)
+        prev = target.walk().cylinder(t - 1)
         assert not (hi - r <= prev.left and prev.right <= lo + r)
 
 
@@ -405,3 +405,32 @@ class TestRefineScan:
         with pytest.raises(BoundaryHit) as got:
             refine_schedule_to_depths(gauss, F(3, 7), radii)
         assert got.value.args == want.value.args
+        # a target's one walk fails the same way on every later scan
+        target = WordTarget(gauss, value=F(3, 7))
+        for _ in range(2):
+            with pytest.raises(BoundaryHit) as got:
+                refine_schedule_to_depths(gauss, target, radii)
+            assert got.value.args == want.value.args
+
+
+class TestBallTest:
+    @pytest.mark.parametrize("r", [F(1, 4), F(1, 8), F(3, 16), F(1, 16), F(5, 32)])
+    def test_inside_holds_for_the_worst_centre(self, dary2, r):
+        # (01)^inf read through a digit function has no known value, so its
+        # centre 1/3 is known only through cylinder brackets; the point r past
+        # the right end of the depth-120 bracket lies in the union of the
+        # balls about the bracket but outside the true ball
+        centre = WordTarget(dary2, lambda k: k % 2)
+        lo, hi = centre.bracket(120)
+        p = hi + r
+        assert lo - r <= p <= hi + r and p - F(1, 3) > r
+        assert ball_holds(lambda k: (p, p), centre.bracket, r, 0) is False
+        # and a point strictly inside the true ball is certified inside
+        assert ball_holds(lambda k: (F(1, 3) + r / 2,) * 2, centre.bracket, r, 0) is True
+
+    def test_undecidable_edge_raises(self, dary2):
+        # a rational centre known only by brackets, on the ball edge of a point
+        centre = WordTarget(dary2, lambda k: k % 2)
+        edge = F(1, 3) + F(1, 4)
+        with pytest.raises(RuntimeError):
+            ball_holds(lambda k: (edge, edge), centre.bracket, F(1, 4), 0)

@@ -271,6 +271,17 @@ class TestCLI:
         ("cantor", {"x0": {"word": [7, 1]}, "params": {"levels": 2, "level_sizes": [4, 5]}}, 2),
         ("cantor", {"schedule": {"kind": "radii_exp", "kappa": math.log(2)},
                     "params": {"levels": 2, "level_sizes": [4, 5]}}, 0),
+        ("classify", {"x0": {"word": 3}}, 2),
+        ("classify", {"x0": {"word": None}}, 2),
+        ("classify", {"x0": {"word": []}}, 2),
+        ("entropy", {"x0": {"word": []}, "params": {"method": "smb"}}, 2),
+        *[("entropy", {"params": {"method": "smb", "depth": v}}, 2)
+          for v in ("x", math.nan, math.inf)],
+        *[("cantor", {"params": {"levels": v, "level_sizes": [4, 5]}}, 2)
+          for v in ("x", math.nan, math.inf)],
+        ("entropy", {"params": {"method": "birkhoff", "n_iter": "x"}}, 2),
+        ("classify", {"map": {"kind": "dary", "D": math.inf}}, 2),
+        ("classify", {"schedule": {"kind": "depth_const", "t": math.inf}}, 2),
     ])
     def test_domain_of_every_block_checked(self, tmp_path, capsys, experiment, change, code):
         doc = {"experiment": experiment, "map": {"kind": "dary", "D": 2},
@@ -280,6 +291,32 @@ class TestCLI:
         cfgp.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
         assert cli.main([experiment, "--config", str(cfgp)]) == code
         assert ("config error: " in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("experiment, block, needs", [
+        ("classify", "map", "classify needs a map block"),
+        ("simulate", "schedule", "simulate needs a schedule block"),
+        ("cantor", "params", "cantor needs params.level_sizes"),
+    ])
+    def test_null_block_is_missing(self, tmp_path, capsys, experiment, block, needs):
+        doc = {"experiment": experiment, "map": {"kind": "dary", "D": 2},
+               "x0": {"word": [0, 1]}, "schedule": {"kind": "radii_power", "alpha": 2.0},
+               "horizons": [100], block: None}
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(doc))
+        assert cli.main([experiment, "--config", str(cfgp)]) == 2
+        assert needs in capsys.readouterr().err
+
+    @pytest.mark.parametrize("map_spec, word", [({"kind": "dary", "D": 2}, [0, 1]),
+                                                ({"kind": "gauss"}, [1, 2])])
+    def test_underflowed_radii_run_quietly(self, tmp_path, capsys, map_spec, word):
+        # r_n = 2^-n is 0 in double precision past n = 1075
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "experiment": "simulate", "map": map_spec, "x0": {"word": word},
+            "schedule": {"kind": "radii_exp", "kappa": math.log(2)},
+            "horizons": [1200], "trials": 2}))
+        assert cli.main(["simulate", "--config", str(cfgp)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_smb_word_matches_its_point(self):
         def value(x0):

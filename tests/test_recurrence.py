@@ -32,6 +32,8 @@ from shrinktargets.recurrence import (
     _window_positions,
     _window_width,
     cylinder_mass_by_depth,
+    local_dims,
+    tau_bar,
 )
 
 LOG2 = math.log(2)
@@ -411,6 +413,47 @@ class TestMarkovFastPath:
         assert _band(hs, 2)
 
 
+class TestExactResolver:
+    def test_ambiguous_last_step_reads_on(self, dary2, lebesgue):
+        # r = the float distance at n = N; the W + 2 stored digits of T^N x
+        # straddle the ball edge, so the verdict needs the orbit's further
+        # digits, which come from the trial's generator after its stream
+        N, seed, x0 = 40, 0, F(1, 3)
+        rng = np.random.default_rng(trial_seed(seed, 0))
+        W = 30
+        stream = _digit_stream(dary2, lebesgue, rng, N + W + 2)
+        r = float(abs(_window_positions(dary2, stream, N, W)[N - 1] - float(x0)))
+        assert _window_width(dary2, r)[0] == W
+        R = F(r)
+        window = cylinder_from_word(dary2, stream[N:].tolist())
+        assert window.left < x0 - R < window.right or window.left < x0 + R < window.right
+        word = stream[N:].tolist() + rng.integers(0, 2, size=300, dtype=np.int64).tolist()
+        c = cylinder_from_word(dary2, word)
+        inside = x0 - R <= c.left and c.right <= x0 + R
+        assert inside or c.right < x0 - R or c.left > x0 + R
+        hs = run_metric_hits(dary2, lebesgue, TargetPoint.from_point(dary2, x0),
+                             Schedule.custom_radii([r]), N, 1, seed, collect_hits=True)
+        assert hs.ambiguous_resolved >= 1
+        assert (N in hs.hit_indices[0].tolist()) == inside
+
+    def test_chain_reads_on_from_the_last_digit(self, zero_diagonal):
+        # the continuation steps through row M[last], never redraws from p
+        m = zero_diagonal
+        mu = MarkovStationaryMeasure(m.p, m.M)
+        cum = np.cumsum(np.asarray(m.M, dtype=float), axis=1)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            stream = _digit_stream(m, mu, rng, 50)
+            u = np.random.default_rng()
+            u.bit_generator.state = rng.bit_generator.state
+            more = _digit_stream(m, mu, rng, 30, after=int(stream[-1]))
+            want, prev = [], int(stream[-1])
+            for x in u.random(30):
+                prev = int(np.searchsorted(cum[prev], x, side="right"))
+                want.append(prev)
+            assert more.tolist() == want and want[0] != stream[-1]
+
+
 def _ball_mass_bruteforce(measure, m, x0, radii) -> list:
     """Per-ball masses one interval_mass call at a time."""
     return [min(2 * float(r), 1.0) if m.circle else
@@ -651,22 +694,23 @@ class TestTargetPoint:
     def test_finite_partition_exact_dims(self, dary2, markov, lebesgue):
         for m in (dary2, markov):
             tgt = TargetPoint.from_word(m, (0, 1))
-            lo, hi, meta = tgt.local_dims(lebesgue)
+            lo, hi, meta = local_dims(tgt, lebesgue)
             assert (lo, hi) == (1.0, 1.0) and meta["exact"]
-            tau, meta = tgt.tau_bar()
+            tau, meta = tau_bar(tgt)
             assert tau == 0.0 and meta["exact"]
 
     def test_gauss_bounded_digits(self, gauss, gauss_measure):
         tgt = TargetPoint.from_word(gauss, (1,))
-        lo, hi, _ = tgt.local_dims(gauss_measure)
+        lo, hi, _ = local_dims(tgt, gauss_measure)
         assert 0.9 < lo <= hi < 1.1
-        tau, _ = tgt.tau_bar()
+        tau, _ = tau_bar(tgt)
         assert tau == 0.0
 
     def test_periodic_word_value(self, dary2):
         tgt = TargetPoint.from_word(dary2, (0, 1))
         assert tgt.value == F(1, 3)
         assert tgt.digits(5) == (0, 1, 0, 1, 0, 1)
+        assert tgt.bracket(50) == (F(1, 3), F(1, 3))
 
 
 class TestHitSeries:
