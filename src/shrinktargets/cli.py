@@ -19,7 +19,8 @@ import json
 import sys
 
 from .dimension import DimensionError
-from .harness import ConfigError, ResultSet, emit_report, parse_config, render_table, run
+from .harness import (EXPERIMENTS, ConfigError, emit_report, parse_config, parse_results,
+                      render_table, run)
 from .maps import BoundaryHit, MapError
 from .measures import MeasureError
 from .recurrence import ScheduleError
@@ -35,8 +36,7 @@ def _build_parser():
     ap = argparse.ArgumentParser(prog="shrinktargets",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "classify", "entropy", "bounds", "cantor",
-                 "gridprobe", "report"):
+    for name in (*EXPERIMENTS, "report"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None)
@@ -58,58 +58,42 @@ def main(argv=None) -> int:
         print(f"config error: the config must be a JSON object, got {doc!r}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "report":
-        try:
-            rs = ResultSet(config=doc.get("config", {}),
-                           records=doc.get("records", []),
-                           summary=doc.get("summary", {}),
-                           verdicts=doc.get("verdicts", {}),
-                           provenance=doc.get("provenance", {}))
-            paths = emit_report(rs, args.out or ".")
-        except (ConfigError, OSError) as e:
-            print(f"report error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-        for p in paths:
-            print(p)
-        return EXIT_OK
-
-    if doc.get("experiment") is None:
-        doc["experiment"] = args.command
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.trials is not None:
-        doc["trials"] = args.trials
-    if args.out is not None:
-        doc["out"] = args.out
-    if args.horizon is not None:
-        try:
-            doc["horizons"] = [int(h) for h in args.horizon.split(",") if h]
-        except ValueError:
-            print(f"config error: --horizon {args.horizon!r} is not a list of integers",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+    if args.command != "report":
+        if doc.get("experiment") is None:
+            doc["experiment"] = args.command
+        for key in ("seed", "trials", "out"):
+            if getattr(args, key) is not None:
+                doc[key] = getattr(args, key)
+        if args.horizon is not None:      # the schema reports a part that is not an integer
+            doc["horizons"] = [int(h) if h.isdigit() else h for h in args.horizon.split(",") if h]
 
     try:
-        cfg = parse_config(doc)
-        if cfg.experiment != args.command:
-            raise ConfigError(
-                [f"config experiment {cfg.experiment!r} does not match "
-                 f"subcommand {args.command!r}"])
-        rs = run(cfg)
+        if args.command == "report":
+            rs, out = parse_results(doc), args.out or "."
+        else:
+            cfg = parse_config(doc)
+            if cfg.experiment != args.command:
+                raise ConfigError(
+                    [f"config experiment {cfg.experiment!r} does not match "
+                     f"subcommand {args.command!r}"])
+            rs, out = run(cfg), cfg.out
+        paths = emit_report(rs, out) if out else None
     except ConfigError as e:
         for v in e.violations:
             print(f"config error: {v}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as e:         # an output directory that cannot be made
+        print(f"output error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (MapError, MeasureError, ScheduleError, DimensionError,
             BoundaryHit, RuntimeError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    if cfg.out:
-        for p in emit_report(rs, cfg.out):
-            print(p)
-    else:
+    if paths is None:
         print(render_table(rs), end="")
+    for p in paths or ():
+        print(p)
     return EXIT_OK
 
 

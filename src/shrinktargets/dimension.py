@@ -178,7 +178,7 @@ def cantor_lambda(a: float, b: float, c: float, delta: float,
     superlinearly growing N_j the true limit is 0 and the value reported
     here is conservative.
     """
-    if a <= 0 and c <= 0:
+    if a + c <= 0:
         raise DimensionError("a + c must be positive")
     if not (0 < delta <= 1):
         raise DimensionError("delta must lie in (0, 1]")

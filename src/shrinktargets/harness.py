@@ -2,18 +2,24 @@
 
 A single JSON document describes one experiment; identical configs produce
 byte-identical outputs (the provenance timestamp aside).  Exact rationals
-are written as "num/den" strings, digit words as integer arrays.
+are written as "num/den" strings, digit words as integer arrays.  One
+schema, the tables below together with the map, measure and schedule kinds,
+says what each experiment reads.  parse_config checks a document against
+it once and lists every violation, so a run that starts fails only for a
+reason of the theory.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import io
 import json
 import math
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from fractions import Fraction
 from typing import Optional
 
@@ -34,10 +40,9 @@ from .dimension import (
     grid_transfer,
     rectangle_counterexample_balls,
 )
-from .maps import MAP_KINDS, MapError, make_map
+from .maps import MAP_KINDS, make_map
 from .measures import (
     MEASURE_KINDS,
-    MeasureError,
     entropy_birkhoff,
     entropy_closed_form,
     entropy_smb,
@@ -45,13 +50,13 @@ from .measures import (
 )
 from .coding import Target
 from .recurrence import (
+    SCHEDULE_KINDS,
     Schedule,
     borel_cantelli_classify,
     run_metric_hits,
     run_symbolic_hits,
 )
-
-EXPERIMENTS = ("simulate", "classify", "entropy", "bounds", "cantor", "gridprobe")
+from .schema import block, enum, integer, kinds, listof, number, obj, rational, satisfies
 
 
 class ConfigError(ValueError):
@@ -62,157 +67,77 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    map: Optional[dict] = None
-    measure: Optional[dict] = None
-    x0: Optional[dict] = None
-    schedule: Optional[dict] = None
-    horizons: list = field(default_factory=list)
-    trials: int = 1
-    seed: int = 0
-    out: Optional[str] = None
-    params: dict = field(default_factory=dict)
+class ExperimentConfig(SimpleNamespace):
+    """A config the schema accepts: each top-level field, with its default
+    filled in, as an attribute, and `echo`, the document as results.json
+    repeats it."""
+    map = measure = x0 = schedule = out = None        # blocks a config may omit
 
     def to_json(self) -> dict:
-        rec = {"experiment": self.experiment, "trials": self.trials,
-               "seed": self.seed, "horizons": list(self.horizons)}
-        for k in ("map", "measure", "x0", "schedule", "out"):
-            v = getattr(self, k)
-            if v is not None:
-                rec[k] = v
-        if self.params:
-            rec["params"] = self.params
-        return rec
+        return self.echo
 
 
-BLOCKS = ("map", "measure", "x0", "schedule", "params")
+@functools.cache
+def _top(params):
+    """Schema of a whole document whose experiment reads `params`; a block
+    an experiment does not read is still checked."""
+    return block({
+        "experiment": enum(EXPERIMENTS),
+        "map": (kinds({k: v[1] for k, v in MAP_KINDS.items()}), None),
+        "measure": (kinds({k: v[1] for k, v in MEASURE_KINDS.items()}), None),
+        "x0": (block({"rational": (rational(0, 1, closed=True), None),
+                      "decimal": (number(0, 1, closed=True), None),
+                      "word": (listof(integer(0)), None)},
+                     lambda x0: None if len(x0) == 1 else "must give exactly one of "
+                     f"'rational', 'decimal' or 'word', got {list(x0)}"),
+               None),
+        "schedule": (kinds(SCHEDULE_KINDS), None),
+        "horizons": (listof(integer(1), empty=True), []),
+        "trials": (integer(1), 1),
+        "seed": (integer(), 0),
+        "out": (satisfies(lambda v: isinstance(v, str) and v != "", "a directory path"), None),
+        "params": (params, None),
+    })
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    violations = []
-    doc = {k: v for k, v in doc.items() if v is not None or k not in BLOCKS}   # null = missing
+    """Check doc against the schema; raise ConfigError with every violation."""
+    bad = []
     exp = doc.get("experiment")
-    if exp not in EXPERIMENTS:
-        violations.append(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-    trials = doc.get("trials", 1)
-    if not isinstance(trials, int) or trials < 1:
-        violations.append("trials must be a positive integer")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        violations.append("seed must be an integer")
-    horizons = doc.get("horizons", [])
-    if not isinstance(horizons, list) or any(
-            not isinstance(h, int) or h < 1 for h in horizons):
-        violations.append("horizons must be a list of positive integers")
-    if exp == "simulate" and not horizons:
-        violations.append("simulate needs a non-empty horizons list")
-    if exp in ("simulate", "classify", "entropy", "cantor") and "map" not in doc:
-        violations.append(f"{exp} needs a map block")
-    if exp in ("simulate", "classify") and "schedule" not in doc:
-        violations.append(f"{exp} needs a schedule block")
-    for key in BLOCKS:
-        if key in doc and not isinstance(doc[key], dict):
-            violations.append(f"{key} must be an object, got {doc[key]!r}")
-    for key, kinds in (("map", MAP_KINDS), ("measure", MEASURE_KINDS)):
-        if isinstance(doc.get(key), dict) and doc[key].get("kind") not in kinds:
-            violations.append(f"{key} kind must be one of {kinds}, "
-                              f"got {doc[key].get('kind')!r}")
-    if violations:
-        raise ConfigError(violations)
-    return ExperimentConfig(
-        experiment=exp,
-        map=doc.get("map"),
-        measure=doc.get("measure"),
-        x0=doc.get("x0"),
-        schedule=doc.get("schedule"),
-        horizons=horizons,
-        trials=trials,
-        seed=seed,
-        out=doc.get("out"),
-        params=doc.get("params", {}),
-    )
+    known = isinstance(exp, str) and exp in EXPERIMENTS
+    _, needs, params = EXPERIMENTS[exp] if known else (None, (), obj)
+    doc = {**doc, "params": {}} if doc.get("params") is None else doc
+    f = _top(params)(doc, "", bad, exp if known else "the config")
+    if exp == "entropy" and isinstance(f["params"], dict) and f["params"].get("method") == "smb":
+        needs += ("x0",)
+    bad += [f"{k}: {exp} needs a {k} block" for k in needs if doc.get(k) in (None, [])]
+    m, x0 = f.get("map"), f.get("x0")
+    if not any(v.startswith(("map", "x0")) for v in bad) and m and x0 and "word" in x0:
+        digits = MAP_KINDS[m["kind"]][2](m)
+        bad += [f"x0.word.{i}: {d} is not a digit of map kind {m['kind']}"
+                for i, d in enumerate(x0["word"]) if d not in digits]
+    if bad:
+        raise ConfigError(bad)
+    echo = {"trials": 1, "seed": 0, "horizons": [],
+            **{k: v for k, v in doc.items() if v is not None and v != {}}}
+    return ExperimentConfig(echo=echo, **f)
 
 
-def _parse_point(spec):
-    if spec is None:
-        return None
-    if "rational" in spec:
-        parse, raw = Fraction, spec["rational"]
-    elif "decimal" in spec:
-        parse, raw = float, spec["decimal"]
-    elif "word" in spec:
-        word = spec["word"]
-        if not (isinstance(word, list) and word and all(type(d) is int for d in word)):
-            raise ConfigError([f"x0 word must be a non-empty list of integer digits, "
-                               f"got {word!r}"])
-        return tuple(word)
-    else:
-        raise ConfigError(["x0 must give 'rational', 'decimal', or 'word'"])
-    try:
-        x = parse(raw)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
-        raise ConfigError([f"x0 {raw!r}: {e}"]) from None
-    # every map acts on [0, 1]; the circle maps read x0 as an angle / 2 pi
-    if not 0 <= x <= 1:
-        raise ConfigError([f"x0 {raw!r} lies outside the domain [0, 1]"])
-    return x
+def _map_measure(cfg):
+    # without a measure block: the measure of the map's kind and parameters
+    # (gauss, markov), else Lebesgue measure
+    default = cfg.map if cfg.map["kind"] in MEASURE_KINDS else {"kind": "lebesgue"}
+    return make_map(cfg.map), make_measure(cfg.measure or default)
 
 
-def _build_schedule(spec: dict) -> Schedule:
-    kind = spec.get("kind")
-    args = {k: v for k, v in spec.items() if k != "kind"}
-    try:
-        if kind == "radii_power":
-            return Schedule.radii_power(args["alpha"])
-        if kind == "radii_exp":
-            return Schedule.radii_exp(args["kappa"])
-        if kind == "radii_const":
-            return Schedule.radii_const(float(args["r"]))
-        if kind == "depth_log_floor":
-            return Schedule.depth_log_floor(args.get("base", math.e))
-        if kind == "depth_power_floor":
-            return Schedule.depth_power_floor(args["kappa"])
-        if kind == "depth_const":
-            return Schedule.depth_const(args["t"])
-        if kind == "custom_radii":
-            return Schedule.custom_radii(args["table"])
-        if kind == "custom_depths":
-            return Schedule.custom_depths(args["table"])
-    except KeyError as e:
-        raise ConfigError([f"schedule {kind} missing parameter {e}"]) from None
-    except (ValueError, TypeError, OverflowError) as e:   # ScheduleError or a bad number
-        raise ConfigError([f"schedule {kind}: {e}"]) from None
-    raise ConfigError([f"unknown schedule kind {kind!r}"])
+def _schedule(spec) -> Schedule:
+    # each kind's constructor takes the kind's parameters by name
+    return getattr(Schedule, spec["kind"])(**{k: v for k, v in spec.items() if k != "kind"})
 
 
-def _build_block(name: str, build, spec: dict):
-    try:
-        return build(spec)
-    except KeyError as e:
-        raise ConfigError([f"{name} {spec.get('kind')} missing parameter {e}"]) from None
-    except (MapError, MeasureError):
-        raise                 # parameters that parse but that the theory rejects
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
-        raise ConfigError([f"{name} {spec.get('kind')}: {e}"]) from None
-
-
-def _int_param(params: dict, key: str, default: int) -> int:
-    try:
-        return int(params.get(key, default))
-    except (ValueError, TypeError, OverflowError):
-        raise ConfigError([f"params.{key} must be an integer, "
-                           f"got {params[key]!r}"]) from None
-
-
-def _default_measure(map_spec: dict) -> dict:
-    kind = map_spec.get("kind")
-    if kind == "gauss":
-        return {"kind": "gauss"}
-    if kind == "markov":
-        return {"kind": "markov", "M": map_spec["M"], "p": map_spec["p"]}
-    return {"kind": "lebesgue"}
+def _target(cfg, m) -> Target:
+    (kind, raw), = cfg.x0.items()
+    return Target.of(m, {"rational": Fraction, "decimal": float, "word": tuple}[kind](raw))
 
 
 @dataclass
@@ -237,47 +162,19 @@ class ResultSet:
         return json.dumps(self.to_json(), sort_keys=True, indent=1)
 
 
-def _provenance(cfg: ExperimentConfig) -> dict:
-    return {"tool": "shrinktargets", "version": __version__,
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "seed": cfg.seed}
-
-
 def run(cfg: ExperimentConfig) -> ResultSet:
     """Dispatch an experiment and collect per-trial records plus summary."""
-    if cfg.experiment == "simulate":
-        return _run_simulate(cfg)
-    if cfg.experiment == "classify":
-        return _run_classify(cfg)
-    if cfg.experiment == "entropy":
-        return _run_entropy(cfg)
-    if cfg.experiment == "bounds":
-        return _run_bounds(cfg)
-    if cfg.experiment == "cantor":
-        return _run_cantor(cfg)
-    if cfg.experiment == "gridprobe":
-        return _run_gridprobe(cfg)
-    raise ConfigError([f"unknown experiment {cfg.experiment!r}"])
-
-
-def _target_for(cfg, m):
-    x0 = _parse_point(cfg.x0)
-    if x0 is None:
-        raise ConfigError(["this experiment needs an x0 block"])
-    if isinstance(x0, tuple):
-        try:
-            for d in x0:
-                m.block_interval(d)       # raises for a digit out of range
-        except MapError as e:
-            raise ConfigError([f"x0 word {list(x0)}: {e}"]) from None
-    return Target.of(m, x0)
+    # each runner returns the records, summary and any other ResultSet fields
+    provenance = {"tool": "shrinktargets", "version": __version__,
+                  "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                  "seed": cfg.seed}
+    return ResultSet(cfg.to_json(), provenance=provenance, **EXPERIMENTS[cfg.experiment][0](cfg))
 
 
 def _run_simulate(cfg):
-    m = _build_block("map", make_map, cfg.map)
-    measure = _build_block("measure", make_measure, cfg.measure or _default_measure(cfg.map))
-    sched = _build_schedule(cfg.schedule)
-    target = _target_for(cfg, m)
+    m, measure = _map_measure(cfg)
+    sched = _schedule(cfg.schedule)
+    target = _target(cfg, m)
     N = max(cfg.horizons)
     runner = run_metric_hits if sched.is_radii else run_symbolic_hits
     hs = runner(m, measure, target, sched, N, cfg.trials, cfg.seed,
@@ -288,87 +185,73 @@ def _run_simulate(cfg):
     trace = [{"n": int(n), "ratio": float(hs.hits[:, k].mean() / hs.normalizer[k])
               if hs.normalizer[k] > 0 else math.nan}
              for k, n in enumerate(hs.checkpoints)]
-    return ResultSet(cfg.to_json(), records, summary,
-                     provenance=_provenance(cfg), ratio_trace=trace)
+    return {"records": records, "summary": summary, "ratio_trace": trace}
 
 
 def _run_classify(cfg):
-    m = _build_block("map", make_map, cfg.map)
-    measure = _build_block("measure", make_measure, cfg.measure or _default_measure(cfg.map))
-    sched = _build_schedule(cfg.schedule)
-    target = _target_for(cfg, m)
+    m, measure = _map_measure(cfg)
+    sched = _schedule(cfg.schedule)
+    target = _target(cfg, m)
     v = borel_cantelli_classify(m, measure, target, sched)
-    return ResultSet(cfg.to_json(), [v.to_json()],
-                     {"verdict": v.verdict},
-                     verdicts={"borel_cantelli": v.verdict},
-                     provenance=_provenance(cfg))
+    return {"records": [v.to_json()], "summary": {"verdict": v.verdict},
+            "verdicts": {"borel_cantelli": v.verdict}}
 
 
 def _run_entropy(cfg):
-    m = _build_block("map", make_map, cfg.map)
-    measure = _build_block("measure", make_measure, cfg.measure or _default_measure(cfg.map))
-    method = cfg.params.get("method", "closed_form")
-    if method == "closed_form":
-        est = entropy_closed_form(m, measure)
-    elif method == "birkhoff":
-        n_iter = _int_param(cfg.params, "n_iter", 10 ** 5)
-        est = entropy_birkhoff(m, measure, n_iter, cfg.trials, cfg.seed)
-    elif method == "smb":
-        est = entropy_smb(m, measure, _target_for(cfg, m), _int_param(cfg.params, "depth", 20))
+    m, measure = _map_measure(cfg)
+    p = cfg.params
+    if p["method"] == "birkhoff":
+        est = entropy_birkhoff(m, measure, p["n_iter"], cfg.trials, cfg.seed)
+    elif p["method"] == "smb":
+        est = entropy_smb(m, measure, _target(cfg, m), p["depth"])
     else:
-        raise ConfigError([f"unknown entropy method {method!r}"])
+        est = entropy_closed_form(m, measure)
     rec = est.to_json()
-    return ResultSet(cfg.to_json(), [rec], rec, provenance=_provenance(cfg))
+    return {"records": [rec], "summary": rec}
 
 
-_BOUND_DISPATCH = {
-    "radii_lower": lambda p: bound_radii_lower(
-        p["h"], p["delta_bar"], p["ell_bar"], p.get("tau_bar", 0.0), p["log_beta"]),
-    "doubling": lambda p: bound_doubling(
-        p["delta_bar"], p["ell_bar"], p["s"], p["log_beta"]),
-    "code_lower": lambda p: bound_code_lower(p["h"], p["L_bar"]),
-    "code_w": lambda p: bound_code_w(p["w_bar"]),
-    "upper_finite": lambda p: bound_upper_finite(
-        p["D"], p["h"], p.get("L_lower"), p.get("delta_lower"), p.get("ell_lower")),
-    "hoeffding": lambda p: bound_hoeffding(p["p"], p["L_lower"]),
-    "cantor_lambda": lambda p: cantor_lambda(
-        p["a"], p["b"], p["c"], p["delta"], p["N_js"]),
-    "grid_transfer": lambda p: grid_transfer(p["a_n"], p["b_n"], p["grid_dim"]),
+REAL = number()
+
+# formula -> (bound function, its fields by the function's argument names)
+BOUNDS = {
+    "radii_lower": (bound_radii_lower, {"h": REAL, "delta_bar": REAL, "ell_bar": REAL,
+                                        "tau_bar": (REAL, 0.0), "log_beta": REAL}),
+    "doubling": (bound_doubling, {"delta_bar": REAL, "ell_bar": REAL, "s": REAL,
+                                  "log_beta": REAL}),
+    "code_lower": (bound_code_lower, {"h": REAL, "L_bar": REAL}),
+    "code_w": (bound_code_w, {"w_bar": REAL}),
+    "upper_finite": (bound_upper_finite, {"D": integer(), "h": REAL, "L_lower": (REAL, None),
+                                          "delta_lower": (REAL, None),
+                                          "ell_lower": (REAL, None)}),
+    "hoeffding": (bound_hoeffding, {"p": listof(REAL), "L_lower": REAL}),
+    "cantor_lambda": (cantor_lambda, {"a": REAL, "b": REAL, "c": REAL, "delta": REAL,
+                                      "N_js": listof(integer(1))}),
+    "grid_transfer": (grid_transfer, {"a_n": listof(number(0, 1)), "b_n": listof(number(0, 1)),
+                                      "grid_dim": REAL}),
 }
 
 
 def _run_bounds(cfg):
-    evals = cfg.params.get("evaluations")
-    if not evals:
-        raise ConfigError(["bounds needs params.evaluations: a list of "
-                           "{formula, ...} blocks"])
     records = []
-    for ev in evals:
-        formula = ev.get("formula")
-        if formula not in _BOUND_DISPATCH:
-            raise ConfigError([f"unknown bound formula {formula!r}"])
-        b = _BOUND_DISPATCH[formula]({k: v for k, v in ev.items() if k != "formula"})
-        rec = b.to_json()
-        rec["formula_tag"] = formula
+    for ev in cfg.params["evaluations"]:
+        fn = BOUNDS[ev["formula"]][0]
+        rec = fn(**{k: v for k, v in ev.items() if k != "formula"}).to_json()
+        rec["formula_tag"] = ev["formula"]
         records.append(rec)
-    summary = {"bounds": len(records)}
-    return ResultSet(cfg.to_json(), records, summary, provenance=_provenance(cfg))
+    return {"records": records, "summary": {"bounds": len(records)}}
 
 
 def _run_cantor(cfg):
-    m = _build_block("map", make_map, cfg.map)
-    sched = _build_schedule(cfg.schedule) if cfg.schedule else Schedule.depth_const(0)
-    target = _target_for(cfg, m)
-    levels = _int_param(cfg.params, "levels", 2)
-    sizes = cfg.params.get("level_sizes")
-    if not sizes or len(sizes) != levels:
-        raise ConfigError(["cantor needs params.level_sizes matching params.levels"])
-    eps = float(cfg.params.get("epsilon", 0.3))
-    stage = build_cantor_stage(m, target, sched, levels, sizes, epsilon=eps)
-    fr = frostman_exponent(stage, c_cap=float(cfg.params.get("c_cap", 1e3)))
+    m = make_map(cfg.map)
+    sched = _schedule(cfg.schedule) if cfg.schedule else Schedule.depth_const(0)
+    target = _target(cfg, m)
+    p = cfg.params
+    stage = build_cantor_stage(m, target, sched, p["levels"], p["level_sizes"],
+                               epsilon=float(p["epsilon"]))
+    fr = frostman_exponent(stage, c_cap=float(p["c_cap"]))
     nu_sums = stage.nu_level_sums()
     summary = {
-        "levels": levels,
+        "levels": p["levels"],
         "level_sizes": [len(l.fine_suffix) for l in stage.levels],
         "k_js": [l.k_j for l in stage.levels],
         "d_js": [l.d_j for l in stage.levels],
@@ -381,40 +264,86 @@ def _run_cantor(cfg):
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
         stage.dump_json(os.path.join(cfg.out, "stage.json"))
-    return ResultSet(cfg.to_json(), [summary], summary, provenance=_provenance(cfg))
+    return {"records": [summary], "summary": summary}
+
+
+def _balls_fit_grid(p):
+    kind, dim = p["balls"]["kind"], 1 if p["grid"]["kind"] == "interval" else 2
+    rows = p["balls"].get("balls", [])
+    if (kind, dim) in (("corner_discs", 1), ("shrinking_intervals", 2)) or any(
+            len(row) != dim + 1 or Fraction(row[-1]) == 0 for row in rows):
+        return (f"balls of kind {kind} do not fit the grid of kind "
+                f"{p['grid']['kind']}; a table row gives {dim} centre coordinates "
+                "and a radius > 0")
 
 
 def _run_gridprobe(cfg):
-    gspec = cfg.params.get("grid", {})
-    kind = gspec.get("kind")
-    if kind == "interval":
-        grid = IntervalSplitGrid(Fraction(str(gspec.get("split", "1/2"))))
-    elif kind == "rectangle":
-        grid = ProductSplitGrid(Fraction(str(gspec["a"])), Fraction(str(gspec["b"])))
-    elif kind == "square":
-        grid = ProductSplitGrid(Fraction(1, 2), Fraction(1, 2))
+    g, b = cfg.params["grid"], cfg.params["balls"]
+    if g["kind"] == "interval":
+        grid = IntervalSplitGrid(Fraction(g["split"]))
+    else:                 # the square grid splits both ways at 1/2
+        grid = ProductSplitGrid(Fraction(g.get("a", "1/2")), Fraction(g.get("b", "1/2")))
+    if b["kind"] == "corner_discs":
+        balls = rectangle_counterexample_balls(grid.a, grid.b, b["kmax"])
+    elif b["kind"] == "shrinking_intervals":
+        center, base = Fraction(b["center"]), Fraction(b["scale"])
+        balls = [(center, base * Fraction(1, 2) ** k) for k in range(1, b["kmax"] + 1)]
     else:
-        raise ConfigError([f"unknown grid kind {kind!r}"])
-    bspec = cfg.params.get("balls", {})
-    if bspec.get("kind") == "corner_discs":
-        balls = rectangle_counterexample_balls(
-            grid.a, grid.b, int(bspec.get("kmax", 40)))
-    elif bspec.get("kind") == "shrinking_intervals":
-        center = Fraction(str(bspec.get("center", "1/3")))
-        base = Fraction(str(bspec.get("scale", "3/7")))
-        balls = [(center, base * Fraction(1, 2) ** k)
-                 for k in range(1, int(bspec.get("kmax", 20)) + 1)]
-    elif bspec.get("kind") == "table":
-        balls = [tuple(Fraction(str(v)) for v in row) for row in bspec["balls"]]
-    else:
-        raise ConfigError(["gridprobe needs params.balls of kind corner_discs, "
-                           "shrinking_intervals, or table"])
+        balls = [tuple(map(Fraction, row)) for row in b["balls"]]
     recs = grid_regularity_probe(grid, balls)
     records = [{"k": r.k, "level": r.level, "ball_measure": r.ball_measure,
                 "union_measure": r.union_measure, "C": r.ratio} for r in recs]
-    summary = {"max_C": max(r.ratio for r in recs),
-               "first_k_over_100": next((r.k for r in recs if r.ratio > 100), None)}
-    return ResultSet(cfg.to_json(), records, summary, provenance=_provenance(cfg))
+    return {"records": records, "summary": {
+        "max_C": max(r.ratio for r in recs),
+        "first_k_over_100": next((r.k for r in recs if r.ratio > 100), None)}}
+
+
+# experiment -> (runner, the blocks it needs, the schema of its params)
+EXPERIMENTS = {
+    "simulate": (_run_simulate, ("map", "schedule", "x0", "horizons"), block({})),
+    "classify": (_run_classify, ("map", "schedule", "x0"), block({})),
+    "entropy": (_run_entropy, ("map",), kinds({
+        "closed_form": {}, "birkhoff": {"n_iter": (integer(1), 10 ** 5)},
+        "smb": {"depth": (integer(1), 20)}}, tag="method", default="closed_form")),
+    "bounds": (_run_bounds, (), block({"evaluations": listof(
+        kinds({k: fields for k, (_, fields) in BOUNDS.items()}, tag="formula"))})),
+    "cantor": (_run_cantor, ("map", "x0"), block({
+        "levels": (integer(1, 6), 2), "level_sizes": listof(integer(2)),
+        "epsilon": (number(0), 0.3), "c_cap": (number(0), 1e3)},
+        lambda p: None if len(p["level_sizes"]) == p["levels"] else
+        "cantor needs params.level_sizes matching params.levels")),
+    "gridprobe": (_run_gridprobe, (), block({
+        "grid": kinds({"interval": {"split": (rational(0, 1), "1/2")},
+                       "rectangle": {"a": rational(0, 1), "b": rational(0, 1)},
+                       "square": {}}),
+        "balls": kinds({"corner_discs": {"kmax": (integer(1), 40)},
+                        "shrinking_intervals": {
+                            "center": (rational(0, 1, closed=True), "1/3"),
+                            "scale": (rational(0), "3/7"), "kmax": (integer(1), 20)},
+                        "table": {"balls": listof(listof(rational(0, 1, closed=True)))}}),
+    }, _balls_fit_grid)),
+}
+
+
+def _summary_value(doc):
+    v = doc["summary"].get("value", 0)
+    if doc["config"].get("experiment") == "entropy" and (
+            isinstance(v, bool) or not isinstance(v, (int, float))):
+        return f"summary.value: must be a number for an entropy report, got {v!r}"
+
+
+RESULTS = block({"config": (obj, {}), "records": (listof(obj, empty=True), []),
+                 "summary": (obj, {}), "verdicts": (obj, {}), "provenance": (obj, {})},
+                _summary_value)
+
+
+def parse_results(doc: dict) -> ResultSet:
+    """Read a results.json document back, for `report`."""
+    bad = []
+    f = RESULTS(doc, "", bad, "a report")
+    if bad:
+        raise ConfigError(bad)
+    return ResultSet(**f)
 
 
 # ---------------------------------------------------------------------------

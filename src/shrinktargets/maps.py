@@ -31,6 +31,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .schema import integer, listof, rational, satisfies
+
 Number = Union[int, float, Fraction]
 
 
@@ -411,7 +413,7 @@ class BlaschkeBoundary(MapModel):
     NEWTON_TOL = 1e-14
 
     def __init__(self, zeros: Sequence[complex]):
-        zeros = [complex(a) for a in zeros]
+        zeros = [complex(*a) if isinstance(a, (list, tuple)) else complex(a) for a in zeros]
         if len(zeros) < 2:
             raise MapError("need at least two zeros for an expanding boundary map")
         if not any(a == 0 for a in zeros):
@@ -553,16 +555,33 @@ class BlaschkeBoundary(MapModel):
         return self._solve_lift(m + float(y), lo, hi) % 1.0
 
 
-_MAP_BUILDERS = {
-    "dary": lambda spec: DAryShift(int(spec["D"])),
-    "markov": lambda spec: MarkovLinear([[Fraction(str(x)) for x in row] for row in spec["M"]],
-                                        [Fraction(str(x)) for x in spec["p"]]),
-    "gauss": lambda spec: GaussMap(),
-    "blaschke": lambda spec: BlaschkeBoundary(
-        [complex(z[0], z[1]) if isinstance(z, (list, tuple)) else complex(z)
-         for z in spec["zeros"]]),
+def _chain_rule(spec):
+    D = len(spec["p"])
+    if len(spec["M"]) != D or any(len(row) != D for row in spec["M"]):
+        return "M must be a square matrix with one row per entry of p"
+
+
+def _in_disc(z):
+    xy = z if isinstance(z, list) and len(z) == 2 else [z, 0]
+    return all(isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t)
+               for t in xy) and abs(complex(*xy)) < 1
+
+
+_ZERO = satisfies(_in_disc, "a point x or [x, y] inside the unit circle")
+
+
+# a stochastic matrix and a distribution, row-major "num/den" entries
+CHAIN = ({"M": listof(listof(rational(0, 1, closed=True))),
+          "p": listof(rational(0, 1, closed=True))}, _chain_rule)
+
+# kind -> (class, its config fields by constructor argument, the digits of its words)
+MAP_KINDS = {
+    "dary": (DAryShift, {"D": integer(2)}, lambda spec: range(spec["D"])),
+    "markov": (MarkovLinear, CHAIN, lambda spec: range(len(spec["p"]))),
+    "gauss": (GaussMap, {}, lambda spec: range(1, 2 ** 63)),
+    "blaschke": (BlaschkeBoundary, {"zeros": listof(_ZERO)},
+                 lambda spec: range(len(spec["zeros"]))),
 }
-MAP_KINDS = tuple(_MAP_BUILDERS)
 
 
 def make_map(spec: dict) -> MapModel:
@@ -572,9 +591,9 @@ def make_map(spec: dict) -> MapModel:
     row-major.
     """
     kind = spec.get("kind")
-    if kind not in _MAP_BUILDERS:
+    if kind not in MAP_KINDS:
         raise MapError(f"unknown map kind {kind!r}")
-    return _MAP_BUILDERS[kind](spec)
+    return MAP_KINDS[kind][0](**{k: v for k, v in spec.items() if k != "kind"})
 
 
 def bernoulli_map(weights: Sequence[Number]) -> MarkovLinear:

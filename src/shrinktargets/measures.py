@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .maps import (
+    CHAIN,
     BlaschkeBoundary,
     DAryShift,
     GaussMap,
@@ -133,6 +134,8 @@ class MarkovStationaryMeasure(InvariantMeasure):
         self.M = tuple(tuple(Fraction(x) for x in row) for row in M)
         if sum(self.p) != 1 or any(x <= 0 for x in self.p):
             raise MeasureError("p must be strictly positive with sum 1")
+        if any(sum(row) != 1 or min(row) < 0 for row in self.M):
+            raise MeasureError("each row of M must be a probability vector")
         D = len(self.p)
         for j in range(D):
             if sum(self.p[i] * self.M[i][j] for i in range(D)) != self.p[j]:
@@ -163,23 +166,20 @@ class MarkovStationaryMeasure(InvariantMeasure):
         return rng.random(size)
 
 
-_MEASURE_BUILDERS = {
-    "lebesgue": lambda spec: LebesgueMeasure(),
-    "gauss": lambda spec: GaussMeasure(),
-    "markov": lambda spec: MarkovStationaryMeasure(
-        M=[[Fraction(str(x)) for x in row] for row in spec["M"]],
-        p=[Fraction(str(x)) for x in spec["p"]]),
-    "bernoulli": lambda spec: MarkovStationaryMeasure.bernoulli(
-        [Fraction(str(x)) for x in spec["p"]]),
+# kind -> (constructor, its config fields by argument name)
+MEASURE_KINDS = {
+    "lebesgue": (LebesgueMeasure, {}),
+    "gauss": (GaussMeasure, {}),
+    "markov": (MarkovStationaryMeasure, CHAIN),
+    "bernoulli": (MarkovStationaryMeasure.bernoulli, {"p": CHAIN[0]["p"]}),
 }
-MEASURE_KINDS = tuple(_MEASURE_BUILDERS)
 
 
 def make_measure(spec: dict) -> InvariantMeasure:
     kind = spec.get("kind")
-    if kind not in _MEASURE_BUILDERS:
+    if kind not in MEASURE_KINDS:
         raise MeasureError(f"unknown measure kind {kind!r}")
-    return _MEASURE_BUILDERS[kind](spec)
+    return MEASURE_KINDS[kind][0](**{k: v for k, v in spec.items() if k != "kind"})
 
 
 # ---------------------------------------------------------------------------

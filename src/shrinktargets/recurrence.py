@@ -36,12 +36,35 @@ from .measures import (
     sample_chain,
     trial_seed,
 )
+from .schema import integer, kinds, listof, number
 
 PREFIX_CAP = 64          # symbolic prefix depth cap (miss probability < 2^-64)
 
 
 class ScheduleError(ValueError):
     pass
+
+
+def _sorted_table(step):
+    def rule(spec):
+        tab = spec["table"]
+        if any(step * (b - a) < 0 for a, b in zip(tab, tab[1:])):
+            return f"table must be non-{'de' if step > 0 else 'in'}creasing"
+    return rule
+
+
+# kind -> its parameters, by the names its constructor below takes; read by
+# Schedule itself and by the config schema
+SCHEDULE_KINDS = {
+    "radii_power": {"alpha": number(0)},
+    "radii_exp": {"kappa": number(0)},
+    "radii_const": {"r": number(0)},
+    "depth_log_floor": {"base": (number(1), math.e)},
+    "depth_power_floor": {"kappa": number(0)},
+    "depth_const": {"t": integer(0)},
+    "custom_radii": ({"table": listof(number(0))}, _sorted_table(-1)),
+    "custom_depths": ({"table": listof(integer(0))}, _sorted_table(1)),
+}
 
 
 @dataclass(frozen=True)
@@ -58,30 +81,10 @@ class Schedule:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        known = {"radii_power", "radii_exp", "radii_const", "depth_log_floor",
-                 "depth_power_floor", "depth_const", "custom_radii",
-                 "custom_depths"}
-        if self.kind not in known:
-            raise ScheduleError(f"unknown schedule kind {self.kind!r}")
-        if self.kind.startswith("custom") and not self.params["table"]:
-            raise ScheduleError("custom table is empty")
-        if self.kind == "custom_radii":
-            tab = self.params["table"]
-            if any(b > a for a, b in zip(tab, tab[1:])):
-                raise ScheduleError("custom radii must be non-increasing")
-        if self.kind == "custom_depths":
-            tab = self.params["table"]
-            if any(b < a for a, b in zip(tab, tab[1:])):
-                raise ScheduleError("custom depths must be non-decreasing")
-            if tab[0] < 0:
-                raise ScheduleError("custom depths must be >= 0")
-        if self.kind == "depth_const" and self.params["t"] < 0:
-            raise ScheduleError("depth must be >= 0")
-        key, low = {"radii_power": ("alpha", 0), "radii_exp": ("kappa", 0),
-                    "radii_const": ("r", 0), "depth_power_floor": ("kappa", 0),
-                    "depth_log_floor": ("base", 1)}.get(self.kind, (None, 0))
-        if key and not (math.isfinite(self.params[key]) and self.params[key] > low):
-            raise ScheduleError(f"{key} must be finite and > {low}")
+        bad = []
+        kinds(SCHEDULE_KINDS)({"kind": self.kind, **self.params}, "schedule", bad, "Schedule")
+        if bad:
+            raise ScheduleError("; ".join(bad))
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -206,10 +209,6 @@ class Schedule:
         return {"w_bar": float(vals[len(vals) // 2:].max()),
                 "w_lower": float(vals[len(vals) // 2:].min()),
                 "numeric": True}
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **{k: (v if not isinstance(v, list) else list(v))
-                                      for k, v in self.params.items()}}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import math
+import os
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from shrinktargets import (
     BlaschkeBoundary,
@@ -80,3 +84,11 @@ def gauss_measure():
 @pytest.fixture(scope="session")
 def markov_measure(markov):
     return MarkovStationaryMeasure(markov.p, markov.M)
+
+
+# property tests draw the same examples on every run and keep no example
+# database, so the suite is deterministic; Hypothesis still caches the
+# constants it reads from the source, and keeps them out of the checkout
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "shrinktargets-hypothesis"))

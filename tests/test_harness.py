@@ -1,10 +1,16 @@
+import collections
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shrinktargets
 from shrinktargets import cli
@@ -415,3 +421,155 @@ class TestCLI:
                         "--out", str(tmp_path / "o2")])
         assert r2.returncode == 0
         assert (tmp_path / "o2" / "summary.txt").exists()
+
+
+FUZZ_CONFIGS = {
+    "simulate": {"experiment": "simulate",
+                 "map": {"kind": "markov", "M": [["3/4", "1/4"], ["1/2", "1/2"]],
+                         "p": ["2/3", "1/3"]},
+                 "x0": {"word": [0, 1]}, "schedule": {"kind": "radii_power", "alpha": 2.0},
+                 "horizons": [20, 60], "trials": 2, "seed": 1},
+    "classify": {"experiment": "classify", "map": {"kind": "dary", "D": 2},
+                 "x0": {"rational": "1/3"}, "schedule": {"kind": "depth_log_floor", "base": 2}},
+    "entropy": {"experiment": "entropy", "map": {"kind": "dary", "D": 3},
+                "measure": {"kind": "bernoulli", "p": ["1/3", "1/3", "1/3"]},
+                "x0": {"word": [0, 2]}, "params": {"method": "smb", "depth": 8}},
+    "bounds": {"experiment": "bounds", "params": {"evaluations": [
+        {"formula": "radii_lower", "h": 0.7, "delta_bar": 1.0, "ell_bar": 0.5,
+         "log_beta": 0.7},
+        {"formula": "hoeffding", "p": [0.5, 0.5], "L_lower": 0.7},
+        {"formula": "cantor_lambda", "a": 2, "b": 1, "c": 1, "delta": 0.5,
+         "N_js": [2, 4, 8]}]}},
+    "cantor": {"experiment": "cantor", "map": {"kind": "dary", "D": 2},
+               "x0": {"word": [0, 1]}, "schedule": {"kind": "radii_exp", "kappa": 0.7},
+               "params": {"levels": 2, "level_sizes": [4, 5]}},
+    "gridprobe": {"experiment": "gridprobe",
+                  "params": {"grid": {"kind": "rectangle", "a": "7/10", "b": "6/10"},
+                             "balls": {"kind": "corner_discs", "kmax": 5}}},
+}
+DELETE = object()
+JUNK = [None, 3, -1, 0, 1.5, "x", "1/0", "-1/2", [], [0, 5], {}, {"kind": "tent"}, True,
+        math.nan, 7, DELETE]
+
+
+def _paths(node, path=()):
+    """Every key and list index below node, as a path of keys."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, path + (key,))
+
+
+def _mutate(doc, path, junk):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if junk is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = junk
+    return doc
+
+
+MUTATIONS = [(name, path, junk) for name, doc in FUZZ_CONFIGS.items()
+             for path in _paths(doc) for junk in JUNK]
+
+
+def _cli_outcome(name, doc, tmp_dir):
+    """Exit code of cli.main on doc, which must be 0, 2 or 3 with no
+    traceback, and 0 only for a document that parse_config accepts."""
+    cfgp = os.path.join(tmp_dir, "fuzz.json")
+    with open(cfgp, "w") as fh:
+        json.dump(doc, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([name, "--config", cfgp])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:       # accepted: the schema must accept the document too
+        parse_config(doc if doc.get("experiment") is not None else {**doc, "experiment": name})
+    return code
+
+
+class TestConfigFuzz:
+    """Single-field mutations of one small valid config per experiment: set
+    a field to a junk value or delete it.  cli.main never raises, exits in
+    {0, 2, 3}, and exits 0 only for a document the schema accepts."""
+
+    def test_fuzz_configs_are_valid(self, tmp_path):
+        for name, doc in FUZZ_CONFIGS.items():
+            assert _cli_outcome(name, doc, str(tmp_path)) == 0, name
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(MUTATIONS))
+    def test_mutation_exits_cleanly(self, mutation):
+        name, path, junk = mutation
+        with tempfile.TemporaryDirectory() as tmp:
+            _cli_outcome(name, _mutate(FUZZ_CONFIGS[name], path, junk), tmp)
+
+    def test_every_mutation_exits_cleanly(self, tmp_path):
+        codes = collections.Counter(
+            _cli_outcome(name, _mutate(FUZZ_CONFIGS[name], path, junk), str(tmp_path))
+            for name, path, junk in MUTATIONS)
+        assert codes[0] and codes[2] and codes[3]     # the sweep reaches every outcome
+
+    @pytest.mark.parametrize("name, path, value", [
+        *[("classify", ("map", "D"), v) for v in (-1, 0, 1.5, True)],
+        ("simulate", ("map", "M"), [["3/4", "1/4"], ["1/2"]]),
+        ("simulate", ("map", "M"), [["3/4", "1/4", "0"], ["1/2", "1/2", "0"]]),
+        ("entropy", ("params",), {"method": "birkhoff", "n_iter": 0}),
+        *[("bounds", ("params", "evaluations", 0, k), math.nan)
+          for k in ("h", "delta_bar", "ell_bar", "log_beta")],
+        ("bounds", ("params", "evaluations", 1, "p", 0), math.nan),
+        ("simulate", ("trials",), True),
+        ("simulate", ("horizons", 0), True),
+        ("cantor", ("params", "level_sizes", 0), 1.5),
+        ("cantor", ("params", "levels"), True),
+        ("classify", ("schedule",), {"kind": "custom_depths", "table": [0, 1.5]}),
+        ("classify", ("schedule",), {"kind": "custom_radii", "table": [0.5, 0.7]}),
+        ("simulate", ("trial",), 100),
+        ("gridprobe", ("params", "grid"), {"kind": "interval"}),
+    ])
+    def test_config_domain_exits_2(self, tmp_path, name, path, value):
+        assert _cli_outcome(name, _mutate(FUZZ_CONFIGS[name], path, value), str(tmp_path)) == 2
+
+    def test_every_violation_listed(self, tmp_path, capsys):
+        doc = dict(FUZZ_CONFIGS["simulate"], trials=0, map={"kind": "dary", "D": 1.5},
+                   schedule={"kind": "radii_power", "alpha": math.nan})
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--config", str(cfgp)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3 and all(line.startswith("config error: ") for line in lines)
+        assert [line.split()[2] for line in lines] == ["map.D:", "schedule.alpha:", "trials:"]
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("name", ["simulate", "cantor"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_that_cannot_be_made_exit_2(self, tmp_path, capsys, name, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(FUZZ_CONFIGS[name]))
+        out = blocker / "sub" if under else blocker
+        assert cli.main([name, "--config", str(cfgp), "--out", str(out)]) == 2
+        assert "output error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        {"records": 3}, {"records": [3]}, {"summary": []}, {"config": 3},
+        {"verdicts": []}, {"summary": {"value": None}},
+    ])
+    def test_malformed_results_exit_2(self, tmp_path, capsys, change):
+        doc = {"config": {"experiment": "entropy"}, "records": [{"value": 1.0}],
+               "summary": {"value": 1.0}, "verdicts": {}, "provenance": {}, **change}
+        resp = tmp_path / "results.json"
+        resp.write_text(json.dumps(doc))
+        argv = ["report", "--config", str(resp), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert "config error: " in capsys.readouterr().err
+        del doc[next(iter(change))]
+        resp.write_text(json.dumps(doc))
+        assert cli.main(argv) == 0

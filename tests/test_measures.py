@@ -82,6 +82,11 @@ class TestStationaryVector:
         with pytest.raises(MeasureError, match="not primitive"):
             stationary_vector([[0, 1], [1, 0]])
 
+    def test_measure_rows_must_be_stochastic(self):
+        # pM = p holds here, though the rows sum to 2 and 0
+        with pytest.raises(MeasureError, match="probability vector"):
+            MarkovStationaryMeasure([F(1, 2), F(1, 2)], [[1, 1], [0, 0]])
+
     def test_two_state(self):
         p = stationary_vector([[F(3, 4), F(1, 4)], [F(1, 2), F(1, 2)]])
         assert p == (F(2, 3), F(1, 3))
