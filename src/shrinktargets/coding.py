@@ -295,19 +295,22 @@ def refine_schedule_to_depths(m: MapModel, x0, radii) -> list:
 
     ``x0`` is a point, a digit word or a Target, and all radii share the
     target's one prefix walk.  P(t) = [left, right] lies in B(x0, r) exactly
-    when x0 lies in the closed ball of radius r - (right - left)/2 about the
-    cylinder's midpoint, which ball_holds decides against the brackets of
-    x0.  (A rational center can sit exactly on a ball edge that is a
-    cylinder endpoint, where only its exact value decides.)  Non-increasing
-    radii give non-decreasing depths, and the scan exploits that.
+    when r >= max(right - x0, x0 - left), one comparison for an x0 with an
+    exact value; else ball_holds decides, against the brackets of x0, that
+    x0 lies in B(midpoint, r - (right - left)/2).  Non-increasing radii give
+    non-decreasing depths, and the scan exploits that.
     """
     target = Target.of(m, x0)
-    balls = {}      # t -> (midpoint, half length) of P(t)
+    x = None if target.value is None else Fraction(target.value)
+    balls = {}      # t -> reach of P(t) from x0, or its (midpoint, half length)
 
     def inside(t, r):
         if t not in balls:
             left, right = target.walk().bounds(t)
-            balls[t] = (left + right) / 2, (right - left) / 2
+            balls[t] = ((left + right) / 2, (right - left) / 2) if x is None \
+                else max(right - x, x - left)
+        if x is not None:
+            return balls[t] <= r
         mid, half = balls[t]
         return ball_holds(target.bracket, lambda k: (mid, mid), r - half, t + 8)
 

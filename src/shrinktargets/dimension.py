@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .maps import DAryShift, MapModel, MarkovLinear
-from .measures import MarkovStationaryMeasure, log_mass, smb_regular_cylinders
+from .measures import MarkovStationaryMeasure, RegularWords, log_mass, smb_regular_cylinders
 from .coding import Target, refine_depth
 from .recurrence import Schedule
 
@@ -272,34 +272,38 @@ class StageLevel:
     """One level of the two-family construction, stored as one family.
 
     Every parent (a nested block of the previous level, or the root word)
-    ends at ``base_digit``, so all parents share one family of fine blocks
-    (J~): block i is the parent i // F followed by ``suffixes[i % F]``, and
-    its lambda and nu are the parent's times that suffix's factors.  Each
-    fine block has one nested child (J) that appends the target's digits.
-    The ``fine_*`` and ``nested_lam`` views index blocks in that order."""
-    suffixes: tuple              # digit tuples of the fine family
-    suffix_lam: tuple            # Fraction lam(J~)/lam(parent) per suffix
-    suffix_nu: tuple             # Fraction nu(J~)/nu(parent) per suffix
+    ends at the family's entry digit, so all parents share one family of
+    fine blocks (J~): block i is the parent i // F followed by
+    ``family[i % F]`` without its entry digit, and its lambda and nu are the
+    parent's times that suffix's factors, kept per mass class.  Each fine
+    block has one nested child (J) that appends the target's digits.  The
+    ``fine_*`` and ``nested_lam`` views index blocks in that order."""
+    family: RegularWords         # the SMB-regular return words, entry digit first
+    classes: dict                # prod -> (lam(J~)/lam(parent), nu(J~)/nu(parent), count)
     nested_suffix: tuple         # shared x0-digit suffix appended to each fine block
     nested_rel: Fraction         # lam(J)/lam(J~)
     parent_lam: Sequence         # lam of each parent block
     parent_nu: Sequence          # nu of each parent block
-    base_digit: int = 0          # last digit of every parent
+    parents: int = 1             # number of parent blocks
     N_j: int = 0
     k_j: int = 0
     d_j: int = 0                 # depth of the fine blocks
-    alpha_j: float = 0.0         # min lam(J~)/lam(J_parent)
-    beta_j: float = 0.0          # max lam(J~)/lam(J_parent)
-    gamma_j: float = 0.0         # min lam(J)/lam(J~)
-    delta_j: float = 0.0         # min_parent lam(family)/lam(parent)
+    alpha_j: Fraction = Fraction(0)  # min lam(J~)/lam(J_parent)
+    beta_j: Fraction = Fraction(0)   # max lam(J~)/lam(J_parent)
+    gamma_j: Fraction = Fraction(0)  # min lam(J)/lam(J~)
+    delta_j: Fraction = Fraction(0)  # min_parent lam(family)/lam(parent)
 
     @property
     def count(self) -> int:
-        return len(self.parent_lam) * len(self.suffixes)
+        return self.parents * self.family.size
 
     def _view(self, item) -> _BlockView:
-        F = len(self.suffixes)
+        F = self.family.size
         return _BlockView(self.count, lambda i: item(*divmod(i, F)))
+
+    def _rel(self, s: int) -> tuple:
+        """(lam, nu) of suffix s relative to its parent."""
+        return self.classes[self.family.unrank(s)[1]][:2]
 
     @property
     def fine_parent(self):
@@ -307,19 +311,19 @@ class StageLevel:
 
     @property
     def fine_suffix(self):
-        return self._view(lambda p, s: self.suffixes[s])
+        return self._view(lambda p, s: self.family[s][1:])
 
     @property
     def fine_lam(self):
-        return self._view(lambda p, s: self.parent_lam[p] * self.suffix_lam[s])
+        return self._view(lambda p, s: self.parent_lam[p] * self._rel(s)[0])
 
     @property
     def fine_nu(self):
-        return self._view(lambda p, s: self.parent_nu[p] * self.suffix_nu[s])
+        return self._view(lambda p, s: self.parent_nu[p] * self._rel(s)[1])
 
     @property
     def nested_lam(self):
-        return self._view(lambda p, s: self.parent_lam[p] * self.suffix_lam[s]
+        return self._view(lambda p, s: self.parent_lam[p] * self._rel(s)[0]
                           * self.nested_rel)
 
 
@@ -341,10 +345,10 @@ class CantorStage:
         parts = []
         for k in range(j, -1, -1):
             lvl = self.levels[k]
-            i, s = divmod(i, len(lvl.suffixes))
+            i, s = divmod(i, lvl.family.size)
             if k < j:
                 parts.append(lvl.nested_suffix)
-            parts.append(lvl.suffixes[s])
+            parts.append(lvl.family[s][1:])
         parts.append(self.root_word)
         return tuple(d for p in reversed(parts) for d in p)
 
@@ -356,8 +360,8 @@ class CantorStage:
         block order."""
         lvl = self.levels[j]
         tail, rel = (lvl.nested_suffix, lvl.nested_rel) if kind == "nested" else ((), 1)
-        family = [(suf + tail, lam * rel, nu)
-                  for suf, lam, nu in zip(lvl.suffixes, lvl.suffix_lam, lvl.suffix_nu)]
+        family = [(word[1:] + tail, lvl.classes[P][0] * rel, lvl.classes[P][1])
+                  for word, P in map(lvl.family.unrank, range(lvl.family.size))]
         parents = self.iter_blocks(j - 1, "nested") if j else \
             [(self.root_word, self.root_lam, Fraction(1))]
         for w, lam, nu in parents:
@@ -370,28 +374,21 @@ class CantorStage:
         them.
 
         A block's class is fixed by its parent's class and its suffix's
-        lam, so a level costs (parent classes) x (distinct suffix masses).
-        Both are visited in order of their first block, and the first block
-        of such a pair is (first parent) * F + (first suffix), so classes
+        class, so a level costs (parent classes) x (family classes).  Both
+        are visited in order of their first block, and the first block of
+        such a pair is (first parent) * F + (first suffix), so classes
         enter ``merged`` in block order."""
         out = []
-        parents = [(0, self.root_lam, Fraction(1), 1)]   # (first block, lam, nu, count)
+        parents = [(self.root_lam, Fraction(1), 1)]      # (lam, nu, count)
         for lvl in self.levels:
-            F = len(lvl.suffixes)
-            family = {}                                  # suffix lam -> (first, count, nu)
-            for s, (s_lam, s_nu) in enumerate(zip(lvl.suffix_lam, lvl.suffix_nu)):
-                first, cnt, _ = family.get(s_lam, (s, 0, s_nu))
-                family[s_lam] = (first, cnt + 1, s_nu)
             merged = {}
-            for p_first, p_lam, p_nu, p_cnt in parents:
-                for s_lam, (s_first, s_cnt, s_nu) in family.items():
+            for p_lam, p_nu, p_cnt in parents:
+                for s_lam, s_nu, s_cnt in lvl.classes.values():
                     key = (p_lam * s_lam, p_nu * s_nu)
-                    first, cnt = merged.get(key, (p_first * F + s_first, 0))
-                    merged[key] = (first, cnt + p_cnt * s_cnt)
+                    merged[key] = merged.get(key, 0) + p_cnt * s_cnt
             out.append([(lam, lam * lvl.nested_rel, nu, cnt)
-                        for (lam, nu), (_, cnt) in merged.items()])
-            parents = [(first, lam * lvl.nested_rel, nu, cnt)
-                       for (lam, nu), (first, cnt) in merged.items()]
+                        for (lam, nu), cnt in merged.items()])
+            parents = [(lam_n, nu, cnt) for _, lam_n, nu, cnt in out[-1]]
         return out
 
     # -- invariants -----------------------------------------------------
@@ -407,45 +404,30 @@ class CantorStage:
         for all-minimal or all-maximal admissible suffixes; the check is on
         exact words and shared per level."""
         bad = 0
-        for j, lvl in enumerate(self.levels):
-            if not lvl.nested_suffix:
-                continue  # degenerate level: J = J~, nothing to check
-            flush_left = True
-            flush_right = True
-            prev = None  # the suffix always follows the target's first digit
-            for pos, d in enumerate(lvl.nested_suffix):
-                lo_d, hi_d = self._admissible_extremes(prev, j, pos)
-                if d != lo_d:
-                    flush_left = False
-                if d != hi_d:
-                    flush_right = False
-                prev = d
-            if flush_left or flush_right:
-                bad += lvl.count
+        for lvl in self.levels:
+            # each suffix digit against the admissible digits after the one
+            # before it; the suffix follows the target's first digit
+            prevs = self.x0_digits[:1] + lvl.nested_suffix
+            ends = [(d == min(t), d == max(t)) for d, t in
+                    zip(lvl.nested_suffix, map(self.map.branch_targets, prevs))]
+            if ends and (all(lo for lo, _ in ends) or all(hi for _, hi in ends)):
+                bad += lvl.count      # a level without suffix has J = J~: nothing to check
         return bad
-
-    def _admissible_extremes(self, prev, j, pos):
-        m = self.map
-        if isinstance(m, DAryShift):
-            return 0, m.D - 1
-        if prev is None:
-            prev = self.x0_digits[0]
-        allowed = [d for d in range(m.D) if m.M[prev][d] > 0]
-        return allowed[0], allowed[-1]
 
     def level_params(self) -> list:
         return [{"N_j": lvl.N_j, "k_j": lvl.k_j, "d_j": lvl.d_j,
-                 "alpha_j": lvl.alpha_j, "beta_j": lvl.beta_j,
-                 "gamma_j": lvl.gamma_j, "delta_j": lvl.delta_j}
+                 "alpha_j": float(lvl.alpha_j), "beta_j": float(lvl.beta_j),
+                 "gamma_j": float(lvl.gamma_j), "delta_j": float(lvl.delta_j)}
                 for lvl in self.levels]
 
     def geometric_rates(self) -> dict:
         """Per-level exponential rates (a_j, b_j, c_j, delta) aggregated
-        conservatively for the level-geometric bound."""
-        a = max(-math.log(lvl.alpha_j) / lvl.N_j for lvl in self.levels)
-        b = min(-math.log(lvl.beta_j) / lvl.N_j for lvl in self.levels)
-        c = max(-math.log(max(lvl.gamma_j, 1e-300)) / lvl.N_j for lvl in self.levels)
-        delta = min(lvl.delta_j for lvl in self.levels)
+        conservatively for the level-geometric bound; the logs are of the
+        exact ratios, finite where their floats underflow."""
+        a = max(-log_mass(lvl.alpha_j) / lvl.N_j for lvl in self.levels)
+        b = min(-log_mass(lvl.beta_j) / lvl.N_j for lvl in self.levels)
+        c = max(-log_mass(lvl.gamma_j) / lvl.N_j for lvl in self.levels)
+        delta = float(min(lvl.delta_j for lvl in self.levels))
         return {"a": a, "b": b, "c": c, "delta": delta,
                 "N_js": [lvl.N_j for lvl in self.levels]}
 
@@ -458,12 +440,9 @@ class CantorStage:
             lhs = 0.0
             for i in range(j + 1):
                 lvl = self.levels[i]
-                lhs += math.log(lvl.beta_j) - math.log(lvl.delta_j)
-            nxt = self.levels[j + 1].delta_j if j + 1 < len(self.levels) else \
-                self.levels[j].delta_j
-            lhs -= math.log(nxt)
-            rhs_log = sum(math.log(self.levels[i].alpha_j) +
-                          math.log(max(self.levels[i].gamma_j, 1e-300))
+                lhs += log_mass(lvl.beta_j) - log_mass(lvl.delta_j)
+            lhs -= log_mass(self.levels[min(j + 1, len(self.levels) - 1)].delta_j)
+            rhs_log = sum(log_mass(self.levels[i].alpha_j) + log_mass(self.levels[i].gamma_j)
                           for i in range(j + 1))
             if rhs_log < 0:
                 out = min(out, lhs / rhs_log)
@@ -501,17 +480,6 @@ class CantorStage:
             fh.write("]}\n")
 
 
-def _relative_lam(measure: MarkovStationaryMeasure, last: int, suffix) -> Fraction:
-    """lambda(w + suffix) / lambda(w) for a word w ending at digit ``last``
-    (integer products, reduced once)."""
-    num = den = 1
-    for d in suffix:
-        num *= measure.M[last][d].numerator
-        den *= measure.M[last][d].denominator
-        last = d
-    return Fraction(num, den)
-
-
 def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
                        level_sizes: Sequence[int], epsilon: float = 0.3,
                        root_depth: int = 0) -> CantorStage:
@@ -546,7 +514,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
 
     stage_levels = []
     depth = len(root_word) - 1           # current nested depth d_{j-1} + k_{j-1}
-    parent_lam, parent_nu = (root_lam,), (Fraction(1),)
+    parent_lam, parent_nu, parents = (root_lam,), (Fraction(1),), 1
     base_digit = root_word[-1]           # block the next family must start from
 
     for j, N_j in enumerate([int(n) for n in level_sizes], start=1):
@@ -555,11 +523,10 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
                 f"level {j}: size {N_j} too small for the regularity window")
         words, total = smb_regular_cylinders(
             measure, N_j, epsilon, base_digit, x0_digits[0], h)
-        if not words:
+        if not words.size:
             raise StageConstructionError(
                 f"level {j}: SMB regularity window empty at N_j={N_j} "
                 f"(hypothesis of the regular-family mass bound violated)")
-        suffixes = tuple(w[1:] for w in words)      # entry digit is the base block
         d_j = depth + N_j
 
         # k_j from the schedule at index d_j
@@ -571,21 +538,20 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
             k_j = max(int(sched.depth(d_j)), 0)
         nested_suffix = walk.digits(k_j)[1:k_j + 1]
 
-        # every parent ends at the same base digit, so one family serves all
-        suffix_lam = tuple(_relative_lam(measure, base_digit, suf) for suf in suffixes)
-        family_lam = sum(suffix_lam, Fraction(0))
-        nested_rel = _relative_lam(measure, x0_digits[0], nested_suffix)
-        lvl = StageLevel(suffixes, suffix_lam,
-                         tuple(lam / family_lam for lam in suffix_lam),
-                         nested_suffix, nested_rel, parent_lam, parent_nu,
-                         base_digit, N_j=N_j, k_j=k_j, d_j=d_j,
-                         alpha_j=float(min(suffix_lam)),
-                         beta_j=float(max(suffix_lam)),
-                         gamma_j=float(nested_rel), delta_j=float(family_lam))
+        # every parent ends at the same base digit, so one family serves all;
+        # a word's lam relative to its entry block is prod / Q^N_j
+        family_lam = total / measure.p[base_digit]
+        QN = words.Q ** N_j
+        classes = {P: (Fraction(P, QN), Fraction(P, QN) / family_lam, cnt)
+                   for (_, P), cnt in words.finals.items()}      # in first-suffix order
+        nested_rel = measure.word_mass(x0_digits[:1] + nested_suffix) / measure.p[x0_digits[0]]
+        lvl = StageLevel(words, classes, nested_suffix, nested_rel, parent_lam, parent_nu,
+                         parents, N_j, k_j, d_j, Fraction(min(classes), QN),
+                         Fraction(max(classes), QN), nested_rel, family_lam)
         stage_levels.append(lvl)
 
         depth = d_j + k_j
-        parent_lam, parent_nu = lvl.nested_lam, lvl.fine_nu
+        parent_lam, parent_nu, parents = lvl.nested_lam, lvl.fine_nu, lvl.count
         base_digit = nested_suffix[-1] if nested_suffix else x0_digits[0]
 
     stage = CantorStage(m, measure, walk.digits(max(deep, depth)), root_word, root_lam,
@@ -639,7 +605,10 @@ def frostman_exponent(stage: CantorStage, c_cap: float = 1e3,
     gamma = min(1.0, min(constraints))
     xs = np.array([p[0] for p in pairs])
     ys = np.array([p[1] for p in pairs])
-    wts = np.array([p[2] for p in pairs], dtype=float)
+    # counts scale by an even power of two, exact in floats, so the fit does
+    # not change; it is 1 unless a count is past the float range
+    shift = max(0, max(p[2] for p in pairs).bit_length() - 960) & ~1
+    wts = np.array([float(Fraction(p[2], 1 << shift)) for p in pairs])
     A = np.vstack([xs, np.ones_like(xs)]).T * np.sqrt(wts)[:, None]
     yw = ys * np.sqrt(wts)
     sol, res, _, _ = np.linalg.lstsq(A, yw, rcond=None)
@@ -654,28 +623,16 @@ def _intermediate_constraints(measure: MarkovStationaryMeasure, lvl: StageLevel,
     """Constraints from prefixes strictly between a parent and its fine
     children, where nu sums over the children sharing the prefix.
 
-    Every parent sees the same prefixes, so the family is walked once for
-    the prefixes' relative (lam, nu), which then scale by each distinct
-    parent (lam, nu).  The walk adds integers: lam scaled by the common
-    denominator of the family, reduced once per prefix."""
-    scale = math.lcm(*(lam.denominator for lam in lvl.suffix_lam))
-    by_length = [{suf: lam.numerator * (scale // lam.denominator)
-                  for suf, lam in zip(lvl.suffixes, lvl.suffix_lam)}]
-    for n in range(len(lvl.suffixes[0]) - 1, 0, -1):
-        shorter = {}                                   # prefix -> scaled lam of its children
-        for key, w in by_length[-1].items():
-            shorter[key[:n]] = shorter.get(key[:n], 0) + w
-        by_length.append(shorter)
-    total = sum(by_length[0].values())
-    lams = {(): (1, 1)}                                # prefix -> relative lam (num, den)
-    rel = {}
-    for prefixes in reversed(by_length[1:]):
-        for key, w in prefixes.items():
-            q = measure.M[key[-2] if len(key) > 1 else lvl.base_digit][key[-1]]
-            num, den = lams[key[:-1]]
-            lams[key] = num * q.numerator, den * q.denominator
-            rel[lams[key] + (w,)] = None
-    rel = [(Fraction(num, den), Fraction(w, total)) for num, den, w in rel]
+    Every parent sees the same prefixes, and a prefix's relative lam and
+    nu depend only on its state (last digit, prod), so one pass over the
+    family's prefix states gives the distinct relative (lam, nu), which
+    then scale by each distinct parent (lam, nu).  A state's summed prod is
+    the lam of its in-window completions times Q^N_j."""
+    fam = lvl.family
+    total = fam.states[0][fam.first, 1][1]
+    rel = dict.fromkeys((n, P, w) for n in range(1, fam.N)
+                        for (_, P), (_, w) in fam.states[n].items())
+    rel = [(Fraction(P, fam.Q ** n), Fraction(w, total)) for n, P, w in rel]
     return [(log_cap - log_mass(p_nu * nu)) / (-log_mass(p_lam * lam))
             for p_lam, p_nu in parents for lam, nu in rel]
 
@@ -684,10 +641,9 @@ def _intermediate_constraints(measure: MarkovStationaryMeasure, lvl: StageLevel,
 # grids and regularity probes
 
 class GridSpec:
-    """A nested family of partitions with vanishing diameters."""
-
-    def sup_block_measure(self, n: int) -> float:
-        raise NotImplementedError
+    """A nested family of partitions with vanishing diameters; its largest
+    level-n block has measure sup_ratio^(n+1)."""
+    sup_ratio: Fraction
 
 
 class IntervalSplitGrid(GridSpec):
@@ -698,10 +654,7 @@ class IntervalSplitGrid(GridSpec):
         self.split = Fraction(split)
         if not 0 < self.split < 1:
             raise DimensionError("split ratio must be in (0,1)")
-
-    def sup_block_measure(self, n: int) -> float:
-        s = max(self.split, 1 - self.split)
-        return float(s ** (n + 1))
+        self.sup_ratio = max(self.split, 1 - self.split)
 
     def leaf_containing(self, point: Fraction, n: int):
         """Leaf [lo, hi) of level n containing the point (exact descent);
@@ -735,11 +688,7 @@ class ProductSplitGrid(GridSpec):
         self.b = Fraction(b)
         self.gx = IntervalSplitGrid(self.a)
         self.gy = IntervalSplitGrid(self.b)
-
-    def sup_block_measure(self, n: int) -> float:
-        sx = max(self.a, 1 - self.a)
-        sy = max(self.b, 1 - self.b)
-        return float((sx * sy) ** (n + 1))
+        self.sup_ratio = self.gx.sup_ratio * self.gy.sup_ratio
 
 
 @dataclass
@@ -824,9 +773,10 @@ def grid_regularity_probe(grid: GridSpec, balls, levels=None) -> list:
 
 
 def _probe_level(grid: GridSpec, ball_measure: float, levels) -> int:
-    n = 0
-    while grid.sup_block_measure(n) > ball_measure:
+    n, sup = 0, grid.sup_ratio          # sup = sup_ratio^(n+1), kept exact
+    while float(sup) > ball_measure:
         n += 1
+        sup *= grid.sup_ratio
         if n > 10 ** 5:
             raise DimensionError("probe level exceeded bound")
     if levels is not None:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -486,19 +487,58 @@ def _matrix_power(M, n, D):
 
 
 # ---------------------------------------------------------------------------
-# SMB-regular cylinder families (exact enumeration)
+# SMB-regular cylinder families (counted by type)
+
+class RegularWords(Sequence):
+    """The words of one SMB-regular family in depth-first (lexicographic)
+    order, kept by type (last digit, prod) instead of listed; a word's mass
+    is p_b * prod / Q^N, with prod the product of the entries of M scaled by
+    the lcm Q of their denominators.  ``states[n]`` maps each length-n
+    prefix type to the number of words through it and their summed prod,
+    ``finals`` each end type to its number of words, in the order of their
+    first words.  Words are unranked on access; ``size`` counts them, as
+    len() fails past sys.maxsize."""
+
+    def __init__(self, scaled, first: int, Q: int, states: list, finals: dict):
+        self.scaled, self.first, self.Q, self.states = scaled, first, Q, states
+        self.N, self.finals, self.size = len(states) - 1, finals, sum(finals.values())
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> tuple:
+        return self.unrank(i)[0]
+
+    def unrank(self, i: int):
+        """(word, prod) of the i-th word."""
+        if not -self.size <= i < self.size:
+            raise IndexError("word index out of range")
+        i %= self.size
+        word, P = [self.first], 1
+        for layer in self.states[1:]:
+            for d, q in self.scaled[word[-1]]:
+                c = layer.get((d, P * q), (0,))[0]
+                if i < c:
+                    break
+                i -= c
+            word.append(d)
+            P *= q
+        return tuple(word), P
+
 
 def smb_regular_cylinders(measure: MarkovStationaryMeasure, N: int, eps: float,
                           block_from: int, block_to: int, h: Optional[float] = None):
     """Depth-N cylinders inside P_block_from mapping onto P_block_to whose
     mass lies in the SMB window (e^{-N(h+eps)}, e^{-N(h-eps)}).
 
-    Returns (words, total_mass) with exact Fraction masses.  M is scaled by
-    the lcm Q of its denominators, so a word's mass is p_b * prod / Q^N with
-    prod an integer product; the tree carries only these integers, and the
-    sum of the prods is divided once at the end.  Thresholds are compared in
-    log space with floats; the window has O(N*eps) slack so the comparisons
-    are far from the rounding scale.
+    Returns (words, total_mass): the words as a RegularWords sequence, and
+    their exact Fraction mass.  A dynamic program counts the prefixes of
+    each type (last digit, integer prod), so the cost grows with the number
+    of types, not of words (the method of types; Csiszar-Korner).  A layer
+    meets its types in the order of their first prefixes, as it walks the
+    previous layer in that order and each type's digits upwards.  End types
+    are compared with the window in log space with floats; the window has
+    O(N*eps) slack so the comparisons are far from the rounding scale.
     """
     D = len(measure.p)
     if h is None:
@@ -510,23 +550,29 @@ def smb_regular_cylinders(measure: MarkovStationaryMeasure, N: int, eps: float,
     # log mass = log prod + log p_b - N log Q, compared against the window
     shift = log_mass(pb) - N * math.log(Q)
     lo, hi = -N * (h + eps) - shift, -N * (h - eps) - shift
-    words = []
-    total = 0
-
-    def rec(word, prod):
-        if len(word) == N + 1:
-            if word[-1] == block_to and lo < math.log(prod) < hi:
-                words.append(tuple(word))
-                nonlocal total
-                total += prod
-            return
-        for d, q in scaled[word[-1]]:
-            word.append(d)
-            rec(word, prod * q)
-            word.pop()
-
-    rec([block_from], 1)
-    return words, pb * Fraction(total, Q ** N)
+    layers = [{(block_from, 1): 1}]        # prefix type -> number of prefixes
+    for _ in range(N):
+        nxt = {}
+        for (a, P), m in layers[-1].items():
+            for d, q in scaled[a]:
+                nxt[d, P * q] = nxt.get((d, P * q), 0) + m
+        layers.append(nxt)
+    finals = {(a, P): m for (a, P), m in layers.pop().items()
+              if a == block_to and lo < math.log(P) < hi}
+    states = [{s: (1, s[1]) for s in finals}]       # from the end: words, summed prod
+    for layer in reversed(layers):
+        nxt, cur = states[-1], {}
+        for a, P in layer:
+            c = w = 0
+            for d, q in scaled[a]:
+                cw = nxt.get((d, P * q))
+                if cw:
+                    c, w = c + cw[0], w + cw[1]
+            if c:
+                cur[a, P] = c, w
+        states.append(cur)
+    total = pb * Fraction(sum(m * P for (_, P), m in finals.items()), Q ** N)
+    return RegularWords(scaled, block_from, Q, states[::-1], finals), total
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,26 @@ class TestFactorizedStage:
         assert 0 < fr["gamma"] <= 1
         assert elapsed < 5
 
+    @pytest.mark.parametrize("chain, sizes", [(False, (8, 12, 100)), (True, (6, 30))])
+    def test_deep_levels_build_and_score_within_a_second(self, markov, chain, sizes):
+        # the deepest families come from word trees of 2^99 and 2^29 leaves:
+        # counted by type, never listed
+        t0 = time.perf_counter()
+        st_ = build_cantor_stage(markov if chain else DAryShift(2), (0, 1),
+                                 Schedule.radii_exp(LOG2), len(sizes), sizes)
+        assert st_.nu_level_sums() == [F(1)] * len(sizes)
+        fr = frostman_exponent(st_)
+        elapsed = time.perf_counter() - t0
+        assert 0 < fr["gamma"] <= 1
+        assert elapsed < 1
+
+    def test_rates_past_float_underflow(self):
+        st_ = build_cantor_stage(DAryShift(2), (0, 1), Schedule.depth_const(3), 2, (8, 1100))
+        assert float(st_.levels[1].alpha_j) == 0.0      # 2^-1100 underflows
+        assert st_.geometric_rates()["a"] == pytest.approx(LOG2)
+        assert st_.lambda_hypothesis_margin() > 0
+        assert frostman_exponent(st_)["blocks"] == 2 * 128 * (1 + 2 ** 1099)
+
     def test_dump_budget(self, stage, tmp_path, monkeypatch):
         from shrinktargets import dimension
         monkeypatch.setattr(dimension, "DUMP_BLOCK_BUDGET", 1000)

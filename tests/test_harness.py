@@ -558,6 +558,16 @@ class TestOutputErrors:
         assert cli.main([name, "--config", str(cfgp), "--out", str(out)]) == 2
         assert "output error: " in capsys.readouterr().err
 
+    def test_deep_cantor_level_reports_and_dump_is_refused(self, tmp_path, capsys):
+        # level 2 holds 2^76 blocks: more than len() can return and than
+        # the dump budget allows
+        doc = {**FUZZ_CONFIGS["cantor"], "params": {"levels": 2, "level_sizes": [8, 70]}}
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(doc))
+        assert cli.main(["cantor", "--config", str(cfgp)]) == 0
+        assert cli.main(["cantor", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
+        assert "dump budget" in capsys.readouterr().err
+
     @pytest.mark.parametrize("change", [
         {"records": 3}, {"records": [3]}, {"summary": []}, {"config": 3},
         {"verdicts": []}, {"summary": {"value": None}},

@@ -1,9 +1,12 @@
+import collections
 import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shrinktargets import (
     MarkovLinear,
@@ -348,8 +351,8 @@ class TestSMBIntegerEnumeration:
         for eps in (0.3, 0.35):
             for b1 in (0, 1):
                 for b2 in (0, 1):
-                    assert smb_regular_cylinders(mu, 14, eps, b1, b2) == \
-                        _smb_fraction_oracle(mu, 14, eps, b1, b2)
+                    words, total = smb_regular_cylinders(mu, 14, eps, b1, b2)
+                    assert (list(words), total) == _smb_fraction_oracle(mu, 14, eps, b1, b2)
 
     def test_markov_families_equal_fraction_oracle(self, markov_measure, golden_markov):
         golden = MarkovStationaryMeasure(golden_markov.p, golden_markov.M)
@@ -360,8 +363,41 @@ class TestSMBIntegerEnumeration:
             for eps in (0.05, 0.3):
                 for b1 in range(len(mu.p)):
                     for b2 in range(len(mu.p)):
-                        assert smb_regular_cylinders(mu, N, eps, b1, b2) == \
-                            _smb_fraction_oracle(mu, N, eps, b1, b2)
+                        words, total = smb_regular_cylinders(mu, N, eps, b1, b2)
+                        assert (list(words), total) == _smb_fraction_oracle(mu, N, eps, b1, b2)
+
+
+@st.composite
+def _small_chain_families(draw):
+    """A stationary chain on D in {2, 3} digits whose rows have denominators
+    <= 6, with a family's N <= 10, epsilon and entry and exit blocks."""
+    D = draw(st.sampled_from([2, 3]))
+    M = []
+    for _ in range(D):
+        den = draw(st.integers(1, 6))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=D - 1, max_size=D - 1)))
+        M.append([F(b - a, den) for a, b in zip([0] + cuts, cuts + [den])])
+    try:
+        mu = MarkovStationaryMeasure(stationary_vector(M), M)
+    except MeasureError:
+        assume(False)          # not primitive: no strictly positive stationary vector
+    return (mu, draw(st.integers(1, 10)), draw(st.floats(0, 1)),
+            draw(st.integers(0, D - 1)), draw(st.integers(0, D - 1)))
+
+
+class TestSMBTypeCounting:
+    @given(_small_chain_families())
+    @settings(max_examples=100, deadline=None)
+    def test_words_order_and_total_equal_fraction_oracle(self, family):
+        mu, N, eps, b1, b2 = family
+        words, total = smb_regular_cylinders(mu, N, eps, b1, b2)
+        oracle = _smb_fraction_oracle(mu, N, eps, b1, b2)
+        assert (list(words), total) == oracle       # list() unranks each index
+
+    def test_end_states_in_first_word_order(self, markov_measure):
+        words, _ = smb_regular_cylinders(markov_measure, 11, 0.3, 0, 1)
+        counts = collections.Counter(words.unrank(i)[1] for i in range(words.size))
+        assert [(P, m) for (_, P), m in words.finals.items()] == list(counts.items())
 
 
 def _chain_oracle(m, rng, length):
