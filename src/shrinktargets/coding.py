@@ -301,18 +301,24 @@ def refine_schedule_to_depths(m: MapModel, x0, radii) -> list:
     non-decreasing depths, and the scan exploits that.
     """
     target = Target.of(m, x0)
-    x = None if target.value is None else Fraction(target.value)
-    balls = {}      # t -> reach of P(t) from x0, or its (midpoint, half length)
+    bounds = target.walk().bounds
+    if target.value is None:
+        balls = {}      # t -> (midpoint, half length) of P(t)
 
-    def inside(t, r):
-        if t not in balls:
-            left, right = target.walk().bounds(t)
-            balls[t] = ((left + right) / 2, (right - left) / 2) if x is None \
-                else max(right - x, x - left)
-        if x is not None:
-            return balls[t] <= r
-        mid, half = balls[t]
-        return ball_holds(target.bracket, lambda k: (mid, mid), r - half, t + 8)
+        def inside(t, r):
+            if t not in balls:
+                left, right = bounds(t)
+                balls[t] = (left + right) / 2, (right - left) / 2
+            mid, half = balls[t]
+            return ball_holds(target.bracket, lambda k: (mid, mid), r - half, t + 8)
+    else:
+        x, reach = target.bracket(0)[0], {}     # t -> max(right - x0, x0 - left) over P(t)
+
+        def inside(t, r):
+            if t not in reach:
+                left, right = bounds(t)
+                reach[t] = max(right - x, x - left)
+            return reach[t] <= r
 
     out, t, prev_r = [], 0, None
     for r in radii:

@@ -275,11 +275,10 @@ class StageLevel:
     ends at the family's entry digit, so all parents share one family of
     fine blocks (J~): block i is the parent i // F followed by
     ``family[i % F]`` without its entry digit, and its lambda and nu are the
-    parent's times that suffix's factors, kept per mass class.  Each fine
+    parent's times that suffix's factors in ``family.classes``.  Each fine
     block has one nested child (J) that appends the target's digits.  The
     ``fine_*`` and ``nested_lam`` views index blocks in that order."""
     family: RegularWords         # the SMB-regular return words, entry digit first
-    classes: dict                # prod -> (lam(J~)/lam(parent), nu(J~)/nu(parent), count)
     nested_suffix: tuple         # shared x0-digit suffix appended to each fine block
     nested_rel: Fraction         # lam(J)/lam(J~)
     parent_lam: Sequence         # lam of each parent block
@@ -303,7 +302,7 @@ class StageLevel:
 
     def _rel(self, s: int) -> tuple:
         """(lam, nu) of suffix s relative to its parent."""
-        return self.classes[self.family.unrank(s)[1]][:2]
+        return self.family.classes[self.family.unrank(s)[1]][:2]
 
     @property
     def fine_parent(self):
@@ -360,7 +359,8 @@ class CantorStage:
         block order."""
         lvl = self.levels[j]
         tail, rel = (lvl.nested_suffix, lvl.nested_rel) if kind == "nested" else ((), 1)
-        family = [(word[1:] + tail, lvl.classes[P][0] * rel, lvl.classes[P][1])
+        classes = lvl.family.classes
+        family = [(word[1:] + tail, classes[P][0] * rel, classes[P][1])
                   for word, P in map(lvl.family.unrank, range(lvl.family.size))]
         parents = self.iter_blocks(j - 1, "nested") if j else \
             [(self.root_word, self.root_lam, Fraction(1))]
@@ -383,7 +383,7 @@ class CantorStage:
         for lvl in self.levels:
             merged = {}
             for p_lam, p_nu, p_cnt in parents:
-                for s_lam, s_nu, s_cnt in lvl.classes.values():
+                for s_lam, s_nu, s_cnt in lvl.family.classes.values():
                     key = (p_lam * s_lam, p_nu * s_nu)
                     merged[key] = merged.get(key, 0) + p_cnt * s_cnt
             out.append([(lam, lam * lvl.nested_rel, nu, cnt)
@@ -405,8 +405,7 @@ class CantorStage:
         exact words and shared per level."""
         bad = 0
         for lvl in self.levels:
-            # each suffix digit against the admissible digits after the one
-            # before it; the suffix follows the target's first digit
+            # each suffix digit against the digits admissible after its predecessor
             prevs = self.x0_digits[:1] + lvl.nested_suffix
             ends = [(d == min(t), d == max(t)) for d, t in
                     zip(lvl.nested_suffix, map(self.map.branch_targets, prevs))]
@@ -437,10 +436,7 @@ class CantorStage:
         at the deepest built level."""
         out = math.inf
         for j in range(len(self.levels)):
-            lhs = 0.0
-            for i in range(j + 1):
-                lvl = self.levels[i]
-                lhs += log_mass(lvl.beta_j) - log_mass(lvl.delta_j)
+            lhs = sum(log_mass(lvl.beta_j) - log_mass(lvl.delta_j) for lvl in self.levels[:j + 1])
             lhs -= log_mass(self.levels[min(j + 1, len(self.levels) - 1)].delta_j)
             rhs_log = sum(log_mass(self.levels[i].alpha_j) + log_mass(self.levels[i].gamma_j)
                           for i in range(j + 1))
@@ -490,9 +486,8 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     onto P(0, x0); each fine block gains one nested child by appending
     x0's digits to depth k_j, where k_j is the refine depth for r_{d_j}
     (radii schedules) or t_{d_j} (depth schedules).  The mass nu splits
-    proportionally to lambda within each admissible family.  A level
-    stores its family once, so the cost is the sum of the family sizes,
-    not their product.
+    proportionally to lambda within each admissible family.  A level keeps
+    its family by type, so the cost grows with the types, not the blocks.
     """
     if not isinstance(m, (DAryShift, MarkovLinear)):
         raise DimensionError("stage construction needs a finite-alphabet linear map")
@@ -501,8 +496,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     if levels < 1 or levels > 6:
         raise DimensionError("levels must be between 1 and 6")
     measure = (MarkovStationaryMeasure.bernoulli([Fraction(1, m.D)] * m.D)
-               if isinstance(m, DAryShift)
-               else MarkovStationaryMeasure(m.p, m.M))
+               if isinstance(m, DAryShift) else MarkovStationaryMeasure(m.p, m.M))
     target = Target.of(m, target)
     walk = target.walk()
     deep = sum(int(n) for n in level_sizes) * 4 + 64
@@ -510,7 +504,6 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
 
     root_word = (x0_digits[0],) if root_depth == 0 else tuple(x0_digits[:root_depth + 1])
     root_lam = measure.word_mass(root_word)
-    h = None
 
     stage_levels = []
     depth = len(root_word) - 1           # current nested depth d_{j-1} + k_{j-1}
@@ -521,8 +514,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
         if N_j < 2:
             raise StageConstructionError(
                 f"level {j}: size {N_j} too small for the regularity window")
-        words, total = smb_regular_cylinders(
-            measure, N_j, epsilon, base_digit, x0_digits[0], h)
+        words, _ = smb_regular_cylinders(measure, N_j, epsilon, base_digit, x0_digits[0])
         if not words.size:
             raise StageConstructionError(
                 f"level {j}: SMB regularity window empty at N_j={N_j} "
@@ -538,16 +530,12 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
             k_j = max(int(sched.depth(d_j)), 0)
         nested_suffix = walk.digits(k_j)[1:k_j + 1]
 
-        # every parent ends at the same base digit, so one family serves all;
-        # a word's lam relative to its entry block is prod / Q^N_j
-        family_lam = total / measure.p[base_digit]
-        QN = words.Q ** N_j
-        classes = {P: (Fraction(P, QN), Fraction(P, QN) / family_lam, cnt)
-                   for (_, P), cnt in words.finals.items()}      # in first-suffix order
+        # every parent ends at the same base digit, so one family serves all
+        lams = [lam for lam, _, _ in words.classes.values()]
         nested_rel = measure.word_mass(x0_digits[:1] + nested_suffix) / measure.p[x0_digits[0]]
-        lvl = StageLevel(words, classes, nested_suffix, nested_rel, parent_lam, parent_nu,
-                         parents, N_j, k_j, d_j, Fraction(min(classes), QN),
-                         Fraction(max(classes), QN), nested_rel, family_lam)
+        lvl = StageLevel(words, nested_suffix, nested_rel, parent_lam, parent_nu, parents,
+                         N_j=N_j, k_j=k_j, d_j=d_j, alpha_j=min(lams), beta_j=max(lams),
+                         gamma_j=nested_rel, delta_j=words.mass)
         stage_levels.append(lvl)
 
         depth = d_j + k_j
@@ -598,15 +586,13 @@ def frostman_exponent(stage: CantorStage, c_cap: float = 1e3,
     if include_intermediate:
         parents = [(stage.root_lam, Fraction(1))]
         for lvl, level_classes in zip(stage.levels, classes):
-            constraints.extend(_intermediate_constraints(stage.measure, lvl,
-                                                         parents, log_cap))
+            constraints.extend(_intermediate_constraints(lvl, parents, log_cap))
             parents = [(lam_n, nu) for _, lam_n, nu, _ in level_classes]
 
     gamma = min(1.0, min(constraints))
     xs = np.array([p[0] for p in pairs])
     ys = np.array([p[1] for p in pairs])
-    # counts scale by an even power of two, exact in floats, so the fit does
-    # not change; it is 1 unless a count is past the float range
+    # counts scale by an even power of two (1 within the float range): exact, same fit
     shift = max(0, max(p[2] for p in pairs).bit_length() - 960) & ~1
     wts = np.array([float(Fraction(p[2], 1 << shift)) for p in pairs])
     A = np.vstack([xs, np.ones_like(xs)]).T * np.sqrt(wts)[:, None]
@@ -618,23 +604,12 @@ def frostman_exponent(stage: CantorStage, c_cap: float = 1e3,
             "regression_slope": slope, "regression_rms_residual": resid}
 
 
-def _intermediate_constraints(measure: MarkovStationaryMeasure, lvl: StageLevel,
-                              parents, log_cap: float):
+def _intermediate_constraints(lvl: StageLevel, parents, log_cap: float):
     """Constraints from prefixes strictly between a parent and its fine
-    children, where nu sums over the children sharing the prefix.
-
-    Every parent sees the same prefixes, and a prefix's relative lam and
-    nu depend only on its state (last digit, prod), so one pass over the
-    family's prefix states gives the distinct relative (lam, nu), which
-    then scale by each distinct parent (lam, nu).  A state's summed prod is
-    the lam of its in-window completions times Q^N_j."""
-    fam = lvl.family
-    total = fam.states[0][fam.first, 1][1]
-    rel = dict.fromkeys((n, P, w) for n in range(1, fam.N)
-                        for (_, P), (_, w) in fam.states[n].items())
-    rel = [(Fraction(P, fam.Q ** n), Fraction(w, total)) for n, P, w in rel]
+    children (nu sums over the children sharing the prefix): the family's
+    distinct prefix classes scaled by each distinct parent (lam, nu)."""
     return [(log_cap - log_mass(p_nu * nu)) / (-log_mass(p_lam * lam))
-            for p_lam, p_nu in parents for lam, nu in rel]
+            for lam, nu in lvl.family.prefix_classes() for p_lam, p_nu in parents]
 
 
 # ---------------------------------------------------------------------------

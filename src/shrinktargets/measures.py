@@ -13,6 +13,7 @@ import hashlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -502,12 +503,33 @@ class RegularWords(Sequence):
     def __init__(self, scaled, first: int, Q: int, states: list, finals: dict):
         self.scaled, self.first, self.Q, self.states = scaled, first, Q, states
         self.N, self.finals, self.size = len(states) - 1, finals, sum(finals.values())
+        self.prod_sum = sum(m * P for (_, P), m in finals.items())
+        self.mass = Fraction(self.prod_sum, Q ** self.N)    # relative to the entry block
 
     def __len__(self) -> int:
         return self.size
 
-    def __getitem__(self, i: int) -> tuple:
+    def __bool__(self) -> bool:
+        return self.size > 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self.unrank(k)[0] for k in range(self.size)[i]]
         return self.unrank(i)[0]
+
+    @cached_property
+    def classes(self) -> dict:
+        """prod -> (lam, share, count) per end type in first-word order: a
+        word's mass relative to the entry block, and its share of ``mass``."""
+        return {P: (Fraction(P, self.Q ** self.N), Fraction(P, self.prod_sum), m)
+                for (_, P), m in self.finals.items()}
+
+    def prefix_classes(self) -> list:
+        """Distinct (lam, share) of the prefix types of lengths 1..N-1, as in
+        ``classes``; a prefix's share is that of the words through it."""
+        seen = dict.fromkeys((n, P, w) for n in range(1, self.N)
+                             for (_, P), (_, w) in self.states[n].items())
+        return [(Fraction(P, self.Q ** n), Fraction(w, self.prod_sum)) for n, P, w in seen]
 
     def unrank(self, i: int):
         """(word, prod) of the i-th word."""
@@ -531,14 +553,12 @@ def smb_regular_cylinders(measure: MarkovStationaryMeasure, N: int, eps: float,
     """Depth-N cylinders inside P_block_from mapping onto P_block_to whose
     mass lies in the SMB window (e^{-N(h+eps)}, e^{-N(h-eps)}).
 
-    Returns (words, total_mass): the words as a RegularWords sequence, and
-    their exact Fraction mass.  A dynamic program counts the prefixes of
-    each type (last digit, integer prod), so the cost grows with the number
-    of types, not of words (the method of types; Csiszar-Korner).  A layer
-    meets its types in the order of their first prefixes, as it walks the
-    previous layer in that order and each type's digits upwards.  End types
-    are compared with the window in log space with floats; the window has
-    O(N*eps) slack so the comparisons are far from the rounding scale.
+    Returns (words, total_mass): a RegularWords sequence and their exact
+    mass.  A dynamic program counts the prefixes of each type (last digit,
+    integer prod), so the cost grows with the types, not the words (method
+    of types, Csiszar-Korner).  Walking the previous layer in order, digits
+    upwards, a layer meets types in first-prefix order.  End types meet the
+    window in float logs; its O(N*eps) slack dwarfs their rounding.
     """
     D = len(measure.p)
     if h is None:
@@ -571,8 +591,8 @@ def smb_regular_cylinders(measure: MarkovStationaryMeasure, N: int, eps: float,
             if c:
                 cur[a, P] = c, w
         states.append(cur)
-    total = pb * Fraction(sum(m * P for (_, P), m in finals.items()), Q ** N)
-    return RegularWords(scaled, block_from, Q, states[::-1], finals), total
+    words = RegularWords(scaled, block_from, Q, states[::-1], finals)
+    return words, pb * words.mass
 
 
 # ---------------------------------------------------------------------------

@@ -387,8 +387,7 @@ class TestFactorizedStage:
         # every intermediate constraint, not only the binding one
         parents, factorized = [(st_.root_lam, F(1))], set()
         for lvl, level_classes in zip(st_.levels, classes):
-            factorized.update(_intermediate_constraints(st_.measure, lvl, parents,
-                                                        math.log(1e3)))
+            factorized.update(_intermediate_constraints(lvl, parents, math.log(1e3)))
             parents = [(lam_n, nu) for _, lam_n, nu, _ in level_classes]
         assert factorized == inter
 

@@ -393,11 +393,24 @@ class TestSMBTypeCounting:
         words, total = smb_regular_cylinders(mu, N, eps, b1, b2)
         oracle = _smb_fraction_oracle(mu, N, eps, b1, b2)
         assert (list(words), total) == oracle       # list() unranks each index
+        assert words[1::3] == oracle[0][1::3] and words[-2:] == oracle[0][-2:]
 
     def test_end_states_in_first_word_order(self, markov_measure):
         words, _ = smb_regular_cylinders(markov_measure, 11, 0.3, 0, 1)
         counts = collections.Counter(words.unrank(i)[1] for i in range(words.size))
         assert [(P, m) for (_, P), m in words.finals.items()] == list(counts.items())
+        lam = [words.classes[P][0] for P in counts]
+        assert sum(cnt * x for cnt, x in zip(counts.values(), lam)) == words.mass
+        assert sum(cnt * words.classes[P][1] for P, cnt in counts.items()) == 1
+
+    def test_family_past_sys_maxsize_indexes_without_len(self):
+        words, total = smb_regular_cylinders(
+            MarkovStationaryMeasure.bernoulli([F(1, 2)] * 2), 70, 0.3, 0, 0)
+        assert words.size == 2 ** 69 and total == F(1, 4) and words
+        assert words[-1] == (0,) + (1,) * 69 + (0,)
+        assert words[:2] == [(0,) * 71, (0,) * 69 + (1, 0)]
+        with pytest.raises(OverflowError):
+            len(words)
 
 
 def _chain_oracle(m, rng, length):

@@ -2,13 +2,14 @@
 
 Run from the root of a checkout:
 
-    python3 tools/bench_json.py --pr N [--seed 1] [--seconds 15]
+    python3 tools/bench_json.py --pr N
 
-For each workload in BENCHMARK.json it runs perfbench/run.py twice, with
---trace 0 (end-to-end metrics) and with --trace 1 (per-layer metrics), and
-records both metric sets, the failed and attempted operation counts of each
-run and the machine that run.py reports.  The runs are sequential, one
-worker process at a time, as run.py starts them.
+For each workload in BENCHMARK.json it runs perfbench/run.py twice, for the
+file's run_seconds at seed SEED, with --trace 0 (end-to-end metrics) and
+with --trace 1 (per-layer metrics), and records both metric sets, the
+failed and attempted operation counts of each run and the machine that
+run.py reports.  The runs are sequential, one worker process at a time, as
+run.py starts them.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ import subprocess
 import sys
 
 MACHINE = "# machine "
+SEED = 1
 
 
-def run_bench(workload: str, seed: int, seconds: float, trace: int):
+def run_bench(workload: str, seconds: float, trace: int):
     """(result, machine) of one perfbench run: its last stdout line is the
     JSON result, and the line starting with MACHINE describes the host."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited with {proc.returncode}:\n{proc.stderr}")
@@ -37,17 +39,16 @@ def run_bench(workload: str, seed: int, seconds: float, trace: int):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="number in the file name")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=15)
     args = ap.parse_args(argv)
 
     with open("BENCHMARK.json") as fh:
         spec = json.load(fh)
-    doc = {"seed": args.seed, "seconds": args.seconds, "workloads": {}}
+    seconds = spec["run_seconds"]
+    doc = {"seed": SEED, "seconds": seconds, "workloads": {}}
     for w in spec["workloads"]:
         runs = {}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            res, doc["machine"] = run_bench(w["name"], args.seed, args.seconds, trace)
+            res, doc["machine"] = run_bench(w["name"], seconds, trace)
             runs[key] = res["metrics"]
             runs[f"{key}_ops"] = {k: res[k] for k in ("correct", "attempted", "failed")}
         doc["workloads"][w["name"]] = runs
