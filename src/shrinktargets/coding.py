@@ -3,10 +3,8 @@
 A depth-n cylinder is the set of points whose first n+1 digits agree with a
 given word.  One PrefixWalk yields the cylinders of every prefix of a word,
 adding one factor per digit, and every cylinder in the package comes from
-such a walk.  Endpoints are exact rationals for DAryShift, MarkovLinear and
-GaussMap.  Gauss endpoints grow exponentially, so beyond depth
-EXACT_DEPTH_CAP they are rounded to PRECISION_BITS bits and the cylinder is
-marked inexact.
+such a walk.  Endpoints are exact rationals at every depth for DAryShift,
+MarkovLinear and GaussMap; Blaschke endpoints are floats, marked inexact.
 """
 
 from __future__ import annotations
@@ -19,9 +17,6 @@ from itertools import count, cycle, islice
 from typing import Optional, Sequence
 
 from .maps import BoundaryHit, GaussMap, InadmissibleDigit, MapError, MapModel
-
-EXACT_DEPTH_CAP = 64
-PRECISION_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,7 @@ class PrefixWalk:
         self._seeded = seeded
         self._exact = hasattr(m, "branch_affine") or isinstance(m, GaussMap)
         self._mats = []         # composed branches per depth
-        self._ends = {}         # depth -> (left, right, precision bits or None)
+        self._ends = {}         # depth -> (left, right)
         self._failed = None
 
     def _read(self, t: int):
@@ -110,7 +105,7 @@ class PrefixWalk:
                 if not word:
                     if self._seeded:
                         c = cylinder_from_word(m, (d,))
-                        self._ends[0] = (c.left, c.right, c.precision_bits)
+                        self._ends[0] = (c.left, c.right)
                     self._mats.append((1, 0, 0, 1))
                 elif not m.admissible(word[-1], d):
                     raise InadmissibleDigit(
@@ -133,8 +128,8 @@ class PrefixWalk:
         L = math.lcm(A.denominator, B.denominator)
         return B.numerator * (L // B.denominator), A.numerator * (L // A.denominator), 0, L
 
-    def _endpoints(self, t: int):
-        """(left, right, precision bits or None) of P(t), computed once."""
+    def bounds(self, t: int):
+        """(left, right) of the depth-t cylinder, computed once."""
         if t not in self._ends:
             self._read(t)
             m, (lo, hi) = self.map, self.map.block_interval(self.word[t])
@@ -142,29 +137,22 @@ class PrefixWalk:
                 a, b, c, d = self._mats[t]
                 lo, hi = sorted(Fraction(a * e.numerator + b * e.denominator,
                                          c * e.numerator + d * e.denominator) for e in (lo, hi))
-                bits = PRECISION_BITS if isinstance(m, GaussMap) and t > EXACT_DEPTH_CAP else None
-                if bits:
-                    lo, hi = (Fraction(round(e * (1 << bits)), 1 << bits) for e in (lo, hi))
             else:
                 for d in reversed(self.word[:t]):
                     a, b = m.inverse_branch(d, lo), m.inverse_branch(d, hi)
                     lo, hi = (a, b) if a <= b else (b, a)
-                lo, hi, bits = Fraction(float(lo)), Fraction(float(hi)), 53
-            self._ends[t] = lo, hi, bits
+                lo, hi = Fraction(float(lo)), Fraction(float(hi))
+            self._ends[t] = lo, hi
         return self._ends[t]
 
     def digits(self, n: int) -> tuple:
         self._read(n)
         return tuple(self.word[:n + 1])
 
-    def bounds(self, t: int):
-        """(left, right) of the depth-t cylinder."""
-        return self._endpoints(t)[:2]
-
     def cylinder(self, t: int) -> Cylinder:
-        lo, hi, bits = self._endpoints(t)
+        lo, hi = self.bounds(t)
         return Cylinder(tuple(self.word[:t + 1]), lo, hi, self.map.key(),
-                        exact=bits is None, precision_bits=bits)
+                        exact=self._exact, precision_bits=None if self._exact else 53)
 
 
 def cylinder_from_word(m: MapModel, word: Sequence[int]) -> Cylinder:

@@ -276,13 +276,10 @@ class StageLevel:
     fine blocks (J~): block i is the parent i // F followed by
     ``family[i % F]`` without its entry digit, and its lambda and nu are the
     parent's times that suffix's factors in ``family.classes``.  Each fine
-    block has one nested child (J) that appends the target's digits.  The
-    ``fine_*`` and ``nested_lam`` views index blocks in that order."""
+    block has one nested child (J) that appends the target's digits."""
     family: RegularWords         # the SMB-regular return words, entry digit first
     nested_suffix: tuple         # shared x0-digit suffix appended to each fine block
     nested_rel: Fraction         # lam(J)/lam(J~)
-    parent_lam: Sequence         # lam of each parent block
-    parent_nu: Sequence          # nu of each parent block
     parents: int = 1             # number of parent blocks
     N_j: int = 0
     k_j: int = 0
@@ -296,34 +293,11 @@ class StageLevel:
     def count(self) -> int:
         return self.parents * self.family.size
 
-    def _view(self, item) -> _BlockView:
-        F = self.family.size
-        return _BlockView(self.count, lambda i: item(*divmod(i, F)))
-
-    def _rel(self, s: int) -> tuple:
-        """(lam, nu) of suffix s relative to its parent."""
-        return self.family.classes[self.family.unrank(s)[1]][:2]
-
-    @property
-    def fine_parent(self):
-        return self._view(lambda p, s: p)
-
     @property
     def fine_suffix(self):
-        return self._view(lambda p, s: self.family[s][1:])
-
-    @property
-    def fine_lam(self):
-        return self._view(lambda p, s: self.parent_lam[p] * self._rel(s)[0])
-
-    @property
-    def fine_nu(self):
-        return self._view(lambda p, s: self.parent_nu[p] * self._rel(s)[1])
-
-    @property
-    def nested_lam(self):
-        return self._view(lambda p, s: self.parent_lam[p] * self._rel(s)[0]
-                          * self.nested_rel)
+        """Per fine block, its suffix past the parent (block order)."""
+        F = self.family.size
+        return _BlockView(self.count, lambda i: self.family[i % F][1:])
 
 
 @dataclass
@@ -339,21 +313,6 @@ class CantorStage:
     notes: dict = field(default_factory=dict)
 
     # -- iteration ------------------------------------------------------
-    def fine_word(self, j: int, i: int) -> tuple:
-        """Full digit word of the i-th fine block of ``levels[j]``."""
-        parts = []
-        for k in range(j, -1, -1):
-            lvl = self.levels[k]
-            i, s = divmod(i, lvl.family.size)
-            if k < j:
-                parts.append(lvl.nested_suffix)
-            parts.append(lvl.family[s][1:])
-        parts.append(self.root_word)
-        return tuple(d for p in reversed(parts) for d in p)
-
-    def nested_word(self, j: int, i: int) -> tuple:
-        return self.fine_word(j, i) + self.levels[j].nested_suffix
-
     def iter_blocks(self, j: int, kind: str = "fine"):
         """(word, lam, nu) of the fine or nested blocks of ``levels[j]`` in
         block order."""
@@ -507,7 +466,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
 
     stage_levels = []
     depth = len(root_word) - 1           # current nested depth d_{j-1} + k_{j-1}
-    parent_lam, parent_nu, parents = (root_lam,), (Fraction(1),), 1
+    parents = 1
     base_digit = root_word[-1]           # block the next family must start from
 
     for j, N_j in enumerate([int(n) for n in level_sizes], start=1):
@@ -533,13 +492,13 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
         # every parent ends at the same base digit, so one family serves all
         lams = [lam for lam, _, _ in words.classes.values()]
         nested_rel = measure.word_mass(x0_digits[:1] + nested_suffix) / measure.p[x0_digits[0]]
-        lvl = StageLevel(words, nested_suffix, nested_rel, parent_lam, parent_nu, parents,
+        lvl = StageLevel(words, nested_suffix, nested_rel, parents,
                          N_j=N_j, k_j=k_j, d_j=d_j, alpha_j=min(lams), beta_j=max(lams),
                          gamma_j=nested_rel, delta_j=words.mass)
         stage_levels.append(lvl)
 
         depth = d_j + k_j
-        parent_lam, parent_nu, parents = lvl.nested_lam, lvl.fine_nu, lvl.count
+        parents = lvl.count
         base_digit = nested_suffix[-1] if nested_suffix else x0_digits[0]
 
     stage = CantorStage(m, measure, walk.digits(max(deep, depth)), root_word, root_lam,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -107,8 +108,11 @@ class GaussMeasure(InvariantMeasure):
 
     def log_interval_mass(self, a, b) -> float:
         """log mu([a,b]) computed stably for very short intervals."""
-        t = float(Fraction(b - a) / (1 + Fraction(a)))
-        return math.log(math.log1p(t)) - math.log(LOG2)
+        t = Fraction(b - a) / (1 + Fraction(a))
+        # below the normal floats log1p(t) = t, and t keeps its exact log
+        tf = float(t)
+        log_t = math.log(math.log1p(tf)) if tf >= sys.float_info.min else log_mass(t)
+        return log_t - math.log(LOG2)
 
     def density_bounds(self):
         return 1 / (2 * LOG2), 1 / LOG2

@@ -67,6 +67,17 @@ SCHEDULE_KINDS = {
 }
 
 
+def _floor_log(n: np.ndarray, base) -> np.ndarray:
+    """floor(log_base n) of integers n >= 1.  The float quotient of logs can
+    fall just below an integer at an exact power of the base, so an integer
+    base counts its exact powers up to n instead."""
+    if float(base).is_integer():
+        b, top = int(base), int(n.max())
+        powers = [b ** k for k in range(1, top.bit_length() + 1) if b ** k <= top]
+        return np.searchsorted(np.asarray(powers, dtype=np.int64), n, side="right")
+    return np.floor(np.log(n) / math.log(base)).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """A radii sequence {r_n} or digit-depth sequence {t_n}.
@@ -155,7 +166,7 @@ class Schedule:
         if self.is_radii:
             raise ScheduleError("not a depth schedule")
         if self.kind == "depth_log_floor":
-            return int(math.floor(math.log(n, self.params["base"]))) if n > 1 else 0
+            return int(_floor_log(np.array([max(n, 1)]), self.params["base"])[0])
         if self.kind == "depth_power_floor":
             return int(math.floor(n ** self.params["kappa"]))
         if self.kind == "depth_const":
@@ -164,12 +175,9 @@ class Schedule:
         return tab[min(n - 1, len(tab) - 1)]
 
     def depths_array(self, N: int) -> np.ndarray:
-        n = np.arange(1, N + 1, dtype=float)
         if self.kind == "depth_log_floor":
-            with np.errstate(divide="ignore"):
-                t = np.floor(np.log(n) / math.log(self.params["base"]))
-            t[0] = 0
-            return t.astype(np.int64)
+            return _floor_log(np.arange(1, N + 1), self.params["base"])
+        n = np.arange(1, N + 1, dtype=float)
         if self.kind == "depth_power_floor":
             return np.floor(n ** self.params["kappa"]).astype(np.int64)
         if self.kind == "depth_const":
@@ -301,14 +309,15 @@ def target_mass_rates(sched: Schedule, m: MapModel, measure: InvariantMeasure,
     """Exponential rates L of the target cylinder masses along a depth
     schedule: L = (1/n) log(1/mu(P(t_n, x0))), sampled at the grid and
     reported as (max, min) over the tail; exact closed form L = w * rate
-    for uniform-mass words."""
+    for uniform-mass words.  A sample past target depth 200 is refused."""
     if sched.is_radii:
         raise ScheduleError("mass rates apply to depth schedules")
     vals = []
     for n in n_grid:
         t = sched.depth(n)
-        word = target.digits(min(t, 200))
-        vals.append(-log_mass(measure.cylinder_mass(m, word)) / n)
+        if t > 200:
+            raise ScheduleError(f"mass rate at n = {n} needs target depth {t} > 200")
+        vals.append(-log_mass(measure.cylinder_mass(m, target.digits(t))) / n)
     out = {"L_bar": max(vals), "L_lower": min(vals), "samples": vals}
     if isinstance(m, DAryShift):
         r = sched.rates()

@@ -22,7 +22,7 @@ from shrinktargets import (
     refine_depth,
     refine_schedule_to_depths,
 )
-from shrinktargets.coding import EXACT_DEPTH_CAP, PRECISION_BITS, PrefixWalk, ball_holds
+from shrinktargets.coding import PrefixWalk, ball_holds
 
 
 class TestItinerary:
@@ -93,13 +93,6 @@ class TestCylinderFromWord:
         c = cylinder_from_word(dary2, (0, 1))
         rec = json.loads(c.dumps())
         assert rec == {"word": [0, 1], "left": "1/4", "right": "1/2", "depth": 1}
-
-    def test_gauss_depth_cap_metadata(self, gauss):
-        word = tuple([1, 2] * 40)[:EXACT_DEPTH_CAP + 4]
-        c = cylinder_from_word(gauss, word)
-        assert not c.exact and c.precision_bits == 256
-        shallow = cylinder_from_word(gauss, word[:40])
-        assert shallow.exact
 
 
 class TestPartitionStructure:
@@ -250,10 +243,6 @@ def _oracle_cylinder(m, word):
     if not (isinstance(lo, F) and isinstance(hi, F)):
         return Cylinder(word, F(float(lo)), F(float(hi)), m.key(), exact=False,
                         precision_bits=53)
-    if isinstance(m, GaussMap) and len(word) - 1 > EXACT_DEPTH_CAP:
-        s = 1 << PRECISION_BITS
-        return Cylinder(word, F(round(lo * s), s), F(round(hi * s), s), m.key(),
-                        exact=False, precision_bits=PRECISION_BITS)
     return Cylinder(word, lo, hi, m.key())
 
 
@@ -320,7 +309,7 @@ class TestPrefixWalk:
              "golden": golden_markov, "zero-diagonal": zero_diagonal, "gauss": gauss,
              "blaschke": blaschke_two}[case]
         if case == "gauss":
-            # past EXACT_DEPTH_CAP the endpoints are rounded and marked inexact
+            # deep words: the endpoints stay exact at every depth
             words = [tuple(int(d) for d in rng.integers(1, 41, size=n)) for n in (66, 80, 90)]
         elif case == "blaschke":
             words = [_admissible_word(m, rng, 12)]
@@ -333,8 +322,6 @@ class TestPrefixWalk:
                 assert walk.cylinder(t) == want
                 assert walk.bounds(t) == (want.left, want.right)
                 assert cylinder_from_word(m, word[:t + 1]) == want
-        if case == "gauss":
-            assert not walk.cylinder(EXACT_DEPTH_CAP + 1).exact
 
     def test_digits_are_read_lazily(self, gauss):
         def digits():

@@ -1,4 +1,3 @@
-import itertools
 import math
 import time
 from fractions import Fraction as F
@@ -193,6 +192,10 @@ class TestCantorStage:
         assert [len(l.fine_suffix) for l in stage.levels] == [128, 262144]
         assert [l.N_j for l in stage.levels] == [8, 12]
         assert [l.d_j for l in stage.levels] == [8, 27]
+        lvl = stage.levels[1]
+        assert lvl.fine_suffix[-1] == lvl.fine_suffix[lvl.count - 1]
+        with pytest.raises(IndexError):
+            lvl.fine_suffix[lvl.count]
 
     def test_nu_is_probability_each_level(self, stage):
         assert stage.nu_level_sums() == [F(1), F(1)]
@@ -201,13 +204,19 @@ class TestCantorStage:
         assert stage.nesting_violations() == 0
 
     def test_level_ratio_bounds(self, stage):
+        # the children of the first two parents of each level, block by block
         for j, lvl in enumerate(stage.levels):
-            for i in range(0, len(lvl.fine_suffix), 4097):
-                parent = int(lvl.fine_parent[i])
-                parent_lam = stage.root_lam if j == 0 else \
-                    stage.levels[j - 1].nested_lam[parent]
-                ratio = float(lvl.fine_lam[i] / parent_lam)
-                assert lvl.alpha_j <= ratio <= lvl.beta_j
+            F_ = lvl.family.size
+            parents = stage.iter_blocks(j - 1, "nested") if j else \
+                [(stage.root_word, stage.root_lam, F(1))]
+            blocks = stage.iter_blocks(j)
+            for p, (pword, plam, _) in zip(range(2), parents):
+                for s in range(F_):
+                    word, lam, _ = next(blocks)
+                    assert word[:len(pword)] == pword
+                    assert word[len(pword):] == lvl.fine_suffix[p * F_ + s]
+                    assert lam == stage.measure.word_mass(word)
+                    assert lvl.alpha_j <= lam / plam <= lvl.beta_j
             assert lvl.alpha_j <= lvl.beta_j
             assert lvl.gamma_j > 0 and 0 < lvl.delta_j <= 1
 
@@ -217,8 +226,9 @@ class TestCantorStage:
         lvl = stage.levels[0]
         k1, d1 = lvl.k_j, lvl.d_j
         x0_digits = stage.x0_digits
-        for i in range(len(lvl.fine_suffix)):
-            w = stage.nested_word(0, i)
+        words = [w for w, _, _ in stage.iter_blocks(0, "nested")]
+        assert len(words) == lvl.count
+        for w in words:
             assert w[d1:] == x0_digits[:k1 + 1]
 
     def test_containment_exact_interval(self, stage):
@@ -226,9 +236,12 @@ class TestCantorStage:
         from shrinktargets import cylinder_from_word, periodic_point
         m = stage.map
         x0 = periodic_point(m, (0, 1))
-        r = Fraction = F(1, 2 ** stage.levels[0].d_j)
+        r = F(1, 2 ** stage.levels[0].d_j)
+        nested = list(stage.iter_blocks(0, "nested"))
         for i in (0, 63, 127):
-            c = cylinder_from_word(m, stage.nested_word(0, i))
+            word, lam, _ = nested[i]
+            c = cylinder_from_word(m, word)
+            assert c.length == lam      # uniform D=2: lambda is the length
             # image of the leaf under T^{d_1} is P(k_1, x0) inside the ball
             img = cylinder_from_word(m, stage.x0_digits[:stage.levels[0].k_j + 1])
             assert x0 - r <= img.left and img.right <= x0 + r
@@ -255,8 +268,8 @@ class TestCantorStage:
         assert [l.k_j for l in st2.levels] == [0, 0]
         assert st2.nu_level_sums() == [F(1), F(1)]
         # nu is uniform across each level's admissible leaves
-        for lvl in st2.levels:
-            assert len(set(lvl.fine_nu)) == 1
+        for j in range(len(st2.levels)):
+            assert len({nu for _, _, nu in st2.iter_blocks(j)}) == 1
         fr = frostman_exponent(st2)
         assert fr["gamma"] == pytest.approx(1.0)
 
@@ -390,19 +403,6 @@ class TestFactorizedStage:
             factorized.update(_intermediate_constraints(lvl, parents, math.log(1e3)))
             parents = [(lam_n, nu) for _, lam_n, nu, _ in level_classes]
         assert factorized == inter
-
-    def test_views_index_like_sequences(self, stage):
-        lvl = stage.levels[1]
-        n = len(lvl.fine_lam)
-        first = list(itertools.islice(stage.iter_blocks(1), 3000))
-        for i in (0, 2047, 2048, 2999):          # 2048 suffixes per parent
-            word, lam, nu = first[i]
-            assert stage.fine_word(1, i) == word
-            assert (lvl.fine_lam[i], lvl.fine_nu[i]) == (lam, nu)
-            assert lvl.nested_lam[i] == lam * lvl.nested_rel
-        assert lvl.fine_lam[-1] == lvl.fine_lam[n - 1]
-        with pytest.raises(IndexError):
-            lvl.fine_nu[n]
 
     def test_three_levels(self):
         t0 = time.perf_counter()

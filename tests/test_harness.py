@@ -422,6 +422,20 @@ class TestCLI:
         assert r2.returncode == 0
         assert (tmp_path / "o2" / "summary.txt").exists()
 
+    @pytest.mark.parametrize("depth", [200, 1000])
+    def test_deep_gauss_smb_entropy(self, tmp_path, depth):
+        # the golden word's cylinder leaves the float range near depth 740;
+        # P(n) holds n + 1 digits 1, each of Gauss mass about phi^-2
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "map": {"kind": "gauss"}, "x0": {"word": [1]},
+            "params": {"method": "smb", "depth": depth}}))
+        out = tmp_path / "o"
+        assert cli.main(["entropy", "--config", str(cfgp), "--out", str(out)]) == 0
+        value = json.loads((out / "results.json").read_text())["summary"]["value"]
+        golden = 2 * math.log((1 + math.sqrt(5)) / 2)
+        assert abs(value * depth / (depth + 1) - golden) < 0.002
+
 
 FUZZ_CONFIGS = {
     "simulate": {"experiment": "simulate",

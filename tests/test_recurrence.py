@@ -79,6 +79,21 @@ class TestSchedule:
         s2 = Schedule.depth_power_floor(2)
         assert list(s2.depths_array(4)) == [1, 4, 9, 16]
 
+    @pytest.mark.parametrize("base", [2, 3, 4, 10])
+    def test_log_floor_exact_at_powers(self, base):
+        # the float log_3 of 243 and log_10 of 1000 fall just below 5 and 3
+        N = 10 ** 6
+        want = np.zeros(N, dtype=np.int64)       # want[n - 1] = floor(log_base n)
+        p = base
+        while p <= N:
+            want[p - 1:] += 1
+            p *= base
+        s = Schedule.depth_log_floor(base)
+        assert np.array_equal(s.depths_array(N), want)
+        powers = [base ** k for k in range(1, 20) if base ** k <= N]
+        for n in {*range(1, 1001), *(q + d for q in powers for d in (-1, 0, 1) if q + d <= N)}:
+            assert s.depth(n) == want[n - 1], n
+
 
 class TestSymbolicHits:
     def test_const_zero_depth_frequency(self, dary2, lebesgue):
@@ -542,6 +557,13 @@ class TestNormalizerByDepth:
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert elapsed < 0.1, f"{elapsed:.3f} s for depths 0..400"
 
+    def test_golden_gauss_masses_positive_and_decreasing(self, gauss, gauss_measure):
+        # exact Gauss endpoints at every depth: no cylinder collapses to mass 0
+        tgt = TargetPoint.from_word(gauss, (1,))
+        got = cylinder_mass_by_depth(gauss_measure, gauss, tgt, np.arange(401))
+        assert np.all(got > 0) and np.all(np.diff(got) < 0)
+        assert got[184] == pytest.approx(4.97e-78, rel=1e-3)
+
     def test_one_target_word_per_call(self, dary2, lebesgue):
         tgt = _CountingTarget(dary2, value=F(1, 3))
         for sched, N in ((Schedule.depth_power_floor(2), 10 ** 4),
@@ -685,9 +707,18 @@ class TestMassRates:
         tgt = TargetPoint.from_word(dary2, (0, 1))
         # linear depths: t_n = n, so L = log 2 exactly up to the +1 digit
         r = target_mass_rates(Schedule.custom_depths(list(range(1, 2001))),
-                              dary2, lebesgue, tgt, n_grid=(100, 500, 2000))
+                              dary2, lebesgue, tgt, n_grid=(100, 150, 200))
+        assert r["samples"] == pytest.approx([(n + 1) * LOG2 / n for n in (100, 150, 200)])
         assert r["L_bar"] == pytest.approx(LOG2, rel=0.02)
         assert r["closed_form"]["L_bar"] == pytest.approx(LOG2, rel=1e-12)
+
+    def test_depth_past_the_digits_read_raises(self, dary2, lebesgue):
+        # t_50 = floor(50^1.5) = 353: a rate of the 200-digit prefix would be 2.79,
+        # not (353 + 1) log 2 / 50 = 4.91
+        from shrinktargets import target_mass_rates
+        tgt = TargetPoint.from_word(dary2, (0, 1))
+        with pytest.raises(ScheduleError, match="depth 353"):
+            target_mass_rates(Schedule.depth_power_floor(1.5), dary2, lebesgue, tgt)
 
 
 class TestTargetPoint:

@@ -1,4 +1,5 @@
-"""Write BENCH_<pr>.json: the perfbench metrics of every declared workload.
+"""Write BENCH_<pr>.json: the perfbench metrics of every declared workload
+and the wall times of the Tier-1 suite and of each acceptance criterion.
 
 Run from the root of a checkout:
 
@@ -9,18 +10,25 @@ file's run_seconds at seed SEED, with --trace 0 (end-to-end metrics) and
 with --trace 1 (per-layer metrics), and records both metric sets, the
 failed and attempted operation counts of each run and the machine that
 run.py reports.  The runs are sequential, one worker process at a time, as
-run.py starts them.
+run.py starts them.  Then it runs the Tier-1 command once with pytest's
+--durations, and records its wall time, its outcome counts and the time of
+each test in tests/test_acceptance.py (setup, call and teardown).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import subprocess
 import sys
+import time
 
 MACHINE = "# machine "
 SEED = 1
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+ACCEPTANCE = "tests/test_acceptance.py::"
 
 
 def run_bench(workload: str, seconds: float, trace: int):
@@ -34,6 +42,27 @@ def run_bench(workload: str, seconds: float, trace: int):
     lines = proc.stdout.strip().splitlines()
     machine = next(json.loads(ln[len(MACHINE):]) for ln in lines if ln.startswith(MACHINE))
     return json.loads(lines[-1]), machine
+
+
+def run_tests() -> dict:
+    """Wall time and outcome of the Tier-1 command, and the seconds of each
+    acceptance test as pytest's --durations reports them."""
+    cmd = TIER1 + ["--durations=0", "--durations-min=0"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in ("src", os.environ.get("PYTHONPATH")) if p)}
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    acceptance = {}
+    for ln in lines:        # "1.23s call     tests/test_acceptance.py::test_criterion_1_..."
+        m = re.match(r"([\d.]+)s (?:setup|call|teardown) +" + re.escape(ACCEPTANCE) + r"(\S+)", ln)
+        if m:
+            acceptance[m[2]] = acceptance.get(m[2], 0.0) + float(m[1])
+    outcome = {k: int(n) for n, k in re.findall(r"(\d+) (\w+)", lines[-1] if lines else "")}
+    return {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:]),
+            "wall_s": wall, "exit_code": proc.returncode, "outcome": outcome,
+            "acceptance_s": dict(sorted(acceptance.items()))}
 
 
 def main(argv=None) -> int:
@@ -55,6 +84,8 @@ def main(argv=None) -> int:
         print(f"{w['name']}: wall_s {runs['end_to_end']['wall_s']['value']:.4g} s, "
               f"{runs['end_to_end_ops']['failed']} failed of "
               f"{runs['end_to_end_ops']['attempted']}", file=sys.stderr)
+    doc["tests"] = run_tests()
+    print(f"tier-1: {doc['tests']['wall_s']:.1f} s, {doc['tests']['outcome']}", file=sys.stderr)
     path = f"BENCH_{args.pr}.json"
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
