@@ -313,6 +313,8 @@ def refine_schedule_to_depths(m: MapModel, x0, radii) -> list:
         if r >= 1 or (prev_r is not None and r > prev_r):
             t = 0   # radii increased; restart the scan
         while r < 1 and not inside(t, r):
+            if r <= 0:      # no cylinder fits, and no depth would end the scan
+                raise RuntimeError(f"refinement radius {r} is not positive")
             t += 1
             if t > 100000:
                 raise RuntimeError("max refinement depth exceeded")

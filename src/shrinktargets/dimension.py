@@ -582,34 +582,35 @@ class GridSpec:
 
 class IntervalSplitGrid(GridSpec):
     """1-D grid on [0,1]: level n splits each level-(n-1) interval at
-    ratio ``split``; level n has (n+1)-fold splits (level 0 = 2 blocks)."""
+    ratio ``split`` = p/q; level n has (n+1)-fold splits (level 0 = 2
+    blocks), so its endpoints are integers over q^(n+1): a node at depth
+    k spans a multiple of q^(n+1-k), and its split lo + p (hi - lo) // q
+    is exact."""
 
     def __init__(self, split=Fraction(1, 2)):
         self.split = Fraction(split)
         if not 0 < self.split < 1:
             raise DimensionError("split ratio must be in (0,1)")
         self.sup_ratio = max(self.split, 1 - self.split)
+        self.p, self.q = self.split.numerator, self.split.denominator
 
     def leaf_containing(self, point: Fraction, n: int):
-        """Leaf [lo, hi) of level n containing the point (exact descent);
-        points on a grid line return the leaf to their right."""
-        lo, hi = Fraction(0), Fraction(1)
+        """Leaf [lo, hi) of level n containing the point, as integers over
+        q^(n+1); points on a grid line return the leaf to their right."""
+        lo, hi = 0, self.q ** (n + 1)
+        at, den = point.numerator * hi, point.denominator     # point = at / (den q^(n+1))
         for _ in range(n + 1):
-            mid = lo + self.split * (hi - lo)
-            if point < mid:
-                hi = mid
-            else:
-                lo = mid
+            mid = lo + self.p * (hi - lo) // self.q
+            lo, hi = (lo, mid) if at < mid * den else (mid, hi)
         return lo, hi
 
     def band(self, a: Fraction, b: Fraction, n: int):
         """Union extent [lo, hi] of the level-n leaves meeting the open
-        interval (a, b)."""
-        lo_leaf = self.leaf_containing(a, n)
-        lo = lo_leaf[0] if lo_leaf[1] > a else lo_leaf[1]
-        hi_leaf = self.leaf_containing(b, n) if b < 1 else (Fraction(1), Fraction(1))
-        hi = hi_leaf[1] if b < 1 and hi_leaf[0] < b else (hi_leaf[0] if b < 1 else Fraction(1))
-        return lo, hi
+        interval (a, b), as integers over q^(n+1)."""
+        S = self.q ** (n + 1)
+        (lo, hi), (left, right) = self.leaf_containing(a, n), self.leaf_containing(b, n)
+        return (lo if hi * a.denominator > a.numerator * S else hi,
+                right if left * b.denominator < b.numerator * S else left)
 
 
 class ProductSplitGrid(GridSpec):
@@ -618,10 +619,8 @@ class ProductSplitGrid(GridSpec):
     a = b = 1/2 the square grid)."""
 
     def __init__(self, a, b):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.gx = IntervalSplitGrid(self.a)
-        self.gy = IntervalSplitGrid(self.b)
+        self.a, self.b = Fraction(a), Fraction(b)
+        self.gx, self.gy = IntervalSplitGrid(self.a), IntervalSplitGrid(self.b)
         self.sup_ratio = self.gx.sup_ratio * self.gy.sup_ratio
 
 
@@ -639,21 +638,21 @@ class ProbeRecord:
 
 def _leaves_meeting(grid: IntervalSplitGrid, a: Fraction, b: Fraction, n: int,
                     cap: int = 10 ** 4):
-    """Level-n leaves meeting the open interval (a, b)."""
-    out = []
-    stack = [(Fraction(0), Fraction(1), 0)]
+    """Level-n leaves meeting the open interval (a, b), as integers over q^(n+1)."""
+    S = grid.q ** (n + 1)
+    a_num, a_den, b_num, b_den = a.numerator * S, a.denominator, b.numerator * S, b.denominator
+    out, stack = [], [(0, S, 0)]
     while stack:
         lo, hi, depth = stack.pop()
-        if hi <= a or lo >= b:
+        if hi * a_den <= a_num or lo * b_den >= b_num:     # hi <= a or lo >= b
             continue
         if depth == n + 1:
             out.append((lo, hi))
             if len(out) > cap:
                 raise DimensionError("leaf enumeration exceeded the cap")
             continue
-        mid = lo + grid.split * (hi - lo)
-        stack.append((lo, mid, depth + 1))
-        stack.append((mid, hi, depth + 1))
+        mid = lo + grid.p * (hi - lo) // grid.q
+        stack += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
     return out
 
 
@@ -664,7 +663,8 @@ def grid_regularity_probe(grid: GridSpec, balls, levels=None) -> list:
 
     ``balls``: for 1-D grids a list of (center, radius); for 2-D grids a
     list of (cx, cy, radius) with Fraction entries (the ball is the open
-    Euclidean disc, lambda = area pi r^2).
+    Euclidean disc, lambda = area pi r^2).  Leaf endpoints are exact
+    integers over q^(n+1); the union measure is the nearest float.
     """
     out = []
     for k, ball in enumerate(balls, start=1):
@@ -674,7 +674,7 @@ def grid_regularity_probe(grid: GridSpec, balls, levels=None) -> list:
             n = _probe_level(grid, bmass, levels)
             leaves = _leaves_meeting(grid, max(x - r, Fraction(0)),
                                      min(x + r, Fraction(1)), n)
-            union = float(sum(hi - lo for lo, hi in leaves))
+            union = sum(hi - lo for lo, hi in leaves) / grid.q ** (n + 1)
             out.append(ProbeRecord(k, n, bmass, union))
         elif isinstance(grid, ProductSplitGrid):
             cx, cy, r = ball
@@ -682,35 +682,38 @@ def grid_regularity_probe(grid: GridSpec, balls, levels=None) -> list:
             n = _probe_level(grid, bmass, levels)
             xlv = _leaves_meeting(grid.gx, max(cx - r, Fraction(0)),
                                   min(cx + r, Fraction(1)), n, cap=512)
-            union = Fraction(0)
-            r2 = Fraction(r) ** 2
+            ya, yb = max(cy - r, Fraction(0)), min(cy + r, Fraction(1))
+            # the centre on the lattices: cx = X / (Sx xd), cy = Y / (Sy yd);
+            # dx^2 + dy^2 < r^2 cleared to dx^2 wx + dy^2 wy < wr
+            Sx, Sy = grid.gx.q ** (n + 1), grid.gy.q ** (n + 1)
+            X, xd, Y, yd = cx.numerator * Sx, cx.denominator, cy.numerator * Sy, cy.denominator
+            wx, wy = (Sy * yd * r.denominator) ** 2, (Sx * xd * r.denominator) ** 2
+            wr = (r.numerator * Sx * xd * Sy * yd) ** 2
+            union, ylv = 0, None
             for xl, xh in xlv:
-                if xl <= cx <= xh:
-                    ylo, yhi = grid.gy.band(max(cy - r, Fraction(0)),
-                                            min(cy + r, Fraction(1)), n)
+                if xl * xd <= X <= xh * xd:
+                    ylo, yhi = grid.gy.band(ya, yb, n)
                     union += (xh - xl) * (yhi - ylo)
-                else:
-                    dx = min(abs(cx - xl), abs(cx - xh))
-                    if dx * dx >= r2:
-                        continue
-                    ylv = _leaves_meeting(grid.gy, max(cy - r, Fraction(0)),
-                                          min(cy + r, Fraction(1)), n, cap=4096)
-                    for yl, yh in ylv:
-                        dy = Fraction(0) if yl <= cy <= yh else \
-                            min(abs(cy - yl), abs(cy - yh))
-                        if dx * dx + dy * dy < r2:
-                            union += (xh - xl) * (yh - yl)
-            out.append(ProbeRecord(k, n, bmass, float(union)))
+                    continue
+                dx2 = min(abs(X - xl * xd), abs(X - xh * xd)) ** 2 * wx
+                if dx2 >= wr:
+                    continue
+                if ylv is None:     # (height, dy^2 wy) of each y-leaf meeting the disc's band
+                    ylv = [(yh - yl, 0 if yl * yd <= Y <= yh * yd else
+                            min(abs(Y - yl * yd), abs(Y - yh * yd)) ** 2 * wy)
+                           for yl, yh in _leaves_meeting(grid.gy, ya, yb, n, cap=4096)]
+                union += (xh - xl) * sum(h for h, dy2 in ylv if dx2 + dy2 < wr)
+            out.append(ProbeRecord(k, n, bmass, union / (Sx * Sy)))
         else:
             raise DimensionError("unsupported grid type")
     return out
 
 
 def _probe_level(grid: GridSpec, ball_measure: float, levels) -> int:
-    n, sup = 0, grid.sup_ratio          # sup = sup_ratio^(n+1), kept exact
-    while float(sup) > ball_measure:
-        n += 1
-        sup *= grid.sup_ratio
+    p, q = grid.sup_ratio.numerator, grid.sup_ratio.denominator
+    n, num, den = 0, p, q        # num / den = sup_ratio^(n+1), kept exact
+    while num / den > ball_measure:     # int / int is correctly rounded
+        n, num, den = n + 1, num * p, den * q
         if n > 10 ** 5:
             raise DimensionError("probe level exceeded bound")
     if levels is not None:
@@ -721,10 +724,5 @@ def _probe_level(grid: GridSpec, ball_measure: float, levels) -> int:
 def rectangle_counterexample_balls(a, b, kmax: int) -> list:
     """The shrinking discs of the irregular rectangle-grid example: the
     k-th disc is inscribed in the top-left corner square of side (1-b)^k."""
-    b = Fraction(b)
-    out = []
-    for k in range(1, kmax + 1):
-        side = (1 - b) ** k
-        r = side / 2
-        out.append((r, 1 - r, r))
-    return out
+    radii = ((1 - Fraction(b)) ** k / 2 for k in range(1, kmax + 1))
+    return [(r, 1 - r, r) for r in radii]

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -177,6 +178,13 @@ class TestPeriodicPoints:
 class TestRefine:
     def test_trivial_radius(self, dary2):
         assert refine_depth(dary2, F(1, 3), F(2)) == 0
+
+    @pytest.mark.parametrize("r", [F(0), F(-1, 3)])
+    def test_nonpositive_radius_fails_at_once(self, dary2, r):
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match=f"radius {r} "):
+            refine_depth(dary2, F(1, 3), r)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_dyadic_against_bruteforce(self, dary2):
         """Oracle: scan depths for the smallest cylinder inside the ball."""

@@ -27,7 +27,7 @@ from shrinktargets import (
     grid_transfer,
     rectangle_counterexample_balls,
 )
-from shrinktargets.dimension import _intermediate_constraints
+from shrinktargets.dimension import ProbeRecord, _intermediate_constraints
 
 LOG2 = math.log(2)
 GAUSS_H = math.pi ** 2 / (6 * LOG2)
@@ -445,6 +445,78 @@ class TestFactorizedStage:
         assert not path.exists()
 
 
+def _fraction_leaves(split, a, b, n, cap):
+    """Oracle: level-n leaves of the split grid meeting (a, b), as Fractions."""
+    out, stack = [], [(F(0), F(1), 0)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        if hi <= a or lo >= b:
+            continue
+        if depth == n + 1:
+            out.append((lo, hi))
+            if len(out) > cap:
+                raise DimensionError("leaf enumeration exceeded the cap")
+            continue
+        mid = lo + split * (hi - lo)
+        stack += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
+    return out
+
+
+def _fraction_band(split, a, b, n):
+    """Oracle: union extent of the level-n leaves meeting (a, b)."""
+    def leaf(point):
+        lo, hi = F(0), F(1)
+        for _ in range(n + 1):
+            mid = lo + split * (hi - lo)
+            lo, hi = (lo, mid) if point < mid else (mid, hi)
+        return lo, hi
+    lo_leaf = leaf(a)
+    lo = lo_leaf[0] if lo_leaf[1] > a else lo_leaf[1]
+    if b >= 1:
+        return lo, F(1)
+    hi_leaf = leaf(b)
+    return lo, (hi_leaf[1] if hi_leaf[0] < b else hi_leaf[0])
+
+
+def _fraction_probe(grid, balls, levels=None):
+    """Oracle: the probe with every endpoint, union and level kept as a
+    Fraction, as before the integer lattice."""
+    def level(bmass):
+        n, sup = 0, grid.sup_ratio
+        while float(sup) > bmass:
+            n, sup = n + 1, sup * grid.sup_ratio
+        return n if levels is None else max(n, levels)
+
+    out = []
+    for k, ball in enumerate(balls, start=1):
+        if isinstance(grid, IntervalSplitGrid):
+            x, r = ball
+            a, b = max(x - r, F(0)), min(x + r, F(1))
+            bmass = float(b - a)
+            n = level(bmass)
+            union = sum(hi - lo for lo, hi in _fraction_leaves(grid.split, a, b, n, 10 ** 4))
+        else:
+            cx, cy, r = ball
+            bmass = math.pi * float(r) ** 2
+            n = level(bmass)
+            ya, yb = max(cy - r, F(0)), min(cy + r, F(1))
+            union = F(0)
+            for xl, xh in _fraction_leaves(grid.a, max(cx - r, F(0)), min(cx + r, F(1)), n, 512):
+                if xl <= cx <= xh:
+                    ylo, yhi = _fraction_band(grid.b, ya, yb, n)
+                    union += (xh - xl) * (yhi - ylo)
+                    continue
+                dx = min(abs(cx - xl), abs(cx - xh))
+                if dx * dx >= r * r:
+                    continue
+                for yl, yh in _fraction_leaves(grid.b, ya, yb, n, 4096):
+                    dy = F(0) if yl <= cy <= yh else min(abs(cy - yl), abs(cy - yh))
+                    if dx * dx + dy * dy < r * r:
+                        union += (xh - xl) * (yh - yl)
+        out.append(ProbeRecord(k, n, bmass, float(union)))
+    return out
+
+
 class TestGridProbes:
     def test_dyadic_never_exceeds_three(self):
         g = IntervalSplitGrid(F(1, 2))
@@ -469,6 +541,59 @@ class TestGridProbes:
         balls = [(F(1, 3), F(1, 3), F(1, 2) ** k) for k in range(1, 16)]
         recs = grid_regularity_probe(g, balls)
         assert max(r.ratio for r in recs) < 10.0
+
+    @pytest.mark.parametrize("grid, balls, levels", [
+        (ProductSplitGrid(F(7, 10), F(6, 10)),
+         rectangle_counterexample_balls(F(7, 10), F(6, 10), 40), None),
+        (ProductSplitGrid(F(1, 2), F(1, 2)),
+         [(F(1, 3), F(1, 3), F(1, 2) ** k) for k in range(1, 16)]
+         + [(F(1, 2), F(1, 4), F(1, 8) ** k) for k in (1, 2, 3)], None),
+        # leaf corners (1/2 + 3/16, 1/2 + 4/16) on the circle of radius 5/16
+        (ProductSplitGrid(F(1, 2), F(1, 2)), [(F(1, 2), F(1, 2), F(5, 16))], 4),
+        (ProductSplitGrid(F(2, 3), F(3, 5)),
+         [(F(2, 7), F(5, 9), F(1, 3) ** k) for k in range(1, 9)]
+         + [(F(3, 5), F(1, 9), F(1, 5)), (F(1, 2), F(1, 2), F(1, 4)), (F(1, 2), F(3, 2), F(1, 4)),
+            (F(1, 2), F(5, 4), F(1, 4))],
+         None),
+        (ProductSplitGrid(F(7, 10), F(6, 10)),
+         rectangle_counterexample_balls(F(7, 10), F(6, 10), 8)[3:], 11),
+        (IntervalSplitGrid(F(1, 2)),
+         [(c, F(3, 7) * F(1, 2) ** k) for c in (F(1, 2), F(1, 4), F(1, 3))
+          for k in range(1, 22)] + [(F(1, 8), F(1, 4)), (F(7, 8), F(1, 3))]
+         + [(F(1, 2), F(1, 8)), (F(1, 4), F(1, 16))], None),     # measures 2^-(n+1)
+        (IntervalSplitGrid(F(2, 5)),
+         [(c, F(1, 3) ** k) for c in (F(2, 5), F(1, 2), F(4, 25)) for k in range(1, 12)]
+         + [(F(0), F(1, 7)), (F(1), F(2, 9))], None),
+        (IntervalSplitGrid(F(2, 5)), [(F(2, 5), F(1, 3) ** k) for k in range(1, 6)], 7),
+    ])
+    def test_records_match_fraction_oracle(self, grid, balls, levels):
+        got = grid_regularity_probe(grid, balls, levels=levels)
+        assert repr(got) == repr(_fraction_probe(grid, balls, levels))
+
+    def test_grid_lines_go_right(self):
+        g = IntervalSplitGrid(F(2, 5))      # level 1: 0 < 4/25 < 10/25 < 16/25 < 1
+        assert g.leaf_containing(F(2, 5), 1) == (10, 16)
+        assert g.leaf_containing(F(4, 25), 1) == (4, 10)
+        assert g.leaf_containing(F(1), 1) == (16, 25)
+        assert g.band(F(4, 25), F(2, 5), 1) == (4, 10)
+
+    def test_enumeration_caps_raise(self):
+        with pytest.raises(DimensionError, match="cap"):      # 10^4 leaves
+            grid_regularity_probe(IntervalSplitGrid(F(1, 100)), [(F(1, 2), F(1, 4))])
+        square, disc = ProductSplitGrid(F(1, 2), F(1, 2)), [(F(1, 2), F(1, 2), F(1, 4))]
+        grid_regularity_probe(square, disc, levels=9)          # 512 x-leaves, at the cap
+        with pytest.raises(DimensionError, match="cap"):      # 1024 x-leaves
+            grid_regularity_probe(square, disc, levels=10)
+
+    def test_rectangle_probe_is_fast(self):
+        g = ProductSplitGrid(F(7, 10), F(6, 10))
+        balls = rectangle_counterexample_balls(F(7, 10), F(6, 10), 40)
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            grid_regularity_probe(g, balls)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.025
 
 
 class TestFormulaSandwich:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -323,6 +324,25 @@ class TestCLI:
             "horizons": [1200], "trials": 2}))
         assert cli.main(["simulate", "--config", str(cfgp)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("experiment, doc, seconds", [
+        # e^(-0.7 d) underflows to 0.0 at the second level's depths
+        ("cantor", {"map": {"kind": "dary", "D": 2}, "x0": {"word": [0, 1]},
+                    "schedule": {"kind": "radii_exp", "kappa": 0.7},
+                    "params": {"level_sizes": [8, 1100]}}, 2.0),
+        # 1/100 splits put more than 10^4 level leaves in the ball
+        ("gridprobe", {"params": {"grid": {"kind": "interval", "split": "1/100"},
+                                  "balls": {"kind": "table", "balls": [["1/2", "1/4"]]}}},
+         2.0),
+    ])
+    def test_numerical_failure_exits_3_quietly(self, tmp_path, capsys, experiment, doc, seconds):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"experiment": experiment, **doc}))
+        t0 = time.perf_counter()
+        assert cli.main([experiment, "--config", str(cfgp)]) == 3
+        assert time.perf_counter() - t0 < seconds
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "Traceback" not in err
 
     def test_smb_word_matches_its_point(self):
         def value(x0):
