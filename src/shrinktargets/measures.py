@@ -181,6 +181,16 @@ MEASURE_KINDS = {
 }
 
 
+# measure kind (a bernoulli measure is a markov one) -> is it invariant for map m?
+INVARIANT_PAIRS = {
+    "lebesgue": lambda m, mu: isinstance(m, (DAryShift, MarkovLinear, BlaschkeBoundary)),
+    "gauss": lambda m, mu: isinstance(m, GaussMap),
+    # a chain on the D-ary shift, or on a Markov map whose forbidden transitions it forbids
+    "markov": lambda m, mu: isinstance(m, (DAryShift, MarkovLinear)) and len(mu.M) == m.D and all(
+        mu.M[i][j] == 0 for i in range(m.D) for j in range(m.D) if not m.admissible(i, j)),
+}
+
+
 def make_measure(spec: dict) -> InvariantMeasure:
     kind = spec.get("kind")
     if kind not in MEASURE_KINDS:

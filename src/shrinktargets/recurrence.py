@@ -39,6 +39,8 @@ from .measures import (
 from .schema import integer, kinds, listof, number
 
 PREFIX_CAP = 64          # symbolic prefix depth cap (miss probability < 2^-64)
+DENSE_DIGITS = 3         # leading target digits the symbolic engine matches on every index
+WINDOW_BLOCK = 1 << 15   # orbit indices per block of the linear metric engine (L2-sized)
 
 
 class ScheduleError(ValueError):
@@ -156,11 +158,7 @@ class Schedule:
         if self.kind == "radii_const":
             return np.full(N, float(self.params["r"]))
         tab = np.asarray([float(x) for x in self.params["table"]])
-        out = np.empty(N)
-        k = min(N, len(tab))
-        out[:k] = tab[:k]
-        out[k:] = tab[-1]
-        return out
+        return tab[np.minimum(np.arange(N), len(tab) - 1)]    # the last entry repeats
 
     def depth(self, n: int) -> int:
         if self.is_radii:
@@ -183,11 +181,7 @@ class Schedule:
         if self.kind == "depth_const":
             return np.full(N, self.params["t"], dtype=np.int64)
         tab = np.asarray(self.params["table"], dtype=np.int64)
-        out = np.empty(N, dtype=np.int64)
-        k = min(N, len(tab))
-        out[:k] = tab[:k]
-        out[k:] = tab[-1]
-        return out
+        return tab[np.minimum(np.arange(N), len(tab) - 1)]
 
     def rates(self) -> dict:
         """Closed-form exponential rates of the schedule."""
@@ -280,12 +274,7 @@ class HitSeries:
 
 
 def _checkpoints(N: int, horizons) -> list:
-    if horizons:
-        cps = sorted(set(int(h) for h in horizons if h <= N))
-        if not cps or cps[-1] != N:
-            cps.append(N)
-        return cps
-    return [N]
+    return sorted({int(h) for h in horizons or () if h <= N} | {N})
 
 
 # ---------------------------------------------------------------------------
@@ -393,27 +382,28 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
     norm = np.cumsum(cylinder_mass_by_depth(measure, m, target, depths))[
         np.asarray(cps) - 1]
 
-    capped = np.minimum(depths, cap)
-    uniq = np.unique(capped)
+    # depths never decrease in n: the 0-based indices from first[mm] on need digit mm
+    first = np.searchsorted(np.minimum(depths, cap), np.arange(cap + 1))
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
     seeds = [trial_seed(seed, t) for t in range(trials)]
     hit_idx = [] if collect_hits else None
     for t in range(trials):
         rng = np.random.default_rng(seeds[t])
         stream = _digit_stream(m, measure, rng, N + cap + 2)
-        acc = np.ones(N, dtype=bool)       # acc[i-1]: prefix match at orbit index i
-        hit = np.zeros(N, dtype=bool)
-        depth_done = -1
-        for u in uniq:
-            for mm in range(depth_done + 1, int(u) + 1):
-                acc &= stream[1 + mm: 1 + mm + N] == word[mm]
-            depth_done = int(u)
-            sel = capped == u
-            hit[sel] = acc[sel]
-        cum = np.cumsum(hit)
-        hits[t] = cum[np.asarray(cps) - 1]
+        # the leading digits on contiguous slices, while most indices match
+        live = stream[1:N + 1] == word[0]
+        for mm in range(1, min(DENSE_DIGITS, cap + 1)):
+            live[first[mm]:] &= stream[1 + mm + first[mm]:1 + mm + N] == word[mm]
+        live, found = np.flatnonzero(live), []
+        # then only the survivors: an index matched through its own depth is a hit
+        for mm in range(DENSE_DIGITS, cap + 1):
+            k = np.searchsorted(live, first[mm])
+            found.append(live[:k])
+            live = live[k:][stream[1 + mm + live[k:]] == word[mm]]
+        idx = np.concatenate(found + [live]) + 1       # ascending, as retired
+        hits[t] = np.searchsorted(idx, cps, side="right")
         if collect_hits:
-            hit_idx.append(np.flatnonzero(hit) + 1)
+            hit_idx.append(idx)
     return HitSeries(cps, hits, norm, seeds, engine="symbolic", kind="symbolic",
                      hit_indices=hit_idx)
 
@@ -479,6 +469,15 @@ def _branch_table(m: MarkovLinear):
 
 def _window_positions(m, stream: np.ndarray, N: int, W: int) -> np.ndarray:
     """Float positions of T^i x, i = 1..N, from the W digits after digit i."""
+    if isinstance(m, DAryShift) and m.D == 2:
+        # windows of length L double by p[i] + 2^-L p[i+L]; every value is a dyadic
+        # of at most W <= 52 bits, exact in a double, so this equals the correlation
+        p, out, done, L = stream[1:N + W + 1] * 0.5, np.zeros(N), 0, 1
+        while done < W:
+            if W & L:
+                out, done = out + p[done:done + N] * 2.0 ** -done, done + L
+            p, L = p[:-L] + p[L:] * 2.0 ** -L, 2 * L
+        return out
     if isinstance(m, DAryShift):
         # np.correlate computes sum_k a[j+k] v[k]: no kernel flip
         w = (1.0 / m.D) ** np.arange(1, W + 1)
@@ -568,8 +567,8 @@ class _CheckpointTally:
 
 def _metric_linear(m, measure, target, radii, N, trials, seeds, cps, collect_hits):
     W, truncation, rounding = _window_width(m, float(radii[-1]))
-    margin = truncation + rounding
     lo_b, hi_b = target.bracket(120)
+    margin = truncation + rounding + float(hi_b - lo_b)     # plus the target's bracket
     x0f = float((lo_b + hi_b) / 2)
     tally = _CheckpointTally(cps, trials, collect_hits)
     reach = W + 193         # digits of T^n x that the exact test may read
@@ -577,20 +576,20 @@ def _metric_linear(m, measure, target, radii, N, trials, seeds, cps, collect_hit
     for t in range(trials):
         rng = np.random.default_rng(seeds[t])
         stream = _digit_stream(m, measure, rng, N + W + 2)
-        pos = _window_positions(m, stream, N, W)
-        d = np.abs(pos - x0f)
-        hit = d <= radii
-        unsure = np.abs(d - radii) <= margin + (hi_b - lo_b)
-        for i in np.flatnonzero(unsure):
-            n = int(i) + 1
-            if len(stream) < n + reach:
-                # the orbit reads on from the trial's own generator, once per trial
-                stream = np.concatenate(
-                    (stream, _digit_stream(m, measure, rng, reach, after=int(stream[-1]))))
-            point = PrefixWalk(m, stream[n:n + reach].tolist())
-            hit[i] = ball_holds(point.bounds, target.bracket, Fraction(float(radii[i])), W)
-            ambiguous += 1
-        tally.add(1, hit[:, None], d[:, None], radii[:, None], t0=t)
+        for a in range(0, N, WINDOW_BLOCK):       # orbit indices a+1..a+len(r)
+            r = radii[a:a + WINDOW_BLOCK]
+            d = np.abs(_window_positions(m, stream[a:], len(r), W) - x0f)
+            hit = d <= r
+            for i in np.flatnonzero(np.abs(d - r) <= margin):
+                n = a + int(i) + 1
+                if len(stream) < n + reach:
+                    # the orbit reads on from the trial's own generator, once per trial
+                    stream = np.concatenate(
+                        (stream, _digit_stream(m, measure, rng, reach, after=int(stream[-1]))))
+                point = PrefixWalk(m, stream[n:n + reach].tolist())
+                hit[i] = ball_holds(point.bounds, target.bracket, Fraction(float(r[i])), W)
+                ambiguous += 1
+            tally.add(a + 1, hit[:, None], d[:, None], r[:, None], t0=t)
     return tally.hits, tally.wmins, ambiguous, tally.hit_indices()
 
 

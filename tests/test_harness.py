@@ -344,6 +344,44 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and "Traceback" not in err
 
+    _FOUND_PAIR = {"experiment": "simulate", "map": {"kind": "dary", "D": 2},
+                   "x0": {"word": [0, 1]}, "schedule": {"kind": "depth_const", "t": 1},
+                   "horizons": [20000], "trials": 4}
+    CHAIN = {"M": [["3/4", "1/4"], ["1/2", "1/2"]], "p": ["2/3", "1/3"]}
+    GOLDEN = {"M": [["1/2", "1/2"], ["1", "0"]], "p": ["2/3", "1/3"]}
+
+    @pytest.mark.parametrize("change, code", [
+        # the Gauss measure is not invariant for the doubling map: mean ratio 0.950
+        ({"measure": {"kind": "gauss"}}, 3),
+        ({"measure": {"kind": "bernoulli", "p": ["1/3", "1/3", "1/3"]}}, 3),
+        ({"map": {"kind": "gauss"}, "x0": {"word": [1, 2]}, "measure": {"kind": "lebesgue"}}, 3),
+        ({"map": {"kind": "blaschke", "zeros": [0, 0.5]}, "x0": {"decimal": 0.3},
+          "measure": {"kind": "gauss"}, "schedule": {"kind": "radii_power", "alpha": 2.0}}, 3),
+        # the chain allows the transition 1 -> 1 that the golden-mean map forbids
+        ({"map": {"kind": "markov", **GOLDEN}, "measure": {"kind": "markov", **CHAIN}}, 3),
+        ({"measure": {"kind": "lebesgue"}}, 0),
+        ({"measure": {"kind": "bernoulli", "p": ["1/4", "3/4"]}}, 0),
+        ({"measure": {"kind": "markov", **GOLDEN}}, 0),
+        ({"map": {"kind": "markov", **CHAIN}, "measure": {"kind": "lebesgue"}}, 0),
+        ({"map": {"kind": "markov", **CHAIN}, "measure": {"kind": "markov", **GOLDEN}}, 0),
+        ({"map": {"kind": "markov", **GOLDEN}}, 0),
+        ({"map": {"kind": "gauss"}, "x0": {"word": [1, 2]}}, 0),
+    ])
+    def test_measure_must_be_invariant_for_the_map(self, tmp_path, capsys, change, code):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({**self._FOUND_PAIR, "horizons": [2000], **change}))
+        assert cli.main(["simulate", "--config", str(cfgp)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("is not invariant for the" in err) == (code == 3)
+
+    def test_found_pair_exits_3(self, tmp_path, capsys):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({**self._FOUND_PAIR, "measure": {"kind": "gauss"}}))
+        assert cli.main(["simulate", "--config", str(cfgp)]) == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: the gauss measure is not invariant for the dary map\n"
+
     def test_smb_word_matches_its_point(self):
         def value(x0):
             return run(parse_config({"experiment": "entropy", "map": {"kind": "dary", "D": 2},

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,17 +21,25 @@ from shrinktargets import (
     run_symbolic_hits,
     trial_seed,
 )
+from shrinktargets import recurrence
 from shrinktargets.maps import BoundaryHit
 from shrinktargets.measures import (
     GaussMeasure,
+    LebesgueMeasure,
     MarkovStationaryMeasure,
     float_orbit_start,
     float_orbit_step,
 )
 from shrinktargets.recurrence import (
+    PREFIX_CAP,
+    WINDOW_BLOCK,
+    PrefixWalk,
+    _checkpoints,
+    _CheckpointTally,
     _digit_stream,
     _window_positions,
     _window_width,
+    ball_holds,
     cylinder_mass_by_depth,
     local_dims,
     tau_bar,
@@ -467,6 +476,208 @@ class TestExactResolver:
                 prev = int(np.searchsorted(cum[prev], x, side="right"))
                 want.append(prev)
             assert more.tolist() == want and want[0] != stream[-1]
+
+
+def _symbolic_per_depth(m, measure, target, sched, N, trials, seed, horizons, collect_hits):
+    """The symbolic engine as one full-length mask per digit depth: the
+    reference that the survivor engine must match bit for bit."""
+    depths = sched.depths_array(N)
+    cap = int(min(depths.max(), PREFIX_CAP))
+    word = np.asarray(target.digits(cap), dtype=np.int64)
+    cps = _checkpoints(N, horizons)
+    norm = np.cumsum(cylinder_mass_by_depth(measure, m, target, depths))[np.asarray(cps) - 1]
+    capped = np.minimum(depths, cap)
+    hits = np.zeros((trials, len(cps)), dtype=np.int64)
+    hit_idx = [] if collect_hits else None
+    for t in range(trials):
+        rng = np.random.default_rng(trial_seed(seed, t))
+        stream = _digit_stream(m, measure, rng, N + cap + 2)
+        acc = np.ones(N, dtype=bool)       # acc[i-1]: prefix match at orbit index i
+        hit = np.zeros(N, dtype=bool)
+        depth_done = -1
+        for u in np.unique(capped):
+            for mm in range(depth_done + 1, int(u) + 1):
+                acc &= stream[1 + mm: 1 + mm + N] == word[mm]
+            depth_done = int(u)
+            sel = capped == u
+            hit[sel] = acc[sel]
+        hits[t] = np.cumsum(hit)[np.asarray(cps) - 1]
+        if collect_hits:
+            hit_idx.append(np.flatnonzero(hit) + 1)
+    return hits, norm, hit_idx
+
+
+def _metric_whole_stream(m, measure, target, sched, N, trials, seed, horizons, collect_hits):
+    """The linear metric engine as one pass over each trial's whole stream:
+    the reference that the block engine must match bit for bit.  Also
+    returns the orbit indices it resolved exactly.  It reads _window_width
+    and _digit_stream through the module, so a monkeypatch reaches both."""
+    radii = sched.radii_array(N)
+    cps = _checkpoints(N, horizons)
+    norm = np.cumsum(ball_mass_array(measure, m, target.float_value(), radii))[
+        np.asarray(cps) - 1]
+    W, truncation, rounding = recurrence._window_width(m, float(radii[-1]))
+    margin = truncation + rounding
+    lo_b, hi_b = target.bracket(120)
+    x0f = float((lo_b + hi_b) / 2)
+    tally = _CheckpointTally(cps, trials, collect_hits)
+    reach = W + 193
+    resolved = []
+    for t in range(trials):
+        rng = np.random.default_rng(trial_seed(seed, t))
+        stream = recurrence._digit_stream(m, measure, rng, N + W + 2)
+        pos = _window_positions(m, stream, N, W)
+        d = np.abs(pos - x0f)
+        hit = d <= radii
+        unsure = np.abs(d - radii) <= margin + (hi_b - lo_b)
+        for i in np.flatnonzero(unsure):
+            n = int(i) + 1
+            if len(stream) < n + reach:
+                more = recurrence._digit_stream(m, measure, rng, reach, after=int(stream[-1]))
+                stream = np.concatenate((stream, more))
+            point = PrefixWalk(m, stream[n:n + reach].tolist())
+            hit[i] = ball_holds(point.bounds, target.bracket, F(float(radii[i])), W)
+            resolved.append(n)
+        tally.add(1, hit[:, None], d[:, None], radii[:, None], t0=t)
+    return tally.hits, norm, tally.hit_indices(), tally.wmins, len(resolved), resolved
+
+
+def _target_of(m, x0):
+    return TargetPoint.from_word(m, x0) if isinstance(x0, tuple) else TargetPoint.from_point(m, x0)
+
+
+_ORACLE_MAPS = {"dary2": ((0, 1), None), "dary3": (F(1, 4), None),
+                "chain": ((0, 1), "markov"), "golden": (F(1, 3), "golden_markov")}
+
+
+def _oracle_case(kind, request):
+    """(map, measure, x0) of a named oracle case."""
+    x0, fixture = _ORACLE_MAPS[kind]
+    if fixture is None:
+        return DAryShift(int(kind[-1])), LebesgueMeasure(), x0
+    m = request.getfixturevalue(fixture)
+    return m, MarkovStationaryMeasure(m.p, m.M), x0
+
+
+B = WINDOW_BLOCK
+# N smaller than a block, one block, and not a multiple of it, with horizons
+# on both sides of block boundaries
+_SIZES = [(1000, None), (B, [B - 1, B]), (2 * B + 5, [B, B + 1, 2 * B, 2 * B + 1])]
+
+
+class TestLinearEnginesMatchOracles:
+    """The survivor-list symbolic engine and the blocked metric engine give
+    the outputs of the per-depth and whole-stream loops, bit for bit."""
+
+    @pytest.mark.parametrize("kind", list(_ORACLE_MAPS))
+    @pytest.mark.parametrize("sched", [
+        Schedule.depth_log_floor(2), Schedule.depth_power_floor(2), Schedule.depth_const(0),
+        Schedule.custom_depths([0, 0, 1, 3, 3, 7, 12, 12, 20])], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("N, horizons", _SIZES)
+    @pytest.mark.parametrize("collect", [True, False])
+    def test_symbolic(self, kind, sched, N, horizons, collect, request):
+        m, mu, x0 = _oracle_case(kind, request)
+        tgt = _target_of(m, x0)
+        hs = run_symbolic_hits(m, mu, tgt, sched, N, 3, 4, horizons=horizons,
+                               collect_hits=collect)
+        hits, norm, hit_idx = _symbolic_per_depth(m, mu, tgt, sched, N, 3, 4, horizons, collect)
+        assert hs.hits.tolist() == hits.tolist()
+        assert hs.normalizer.tolist() == norm.tolist()
+        assert (hs.hit_indices is None) == (not collect)
+        if collect:
+            assert [h.tolist() for h in hs.hit_indices] == [h.tolist() for h in hit_idx]
+        if sched.kind == "depth_power_floor":
+            assert sched.depths_array(N).max() > PREFIX_CAP     # capped at PREFIX_CAP
+
+    @staticmethod
+    def _check_metric(m, mu, tgt, sched, N, horizons, collect, trials=3, seed=4):
+        hs = run_metric_hits(m, mu, tgt, sched, N, trials, seed, horizons=horizons,
+                             collect_hits=collect)
+        hits, norm, hit_idx, wmins, amb, resolved = _metric_whole_stream(
+            m, mu, tgt, sched, N, trials, seed, horizons, collect)
+        assert hs.hits.tolist() == hits.tolist()
+        assert hs.normalizer.tolist() == norm.tolist()
+        assert hs.window_minima.tolist() == wmins.tolist()
+        assert hs.ambiguous_resolved == amb
+        assert (hs.hit_indices is None) == (not collect)
+        if collect:
+            assert [h.tolist() for h in hs.hit_indices] == [h.tolist() for h in hit_idx]
+        return resolved
+
+    @pytest.mark.parametrize("kind", list(_ORACLE_MAPS))
+    @pytest.mark.parametrize("sched", [
+        Schedule.radii_power(2.0), Schedule.radii_const(0.01),
+        Schedule.custom_radii([0.5, 0.25, 0.125, 2.0 ** -10, 2.0 ** -20])],
+        ids=lambda s: s.kind)
+    @pytest.mark.parametrize("N, horizons", _SIZES)
+    @pytest.mark.parametrize("collect", [True, False])
+    def test_metric(self, kind, sched, N, horizons, collect, request):
+        m, mu, x0 = _oracle_case(kind, request)
+        self._check_metric(m, mu, _target_of(m, x0), sched, N, horizons, collect)
+
+    def test_binary_windows_equal_the_correlation(self, dary2):
+        """D = 2 window values are dyadics of at most W <= 52 bits: doubling
+        windows gives the float correlation of the digits, bit for bit."""
+        stream = np.random.default_rng(3).integers(0, 2, size=5000, dtype=np.int64)
+        for W in range(1, 53):
+            w = 0.5 ** np.arange(1, W + 1)
+            want = np.correlate(stream[1:4000 + W + 1].astype(float), w, mode="valid")[:4000]
+            assert _window_positions(dary2, stream, 4000, W).tolist() == want.tolist(), W
+
+    @pytest.mark.parametrize("kind", ["dary2", "golden"])
+    def test_exact_resolution_in_later_blocks(self, kind, request, monkeypatch):
+        """A margin widened by 2e-3 puts steps in the second block and later,
+        and in the last reach of the stream, so the stream reads on from the
+        trial's generator: verdicts, counts and continuations match."""
+        width, calls = recurrence._window_width, []
+
+        def wide(m, r_min):
+            W, truncation, rounding = width(m, r_min)
+            return W, truncation + 2e-3, rounding
+
+        def recording(m, measure, rng, length, after=None):
+            out = stream_of(m, measure, rng, length, after)
+            if after is not None:
+                calls.append((length, after, out.tolist()))
+            return out
+
+        stream_of = recurrence._digit_stream
+        monkeypatch.setattr(recurrence, "_window_width", wide)
+        monkeypatch.setattr(recurrence, "_digit_stream", recording)
+        m, mu, x0 = _oracle_case(kind, request)
+        N = 2 * B + 300
+        resolved = self._check_metric(m, mu, _target_of(m, x0), Schedule.radii_const(0.1),
+                                      N, [B, B + 1], True, trials=2)
+        engine_calls, oracle_calls = calls[:len(calls) // 2], calls[len(calls) // 2:]
+        assert engine_calls == oracle_calls and len(engine_calls) >= 1
+        assert any(n > B for n in resolved)
+        assert max(resolved) > N - wide(m, 0.1)[0] - 193
+
+
+class TestLinearEngineBudgets:
+    def test_symbolic_speed(self, dary2, lebesgue):
+        """D = 2, target (01)^inf, t_n = floor(log2 n), 300,000 steps x 20
+        trials within 0.2 s, best of 3 (one full-length mask per depth took
+        0.25-0.37 s)."""
+        tgt, sched = TargetPoint.from_word(dary2, (0, 1)), Schedule.depth_log_floor(2)
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            run_symbolic_hits(dary2, lebesgue, tgt, sched, 300_000, 20, 1)
+            best = min(best, time.perf_counter() - t0)
+        assert best <= 0.2, f"{best:.3f} s over the 0.2 s budget"
+
+    def test_metric_peak_memory(self, dary2, lebesgue):
+        """Traced peak of the D = 2 metric engine at r_n = n^-1/2, 10^6 steps
+        x 4 trials, within 36 MB (whole-stream temporaries took 47.7 MB)."""
+        tracemalloc.start()
+        try:
+            run_metric_hits(dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1)),
+                            Schedule.radii_power(2.0), 10 ** 6, 4, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36e6, f"{peak / 1e6:.1f} MB over the 36 MB budget"
 
 
 def _ball_mass_bruteforce(measure, m, x0, radii) -> list:
