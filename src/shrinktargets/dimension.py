@@ -514,8 +514,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
 # ---------------------------------------------------------------------------
 # Frostman exponents
 
-def frostman_exponent(stage: CantorStage, c_cap: float = 1e3,
-                      include_intermediate: bool = True) -> dict:
+def frostman_exponent(stage: CantorStage, c_cap: float = 1e3) -> dict:
     """Largest gamma with nu(Q) <= c_cap * lambda(Q)^gamma over the stage.
 
     Constraints come from every fine and nested block and from the
@@ -542,11 +541,10 @@ def frostman_exponent(stage: CantorStage, c_cap: float = 1e3,
     if total_blocks < 10:
         raise DimensionError("insufficient resolution: fewer than 10 blocks")
 
-    if include_intermediate:
-        parents = [(stage.root_lam, Fraction(1))]
-        for lvl, level_classes in zip(stage.levels, classes):
-            constraints.extend(_intermediate_constraints(lvl, parents, log_cap))
-            parents = [(lam_n, nu) for _, lam_n, nu, _ in level_classes]
+    parents = [(stage.root_lam, Fraction(1))]
+    for lvl, level_classes in zip(stage.levels, classes):
+        constraints.extend(_intermediate_constraints(lvl, parents, log_cap))
+        parents = [(lam_n, nu) for _, lam_n, nu, _ in level_classes]
 
     gamma = min(1.0, min(constraints))
     xs = np.array([p[0] for p in pairs])

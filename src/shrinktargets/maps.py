@@ -100,12 +100,6 @@ class MapModel:
         """Digits d such that P_d is covered by T(P_digit)."""
         raise NotImplementedError
 
-    def distance(self, x, y):
-        d = abs(x - y)
-        if self.circle:
-            return min(d, 1 - d)
-        return d
-
     # -- dynamics -----------------------------------------------------
     def evaluate(self, x):
         raise NotImplementedError

@@ -181,14 +181,25 @@ MEASURE_KINDS = {
 }
 
 
-# measure kind (a bernoulli measure is a markov one) -> is it invariant for map m?
-INVARIANT_PAIRS = {
-    "lebesgue": lambda m, mu: isinstance(m, (DAryShift, MarkovLinear, BlaschkeBoundary)),
-    "gauss": lambda m, mu: isinstance(m, GaussMap),
-    # a chain on the D-ary shift, or on a Markov map whose forbidden transitions it forbids
-    "markov": lambda m, mu: isinstance(m, (DAryShift, MarkovLinear)) and len(mu.M) == m.D and all(
-        mu.M[i][j] == 0 for i in range(m.D) for j in range(m.D) if not m.admissible(i, j)),
-}
+def check_invariant(m: MapModel, measure: InvariantMeasure) -> None:
+    """Raise MeasureError unless measure is the law the engines sample for m:
+    Lebesgue for the dary, markov and blaschke maps, the Gauss measure for
+    the gauss map, or a chain equal to the map's own (for the dary map, the
+    uniform chain on its D digits)."""
+    if isinstance(measure, MarkovStationaryMeasure):
+        if isinstance(m, DAryShift):
+            u = (Fraction(1, m.D),) * m.D
+            own = (u, (u,) * m.D)
+        else:
+            own = (m.p, m.M) if isinstance(m, MarkovLinear) else None
+        ok = (measure.p, measure.M) == own
+    elif isinstance(measure, GaussMeasure):
+        ok = isinstance(m, GaussMap)
+    else:
+        ok = isinstance(measure, LebesgueMeasure) and isinstance(
+            m, (DAryShift, MarkovLinear, BlaschkeBoundary))
+    if not ok:
+        raise MeasureError(f"the {measure.kind} measure is not invariant for the {m.kind} map")
 
 
 def make_measure(spec: dict) -> InvariantMeasure:
@@ -283,32 +294,24 @@ def _blaschke_entropy_quadrature(m: BlaschkeBoundary, tol: float = 1e-11):
 
 
 def entropy_closed_form(m: MapModel, measure: InvariantMeasure) -> EntropyEstimate:
-    """Exact (or quadrature) entropy for the supported map/measure pairs."""
-    if isinstance(m, DAryShift) and isinstance(measure, LebesgueMeasure):
+    """Exact (or quadrature) entropy of the map's invariant measure."""
+    check_invariant(m, measure)
+    if isinstance(m, DAryShift):
         return EntropyEstimate(math.log(m.D), "closed_form",
                                details={"formula": "log D"})
-    if isinstance(m, GaussMap) and isinstance(measure, GaussMeasure):
+    if isinstance(m, GaussMap):
         return EntropyEstimate(GAUSS_ENTROPY, "closed_form",
                                details={"formula": "pi^2/(6 log 2)"})
-    if isinstance(m, MarkovLinear) and isinstance(
-            measure, (MarkovStationaryMeasure, LebesgueMeasure)):
-        if isinstance(measure, MarkovStationaryMeasure):
-            p, M = measure.p, measure.M
-            if p != m.p or M != m.M:
-                raise MeasureError("measure does not match the map's chain")
-        else:
-            p, M = m.p, m.M
+    if isinstance(m, MarkovLinear):
+        p, M = m.p, m.M
         h = -sum(float(p[i] * M[i][j]) * math.log(float(M[i][j]))
                  for i in range(len(p)) for j in range(len(p)) if M[i][j] > 0)
         return EntropyEstimate(h, "closed_form",
                                details={"formula": "sum p_i M_ij log(1/M_ij)"})
-    if isinstance(m, BlaschkeBoundary) and isinstance(measure, LebesgueMeasure):
-        h, err = _blaschke_entropy_quadrature(m)
-        return EntropyEstimate(h, "closed_form",
-                               details={"formula": "integral of log|B'| dλ",
-                                        "quadrature_error": err})
-    raise MeasureError(
-        f"no closed-form entropy for ({m.kind}, {measure.kind})")
+    h, err = _blaschke_entropy_quadrature(m)
+    return EntropyEstimate(h, "closed_form",
+                           details={"formula": "integral of log|B'| dλ",
+                                    "quadrature_error": err})
 
 
 def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int,
@@ -398,6 +401,7 @@ def entropy_birkhoff(m: MapModel, measure: InvariantMeasure, n_iter: int,
     float pseudo-orbits of all trials in lockstep and take log|T'| of whole
     blocks of them (float_orbit_blocks).
     """
+    check_invariant(m, measure)
     if n_iter < 1 or n_trials < 1:
         raise MeasureError("n_iter and n_trials must be >= 1")
     seeds = [trial_seed(seed, t) for t in range(n_trials)]
@@ -413,7 +417,7 @@ def entropy_birkhoff(m: MapModel, measure: InvariantMeasure, n_iter: int,
         for t, s in enumerate(seeds):
             chain = sample_chain(m, np.random.default_rng(s), n_iter + 1)
             vals[t] = float(np.mean(logslope[chain[:-1], chain[1:]]))
-    elif isinstance(m, (GaussMap, BlaschkeBoundary)):
+    else:               # the float-orbit maps, Gauss and Blaschke
         s = np.zeros((1, n_trials))
         for n0, xs, restarts in float_orbit_blocks(m, measure, seeds, n_iter):
             resampled += restarts
@@ -422,8 +426,6 @@ def entropy_birkhoff(m: MapModel, measure: InvariantMeasure, n_iter: int,
             # running sum, so the result does not depend on the block size
             s = np.add.accumulate(np.concatenate((s, L)))[-1:]
         vals = s[0] / n_iter
-    else:
-        raise MeasureError(f"no Birkhoff engine for {m.kind}")
     stderr = float(vals.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else None
     return EntropyEstimate(float(vals.mean()), "birkhoff",
                            sample_size=n_iter, standard_error=stderr,
@@ -438,6 +440,7 @@ entropy_birkhoff_batch = entropy_birkhoff
 def entropy_smb(m: MapModel, measure: InvariantMeasure, x, n: int) -> EntropyEstimate:
     """Finite-depth SMB quotient (1/n) log(1/mu(P(n,x))); x is a point or a
     target with its own prefix walk."""
+    check_invariant(m, measure)
     if n < 1:
         raise MeasureError("n must be >= 1")
     walk = Target.of(m, x).walk()

@@ -30,7 +30,7 @@ from .measures import (
     InvariantMeasure,
     LebesgueMeasure,
     MarkovStationaryMeasure,
-    MeasureError,
+    check_invariant,
     float_orbit_blocks,
     log_mass,
     sample_chain,
@@ -280,11 +280,9 @@ def _checkpoints(N: int, horizons) -> list:
 # ---------------------------------------------------------------------------
 # normalizers
 
-def ball_mass_array(measure: InvariantMeasure, m: MapModel, x0: float,
+def ball_mass_array(m: MapModel, measure: InvariantMeasure, x0: float,
                     radii: np.ndarray) -> np.ndarray:
     if m.circle:
-        if not isinstance(measure, LebesgueMeasure):
-            raise MeasureError("circle targets need Lebesgue measure")
         return np.minimum(2 * radii, 1.0)
     lo = np.maximum(x0 - radii, 0.0)
     hi = np.minimum(x0 + radii, 1.0)
@@ -299,6 +297,7 @@ def target_mass_rates(sched: Schedule, m: MapModel, measure: InvariantMeasure,
     schedule: L = (1/n) log(1/mu(P(t_n, x0))), sampled at the grid and
     reported as (max, min) over the tail; exact closed form L = w * rate
     for uniform-mass words.  A sample past target depth 200 is refused."""
+    check_invariant(m, measure)
     if sched.is_radii:
         raise ScheduleError("mass rates apply to depth schedules")
     vals = []
@@ -315,17 +314,23 @@ def target_mass_rates(sched: Schedule, m: MapModel, measure: InvariantMeasure,
     return out
 
 
-def cylinder_mass_by_depth(measure: InvariantMeasure, m: MapModel,
+def cylinder_mass_by_depth(m: MapModel, measure: InvariantMeasure,
                            target: Target, depths: np.ndarray,
                            exact_cap: int = 400) -> np.ndarray:
-    """Masses mu(P(t, x0)) for each distinct depth t, gathered to all n.
+    """Masses mu(P(t, x0)) for each run of equal depths t, repeated over the run.
 
-    One target word, at the largest depth needed, serves every depth as a
-    prefix, and one prefix walk (or, for the Markov measure, one running
-    product) adds one factor per depth.  Depths past exact_cap get mass 0: the mass lies below any
-    representable float, so the target is unhittable.
+    depths must be non-decreasing, as every depth schedule is; a decrease
+    raises ValueError.  One target word, at the largest depth needed, serves
+    every depth as a prefix, and one prefix walk (or, for the Markov measure,
+    one running product) adds one factor per depth.  Depths past exact_cap
+    get mass 0: the mass lies below any representable float, so the target
+    is unhittable.
     """
-    uniq, inverse = np.unique(depths, return_inverse=True)
+    step = np.diff(depths)
+    if np.any(step < 0):
+        raise ValueError("depths must be non-decreasing")
+    starts = np.concatenate(([0], np.flatnonzero(step) + 1))     # first index of each run
+    uniq = depths[starts]
     word = target.digits(int(min(uniq[-1], exact_cap)))
     if isinstance(measure, MarkovStationaryMeasure):
         # the running product p_{w_0} M[w_0][w_1] ... M[w_{t-1}][w_t]
@@ -339,13 +344,13 @@ def cylinder_mass_by_depth(measure: InvariantMeasure, m: MapModel,
             else measure.interval_mass
         mass_at = lambda t: of_ends(*walk.bounds(t))
     mass = np.array([float(mass_at(t)) if t <= exact_cap else 0.0 for t in uniq.tolist()])
-    return mass[inverse]
+    return np.repeat(mass, np.diff(starts, append=len(depths)))
 
 
 # ---------------------------------------------------------------------------
 # symbolic engine
 
-def _digit_stream(m: MapModel, measure: InvariantMeasure, rng, length: int, after=None):
+def _digit_stream(m: MapModel, rng, length: int, after=None):
     """length digits of a random orbit; a chain stream that reads on past
     the digit ``after`` steps from that digit's row of M."""
     if isinstance(m, DAryShift):
@@ -372,6 +377,7 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
                       N: int, trials: int, seed: int, horizons=None,
                       collect_hits: bool = False) -> HitSeries:
     """Count visits T^i(x) in P(t_i, x0) by exact word-prefix comparison."""
+    check_invariant(m, measure)
     if sched.is_radii:
         raise ScheduleError("symbolic runs need a depth schedule")
     target = Target.of(m, target)
@@ -379,7 +385,7 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
     cap = int(min(depths.max(), PREFIX_CAP))
     word = np.asarray(target.digits(cap), dtype=np.int64)
     cps = _checkpoints(N, horizons)
-    norm = np.cumsum(cylinder_mass_by_depth(measure, m, target, depths))[
+    norm = np.cumsum(cylinder_mass_by_depth(m, measure, target, depths))[
         np.asarray(cps) - 1]
 
     # depths never decrease in n: the 0-based indices from first[mm] on need digit mm
@@ -389,7 +395,7 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
     hit_idx = [] if collect_hits else None
     for t in range(trials):
         rng = np.random.default_rng(seeds[t])
-        stream = _digit_stream(m, measure, rng, N + cap + 2)
+        stream = _digit_stream(m, rng, N + cap + 2)
         # the leading digits on contiguous slices, while most indices match
         live = stream[1:N + 1] == word[0]
         for mm in range(1, min(DENSE_DIGITS, cap + 1)):
@@ -499,18 +505,19 @@ def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sched
                     collect_hits: bool = False) -> HitSeries:
     """Count visits d(T^i x, x0) <= r_i; returns ratio traces and windowed
     minima of the scaled distance d/r_n between consecutive checkpoints."""
+    check_invariant(m, measure)
     if not sched.is_radii:
         raise ScheduleError("metric runs need a radii schedule")
     target = Target.of(m, target)
     x0f = target.float_value()
     cps = _checkpoints(N, horizons)
     radii = sched.radii_array(N)
-    norm = np.cumsum(ball_mass_array(measure, m, x0f, radii))[np.asarray(cps) - 1]
+    norm = np.cumsum(ball_mass_array(m, measure, x0f, radii))[np.asarray(cps) - 1]
     seeds = [trial_seed(seed, t) for t in range(trials)]
 
     if isinstance(m, (DAryShift, MarkovLinear)):
         hits, wmins, amb, hit_idx = _metric_linear(
-            m, measure, target, radii, N, trials, seeds, cps, collect_hits)
+            m, target, radii, N, trials, seeds, cps, collect_hits)
         return HitSeries(cps, hits, norm, seeds, engine="symbolic-window",
                          kind="metric", ambiguous_resolved=amb,
                          window_minima=wmins, hit_indices=hit_idx)
@@ -565,7 +572,7 @@ class _CheckpointTally:
         return np.split(n, np.cumsum(np.bincount(t, minlength=len(self.count)))[:-1])
 
 
-def _metric_linear(m, measure, target, radii, N, trials, seeds, cps, collect_hits):
+def _metric_linear(m, target, radii, N, trials, seeds, cps, collect_hits):
     W, truncation, rounding = _window_width(m, float(radii[-1]))
     lo_b, hi_b = target.bracket(120)
     margin = truncation + rounding + float(hi_b - lo_b)     # plus the target's bracket
@@ -575,7 +582,7 @@ def _metric_linear(m, measure, target, radii, N, trials, seeds, cps, collect_hit
     ambiguous = 0
     for t in range(trials):
         rng = np.random.default_rng(seeds[t])
-        stream = _digit_stream(m, measure, rng, N + W + 2)
+        stream = _digit_stream(m, rng, N + W + 2)
         for a in range(0, N, WINDOW_BLOCK):       # orbit indices a+1..a+len(r)
             r = radii[a:a + WINDOW_BLOCK]
             d = np.abs(_window_positions(m, stream[a:], len(r), W) - x0f)
@@ -585,7 +592,7 @@ def _metric_linear(m, measure, target, radii, N, trials, seeds, cps, collect_hit
                 if len(stream) < n + reach:
                     # the orbit reads on from the trial's own generator, once per trial
                     stream = np.concatenate(
-                        (stream, _digit_stream(m, measure, rng, reach, after=int(stream[-1]))))
+                        (stream, _digit_stream(m, rng, reach, after=int(stream[-1]))))
                 point = PrefixWalk(m, stream[n:n + reach].tolist())
                 hit[i] = ball_holds(point.bounds, target.bracket, Fraction(float(r[i])), W)
                 ambiguous += 1
@@ -655,6 +662,7 @@ def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
     cylinder targets, or via the epsilon-strengthened radii series with
     exponent delta_bar + tau_bar/log(beta) for metric targets.
     """
+    check_invariant(m, measure)
     target = Target.of(m, target)
     if sched.is_radii:
         return _classify_radii(m, measure, target, sched)
@@ -669,8 +677,7 @@ def local_dims(target: Target, measure: InvariantMeasure, depth_cap: int = 30):
         return 1.0, 1.0, {"exact": True}
     vals = []
     for c in map(target.walk().cylinder, range(max(2, depth_cap - 10), depth_cap + 1)):
-        num = measure.interval_mass(c.left, c.right) if not isinstance(
-            measure, MarkovStationaryMeasure) else measure.cylinder_mass(m, c.word)
+        num = measure.interval_mass(c.left, c.right)
         lnum = math.log(float(num)) if float(num) > 0 else -math.inf
         vals.append(lnum / math.log(float(c.length)))
     return min(vals), max(vals), {"exact": False, "depth_cap": depth_cap}
@@ -700,7 +707,7 @@ def _classify_radii(m, measure, target, sched):
     logbeta = math.log(m.expansion_beta)
     e0 = dbar + tau / logbeta
     psums = _partial_sums(ball_mass_array(
-        measure, m, x0, sched.radii_array(PARTIAL_SUM_SCALES[-1])))
+        m, measure, x0, sched.radii_array(PARTIAL_SUM_SCALES[-1])))
     if sched.kind == "radii_const":
         return BCVerdict("FullMeasure", "sum mu(B(x0,r)) with constant r",
                          None, psums,
@@ -737,7 +744,7 @@ def _classify_radii(m, measure, target, sched):
 
 def _classify_depths(m, measure, target, sched):
     depths = sched.depths_array(10 ** 4)
-    masses = cylinder_mass_by_depth(measure, m, target, depths, exact_cap=200)
+    masses = cylinder_mass_by_depth(m, measure, target, depths, exact_cap=200)
     psums = [float(v) for v in np.cumsum(masses)[[999, 9999 // 2, 9999]]]
     if sched.kind == "depth_const":
         return BCVerdict("FullMeasure", "sum mu(P(t, x0)) with constant t",
@@ -751,7 +758,7 @@ def _classify_depths(m, measure, target, sched):
     if sched.kind == "depth_log_floor":
         # masses ~ n^(-L/log base) with L the per-depth log-mass rate
         b = sched.params["base"]
-        q = _uniform_digit_mass(m, measure, target)
+        q = _uniform_digit_mass(m, target)
         if q is not None:
             # exact: about (b-1) b^t indices n have t_n = t, each with mass
             # c q^t, so the series diverges iff q*b >= 1
@@ -774,26 +781,20 @@ def _classify_depths(m, measure, target, sched):
     return _heuristic_from_partials(psums, "sum mu(P(t_n, x0)) (custom table)")
 
 
-def _uniform_digit_mass(m, measure, target) -> Optional[Fraction]:
+def _uniform_digit_mass(m, target) -> Optional[Fraction]:
     """q when every depth-t cylinder about the target has mass exactly c q^t,
     with c > 0 fixed by its first digit; else None.
 
-    A chain qualifies when all its nonzero entries equal q and every
-    transition of the map has positive probability.  With forbidden
-    transitions the target must also be a point of the map: a word that does
-    not close into an admissible cycle has no exact value and may leave the
-    chain's support.
+    The map's own chain qualifies when all its nonzero entries equal q.
+    With forbidden transitions the target must also be a point of the map:
+    a word that does not close into an admissible cycle has no exact value
+    and may leave the chain's support.
     """
-    if isinstance(measure, LebesgueMeasure) and isinstance(m, DAryShift):
+    if isinstance(m, DAryShift):
         return Fraction(1, m.D)
-    chain = m if isinstance(measure, LebesgueMeasure) else measure
-    if not (isinstance(chain, (MarkovLinear, MarkovStationaryMeasure))
-            and isinstance(m, (DAryShift, MarkovLinear)) and len(chain.M) == m.D):
+    if not isinstance(m, MarkovLinear):
         return None
-    if any(chain.M[i][j] == 0 and m.admissible(i, j)
-           for i in range(m.D) for j in range(m.D)):
-        return None
-    entries = {x for row in chain.M for x in row}
+    entries = {x for row in m.M for x in row}
     if 0 in entries and target.value is None:
         return None
     entries.discard(0)

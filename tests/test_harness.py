@@ -360,12 +360,18 @@ class TestCLI:
         # the chain allows the transition 1 -> 1 that the golden-mean map forbids
         ({"map": {"kind": "markov", **GOLDEN}, "measure": {"kind": "markov", **CHAIN}}, 3),
         ({"measure": {"kind": "lebesgue"}}, 0),
-        ({"measure": {"kind": "bernoulli", "p": ["1/4", "3/4"]}}, 0),
-        ({"measure": {"kind": "markov", **GOLDEN}}, 0),
+        # invariant chains that are not the map's own law: orbits follow the
+        # map, so their masses do not normalize the hits (mean ratios at
+        # 4 x 20,000 steps, where the theory gives 1)
+        ({"measure": {"kind": "bernoulli", "p": ["1/4", "3/4"]}}, 3),     # 1.333
+        ({"measure": {"kind": "markov", **GOLDEN}}, 3),                   # 0.750
         ({"map": {"kind": "markov", **CHAIN}, "measure": {"kind": "lebesgue"}}, 0),
-        ({"map": {"kind": "markov", **CHAIN}, "measure": {"kind": "markov", **GOLDEN}}, 0),
+        ({"map": {"kind": "markov", **CHAIN},
+          "measure": {"kind": "markov", **GOLDEN}}, 3),                   # 0.501
         ({"map": {"kind": "markov", **GOLDEN}}, 0),
         ({"map": {"kind": "gauss"}, "x0": {"word": [1, 2]}}, 0),
+        ({"measure": {"kind": "bernoulli", "p": ["1/2", "1/2"]}}, 0),
+        ({"map": {"kind": "markov", **CHAIN}, "measure": {"kind": "markov", **CHAIN}}, 0),
     ])
     def test_measure_must_be_invariant_for_the_map(self, tmp_path, capsys, change, code):
         cfgp = tmp_path / "c.json"

@@ -12,7 +12,10 @@ from shrinktargets import (
     MarkovLinear,
     MarkovStationaryMeasure,
     MeasureError,
+    Schedule,
+    TargetPoint,
     bernoulli_map,
+    borel_cantelli_classify,
     correlation_mass,
     cylinder_from_word,
     entropy_birkhoff,
@@ -20,8 +23,11 @@ from shrinktargets import (
     entropy_closed_form,
     entropy_smb,
     pushforward_defect,
+    run_metric_hits,
+    run_symbolic_hits,
     smb_regular_cylinders,
     stationary_vector,
+    target_mass_rates,
     trial_seed,
 )
 from shrinktargets.measures import (
@@ -219,6 +225,56 @@ class TestEntropySMB:
         assert mean == pytest.approx(2.3937234573931536, abs=1e-9)
         assert abs(mean - GAUSS_ENTROPY) < 0.1
         assert within == 42
+
+
+# every public engine that takes a (map, measure) pair, on tiny inputs
+PAIR_ENGINES = {
+    "run_symbolic_hits": lambda m, mu, x: run_symbolic_hits(
+        m, mu, x, Schedule.depth_const(1), 50, 1, 0),
+    "run_metric_hits": lambda m, mu, x: run_metric_hits(
+        m, mu, x, Schedule.radii_power(2.0), 50, 1, 0),
+    "borel_cantelli_classify": lambda m, mu, x: borel_cantelli_classify(
+        m, mu, x, Schedule.depth_const(1)),
+    "target_mass_rates": lambda m, mu, x: target_mass_rates(
+        Schedule.depth_const(1), m, mu, x),
+    "entropy_closed_form": lambda m, mu, x: entropy_closed_form(m, mu),
+    "entropy_birkhoff": lambda m, mu, x: entropy_birkhoff(m, mu, 50, 1, 0),
+    "entropy_smb": lambda m, mu, x: entropy_smb(m, mu, x, 5),
+}
+
+
+class TestCheckInvariant:
+    """Only the law the engines sample is admitted: an invariant chain that
+    is not the map's own would not normalize the map's orbits."""
+
+    @pytest.mark.parametrize("engine", PAIR_ENGINES)
+    @pytest.mark.parametrize("pair", ["dary2-skewed-bernoulli", "chain-golden-chain",
+                                      "blaschke-gauss"])
+    def test_engine_refuses_foreign_law(self, engine, pair, dary2, markov, golden_markov,
+                                        blaschke_two, gauss_measure):
+        m, mu, x0 = {
+            "dary2-skewed-bernoulli": (dary2, MarkovStationaryMeasure.bernoulli(
+                [F(1, 4), F(3, 4)]), (0, 1)),
+            "chain-golden-chain": (markov, MarkovStationaryMeasure(
+                golden_markov.p, golden_markov.M), (0, 1)),
+            "blaschke-gauss": (blaschke_two, gauss_measure, 0.3),
+        }[pair]
+        with pytest.raises(MeasureError, match=f"the {mu.kind} measure is not invariant "
+                                               f"for the {m.kind} map"):
+            PAIR_ENGINES[engine](m, mu, TargetPoint.of(m, x0))
+
+    @pytest.mark.parametrize("engine", PAIR_ENGINES)
+    @pytest.mark.parametrize("pair", ["dary2-uniform-chain", "chain-own-chain"])
+    def test_engine_accepts_own_law(self, engine, pair, dary2, markov, markov_measure):
+        m, mu = {
+            "dary2-uniform-chain": (dary2, MarkovStationaryMeasure.bernoulli([F(1, 2)] * 2)),
+            "chain-own-chain": (markov, markov_measure),
+        }[pair]
+        PAIR_ENGINES[engine](m, mu, TargetPoint.of(m, (0, 1)))
+
+    def test_uniform_chain_closed_form_is_log_D(self, dary3):
+        mu = MarkovStationaryMeasure.bernoulli([F(1, 3)] * 3)
+        assert entropy_closed_form(dary3, mu).value == math.log(3)
 
 
 class TestInvariance:

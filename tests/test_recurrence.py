@@ -370,7 +370,7 @@ class TestMarkovFastPath:
     def test_seeded_outputs_pinned(self, markov, markov_measure, golden_markov):
         """Seeded Markov outputs pinned to the values of a digit-by-digit
         chain and of windows composed one Fraction branch at a time."""
-        stream = _digit_stream(markov, markov_measure, np.random.default_rng(11), 40)
+        stream = _digit_stream(markov, np.random.default_rng(11), 40)
         assert stream.tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1,
                                    1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]
         alt = TargetPoint.from_word(markov, (0, 1))
@@ -388,7 +388,7 @@ class TestMarkovFastPath:
         assert (est.value, est.standard_error) == (0.6040988158870807, 0.0031843492106405666)
 
     @pytest.mark.parametrize("kind", ["dary2", "dary3", "dary10", "chain", "golden"])
-    def test_float_positions_within_rounding_term(self, kind, markov, golden_markov, lebesgue):
+    def test_float_positions_within_rounding_term(self, kind, markov, golden_markov):
         m = {"dary2": DAryShift(2), "dary3": DAryShift(3), "dary10": DAryShift(10),
              "chain": markov, "golden": golden_markov}[kind]
         N, extra = 150, 40
@@ -396,7 +396,7 @@ class TestMarkovFastPath:
         start = F(0) if isinstance(m, DAryShift) else F(1, 2)
         worst = worst_cut = F(0)
         for seed in (0, 1, 2):
-            stream = _digit_stream(m, lebesgue, np.random.default_rng(seed),
+            stream = _digit_stream(m, np.random.default_rng(seed),
                                    N + W + extra + 2)
             pos = _window_positions(m, stream, N, W)
             s = stream.tolist()
@@ -445,7 +445,7 @@ class TestExactResolver:
         N, seed, x0 = 40, 0, F(1, 3)
         rng = np.random.default_rng(trial_seed(seed, 0))
         W = 30
-        stream = _digit_stream(dary2, lebesgue, rng, N + W + 2)
+        stream = _digit_stream(dary2, rng, N + W + 2)
         r = float(abs(_window_positions(dary2, stream, N, W)[N - 1] - float(x0)))
         assert _window_width(dary2, r)[0] == W
         R = F(r)
@@ -463,14 +463,13 @@ class TestExactResolver:
     def test_chain_reads_on_from_the_last_digit(self, zero_diagonal):
         # the continuation steps through row M[last], never redraws from p
         m = zero_diagonal
-        mu = MarkovStationaryMeasure(m.p, m.M)
         cum = np.cumsum(np.asarray(m.M, dtype=float), axis=1)
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            stream = _digit_stream(m, mu, rng, 50)
+            stream = _digit_stream(m, rng, 50)
             u = np.random.default_rng()
             u.bit_generator.state = rng.bit_generator.state
-            more = _digit_stream(m, mu, rng, 30, after=int(stream[-1]))
+            more = _digit_stream(m, rng, 30, after=int(stream[-1]))
             want, prev = [], int(stream[-1])
             for x in u.random(30):
                 prev = int(np.searchsorted(cum[prev], x, side="right"))
@@ -485,13 +484,13 @@ def _symbolic_per_depth(m, measure, target, sched, N, trials, seed, horizons, co
     cap = int(min(depths.max(), PREFIX_CAP))
     word = np.asarray(target.digits(cap), dtype=np.int64)
     cps = _checkpoints(N, horizons)
-    norm = np.cumsum(cylinder_mass_by_depth(measure, m, target, depths))[np.asarray(cps) - 1]
+    norm = np.cumsum(cylinder_mass_by_depth(m, measure, target, depths))[np.asarray(cps) - 1]
     capped = np.minimum(depths, cap)
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
     hit_idx = [] if collect_hits else None
     for t in range(trials):
         rng = np.random.default_rng(trial_seed(seed, t))
-        stream = _digit_stream(m, measure, rng, N + cap + 2)
+        stream = _digit_stream(m, rng, N + cap + 2)
         acc = np.ones(N, dtype=bool)       # acc[i-1]: prefix match at orbit index i
         hit = np.zeros(N, dtype=bool)
         depth_done = -1
@@ -514,7 +513,7 @@ def _metric_whole_stream(m, measure, target, sched, N, trials, seed, horizons, c
     and _digit_stream through the module, so a monkeypatch reaches both."""
     radii = sched.radii_array(N)
     cps = _checkpoints(N, horizons)
-    norm = np.cumsum(ball_mass_array(measure, m, target.float_value(), radii))[
+    norm = np.cumsum(ball_mass_array(m, measure, target.float_value(), radii))[
         np.asarray(cps) - 1]
     W, truncation, rounding = recurrence._window_width(m, float(radii[-1]))
     margin = truncation + rounding
@@ -525,7 +524,7 @@ def _metric_whole_stream(m, measure, target, sched, N, trials, seed, horizons, c
     resolved = []
     for t in range(trials):
         rng = np.random.default_rng(trial_seed(seed, t))
-        stream = recurrence._digit_stream(m, measure, rng, N + W + 2)
+        stream = recurrence._digit_stream(m, rng, N + W + 2)
         pos = _window_positions(m, stream, N, W)
         d = np.abs(pos - x0f)
         hit = d <= radii
@@ -533,7 +532,7 @@ def _metric_whole_stream(m, measure, target, sched, N, trials, seed, horizons, c
         for i in np.flatnonzero(unsure):
             n = int(i) + 1
             if len(stream) < n + reach:
-                more = recurrence._digit_stream(m, measure, rng, reach, after=int(stream[-1]))
+                more = recurrence._digit_stream(m, rng, reach, after=int(stream[-1]))
                 stream = np.concatenate((stream, more))
             point = PrefixWalk(m, stream[n:n + reach].tolist())
             hit[i] = ball_holds(point.bounds, target.bracket, F(float(radii[i])), W)
@@ -635,8 +634,8 @@ class TestLinearEnginesMatchOracles:
             W, truncation, rounding = width(m, r_min)
             return W, truncation + 2e-3, rounding
 
-        def recording(m, measure, rng, length, after=None):
-            out = stream_of(m, measure, rng, length, after)
+        def recording(m, rng, length, after=None):
+            out = stream_of(m, rng, length, after)
             if after is not None:
                 calls.append((length, after, out.tolist()))
             return out
@@ -680,7 +679,7 @@ class TestLinearEngineBudgets:
         assert peak <= 36e6, f"{peak / 1e6:.1f} MB over the 36 MB budget"
 
 
-def _ball_mass_bruteforce(measure, m, x0, radii) -> list:
+def _ball_mass_bruteforce(m, measure, x0, radii) -> list:
     """Per-ball masses one interval_mass call at a time."""
     return [min(2 * float(r), 1.0) if m.circle else
             float(measure.interval_mass(max(x0 - r, 0), min(x0 + r, 1))) for r in radii]
@@ -690,12 +689,12 @@ class TestNormalizer:
     def test_closed_form_vs_bruteforce(self, dary2, gauss, lebesgue, gauss_measure):
         radii = Schedule.radii_power(1.0).radii_array(10 ** 4)
         for m, mu, x0 in ((dary2, lebesgue, 1 / 3), (gauss, gauss_measure, 0.41)):
-            fast = ball_mass_array(mu, m, x0, radii)
-            slow = _ball_mass_bruteforce(mu, m, x0, radii)
+            fast = ball_mass_array(m, mu, x0, radii)
+            slow = _ball_mass_bruteforce(m, mu, x0, radii)
             assert float(np.abs(fast - np.asarray(slow)).max()) < 1e-12
 
 
-def _per_depth_masses(measure, m, target, depths, exact_cap):
+def _per_depth_masses(m, measure, target, depths, exact_cap):
     """Reference: one target word and one mass per distinct depth."""
     mass = {}
     for t in np.unique(depths):
@@ -742,14 +741,14 @@ class TestNormalizerByDepth:
         for depths in self.DEPTHS:
             for exact_cap in (0, 6, 400):
                 try:
-                    want = _per_depth_masses(mu, m, tgt, depths, exact_cap)
+                    want = _per_depth_masses(m, mu, tgt, depths, exact_cap)
                 except BoundaryHit as e:
                     with pytest.raises(BoundaryHit) as got:
-                        cylinder_mass_by_depth(mu, m, tgt, depths, exact_cap)
+                        cylinder_mass_by_depth(m, mu, tgt, depths, exact_cap)
                     assert got.value.args == e.args
                     raised += 1
                     continue
-                got = cylinder_mass_by_depth(mu, m, tgt, depths, exact_cap)
+                got = cylinder_mass_by_depth(m, mu, tgt, depths, exact_cap)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
         assert (raised > 0) == (case == "gauss-rational")
 
@@ -762,18 +761,23 @@ class TestNormalizerByDepth:
         }[case]
         depths = np.arange(401)
         t0 = time.perf_counter()
-        got = cylinder_mass_by_depth(mu, m, tgt, depths)
+        got = cylinder_mass_by_depth(m, mu, tgt, depths)
         elapsed = time.perf_counter() - t0
-        want = _per_depth_masses(mu, m, tgt, depths, 400)
+        want = _per_depth_masses(m, mu, tgt, depths, 400)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert elapsed < 0.1, f"{elapsed:.3f} s for depths 0..400"
 
     def test_golden_gauss_masses_positive_and_decreasing(self, gauss, gauss_measure):
         # exact Gauss endpoints at every depth: no cylinder collapses to mass 0
         tgt = TargetPoint.from_word(gauss, (1,))
-        got = cylinder_mass_by_depth(gauss_measure, gauss, tgt, np.arange(401))
+        got = cylinder_mass_by_depth(gauss, gauss_measure, tgt, np.arange(401))
         assert np.all(got > 0) and np.all(np.diff(got) < 0)
         assert got[184] == pytest.approx(4.97e-78, rel=1e-3)
+
+    def test_decreasing_depths_raise(self, dary2, lebesgue):
+        tgt = TargetPoint.from_word(dary2, (0, 1))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            cylinder_mass_by_depth(dary2, lebesgue, tgt, np.array([0, 2, 3, 1, 4]))
 
     def test_one_target_word_per_call(self, dary2, lebesgue):
         tgt = _CountingTarget(dary2, value=F(1, 3))
@@ -781,7 +785,7 @@ class TestNormalizerByDepth:
                          (Schedule.depth_log_floor(2), 10 ** 5),
                          (Schedule.depth_const(3), 10)):
             before = _CountingTarget.calls
-            cylinder_mass_by_depth(lebesgue, dary2, tgt, sched.depths_array(N))
+            cylinder_mass_by_depth(dary2, lebesgue, tgt, sched.depths_array(N))
             assert _CountingTarget.calls - before == 1
 
 
@@ -867,7 +871,7 @@ class TestClassifier:
             want, total, prev = [], 0.0, 0
             for s in (10 ** 3, 10 ** 4, 10 ** 5):
                 r = np.asarray([sched.radius(k) for k in range(prev + 1, s + 1)])
-                total += float(np.sum(ball_mass_array(mu, m, tgt.float_value(), r)))
+                total += float(np.sum(ball_mass_array(m, mu, tgt.float_value(), r)))
                 want.append(total)
                 prev = s
             assert borel_cantelli_classify(m, mu, tgt, sched).partial_sums == want

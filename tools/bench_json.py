@@ -1,5 +1,6 @@
-"""Write BENCH_<pr>.json: the perfbench metrics of every declared workload
-and the wall times of the Tier-1 suite and of each acceptance criterion.
+"""Write BENCH_<pr>.json: the perfbench metrics of every declared workload,
+the wall times of the Tier-1 suite and of each acceptance criterion, and
+the line count of each source module.
 
 Run from the root of a checkout:
 
@@ -12,12 +13,16 @@ failed and attempted operation counts of each run and the machine that
 run.py reports.  The runs are sequential, one worker process at a time, as
 run.py starts them.  Then it runs the Tier-1 command once with pytest's
 --durations, and records its wall time, its outcome counts and the time of
-each test in tests/test_acceptance.py (setup, call and teardown).
+each test in tests/test_acceptance.py (setup, call and teardown).  Last,
+it counts the lines of each src/shrinktargets/*.py module and their total
+(src_lines), so that the size of the code is read from the same file as
+its times.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import re
@@ -29,6 +34,7 @@ MACHINE = "# machine "
 SEED = 1
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 ACCEPTANCE = "tests/test_acceptance.py::"
+SRC = "src/shrinktargets/*.py"
 
 
 def run_bench(workload: str, seconds: float, trace: int):
@@ -65,6 +71,15 @@ def run_tests() -> dict:
             "acceptance_s": dict(sorted(acceptance.items()))}
 
 
+def src_lines() -> dict:
+    """Lines of each source module, by file name, and their total."""
+    modules = {}
+    for path in sorted(glob.glob(SRC)):
+        with open(path) as fh:
+            modules[os.path.basename(path)] = sum(1 for _ in fh)
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="number in the file name")
@@ -86,6 +101,8 @@ def main(argv=None) -> int:
               f"{runs['end_to_end_ops']['attempted']}", file=sys.stderr)
     doc["tests"] = run_tests()
     print(f"tier-1: {doc['tests']['wall_s']:.1f} s, {doc['tests']['outcome']}", file=sys.stderr)
+    doc["src_lines"] = src_lines()
+    print(f"src: {doc['src_lines']['total']} lines", file=sys.stderr)
     path = f"BENCH_{args.pr}.json"
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
