@@ -436,8 +436,7 @@ class CantorStage:
 
 
 def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
-                       level_sizes: Sequence[int], epsilon: float = 0.3,
-                       root_depth: int = 0) -> CantorStage:
+                       level_sizes: Sequence[int], epsilon: float = 0.3) -> CantorStage:
     """Finite-depth realization of the two-family nested construction.
 
     Per level j: d_j = (previous depth) + N_j; the fine family collects the
@@ -461,13 +460,13 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     deep = sum(int(n) for n in level_sizes) * 4 + 64
     x0_digits = walk.digits(deep)
 
-    root_word = (x0_digits[0],) if root_depth == 0 else tuple(x0_digits[:root_depth + 1])
+    root_word = (x0_digits[0],)
     root_lam = measure.word_mass(root_word)
 
     stage_levels = []
-    depth = len(root_word) - 1           # current nested depth d_{j-1} + k_{j-1}
+    depth = 0                            # current nested depth d_{j-1} + k_{j-1}
     parents = 1
-    base_digit = root_word[-1]           # block the next family must start from
+    base_digit = x0_digits[0]            # block the next family must start from
 
     for j, N_j in enumerate([int(n) for n in level_sizes], start=1):
         if N_j < 2:

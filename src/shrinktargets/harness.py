@@ -349,33 +349,25 @@ def parse_results(doc: dict) -> ResultSet:
 # ---------------------------------------------------------------------------
 # report emission
 
-def emit_report(rs: ResultSet, out_dir: str, formats=("json", "csv", "txt")) -> list:
+def emit_report(rs: ResultSet, out_dir: str) -> list:
     """Write results.json, records.csv, summary.txt, and ratio-trace plot
     data; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for fmt in formats:
-        if fmt == "json":
-            path = os.path.join(out_dir, "results.json")
-            with open(path, "w") as fh:
-                fh.write(rs.dumps())
-                fh.write("\n")
-        elif fmt == "csv":
-            path = os.path.join(out_dir, "records.csv")
-            with open(path, "w", newline="") as fh:
-                if rs.records:
-                    keys = list(rs.records[0].keys())
-                    w = csv.DictWriter(fh, fieldnames=keys)
-                    w.writeheader()
-                    for rec in rs.records:
-                        w.writerow({k: rec.get(k) for k in keys})
-        elif fmt == "txt":
-            path = os.path.join(out_dir, "summary.txt")
-            with open(path, "w") as fh:
-                fh.write(render_table(rs))
-        else:
-            raise ConfigError([f"unknown report format {fmt!r}"])
-        written.append(path)
+    written = [os.path.join(out_dir, name)
+               for name in ("results.json", "records.csv", "summary.txt")]
+    results, records, summary = written
+    with open(results, "w") as fh:
+        fh.write(rs.dumps())
+        fh.write("\n")
+    with open(records, "w", newline="") as fh:
+        if rs.records:
+            keys = list(rs.records[0].keys())
+            w = csv.DictWriter(fh, fieldnames=keys)
+            w.writeheader()
+            for rec in rs.records:
+                w.writerow({k: rec.get(k) for k in keys})
+    with open(summary, "w") as fh:
+        fh.write(render_table(rs))
     if rs.ratio_trace:
         path = os.path.join(out_dir, "ratio_trace.dat")
         with open(path, "w") as fh:

@@ -11,8 +11,8 @@ Four systems are provided:
 
 All maps expose the same small surface: ``evaluate``, ``log_derivative``,
 ``inverse_branch``, ``digit_of``, ``block_interval``, ``admissible`` and a
-few structural attributes (``branch_count``, ``expansion_beta``,
-``partition0``).  Linear maps and the Gauss map are exact on
+few structural attributes (``branch_count``, ``expansion_beta``, and
+``partition0`` on the linear maps).  Linear maps and the Gauss map are exact on
 ``fractions.Fraction`` inputs; Gauss and Blaschke add vectorized float
 ``step`` / ``log_derivative_array``.
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -323,6 +324,13 @@ class MarkovLinear(MapModel):
                                     f"(M[{d_from}][{d_to}]=0)")
         return pair
 
+    @cached_property
+    def float_branches(self):
+        """Float copies (A, B) of the branches, indexed [digit, next digit];
+        0 where the transition is forbidden.  Built on first use."""
+        AB = np.array([[pair or (0, 0) for pair in row] for row in self._affine], dtype=float)
+        return AB[..., 0], AB[..., 1]
+
 
 class GaussMap(MapModel):
     """Gauss transformation x -> 1/x - floor(1/x); digits are CF digits.
@@ -336,13 +344,10 @@ class GaussMap(MapModel):
     kind = "gauss"
     circle = False
 
-    def __init__(self, display_blocks: int = 8):
+    def __init__(self):
         self.branch_count = None
         self.expansion_beta = 2.0
         self.mixing_steps = 2
-        self.partition0 = tuple(
-            (Fraction(1, d + 1), Fraction(1, d)) for d in range(1, display_blocks + 1)
-        )
 
     def key(self):
         return "gauss"
@@ -427,9 +432,6 @@ class BlaschkeBoundary(MapModel):
             raise MapError("could not certify expansion beta > 1")
         self._lift_const = cmath.phase(self._B(1.0 + 0j)) / (2 * math.pi)
         self._boundaries = self._compute_boundaries()
-        self.partition0 = tuple(
-            (self._boundaries[k], self._boundaries[k + 1]) for k in range(self.N)
-        )
 
     def key(self):
         return f"blaschke({self.zeros})"

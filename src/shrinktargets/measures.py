@@ -293,6 +293,12 @@ def _blaschke_entropy_quadrature(m: BlaschkeBoundary, tol: float = 1e-11):
     raise MeasureError("Blaschke entropy quadrature did not converge")
 
 
+def _chain_entropy(p, M) -> float:
+    """sum_ij p_i M_ij log(1/M_ij), the entropy of the stationary chain (p, M)."""
+    return -sum(float(p[i] * M[i][j]) * math.log(float(M[i][j]))
+                for i in range(len(p)) for j in range(len(p)) if M[i][j] > 0)
+
+
 def entropy_closed_form(m: MapModel, measure: InvariantMeasure) -> EntropyEstimate:
     """Exact (or quadrature) entropy of the map's invariant measure."""
     check_invariant(m, measure)
@@ -303,10 +309,7 @@ def entropy_closed_form(m: MapModel, measure: InvariantMeasure) -> EntropyEstima
         return EntropyEstimate(GAUSS_ENTROPY, "closed_form",
                                details={"formula": "pi^2/(6 log 2)"})
     if isinstance(m, MarkovLinear):
-        p, M = m.p, m.M
-        h = -sum(float(p[i] * M[i][j]) * math.log(float(M[i][j]))
-                 for i in range(len(p)) for j in range(len(p)) if M[i][j] > 0)
-        return EntropyEstimate(h, "closed_form",
+        return EntropyEstimate(_chain_entropy(m.p, m.M), "closed_form",
                                details={"formula": "sum p_i M_ij log(1/M_ij)"})
     h, err = _blaschke_entropy_quadrature(m)
     return EntropyEstimate(h, "closed_form",
@@ -566,7 +569,7 @@ class RegularWords(Sequence):
 
 
 def smb_regular_cylinders(measure: MarkovStationaryMeasure, N: int, eps: float,
-                          block_from: int, block_to: int, h: Optional[float] = None):
+                          block_from: int, block_to: int):
     """Depth-N cylinders inside P_block_from mapping onto P_block_to whose
     mass lies in the SMB window (e^{-N(h+eps)}, e^{-N(h-eps)}).
 
@@ -577,10 +580,7 @@ def smb_regular_cylinders(measure: MarkovStationaryMeasure, N: int, eps: float,
     upwards, a layer meets types in first-prefix order.  End types meet the
     window in float logs; its O(N*eps) slack dwarfs their rounding.
     """
-    D = len(measure.p)
-    if h is None:
-        h = -sum(float(measure.p[i] * measure.M[i][j]) * math.log(float(measure.M[i][j]))
-                 for i in range(D) for j in range(D) if measure.M[i][j] > 0)
+    h = _chain_entropy(measure.p, measure.M)
     Q = math.lcm(*(x.denominator for row in measure.M for x in row))
     scaled = [[(d, int(x * Q)) for d, x in enumerate(row) if x > 0] for row in measure.M]
     pb = measure.p[block_from]
@@ -626,13 +626,12 @@ def _digamma(x: float) -> float:
         1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 / 240)))
 
 
-def pushforward_defect(m: MapModel, measure: InvariantMeasure, a, b,
-                       branch_cutoff: int = 20000) -> float:
+def pushforward_defect(m: MapModel, measure: InvariantMeasure, a, b) -> float:
     """|sum_d measure(G_d([a,b])) - measure([a,b])|.
 
-    Exact zero for the linear maps; for the Gauss map the branch tail is
-    summed with an Euler-Maclaurin closed-form remainder so the defect is
-    resolved well below 1e-12.
+    Exact zero for the linear maps; for the Gauss map the first 200,000
+    branches are summed term by term and the tail with an Euler-Maclaurin
+    closed-form remainder, so the defect is resolved well below 1e-12.
     """
     if isinstance(m, (DAryShift, MarkovLinear)):
         total = Fraction(0)
@@ -652,7 +651,7 @@ def pushforward_defect(m: MapModel, measure: InvariantMeasure, a, b,
         return abs(float(total - Fraction(measure.interval_mass(a, b))))
     if isinstance(m, GaussMap) and isinstance(measure, GaussMeasure):
         af, bf = float(a), float(b)
-        K = max(branch_cutoff, 200000)
+        K = 200000
         # branch d contributes log1p(u_d), u_d = (b-a)/((d+a)(d+b+1));
         # summed stably, with the linear tail in closed form via digamma
         # (the quadratic tail is below 1e-16 for K >= 2e5)

@@ -39,6 +39,7 @@ from .measures import (
 from .schema import integer, kinds, listof, number
 
 PREFIX_CAP = 64          # symbolic prefix depth cap (miss probability < 2^-64)
+LOCAL_DEPTH = 30         # deepest cylinder that local_dims and tau_bar sample
 DENSE_DIGITS = 3         # leading target digits the symbolic engine matches on every index
 WINDOW_BLOCK = 1 << 15   # orbit indices per block of the linear metric engine (L2-sized)
 
@@ -419,85 +420,88 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
 
 def _window_width(m, r_min):
     """(W, truncation, rounding): window width for radii down to r_min and
-    the two parts of the certified margin of a window position.
+    the two parts of the certified margin of a window position at that
+    width (_window_margin).
 
-    Position i applies the branches of the W digit pairs after digit i to a
-    start point y_W (0 in the D-ary correlation, 1/2 for Markov maps).  A
-    run of n consecutive branches contracts by at most K c^n, c = 1/beta,
-    K = (worst single branch / c)^(mixing_steps - 1).  The composition G of
-    the W branches is affine with slope at most K c^W, and the true point
-    is G(z) with z = T^W of it, a point of [0, 1].  So the exact window
-    value G(y_W) lies within K c^W |y_W - z| of the true point, and
-    truncation = K c^W / 2 for Markov maps (y_W = 1/2) and c^W for the
-    D-ary map (y_W = 0, K = 1).
+    Position i composes the W branches G_k(y) = alpha_k + beta_k y after
+    digit i and applies the result to a start point y0 (0 for the D-ary map,
+    1/2 for Markov maps).  A run of n consecutive branches contracts by at
+    most K c^n, c = 1/beta, K = (worst single branch / c)^(mixing_steps - 1)
+    (K = 1 for the D-ary map).  The true point is the composition at z = T^W
+    of it, a point of [0, 1], so the exact window value X lies within
+    K c^W |y0 - z| of it: truncation = c^W (D-ary) or K c^W / 2 (Markov).
 
     rounding bounds the float error of the distance |pos - x0f| against the
-    exact |window value - bracket midpoint|, with u = 2^-53 and
-    |fl(x) - x| <= u |x|:
-    * Markov: y_{k-1} = fl(A_k + fl(B_k y_k)) with A, B rounded branch
-      constants adds at most u(|A_k| + 2 B_k |y_k| + |y_{k-1}|) per step,
-      which the outer branches scale by at most K.  Every y_k lies within
-      K/2 of a point of [0, 1], so |y_k| <= Y = 1 + K/2 and
-      P = K W (a + (2 b + 1) Y), with a, b the largest |A| and B.
-    * D-ary: the weights fl(fl(1/D)^k) (pow within one unit in the last
-      place) carry a relative error of at most (k + 2) u, at most 4u summed
-      over the digits; the products and the sum add at most W u, as the
-      terms sum to below 1.  P = W + 4, Y = 1.
-    * Both: rounding x0f adds u and the subtraction u |pos - x0f| <= u (Y + 1).
-    Hence rounding = 1.05 u (P + Y + 2), the factor 1.05 covering the
-    second-order terms.  Rounding is monotone, so the float test
-    |d - r| <= margin flags every step whose computed d is within margin
-    of r.
+    exact |X - bracket midpoint|, with u = 2^-53 and |fl(x) - x| <= u |x|.
+    X = sum_{k<W} alpha_{k+1} pi_k + y0 pi_W with pi_k = beta_1 ... beta_k,
+    and the float constants are correctly rounded.  The doubling composition
+    (A, B) o (A', B') = (A + B A', B B') forms term k as a product of its
+    k + 1 constants (k multiplications) and, as W < 64, adds it to others at
+    most 12 times: 5 compositions build a block of up to 32 branches, 6 fold
+    blocks into the result and one applies it to y0.  So term k carries at
+    most 2k + 13 rounding factors (1 + delta) and the start term 2W + 1, and
+    with |alpha| <= a, pi_k <= K c^k and sum_{k>=0} (2k + 13) c^k =
+    13 / (1 - c) + 2c / (1 - c)^2,
+        |pos - X| <= u K (a (13 / (1 - c) + 2c / (1 - c)^2) + (2W + 1) y0 c^W) = u P.
+    |X| <= Y = 1 + truncation; rounding x0f adds u and the subtraction
+    u |pos - x0f| <= u (Y + 1).  Hence rounding = 1.05 u (P + Y + 2), the
+    factor 1.05 covering the second-order terms.  Rounding is monotone, so
+    the float test |d - r| <= margin flags every step whose computed d is
+    within margin of r.
     """
-    c = 1.0 / m.expansion_beta
     if isinstance(m, DAryShift):
         need = int(math.ceil(-math.log(max(r_min, 1e-18)) / math.log(m.D))) + 25
         W = int(min(52 if m.D == 2 else 40, max(need, 30)))
-        K, Y, P, gap = 1.0, 1.0, W + 4, 1.0    # gap: max |y_W - z| over z in [0, 1]
     else:
-        need = int(math.ceil(math.log(max(r_min, 1e-18)) / math.log(c))) + 25
+        need = int(math.ceil(math.log(max(r_min, 1e-18)) / math.log(1.0 / m.expansion_beta))) + 25
         W = int(min(60, max(need, 30)))
-        A, B = _branch_table(m)
+    return (W, *_window_margin(m, W))
+
+
+def _window_margin(m, W):
+    """(truncation, rounding) of a window of W branches, as derived in
+    _window_width."""
+    c = 1.0 / m.expansion_beta
+    if isinstance(m, DAryShift):
+        K, a, y0 = 1.0, 1 - c, 0.0              # a: the largest |alpha|
+    else:
+        A, B = m.float_branches
         K = (B.max() / c) ** (m.mixing_steps - 1)
-        Y = 1 + K / 2
-        P = K * W * (np.abs(A).max() + (2 * B.max() + 1) * Y)
-        gap = 0.5
-    return W, K * c ** W * gap, 1.05 * 2.0 ** -53 * (P + Y + 2)
-
-
-def _branch_table(m: MarkovLinear):
-    """Float copies (A, B) of the exact branches, indexed [digit, next digit];
-    0 where the transition is forbidden."""
-    AB = np.array([[m.branch_affine(i, j) if m.admissible(i, j) else (0, 0)
-                    for j in range(m.D)] for i in range(m.D)], dtype=float)
-    return AB[..., 0], AB[..., 1]
+        a, y0 = np.abs(A).max(), 0.5
+    truncation = K * c ** W * max(y0, 1 - y0)   # max |y0 - z| over z in [0, 1]
+    P = K * (a * (13 / (1 - c) + 2 * c / (1 - c) ** 2) + (2 * W + 1) * y0 * c ** W)
+    return truncation, 1.05 * 2.0 ** -53 * (P + truncation + 3)
 
 
 def _window_positions(m, stream: np.ndarray, N: int, W: int) -> np.ndarray:
-    """Float positions of T^i x, i = 1..N, from the W digits after digit i."""
-    if isinstance(m, DAryShift) and m.D == 2:
-        # windows of length L double by p[i] + 2^-L p[i+L]; every value is a dyadic
-        # of at most W <= 52 bits, exact in a double, so this equals the correlation
-        p, out, done, L = stream[1:N + W + 1] * 0.5, np.zeros(N), 0, 1
-        while done < W:
-            if W & L:
-                out, done = out + p[done:done + N] * 2.0 ** -done, done + L
-            p, L = p[:-L] + p[L:] * 2.0 ** -L, 2 * L
-        return out
-    if isinstance(m, DAryShift):
-        # np.correlate computes sum_k a[j+k] v[k]: no kernel flip
-        w = (1.0 / m.D) ** np.arange(1, W + 1)
-        return np.correlate(stream[1:N + W + 1].astype(float), w, mode="valid")[:N]
-    # pair j is (stream[j+1], stream[j+2]), so the innermost branch of each
-    # window leads to a stream digit and is admissible
-    A, B = _branch_table(m)
-    pair = stream[1:N + W + 1] * m.D + stream[2:N + W + 2]
-    a, b = A.ravel()[pair], B.ravel()[pair]
-    y = np.full(N, 0.5)
-    for k in range(W - 1, -1, -1):
-        y *= b[k:k + N]
-        y += a[k:k + N]
-    return y
+    """Float positions of T^i x, i = 1..N, from the W digits after digit i.
+
+    Window i applies y -> a[i+k] + b[i+k] y for k = W-1, ..., 0 to y0.
+    Each pass composes neighbouring blocks of L branches into blocks of 2L,
+    (A, B) o (A', B') = (A + B A', B B') (a Hillis-Steele doubling scan),
+    and the block at offset `done` joins the result for each binary digit L
+    of W.  The D-ary branches have the one slope 1/D, a scalar.
+    """
+    scalar = isinstance(m, DAryShift)
+    if scalar:
+        a, b, y0 = stream[1:N + W + 1] / m.D, 1.0 / m.D, 0.0
+    else:
+        # pair j is (stream[j+1], stream[j+2]), so the innermost branch of each
+        # window leads to a stream digit and is admissible
+        A, B = m.float_branches
+        pair = stream[1:N + W + 1] * m.D + stream[2:N + W + 2]
+        a, b, y0 = A.ravel()[pair], B.ravel()[pair], 0.5
+    ra, rb, done, L = 0.0, 1.0, 0, 1        # y -> ra + rb y: the first `done` branches
+    while True:
+        if W & L:
+            ra = ra + rb * a[done:done + N]
+            rb = rb * (b if scalar else b[done:done + N])
+            done += L
+            if done == W:
+                return ra + rb * y0
+        a = a[:-L] + (b if scalar else b[:-L]) * a[L:]
+        b = b * b if scalar else b[:-L] * b[L:]
+        L *= 2
 
 
 def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Schedule,
@@ -669,21 +673,22 @@ def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
     return _classify_depths(m, measure, target, sched)
 
 
-def local_dims(target: Target, measure: InvariantMeasure, depth_cap: int = 30):
-    """(delta_lower, delta_bar) at the target from log mass / log diam, with
-    the exact value 1 for finite-partition interval maps."""
+def local_dims(target: Target, measure: InvariantMeasure):
+    """(delta_lower, delta_bar) at the target from log mass / log diam at
+    depths LOCAL_DEPTH - 10 .. LOCAL_DEPTH, with the exact value 1 for
+    finite-partition interval maps."""
     m = target.map
     if isinstance(m, (DAryShift, MarkovLinear)):
         return 1.0, 1.0, {"exact": True}
     vals = []
-    for c in map(target.walk().cylinder, range(max(2, depth_cap - 10), depth_cap + 1)):
+    for c in map(target.walk().cylinder, range(LOCAL_DEPTH - 10, LOCAL_DEPTH + 1)):
         num = measure.interval_mass(c.left, c.right)
         lnum = math.log(float(num)) if float(num) > 0 else -math.inf
         vals.append(lnum / math.log(float(c.length)))
-    return min(vals), max(vals), {"exact": False, "depth_cap": depth_cap}
+    return min(vals), max(vals), {"exact": False, "depth_cap": LOCAL_DEPTH}
 
 
-def tau_bar(target: Target, depth_cap: int = 30):
+def tau_bar(target: Target):
     """Decay rate of consecutive cylinder masses at the target; 0 exactly
     for finite partitions, and 0 for Gauss targets with subexponential
     digits."""
@@ -692,11 +697,11 @@ def tau_bar(target: Target, depth_cap: int = 30):
     walk = target.walk()
     # if log i_n = o(n) the decay rate vanishes; digits bounded over
     # the sampled depth is the desk-scale proxy for that condition
-    if isinstance(target.map, GaussMap) and max(walk.digits(depth_cap)) <= 10 ** 6:
+    if isinstance(target.map, GaussMap) and max(walk.digits(LOCAL_DEPTH)) <= 10 ** 6:
         return 0.0, {"exact": False, "justification": "bounded digits to sampled depth"}
-    lengths = [hi - lo for lo, hi in map(walk.bounds, range(1, depth_cap + 1))]
+    lengths = [hi - lo for lo, hi in map(walk.bounds, range(1, LOCAL_DEPTH + 1))]
     vals = [math.log(float(prev / cur)) / (n - 1)
-            for n, prev, cur in zip(range(2, depth_cap + 1), lengths, lengths[1:])]
+            for n, prev, cur in zip(range(2, LOCAL_DEPTH + 1), lengths, lengths[1:])]
     return max(vals[-5:]), {"exact": False}
 
 

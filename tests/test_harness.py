@@ -159,14 +159,6 @@ class TestReports:
         assert names == {"results.json", "records.csv", "summary.txt"}
         assert "MeasureZero" in (tmp_path / "summary.txt").read_text()
 
-    def test_unknown_format(self, tmp_path):
-        cfg = parse_config({"experiment": "classify", "map": {"kind": "gauss"},
-                            "x0": {"word": [1]},
-                            "schedule": {"kind": "radii_power", "alpha": 0.5}})
-        rs = run(cfg)
-        with pytest.raises(ConfigError):
-            emit_report(rs, str(tmp_path), formats=("yaml",))
-
     def test_ratio_trace_plot_data(self, tmp_path):
         doc = {"experiment": "simulate", "map": {"kind": "dary", "D": 2},
                "x0": {"word": [0, 1]},

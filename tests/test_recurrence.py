@@ -5,10 +5,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shrinktargets import (
     DAryShift,
     GaussMap,
+    MarkovLinear,
     Schedule,
     ScheduleError,
     TargetPoint,
@@ -22,13 +25,15 @@ from shrinktargets import (
     trial_seed,
 )
 from shrinktargets import recurrence
-from shrinktargets.maps import BoundaryHit
+from shrinktargets.maps import BoundaryHit, MapError
 from shrinktargets.measures import (
     GaussMeasure,
     LebesgueMeasure,
     MarkovStationaryMeasure,
+    MeasureError,
     float_orbit_start,
     float_orbit_step,
+    stationary_vector,
 )
 from shrinktargets.recurrence import (
     PREFIX_CAP,
@@ -37,6 +42,7 @@ from shrinktargets.recurrence import (
     _checkpoints,
     _CheckpointTally,
     _digit_stream,
+    _window_margin,
     _window_positions,
     _window_width,
     ball_holds,
@@ -651,6 +657,75 @@ class TestLinearEnginesMatchOracles:
         assert engine_calls == oracle_calls and len(engine_calls) >= 1
         assert any(n > B for n in resolved)
         assert max(resolved) > N - wide(m, 0.1)[0] - 193
+
+
+@st.composite
+def _window_maps(draw):
+    """A D-ary map with D in 2..12, or a primitive chain on 2 or 3 digits
+    whose rows have denominators <= 6; a zero entry forbids a transition."""
+    if draw(st.booleans()):
+        return DAryShift(draw(st.integers(2, 12)))
+    D = draw(st.sampled_from([2, 3]))
+    M = []
+    for _ in range(D):
+        den = draw(st.integers(1, 6))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=D - 1, max_size=D - 1)))
+        M.append([F(b - a, den) for a, b in zip([0] + cuts, cuts + [den])])
+    try:
+        return MarkovLinear(M, stationary_vector(M))
+    except (MapError, MeasureError):
+        assume(False)           # not primitive, or no certified expansion
+
+
+class TestWindowRoutine:
+    """The one doubling routine behind every linear map's window positions."""
+
+    @given(_window_maps(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_positions_within_margin_at_every_width(self, m, seed):
+        """For every W up to the widest window of the map, each float position
+        lies within rounding of the exact composition of its W branches at the
+        start point, and within truncation of every point of the cylinder of
+        a longer word."""
+        N, extra = 6, 60
+        cap = _window_width(m, 0.0)[0]      # the width at the smallest radius
+        stream = _digit_stream(m, np.random.default_rng(seed), N + cap + extra + 2)
+        s = stream.tolist()
+        start = F(0) if isinstance(m, DAryShift) else F(1, 2)
+        exact, cyls = [], []                # exact[i][W - 1]: window of W branches
+        for i in range(N):
+            A, B, row = F(0), F(1), []
+            for k in range(i + 1, i + cap + 1):
+                a, b = m.branch_affine(s[k], s[k + 1])
+                A, B = A + B * a, B * b
+                row.append(A + B * start)
+            exact.append(row)
+            cyls.append(cylinder_from_word(m, s[i + 1:i + cap + extra + 2]))
+        for W in range(1, cap + 1):
+            truncation, rounding = _window_margin(m, W)
+            pos = _window_positions(m, stream, N, W)
+            for i in range(N):
+                y = exact[i][W - 1]
+                assert abs(F(float(pos[i])) - y) <= rounding, (W, i)
+                c = cyls[i]
+                assert max(abs(c.left - y), abs(c.right - y)) <= truncation, (W, i)
+
+    def test_wide_alphabet_reads_one_slope(self, lebesgue):
+        """D = 10,000: the D-ary windows read one scalar slope and build no
+        D x D table (800 MB of doubles), so a metric run stays small and fast."""
+        m = DAryShift(10_000)
+        tgt = TargetPoint.from_point(m, F(1, 3))
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            hs = run_metric_hits(m, lebesgue, tgt, Schedule.radii_power(1.0), 50_000, 2, 0)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed <= 2.0, f"{elapsed:.2f} s over the 2 s budget"
+        assert peak <= 30e6, f"{peak / 1e6:.1f} MB over the 30 MB budget"
+        assert _band(hs, 2) and not hasattr(m, "float_branches")
 
 
 class TestLinearEngineBudgets:

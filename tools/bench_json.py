@@ -16,7 +16,8 @@ run.py starts them.  Then it runs the Tier-1 command once with pytest's
 each test in tests/test_acceptance.py (setup, call and teardown).  Last,
 it counts the lines of each src/shrinktargets/*.py module and their total
 (src_lines), so that the size of the code is read from the same file as
-its times.
+its times.  The file also names the commit it measured (git rev-parse HEAD)
+and whether the tree had uncommitted changes (git status --porcelain).
 """
 
 from __future__ import annotations
@@ -80,6 +81,15 @@ def src_lines() -> dict:
     return {"modules": modules, "total": sum(modules.values())}
 
 
+def git_state() -> dict:
+    """The checked-out commit and whether tracked or untracked files differ
+    from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], capture_output=True, text=True,
+                              check=True).stdout.strip()
+    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="number in the file name")
@@ -88,7 +98,7 @@ def main(argv=None) -> int:
     with open("BENCHMARK.json") as fh:
         spec = json.load(fh)
     seconds = spec["run_seconds"]
-    doc = {"seed": SEED, "seconds": seconds, "workloads": {}}
+    doc = {**git_state(), "seed": SEED, "seconds": seconds, "workloads": {}}
     for w in spec["workloads"]:
         runs = {}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
