@@ -194,16 +194,18 @@ class Target:
     affine branches its point is the exact periodic point), a digit function
     k -> i_k, or the itinerary of a given point, read lazily through
     orbit_digits.  A given point, a float included, is its own exact value.
-    One prefix walk over the source, shared by every caller, gives the
+    The period word is kept as ``word`` (None for the other sources).  One
+    prefix walk over the source, shared by every caller, gives the
     cylinders and the brackets of x_0.
     """
 
     def __init__(self, m: MapModel, digits=None, value=None):
         self.map = m
+        self.word = None
         if callable(digits):
             self._source = lambda: map(digits, count())
         elif digits is not None:
-            word = tuple(digits)
+            word = self.word = tuple(digits)
             if not word:
                 raise ValueError("empty target word")
             self._source = lambda: cycle(word)

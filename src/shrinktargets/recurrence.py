@@ -11,8 +11,9 @@ rare ambiguous steps resolved in exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -28,8 +29,6 @@ from .maps import (
 from .measures import (
     GaussMeasure,
     InvariantMeasure,
-    LebesgueMeasure,
-    MarkovStationaryMeasure,
     check_invariant,
     float_orbit_blocks,
     log_mass,
@@ -39,7 +38,6 @@ from .measures import (
 from .schema import integer, kinds, listof, number
 
 PREFIX_CAP = 64          # symbolic prefix depth cap (miss probability < 2^-64)
-LOCAL_DEPTH = 30         # deepest cylinder that local_dims and tau_bar sample
 DENSE_DIGITS = 3         # leading target digits the symbolic engine matches on every index
 WINDOW_BLOCK = 1 << 15   # orbit indices per block of the linear metric engine (L2-sized)
 
@@ -322,10 +320,12 @@ def cylinder_mass_by_depth(m: MapModel, measure: InvariantMeasure,
 
     depths must be non-decreasing, as every depth schedule is; a decrease
     raises ValueError.  One target word, at the largest depth needed, serves
-    every depth as a prefix, and one prefix walk (or, for the Markov measure,
-    one running product) adds one factor per depth.  Depths past exact_cap
-    get mass 0: the mass lies below any representable float, so the target
-    is unhittable.
+    every depth as a prefix, and one prefix walk adds one factor per depth.
+    A Markov map's masses are the running product of its own chain (p, M),
+    whichever admitted measure object comes in (check_invariant), so a word
+    that leaves the chain's support has mass 0 from there on.  Depths past
+    exact_cap get mass 0: the mass lies below any representable float, so
+    the target is unhittable.
     """
     step = np.diff(depths)
     if np.any(step < 0):
@@ -333,17 +333,15 @@ def cylinder_mass_by_depth(m: MapModel, measure: InvariantMeasure,
     starts = np.concatenate(([0], np.flatnonzero(step) + 1))     # first index of each run
     uniq = depths[starts]
     word = target.digits(int(min(uniq[-1], exact_cap)))
-    if isinstance(measure, MarkovStationaryMeasure):
-        # the running product p_{w_0} M[w_0][w_1] ... M[w_{t-1}][w_t]
-        prefix = [measure.p[word[0]]]
+    if isinstance(m, MarkovLinear):
+        # p_{w_0} M[w_0][w_1] ... M[w_{t-1}][w_t]
+        prefix = [m.p[word[0]]]
         for a, b in zip(word, word[1:]):
-            prefix.append(prefix[-1] * measure.M[a][b])
+            prefix.append(prefix[-1] * m.M[a][b])
         mass_at = prefix.__getitem__
     else:
         walk = target.walk()
-        of_ends = (lambda lo, hi: hi - lo) if isinstance(measure, LebesgueMeasure) \
-            else measure.interval_mass
-        mass_at = lambda t: of_ends(*walk.bounds(t))
+        mass_at = lambda t: measure.interval_mass(*walk.bounds(t))
     mass = np.array([float(mass_at(t)) if t <= exact_cap else 0.0 for t in uniq.tolist()])
     return np.repeat(mass, np.diff(starts, append=len(depths)))
 
@@ -626,20 +624,13 @@ def _metric_float_orbit(m, measure, x0f, radii, N, trials, seeds, cps, collect_h
 class BCVerdict:
     verdict: str                 # "FullMeasure" | "MeasureZero" | "Inconclusive"
     series: str                  # description of the series tested
-    exponent: Optional[float]    # epsilon-strengthened exponent, when used
+    exponent: Optional[float]    # delta + tau_bar/log beta (= 1) of the strengthened series
     partial_sums: list
     reasoning: str
     heuristic: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "series": self.series,
-            "exponent": self.exponent,
-            "partial_sums": self.partial_sums,
-            "reasoning": self.reasoning,
-            "heuristic": self.heuristic,
-        }
+        return asdict(self)
 
 
 PARTIAL_SUM_SCALES = (10 ** 3, 10 ** 4, 10 ** 5)
@@ -647,14 +638,8 @@ PARTIAL_SUM_SCALES = (10 ** 3, 10 ** 4, 10 ** 5)
 
 def _partial_sums(terms: np.ndarray) -> list:
     """Partial sums of the series terms[n-1], n = 1.., up to each scale."""
-    out = []
-    total = 0.0
-    prev = 0
-    for s in PARTIAL_SUM_SCALES:
-        total += float(np.sum(terms[prev:s]))
-        out.append(total)
-        prev = s
-    return out
+    ends = (0, *PARTIAL_SUM_SCALES)
+    return list(accumulate(float(np.sum(terms[a:b])) for a, b in zip(ends, ends[1:])))
 
 
 def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
@@ -664,7 +649,29 @@ def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
     Convergent mass series  => MeasureZero (direct Borel-Cantelli).
     Divergent series        => FullMeasure, via the divergence theorem for
     cylinder targets, or via the epsilon-strengthened radii series with
-    exponent delta_bar + tau_bar/log(beta) for metric targets.
+    exponent delta + tau_bar/log(beta) for metric targets.
+
+    Every admitted (map, measure) pair (check_invariant) has a density
+    bounded above and below, so the local dimension delta is 1.  tau_bar,
+    the growth rate of |P(t-1)| / |P(t)| about x0, is 0 wherever |T'| is
+    bounded, as on the D-ary, Markov and Blaschke maps: T^(t-1) maps P(t-1)
+    onto the block of digit i_{t-1} and P(t) onto its part whose next digit
+    is i_t, and by bounded distortion the ratio stays within a constant
+    factor of that of the images, one of finitely many.  On the Gauss map
+    the ratio is about a_t^2, bounded for a word target.  So power radii
+    n^(-1/alpha) compare alpha with 1 exactly.
+
+    Log-floor depths floor(log_b n) give about (b - 1) b^t indices depth t,
+    and the masses of a target with period p shrink by an exact factor rho
+    over each period (Chernov-Kleinbock 2001 for Markov measures, Philipp
+    1967 for the Gauss map), so the series diverges iff b^p rho >= 1
+    (_log_floor_diverges).
+
+    Verdicts are exact unless marked heuristic: custom tables and
+    log-floor schedules with no exact period factor (Blaschke maps, point
+    targets of the Gauss map and of non-uniform chains) are read off the
+    partial sums, and FullMeasure for a Gauss point target under power
+    radii assumes tau_bar = 0, which its unknown digits may not give.
     """
     check_invariant(m, measure)
     target = Target.of(m, target)
@@ -673,75 +680,33 @@ def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
     return _classify_depths(m, measure, target, sched)
 
 
-def local_dims(target: Target, measure: InvariantMeasure):
-    """(delta_lower, delta_bar) at the target from log mass / log diam at
-    depths LOCAL_DEPTH - 10 .. LOCAL_DEPTH, with the exact value 1 for
-    finite-partition interval maps."""
-    m = target.map
-    if isinstance(m, (DAryShift, MarkovLinear)):
-        return 1.0, 1.0, {"exact": True}
-    vals = []
-    for c in map(target.walk().cylinder, range(LOCAL_DEPTH - 10, LOCAL_DEPTH + 1)):
-        num = measure.interval_mass(c.left, c.right)
-        lnum = math.log(float(num)) if float(num) > 0 else -math.inf
-        vals.append(lnum / math.log(float(c.length)))
-    return min(vals), max(vals), {"exact": False, "depth_cap": LOCAL_DEPTH}
-
-
-def tau_bar(target: Target):
-    """Decay rate of consecutive cylinder masses at the target; 0 exactly
-    for finite partitions, and 0 for Gauss targets with subexponential
-    digits."""
-    if isinstance(target.map, (DAryShift, MarkovLinear)):
-        return 0.0, {"exact": True}
-    walk = target.walk()
-    # if log i_n = o(n) the decay rate vanishes; digits bounded over
-    # the sampled depth is the desk-scale proxy for that condition
-    if isinstance(target.map, GaussMap) and max(walk.digits(LOCAL_DEPTH)) <= 10 ** 6:
-        return 0.0, {"exact": False, "justification": "bounded digits to sampled depth"}
-    lengths = [hi - lo for lo, hi in map(walk.bounds, range(1, LOCAL_DEPTH + 1))]
-    vals = [math.log(float(prev / cur)) / (n - 1)
-            for n, prev, cur in zip(range(2, LOCAL_DEPTH + 1), lengths, lengths[1:])]
-    return max(vals[-5:]), {"exact": False}
-
-
 def _classify_radii(m, measure, target, sched):
-    x0 = target.float_value()
-    dlo, dbar, _ = local_dims(target, measure)
-    tau, _ = tau_bar(target)
-    logbeta = math.log(m.expansion_beta)
-    e0 = dbar + tau / logbeta
     psums = _partial_sums(ball_mass_array(
-        m, measure, x0, sched.radii_array(PARTIAL_SUM_SCALES[-1])))
+        m, measure, target.float_value(), sched.radii_array(PARTIAL_SUM_SCALES[-1])))
     if sched.kind == "radii_const":
-        return BCVerdict("FullMeasure", "sum mu(B(x0,r)) with constant r",
-                         None, psums,
+        return BCVerdict("FullMeasure", "sum mu(B(x0,r)) with constant r", None, psums,
                          "constant radii: the mass series diverges linearly and "
                          "the strengthened series diverges for every exponent")
     if sched.kind == "radii_exp":
-        return BCVerdict("MeasureZero", "sum mu(B(x0, e^{-kappa n})) (geometric)",
-                         None, psums,
-                         "geometrically summable ball masses: direct Borel-Cantelli")
+        return BCVerdict("MeasureZero", "sum mu(B(x0, e^{-kappa n})) (geometric)", None,
+                         psums, "geometrically summable ball masses: direct Borel-Cantelli")
     if sched.kind == "radii_power":
         alpha = sched.params["alpha"]
         if alpha < 1:
-            return BCVerdict("MeasureZero",
-                             f"sum mu(B(x0, n^-1/alpha)), alpha={alpha}",
+            return BCVerdict("MeasureZero", f"sum mu(B(x0, n^-1/alpha)), alpha={alpha}",
                              None, psums,
-                             "sum n^(-1/alpha) converges for alpha < 1: "
-                             "direct Borel-Cantelli")
-        if alpha > e0:
-            eps = (alpha - e0) / 2
+                             "sum n^(-1/alpha) converges for alpha < 1: direct Borel-Cantelli")
+        if alpha > 1:
+            eps = (alpha - 1) / 2
             n = np.arange(1, PARTIAL_SUM_SCALES[-1] + 1, dtype=float)
-            strengthened = _partial_sums(n ** (-(e0 + eps) / alpha))
-            return BCVerdict("FullMeasure",
-                             f"sum r_n^(delta_bar + tau_bar/log beta + eps), "
-                             f"alpha={alpha}",
-                             e0, strengthened,
-                             f"the strengthened series diverges for eps = {eps:.3g}")
+            strengthened = _partial_sums(n ** (-(1 + eps) / alpha))
+            return BCVerdict("FullMeasure", f"sum r_n^(1 + eps), alpha={alpha}",
+                             1.0, strengthened,
+                             f"the strengthened series diverges for eps = {eps:.3g}",
+                             heuristic=isinstance(m, GaussMap) and target.word is None)
         return BCVerdict("Inconclusive",
-                         f"sum mu(B) diverges but sum r_n^({e0}+eps) converges "
-                         "for every eps > 0", e0, psums,
+                         "sum mu(B) diverges but sum r_n^(1+eps) converges "
+                         "for every eps > 0", 1.0, psums,
                          "between the convergence and divergence criteria")
     # custom radii: numeric heuristic on partial sums
     return _heuristic_from_partials(psums, "sum mu(B(x0, r_n)) (custom table)")
@@ -752,67 +717,67 @@ def _classify_depths(m, measure, target, sched):
     masses = cylinder_mass_by_depth(m, measure, target, depths, exact_cap=200)
     psums = [float(v) for v in np.cumsum(masses)[[999, 9999 // 2, 9999]]]
     if sched.kind == "depth_const":
-        return BCVerdict("FullMeasure", "sum mu(P(t, x0)) with constant t",
-                         None, psums, "constant-depth cylinder masses diverge linearly")
+        # n copies of one mass, which is 0 only where the word leaves a
+        # chain's support; the float masses also read 0 past exact_cap
+        word = () if target.value is not None else target.digits(sched.params["t"])
+        if all(map(m.admissible, word, word[1:])):
+            return BCVerdict("FullMeasure", "sum mu(P(t, x0)) with constant t",
+                             None, psums, "constant-depth cylinder masses diverge linearly")
+        return BCVerdict("MeasureZero", "sum mu(P(t, x0)) with constant t", None, psums,
+                         "the depth-t word leaves the support: every term is 0")
     if sched.kind == "depth_power_floor":
         # sum c^(n^kappa) converges for every kappa > 0 and c < 1
         return BCVerdict("MeasureZero",
                          "sum mu(P(floor(n^kappa), x0)) <= sum (max mass ratio)^(n^kappa)",
-                         None, psums,
-                         "stretched-geometric masses are summable for every kappa > 0")
+                         None, psums, "stretched-geometric masses are summable for kappa > 0")
     if sched.kind == "depth_log_floor":
-        # masses ~ n^(-L/log base) with L the per-depth log-mass rate
         b = sched.params["base"]
-        q = _uniform_digit_mass(m, target)
-        if q is not None:
-            # exact: about (b-1) b^t indices n have t_n = t, each with mass
-            # c q^t, so the series diverges iff q*b >= 1
-            expo = math.log(1 / q) / math.log(b)
-            verdict = "FullMeasure" if q * Fraction(b) >= 1 else "MeasureZero"
-        else:
-            expo = _mass_log_rate(m, measure, target) / math.log(b)
-            verdict = ("FullMeasure" if expo < 1 else
-                       "MeasureZero" if expo > 1 else "Inconclusive")
-        series = f"sum mu(P(floor(log_{b:g} n), x0)) ~ sum n^-{expo:.3g}"
-        if verdict == "FullMeasure":
-            return BCVerdict(verdict, series, None, psums,
-                             "log-floor depths give a divergent power series "
-                             f"(exponent {expo:.3g} <= 1)")
-        if verdict == "MeasureZero":
-            return BCVerdict(verdict, series, None, psums,
-                             f"convergent power series (exponent {expo:.3g} > 1)")
-        return BCVerdict("Inconclusive", "borderline log-floor schedule",
-                         None, psums, "exponent = 1 exactly")
+        series = f"sum mu(P(floor(log_{b:g} n), x0))"
+        diverges = _log_floor_diverges(m, target, Fraction(b))
+        if diverges is None:
+            return _heuristic_from_partials(psums, series)
+        if diverges:
+            return BCVerdict("FullMeasure", series, None, psums,
+                             "about (b-1) b^t terms of depth t, masses shrinking by "
+                             "rho per period p, and b^p rho >= 1: the series diverges")
+        return BCVerdict("MeasureZero", series, None, psums,
+                         "b^p rho < 1: a convergent geometric series bounds it")
     return _heuristic_from_partials(psums, "sum mu(P(t_n, x0)) (custom table)")
 
 
-def _uniform_digit_mass(m, target) -> Optional[Fraction]:
-    """q when every depth-t cylinder about the target has mass exactly c q^t,
-    with c > 0 fixed by its first digit; else None.
+def _log_floor_diverges(m, target, b: Fraction) -> Optional[bool]:
+    """Whether b^p rho >= 1, rho the exact factor by which the target's
+    cylinder masses shrink over one period p, or None when none is known.
 
-    The map's own chain qualifies when all its nonzero entries equal q.
-    With forbidden transitions the target must also be a point of the map:
-    a word that does not close into an admissible cycle has no exact value
-    and may leave the chain's support.
+    rho is q per digit on the D-ary map (q = 1/D) and on a chain whose
+    nonzero entries all equal q, for every target that stays in the support;
+    the product of M around the cyclic word for a chain's word target (0 if
+    the word does not close); and lambda^-2 for a Gauss word, lambda the
+    Perron root of P = prod [[a, 1], [1, 0]] (lengths |P(t)| ~ q_t^-2).
     """
+    w = target.word
+    if isinstance(m, GaussMap):
+        if w is None:
+            return None
+        x, y, z, u = 1, 0, 0, 1
+        for a in w:
+            x, y, z, u = x * a + y, x, z * a + u, z
+        # lambda = (tr + sqrt(tr^2 - 4 det)) / 2 and lambda^2 = tr lambda - det,
+        # so b^p >= lambda^2 iff 2 b^p + 2 det - tr^2 >= tr sqrt(tr^2 - 4 det);
+        # lambda is irrational, so the two sides are never equal
+        tr, det = x + u, (-1) ** len(w)
+        lhs = 2 * b ** len(w) + 2 * det - tr * tr
+        return lhs >= 0 and lhs * lhs > tr * tr * (tr * tr - 4 * det)
     if isinstance(m, DAryShift):
-        return Fraction(1, m.D)
+        return b >= m.D
     if not isinstance(m, MarkovLinear):
         return None
+    if w is not None:
+        return b ** len(w) * math.prod(m.M[a][c] for a, c in zip(w, w[1:] + w[:1])) >= 1
     entries = {x for row in m.M for x in row}
-    if 0 in entries and target.value is None:
-        return None
-    entries.discard(0)
-    return entries.pop() if len(entries) == 1 else None
-
-
-def _mass_log_rate(m, measure, target, depth: int = 24) -> float:
-    """Per-depth exponential rate of cylinder masses at the target."""
-    word = target.digits(depth)
-    mass = measure.cylinder_mass(m, word)
-    if mass == 0:
-        return math.inf     # the word left the support: finitely many terms
-    return -log_mass(mass) / (depth + 1)
+    if len(entries - {0}) == 1 and (0 not in entries or target.value is not None):
+        return b * max(entries) >= 1
+    return None
 
 
 def _heuristic_from_partials(psums, series):

@@ -47,8 +47,6 @@ from shrinktargets.recurrence import (
     _window_width,
     ball_holds,
     cylinder_mass_by_depth,
-    local_dims,
-    tau_bar,
 )
 
 LOG2 = math.log(2)
@@ -913,12 +911,34 @@ class TestClassifier:
                                         Schedule.depth_log_floor(base))
             assert v.verdict == want and not v.heuristic
 
-    def test_log_floor_word_outside_support(self, zero_diagonal):
-        # (0, 0, 1)^inf uses the forbidden 0 -> 0: every mass past depth 0 is 0
-        mu = MarkovStationaryMeasure(zero_diagonal.p, zero_diagonal.M)
+    @pytest.mark.parametrize("chain_measure", [False, True])
+    def test_log_floor_word_outside_support(self, zero_diagonal, lebesgue, chain_measure):
+        # (0, 0, 1)^inf uses the forbidden 0 -> 0: every mass past depth 0 is 0,
+        # under either object for the chain's one law
+        mu = MarkovStationaryMeasure(zero_diagonal.p, zero_diagonal.M) \
+            if chain_measure else lebesgue
         tgt = TargetPoint.from_word(zero_diagonal, (0, 0, 1))
+        masses = cylinder_mass_by_depth(zero_diagonal, mu, tgt, np.arange(5))
+        assert masses.tolist() == [1 / 3, 0, 0, 0, 0]
         v = borel_cantelli_classify(zero_diagonal, mu, tgt, Schedule.depth_log_floor(3))
-        assert v.verdict == "MeasureZero"
+        assert v.verdict == "MeasureZero" and not v.heuristic
+
+    @pytest.mark.parametrize("chain_measure", [False, True])
+    def test_depth_const_word_outside_support(self, zero_diagonal, lebesgue, chain_measure):
+        # every term is the one depth-t mass: 0 once the word has used 0 -> 0
+        mu = MarkovStationaryMeasure(zero_diagonal.p, zero_diagonal.M) \
+            if chain_measure else lebesgue
+        tgt = TargetPoint.from_word(zero_diagonal, (0, 0, 1))
+        for t, want in ((0, "FullMeasure"), (1, "MeasureZero"), (3, "MeasureZero")):
+            v = borel_cantelli_classify(zero_diagonal, mu, tgt, Schedule.depth_const(t))
+            assert v.verdict == want and not v.heuristic
+            assert (v.partial_sums[0] > 0) == (t == 0)
+
+    def test_depth_const_past_the_exact_cap_diverges(self, dary2, lebesgue):
+        # the float masses read 0 past depth 200, but the exact mass 2^-251 is not 0
+        v = borel_cantelli_classify(dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1)),
+                                    Schedule.depth_const(250))
+        assert v.verdict == "FullMeasure" and v.partial_sums == [0.0, 0.0, 0.0]
 
     def test_fraction_radii_on_gauss(self, gauss, gauss_measure):
         tgt = TargetPoint.from_word(gauss, (1,))
@@ -951,10 +971,13 @@ class TestClassifier:
                 prev = s
             assert borel_cantelli_classify(m, mu, tgt, sched).partial_sums == want
 
-    def test_borderline_alpha_inconclusive(self, dary2, lebesgue):
-        tgt = TargetPoint.from_word(dary2, (0, 1))
-        v = borel_cantelli_classify(dary2, lebesgue, tgt, Schedule.radii_power(1.0))
-        assert v.verdict == "Inconclusive"
+    @pytest.mark.parametrize("case", ["dary-01", "gauss-1", "gauss-2", "gauss-12",
+                                      "blaschke"])
+    def test_borderline_alpha_inconclusive(self, case, request):
+        m, mu, x0 = _ALPHA_CASES[case]
+        m, mu = request.getfixturevalue(m), request.getfixturevalue(mu)
+        v = borel_cantelli_classify(m, mu, TargetPoint.of(m, x0), Schedule.radii_power(1.0))
+        assert v.verdict == "Inconclusive" and v.exponent == 1.0 and not v.heuristic
 
     def test_const_and_exp(self, dary2, lebesgue):
         tgt = TargetPoint.from_word(dary2, (0, 1))
@@ -991,6 +1014,86 @@ class TestClassifier:
         assert len(v.partial_sums) == 3
 
 
+# (map fixture, measure fixture, target) of the radii cases, all exact
+_ALPHA_CASES = {
+    "dary-01": ("dary2", "lebesgue", (0, 1)),
+    "markov-01": ("markov", "markov_measure", (0, 1)),
+    "gauss-1": ("gauss", "gauss_measure", (1,)),
+    "gauss-2": ("gauss", "gauss_measure", (2,)),
+    "gauss-12": ("gauss", "gauss_measure", (1, 2)),
+    "gauss-40": ("gauss", "gauss_measure", (40,)),
+    "blaschke": ("blaschke_two", "lebesgue", 0.3),
+}
+
+_CHAIN = MarkovLinear([[F(3, 4), F(1, 4)], [F(1, 2), F(1, 2)]], [F(2, 3), F(1, 3)])
+
+# word target -> (map, measure, word, threshold base, oracle: whether the
+# log-floor series diverges at an exact base b).  A word of period p
+# diverges iff b^p >= 1/rho; on the Gauss map 1/rho = lambda^2 is the larger
+# root of x^2 - s x + 1 with s = lambda^2 + lambda^-2: 3 for (1)^inf
+# (phi^2) and 14 for (1, 2)^inf (7 + 4 sqrt 3).
+_LOG_FLOOR = {
+    "chain-01": (_CHAIN, MarkovStationaryMeasure(_CHAIN.p, _CHAIN.M), (0, 1),
+                 math.sqrt(8), lambda b: b * b * F(1, 4) * F(1, 2) >= 1),
+    "gauss-1": (GaussMap(), GaussMeasure(), (1,), (3 + math.sqrt(5)) / 2,
+                lambda b: b > F(3, 2) and b * b - 3 * b + 1 >= 0),
+    "gauss-12": (GaussMap(), GaussMeasure(), (1, 2), 2 + math.sqrt(3),
+                 lambda b: b * b > 7 and b ** 4 - 14 * b * b + 1 >= 0),
+    **{f"dary{D}": (DAryShift(D), LebesgueMeasure(), (0, 1), float(D),
+                    lambda b, D=D: b * F(1, D) >= 1) for D in (2, 3, 10)},
+}
+
+
+class TestExactThresholds:
+    """Verdicts on both sides of each exact threshold, each against an
+    oracle written here apart from the classifier."""
+
+    @pytest.mark.parametrize("case", sorted(_ALPHA_CASES))
+    @pytest.mark.parametrize("alpha", [1 - 2 ** -20, 1.0, 1 + 2 ** -20, 1.001])
+    def test_alpha_sweep(self, case, alpha, request):
+        m, mu, x0 = _ALPHA_CASES[case]
+        m, mu = request.getfixturevalue(m), request.getfixturevalue(mu)
+        v = borel_cantelli_classify(m, mu, TargetPoint.of(m, x0), Schedule.radii_power(alpha))
+        want = "MeasureZero" if alpha < 1 else "Inconclusive" if alpha == 1 else "FullMeasure"
+        assert v.verdict == want and not v.heuristic
+
+    @pytest.mark.parametrize("case", sorted(_LOG_FLOOR))
+    @given(rel=st.one_of(st.integers(-64, 64).map(lambda k: k * 2.0 ** -48),
+                         st.floats(-0.4, 0.4)))
+    @settings(max_examples=60)
+    def test_log_floor_sweep(self, case, rel):
+        m, mu, word, threshold, diverges = _LOG_FLOOR[case]
+        b = threshold * (1 + rel)
+        v = borel_cantelli_classify(m, mu, TargetPoint.from_word(m, word),
+                                    Schedule.depth_log_floor(b))
+        assert not v.heuristic
+        assert v.verdict == ("FullMeasure" if diverges(F(b)) else "MeasureZero"), b
+
+    @pytest.mark.parametrize("case, base, want", [
+        ("chain-01", 2.78, "MeasureZero"), ("chain-01", 2.8, "MeasureZero"),
+        ("chain-01", 2.8285, "FullMeasure"),
+        ("gauss-1", 2.613, "MeasureZero"), ("gauss-1", 2.615, "MeasureZero"),
+        ("gauss-1", 2.617, "MeasureZero"), ("gauss-1", 2.619, "FullMeasure"),
+        ("gauss-12", 3.732, "MeasureZero"), ("gauss-12", 3.7321, "FullMeasure"),
+    ])
+    def test_log_floor_near_threshold(self, case, base, want):
+        m, mu, word, _, _ = _LOG_FLOOR[case]
+        v = borel_cantelli_classify(m, mu, TargetPoint.from_word(m, word),
+                                    Schedule.depth_log_floor(base))
+        assert v.verdict == want and not v.heuristic
+
+    def test_without_a_period_factor_heuristic(self, gauss, gauss_measure, blaschke_two,
+                                               lebesgue):
+        # no exact period factor: log-floor verdicts on Blaschke maps and Gauss
+        # points, and power-radii FullMeasure on a Gauss point, are flagged
+        for m, mu, x0, sched in (
+                (blaschke_two, lebesgue, 0.3, Schedule.depth_log_floor(2)),
+                (gauss, gauss_measure, 0.41, Schedule.depth_log_floor(3)),
+                (gauss, gauss_measure, F(3, 7), Schedule.radii_power(2.0))):
+            assert borel_cantelli_classify(m, mu, TargetPoint.from_point(m, x0),
+                                           sched).heuristic
+
+
 class TestMassRates:
     def test_uniform_rates_match_closed_form(self, dary2, lebesgue):
         from shrinktargets import target_mass_rates
@@ -1012,24 +1115,10 @@ class TestMassRates:
 
 
 class TestTargetPoint:
-    def test_finite_partition_exact_dims(self, dary2, markov, lebesgue):
-        for m in (dary2, markov):
-            tgt = TargetPoint.from_word(m, (0, 1))
-            lo, hi, meta = local_dims(tgt, lebesgue)
-            assert (lo, hi) == (1.0, 1.0) and meta["exact"]
-            tau, meta = tau_bar(tgt)
-            assert tau == 0.0 and meta["exact"]
-
-    def test_gauss_bounded_digits(self, gauss, gauss_measure):
-        tgt = TargetPoint.from_word(gauss, (1,))
-        lo, hi, _ = local_dims(tgt, gauss_measure)
-        assert 0.9 < lo <= hi < 1.1
-        tau, _ = tau_bar(tgt)
-        assert tau == 0.0
-
     def test_periodic_word_value(self, dary2):
         tgt = TargetPoint.from_word(dary2, (0, 1))
-        assert tgt.value == F(1, 3)
+        assert tgt.value == F(1, 3) and tgt.word == (0, 1)
+        assert TargetPoint.from_point(dary2, F(1, 3)).word is None
         assert tgt.digits(5) == (0, 1, 0, 1, 0, 1)
         assert tgt.bracket(50) == (F(1, 3), F(1, 3))
 
