@@ -113,9 +113,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
     bad += [f"{k}: {exp} needs a {k} block" for k in needs if doc.get(k) in (None, [])]
     m, x0 = f.get("map"), f.get("x0")
     if not any(v.startswith(("map", "x0")) for v in bad) and m and x0 and "word" in x0:
-        digits = MAP_KINDS[m["kind"]][2](m)
+        w, digits = x0["word"], MAP_KINDS[m["kind"]][2](m)
         bad += [f"x0.word.{i}: {d} is not a digit of map kind {m['kind']}"
-                for i, d in enumerate(x0["word"]) if d not in digits]
+                for i, d in enumerate(w) if d not in digits]
+        # radii need the point of itinerary (w)^inf: a forbidden transition leaves none
+        if m["kind"] == "markov" and not any(v.startswith(("x0", "schedule")) for v in bad) \
+                and f.get("schedule") and _schedule(f["schedule"]).is_radii:
+            bad += [f"x0.word.{i}: the chain forbids {a} -> {b}, so no point has itinerary (w)^inf"
+                    for i, (a, b) in enumerate(zip(w, w[1:] + w[:1])) if not Fraction(m["M"][a][b])]
     if bad:
         raise ConfigError(bad)
     echo = {"trials": 1, "seed": 0, "horizons": [],

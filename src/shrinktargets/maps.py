@@ -381,10 +381,11 @@ class GaussMap(MapModel):
             raise MapError("log-derivative undefined at 0")
         return -2.0 * math.log(float(x))
 
-    def step(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized float T(x) (exact fractional part of 1/x); an orbit
-        that ends lands on 0."""
-        return np.modf(1.0 / x)[0]
+    def step(self, x: np.ndarray, out=None) -> np.ndarray:
+        """Vectorized float T(x), into out if given: 1/x >= 1 minus its floor is
+        exact.  An orbit that ends lands on 0, or on nan where 1/x overflowed."""
+        y = np.reciprocal(x, out=out)
+        return np.subtract(y, np.floor(y), out=y)
 
     def log_derivative_array(self, x: np.ndarray) -> np.ndarray:
         return -2.0 * np.log(x)
@@ -522,13 +523,13 @@ class BlaschkeBoundary(MapModel):
     def log_derivative(self, t) -> float:
         return math.log(self.derivative_abs(float(t) % 1.0))
 
-    def step(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized float T(t) = arg B(e^{2 pi i t}) / (2 pi) mod 1."""
+    def step(self, t: np.ndarray, out=None) -> np.ndarray:
+        """Vectorized float T(t) = arg B(e^{2 pi i t}) / (2 pi) mod 1, into out if given."""
         z = np.exp(2j * np.pi * t)
         w = np.ones_like(z)
         for a in self.zeros:
             w = w * z if a == 0 else w * (abs(a) / a) * (z - a) / (1 - np.conj(a) * z)
-        return np.mod(np.angle(w) / (2 * np.pi), 1.0)
+        return np.mod(np.angle(w) / (2 * np.pi), 1.0, out=out)
 
     def log_derivative_array(self, t: np.ndarray) -> np.ndarray:
         """Vectorized log|B'(e^{2 pi i t})|."""

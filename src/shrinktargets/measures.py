@@ -317,6 +317,10 @@ def entropy_closed_form(m: MapModel, measure: InvariantMeasure) -> EntropyEstima
                                     "quadrature_error": err})
 
 
+def _coalesced(g: np.ndarray) -> bool:    # every row constant: no pass changes a row
+    return not (g[:, 1:] != g[:, :1]).any()
+
+
 def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int,
                  start=None) -> np.ndarray:
     """Digits of the stationary chain (p, M): one uniform for the first
@@ -325,13 +329,13 @@ def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int,
 
     Row k of the table g is the step map state -> next state of uniform k.
     A Hillis-Steele doubling scan (Blelloch, "Prefix sums and their
-    applications", 1990) turns row k into g_k o ... o g_0 in place, in
-    ceil(log2 length) passes.  A pass updates chunks from the top down, so
-    each chunk reads rows that this pass has not yet updated.
+    applications", 1990) turns row k into g_k o ... o g_0 in place, top chunk
+    first, so a chunk reads rows its pass has not yet updated.  Before the pass
+    of stride s, row k >= s holds g_k o ... o g_{k-s+1}; once all of those are
+    constant, the states have coalesced (Propp-Wilson 1996) and the scan stops.
     """
     cum = np.cumsum([[float(x) for x in row] for row in m.M], axis=1)
-    # a float row sum may fall short of 1; a uniform past it takes the last
-    # admissible digit, never digit D
+    # a uniform past a float row sum short of 1 takes the last admissible digit
     for i in range(m.D):
         cum[i, max(m.branch_targets(i)):] = 1.0
     out = np.empty(length, dtype=np.int64)
@@ -343,9 +347,8 @@ def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int,
         for s in range(m.D):
             g[lo:lo + _SCAN_CHUNK, s] = np.searchsorted(cum[s], u[lo:lo + _SCAN_CHUNK],
                                                         side="right")
-    row = np.arange(_SCAN_CHUNK)[:, None] * m.D   # flat offset of each row of a chunk
-    step = 1
-    while step < len(g):
+    row, step = np.arange(_SCAN_CHUNK)[:, None] * m.D, 1   # flat offset of each chunk row
+    while step < len(g) and not _coalesced(g[step:]):
         for hi in range(len(g), step, -_SCAN_CHUNK):
             lo = max(hi - _SCAN_CHUNK, step)
             g[lo:hi] = g[lo:hi].ravel()[g[lo - step:hi - step] + row[:hi - lo]]
@@ -354,43 +357,34 @@ def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int,
     return out
 
 
-def float_orbit_start(measure: InvariantMeasure, seeds):
-    """One generator per trial seed and the start points x ~ measure they draw."""
-    rngs = [np.random.default_rng(s) for s in seeds]
-    return rngs, np.array([measure.sample(r, 1)[0] for r in rngs])
-
-
-def float_orbit_step(m: MapModel, measure: InvariantMeasure, x: np.ndarray, rngs):
-    """(T x, restarts) for the orbits of all trials.  A Gauss orbit that ends
-    (T x = 0) restarts from its own trial's generator, so no trial's path
-    depends on how many trials run beside it."""
-    x = m.step(x)
-    if not isinstance(m, GaussMap) or np.count_nonzero(x) == len(x):
-        return x, 0
-    ended = np.flatnonzero(x == 0)
-    for t in ended:
-        x[t] = measure.sample(rngs[t], 1)[0]
-    return x, len(ended)
-
-
 def float_orbit_blocks(m: MapModel, measure: InvariantMeasure, seeds, N: int):
     """The float orbits x_0, ..., x_N of all trials, ORBIT_BLOCK rows at a time.
 
     Yields (n0, xs, restarts): xs[i] holds x_{n0+i} of every trial, and
     restarts counts the Gauss restarts of the steps that made the block.
-    xs is a view of one buffer that the next block overwrites.  Only the
-    map step runs once per n; consumers decide on whole blocks.
+    xs is a view of one buffer that the next block overwrites.  Each trial
+    draws x_0 ~ measure from its own generator.  The map steps row into row;
+    one test per block finds the first row with an ended Gauss orbit (0, or
+    nan where 1/x overflowed), whose ended trials restart from their own
+    generators in trial order, and the rows after it are stepped again.
     """
-    rngs, x = float_orbit_start(measure, seeds)
+    rngs = [np.random.default_rng(s) for s in seeds]
     buf = np.empty((ORBIT_BLOCK, len(seeds)))
-    buf[0] = x
+    buf[0] = [measure.sample(r, 1)[0] for r in rngs]
     for n0 in range(0, N + 1, ORBIT_BLOCK):
-        rows = min(ORBIT_BLOCK, N + 1 - n0)
-        restarts = 0
-        for i in range(1 if n0 == 0 else 0, rows):
-            x, r = float_orbit_step(m, measure, x, rngs)
-            buf[i] = x
-            restarts += r
+        rows, i, restarts = min(ORBIT_BLOCK, N + 1 - n0), int(n0 == 0), 0
+        # rows past an ended orbit hold inf and nan until they are stepped again
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            while i < rows:
+                for j in range(i, rows):        # at j = 0, buf[-1] is the last row before
+                    m.step(buf[j - 1], out=buf[j])
+                if not isinstance(m, GaussMap) or buf[i:rows].min() > 0:
+                    break
+                i += int(np.argmin((buf[i:rows] > 0).all(axis=1)))
+                ended = np.flatnonzero(~(buf[i] > 0))
+                for t in ended:
+                    buf[i, t] = measure.sample(rngs[t], 1)[0]
+                restarts, i = restarts + len(ended), i + 1
         yield n0, buf[:rows], restarts
 
 

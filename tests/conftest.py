@@ -3,6 +3,7 @@ import os
 import tempfile
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -92,3 +93,44 @@ def markov_measure(markov):
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
 set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "shrinktargets-hypothesis"))
+
+
+def float_orbit_start_reference(measure, seeds):
+    """One generator per trial seed and the start points x ~ measure they draw."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    return rngs, np.array([measure.sample(r, 1)[0] for r in rngs])
+
+
+def float_orbit_step_reference(m, measure, x, rngs):
+    """(T x, restarts) for the float orbits of all trials, one step per n:
+    the reference that measures.float_orbit_blocks must match bit for bit.
+    A Gauss step is np.modf(1/x), and an orbit that ends (T x = 0) restarts
+    from its own trial's generator, in ascending trial order.  1/x of a
+    subnormal start overflows to inf, whose fractional part is 0."""
+    with np.errstate(over="ignore"):
+        x = np.modf(1.0 / x)[0] if isinstance(m, GaussMap) else m.step(x)
+    if not isinstance(m, GaussMap) or np.count_nonzero(x) == len(x):
+        return x, 0
+    ended = np.flatnonzero(x == 0)
+    for t in ended:
+        x[t] = measure.sample(rngs[t], 1)[0]
+    return x, len(ended)
+
+
+class ScriptedGaussMeasure(GaussMeasure):
+    """Gauss measure that reads draws from a script: script[seed][k], where
+    given and not None, is the k-th draw for the generator seeded `seed`
+    (k = 0 its trial's start, then its restarts).  Other draws come from the
+    generator."""
+
+    def __init__(self, script):
+        self.script = script
+        self.draws = {}
+
+    def sample(self, rng, size):
+        seed = rng.bit_generator.seed_seq.entropy
+        k = self.draws[seed] = self.draws.get(seed, -1) + 1
+        values = self.script.get(seed, [])
+        if k < len(values) and values[k] is not None:
+            return np.array([values[k]])
+        return super().sample(rng, size)

@@ -235,6 +235,32 @@ class TestCLI:
         assert cli.main(["simulate", "--config", str(cfgp)]) == 2
         assert "config error: x0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, word, schedule, where", [
+        ("classify", [0, 0, 1], {"kind": "radii_power", "alpha": 2.0}, ["x0.word.0:"]),
+        ("simulate", [0, 1, 1, 0], {"kind": "radii_exp", "kappa": 0.5},
+         ["x0.word.1:", "x0.word.3:"]),        # 1 -> 1, and the closing 0 -> 0
+        ("classify", [2], {"kind": "radii_const", "r": 0.1}, ["x0.word.0:"]),
+        ("classify", [0, 0, 1], {"kind": "depth_const", "t": 2}, []),
+    ])
+    def test_forbidden_markov_word(self, tmp_path, capsys, experiment, word, schedule, where):
+        """No point has an itinerary with a forbidden transition, so a radii
+        schedule rejects the word as a config error; a depth schedule reads
+        it as a cylinder target of mass 0."""
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "experiment": experiment,
+            "map": {"kind": "markov", "M": [["0", "1/2", "1/2"], ["1/2", "0", "1/2"],
+                                            ["1/2", "1/2", "0"]],
+                    "p": ["1/3", "1/3", "1/3"]},
+            "x0": {"word": word}, "schedule": schedule, "horizons": [100]}))
+        code = cli.main([experiment, "--config", str(cfgp)])
+        out, err = capsys.readouterr()
+        if where:
+            assert code == 2
+            assert [v.split()[2] for v in err.splitlines()] == where
+        else:
+            assert code == 0 and "MeasureZero" in out
+
     @pytest.mark.parametrize("change, argv", [
         ({"map": {"kind": "dary", "D": "x"}}, []),
         ({"map": 3}, []),

@@ -37,6 +37,27 @@ class TestEvaluate:
             dary2.evaluate(F(3, 2))
 
 
+class TestVectorStep:
+    def test_gauss_step_is_the_fractional_part_of_the_reciprocal(self, gauss):
+        """Bit for bit np.modf(1/x)[0] on 10^6 log-uniform points of
+        [2^-60, 1], on 1/k (whose orbits end or nearly end) and on 1."""
+        x = np.concatenate((
+            2.0 ** np.random.default_rng(0).uniform(-60, 0, 10 ** 6),
+            1.0 / np.arange(1, 10 ** 5), np.nextafter(1.0 / np.arange(2, 10 ** 4), 0),
+            [1.0, 2.0 ** -60]))
+        want = np.modf(1.0 / x)[0]
+        assert gauss.step(x).tobytes() == want.tobytes()
+        out = np.empty_like(x)
+        assert gauss.step(x, out=out) is out and out.tobytes() == want.tobytes()
+        assert np.count_nonzero(want == 0) > 100      # the 1/k that end at once
+
+    def test_blaschke_step_into_out(self, blaschke_two):
+        t = np.random.default_rng(1).random(1000)
+        out = np.empty_like(t)
+        assert blaschke_two.step(t, out=out) is out
+        assert out.tobytes() == blaschke_two.step(t).tobytes()
+
+
 class TestLogDerivative:
     def test_constant_slope(self, dary3):
         assert dary3.log_derivative(0.123) == pytest.approx(math.log(3))

@@ -30,11 +30,16 @@ from shrinktargets import (
     target_mass_rates,
     trial_seed,
 )
+from shrinktargets import measures
 from shrinktargets.measures import (
     GAUSS_ENTROPY,
-    float_orbit_start,
-    float_orbit_step,
+    float_orbit_blocks,
     sample_chain,
+)
+from conftest import (
+    ScriptedGaussMeasure,
+    float_orbit_start_reference,
+    float_orbit_step_reference,
 )
 
 LOG2 = math.log(2)
@@ -176,13 +181,15 @@ class TestEntropyBirkhoff:
             prev = v
 
     def test_gauss_restart_draws_from_its_own_trial(self, gauss, gauss_measure):
-        rngs, x = float_orbit_start(gauss_measure, [7, 8])
-        x[0] = 0.5  # 1/x = 2: the orbit ends at 0
-        x, restarts = float_orbit_step(gauss, gauss_measure, x, rngs)
+        # trial 0 starts at 1/2 and the map sends 1/2 to 0, so it restarts at n = 1
+        (_, xs, restarts), = float_orbit_blocks(
+            gauss, ScriptedGaussMeasure({7: [0.5]}), [7, 8], 1)
+        rngs, x = float_orbit_start_reference(ScriptedGaussMeasure({7: [0.5]}), [7, 8])
+        x, want = float_orbit_step_reference(gauss, gauss_measure, x, rngs)
+        assert restarts == want == 1 and xs[1].tobytes() == x.tobytes()
         own, other = np.random.default_rng(7), np.random.default_rng(8)
-        gauss_measure.sample(own, 1), other.random()
-        assert restarts == 1 and x[0] == gauss_measure.sample(own, 1)[0]
-        assert rngs[1].random() == other.random()
+        assert xs[1, 0] == gauss_measure.sample(own, 1)[0]
+        assert xs[1, 1] == gauss.step(gauss_measure.sample(other, 1))[0]
 
     def test_gauss_within_three_stderr(self, gauss, gauss_measure):
         est = entropy_birkhoff_batch(gauss, gauss_measure, 10 ** 5, 12, 3)
@@ -528,6 +535,34 @@ class TestChainSampler:
         # the uniforms and the int64 output take 16 bytes a digit; the table
         # (one byte a state) and the scan's chunks must stay within 8 MiB more
         assert peak - 16 * n <= 8 * 2 ** 20
+
+
+class TestCoalescingScan:
+    """The chain scan stops before the first pass whose rows have all
+    coalesced, and its streams stay those of the sequential chain."""
+
+    def test_rarely_coalescing_chain_equals_sequential_chain(self, monkeypatch):
+        # a step table row is constant only where u < 1/100 or u >= 99/100,
+        # so the scan runs close to all of its ceil(log2 length) passes
+        M = [[F(99, 100), F(1, 100)], [F(1, 100), F(99, 100)]]
+        m = MarkovLinear(M, stationary_vector(M))
+        checks = []
+        monkeypatch.setattr(measures, "_coalesced",
+                            lambda g, test=measures._coalesced: checks.append(len(g)) or test(g))
+        for seed in (0, 1, 2):
+            for length in (2, 3, 1024, 1025, 10007, 2 ** 16 + 2):
+                checks.clear()
+                got = sample_chain(m, np.random.default_rng(seed), length)
+                assert np.array_equal(got, _chain_oracle(m, np.random.default_rng(seed), length))
+            assert len(checks) >= 9          # the full scan of 2^16 + 2 digits makes 17 passes
+
+    def test_scan_stops_once_rows_coalesce(self, markov, monkeypatch):
+        checks = []
+        monkeypatch.setattr(measures, "_coalesced",
+                            lambda g, test=measures._coalesced: checks.append(len(g)) or test(g))
+        got = sample_chain(markov, np.random.default_rng(0), 2 ** 17 + 1)
+        assert len(checks) <= 6          # the full scan makes 17 passes
+        assert np.array_equal(got, _chain_oracle(markov, np.random.default_rng(0), 2 ** 17 + 1))
 
 
 class TestTrialSeeds:

@@ -27,12 +27,12 @@ from shrinktargets import (
 from shrinktargets import recurrence
 from shrinktargets.maps import BoundaryHit, MapError
 from shrinktargets.measures import (
+    ORBIT_BLOCK,
     GaussMeasure,
     LebesgueMeasure,
     MarkovStationaryMeasure,
     MeasureError,
-    float_orbit_start,
-    float_orbit_step,
+    float_orbit_blocks,
     stationary_vector,
 )
 from shrinktargets.recurrence import (
@@ -47,6 +47,11 @@ from shrinktargets.recurrence import (
     _window_width,
     ball_holds,
     cylinder_mass_by_depth,
+)
+from conftest import (
+    ScriptedGaussMeasure,
+    float_orbit_start_reference,
+    float_orbit_step_reference,
 )
 
 LOG2 = math.log(2)
@@ -266,25 +271,39 @@ class TestMetricHits:
         assert med[0] < med[1] < med[2]
 
 
-class _HalfStartGauss(GaussMeasure):
-    """Gauss measure whose first draw, the start of trial 0, is 1/2: the map
-    sends it to 0, so trial 0 restarts from its own generator at n = 1."""
+# a double whose float Gauss orbit lands on 0 at step 300 and not before,
+# found by a backward search over preimages on the 2^-52 grid
+ENDS_AT_300 = float.fromhex("0x1.d277bad87b9c2p-1")
 
-    def __init__(self):
-        self.first = True
 
-    def sample(self, rng, size):
-        if self.first:
-            self.first = False
-            return np.array([0.5])
-        return super().sample(rng, size)
+def _ends_at(n):
+    """A start whose float Gauss orbit (np.modf(1/x)) ends at step n <= 300."""
+    x = np.array([ENDS_AT_300])
+    for _ in range(300 - n):
+        x = np.modf(1.0 / x)[0]
+    return float(x[0])
+
+
+def _restart_script(seed):
+    """Gauss draws, by trial seed, of four trials of master seed `seed`: the
+    orbits end at n = 1 (trials 0 and 2, trial 2 through an overflowed 1/x),
+    in the last rows of the first two blocks (trials 0 and 1 both at n = 127,
+    trial 1 at 255), at the first row stepped from a carried row (trial 3 at
+    128) and twice in one block (trial 0 at 1 and 127, trial 3 at 128 and
+    129, trial 1 at 255 and 258)."""
+    B = ORBIT_BLOCK
+    draws = [[0.5, _ends_at(B - 2)],
+             [_ends_at(B - 1), _ends_at(B), _ends_at(3)],
+             [2.0 ** -1074],
+             [_ends_at(B), 0.5]]
+    return {trial_seed(seed, t): d for t, d in enumerate(draws)}
 
 
 def _metric_float_orbit_per_step(m, measure, x0f, radii, N, trials, seeds, cps,
                                  collect_hits):
     """The float-orbit metric engine as one Python step per n: the reference
     that the block engine must match bit for bit."""
-    rngs, x = float_orbit_start(measure, seeds)
+    rngs, x = float_orbit_start_reference(measure, seeds)
     resampled = 0
     hitcount = np.zeros(trials, dtype=np.int64)
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
@@ -293,7 +312,7 @@ def _metric_float_orbit_per_step(m, measure, x0f, radii, N, trials, seeds, cps,
     hit_idx = [[] for _ in range(trials)] if collect_hits else None
     window = 0
     for n in range(1, N + 1):
-        x, restarts = float_orbit_step(m, measure, x, rngs)
+        x, restarts = float_orbit_step_reference(m, measure, x, rngs)
         resampled += restarts
         d = np.abs(x - x0f)
         if m.circle:
@@ -313,29 +332,64 @@ def _metric_float_orbit_per_step(m, measure, x0f, radii, N, trials, seeds, cps,
 
 def _birkhoff_float_per_step(m, measure, n_iter, seeds):
     """(mean, stderr, resampled) of the float Birkhoff sums, one step per n."""
-    rngs, x = float_orbit_start(measure, seeds)
+    rngs, x = float_orbit_start_reference(measure, seeds)
     s = np.zeros(len(seeds))
     resampled = 0
     for _ in range(n_iter):
         s += m.log_derivative_array(x)
-        x, restarts = float_orbit_step(m, measure, x, rngs)
+        x, restarts = float_orbit_step_reference(m, measure, x, rngs)
         resampled += restarts
     vals = s / n_iter
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(seeds))), resampled
 
 
 class TestFloatOrbitBlocks:
-    """The block engine (one map step per n, decisions per block of rows)
-    is bit-identical to the per-step loop, also across block edges."""
+    """The block engine (the map steps row into row, restarts are found once
+    per block) is bit-identical to the per-step loop, also across block
+    edges and through every restart case of _restart_script."""
+
+    ENDS = (1, 1, 127, 127, 128, 129, 255, 258)      # the scripted Gauss orbit ends
+    SIZES = (1, ORBIT_BLOCK - 1, ORBIT_BLOCK, ORBIT_BLOCK + 1, 2 * ORBIT_BLOCK + 5)
 
     @staticmethod
     def _case(kind, blaschke_two, lebesgue):
         if kind == "gauss":
-            return GaussMap(), _HalfStartGauss, (1,)
+            return GaussMap(), lambda: ScriptedGaussMeasure(_restart_script(5)), (1,)
         return blaschke_two, lambda: lebesgue, 0.3
 
+    def _restarts(self, kind, N):
+        return sum(n <= N for n in self.ENDS) if kind == "gauss" else 0
+
+    @pytest.mark.parametrize("n", [1, 3, ORBIT_BLOCK - 2, ORBIT_BLOCK - 1, ORBIT_BLOCK, 300])
+    def test_scripted_start_ends_on_time(self, n):
+        x = np.array([_ends_at(n)])
+        for k in range(1, n + 1):
+            x = np.modf(1.0 / x)[0]
+            assert (x[0] == 0) == (k == n), k
+
     @pytest.mark.parametrize("kind", ["gauss", "blaschke"])
-    @pytest.mark.parametrize("N", [1, 127, 128, 129, 2 * 128 + 5])
+    @pytest.mark.parametrize("N", SIZES)
+    def test_blocks_match_per_step_loop(self, kind, N, blaschke_two, lebesgue):
+        m, measure, _ = self._case(kind, blaschke_two, lebesgue)
+        seeds = [trial_seed(5, t) for t in range(4)]
+        ref_measure = measure()
+        rngs, x = float_orbit_start_reference(ref_measure, seeds)
+        want, restarts = [x.copy()], [0]
+        for _ in range(N):
+            x, r = float_orbit_step_reference(m, ref_measure, x, rngs)
+            want.append(x.copy())
+            restarts.append(r)
+        # each block is a view of one buffer that the next block overwrites
+        got = [(n0, xs.copy(), r) for n0, xs, r in float_orbit_blocks(m, measure(), seeds, N)]
+        rows = np.concatenate([xs for _, xs, _ in got])
+        assert [n0 for n0, _, _ in got] == list(range(0, N + 1, ORBIT_BLOCK))
+        assert rows.tobytes() == np.array(want).tobytes()
+        assert [r for _, _, r in got] == [sum(restarts[n0:n0 + ORBIT_BLOCK])
+                                          for n0, _, _ in got]
+        assert sum(restarts) == self._restarts(kind, N)
+
+    @pytest.mark.parametrize("kind", ["gauss", "blaschke"])
+    @pytest.mark.parametrize("N", SIZES)
     @pytest.mark.parametrize("horizons", [None, [127, 128, 255, 256], [1, 5, 100, 200]])
     def test_metric_matches_per_step_loop(self, kind, N, horizons, blaschke_two, lebesgue):
         m, measure, x0 = self._case(kind, blaschke_two, lebesgue)
@@ -348,19 +402,19 @@ class TestFloatOrbitBlocks:
             m, measure(), tgt.float_value(), sched.radii_array(N), N, 4,
             hs.trial_seeds, hs.checkpoints, True)
         assert hs.hits.tolist() == hits.tolist()
-        assert hs.window_minima.tolist() == wmins.tolist()
+        assert hs.window_minima.tobytes() == wmins.tobytes()
         assert [h.tolist() for h in hs.hit_indices] == hit_idx
-        assert hs.resampled == resampled and resampled >= (kind == "gauss")
+        assert hs.resampled == resampled == self._restarts(kind, N)
 
     @pytest.mark.parametrize("kind", ["gauss", "blaschke"])
-    @pytest.mark.parametrize("n_iter", [1, 127, 128, 129, 2 * 128 + 5])
+    @pytest.mark.parametrize("n_iter", SIZES)
     def test_birkhoff_matches_per_step_loop(self, kind, n_iter, blaschke_two, lebesgue):
         m, measure, _ = self._case(kind, blaschke_two, lebesgue)
         est = entropy_birkhoff(m, measure(), n_iter, 4, 5)
         seeds = [trial_seed(5, t) for t in range(4)]
         want = _birkhoff_float_per_step(m, measure(), n_iter, seeds)
         assert (est.value, est.standard_error, est.details["resampled"]) == want
-        assert want[2] >= (kind == "gauss")
+        assert want[2] == self._restarts(kind, n_iter)
 
 
 def _band(hs, trials):

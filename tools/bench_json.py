@@ -13,8 +13,9 @@ failed and attempted operation counts of each run and the machine that
 run.py reports.  The runs are sequential, one worker process at a time, as
 run.py starts them.  Then it runs the Tier-1 command once with pytest's
 --durations, and records its wall time, its outcome counts and the time of
-each test in tests/test_acceptance.py (setup, call and teardown).  Last,
-it counts the lines of each src/shrinktargets/*.py module and their total
+each test in tests/test_acceptance.py (setup, call and teardown).  It times
+the digit-stream layer, measures.sample_chain on the test suite's three
+chains at STREAM_DIGITS digits each, best of 3 runs.  Last, it counts the lines of each src/shrinktargets/*.py module and their total
 (src_lines), so that the size of the code is read from the same file as
 its times.  The file also names the commit it measured (git rev-parse HEAD)
 and whether the tree had uncommitted changes (git status --porcelain).
@@ -36,6 +37,12 @@ SEED = 1
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 ACCEPTANCE = "tests/test_acceptance.py::"
 SRC = "src/shrinktargets/*.py"
+STREAM_DIGITS = 4 * 10 ** 6
+CHAINS = {          # the chains of tests/conftest.py, row-major
+    "chain": [["3/4", "1/4"], ["1/2", "1/2"]],
+    "golden_mean": [["1/2", "1/2"], ["1", "0"]],
+    "zero_diagonal": [["0", "1/2", "1/2"], ["1/2", "0", "1/2"], ["1/2", "1/2", "0"]],
+}
 
 
 def run_bench(workload: str, seconds: float, trace: int):
@@ -70,6 +77,28 @@ def run_tests() -> dict:
     return {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:]),
             "wall_s": wall, "exit_code": proc.returncode, "outcome": outcome,
             "acceptance_s": dict(sorted(acceptance.items()))}
+
+
+def digit_streams() -> dict:
+    """Best-of-3 seconds and digits/s of sample_chain on each chain, seed 0."""
+    sys.path.insert(0, "src")
+    from fractions import Fraction
+
+    import numpy as np
+    from shrinktargets import MarkovLinear, stationary_vector
+    from shrinktargets.measures import sample_chain
+
+    out = {}
+    for name, rows in CHAINS.items():
+        M = [[Fraction(x) for x in row] for row in rows]
+        m, times = MarkovLinear(M, stationary_vector(M)), []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            sample_chain(m, np.random.default_rng(0), STREAM_DIGITS)
+            times.append(time.perf_counter() - t0)
+        out[name] = {"digits": STREAM_DIGITS, "best_s": min(times),
+                     "digits_per_s": STREAM_DIGITS / min(times)}
+    return out
 
 
 def src_lines() -> dict:
@@ -109,6 +138,9 @@ def main(argv=None) -> int:
         print(f"{w['name']}: wall_s {runs['end_to_end']['wall_s']['value']:.4g} s, "
               f"{runs['end_to_end_ops']['failed']} failed of "
               f"{runs['end_to_end_ops']['attempted']}", file=sys.stderr)
+    doc["digit_streams"] = digit_streams()
+    print("sample_chain: " + ", ".join(f"{k} {v['best_s']:.3f} s"
+                                       for k, v in doc["digit_streams"].items()), file=sys.stderr)
     doc["tests"] = run_tests()
     print(f"tier-1: {doc['tests']['wall_s']:.1f} s, {doc['tests']['outcome']}", file=sys.stderr)
     doc["src_lines"] = src_lines()
