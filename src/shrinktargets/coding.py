@@ -190,34 +190,35 @@ class Target:
     """A target x_0: a point, or a digit word whose point may be irrational.
 
     It holds its map, one digit source and the exact value when one is
-    known.  The source is a finite word repeated periodically (on a map with
-    affine branches its point is the exact periodic point), a digit function
-    k -> i_k, or the itinerary of a given point, read lazily through
-    orbit_digits.  A given point, a float included, is its own exact value.
-    The period word is kept as ``word`` (None for the other sources).  One
-    prefix walk over the source, shared by every caller, gives the
-    cylinders and the brackets of x_0.
+    known.  The source, whose iterator ``source()`` reads afresh and does
+    not check for admissibility, is a finite word repeated periodically (on
+    a map with affine branches its point is the exact periodic point), a
+    digit function k -> i_k, or the itinerary of a given point, read lazily
+    through orbit_digits.  A given point, a float included, is its own exact
+    value.  The period word is kept as ``word`` (None for the other
+    sources).  One prefix walk over the source, shared by every caller,
+    gives the cylinders and the brackets of x_0.
     """
 
     def __init__(self, m: MapModel, digits=None, value=None):
         self.map = m
         self.word = None
         if callable(digits):
-            self._source = lambda: map(digits, count())
+            self.source = lambda: map(digits, count())
         elif digits is not None:
             word = self.word = tuple(digits)
             if not word:
                 raise ValueError("empty target word")
-            self._source = lambda: cycle(word)
+            self.source = lambda: cycle(word)
             if value is None and hasattr(m, "branch_affine"):
                 try:
                     value = periodic_point(m, word)
                 except (MapError, IndexError):
                     pass  # the word does not close into an admissible cycle
         else:
-            self._source = lambda: orbit_digits(m, value)
+            self.source = lambda: orbit_digits(m, value)
         self.value = value
-        self._walk = PrefixWalk(m, self._source())
+        self._walk = PrefixWalk(m, self.source())
         self._point = None if value is None else (Fraction(value),) * 2
 
     @classmethod
@@ -236,8 +237,8 @@ class Target:
         return cls(m, target) if isinstance(target, (tuple, list)) else cls(m, value=target)
 
     def digits(self, n: int) -> tuple:
-        """(i_0, ..., i_n), read afresh and not checked for admissibility."""
-        return tuple(islice(self._source(), n + 1))
+        """(i_0, ..., i_n), read afresh from the source."""
+        return tuple(islice(self.source(), n + 1))
 
     def walk(self) -> PrefixWalk:
         return self._walk

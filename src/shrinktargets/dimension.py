@@ -18,14 +18,15 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .maps import DAryShift, MapModel, MarkovLinear
-from .measures import MarkovStationaryMeasure, RegularWords, log_mass, smb_regular_cylinders
+from .measures import (MarkovStationaryMeasure, RegularWords, log_mass, own_chain,
+                       smb_regular_cylinders)
 from .coding import Target, refine_depth
 from .recurrence import Schedule
 
@@ -51,14 +52,7 @@ class DimensionBound:
     notes: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "grid_lower": self.grid_lower,
-            "hausdorff_lower": self.hausdorff_lower,
-            "upper": self.upper,
-            "formula": self.formula,
-            "inputs": self.inputs,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _clamp01(x: float) -> float:
@@ -453,8 +447,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
         raise DimensionError("need one level size per level")
     if levels < 1 or levels > 6:
         raise DimensionError("levels must be between 1 and 6")
-    measure = (MarkovStationaryMeasure.bernoulli([Fraction(1, m.D)] * m.D)
-               if isinstance(m, DAryShift) else MarkovStationaryMeasure(m.p, m.M))
+    measure = MarkovStationaryMeasure(*own_chain(m))
     target = Target.of(m, target)
     walk = target.walk()
     deep = sum(int(n) for n in level_sizes) * 4 + 64

@@ -154,14 +154,8 @@ class ResultSet:
     provenance: dict = field(default_factory=dict)
     ratio_trace: Optional[list] = None
 
-    def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "records": self.records,
-            "summary": self.summary,
-            "verdicts": self.verdicts,
-            "provenance": self.provenance,
-        }
+    def to_json(self) -> dict:      # every field but the ratio trace
+        return {k: v for k, v in vars(self).items() if k != "ratio_trace"}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=1)

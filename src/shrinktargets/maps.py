@@ -28,6 +28,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -203,17 +204,10 @@ class MarkovLinear(MapModel):
         self.D = D
         self.branch_count = D
 
-        cuts = [Fraction(0)]
-        for i in range(D):
-            cuts.append(cuts[-1] + p[i])
-        self._cuts = tuple(cuts)
+        self._cuts = cuts = tuple(accumulate(p, initial=Fraction(0)))
         # sub-block cuts inside each P_i
-        self._subcuts = []
-        for i in range(D):
-            sc = [cuts[i]]
-            for j in range(D):
-                sc.append(sc[-1] + p[i] * M[i][j])
-            self._subcuts.append(tuple(sc))
+        self._subcuts = [tuple(accumulate((p[i] * x for x in M[i]), initial=cuts[i]))
+                         for i in range(D)]
         self.partition0 = tuple((cuts[i], cuts[i + 1]) for i in range(D))
         # exact (A, B) of every admissible branch, built once: the cylinder
         # compositions and the window engine read them per digit
@@ -237,12 +231,7 @@ class MarkovLinear(MapModel):
 
     def _certify_beta(self) -> float:
         # min over n0-step branch compositions of the slope product, rooted
-        slopes = {
-            (i, j): self.slope(i, j)
-            for i in range(self.D)
-            for j in range(self.D)
-            if self.M[i][j] > 0
-        }
+        slopes = {(i, j): self.slope(i, j) for i in range(self.D) for j in self.branch_targets(i)}
         one_step = min(slopes.values())
         if one_step > 1:
             return float(one_step)

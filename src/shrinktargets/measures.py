@@ -154,10 +154,7 @@ class MarkovStationaryMeasure(InvariantMeasure):
 
     def word_mass(self, word: Sequence[int]) -> Fraction:
         w = tuple(word)
-        mass = self.p[w[0]]
-        for a, b in zip(w, w[1:]):
-            mass *= self.M[a][b]
-        return mass
+        return self.p[w[0]] * math.prod(self.M[a][b] for a, b in zip(w, w[1:]))
 
     def cylinder_mass(self, m, word):
         return self.word_mass(word)
@@ -181,18 +178,21 @@ MEASURE_KINDS = {
 }
 
 
+def own_chain(m: MapModel) -> Optional[tuple]:
+    """The chain (p, M) whose law the engines sample for m: the uniform
+    chain on a dary map's D digits, a markov map's own, else None."""
+    if isinstance(m, DAryShift):
+        u = (Fraction(1, m.D),) * m.D
+        return u, (u,) * m.D
+    return (m.p, m.M) if isinstance(m, MarkovLinear) else None
+
+
 def check_invariant(m: MapModel, measure: InvariantMeasure) -> None:
     """Raise MeasureError unless measure is the law the engines sample for m:
     Lebesgue for the dary, markov and blaschke maps, the Gauss measure for
-    the gauss map, or a chain equal to the map's own (for the dary map, the
-    uniform chain on its D digits)."""
+    the gauss map, or a chain equal to the map's own (own_chain)."""
     if isinstance(measure, MarkovStationaryMeasure):
-        if isinstance(m, DAryShift):
-            u = (Fraction(1, m.D),) * m.D
-            own = (u, (u,) * m.D)
-        else:
-            own = (m.p, m.M) if isinstance(m, MarkovLinear) else None
-        ok = (measure.p, measure.M) == own
+        ok = (measure.p, measure.M) == own_chain(m)
     elif isinstance(measure, GaussMeasure):
         ok = isinstance(m, GaussMap)
     else:
@@ -469,22 +469,11 @@ def correlation_mass(measure: MarkovStationaryMeasure, word_a: Sequence[int],
         # disjoint windows: bridge with gap+1 transitions from q's end to a's start
         P = _matrix_power(measure.M, gap + 1, D)
         return measure.word_mass(q) * P[q[-1]][a[0]] * measure.word_mass(a) / measure.p[a[0]]
-    # overlapping windows: merge digit constraints, empty on mismatch
-    constraints = {}
-    for k, d in enumerate(q):
-        constraints[k] = d
-    for k, d in enumerate(a):
-        pos = ell + k
-        if pos in constraints and constraints[pos] != d:
-            return Fraction(0)
-        constraints[pos] = d
-    top = max(constraints)
-    mass = measure.p[constraints[0]]
-    for pos in range(top):
-        mass *= measure.M[constraints[pos]][constraints[pos + 1]]
-        if mass == 0:
-            return Fraction(0)
-    return mass
+    # overlapping windows: the first k digits of a must repeat q's last ones
+    k = len(q) - ell
+    if q[ell:ell + len(a)] != a[:k]:
+        return Fraction(0)
+    return measure.word_mass(q + a[k:])
 
 
 def _matrix_power(M, n, D):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count, islice
 from typing import Optional
 
 import numpy as np
@@ -32,13 +32,14 @@ from .measures import (
     check_invariant,
     float_orbit_blocks,
     log_mass,
+    own_chain,
     sample_chain,
     trial_seed,
 )
 from .schema import integer, kinds, listof, number
 
-PREFIX_CAP = 64          # symbolic prefix depth cap (miss probability < 2^-64)
 DENSE_DIGITS = 3         # leading target digits the symbolic engine matches on every index
+READ_AHEAD = 64          # stream digits past index N in a symbolic trial's first draw
 WINDOW_BLOCK = 1 << 15   # orbit indices per block of the linear metric engine (L2-sized)
 
 
@@ -314,44 +315,63 @@ def target_mass_rates(sched: Schedule, m: MapModel, measure: InvariantMeasure,
 
 
 def cylinder_mass_by_depth(m: MapModel, measure: InvariantMeasure,
-                           target: Target, depths: np.ndarray,
-                           exact_cap: int = 400) -> np.ndarray:
-    """Masses mu(P(t, x0)) for each run of equal depths t, repeated over the run.
+                           target: Target, depths: np.ndarray) -> np.ndarray:
+    """Masses mu(P(t, x0)), each exact and rounded to a float, for each run
+    of equal depths t, repeated over the run.
 
     depths must be non-decreasing, as every depth schedule is; a decrease
-    raises ValueError.  One target word, at the largest depth needed, serves
-    every depth as a prefix, and one prefix walk adds one factor per depth.
-    A Markov map's masses are the running product of its own chain (p, M),
-    whichever admitted measure object comes in (check_invariant), so a word
-    that leaves the chain's support has mass 0 from there on.  Depths past
-    exact_cap get mass 0: the mass lies below any representable float, so
-    the target is unhittable.
+    raises ValueError.  Nested cylinders' masses never increase, so the walk
+    stops at the first 0.0, and on the way to a far depth it looks at depths
+    64, 128, 256, ... to stop there.  D-ary and Markov masses are the running
+    product of the map's own chain (own_chain), whichever admitted measure
+    comes in (check_invariant); the other maps walk the target's cylinders.
     """
     step = np.diff(depths)
     if np.any(step < 0):
         raise ValueError("depths must be non-decreasing")
     starts = np.concatenate(([0], np.flatnonzero(step) + 1))     # first index of each run
-    uniq = depths[starts]
-    word = target.digits(int(min(uniq[-1], exact_cap)))
-    if isinstance(m, MarkovLinear):
-        # p_{w_0} M[w_0][w_1] ... M[w_{t-1}][w_t]
-        prefix = [m.p[word[0]]]
-        for a, b in zip(word, word[1:]):
-            prefix.append(prefix[-1] * m.M[a][b])
-        mass_at = prefix.__getitem__
-    else:
+    chain = own_chain(m)
+    if chain is None:
         walk = target.walk()
-        mass_at = lambda t: measure.interval_mass(*walk.bounds(t))
-    mass = np.array([float(mass_at(t)) if t <= exact_cap else 0.0 for t in uniq.tolist()])
+        mass_at = lambda t: float(measure.interval_mass(*walk.bounds(t)))
+    else:
+        mass_at = _chain_mass(*chain, target.source())
+    mass, probe = np.zeros(len(starts)), 64
+    for k, t in enumerate(depths[starts].tolist()):
+        while probe < t and mass_at(probe) > 0:
+            probe *= 2
+        mass[k] = mass_at(t) if probe >= t else 0.0     # else it underflowed at the probe
+        if mass[k] == 0.0:
+            break
     return np.repeat(mass, np.diff(starts, append=len(depths)))
+
+
+def _chain_mass(p, M, digits):
+    """mass(t) at non-decreasing t: p_{w_0} M[w_0][w_1] ... M[w_{t-1}][w_t] of
+    the digits w, an integer running product num / den rounded by one int /
+    int division (correctly rounded, 0.0 below 2^-1075)."""
+    w = next(digits)
+    num, den, at = p[w].numerator, p[w].denominator, 0
+
+    def mass(t):
+        nonlocal num, den, at, w
+        seg = [w, *islice(digits, t - at)]
+        f = [M[a][b] for a, b in zip(seg, seg[1:])]
+        num *= math.prod(x.numerator for x in f)
+        den *= math.prod(x.denominator for x in f)
+        at, w = t, seg[-1]
+        return num / den
+    return mass
 
 
 # ---------------------------------------------------------------------------
 # symbolic engine
 
 def _digit_stream(m: MapModel, rng, length: int, after=None):
-    """length digits of a random orbit; a chain stream that reads on past
-    the digit ``after`` steps from that digit's row of M."""
+    """length digits of a random orbit.  Reading on past the digit ``after``,
+    a D-ary or chain stream (from that digit's row of M) is bit for bit one
+    longer draw; a Gauss stream starts a fresh Gauss-distributed point, the
+    same restart as at a boundary."""
     if isinstance(m, DAryShift):
         return rng.integers(0, m.D, size=length, dtype=np.int64)
     if isinstance(m, MarkovLinear):
@@ -375,37 +395,49 @@ def _digit_stream(m: MapModel, rng, length: int, after=None):
 def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Schedule,
                       N: int, trials: int, seed: int, horizons=None,
                       collect_hits: bool = False) -> HitSeries:
-    """Count visits T^i(x) in P(t_i, x0) by exact word-prefix comparison."""
+    """Count visits T^i(x) in P(t_i, x0) by exact word-prefix comparison: a
+    hit matches the target through its own t_i, however deep."""
     check_invariant(m, measure)
     if sched.is_radii:
         raise ScheduleError("symbolic runs need a depth schedule")
     target = Target.of(m, target)
     depths = sched.depths_array(N)
-    cap = int(min(depths.max(), PREFIX_CAP))
-    word = np.asarray(target.digits(cap), dtype=np.int64)
+    t_max = int(depths.max())
     cps = _checkpoints(N, horizons)
     norm = np.cumsum(cylinder_mass_by_depth(m, measure, target, depths))[
         np.asarray(cps) - 1]
+    dense = min(DENSE_DIGITS, t_max + 1)
+    source = target.source()
+    word = list(islice(source, dense))
 
-    # depths never decrease in n: the 0-based indices from first[mm] on need digit mm
-    first = np.searchsorted(np.minimum(depths, cap), np.arange(cap + 1))
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
     seeds = [trial_seed(seed, t) for t in range(trials)]
     hit_idx = [] if collect_hits else None
     for t in range(trials):
         rng = np.random.default_rng(seeds[t])
-        stream = _digit_stream(m, rng, N + cap + 2)
-        # the leading digits on contiguous slices, while most indices match
+        stream = _digit_stream(m, rng, N + min(t_max, READ_AHEAD) + 2)
+        # the leading digits on contiguous slices, while most indices match;
+        # depths never decrease in n: the 0-based indices from first on need digit mm
         live = stream[1:N + 1] == word[0]
-        for mm in range(1, min(DENSE_DIGITS, cap + 1)):
-            live[first[mm]:] &= stream[1 + mm + first[mm]:1 + mm + N] == word[mm]
+        for mm in range(1, dense):
+            first = np.searchsorted(depths, mm)
+            live[first:] &= stream[1 + mm + first:1 + mm + N] == word[mm]
         live, found = np.flatnonzero(live), []
         # then only the survivors: an index matched through its own depth is a hit
-        for mm in range(DENSE_DIGITS, cap + 1):
-            k = np.searchsorted(live, first[mm])
+        for mm in count(dense):
+            k = np.searchsorted(live, np.searchsorted(depths, mm))
             found.append(live[:k])
-            live = live[k:][stream[1 + mm + live[k:]] == word[mm]]
-        idx = np.concatenate(found + [live]) + 1       # ascending, as retired
+            live = live[k:]
+            if not len(live):
+                break
+            if len(stream) < 2 + mm + live[-1]:     # read on, by at least the read-ahead
+                more = max(2 + mm + int(live[-1]) - len(stream), len(stream) - N)
+                stream = np.concatenate(
+                    (stream, _digit_stream(m, rng, more, after=int(stream[-1]))))
+            if mm == len(word):
+                word.append(next(source))
+            live = live[stream[1 + mm + live] == word[mm]]
+        idx = np.concatenate(found) + 1       # ascending, as retired
         hits[t] = np.searchsorted(idx, cps, side="right")
         if collect_hits:
             hit_idx.append(idx)
@@ -714,11 +746,12 @@ def _classify_radii(m, measure, target, sched):
 
 def _classify_depths(m, measure, target, sched):
     depths = sched.depths_array(10 ** 4)
-    masses = cylinder_mass_by_depth(m, measure, target, depths, exact_cap=200)
+    masses = cylinder_mass_by_depth(m, measure, target, depths)
     psums = [float(v) for v in np.cumsum(masses)[[999, 9999 // 2, 9999]]]
     if sched.kind == "depth_const":
         # n copies of one mass, which is 0 only where the word leaves a
-        # chain's support; the float masses also read 0 past exact_cap
+        # chain's support; its float also reads 0 where it underflows, as
+        # deep Gauss cylinders do
         word = () if target.value is not None else target.digits(sched.params["t"])
         if all(map(m.admissible, word, word[1:])):
             return BCVerdict("FullMeasure", "sum mu(P(t, x0)) with constant t",

@@ -36,7 +36,7 @@ from shrinktargets.measures import (
     stationary_vector,
 )
 from shrinktargets.recurrence import (
-    PREFIX_CAP,
+    READ_AHEAD,
     WINDOW_BLOCK,
     PrefixWalk,
     _checkpoints,
@@ -536,28 +536,28 @@ class TestExactResolver:
 
 
 def _symbolic_per_depth(m, measure, target, sched, N, trials, seed, horizons, collect_hits):
-    """The symbolic engine as one full-length mask per digit depth: the
-    reference that the survivor engine must match bit for bit."""
+    """The symbolic engine as one full-length mask per digit depth, read
+    until no index still matches: the reference that the survivor engine
+    must match bit for bit.  A stream reads on from the trial's generator
+    as far as the next depth needs."""
     depths = sched.depths_array(N)
-    cap = int(min(depths.max(), PREFIX_CAP))
-    word = np.asarray(target.digits(cap), dtype=np.int64)
     cps = _checkpoints(N, horizons)
     norm = np.cumsum(cylinder_mass_by_depth(m, measure, target, depths))[np.asarray(cps) - 1]
-    capped = np.minimum(depths, cap)
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
     hit_idx = [] if collect_hits else None
     for t in range(trials):
         rng = np.random.default_rng(trial_seed(seed, t))
-        stream = _digit_stream(m, rng, N + cap + 2)
+        stream = _digit_stream(m, rng, N + min(int(depths.max()), READ_AHEAD) + 2)
         acc = np.ones(N, dtype=bool)       # acc[i-1]: prefix match at orbit index i
         hit = np.zeros(N, dtype=bool)
-        depth_done = -1
-        for u in np.unique(capped):
-            for mm in range(depth_done + 1, int(u) + 1):
-                acc &= stream[1 + mm: 1 + mm + N] == word[mm]
-            depth_done = int(u)
-            sel = capped == u
-            hit[sel] = acc[sel]
+        for mm, digit in enumerate(target.source()):
+            if not acc[depths >= mm].any():
+                break
+            if len(stream) < 1 + mm + N:
+                stream = np.concatenate((stream, _digit_stream(
+                    m, rng, 1 + mm + N - len(stream), after=int(stream[-1]))))
+            acc &= stream[1 + mm: 1 + mm + N] == digit
+            hit[depths == mm] = acc[depths == mm]
         hits[t] = np.cumsum(hit)[np.asarray(cps) - 1]
         if collect_hits:
             hit_idx.append(np.flatnonzero(hit) + 1)
@@ -622,6 +622,45 @@ B = WINDOW_BLOCK
 _SIZES = [(1000, None), (B, [B - 1, B]), (2 * B + 5, [B, B + 1, 2 * B, 2 * B + 1])]
 
 
+def _sticky_chain():
+    M = [[F(99, 100), F(1, 100)], [F(1, 100), F(99, 100)]]
+    return MarkovLinear(M, stationary_vector(M))
+
+
+class TestSymbolicFullDepth:
+    """On the sticky chain a run of 0s lasts 100 digits on average, so the
+    target (0)^inf keeps many survivors past the first draw's read-ahead."""
+
+    @staticmethod
+    def _zero_run_hits(stream, depths):
+        """Orbit indices n whose digits n, ..., n + t_n are all 0: the prefix
+        comparison with (0)^inf at full depth, from the length of the run of
+        0s at each digit.  The stream must hold digit N + max t_n."""
+        ends = np.append(np.flatnonzero(stream), len(stream))
+        n = np.arange(1, len(depths) + 1)
+        return n[ends[np.searchsorted(ends, n)] - n > depths]
+
+    @pytest.mark.parametrize("sched", [
+        Schedule.depth_const(100), Schedule.depth_const(200), Schedule.depth_const(450),
+        Schedule.depth_power_floor(0.5)], ids=lambda s: f"{s.kind}{list(s.params.values())}")
+    def test_hits_match_through_their_own_depth(self, sched):
+        m, N, trials, seed = _sticky_chain(), 10 ** 6, 2, 3
+        hs = run_symbolic_hits(m, LebesgueMeasure(), (0,), sched, N, trials, seed,
+                               collect_hits=True)
+        depths = sched.depths_array(N)
+        assert depths.max() > READ_AHEAD
+        for t, idx in enumerate(hs.hit_indices):
+            # one long draw: a chain stream that reads on continues it bit for bit
+            rng = np.random.default_rng(trial_seed(seed, t))
+            stream = _digit_stream(m, rng, N + int(depths.max()) + 2)
+            assert idx.tolist() == self._zero_run_hits(stream, depths).tolist()
+        # a hit run ends with chance q = 1/100 per step, so the count is compound
+        # Poisson: about q * sum mu runs of mean length 1/q, variance (2 - q) / q^2
+        q = 0.01
+        sd = math.sqrt((2 - q) / (q * hs.normalizer[-1] * trials))
+        assert abs(hs.mean_final_ratio() - 1) < 4 * sd
+
+
 class TestLinearEnginesMatchOracles:
     """The survivor-list symbolic engine and the blocked metric engine give
     the outputs of the per-depth and whole-stream loops, bit for bit."""
@@ -643,8 +682,6 @@ class TestLinearEnginesMatchOracles:
         assert (hs.hit_indices is None) == (not collect)
         if collect:
             assert [h.tolist() for h in hs.hit_indices] == [h.tolist() for h in hit_idx]
-        if sched.kind == "depth_power_floor":
-            assert sched.depths_array(N).max() > PREFIX_CAP     # capped at PREFIX_CAP
 
     @staticmethod
     def _check_metric(m, mu, tgt, sched, N, horizons, collect, trials=3, seed=4):
@@ -821,30 +858,23 @@ class TestNormalizer:
             assert float(np.abs(fast - np.asarray(slow)).max()) < 1e-12
 
 
-def _per_depth_masses(m, measure, target, depths, exact_cap):
-    """Reference: one target word and one mass per distinct depth."""
-    mass = {}
-    for t in np.unique(depths):
-        t = int(t)
-        word = target.digits(min(t, exact_cap))
-        mass[t] = 0.0 if t > exact_cap else float(measure.cylinder_mass(m, word))
+def _per_depth_masses(m, measure, target, depths):
+    """Reference: one target word and one exact mass, rounded to a float,
+    per distinct depth."""
+    mass = {int(t): float(measure.cylinder_mass(m, target.digits(int(t))))
+            for t in np.unique(depths)}
     return np.asarray([mass[int(t)] for t in depths])
 
 
-class _CountingTarget(TargetPoint):
-    calls = 0
-
-    def digits(self, n):
-        type(self).calls += 1
-        return super().digits(n)
-
-
 class TestNormalizerByDepth:
-    # with exact_cap 6 these hold depths below, at and past the cap
+    # runs of equal depths, square depths (to 1600) whose gaps pass every
+    # case's underflow, log depths, one repeated depth, and one far depth
+    # after shallow ones, reached past the probes at 64, 128, ..., 2048
     DEPTHS = (np.repeat(np.arange(0, 12), 3),
               Schedule.depth_power_floor(2).depths_array(40),
               Schedule.depth_log_floor(2).depths_array(3000),
-              np.full(5, 6))
+              np.full(5, 6),
+              np.array([0, 1, 2, 2500]))
 
     @pytest.mark.parametrize("case", ["dary-word", "dary-point", "markov-word",
                                       "markov-measure", "markov-point", "gauss-word",
@@ -866,17 +896,16 @@ class TestNormalizerByDepth:
         }[case]
         raised = 0
         for depths in self.DEPTHS:
-            for exact_cap in (0, 6, 400):
-                try:
-                    want = _per_depth_masses(m, mu, tgt, depths, exact_cap)
-                except BoundaryHit as e:
-                    with pytest.raises(BoundaryHit) as got:
-                        cylinder_mass_by_depth(m, mu, tgt, depths, exact_cap)
-                    assert got.value.args == e.args
-                    raised += 1
-                    continue
-                got = cylinder_mass_by_depth(m, mu, tgt, depths, exact_cap)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+            try:
+                want = _per_depth_masses(m, mu, tgt, depths)
+            except BoundaryHit as e:
+                with pytest.raises(BoundaryHit) as got:
+                    cylinder_mass_by_depth(m, mu, tgt, depths)
+                assert got.value.args == e.args
+                raised += 1
+                continue
+            got = cylinder_mass_by_depth(m, mu, tgt, depths)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         assert (raised > 0) == (case == "gauss-rational")
 
     @pytest.mark.parametrize("case", ["dary-01", "gauss-12"])
@@ -890,7 +919,7 @@ class TestNormalizerByDepth:
         t0 = time.perf_counter()
         got = cylinder_mass_by_depth(m, mu, tgt, depths)
         elapsed = time.perf_counter() - t0
-        want = _per_depth_masses(m, mu, tgt, depths, 400)
+        want = _per_depth_masses(m, mu, tgt, depths)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert elapsed < 0.1, f"{elapsed:.3f} s for depths 0..400"
 
@@ -901,19 +930,33 @@ class TestNormalizerByDepth:
         assert np.all(got > 0) and np.all(np.diff(got) < 0)
         assert got[184] == pytest.approx(4.97e-78, rel=1e-3)
 
+    def test_dary_masses_to_underflow(self, dary2, lebesgue):
+        # 2^-1074 is the least subnormal, and 2^-1075 rounds (to even) to 0
+        tgt = TargetPoint.from_word(dary2, (0, 1))
+        got = cylinder_mass_by_depth(dary2, lebesgue, tgt, np.arange(1101))
+        assert got[:1074].tolist() == [2.0 ** -(t + 1) for t in range(1074)]
+        assert not got[1074:].any()
+
+    def test_golden_gauss_masses_to_underflow(self, gauss, gauss_measure):
+        tgt = TargetPoint.from_word(gauss, (1,))
+        got = cylinder_mass_by_depth(gauss, gauss_measure, tgt, np.arange(1001))
+        assert got[:773].all() and not got[773:].any()
+
     def test_decreasing_depths_raise(self, dary2, lebesgue):
         tgt = TargetPoint.from_word(dary2, (0, 1))
         with pytest.raises(ValueError, match="non-decreasing"):
             cylinder_mass_by_depth(dary2, lebesgue, tgt, np.array([0, 2, 3, 1, 4]))
 
     def test_one_target_word_per_call(self, dary2, lebesgue):
-        tgt = _CountingTarget(dary2, value=F(1, 3))
+        # one read of the target's source serves every depth
+        tgt, reads = TargetPoint.from_point(dary2, F(1, 3)), []
+        source, tgt.source = tgt.source, lambda: reads.append(1) or source()
         for sched, N in ((Schedule.depth_power_floor(2), 10 ** 4),
                          (Schedule.depth_log_floor(2), 10 ** 5),
                          (Schedule.depth_const(3), 10)):
-            before = _CountingTarget.calls
+            before = len(reads)
             cylinder_mass_by_depth(dary2, lebesgue, tgt, sched.depths_array(N))
-            assert _CountingTarget.calls - before == 1
+            assert len(reads) - before == 1
 
 
 class TestClassifier:
@@ -989,10 +1032,24 @@ class TestClassifier:
             assert (v.partial_sums[0] > 0) == (t == 0)
 
     def test_depth_const_past_the_exact_cap_diverges(self, dary2, lebesgue):
-        # the float masses read 0 past depth 200, but the exact mass 2^-251 is not 0
+        # every term is the depth-250 mass 2^-251, a normal float
         v = borel_cantelli_classify(dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1)),
                                     Schedule.depth_const(250))
-        assert v.verdict == "FullMeasure" and v.partial_sums == [0.0, 0.0, 0.0]
+        assert v.verdict == "FullMeasure"
+        assert v.partial_sums == [n * 2.0 ** -251 for n in (1000, 5000, 10000)]
+
+    def test_sticky_chain_square_depths_in_a_second(self):
+        # masses 1/2 (99/100)^(n^2), walked to their underflow at n = 273
+        m, sched = _sticky_chain(), Schedule.depth_power_floor(2)
+        t0 = time.perf_counter()
+        v = borel_cantelli_classify(m, LebesgueMeasure(), (0,), sched)
+        elapsed = time.perf_counter() - t0
+        assert v.verdict == "MeasureZero" and elapsed < 1.0, f"{elapsed:.2f} s"
+        got = cylinder_mass_by_depth(m, LebesgueMeasure(), TargetPoint.from_word(m, (0,)),
+                                     sched.depths_array(300))
+        for n in (1, 100, 272, 273, 300):
+            assert got[n - 1] == 99 ** (n * n) / (2 * 100 ** (n * n))
+        assert got[271] > 0 and got[272] == 0.0
 
     def test_fraction_radii_on_gauss(self, gauss, gauss_measure):
         tgt = TargetPoint.from_word(gauss, (1,))

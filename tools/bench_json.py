@@ -15,9 +15,12 @@ run.py starts them.  Then it runs the Tier-1 command once with pytest's
 --durations, and records its wall time, its outcome counts and the time of
 each test in tests/test_acceptance.py (setup, call and teardown).  It times
 the digit-stream layer, measures.sample_chain on the test suite's three
-chains at STREAM_DIGITS digits each, best of 3 runs.  Last, it counts the lines of each src/shrinktargets/*.py module and their total
-(src_lines), so that the size of the code is read from the same file as
-its times.  The file also names the commit it measured (git rev-parse HEAD)
+chains at STREAM_DIGITS digits each, best of 3 runs, and the normalizer
+layer, recurrence.cylinder_mass_by_depth on the depths floor(n^2) of
+n = 1..WALK_N for each target of WALKS, walked to the underflow of its
+masses, best of 3 runs.  Last, it counts the lines of each
+src/shrinktargets/*.py module and their total (src_lines), so that the
+size of the code is read from the same file as its times.  The file also names the commit it measured (git rev-parse HEAD)
 and whether the tree had uncommitted changes (git status --porcelain).
 """
 
@@ -42,6 +45,14 @@ CHAINS = {          # the chains of tests/conftest.py, row-major
     "chain": [["3/4", "1/4"], ["1/2", "1/2"]],
     "golden_mean": [["1/2", "1/2"], ["1", "0"]],
     "zero_diagonal": [["0", "1/2", "1/2"], ["1/2", "0", "1/2"], ["1/2", "1/2", "0"]],
+}
+WALK_N = 10 ** 4
+WALKS = {           # name -> (map spec, target word)
+    "dary2_01": ({"kind": "dary", "D": 2}, (0, 1)),
+    "chain_01": ({"kind": "markov", "M": CHAINS["chain"], "p": ["2/3", "1/3"]}, (0, 1)),
+    "gauss_1": ({"kind": "gauss"}, (1,)),
+    "sticky_0": ({"kind": "markov", "M": [["99/100", "1/100"], ["1/100", "99/100"]],
+                  "p": ["1/2", "1/2"]}, (0,)),
 }
 
 
@@ -101,6 +112,30 @@ def digit_streams() -> dict:
     return out
 
 
+def normalizer_walks() -> dict:
+    """Best-of-3 seconds of cylinder_mass_by_depth on floor(n^2), n <= WALK_N,
+    for each target of WALKS under its map's default measure, and the depth
+    of its first mass that rounds to 0.0."""
+    sys.path.insert(0, "src")
+    from shrinktargets import GaussMeasure, LebesgueMeasure, Schedule, Target, make_map
+    from shrinktargets.recurrence import cylinder_mass_by_depth
+
+    depths = Schedule.depth_power_floor(2).depths_array(WALK_N)
+    out = {}
+    for name, (spec, word) in WALKS.items():
+        m = make_map(spec)
+        mu = GaussMeasure() if spec["kind"] == "gauss" else LebesgueMeasure()
+        times = []
+        for _ in range(3):
+            target = Target(m, word)        # a fresh target: no walk cached from a run before
+            t0 = time.perf_counter()
+            masses = cylinder_mass_by_depth(m, mu, target, depths)
+            times.append(time.perf_counter() - t0)
+        zero = int(depths[masses == 0][0]) if not masses.all() else None
+        out[name] = {"n": WALK_N, "best_s": min(times), "first_zero_depth": zero}
+    return out
+
+
 def src_lines() -> dict:
     """Lines of each source module, by file name, and their total."""
     modules = {}
@@ -141,6 +176,10 @@ def main(argv=None) -> int:
     doc["digit_streams"] = digit_streams()
     print("sample_chain: " + ", ".join(f"{k} {v['best_s']:.3f} s"
                                        for k, v in doc["digit_streams"].items()), file=sys.stderr)
+    doc["normalizer_walks"] = normalizer_walks()
+    print("normalizer walks: " + ", ".join(f"{k} {v['best_s'] * 1e3:.2f} ms"
+                                           for k, v in doc["normalizer_walks"].items()),
+          file=sys.stderr)
     doc["tests"] = run_tests()
     print(f"tier-1: {doc['tests']['wall_s']:.1f} s, {doc['tests']['outcome']}", file=sys.stderr)
     doc["src_lines"] = src_lines()
