@@ -14,7 +14,7 @@ All maps expose the same small surface: ``evaluate``, ``log_derivative``,
 few structural attributes (``branch_count``, ``expansion_beta``, and
 ``partition0`` on the linear maps).  Linear maps and the Gauss map are exact on
 ``fractions.Fraction`` inputs; Gauss and Blaschke add vectorized float
-``step`` / ``log_derivative_array``.
+``stepper`` (a row stepper with its own buffers) / ``log_derivative_array``.
 
 Digit conventions: interval maps use half-open blocks [left, right) so that
 itineraries are defined everywhere off a countable set.  The Gauss map uses
@@ -370,11 +370,11 @@ class GaussMap(MapModel):
             raise MapError("log-derivative undefined at 0")
         return -2.0 * math.log(float(x))
 
-    def step(self, x: np.ndarray, out=None) -> np.ndarray:
-        """Vectorized float T(x), into out if given: 1/x >= 1 minus its floor is
-        exact.  An orbit that ends lands on 0, or on nan where 1/x overflowed."""
-        y = np.reciprocal(x, out=out)
-        return np.subtract(y, np.floor(y), out=y)
+    def stepper(self, width: int):
+        """step(x, out): T(x) = 1/x - floor(1/x), exact, of width points into out
+        (which may be x); an ended orbit lands on 0, or on nan if 1/x overflowed."""
+        fl = np.empty(width)
+        return lambda x, out: np.subtract(np.reciprocal(x, out), np.floor(out, fl), out)
 
     def log_derivative_array(self, x: np.ndarray) -> np.ndarray:
         return -2.0 * np.log(x)
@@ -512,13 +512,32 @@ class BlaschkeBoundary(MapModel):
     def log_derivative(self, t) -> float:
         return math.log(self.derivative_abs(float(t) % 1.0))
 
-    def step(self, t: np.ndarray, out=None) -> np.ndarray:
-        """Vectorized float T(t) = arg B(e^{2 pi i t}) / (2 pi) mod 1, into out if given."""
-        z = np.exp(2j * np.pi * t)
-        w = np.ones_like(z)
-        for a in self.zeros:
-            w = w * z if a == 0 else w * (abs(a) / a) * (z - a) / (1 - np.conj(a) * z)
-        return np.mod(np.angle(w) / (2 * np.pi), 1.0, out=out)
+    def stepper(self, width: int):
+        """step(t, out): float T(t) = arg B(e^{2 pi i t}) / (2 pi) mod 1 of a row
+        of width angles into out (which may be t), bit for bit that numpy
+        expression: its ufuncs in its order, with calls and buffers fixed here.
+        The empty product is the scalar 1 (1 w = w); no complex multiply writes
+        into an input, which rounds differently on a row of one element."""
+        c, z, *bufs = np.complex128, *(np.empty(width, complex) for _ in range(4))
+        spare = lambda *busy: next(b for b in bufs if all(b is not x for x in busy))
+        calls, w = [], None
+        for a in self.zeros:        # w z, or ((w |a|/a) (z - a)) / (1 - conj(a) z)
+            k = z if a == 0 else c(abs(a) / a)
+            if w is not None:
+                calls.append((np.multiply, w, k, k := spare(w)))
+            w = k if a == 0 else spare(k, d := spare(k))
+            if a != 0:
+                calls += [(np.subtract, z, c(a), d), (np.multiply, k, d, w),
+                          (np.multiply, c(np.conj(a)), z, d), (np.subtract, c(1), d, d),
+                          (np.divide, w, d, w)]
+        two_pi_i, im, re = c(2j * np.pi), w.imag, w.real
+
+        def step(t, out):
+            np.exp(np.multiply(two_pi_i, t, bufs[0]), z)
+            for f, x, y, o in calls:
+                f(x, y, o)
+            return np.mod(np.divide(np.arctan2(im, re, out), 2 * np.pi, out), 1.0, out)
+        return step
 
     def log_derivative_array(self, t: np.ndarray) -> np.ndarray:
         """Vectorized log|B'(e^{2 pi i t})|."""

@@ -749,10 +749,11 @@ def _classify_depths(m, measure, target, sched):
     masses = cylinder_mass_by_depth(m, measure, target, depths)
     psums = [float(v) for v in np.cumsum(masses)[[999, 9999 // 2, 9999]]]
     if sched.kind == "depth_const":
-        # n copies of one mass, which is 0 only where the word leaves a
-        # chain's support; its float also reads 0 where it underflows, as
-        # deep Gauss cylinders do
-        word = () if target.value is not None else target.digits(sched.params["t"])
+        # n copies of one mass, 0 only where the word (one period and its
+        # wrap, for a periodic word) leaves a chain's support; its float also
+        # reads 0 where it underflows, as deep Gauss cylinders do
+        t = sched.params["t"] if target.word is None else min(sched.params["t"], len(target.word))
+        word = () if target.value is not None else target.digits(t)
         if all(map(m.admissible, word, word[1:])):
             return BCVerdict("FullMeasure", "sum mu(P(t, x0)) with constant t",
                              None, psums, "constant-depth cylinder masses diverge linearly")

@@ -101,14 +101,26 @@ def float_orbit_start_reference(measure, seeds):
     return rngs, np.array([measure.sample(r, 1)[0] for r in rngs])
 
 
+def blaschke_step_reference(m, t):
+    """Float T(t) of a Blaschke boundary map as one numpy expression, with a
+    fresh array per operation: the reference that BlaschkeBoundary.stepper
+    must match bit for bit."""
+    z = np.exp(2j * np.pi * t)
+    w = np.ones_like(z)
+    for a in m.zeros:
+        w = w * z if a == 0 else w * (abs(a) / a) * (z - a) / (1 - np.conj(a) * z)
+    return np.mod(np.angle(w) / (2 * np.pi), 1.0)
+
+
 def float_orbit_step_reference(m, measure, x, rngs):
     """(T x, restarts) for the float orbits of all trials, one step per n:
     the reference that measures.float_orbit_blocks must match bit for bit.
-    A Gauss step is np.modf(1/x), and an orbit that ends (T x = 0) restarts
-    from its own trial's generator, in ascending trial order.  1/x of a
-    subnormal start overflows to inf, whose fractional part is 0."""
+    A Gauss step is np.modf(1/x), a Blaschke step blaschke_step_reference,
+    and an orbit that ends (T x = 0) restarts from its own trial's
+    generator, in ascending trial order.  1/x of a subnormal start
+    overflows to inf, whose fractional part is 0."""
     with np.errstate(over="ignore"):
-        x = np.modf(1.0 / x)[0] if isinstance(m, GaussMap) else m.step(x)
+        x = np.modf(1.0 / x)[0] if isinstance(m, GaussMap) else blaschke_step_reference(m, x)
     if not isinstance(m, GaussMap) or np.count_nonzero(x) == len(x):
         return x, 0
     ended = np.flatnonzero(x == 0)

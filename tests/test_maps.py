@@ -14,6 +14,7 @@ from shrinktargets import (
     cylinder_from_word,
     make_map,
 )
+from conftest import blaschke_step_reference
 
 LOG2 = math.log(2)
 
@@ -46,16 +47,27 @@ class TestVectorStep:
             1.0 / np.arange(1, 10 ** 5), np.nextafter(1.0 / np.arange(2, 10 ** 4), 0),
             [1.0, 2.0 ** -60]))
         want = np.modf(1.0 / x)[0]
-        assert gauss.step(x).tobytes() == want.tobytes()
         out = np.empty_like(x)
-        assert gauss.step(x, out=out) is out and out.tobytes() == want.tobytes()
+        assert gauss.stepper(len(x))(x, out) is out and out.tobytes() == want.tobytes()
+        assert gauss.stepper(len(x))(x, x) is x and x.tobytes() == want.tobytes()
         assert np.count_nonzero(want == 0) > 100      # the 1/k that end at once
 
-    def test_blaschke_step_into_out(self, blaschke_two):
-        t = np.random.default_rng(1).random(1000)
-        out = np.empty_like(t)
-        assert blaschke_two.step(t, out=out) is out
-        assert out.tobytes() == blaschke_two.step(t).tobytes()
+    @pytest.mark.parametrize("zeros", [[0, .5], [.5, 0], [0, 0, .3], [0, .5 + .3j, -.2j],
+                                       [0, -.7, .2 + .1j], [.9j, 0, .1]])
+    def test_blaschke_stepper_is_the_reference_expression(self, zeros):
+        """Bit for bit blaschke_step_reference over 3,000 steps of rows of
+        every width, width 1 included (where a complex multiply in place
+        would round differently), stepping into a second row and in place."""
+        m = BlaschkeBoundary(zeros)
+        for width in (1, 2, 3, 4, 10, 100):
+            step, rng = m.stepper(width), np.random.default_rng(width)
+            x = rng.random(width)
+            y, out, z = x.copy(), np.empty(width), x.copy()
+            for n in range(3000):
+                x = blaschke_step_reference(m, x)
+                y, out = step(y, out), y
+                assert step(z, z) is z
+                assert y.tobytes() == x.tobytes() == z.tobytes(), (width, n)
 
 
 class TestLogDerivative:

@@ -189,7 +189,7 @@ class TestEntropyBirkhoff:
         assert restarts == want == 1 and xs[1].tobytes() == x.tobytes()
         own, other = np.random.default_rng(7), np.random.default_rng(8)
         assert xs[1, 0] == gauss_measure.sample(own, 1)[0]
-        assert xs[1, 1] == gauss.step(gauss_measure.sample(other, 1))[0]
+        assert xs[1, 1] == gauss.stepper(1)(gauss_measure.sample(other, 1), np.empty(1))[0]
 
     def test_gauss_within_three_stderr(self, gauss, gauss_measure):
         est = entropy_birkhoff_batch(gauss, gauss_measure, 10 ** 5, 12, 3)

@@ -1031,6 +1031,23 @@ class TestClassifier:
             assert v.verdict == want and not v.heuristic
             assert (v.partial_sums[0] > 0) == (t == 0)
 
+    def test_depth_const_periodic_word_at_depth_1e9_in_a_second(
+            self, gauss, gauss_measure, markov, lebesgue):
+        # admissibility reads one period and its wrap, not 10^9 digits
+        for m, mu, word in ((gauss, gauss_measure, (1,)), (markov, lebesgue, (0, 1))):
+            t0 = time.perf_counter()
+            v = borel_cantelli_classify(m, mu, TargetPoint.from_word(m, word),
+                                        Schedule.depth_const(10 ** 9))
+            assert v.verdict == "FullMeasure" and time.perf_counter() - t0 < 1.0
+
+    def test_depth_const_word_that_only_wraps_out_of_the_support(self, golden_markov,
+                                                                 lebesgue):
+        # (1, 0, 1) is admissible; its wrap 1 -> 1 is the one forbidden transition
+        tgt = TargetPoint.from_word(golden_markov, (1, 0, 1))
+        for t, want in ((2, "FullMeasure"), (3, "MeasureZero"), (10 ** 9, "MeasureZero")):
+            v = borel_cantelli_classify(golden_markov, lebesgue, tgt, Schedule.depth_const(t))
+            assert v.verdict == want and not v.heuristic
+
     def test_depth_const_past_the_exact_cap_diverges(self, dary2, lebesgue):
         # every term is the depth-250 mass 2^-251, a normal float
         v = borel_cantelli_classify(dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1)),

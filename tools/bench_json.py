@@ -18,10 +18,12 @@ the digit-stream layer, measures.sample_chain on the test suite's three
 chains at STREAM_DIGITS digits each, best of 3 runs, and the normalizer
 layer, recurrence.cylinder_mass_by_depth on the depths floor(n^2) of
 n = 1..WALK_N for each target of WALKS, walked to the underflow of its
-masses, best of 3 runs.  Last, it counts the lines of each
-src/shrinktargets/*.py module and their total (src_lines), so that the
-size of the code is read from the same file as its times.  The file also names the commit it measured (git rev-parse HEAD)
-and whether the tree had uncommitted changes (git status --porcelain).
+masses, best of 3 runs, and the float-orbit layer, the orbit-steps/s of
+measures.float_orbit_blocks for each map of FLOAT_STEPS, best of 3 runs.
+Last, it counts the lines of each src/shrinktargets/*.py module and their
+total (src_lines), so that the size of the code is read from the same file
+as its times.  The file also names the commit it measured (git rev-parse
+HEAD) and whether the tree had uncommitted changes (git status --porcelain).
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ WALKS = {           # name -> (map spec, target word)
     "gauss_1": ({"kind": "gauss"}, (1,)),
     "sticky_0": ({"kind": "markov", "M": [["99/100", "1/100"], ["1/100", "99/100"]],
                   "p": ["1/2", "1/2"]}, (0,)),
+}
+FLOAT_STEPS = {     # name -> (map spec, trials, steps)
+    "blaschke_0_half": ({"kind": "blaschke", "zeros": [0, 0.5]}, 10, 10 ** 5),
+    "gauss": ({"kind": "gauss"}, 100, 10 ** 5),
 }
 
 
@@ -136,6 +142,29 @@ def normalizer_walks() -> dict:
     return out
 
 
+def float_steps() -> dict:
+    """Best-of-3 seconds and orbit-steps/s (trials x steps) of every block
+    of float_orbit_blocks for each map of FLOAT_STEPS under its default
+    measure, trial seeds 0, 1, ..."""
+    sys.path.insert(0, "src")
+    from shrinktargets import GaussMeasure, LebesgueMeasure, make_map
+    from shrinktargets.measures import float_orbit_blocks
+
+    out = {}
+    for name, (spec, trials, steps) in FLOAT_STEPS.items():
+        m = make_map(spec)
+        mu = GaussMeasure() if spec["kind"] == "gauss" else LebesgueMeasure()
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            for _ in float_orbit_blocks(m, mu, range(trials), steps):
+                pass
+            times.append(time.perf_counter() - t0)
+        out[name] = {"trials": trials, "steps": steps, "best_s": min(times),
+                     "steps_per_s": trials * steps / min(times)}
+    return out
+
+
 def src_lines() -> dict:
     """Lines of each source module, by file name, and their total."""
     modules = {}
@@ -180,6 +209,9 @@ def main(argv=None) -> int:
     print("normalizer walks: " + ", ".join(f"{k} {v['best_s'] * 1e3:.2f} ms"
                                            for k, v in doc["normalizer_walks"].items()),
           file=sys.stderr)
+    doc["float_steps"] = float_steps()
+    print("float steps: " + ", ".join(f"{k} {v['steps_per_s']:.3g}/s"
+                                      for k, v in doc["float_steps"].items()), file=sys.stderr)
     doc["tests"] = run_tests()
     print(f"tier-1: {doc['tests']['wall_s']:.1f} s, {doc['tests']['outcome']}", file=sys.stderr)
     doc["src_lines"] = src_lines()
