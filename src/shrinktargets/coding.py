@@ -289,10 +289,19 @@ def refine_schedule_to_depths(m: MapModel, x0, radii) -> list:
     when r >= max(right - x0, x0 - left), one comparison for an x0 with an
     exact value; else ball_holds decides, against the brackets of x0, that
     x0 lies in B(midpoint, r - (right - left)/2).  Non-increasing radii give
-    non-decreasing depths, and the scan exploits that.
+    non-decreasing depths, and the scan exploits that.  It raises MapError at
+    a float (Blaschke) cylinder that is empty or leaves the one before it by
+    more than the map's NEWTON_TOL, the float error of its endpoints.
     """
     target = Target.of(m, x0)
-    bounds = target.walk().bounds
+    walk = target.walk()
+    bounds = walk.bounds
+    if not walk._exact:
+        def bounds(t):
+            (lo, hi), (left, right) = walk.bounds(max(t - 1, 0)), walk.bounds(t)
+            if not lo - m.NEWTON_TOL <= left < right <= hi + m.NEWTON_TOL:
+                raise MapError(f"float cylinder P({t}) is empty or not nested in P({t - 1})")
+            return left, right
     if target.value is None:
         balls = {}      # t -> (midpoint, half length) of P(t)
 

@@ -516,9 +516,12 @@ class BlaschkeBoundary(MapModel):
         """step(t, out): float T(t) = arg B(e^{2 pi i t}) / (2 pi) mod 1 of a row
         of width angles into out (which may be t), bit for bit that numpy
         expression: its ufuncs in its order, with calls and buffers fixed here.
-        The empty product is the scalar 1 (1 w = w); no complex multiply writes
+        Each constant is a full row, so no call converts a scalar, and 2 pi i t
+        is the row (+0, fl(2 pi t)) that (0 + 2 pi i)(t + 0i) gives for t >= 0.
+        The empty product's 1 is dropped (1 w = w); no complex multiply writes
         into an input, which rounds differently on a row of one element."""
-        c, z, *bufs = np.complex128, *(np.empty(width, complex) for _ in range(4))
+        c = lambda v: np.full(width, v)
+        z, arg, *bufs = (np.zeros(width, complex) for _ in range(5))
         spare = lambda *busy: next(b for b in bufs if all(b is not x for x in busy))
         calls, w = [], None
         for a in self.zeros:        # w z, or ((w |a|/a) (z - a)) / (1 - conj(a) z)
@@ -528,15 +531,16 @@ class BlaschkeBoundary(MapModel):
             w = k if a == 0 else spare(k, d := spare(k))
             if a != 0:
                 calls += [(np.subtract, z, c(a), d), (np.multiply, k, d, w),
-                          (np.multiply, c(np.conj(a)), z, d), (np.subtract, c(1), d, d),
+                          (np.multiply, c(np.conj(a)), z, d), (np.subtract, c(1 + 0j), d, d),
                           (np.divide, w, d, w)]
-        two_pi_i, im, re = c(2j * np.pi), w.imag, w.real
+        two_pi, one, im, re, arg_im = c(2 * np.pi), c(1.0), w.imag, w.real, arg.imag
 
         def step(t, out):
-            np.exp(np.multiply(two_pi_i, t, bufs[0]), z)
+            np.multiply(t, two_pi, arg_im)
+            np.exp(arg, z)
             for f, x, y, o in calls:
                 f(x, y, o)
-            return np.mod(np.divide(np.arctan2(im, re, out), 2 * np.pi, out), 1.0, out)
+            return np.mod(np.divide(np.arctan2(im, re, out), two_pi, out), one, out)
         return step
 
     def log_derivative_array(self, t: np.ndarray) -> np.ndarray:

@@ -364,20 +364,22 @@ def float_orbit_blocks(m: MapModel, measure: InvariantMeasure, seeds, N: int):
     restarts counts the Gauss restarts of the steps that made the block.
     xs is a view of one buffer that the next block overwrites.  Each trial
     draws x_0 ~ measure from its own generator.  One stepper of the map steps
-    row into row; one test per block finds the first row with an ended Gauss
-    orbit (0, or nan where 1/x overflowed), whose ended trials restart from
-    their own generators in trial order; the rows after it are stepped again.
+    row into row through row views taken once; one test per block finds the
+    first row with an ended Gauss orbit (0, or nan where 1/x overflowed), whose
+    ended trials restart from their own generators in trial order; the rows
+    after it are stepped again.
     """
     rngs, step = [np.random.default_rng(s) for s in seeds], m.stepper(len(seeds))
     buf = np.empty((ORBIT_BLOCK, len(seeds)))
     buf[0] = [measure.sample(r, 1)[0] for r in rngs]
+    row = list(buf)     # the row views, built once: buf[j] builds a new one per use
     for n0 in range(0, N + 1, ORBIT_BLOCK):
         rows, i, restarts = min(ORBIT_BLOCK, N + 1 - n0), int(n0 == 0), 0
         # rows past an ended orbit hold inf and nan until they are stepped again
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while i < rows:
-                for j in range(i, rows):        # at j = 0, buf[-1] is the last row before
-                    step(buf[j - 1], buf[j])
+                for j in range(i, rows):        # at j = 0, row[-1] is the last row before
+                    step(row[j - 1], row[j])
                 if not isinstance(m, GaussMap) or buf[i:rows].min() > 0:
                     break
                 i += int(np.argmin((buf[i:rows] > 0).all(axis=1)))

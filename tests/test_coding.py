@@ -15,6 +15,7 @@ from shrinktargets import (
     DAryShift,
     GaussMap,
     InadmissibleDigit,
+    MapError,
     WordTarget,
     cylinder_from_word,
     itinerary,
@@ -166,7 +167,6 @@ class TestPeriodicPoints:
         assert periodic_point(dary2, (0, 1)) == F(1, 3)
 
     def test_needs_affine_branches(self, gauss):
-        from shrinktargets import MapError
         with pytest.raises(MapError, match="affine"):
             periodic_point(gauss, (1, 1))
 
@@ -216,6 +216,17 @@ class TestRefine:
         assert word.value == F(1, 3)
         assert refine_schedule_to_depths(dary2, word, radii) == \
             refine_schedule_to_depths(dary2, F(1, 3), radii)
+
+    def test_blaschke_scan_stops_where_cylinders_stop_nesting(self):
+        """The float cylinders of 1/2 under z^2 nest to depth 46 and P(47) is
+        empty, so a radius that no earlier cylinder fits raises there at
+        once instead of scanning on through t Newton solves per depth."""
+        m = BlaschkeBoundary([0, 0])
+        assert refine_depth(m, 0.5, 1e-13) == 43 and refine_depth(m, 0.5, 1e-14) == 46
+        t0 = time.perf_counter()
+        with pytest.raises(MapError, match=r"P\(47\) .* not nested in P\(46\)"):
+            refine_depth(m, 0.5, 1e-15)
+        assert time.perf_counter() - t0 < 1
 
     def test_golden_gauss_bracket_refinement(self, gauss):
         # golden-mean target: fibonacci-denominator cylinder must fit in the

@@ -57,13 +57,19 @@ class TestVectorStep:
     def test_blaschke_stepper_is_the_reference_expression(self, zeros):
         """Bit for bit blaschke_step_reference over 3,000 steps of rows of
         every width, width 1 included (where a complex multiply in place
-        would round differently), stepping into a second row and in place."""
+        would round differently), stepping into a second row and in place;
+        and over 50 steps from the edge angles 0, 1, the float below 1, the
+        least subnormal and normal and the quarters, as one row and alone,
+        where the sign of the zero real part of 2 pi i t could show."""
         m = BlaschkeBoundary(zeros)
-        for width in (1, 2, 3, 4, 10, 100):
-            step, rng = m.stepper(width), np.random.default_rng(width)
-            x = rng.random(width)
-            y, out, z = x.copy(), np.empty(width), x.copy()
-            for n in range(3000):
+        edges = np.array([0.0, 1.0, np.nextafter(1.0, 0), 2.0 ** -1074, 2.0 ** -1022,
+                          .25, .5, .75])
+        starts = [(np.random.default_rng(w).random(w), 3000) for w in (1, 2, 3, 4, 10, 100)]
+        starts += [(edges, 50)] + [(edges[k:k + 1], 50) for k in range(len(edges))]
+        for x, steps in starts:
+            width = len(x)
+            step, y, out, z = m.stepper(width), x.copy(), np.empty(width), x.copy()
+            for n in range(steps):
                 x = blaschke_step_reference(m, x)
                 y, out = step(y, out), y
                 assert step(z, z) is z
