@@ -383,23 +383,6 @@ class CantorStage:
         return {"a": a, "b": b, "c": c, "delta": delta,
                 "N_js": [lvl.N_j for lvl in self.levels]}
 
-    def lambda_hypothesis_margin(self) -> float:
-        """Largest exponent satisfying the cross-level product hypothesis
-        (1/delta_{j+1}) prod beta_i/delta_i <= [prod alpha_i gamma_i]^Lambda
-        at the deepest built level."""
-        out = math.inf
-        for j in range(len(self.levels)):
-            lhs = sum(log_mass(lvl.beta_j) - log_mass(lvl.delta_j) for lvl in self.levels[:j + 1])
-            lhs -= log_mass(self.levels[min(j + 1, len(self.levels) - 1)].delta_j)
-            rhs_log = sum(log_mass(self.levels[i].alpha_j) + log_mass(self.levels[i].gamma_j)
-                          for i in range(j + 1))
-            if rhs_log < 0:
-                out = min(out, lhs / rhs_log)
-        if out <= 0:
-            raise StageConstructionError(
-                "cross-level product hypothesis violated (no positive exponent)")
-        return out
-
     # -- serialization ----------------------------------------------------
     def dump_json(self, path):
         """Write every fine and nested block with its exact lambda and nu.

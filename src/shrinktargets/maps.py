@@ -14,7 +14,8 @@ All maps expose the same small surface: ``evaluate``, ``log_derivative``,
 few structural attributes (``branch_count``, ``expansion_beta``, and
 ``partition0`` on the linear maps).  Linear maps and the Gauss map are exact on
 ``fractions.Fraction`` inputs; Gauss and Blaschke add vectorized float
-``stepper`` (a row stepper with its own buffers) / ``log_derivative_array``.
+``stepper`` (a row stepper with its own buffers; the Blaschke one steps points
+of the unit circle, not angles) / ``log_derivative_array``.
 
 Digit conventions: interval maps use half-open blocks [left, right) so that
 itineraries are defined everywhere off a countable set.  The Gauss map uses
@@ -27,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from typing import Optional, Sequence, Union
 
@@ -513,34 +514,49 @@ class BlaschkeBoundary(MapModel):
         return math.log(self.derivative_abs(float(t) % 1.0))
 
     def stepper(self, width: int):
-        """step(t, out): float T(t) = arg B(e^{2 pi i t}) / (2 pi) mod 1 of a row
-        of width angles into out (which may be t), bit for bit that numpy
-        expression: its ufuncs in its order, with calls and buffers fixed here.
-        Each constant is a full row, so no call converts a scalar, and 2 pi i t
-        is the row (+0, fl(2 pi t)) that (0 + 2 pi i)(t + 0i) gives for t >= 0.
-        The empty product's 1 is dropped (1 w = w); no complex multiply writes
-        into an input, which rounds differently on a row of one element."""
-        c = lambda v: np.full(width, v)
-        z, arg, *bufs = (np.zeros(width, complex) for _ in range(5))
-        spare = lambda *busy: next(b for b in bufs if all(b is not x for x in busy))
-        calls, w = [], None
-        for a in self.zeros:        # w z, or ((w |a|/a) (z - a)) / (1 - conj(a) z)
-            k = z if a == 0 else c(abs(a) / a)
-            if w is not None:
-                calls.append((np.multiply, w, k, k := spare(w)))
-            w = k if a == 0 else spare(k, d := spare(k))
-            if a != 0:
-                calls += [(np.subtract, z, c(a), d), (np.multiply, k, d, w),
-                          (np.multiply, c(np.conj(a)), z, d), (np.subtract, c(1 + 0j), d, d),
-                          (np.divide, w, d, w)]
-        two_pi, one, im, re, arg_im = c(2 * np.pi), c(1.0), w.imag, w.real, arg.imag
+        """step(z, out): B(z) of a row of width points z of the unit circle into
+        out (which may be z).  On |z| = 1 each factor obeys 1 - conj(a) z =
+        z conj(z - a), so B(z) = C zh^k W / conj(W): W is the product of the
+        zh - a over the nonzero zeros a, k = (zeros at 0) - (nonzero zeros), a
+        negative power is one of conj(zh), and C = prod |a|/a is dropped when it
+        is 1.  W / conj(W) has modulus one for every W, so rounding does not
+        build up off the circle; where k != 0, zh = z/|z|, so that a lone z^k
+        cannot carry |z| drift forward, and zh = z otherwise.  Calls and buffers
+        are fixed here, each constant is a full row, and no complex ufunc writes
+        into one of its inputs, which rounds differently on a row of one."""
+        nonzero = [a for a in self.zeros if a != 0]
+        k, C = len(self.zeros) - 2 * len(nonzero), np.prod([abs(a) / a for a in nonzero])
+        ops, z_in = [], object()        # z_in stands for the input row
 
-        def step(t, out):
-            np.multiply(t, two_pi, arg_im)
-            np.exp(arg, z)
-            for f, x, y, o in calls:
-                f(x, y, o)
-            return np.mod(np.divide(np.arctan2(im, re, out), two_pi, out), one, out)
+        def call(f, *args):
+            ops.append((f, *args, out := np.empty(width, complex)))
+            return out
+        zh, factors = z_in, [np.full(width, C)] if C != 1 else []
+        if k:       # zh = z / (|z| + 0i): a complex divisor, so no row is cast
+            ops.append((np.abs, z_in, (norm := np.zeros(width, complex)).real))
+            zh = call(np.divide, z_in, norm)
+            power = base = zh if k > 0 else call(np.conjugate, zh)
+            for _ in range(abs(k) - 1):
+                power = call(np.multiply, power, base)
+            factors.append(power)
+        if nonzero:
+            W = call(np.subtract, zh, np.full(width, nonzero[0]))
+            for a in nonzero[1:]:
+                W = call(np.multiply, W, call(np.subtract, zh, np.full(width, a)))
+            factors.append(call(np.divide, W, call(np.conjugate, W)))
+        for f in factors[1:]:
+            factors[0] = call(np.multiply, factors[0], f)
+        # the calls that read z go first, as f(z, *args); the last writes into out
+        head = [(f, args) for f, x, *args in ops if x is z_in]
+        body = [partial(*op) for op in ops[:-1] if op[1] is not z_in]
+        last = partial(*ops[-1][:-1])
+
+        def step(z, out):
+            for f, args in head:
+                f(z, *args)
+            for f in body:
+                f()
+            return last(out)
         return step
 
     def log_derivative_array(self, t: np.ndarray) -> np.ndarray:

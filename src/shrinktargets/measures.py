@@ -114,12 +114,6 @@ class GaussMeasure(InvariantMeasure):
         log_t = math.log(math.log1p(tf)) if tf >= sys.float_info.min else log_mass(t)
         return log_t - math.log(LOG2)
 
-    def density_bounds(self):
-        return 1 / (2 * LOG2), 1 / LOG2
-
-    def comparability_constant(self):
-        return 2.0
-
     def cylinder_mass(self, m, word):
         c = cylinder_from_word(m, word)
         return self.interval_mass(c.left, c.right)
@@ -364,17 +358,25 @@ def float_orbit_blocks(m: MapModel, measure: InvariantMeasure, seeds, N: int):
     restarts counts the Gauss restarts of the steps that made the block.
     xs is a view of one buffer that the next block overwrites.  Each trial
     draws x_0 ~ measure from its own generator.  One stepper of the map steps
-    row into row through row views taken once; one test per block finds the
-    first row with an ended Gauss orbit (0, or nan where 1/x overflowed), whose
-    ended trials restart from their own generators in trial order; the rows
-    after it are stepped again.
+    row into row through row views taken once.  A circle map steps the points
+    z_n = exp(2 pi i x_n) of the unit circle instead, from z_0 = exp(2 pi i x_0),
+    and each block is read once into xs as x = arg(z) / (2 pi) mod 1; x_0 stays
+    the drawn angle.  One test per block finds the first row with an ended
+    Gauss orbit (0, or nan where 1/x overflowed), whose ended trials restart
+    from their own generators in trial order; the rows after it are stepped
+    again.
     """
     rngs, step = [np.random.default_rng(s) for s in seeds], m.stepper(len(seeds))
     buf = np.empty((ORBIT_BLOCK, len(seeds)))
     buf[0] = [measure.sample(r, 1)[0] for r in rngs]
-    row = list(buf)     # the row views, built once: buf[j] builds a new one per use
+    orbit = buf
+    if m.circle:
+        orbit = np.empty(buf.shape, complex)
+        orbit[0] = np.exp(2j * np.pi * buf[0])
+    row = list(orbit)   # the row views, built once: orbit[j] builds a new one per use
     for n0 in range(0, N + 1, ORBIT_BLOCK):
-        rows, i, restarts = min(ORBIT_BLOCK, N + 1 - n0), int(n0 == 0), 0
+        rows, first, restarts = min(ORBIT_BLOCK, N + 1 - n0), int(n0 == 0), 0
+        i = first
         # rows past an ended orbit hold inf and nan until they are stepped again
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while i < rows:
@@ -387,6 +389,9 @@ def float_orbit_blocks(m: MapModel, measure: InvariantMeasure, seeds, N: int):
                 for t in ended:
                     buf[i, t] = measure.sample(rngs[t], 1)[0]
                 restarts, i = restarts + len(ended), i + 1
+        if m.circle:
+            z, x = orbit[first:rows], buf[first:rows]
+            np.mod(np.divide(np.arctan2(z.imag, z.real, x), 2 * np.pi, x), 1.0, x)
         yield n0, buf[:rows], restarts
 
 

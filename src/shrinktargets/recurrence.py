@@ -31,7 +31,6 @@ from .measures import (
     InvariantMeasure,
     check_invariant,
     float_orbit_blocks,
-    log_mass,
     own_chain,
     sample_chain,
     trial_seed,
@@ -183,35 +182,6 @@ class Schedule:
         tab = np.asarray(self.params["table"], dtype=np.int64)
         return tab[np.minimum(np.arange(N), len(tab) - 1)]
 
-    def rates(self) -> dict:
-        """Closed-form exponential rates of the schedule."""
-        if self.kind in ("radii_power", "radii_const"):
-            return {"ell_bar": 0.0, "ell_lower": 0.0}
-        if self.kind == "radii_exp":
-            k = self.params["kappa"]
-            return {"ell_bar": k, "ell_lower": k}
-        if self.kind in ("depth_log_floor", "depth_const"):
-            return {"w_bar": 0.0, "w_lower": 0.0}
-        if self.kind == "depth_power_floor":
-            k = self.params["kappa"]
-            if k < 1:
-                return {"w_bar": 0.0, "w_lower": 0.0}
-            if k == 1:
-                return {"w_bar": 1.0, "w_lower": 1.0}
-            return {"w_bar": math.inf, "w_lower": math.inf}
-        # custom: numeric estimate from the table (flagged)
-        tab = self.params["table"]
-        n = np.arange(1, len(tab) + 1, dtype=float)
-        if self.kind == "custom_radii":
-            vals = -np.log(np.asarray([float(x) for x in tab])) / n
-            return {"ell_bar": float(vals[len(vals) // 2:].max()),
-                    "ell_lower": float(vals[len(vals) // 2:].min()),
-                    "numeric": True}
-        vals = np.asarray(tab, dtype=float) / n
-        return {"w_bar": float(vals[len(vals) // 2:].max()),
-                "w_lower": float(vals[len(vals) // 2:].min()),
-                "numeric": True}
-
 
 # ---------------------------------------------------------------------------
 # hit series
@@ -289,29 +259,6 @@ def ball_mass_array(m: MapModel, measure: InvariantMeasure, x0: float,
     if isinstance(measure, GaussMeasure):
         return np.log1p((hi - lo) / (1 + lo)) / math.log(2)
     return hi - lo  # Lebesgue / Markov-stationary on the interval model
-
-
-def target_mass_rates(sched: Schedule, m: MapModel, measure: InvariantMeasure,
-                      target: Target, n_grid=(50, 200, 1000)) -> dict:
-    """Exponential rates L of the target cylinder masses along a depth
-    schedule: L = (1/n) log(1/mu(P(t_n, x0))), sampled at the grid and
-    reported as (max, min) over the tail; exact closed form L = w * rate
-    for uniform-mass words.  A sample past target depth 200 is refused."""
-    check_invariant(m, measure)
-    if sched.is_radii:
-        raise ScheduleError("mass rates apply to depth schedules")
-    vals = []
-    for n in n_grid:
-        t = sched.depth(n)
-        if t > 200:
-            raise ScheduleError(f"mass rate at n = {n} needs target depth {t} > 200")
-        vals.append(-log_mass(measure.cylinder_mass(m, target.digits(t))) / n)
-    out = {"L_bar": max(vals), "L_lower": min(vals), "samples": vals}
-    if isinstance(m, DAryShift):
-        r = sched.rates()
-        out["closed_form"] = {"L_bar": r.get("w_bar", math.nan) * math.log(m.D),
-                              "L_lower": r.get("w_lower", math.nan) * math.log(m.D)}
-    return out
 
 
 def cylinder_mass_by_depth(m: MapModel, measure: InvariantMeasure,

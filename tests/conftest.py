@@ -95,16 +95,18 @@ settings.load_profile("deterministic")
 set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "shrinktargets-hypothesis"))
 
 
-def float_orbit_start_reference(measure, seeds):
-    """One generator per trial seed and the start points x ~ measure they draw."""
+def float_orbit_start_reference(m, measure, seeds):
+    """One generator per trial seed, the start points x ~ measure they draw,
+    and the state that a float orbit of m steps: x itself, or the point
+    z = exp(2 pi i x) of the unit circle on a circle map."""
     rngs = [np.random.default_rng(s) for s in seeds]
-    return rngs, np.array([measure.sample(r, 1)[0] for r in rngs])
+    x = np.array([measure.sample(r, 1)[0] for r in rngs])
+    return rngs, x, np.exp(2j * np.pi * x) if m.circle else x
 
 
-def blaschke_step_reference(m, t):
-    """Float T(t) of a Blaschke boundary map as one numpy expression, with a
-    fresh array per operation: the reference that BlaschkeBoundary.stepper
-    must match bit for bit."""
+def blaschke_product_reference(m, t):
+    """Float T(t) = arg B(e^{2 pi i t}) / (2 pi) mod 1 of a Blaschke boundary
+    map on angles t, as the product of its factors (|a|/a)(z - a)/(1 - conj(a) z)."""
     z = np.exp(2j * np.pi * t)
     w = np.ones_like(z)
     for a in m.zeros:
@@ -112,21 +114,55 @@ def blaschke_step_reference(m, t):
     return np.mod(np.angle(w) / (2 * np.pi), 1.0)
 
 
-def float_orbit_step_reference(m, measure, x, rngs):
-    """(T x, restarts) for the float orbits of all trials, one step per n:
+def blaschke_step_reference(m, z):
+    """B(z) of a Blaschke boundary map on points z of the unit circle as one
+    numpy expression, with a fresh array per operation: C zh^k W / conj(W),
+    W the product of the zh - a over the nonzero zeros a, k = (zeros at 0) -
+    (nonzero zeros), zh = z/|z| if k != 0 and z otherwise, C = prod |a|/a.
+    The reference that BlaschkeBoundary.stepper must match bit for bit."""
+    nonzero = [a for a in m.zeros if a != 0]
+    k = len(m.zeros) - 2 * len(nonzero)
+    C = np.prod([abs(a) / a for a in nonzero])
+    zh, factors = z / np.abs(z) if k else z, [C] if C != 1 else []
+    if k:
+        power = base = zh if k > 0 else np.conj(zh)
+        for _ in range(abs(k) - 1):
+            power = power * base
+        factors.append(power)
+    if nonzero:
+        W = zh - nonzero[0]
+        for a in nonzero[1:]:
+            W = W * (zh - a)
+        factors.append(W / np.conj(W))
+    for f in factors[1:]:
+        factors[0] = factors[0] * f
+    return factors[0]
+
+
+def circle_angle_reference(z):
+    """The angles x = arg(z) / (2 pi) mod 1 of a row of points z."""
+    return np.mod(np.arctan2(z.imag, z.real) / (2 * np.pi), 1.0)
+
+
+def float_orbit_step_reference(m, measure, state, rngs):
+    """(state, x, restarts) of the float orbits of all trials after one step:
     the reference that measures.float_orbit_blocks must match bit for bit.
-    A Gauss step is np.modf(1/x), a Blaschke step blaschke_step_reference,
-    and an orbit that ends (T x = 0) restarts from its own trial's
-    generator, in ascending trial order.  1/x of a subnormal start
-    overflows to inf, whose fractional part is 0."""
+    A Gauss step is np.modf(1/x) of the state x.  A Blaschke step is
+    blaschke_step_reference of the state z, and x is its angle, read per row
+    (circle_angle_reference).  A Gauss orbit that ends (T x = 0) restarts from
+    its own trial's generator, in ascending trial order.  1/x of a subnormal
+    start overflows to inf, whose fractional part is 0."""
+    if m.circle:
+        state = blaschke_step_reference(m, state)
+        return state, circle_angle_reference(state), 0
     with np.errstate(over="ignore"):
-        x = np.modf(1.0 / x)[0] if isinstance(m, GaussMap) else blaschke_step_reference(m, x)
-    if not isinstance(m, GaussMap) or np.count_nonzero(x) == len(x):
-        return x, 0
+        x = np.modf(1.0 / state)[0]
+    if np.count_nonzero(x) == len(x):
+        return x, x, 0
     ended = np.flatnonzero(x == 0)
     for t in ended:
         x[t] = measure.sample(rngs[t], 1)[0]
-    return x, len(ended)
+    return x, x, len(ended)
 
 
 class ScriptedGaussMeasure(GaussMeasure):

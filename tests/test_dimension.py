@@ -259,9 +259,6 @@ class TestCantorStage:
         fr = frostman_exponent(stage)
         assert fr["gamma"] >= cl.grid_lower - 0.1
 
-    def test_lambda_hypothesis_margin_positive(self, stage):
-        assert stage.lambda_hypothesis_margin() > 0
-
     def test_degenerate_depth_zero(self):
         st2 = build_cantor_stage(DAryShift(2), (0, 1), Schedule.depth_const(0),
                                  2, (4, 5))
@@ -433,7 +430,6 @@ class TestFactorizedStage:
         st_ = build_cantor_stage(DAryShift(2), (0, 1), Schedule.depth_const(3), 2, (8, 1100))
         assert float(st_.levels[1].alpha_j) == 0.0      # 2^-1100 underflows
         assert st_.geometric_rates()["a"] == pytest.approx(LOG2)
-        assert st_.lambda_hypothesis_margin() > 0
         assert frostman_exponent(st_)["blocks"] == 2 * 128 * (1 + 2 ** 1099)
 
     def test_dump_budget(self, stage, tmp_path, monkeypatch):

@@ -14,9 +14,19 @@ from shrinktargets import (
     cylinder_from_word,
     make_map,
 )
-from conftest import blaschke_step_reference
+from shrinktargets.measures import ORBIT_BLOCK, float_orbit_blocks
+from conftest import (
+    blaschke_product_reference,
+    blaschke_step_reference,
+    circle_angle_reference,
+)
 
 LOG2 = math.log(2)
+ZERO_SETS = [[0, .5], [.5, 0], [0, 0, .3], [0, .5 + .3j, -.2j], [0, -.7, .2 + .1j],
+             [.9j, 0, .1]]
+# 0, 1, the float below 1, the least subnormal and normal, and the quarters
+EDGES = np.array([0.0, 1.0, np.nextafter(1.0, 0), 2.0 ** -1074, 2.0 ** -1022,
+                  .25, .5, .75])
 
 
 class TestEvaluate:
@@ -52,28 +62,106 @@ class TestVectorStep:
         assert gauss.stepper(len(x))(x, x) is x and x.tobytes() == want.tobytes()
         assert np.count_nonzero(want == 0) > 100      # the 1/k that end at once
 
-    @pytest.mark.parametrize("zeros", [[0, .5], [.5, 0], [0, 0, .3], [0, .5 + .3j, -.2j],
-                                       [0, -.7, .2 + .1j], [.9j, 0, .1]])
+    @pytest.mark.parametrize("zeros", ZERO_SETS)
     def test_blaschke_stepper_is_the_reference_expression(self, zeros):
         """Bit for bit blaschke_step_reference over 3,000 steps of rows of
         every width, width 1 included (where a complex multiply in place
         would round differently), stepping into a second row and in place;
-        and over 50 steps from the edge angles 0, 1, the float below 1, the
-        least subnormal and normal and the quarters, as one row and alone,
-        where the sign of the zero real part of 2 pi i t could show."""
+        and over 50 steps from the points of the edge angles 0, 1, the float
+        below 1, the least subnormal and normal and the quarters, as one row
+        and alone."""
         m = BlaschkeBoundary(zeros)
-        edges = np.array([0.0, 1.0, np.nextafter(1.0, 0), 2.0 ** -1074, 2.0 ** -1022,
-                          .25, .5, .75])
         starts = [(np.random.default_rng(w).random(w), 3000) for w in (1, 2, 3, 4, 10, 100)]
-        starts += [(edges, 50)] + [(edges[k:k + 1], 50) for k in range(len(edges))]
-        for x, steps in starts:
-            width = len(x)
-            step, y, out, z = m.stepper(width), x.copy(), np.empty(width), x.copy()
+        starts += [(EDGES, 50)] + [(EDGES[k:k + 1], 50) for k in range(len(EDGES))]
+        for t, steps in starts:
+            width, x = len(t), np.exp(2j * np.pi * t)
+            step, y, out, z = m.stepper(width), x.copy(), np.empty(width, complex), x.copy()
             for n in range(steps):
                 x = blaschke_step_reference(m, x)
                 y, out = step(y, out), y
                 assert step(z, z) is z
                 assert y.tobytes() == x.tobytes() == z.tobytes(), (width, n)
+
+    def test_blaschke_two_zeros_step_in_three_ufunc_calls(self, monkeypatch):
+        """The stepper of zeros [0, .5] calls subtract, conjugate and divide
+        once each per step, and no exp or arctan2."""
+        z, calls = np.exp(2j * np.pi * np.random.default_rng(0).random(10)), []
+
+        class Spy:
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def __getattr__(self, name):        # reduce, nin, ...
+                return getattr(self.ufunc, name)
+
+            def __call__(self, *args):
+                calls.append(self.ufunc.__name__)
+                return self.ufunc(*args)
+        for name in dir(np):
+            if isinstance(getattr(np, name), np.ufunc):
+                monkeypatch.setattr(np, name, Spy(getattr(np, name)))
+        step = BlaschkeBoundary([0, .5]).stepper(len(z))
+        calls.clear()
+        step(z, np.empty(len(z), complex))
+        assert sorted(calls) == ["conjugate", "divide", "subtract"]
+
+
+# the zero sets of TestVectorStep, then z^2 and z^3: k = (zeros at 0) -
+# (nonzero zeros) runs from -1 to 3
+CIRCLE_ZERO_SETS = ZERO_SETS + [[0, 0], [0, 0, 0]]
+
+
+def circular_distance(x, y):
+    d = np.abs(x - y) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
+class TestCircleStep:
+    """The stepper's circle state against the product formula on angles."""
+
+    @pytest.mark.parametrize("zeros", CIRCLE_ZERO_SETS)
+    def test_one_step_reads_as_the_product_formula(self, zeros):
+        m = BlaschkeBoundary(zeros)
+        t = np.concatenate((np.random.default_rng(1).random(10 ** 4), EDGES))
+        z = m.stepper(len(t))(np.exp(2j * np.pi * t), np.empty(len(t), complex))
+        assert circular_distance(circle_angle_reference(z),
+                                 blaschke_product_reference(m, t)).max() <= 2e-15
+
+    @pytest.mark.parametrize("zeros", CIRCLE_ZERO_SETS)
+    def test_orbits_stay_on_the_circle(self, zeros):
+        m = BlaschkeBoundary(zeros)
+        z = np.exp(2j * np.pi * np.random.default_rng(2).random(10))
+        step, drift = m.stepper(len(z)), 0.0
+        for _ in range(10 ** 4):
+            z = step(z, z)
+            drift = max(drift, np.abs(np.abs(z) - 1).max())
+        assert drift <= 1e-14
+
+    @pytest.mark.parametrize("zeros", [[0, 0], [0, 0, 0]])
+    def test_monomial_orbits_do_not_collapse(self, zeros):
+        """Doubling or tripling a float angle empties its mantissa within
+        about 53 steps; the circle state keeps 1,000 orbits apart."""
+        m = BlaschkeBoundary(zeros)
+        z = np.exp(2j * np.pi * np.random.default_rng(3).random(1000))
+        step = m.stepper(len(z))
+        for _ in range(3000):
+            z = step(z, z)
+        assert len(np.unique(circle_angle_reference(z))) == 1000
+
+    @pytest.mark.parametrize("zeros", CIRCLE_ZERO_SETS)
+    @pytest.mark.parametrize("width", [1, 3, 10])
+    def test_block_read_is_the_row_read(self, zeros, width, lebesgue):
+        """float_orbit_blocks reads each block of circle points at once,
+        bit for bit the angles of its rows read one at a time."""
+        m, N, seeds = BlaschkeBoundary(zeros), 2 * ORBIT_BLOCK + 5, range(width)
+        rows = np.concatenate([xs.copy() for _, xs, _ in float_orbit_blocks(
+            m, lebesgue, seeds, N)])
+        x = np.array([lebesgue.sample(np.random.default_rng(s), 1)[0] for s in seeds])
+        z, step, want = np.exp(2j * np.pi * x), m.stepper(width), [x]
+        for _ in range(N):
+            z = step(z, np.empty(width, complex))
+            want.append(circle_angle_reference(z))
+        assert rows.tobytes() == np.array(want).tobytes()
 
 
 class TestLogDerivative:

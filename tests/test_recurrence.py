@@ -58,14 +58,6 @@ LOG2 = math.log(2)
 
 
 class TestSchedule:
-    def test_rates_closed_forms(self):
-        assert Schedule.radii_power(2.0).rates() == {"ell_bar": 0.0, "ell_lower": 0.0}
-        r = Schedule.radii_exp(0.7).rates()
-        assert r["ell_bar"] == r["ell_lower"] == 0.7
-        assert Schedule.depth_power_floor(0.5).rates()["w_bar"] == 0.0
-        assert Schedule.depth_power_floor(2.0).rates()["w_bar"] == math.inf
-        assert Schedule.depth_log_floor().rates()["w_bar"] == 0.0
-
     def test_monotonicity_validation(self):
         with pytest.raises(ScheduleError):
             Schedule.custom_radii([0.5, 0.7, 0.1])
@@ -303,7 +295,7 @@ def _metric_float_orbit_per_step(m, measure, x0f, radii, N, trials, seeds, cps,
                                  collect_hits):
     """The float-orbit metric engine as one Python step per n: the reference
     that the block engine must match bit for bit."""
-    rngs, x = float_orbit_start_reference(measure, seeds)
+    rngs, _, state = float_orbit_start_reference(m, measure, seeds)
     resampled = 0
     hitcount = np.zeros(trials, dtype=np.int64)
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
@@ -312,7 +304,7 @@ def _metric_float_orbit_per_step(m, measure, x0f, radii, N, trials, seeds, cps,
     hit_idx = [[] for _ in range(trials)] if collect_hits else None
     window = 0
     for n in range(1, N + 1):
-        x, restarts = float_orbit_step_reference(m, measure, x, rngs)
+        state, x, restarts = float_orbit_step_reference(m, measure, state, rngs)
         resampled += restarts
         d = np.abs(x - x0f)
         if m.circle:
@@ -332,12 +324,12 @@ def _metric_float_orbit_per_step(m, measure, x0f, radii, N, trials, seeds, cps,
 
 def _birkhoff_float_per_step(m, measure, n_iter, seeds):
     """(mean, stderr, resampled) of the float Birkhoff sums, one step per n."""
-    rngs, x = float_orbit_start_reference(measure, seeds)
+    rngs, x, state = float_orbit_start_reference(m, measure, seeds)
     s = np.zeros(len(seeds))
     resampled = 0
     for _ in range(n_iter):
         s += m.log_derivative_array(x)
-        x, restarts = float_orbit_step_reference(m, measure, x, rngs)
+        state, x, restarts = float_orbit_step_reference(m, measure, state, rngs)
         resampled += restarts
     vals = s / n_iter
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(seeds))), resampled
@@ -373,10 +365,10 @@ class TestFloatOrbitBlocks:
         m, measure, _ = self._case(kind, blaschke_two, lebesgue)
         seeds = [trial_seed(5, t) for t in range(4)]
         ref_measure = measure()
-        rngs, x = float_orbit_start_reference(ref_measure, seeds)
+        rngs, x, state = float_orbit_start_reference(m, ref_measure, seeds)
         want, restarts = [x.copy()], [0]
         for _ in range(N):
-            x, r = float_orbit_step_reference(m, ref_measure, x, rngs)
+            state, x, r = float_orbit_step_reference(m, ref_measure, state, rngs)
             want.append(x.copy())
             restarts.append(r)
         # each block is a view of one buffer that the next block overwrites
@@ -1220,26 +1212,6 @@ class TestExactThresholds:
                 (gauss, gauss_measure, F(3, 7), Schedule.radii_power(2.0))):
             assert borel_cantelli_classify(m, mu, TargetPoint.from_point(m, x0),
                                            sched).heuristic
-
-
-class TestMassRates:
-    def test_uniform_rates_match_closed_form(self, dary2, lebesgue):
-        from shrinktargets import target_mass_rates
-        tgt = TargetPoint.from_word(dary2, (0, 1))
-        # linear depths: t_n = n, so L = log 2 exactly up to the +1 digit
-        r = target_mass_rates(Schedule.custom_depths(list(range(1, 2001))),
-                              dary2, lebesgue, tgt, n_grid=(100, 150, 200))
-        assert r["samples"] == pytest.approx([(n + 1) * LOG2 / n for n in (100, 150, 200)])
-        assert r["L_bar"] == pytest.approx(LOG2, rel=0.02)
-        assert r["closed_form"]["L_bar"] == pytest.approx(LOG2, rel=1e-12)
-
-    def test_depth_past_the_digits_read_raises(self, dary2, lebesgue):
-        # t_50 = floor(50^1.5) = 353: a rate of the 200-digit prefix would be 2.79,
-        # not (353 + 1) log 2 / 50 = 4.91
-        from shrinktargets import target_mass_rates
-        tgt = TargetPoint.from_word(dary2, (0, 1))
-        with pytest.raises(ScheduleError, match="depth 353"):
-            target_mass_rates(Schedule.depth_power_floor(1.5), dary2, lebesgue, tgt)
 
 
 class TestTargetPoint:

@@ -60,6 +60,8 @@ FLOAT_STEPS = {     # name -> (map spec, trials, steps)
     "blaschke_0_half": ({"kind": "blaschke", "zeros": [0, 0.5]}, 10, 10 ** 5),
     # the width of the Blaschke simulate calls of the cli-batch workload
     "blaschke_0_half_2": ({"kind": "blaschke", "zeros": [0, 0.5]}, 2, 10 ** 5),
+    # k = (zeros at 0) - (nonzero zeros) = 1: the step normalizes z to |z| = 1
+    "blaschke_0_0_03": ({"kind": "blaschke", "zeros": [0, 0, 0.3]}, 10, 10 ** 5),
     "gauss": ({"kind": "gauss"}, 100, 10 ** 5),
 }
 
