@@ -19,6 +19,7 @@ from conftest import (
     blaschke_product_reference,
     blaschke_step_reference,
     circle_angle_reference,
+    float_orbit_start_reference,
 )
 
 LOG2 = math.log(2)
@@ -156,8 +157,8 @@ class TestCircleStep:
         m, N, seeds = BlaschkeBoundary(zeros), 2 * ORBIT_BLOCK + 5, range(width)
         rows = np.concatenate([xs.copy() for _, xs, _ in float_orbit_blocks(
             m, lebesgue, seeds, N)])
-        x = np.array([lebesgue.sample(np.random.default_rng(s), 1)[0] for s in seeds])
-        z, step, want = np.exp(2j * np.pi * x), m.stepper(width), [x]
+        _, x, z = float_orbit_start_reference(m, lebesgue, seeds)
+        step, want = m.stepper(width), [x]
         for _ in range(N):
             z = step(z, np.empty(width, complex))
             want.append(circle_angle_reference(z))
