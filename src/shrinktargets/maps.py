@@ -123,8 +123,8 @@ class DAryShift(MapModel):
     kind = "dary"
 
     def __init__(self, D: int):
-        if not isinstance(D, int) or D < 2:
-            raise MapError("D must be an integer >= 2")
+        if not isinstance(D, int) or not 2 <= D <= 2 ** 16:
+            raise MapError("D must be an integer in [2, 65536]")
         self.D = D
         self.branch_count = D
         self.expansion_beta = float(D)
@@ -601,7 +601,7 @@ CHAIN = ({"M": listof(listof(rational(0, 1, closed=True))),
 
 # kind -> (class, its config fields by constructor argument, the digits of its words)
 MAP_KINDS = {
-    "dary": (DAryShift, {"D": integer(2)}, lambda spec: range(spec["D"])),
+    "dary": (DAryShift, {"D": integer(2, 2 ** 16)}, lambda spec: range(spec["D"])),
     "markov": (MarkovLinear, CHAIN, lambda spec: range(len(spec["p"]))),
     "gauss": (GaussMap, {}, lambda spec: range(1, 2 ** 63)),
     "blaschke": (BlaschkeBoundary, {"zeros": listof(_ZERO)},

@@ -151,9 +151,9 @@ class Schedule:
     def radii_array(self, N: int) -> np.ndarray:
         n = np.arange(1, N + 1, dtype=float)
         if self.kind == "radii_power":
-            return n ** (-1.0 / self.params["alpha"])
+            return np.power(n, -1.0 / self.params["alpha"], out=n)
         if self.kind == "radii_exp":
-            return np.exp(-self.params["kappa"] * n)
+            return np.exp(np.multiply(n, -self.params["kappa"], out=n), out=n)
         if self.kind == "radii_const":
             return np.full(N, float(self.params["r"]))
         tab = np.asarray([float(x) for x in self.params["table"]])
@@ -254,11 +254,12 @@ def ball_mass_array(m: MapModel, measure: InvariantMeasure, x0: float,
                     radii: np.ndarray) -> np.ndarray:
     if m.circle:
         return np.minimum(2 * radii, 1.0)
-    lo = np.maximum(x0 - radii, 0.0)
-    hi = np.minimum(x0 + radii, 1.0)
+    lo, hi = x0 - radii, x0 + radii
+    np.maximum(lo, 0.0, out=lo)
+    width = np.subtract(np.minimum(hi, 1.0, out=hi), lo, out=hi)
     if isinstance(measure, GaussMeasure):
-        return np.log1p((hi - lo) / (1 + lo)) / math.log(2)
-    return hi - lo  # Lebesgue / Markov-stationary on the interval model
+        return np.log1p(width / (1 + lo)) / math.log(2)
+    return width  # Lebesgue / Markov-stationary on the interval model
 
 
 def cylinder_mass_by_depth(m: MapModel, measure: InvariantMeasure,
@@ -315,11 +316,15 @@ def _chain_mass(p, M, digits):
 # symbolic engine
 
 def _digit_stream(m: MapModel, rng, length: int, after=None):
-    """length digits of a random orbit.  Reading on past the digit ``after``,
-    a D-ary or chain stream (from that digit's row of M) is bit for bit one
-    longer draw; a Gauss stream starts a fresh Gauss-distributed point, the
-    same restart as at a boundary."""
+    """length digits of a random orbit; D = 2 digits are the fair bits of
+    uniform bytes, most significant first (uint8).  Reading on past the digit
+    ``after`` is an independent draw from the trial's generator, equal in law
+    to one longer draw: a D-ary stream draws afresh, a chain stream from that
+    digit's row of M, and a Gauss stream starts a fresh Gauss-distributed
+    point, the same restart as at a boundary."""
     if isinstance(m, DAryShift):
+        if m.D == 2:
+            return np.unpackbits(rng.integers(0, 256, size=-(-length // 8), dtype=np.uint8))[:length]
         return rng.integers(0, m.D, size=length, dtype=np.int64)
     if isinstance(m, MarkovLinear):
         return sample_chain(m, rng, length) if after is None \

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shrinktargets
-from shrinktargets import cli
+from shrinktargets import cli, harness
 from shrinktargets.harness import (
     ConfigError,
     emit_report,
@@ -224,6 +224,26 @@ class TestCLI:
             "schedule": {"kind": "radii_power", "alpha": 2.0}, "horizons": [100]}))
         assert cli.main(["simulate", "--config", str(cfgp)]) == 2
         assert f"missing parameter '{key}'" in capsys.readouterr().err
+
+    def test_huge_D_exits_2_before_any_map_is_built(self, tmp_path, capsys, monkeypatch):
+        # DAryShift(D) holds D partition blocks: D = 2^40 would exhaust memory
+        built = []
+        monkeypatch.setattr(harness, "make_map", lambda spec: built.append(spec))
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "experiment": "simulate", "map": {"kind": "dary", "D": 2 ** 40},
+            "x0": {"rational": "1/3"}, "schedule": {"kind": "radii_power", "alpha": 2.0},
+            "horizons": [100]}))
+        assert cli.main(["simulate", "--config", str(cfgp)]) == 2
+        assert "config error: map.D: " in capsys.readouterr().err and built == []
+
+    def test_largest_D_runs(self, tmp_path):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "experiment": "simulate", "map": {"kind": "dary", "D": 2 ** 16},
+            "x0": {"rational": "1/3"}, "schedule": {"kind": "radii_power", "alpha": 2.0},
+            "horizons": [100], "trials": 2}))
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("x0", [{"rational": "3/2"}, {"decimal": -0.1},
                                     {"rational": "1/0"}, {"decimal": "nan"}])

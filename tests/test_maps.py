@@ -7,6 +7,7 @@ import pytest
 from shrinktargets import (
     BlaschkeBoundary,
     BoundaryHit,
+    DAryShift,
     InadmissibleDigit,
     MapError,
     MarkovLinear,
@@ -47,6 +48,11 @@ class TestEvaluate:
     def test_outside_domain(self, dary2):
         with pytest.raises(MapError):
             dary2.evaluate(F(3, 2))
+
+    @pytest.mark.parametrize("D", [1, 2 ** 16 + 1])
+    def test_D_outside_its_range(self, D):
+        with pytest.raises(MapError, match="65536"):
+            DAryShift(D)
 
 
 class TestVectorStep:

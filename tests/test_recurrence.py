@@ -167,8 +167,7 @@ class TestMetricHits:
         sched = Schedule.radii_power(1.0)
         hs = run_metric_hits(dary2, lebesgue, TargetPoint.from_point(dary2, F(1, 3)),
                              sched, N, 1, seed, collect_hits=True)
-        rng = np.random.default_rng(trial_seed(seed, 0))
-        stream = rng.integers(0, 2, size=N + 52 + 2, dtype=np.int64)
+        stream = _digit_stream(dary2, np.random.default_rng(trial_seed(seed, 0)), N + 52 + 2)
         assert _exact_binary_hits(stream, F(1, 3), sched, N) == hs.hit_indices[0].tolist()
 
     def test_borderline_step_resolved_exactly(self, dary2, lebesgue):
@@ -178,8 +177,7 @@ class TestMetricHits:
         alone would call step 1 a hit; the exact point lies outside."""
         N, seed, x0 = 200, 10, F(1, 3)
         W = _window_width(dary2, 0.05)[0]
-        stream = np.random.default_rng(trial_seed(seed, 0)).integers(
-            0, 2, size=N + W + 2, dtype=np.int64)
+        stream = _digit_stream(dary2, np.random.default_rng(trial_seed(seed, 0)), N + W + 2)
         r = abs(float(_window_positions(dary2, stream, N, W)[0]) - float(x0))
         assert _window_width(dary2, r)[0] == W
         sched = Schedule.radii_const(r)
@@ -501,7 +499,7 @@ class TestExactResolver:
         R = F(r)
         window = cylinder_from_word(dary2, stream[N:].tolist())
         assert window.left < x0 - R < window.right or window.left < x0 + R < window.right
-        word = stream[N:].tolist() + rng.integers(0, 2, size=300, dtype=np.int64).tolist()
+        word = stream[N:].tolist() + _digit_stream(dary2, rng, 300, after=int(stream[-1])).tolist()
         c = cylinder_from_word(dary2, word)
         inside = x0 - R <= c.left and c.right <= x0 + R
         assert inside or c.right < x0 - R or c.left > x0 + R
@@ -525,6 +523,30 @@ class TestExactResolver:
                 prev = int(np.searchsorted(cum[prev], x, side="right"))
                 want.append(prev)
             assert more.tolist() == want and want[0] != stream[-1]
+
+    @staticmethod
+    def _bits_of_bytes(gen, count):
+        """The bits, most significant first, of count uniform bytes of gen."""
+        return [b >> k & 1 for b in gen.integers(0, 256, size=count, dtype=np.uint8).tolist()
+                for k in range(7, -1, -1)]
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 1000])
+    def test_binary_stream_is_the_bits_of_uniform_bytes(self, dary2, length):
+        rng = np.random.default_rng(length)
+        clone = np.random.default_rng()
+        clone.bit_generator.state = rng.bit_generator.state
+        stream = _digit_stream(dary2, rng, length)
+        assert stream.dtype == np.uint8
+        assert stream.tolist() == self._bits_of_bytes(clone, -(-length // 8))[:length]
+
+    def test_binary_read_on_is_the_bits_of_the_next_bytes(self, dary2):
+        rng = np.random.default_rng(9)
+        clone = np.random.default_rng()
+        clone.bit_generator.state = rng.bit_generator.state
+        stream = _digit_stream(dary2, rng, 9)
+        more = _digit_stream(dary2, rng, 20, after=int(stream[-1]))
+        assert stream.tolist() == self._bits_of_bytes(clone, 2)[:9]
+        assert more.tolist() == self._bits_of_bytes(clone, 3)[:20]
 
 
 def _symbolic_per_depth(m, measure, target, sched, N, trials, seed, horizons, collect_hits):
@@ -703,12 +725,15 @@ class TestLinearEnginesMatchOracles:
 
     def test_binary_windows_equal_the_correlation(self, dary2):
         """D = 2 window values are dyadics of at most W <= 52 bits: doubling
-        windows gives the float correlation of the digits, bit for bit."""
+        windows gives the float correlation of the digits, bit for bit, and
+        the same windows whether the digits are held as int64 or uint8."""
         stream = np.random.default_rng(3).integers(0, 2, size=5000, dtype=np.int64)
         for W in range(1, 53):
             w = 0.5 ** np.arange(1, W + 1)
             want = np.correlate(stream[1:4000 + W + 1].astype(float), w, mode="valid")[:4000]
             assert _window_positions(dary2, stream, 4000, W).tolist() == want.tolist(), W
+            small = _window_positions(dary2, stream.astype(np.uint8), 4000, W)
+            assert small.tolist() == want.tolist(), W
 
     @pytest.mark.parametrize("kind", ["dary2", "golden"])
     def test_exact_resolution_in_later_blocks(self, kind, request, monkeypatch):

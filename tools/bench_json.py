@@ -14,8 +14,9 @@ run.py reports.  The runs are sequential, one worker process at a time, as
 run.py starts them.  Then it runs the Tier-1 command once with pytest's
 --durations, and records its wall time, its outcome counts and the time of
 each test in tests/test_acceptance.py (setup, call and teardown).  It times
-the digit-stream layer, measures.sample_chain on the test suite's three
-chains at STREAM_DIGITS digits each, best of 3 runs, and the normalizer
+the digit-stream layer, recurrence._digit_stream on the test suite's three
+chains (measures.sample_chain) and on each D-ary shift of DARY_STREAMS, at
+STREAM_DIGITS digits each, best of 3 runs, and the normalizer
 layer, recurrence.cylinder_mass_by_depth on the depths floor(n^2) of
 n = 1..WALK_N for each target of WALKS, walked to the underflow of its
 masses, best of 3 runs, and the float-orbit layer, the orbit-steps/s of
@@ -48,6 +49,7 @@ CHAINS = {          # the chains of tests/conftest.py, row-major
     "golden_mean": [["1/2", "1/2"], ["1", "0"]],
     "zero_diagonal": [["0", "1/2", "1/2"], ["1/2", "0", "1/2"], ["1/2", "1/2", "0"]],
 }
+DARY_STREAMS = (2, 3)   # D of the D-ary shifts whose _digit_stream is timed
 WALK_N = 10 ** 4
 WALKS = {           # name -> (map spec, target word)
     "dary2_01": ({"kind": "dary", "D": 2}, (0, 1)),
@@ -101,21 +103,26 @@ def run_tests() -> dict:
 
 
 def digit_streams() -> dict:
-    """Best-of-3 seconds and digits/s of sample_chain on each chain, seed 0."""
+    """Best-of-3 seconds and digits/s of _digit_stream on each chain (which
+    draws through sample_chain) and on each D-ary shift of DARY_STREAMS
+    (named dary<D>), seed 0."""
     sys.path.insert(0, "src")
     from fractions import Fraction
 
     import numpy as np
-    from shrinktargets import MarkovLinear, stationary_vector
-    from shrinktargets.measures import sample_chain
+    from shrinktargets import DAryShift, MarkovLinear, stationary_vector
+    from shrinktargets.recurrence import _digit_stream
 
-    out = {}
+    maps = {f"dary{D}": DAryShift(D) for D in DARY_STREAMS}
     for name, rows in CHAINS.items():
         M = [[Fraction(x) for x in row] for row in rows]
-        m, times = MarkovLinear(M, stationary_vector(M)), []
+        maps[name] = MarkovLinear(M, stationary_vector(M))
+    out = {}
+    for name, m in maps.items():
+        times = []
         for _ in range(3):
             t0 = time.perf_counter()
-            sample_chain(m, np.random.default_rng(0), STREAM_DIGITS)
+            _digit_stream(m, np.random.default_rng(0), STREAM_DIGITS)
             times.append(time.perf_counter() - t0)
         out[name] = {"digits": STREAM_DIGITS, "best_s": min(times),
                      "digits_per_s": STREAM_DIGITS / min(times)}
@@ -207,8 +214,8 @@ def main(argv=None) -> int:
               f"{runs['end_to_end_ops']['failed']} failed of "
               f"{runs['end_to_end_ops']['attempted']}", file=sys.stderr)
     doc["digit_streams"] = digit_streams()
-    print("sample_chain: " + ", ".join(f"{k} {v['best_s']:.3f} s"
-                                       for k, v in doc["digit_streams"].items()), file=sys.stderr)
+    print("digit streams: " + ", ".join(f"{k} {v['best_s']:.3f} s"
+                                        for k, v in doc["digit_streams"].items()), file=sys.stderr)
     doc["normalizer_walks"] = normalizer_walks()
     print("normalizer walks: " + ", ".join(f"{k} {v['best_s'] * 1e3:.2f} ms"
                                            for k, v in doc["normalizer_walks"].items()),
