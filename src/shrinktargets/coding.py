@@ -164,25 +164,32 @@ def cylinder_from_word(m: MapModel, word: Sequence[int]) -> Cylinder:
 
 
 def locate_cylinder(m: MapModel, x, n: int) -> Cylinder:
-    """P(n, x): the depth-n cylinder containing x."""
+    """P(n, x): the depth-n cylinder containing x; MapError if it misses x."""
     cyl = Target.of(m, x).walk().cylinder(n)
-    assert cyl.left <= x <= cyl.right
+    if not cyl.left <= x <= cyl.right:
+        raise MapError(f"P({n}) = [{float(cyl.left)}, {float(cyl.right)}] misses x = {x}")
     return cyl
 
 
-def periodic_point(m: MapModel, period_word: Sequence[int]):
-    """Exact point whose itinerary repeats the given word.
-
-    Only for maps with affine branches (DAryShift, MarkovLinear): walks
-    w + w[:1], so the branches close around the period, and solves the
-    fixed-point equation x = (a*x + b)/d of the composed branches.
-    """
+def period_matrix(m: MapModel, period_word: Sequence[int]):
+    """Integer matrix (a, b, c, d) of one period's inverse branches composed,
+    y -> (a*y + b)/(c*y + d), walked over w + w[:1] so that they close around
+    the period (InadmissibleDigit if they do not); None without an exact walk."""
     w = tuple(period_word)
+    walk = PrefixWalk(m, w + w[:1], seeded=False)
+    if not walk._exact:
+        return None
+    walk.digits(len(w))
+    return walk._mats[len(w)]
+
+
+def periodic_point(m: MapModel, period_word: Sequence[int]):
+    """Exact point whose itinerary repeats the given word, for maps with
+    affine branches (DAryShift, MarkovLinear): the fixed point x = (a*x + b)/d
+    of the period's composed branches (period_matrix)."""
     if not hasattr(m, "branch_affine"):
         raise MapError(f"periodic points need affine branches, not {m.kind}")
-    walk = PrefixWalk(m, w + w[:1], seeded=False)
-    walk.digits(len(w))
-    a, b, _, d = walk._mats[len(w)]
+    a, b, _, d = period_matrix(m, period_word)
     return Fraction(b, d - a)
 
 
@@ -195,9 +202,10 @@ class Target:
     a map with affine branches its point is the exact periodic point), a
     digit function k -> i_k, or the itinerary of a given point, read lazily
     through orbit_digits.  A given point, a float included, is its own exact
-    value.  The period word is kept as ``word`` (None for the other
-    sources).  One prefix walk over the source, shared by every caller,
-    gives the cylinders and the brackets of x_0.
+    value, and its digits are those of that value (a float on a circle map
+    steps in floats).  The period word is kept as ``word`` (None for the
+    other sources).  One prefix walk over the source, shared by every
+    caller, gives the cylinders and the brackets of x_0.
     """
 
     def __init__(self, m: MapModel, digits=None, value=None):
@@ -216,7 +224,7 @@ class Target:
                 except (MapError, IndexError):
                     pass  # the word does not close into an admissible cycle
         else:
-            self.source = lambda: orbit_digits(m, value)
+            self.source = lambda: orbit_digits(m, value if m.circle else Fraction(value))
         self.value = value
         self._walk = PrefixWalk(m, self.source())
         self._point = None if value is None else (Fraction(value),) * 2

@@ -236,17 +236,14 @@ class MarkovLinear(MapModel):
         one_step = min(slopes.values())
         if one_step > 1:
             return float(one_step)
-        best = 0.0
-        prod = {(i, j): s for (i, j), s in slopes.items()}
+        best, prod = 0.0, slopes
         for n in range(2, self.mixing_steps + 1):
             nxt = {}
             for (i, k), s1 in prod.items():
-                for j in range(self.D):
-                    if self.M[k][j] > 0:
-                        v = s1 * slopes[(k, j)]
-                        key = (i, j)
-                        if key not in nxt or v < nxt[key]:
-                            nxt[key] = v
+                for j in self.branch_targets(k):
+                    v = s1 * slopes[k, j]
+                    if v < nxt.get((i, j), math.inf):
+                        nxt[i, j] = v
             prod = nxt
             worst = min(prod.values())
             best = max(best, float(worst) ** (1.0 / n))
@@ -332,7 +329,6 @@ class GaussMap(MapModel):
     """
 
     kind = "gauss"
-    circle = False
 
     def __init__(self):
         self.branch_count = None
@@ -442,9 +438,8 @@ class BlaschkeBoundary(MapModel):
         z = cmath.exp(2j * math.pi * t)
         for a in self.zeros:
             if a != 0:
-                u = 1 - a.conjugate() * z
-                u0 = 1 - a.conjugate()
-                tot -= (cmath.phase(u) - cmath.phase(u0)) / math.pi
+                tot -= (cmath.phase(1 - a.conjugate() * z)
+                        - cmath.phase(1 - a.conjugate())) / math.pi
         return tot
 
     def derivative_abs(self, t: float) -> float:
@@ -474,12 +469,10 @@ class BlaschkeBoundary(MapModel):
         c = self._lift_const
         # S maps [0,1] onto [c, c+N]; find the N integer crossings in (c, c+N]
         if abs(c) < 1e-13:
-            targets = list(range(0, self.N + 1))
             taus = [0.0]
-            for m in targets[1:-1]:
+            for m in range(1, self.N):
                 taus.append(self._solve_lift(float(m), taus[-1], 1.0))
-            taus.append(1.0)
-            return tuple(taus)
+            return (*taus, 1.0)
         # wraparound case: first boundary is the smallest crossing in (0,1)
         m0 = math.ceil(c)
         taus = [self._solve_lift(float(m0), 0.0, 1.0)]
@@ -624,5 +617,4 @@ def make_map(spec: dict) -> MapModel:
 def bernoulli_map(weights: Sequence[Number]) -> MarkovLinear:
     """Full-branch piecewise-linear map with branch weights p (i.i.d. digits)."""
     p = [Fraction(w) for w in weights]
-    M = [list(p) for _ in p]
-    return MarkovLinear(M, p)
+    return MarkovLinear([list(p) for _ in p], p)

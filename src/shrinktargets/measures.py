@@ -77,13 +77,10 @@ class LebesgueMeasure(InvariantMeasure):
     def interval_mass(self, a, b):
         if a > b:
             raise MeasureError("reversed endpoints")
-        lo = max(a, 0)
-        hi = min(b, 1)
-        return max(hi - lo, 0)
+        return max(min(b, 1) - max(a, 0), 0)
 
     def cylinder_mass(self, m, word):
-        c = cylinder_from_word(m, word)
-        return c.length
+        return cylinder_from_word(m, word).length
 
     def sample(self, rng, size):
         return rng.random(size)
@@ -153,14 +150,8 @@ class MarkovStationaryMeasure(InvariantMeasure):
     def cylinder_mass(self, m, word):
         return self.word_mass(word)
 
-    def interval_mass(self, a, b):
-        """Mass of [a, b); on the interval model it is the length b - a."""
-        if a > b:
-            raise MeasureError("reversed endpoints")
-        return max(min(b, 1) - max(a, 0), 0)
-
-    def sample(self, rng, size):
-        return rng.random(size)
+    # on the interval model the mass of [a, b) is its length, as for Lebesgue
+    interval_mass, sample = LebesgueMeasure.interval_mass, LebesgueMeasure.sample
 
 
 # kind -> (constructor, its config fields by argument name)
@@ -654,10 +645,6 @@ def pushforward_defect(m: MapModel, measure: InvariantMeasure, a, b) -> float:
         total = (head + tail) / LOG2
         return abs(total - measure.interval_mass(af, bf))
     if isinstance(m, BlaschkeBoundary) and isinstance(measure, LebesgueMeasure):
-        total = 0.0
-        for d in range(m.N):
-            x1 = m.inverse_branch(d, a)
-            x2 = m.inverse_branch(d, b)
-            total += (x2 - x1) % 1.0
+        total = sum((m.inverse_branch(d, b) - m.inverse_branch(d, a)) % 1.0 for d in range(m.N))
         return abs(total - (b - a))
     raise MeasureError(f"no invariance check for ({m.kind}, {measure.kind})")

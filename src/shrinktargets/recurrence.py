@@ -18,23 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from .coding import PrefixWalk, Target, ball_holds, cylinder_from_word  # noqa: F401 (re-exported)
-from .maps import (
-    DAryShift,
-    GaussMap,
-    MapError,
-    MapModel,
-    MarkovLinear,
-)
-from .measures import (
-    GaussMeasure,
-    InvariantMeasure,
-    check_invariant,
-    float_orbit_blocks,
-    own_chain,
-    sample_chain,
-    trial_seed,
-)
+from .coding import (PrefixWalk, Target, ball_holds,  # noqa: F401 (re-exported)
+                     cylinder_from_word, period_matrix)
+from .maps import BoundaryHit, DAryShift, GaussMap, MapError, MapModel, MarkovLinear
+from .measures import (GaussMeasure, InvariantMeasure, check_invariant, float_orbit_blocks,
+                       own_chain, sample_chain, trial_seed)
 from .schema import integer, kinds, listof, number
 
 DENSE_DIGITS = 3         # leading target digits the symbolic engine matches on every index
@@ -270,20 +258,13 @@ def cylinder_mass_by_depth(m: MapModel, measure: InvariantMeasure,
     depths must be non-decreasing, as every depth schedule is; a decrease
     raises ValueError.  Nested cylinders' masses never increase, so the walk
     stops at the first 0.0, and on the way to a far depth it looks at depths
-    64, 128, 256, ... to stop there.  D-ary and Markov masses are the running
-    product of the map's own chain (own_chain), whichever admitted measure
-    comes in (check_invariant); the other maps walk the target's cylinders.
+    64, 128, 256, ... to stop there (_mass_at reads each mass).
     """
     step = np.diff(depths)
     if np.any(step < 0):
         raise ValueError("depths must be non-decreasing")
     starts = np.concatenate(([0], np.flatnonzero(step) + 1))     # first index of each run
-    chain = own_chain(m)
-    if chain is None:
-        walk = target.walk()
-        mass_at = lambda t: float(measure.interval_mass(*walk.bounds(t)))
-    else:
-        mass_at = _chain_mass(*chain, target.source())
+    mass_at = _mass_at(m, measure, target)
     mass, probe = np.zeros(len(starts)), 64
     for k, t in enumerate(depths[starts].tolist()):
         while probe < t and mass_at(probe) > 0:
@@ -292,6 +273,16 @@ def cylinder_mass_by_depth(m: MapModel, measure: InvariantMeasure,
         if mass[k] == 0.0:
             break
     return np.repeat(mass, np.diff(starts, append=len(depths)))
+
+
+def _mass_at(m, measure, target):
+    """mass(t) = mu(P(t, x0)) at non-decreasing t, a float: the product of the
+    map's own chain (own_chain) for any admitted measure, else the walk's."""
+    chain = own_chain(m)
+    if chain is None:
+        walk = target.walk()
+        return lambda t: float(measure.interval_mass(*walk.bounds(t)))
+    return _chain_mass(*chain, target.source())
 
 
 def _chain_mass(p, M, digits):
@@ -318,10 +309,11 @@ def _chain_mass(p, M, digits):
 def _digit_stream(m: MapModel, rng, length: int, after=None):
     """length digits of a random orbit; D = 2 digits are the fair bits of
     uniform bytes, most significant first (uint8).  Reading on past the digit
-    ``after`` is an independent draw from the trial's generator, equal in law
-    to one longer draw: a D-ary stream draws afresh, a chain stream from that
-    digit's row of M, and a Gauss stream starts a fresh Gauss-distributed
-    point, the same restart as at a boundary."""
+    ``after`` draws from the trial's generator: a D-ary stream afresh and a
+    chain stream from that digit's row of M, equal in law to one longer draw.
+    A Gauss stream restarts from a fresh Gauss-distributed point, as at a
+    boundary, and forgets the digits read (the Gauss digit process is not
+    Markov); only a survivor past READ_AHEAD matched digits reaches it."""
     if isinstance(m, DAryShift):
         if m.D == 2:
             return np.unpackbits(rng.integers(0, 256, size=-(-length // 8), dtype=np.uint8))[:length]
@@ -646,16 +638,18 @@ def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
     n^(-1/alpha) compare alpha with 1 exactly.
 
     Log-floor depths floor(log_b n) give about (b - 1) b^t indices depth t,
-    and the masses of a target with period p shrink by an exact factor rho
-    over each period (Chernov-Kleinbock 2001 for Markov measures, Philipp
-    1967 for the Gauss map), so the series diverges iff b^p rho >= 1
-    (_log_floor_diverges).
+    and the masses of a target with period p shrink by rho, the inverse of
+    the period's multiplier, per period (Chernov-Kleinbock 2001 for Markov
+    measures, Philipp 1967 for the Gauss map), so the series diverges iff
+    b^p rho >= 1.  Two exact rules read rho (_log_floor_diverges): uniform
+    chains, the D-ary map among them, and word targets on maps with an exact
+    walk.  Every other log-floor target gets one estimated rate per digit
+    (_mass_rate), and log b >= rate, monotone in b, is its verdict.
 
-    Verdicts are exact unless marked heuristic: custom tables and
-    log-floor schedules with no exact period factor (Blaschke maps, point
-    targets of the Gauss map and of non-uniform chains) are read off the
-    partial sums, and FullMeasure for a Gauss point target under power
-    radii assumes tau_bar = 0, which its unknown digits may not give.
+    Verdicts are exact unless marked heuristic: those rate verdicts, custom
+    tables, read off the partial sums, and FullMeasure for a Gauss point
+    target under power radii, which assumes tau_bar = 0, which its unknown
+    digits may not give.
     """
     check_invariant(m, measure)
     target = Target.of(m, target)
@@ -720,8 +714,14 @@ def _classify_depths(m, measure, target, sched):
         b = sched.params["base"]
         series = f"sum mu(P(floor(log_{b:g} n), x0))"
         diverges = _log_floor_diverges(m, target, Fraction(b))
-        if diverges is None:
-            return _heuristic_from_partials(psums, series)
+        if diverges is None:        # one estimated rate, so monotone in b
+            rate = _mass_rate(m, measure, target)
+            if rate is None:
+                return BCVerdict("Inconclusive", series, None, psums, "the masses end or fall "
+                                 "below 2^-40 by depth 1 (heuristic)", heuristic=True)
+            verdict = "FullMeasure" if math.log(b) >= rate else "MeasureZero"
+            return BCVerdict(verdict, series, None, psums, f"masses shrink by e^-{rate:.4g} "
+                             f"per digit; log b = {math.log(b):.4g} (heuristic)", heuristic=True)
         if diverges:
             return BCVerdict("FullMeasure", series, None, psums,
                              "about (b-1) b^t terms of depth t, masses shrinking by "
@@ -732,43 +732,56 @@ def _classify_depths(m, measure, target, sched):
 
 
 def _log_floor_diverges(m, target, b: Fraction) -> Optional[bool]:
-    """Whether b^p rho >= 1, rho the exact factor by which the target's
-    cylinder masses shrink over one period p, or None when none is known.
-
-    rho is q per digit on the D-ary map (q = 1/D) and on a chain whose
-    nonzero entries all equal q, for every target that stays in the support;
-    the product of M around the cyclic word for a chain's word target (0 if
-    the word does not close); and lambda^-2 for a Gauss word, lambda the
-    Perron root of P = prod [[a, 1], [1, 0]] (lengths |P(t)| ~ q_t^-2).
+    """Whether b^p >= the multiplier of the target's period p, or None when
+    no exact rule reads it.  The multiplier is lambda^2 / |ad - bc| for a
+    word target with the integer period matrix (a, b, c, d) (period_matrix),
+    lambda its Perron root, and a word that leaves the support has masses 0;
+    it is 1/q per digit on a chain whose nonzero entries all equal q
+    (own_chain; 1/D on the D-ary map), at every target in the support.
     """
-    w = target.word
-    if isinstance(m, GaussMap):
-        if w is None:
-            return None
-        x, y, z, u = 1, 0, 0, 1
-        for a in w:
-            x, y, z, u = x * a + y, x, z * a + u, z
-        # lambda = (tr + sqrt(tr^2 - 4 det)) / 2 and lambda^2 = tr lambda - det,
-        # so b^p >= lambda^2 iff 2 b^p + 2 det - tr^2 >= tr sqrt(tr^2 - 4 det);
-        # lambda is irrational, so the two sides are never equal
-        tr, det = x + u, (-1) ** len(w)
-        lhs = 2 * b ** len(w) + 2 * det - tr * tr
-        return lhs >= 0 and lhs * lhs > tr * tr * (tr * tr - 4 * det)
-    if isinstance(m, DAryShift):
-        return b >= m.D
-    if not isinstance(m, MarkovLinear):
-        return None
-    if w is not None:
-        return b ** len(w) * math.prod(m.M[a][c] for a, c in zip(w, w[1:] + w[:1])) >= 1
-    entries = {x for row in m.M for x in row}
+    if target.word is not None:
+        try:
+            mat = period_matrix(m, target.word)
+        except MapError:        # InadmissibleDigit
+            return False
+        if mat is not None:
+            # lambda = (tr + sqrt(tr^2 - 4 det)) / 2 and lambda^2 = tr lambda - det,
+            # so b^p |det| >= lambda^2 iff 2 (b^p |det| + det) - tr^2 >= tr sqrt(tr^2 - 4 det)
+            a, x, c, d = mat
+            tr, det = a + d, a * d - x * c
+            lhs = 2 * (b ** len(target.word) * abs(det) + det) - tr * tr
+            return lhs >= 0 and lhs * lhs >= tr * tr * (tr * tr - 4 * det)
+    chain = own_chain(m)
+    entries = set() if chain is None else {x for row in chain[1] for x in row}
     if len(entries - {0}) == 1 and (0 not in entries or target.value is not None):
         return b * max(entries) >= 1
     return None
 
 
+RATE_FLOOR, RATE_DEPTH = 2.0 ** -40, 64     # where _mass_rate stops reading masses
+
+
+def _mass_rate(m, measure, target) -> Optional[float]:
+    """log(mu(P(T // 2)) / mu(P(T))) / (T - T // 2), the masses' decay per
+    digit, a ratio in which constant factors cancel; T is the first depth
+    whose mass is below RATE_FLOOR, at most RATE_DEPTH, or the last before
+    the walk ends (BoundaryHit).  None if T < 2."""
+    masses = []
+    try:
+        mass_at = _mass_at(m, measure, target)
+        while len(masses) <= RATE_DEPTH and (not masses or masses[-1] >= RATE_FLOOR):
+            masses.append(mass_at(len(masses)))
+    except BoundaryHit:
+        pass
+    T = len(masses) - 1
+    if T < 2:
+        return None
+    h = T // 2
+    return math.log(masses[h] / masses[T]) / (T - h) if masses[T] else math.inf
+
+
 def _heuristic_from_partials(psums, series):
-    d1 = psums[1] - psums[0]
-    d2 = psums[2] - psums[1]
+    d1, d2 = psums[1] - psums[0], psums[2] - psums[1]
     if d2 < 0.25 * d1 and d2 < 1e-3:
         return BCVerdict("MeasureZero", series, None, psums,
                          "partial sums look Cauchy (heuristic)", heuristic=True)

@@ -91,6 +91,27 @@ class TestCylinderFromWord:
         assert c.word == (2, 2)
         assert c == cylinder_from_word(gauss, (2, 2))
 
+    def test_locate_raises_where_the_float_cylinder_misses(self):
+        # the float endpoints of P(10) of 1/2 under z^2 lie about 4e-15 right of 1/2
+        with pytest.raises(MapError, match=r"P\(10\)"):
+            locate_cylinder(BlaschkeBoundary([0, 0]), 0.5, 10)
+
+    def test_float_point_reads_the_digits_of_its_exact_value(self, gauss):
+        # the double 0.41 is a rational: its continued fraction, not the digits
+        # of a float pseudo-orbit, which leaves x0 at depth 5
+        assert WordTarget(gauss, value=0.41).digits(10) == \
+            (2, 2, 3, 1, 1, 1, 1, 4094181479427, 8, 1, 4)
+        for r in (1e-15, 1e-18):
+            t0 = time.perf_counter()
+            t = refine_depth(gauss, 0.41, r)
+            assert time.perf_counter() - t0 < 1.0
+            c = locate_cylinder(gauss, 0.41, t)
+            assert t == 7 and c.left <= 0.41 <= c.right
+        with pytest.raises(BoundaryHit):
+            refine_depth(gauss, 0.41, 1e-40)
+        d3 = DAryShift(3)
+        assert WordTarget(d3, value=0.1).digits(60) == itinerary(d3, F(0.1), 60)
+
     def test_serialization(self, dary2):
         c = cylinder_from_word(dary2, (0, 1))
         rec = json.loads(c.dumps())

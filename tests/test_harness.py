@@ -382,6 +382,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("base, code", [(2, 3), (3, 0)])
+    def test_gauss_decimal_classify_reads_its_exact_digits(self, tmp_path, capsys, base, code):
+        # the double 0.41 is a rational whose continued fraction ends at depth 10;
+        # floor(log_2 10^4) = 13 reads past it, floor(log_3 10^4) = 8 does not
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "experiment": "classify", "map": {"kind": "gauss"}, "x0": {"decimal": 0.41},
+            "schedule": {"kind": "depth_log_floor", "base": base}}))
+        assert cli.main(["classify", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        if code == 0:
+            record, = json.loads((tmp_path / "o" / "results.json").read_text())["records"]
+            assert record["heuristic"] is True
+
     _FOUND_PAIR = {"experiment": "simulate", "map": {"kind": "dary", "D": 2},
                    "x0": {"word": [0, 1]}, "schedule": {"kind": "depth_const", "t": 1},
                    "horizons": [20000], "trials": 4}

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shrinktargets import (
+    BlaschkeBoundary,
     DAryShift,
     GaussMap,
     MarkovLinear,
@@ -906,6 +907,8 @@ class TestNormalizerByDepth:
                                TargetPoint.from_word(markov, (0, 0, 1))),
             "markov-point": (markov, lebesgue, TargetPoint.from_point(markov, 0.45)),
             "gauss-word": (gauss, gauss_measure, TargetPoint.from_word(gauss, (1, 2))),
+            # the double 0.41 is a rational, [0; 2, 2, 3, 1, 1, 1, 1, 4094181479427, 8, 1, 4]:
+            # its exact itinerary ends at 0, BoundaryHit past depth 10
             "gauss-point": (gauss, gauss_measure, TargetPoint.from_point(gauss, 0.41)),
             # the itinerary of 3/7 = [0; 2, 3] ends at 0: BoundaryHit past depth 1
             "gauss-rational": (gauss, gauss_measure,
@@ -923,7 +926,7 @@ class TestNormalizerByDepth:
                 continue
             got = cylinder_mass_by_depth(m, mu, tgt, depths)
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert (raised > 0) == (case == "gauss-rational")
+        assert (raised > 0) == (case in ("gauss-point", "gauss-rational"))
 
     @pytest.mark.parametrize("case", ["dary-01", "gauss-12"])
     def test_depths_0_to_400_in_one_walk(self, case, dary2, gauss, lebesgue, gauss_measure):
@@ -1237,6 +1240,82 @@ class TestExactThresholds:
                 (gauss, gauss_measure, F(3, 7), Schedule.radii_power(2.0))):
             assert borel_cantelli_classify(m, mu, TargetPoint.from_point(m, x0),
                                            sched).heuristic
+
+
+_BLASCHKE_TWO = BlaschkeBoundary([0, 0.5])
+_GAUSS = GaussMap()
+
+# the log-floor targets that no exact rule covers, each built once so that
+# its walk serves every base
+_RATE_TARGETS = (
+    (_BLASCHKE_TWO, LebesgueMeasure(), TargetPoint(_BLASCHKE_TWO, value=0.3)),
+    (_BLASCHKE_TWO, LebesgueMeasure(), TargetPoint(_BLASCHKE_TWO, value=0.7)),
+    (_CHAIN, LebesgueMeasure(), TargetPoint(_CHAIN, value=0.3)),
+    (_GAUSS, GaussMeasure(), TargetPoint(_GAUSS, digits=lambda k: 1 + k * k % 4)),
+)
+_RANK = {"MeasureZero": 0, "Inconclusive": 1, "FullMeasure": 2}
+
+
+def _blaschke_multiplier(m, word):
+    """prod |B'| over the periodic orbit of the word, each point the limit of
+    the word's inverse branches composed, rotated to start at its digit."""
+    total = 1.0
+    for k in range(len(word)):
+        x, rot = 0.3, word[k:] + word[:k]
+        for _ in range(60):
+            for d in reversed(rot):
+                x = m.inverse_branch(d, x)
+        total *= m.derivative_abs(x)
+    return total
+
+
+def _gauss_multiplier(word):
+    """lambda^2, lambda the Perron root of prod [[a, 1], [1, 0]]."""
+    P = np.eye(2)
+    for a in word:
+        P = P @ np.array([[a, 1], [1, 0]])
+    return float(max(abs(np.linalg.eigvals(P)))) ** 2
+
+
+class TestLogFloorRate:
+    """Log-floor targets with no exact rule: one estimated decay rate of
+    their masses per digit, and the verdict log b >= rate."""
+
+    @given(bases=st.lists(st.floats(1.05, 12), min_size=2, max_size=2))
+    @settings(max_examples=25, deadline=None)
+    def test_verdict_monotone_in_base(self, bases):
+        lo, hi = sorted(bases)
+        for m, mu, tgt in _RATE_TARGETS:
+            v_lo, v_hi = (borel_cantelli_classify(m, mu, tgt, Schedule.depth_log_floor(b))
+                          for b in (lo, hi))
+            assert v_lo.heuristic and v_hi.heuristic
+            assert _RANK[v_lo.verdict] <= _RANK[v_hi.verdict], (tgt.value, lo, hi)
+
+    @pytest.mark.parametrize("m, mu, word, multiplier", [
+        (_CHAIN, LebesgueMeasure(), (0,), F(4, 3)),
+        (_CHAIN, LebesgueMeasure(), (0, 1), 8),
+        (_CHAIN, LebesgueMeasure(), (0, 0, 1), F(32, 3)),
+        (_GAUSS, GaussMeasure(), (1,), _gauss_multiplier((1,))),
+        (_GAUSS, GaussMeasure(), (1, 2), _gauss_multiplier((1, 2))),
+        (_BLASCHKE_TWO, LebesgueMeasure(), (0, 1), _blaschke_multiplier(_BLASCHKE_TWO, (0, 1))),
+        (_BLASCHKE_TWO, LebesgueMeasure(), (1, 1, 0),
+         _blaschke_multiplier(_BLASCHKE_TWO, (1, 1, 0))),
+    ])
+    def test_rate_near_the_period_multiplier(self, m, mu, word, multiplier):
+        rate = recurrence._mass_rate(m, mu, TargetPoint.from_word(m, word))
+        assert rate == pytest.approx(math.log(multiplier) / len(word), rel=0.05)
+
+    def test_blaschke_multipliers(self):
+        # the oracle against the cylinder-length ratios per period on zeros [0, 1/2]
+        assert _blaschke_multiplier(_BLASCHKE_TWO, (0, 1)) == pytest.approx(2.25)
+        assert _blaschke_multiplier(_BLASCHKE_TWO, (1, 1, 0)) == pytest.approx(8.875)
+
+    def test_walk_that_ends_before_depth_2_inconclusive(self, gauss, gauss_measure):
+        # 3/7 = [0; 2, 3]: masses at depths 0 and 1 only; at b = 10^5 the
+        # partial sums stop at depth 0
+        v = borel_cantelli_classify(gauss, gauss_measure, TargetPoint.from_point(gauss, F(3, 7)),
+                                    Schedule.depth_log_floor(10 ** 5))
+        assert v.verdict == "Inconclusive" and v.heuristic
 
 
 class TestTargetPoint:

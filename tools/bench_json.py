@@ -20,8 +20,12 @@ STREAM_DIGITS digits each, best of 3 runs, and the normalizer
 layer, recurrence.cylinder_mass_by_depth on the depths floor(n^2) of
 n = 1..WALK_N for each target of WALKS, walked to the underflow of its
 masses, best of 3 runs, and the float-orbit layer, the orbit-steps/s of
-measures.float_orbit_blocks for each map of FLOAT_STEPS, best of 3 runs.
-Last, it counts the lines of each src/shrinktargets/*.py module and their
+measures.float_orbit_blocks for each map of FLOAT_STEPS, best of 3 runs,
+and the verdict sweep: for each log-floor target of SWEEP_TARGETS, which no
+exact rule covers, the verdicts of recurrence.borel_cantelli_classify at
+the 50 bases of SWEEP_BASES, a ``monotone`` flag (no verdict ranks below
+the one at a smaller base, MeasureZero < Inconclusive < FullMeasure) and
+the best-of-3 seconds of the sweep.  Last, it counts the lines of each src/shrinktargets/*.py module and their
 total (src_lines), so that the size of the code is read from the same file
 as its times.  The file also names the commit it measured (git rev-parse
 HEAD) and whether the tree had uncommitted changes (git status --porcelain).
@@ -66,6 +70,14 @@ FLOAT_STEPS = {     # name -> (map spec, trials, steps)
     "blaschke_0_0_03": ({"kind": "blaschke", "zeros": [0, 0, 0.3]}, 10, 10 ** 5),
     "gauss": ({"kind": "gauss"}, 100, 10 ** 5),
 }
+SWEEP_BASES = [1.05 * (12 / 1.05) ** (k / 49) for k in range(50)]   # geometric, 1.05 to 12
+SWEEP_TARGETS = {   # name -> (map spec, point x0 or digit function k -> i_k)
+    "blaschke_0_half_x0.3": ({"kind": "blaschke", "zeros": [0, 0.5]}, 0.3),
+    "blaschke_0_half_x0.7": ({"kind": "blaschke", "zeros": [0, 0.5]}, 0.7),
+    "chain_x0.3": ({"kind": "markov", "M": CHAINS["chain"], "p": ["2/3", "1/3"]}, 0.3),
+    "gauss_1+k^2%4": ({"kind": "gauss"}, lambda k: 1 + k * k % 4),
+}
+RANK = {"MeasureZero": 0, "Inconclusive": 1, "FullMeasure": 2}
 
 
 def run_bench(workload: str, seconds: float, trace: int):
@@ -176,6 +188,32 @@ def float_steps() -> dict:
     return out
 
 
+def verdict_sweep() -> dict:
+    """Per target of SWEEP_TARGETS under its map's default measure, the
+    depth_log_floor verdicts at SWEEP_BASES, whether their rank never falls
+    as the base grows, and the best-of-3 seconds of the sweep, each run on
+    a fresh target."""
+    sys.path.insert(0, "src")
+    from shrinktargets import (GaussMeasure, LebesgueMeasure, Schedule, Target,
+                               borel_cantelli_classify, make_map)
+
+    out = {}
+    for name, (spec, x0) in SWEEP_TARGETS.items():
+        m = make_map(spec)
+        mu = GaussMeasure() if spec["kind"] == "gauss" else LebesgueMeasure()
+        times = []
+        for _ in range(3):
+            target = Target(m, digits=x0) if callable(x0) else Target(m, value=x0)
+            t0 = time.perf_counter()
+            verdicts = [borel_cantelli_classify(m, mu, target, Schedule.depth_log_floor(b)).verdict
+                        for b in SWEEP_BASES]
+            times.append(time.perf_counter() - t0)
+        ranks = [RANK[v] for v in verdicts]
+        out[name] = {"bases": SWEEP_BASES, "verdicts": verdicts,
+                     "monotone": ranks == sorted(ranks), "best_s": min(times)}
+    return out
+
+
 def src_lines() -> dict:
     """Lines of each source module, by file name, and their total."""
     modules = {}
@@ -223,6 +261,10 @@ def main(argv=None) -> int:
     doc["float_steps"] = float_steps()
     print("float steps: " + ", ".join(f"{k} {v['steps_per_s']:.3g}/s"
                                       for k, v in doc["float_steps"].items()), file=sys.stderr)
+    doc["verdict_sweep"] = verdict_sweep()
+    print("verdict sweep: " + ", ".join(
+        f"{k} {'monotone' if v['monotone'] else 'NOT monotone'} {v['best_s']:.3f} s"
+        for k, v in doc["verdict_sweep"].items()), file=sys.stderr)
     doc["tests"] = run_tests()
     print(f"tier-1: {doc['tests']['wall_s']:.1f} s, {doc['tests']['outcome']}", file=sys.stderr)
     doc["src_lines"] = src_lines()
