@@ -733,29 +733,29 @@ def _classify_depths(m, measure, target, sched):
 
 def _log_floor_diverges(m, target, b: Fraction) -> Optional[bool]:
     """Whether b^p >= the multiplier of the target's period p, or None when
-    no exact rule reads it.  The multiplier is lambda^2 / |ad - bc| for a
-    word target with the integer period matrix (a, b, c, d) (period_matrix),
-    lambda its Perron root, and a word that leaves the support has masses 0;
-    it is 1/q per digit on a chain whose nonzero entries all equal q
-    (own_chain; 1/D on the D-ary map), at every target in the support.
+    no exact rule reads it.  The multiplier is 1/q per digit on a chain whose
+    nonzero entries all equal q (own_chain; 1/D on the D-ary map), at every
+    target in the support, a word target's periodic point included; else it
+    is lambda^2 / |ad - bc| for a word target with the integer period matrix
+    (a, b, c, d) (period_matrix), lambda its Perron root, and a word that
+    leaves the support has masses 0.
     """
-    if target.word is not None:
-        try:
-            mat = period_matrix(m, target.word)
-        except MapError:        # InadmissibleDigit
-            return False
-        if mat is not None:
-            # lambda = (tr + sqrt(tr^2 - 4 det)) / 2 and lambda^2 = tr lambda - det,
-            # so b^p |det| >= lambda^2 iff 2 (b^p |det| + det) - tr^2 >= tr sqrt(tr^2 - 4 det)
-            a, x, c, d = mat
-            tr, det = a + d, a * d - x * c
-            lhs = 2 * (b ** len(target.word) * abs(det) + det) - tr * tr
-            return lhs >= 0 and lhs * lhs >= tr * tr * (tr * tr - 4 * det)
     chain = own_chain(m)
     entries = set() if chain is None else {x for row in chain[1] for x in row}
     if len(entries - {0}) == 1 and (0 not in entries or target.value is not None):
         return b * max(entries) >= 1
-    return None
+    try:
+        mat = None if target.word is None else period_matrix(m, target.word)
+    except MapError:        # InadmissibleDigit
+        return False
+    if mat is None:
+        return None
+    # lambda = (tr + sqrt(tr^2 - 4 det)) / 2 and lambda^2 = tr lambda - det,
+    # so b^p |det| >= lambda^2 iff 2 (b^p |det| + det) - tr^2 >= tr sqrt(tr^2 - 4 det)
+    a, x, c, d = mat
+    tr, det = a + d, a * d - x * c
+    lhs = 2 * (b ** len(target.word) * abs(det) + det) - tr * tr
+    return lhs >= 0 and lhs * lhs >= tr * tr * (tr * tr - 4 * det)
 
 
 RATE_FLOOR, RATE_DEPTH = 2.0 ** -40, 64     # where _mass_rate stops reading masses
