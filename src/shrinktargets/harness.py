@@ -3,10 +3,10 @@
 A single JSON document describes one experiment; identical configs produce
 byte-identical outputs (the provenance timestamp aside).  Exact rationals
 are written as "num/den" strings, digit words as integer arrays.  One
-schema, the tables below together with the map, measure and schedule kinds,
-says what each experiment reads.  parse_config checks a document against
-it once and lists every violation, so a run that starts fails only for a
-reason of the theory.
+schema, the tables below together with the map and schedule kinds, says
+what each experiment reads, and a map brings its own measure.  parse_config
+checks a document against it once and lists every violation, so a run
+that starts fails only for a reason of the theory.
 """
 
 from __future__ import annotations
@@ -41,13 +41,7 @@ from .dimension import (
     rectangle_counterexample_balls,
 )
 from .maps import MAP_KINDS, make_map
-from .measures import (
-    MEASURE_KINDS,
-    entropy_birkhoff,
-    entropy_closed_form,
-    entropy_smb,
-    make_measure,
-)
+from .measures import entropy_birkhoff, entropy_closed_form, entropy_smb, own_measure
 from .coding import Target
 from .recurrence import (
     SCHEDULE_KINDS,
@@ -71,7 +65,7 @@ class ExperimentConfig(SimpleNamespace):
     """A config the schema accepts: each top-level field, with its default
     filled in, as an attribute, and `echo`, the document as results.json
     repeats it."""
-    map = measure = x0 = schedule = out = None        # blocks a config may omit
+    map = x0 = schedule = out = None        # blocks a config may omit
 
     def to_json(self) -> dict:
         return self.echo
@@ -84,7 +78,6 @@ def _top(params):
     return block({
         "experiment": enum(EXPERIMENTS),
         "map": (kinds({k: v[1] for k, v in MAP_KINDS.items()}), None),
-        "measure": (kinds({k: v[1] for k, v in MEASURE_KINDS.items()}), None),
         "x0": (block({"rational": (rational(0, 1, closed=True), None),
                       "decimal": (number(0, 1, closed=True), None),
                       "word": (listof(integer(0)), None)},
@@ -129,10 +122,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 
 def _map_measure(cfg):
-    # without a measure block: the measure of the map's kind and parameters
-    # (gauss, markov), else Lebesgue measure
-    default = cfg.map if cfg.map["kind"] in MEASURE_KINDS else {"kind": "lebesgue"}
-    return make_map(cfg.map), make_measure(cfg.measure or default)
+    m = make_map(cfg.map)
+    return m, own_measure(m)
 
 
 def _schedule(spec) -> Schedule:

@@ -79,6 +79,23 @@ def primitivity_exponent(M) -> Optional[int]:
     return None
 
 
+def chain_violations(M, p=None) -> list:
+    """Every way in which (p, M) is not a stationary chain: M square, with one
+    row per entry of p, each row a probability vector, p strictly positive
+    with sum 1, and pM = p.  Without p, the checks of M alone."""
+    D = len(M if p is None else p)
+    square = len(M) == D and all(len(row) == D for row in M)
+    bad = [] if square else ["M must be a square matrix with one row and one column per state"]
+    bad += [f"row {i} of M is not a probability vector: its entries must be >= 0 and sum to 1"
+            for i, row in enumerate(M) if any(x < 0 for x in row) or sum(row) != 1]
+    if p is not None:
+        if any(x <= 0 for x in p) or sum(p) != 1:
+            bad.append("p must be strictly positive and sum to 1")
+        if square and any(sum(p[i] * M[i][j] for i in range(D)) != p[j] for j in range(D)):
+            bad.append("p is not stationary for M (sum_i p_i M_ij != p_j)")
+    return bad
+
+
 class MapModel:
     """Common interface; see concrete subclasses."""
 
@@ -188,18 +205,8 @@ class MarkovLinear(MapModel):
         M = [[Fraction(x) for x in row] for row in M]
         p = [Fraction(x) for x in p]
         D = len(p)
-        if len(M) != D or any(len(row) != D for row in M):
-            raise MapError("M must be DxD with len(p) == D")
-        for i, row in enumerate(M):
-            if any(x < 0 for x in row):
-                raise MapError("negative transition probability")
-            if sum(row) != 1:
-                raise MapError(f"row {i} of M does not sum to 1")
-        if any(x <= 0 for x in p) or sum(p) != 1:
-            raise MapError("p must be strictly positive and sum to 1")
-        for j in range(D):
-            if sum(p[i] * M[i][j] for i in range(D)) != p[j]:
-                raise MapError("p is not stationary for M (sum_i p_i M_ij != p_j)")
+        if bad := chain_violations(M, p):
+            raise MapError("; ".join(bad))
         self.M = tuple(tuple(row) for row in M)
         self.p = tuple(p)
         self.D = D

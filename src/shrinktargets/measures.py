@@ -21,12 +21,12 @@ from typing import Optional
 import numpy as np
 
 from .maps import (
-    CHAIN,
     BlaschkeBoundary,
     DAryShift,
     GaussMap,
     MapModel,
     MarkovLinear,
+    chain_violations,
     primitivity_exponent,
 )
 from .coding import Target, cylinder_from_word
@@ -129,14 +129,8 @@ class MarkovStationaryMeasure(InvariantMeasure):
     def __init__(self, p: Sequence, M: Sequence[Sequence]):
         self.p = tuple(Fraction(x) for x in p)
         self.M = tuple(tuple(Fraction(x) for x in row) for row in M)
-        if sum(self.p) != 1 or any(x <= 0 for x in self.p):
-            raise MeasureError("p must be strictly positive with sum 1")
-        if any(sum(row) != 1 or min(row) < 0 for row in self.M):
-            raise MeasureError("each row of M must be a probability vector")
-        D = len(self.p)
-        for j in range(D):
-            if sum(self.p[i] * self.M[i][j] for i in range(D)) != self.p[j]:
-                raise MeasureError("p is not stationary for M")
+        if bad := chain_violations(self.M, self.p):
+            raise MeasureError("; ".join(bad))
 
     @classmethod
     def bernoulli(cls, p: Sequence):
@@ -154,15 +148,6 @@ class MarkovStationaryMeasure(InvariantMeasure):
     interval_mass, sample = LebesgueMeasure.interval_mass, LebesgueMeasure.sample
 
 
-# kind -> (constructor, its config fields by argument name)
-MEASURE_KINDS = {
-    "lebesgue": (LebesgueMeasure, {}),
-    "gauss": (GaussMeasure, {}),
-    "markov": (MarkovStationaryMeasure, CHAIN),
-    "bernoulli": (MarkovStationaryMeasure.bernoulli, {"p": CHAIN[0]["p"]}),
-}
-
-
 def own_chain(m: MapModel) -> Optional[tuple]:
     """The chain (p, M) whose law the engines sample for m: the uniform
     chain on a dary map's D digits, a markov map's own, else None."""
@@ -172,26 +157,21 @@ def own_chain(m: MapModel) -> Optional[tuple]:
     return (m.p, m.M) if isinstance(m, MarkovLinear) else None
 
 
+def own_measure(m: MapModel) -> InvariantMeasure:
+    """The invariant measure of m that the paper measures with and the engines
+    sample: the Gauss measure for the gauss map, else Lebesgue measure, which
+    an inner function fixing 0 preserves on the circle (Doering-Mane 1991)."""
+    return GaussMeasure() if isinstance(m, GaussMap) else LebesgueMeasure()
+
+
 def check_invariant(m: MapModel, measure: InvariantMeasure) -> None:
     """Raise MeasureError unless measure is the law the engines sample for m:
-    Lebesgue for the dary, markov and blaschke maps, the Gauss measure for
-    the gauss map, or a chain equal to the map's own (own_chain)."""
-    if isinstance(measure, MarkovStationaryMeasure):
-        ok = (measure.p, measure.M) == own_chain(m)
-    elif isinstance(measure, GaussMeasure):
-        ok = isinstance(m, GaussMap)
-    else:
-        ok = isinstance(measure, LebesgueMeasure) and isinstance(
-            m, (DAryShift, MarkovLinear, BlaschkeBoundary))
+    of the type of own_measure(m), or a chain equal to the map's own
+    (own_chain)."""
+    ok = (measure.p, measure.M) == own_chain(m) if isinstance(measure, MarkovStationaryMeasure) \
+        else isinstance(measure, type(own_measure(m)))
     if not ok:
         raise MeasureError(f"the {measure.kind} measure is not invariant for the {m.kind} map")
-
-
-def make_measure(spec: dict) -> InvariantMeasure:
-    kind = spec.get("kind")
-    if kind not in MEASURE_KINDS:
-        raise MeasureError(f"unknown measure kind {kind!r}")
-    return MEASURE_KINDS[kind][0](**{k: v for k, v in spec.items() if k != "kind"})
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +184,8 @@ def stationary_vector(M: Sequence[Sequence]) -> tuple:
     """
     M = [[Fraction(x) for x in row] for row in M]
     D = len(M)
-    for i, row in enumerate(M):
-        if len(row) != D or sum(row) != 1 or any(x < 0 for x in row):
-            raise MeasureError(f"row {i} is not a probability vector")
+    if bad := chain_violations(M):
+        raise MeasureError("; ".join(bad))
     if primitivity_exponent(M) is None:
         raise MeasureError("transition matrix not primitive")
 

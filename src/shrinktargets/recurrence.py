@@ -288,7 +288,8 @@ def _mass_at(m, measure, target):
 def _chain_mass(p, M, digits):
     """mass(t) at non-decreasing t: p_{w_0} M[w_0][w_1] ... M[w_{t-1}][w_t] of
     the digits w, an integer running product num / den rounded by one int /
-    int division (correctly rounded, 0.0 below 2^-1075)."""
+    int division (correctly rounded, 0.0 below 2^-1075), or the int 0 where
+    num is 0: a transition the chain forbids makes the mass exactly 0."""
     w = next(digits)
     num, den, at = p[w].numerator, p[w].denominator, 0
 
@@ -299,7 +300,7 @@ def _chain_mass(p, M, digits):
         num *= math.prod(x.numerator for x in f)
         den *= math.prod(x.denominator for x in f)
         at, w = t, seg[-1]
-        return num / den
+        return num / den if num else 0
     return mass
 
 
@@ -644,7 +645,8 @@ def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
     b^p rho >= 1.  Two exact rules read rho (_log_floor_diverges): uniform
     chains, the D-ary map among them, and word targets on maps with an exact
     walk.  Every other log-floor target gets one estimated rate per digit
-    (_mass_rate), and log b >= rate, monotone in b, is its verdict.
+    (_mass_rate), and log b >= rate, monotone in b, is its verdict, unless
+    a forbidden transition makes its masses exactly 0: a finite sum.
 
     Verdicts are exact unless marked heuristic: those rate verdicts, custom
     tables, read off the partial sums, and FullMeasure for a Gauss point
@@ -719,6 +721,9 @@ def _classify_depths(m, measure, target, sched):
             if rate is None:
                 return BCVerdict("Inconclusive", series, None, psums, "the masses end or fall "
                                  "below 2^-40 by depth 1 (heuristic)", heuristic=True)
+            if rate == math.inf:
+                return BCVerdict("MeasureZero", series, None, psums, "a transition the chain "
+                                 "forbids makes the masses exactly 0: the series is a finite sum")
             verdict = "FullMeasure" if math.log(b) >= rate else "MeasureZero"
             return BCVerdict(verdict, series, None, psums, f"masses shrink by e^-{rate:.4g} "
                              f"per digit; log b = {math.log(b):.4g} (heuristic)", heuristic=True)
@@ -762,10 +767,12 @@ RATE_FLOOR, RATE_DEPTH = 2.0 ** -40, 64     # where _mass_rate stops reading mas
 
 
 def _mass_rate(m, measure, target) -> Optional[float]:
-    """log(mu(P(T // 2)) / mu(P(T))) / (T - T // 2), the masses' decay per
-    digit, a ratio in which constant factors cancel; T is the first depth
-    whose mass is below RATE_FLOOR, at most RATE_DEPTH, or the last before
-    the walk ends (BoundaryHit).  None if T < 2."""
+    """log(mu(P(h)) / mu(P(T))) / (T - h), the masses' decay per digit, a
+    ratio in which constant factors cancel.  T is the first depth whose mass
+    is below RATE_FLOOR, at most RATE_DEPTH, or the last before the walk ends
+    (BoundaryHit).  h = T // 2, but a word target of period p <= T reads
+    whole periods: max(1, (T - T // 2) // p) of them end at T.  None if
+    T < 2; math.inf only once a mass is exactly 0 (_chain_mass)."""
     masses = []
     try:
         mass_at = _mass_at(m, measure, target)
@@ -773,11 +780,14 @@ def _mass_rate(m, measure, target) -> Optional[float]:
             masses.append(mass_at(len(masses)))
     except BoundaryHit:
         pass
-    T = len(masses) - 1
+    if masses and isinstance(masses[-1], int):
+        return math.inf
+    T, p = len(masses) - 1, len(target.word or ())
     if T < 2:
         return None
-    h = T // 2
-    return math.log(masses[h] / masses[T]) / (T - h) if masses[T] else math.inf
+    h = T - p * max(1, (T - T // 2) // p) if 0 < p <= T else T // 2
+    # a mass that rounds to 0.0 is below ulp(0.0), so the rate read is a lower bound
+    return (math.log(masses[h]) - math.log(masses[T] or math.ulp(0.0))) / (T - h)
 
 
 def _heuristic_from_partials(psums, series):

@@ -380,3 +380,8 @@ class TestConfigConstruction:
         with pytest.raises(MapError, match="stationary"):
             MarkovLinear([[F(1, 1), F(0, 1)], [F(1, 1), F(0, 1)]],
                          [F(1, 2), F(1, 2)])
+
+    def test_every_chain_fault_in_one_error(self):
+        # row 0 sums to 2, and pM = (3/4, 3/4) is not p
+        with pytest.raises(MapError, match="row 0 of M .* sum to 1; p is not stationary"):
+            MarkovLinear([[1, 1], [F(1, 2), F(1, 2)]], [F(1, 2), F(1, 2)])

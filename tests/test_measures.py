@@ -100,6 +100,14 @@ class TestStationaryVector:
         with pytest.raises(MeasureError, match="probability vector"):
             MarkovStationaryMeasure([F(1, 2), F(1, 2)], [[1, 1], [0, 0]])
 
+    def test_measure_needs_one_row_per_state(self):
+        with pytest.raises(MeasureError, match="one row and one column per state"):
+            MarkovStationaryMeasure([F(1, 2), F(1, 2)], [[1, 0]])
+
+    def test_measure_needs_rows_as_long_as_p(self):
+        with pytest.raises(MeasureError, match="^M must be a square matrix"):
+            MarkovStationaryMeasure([F(1, 3)] * 3, [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
+
     def test_two_state(self):
         p = stationary_vector([[F(3, 4), F(1, 4)], [F(1, 2), F(1, 2)]])
         assert p == (F(2, 3), F(1, 3))
@@ -253,7 +261,7 @@ class TestCheckInvariant:
 
     @pytest.mark.parametrize("engine", PAIR_ENGINES)
     @pytest.mark.parametrize("pair", ["dary2-skewed-bernoulli", "chain-golden-chain",
-                                      "blaschke-gauss"])
+                                      "blaschke-gauss", "dary2-gauss"])
     def test_engine_refuses_foreign_law(self, engine, pair, dary2, markov, golden_markov,
                                         blaschke_two, gauss_measure):
         m, mu, x0 = {
@@ -262,6 +270,7 @@ class TestCheckInvariant:
             "chain-golden-chain": (markov, MarkovStationaryMeasure(
                 golden_markov.p, golden_markov.M), (0, 1)),
             "blaschke-gauss": (blaschke_two, gauss_measure, 0.3),
+            "dary2-gauss": (dary2, gauss_measure, (0, 1)),
         }[pair]
         with pytest.raises(MeasureError, match=f"the {mu.kind} measure is not invariant "
                                                f"for the {m.kind} map"):

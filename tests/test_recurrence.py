@@ -1040,6 +1040,15 @@ class TestClassifier:
         v = borel_cantelli_classify(zero_diagonal, mu, tgt, Schedule.depth_log_floor(3))
         assert v.verdict == "MeasureZero" and not v.heuristic
 
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_log_floor_digits_outside_support(self, zero_diagonal, lebesgue, base):
+        # the digits 0, 0, ... use the forbidden 0 -> 0: every mass past depth
+        # 0 is exactly 0, so the series is a finite sum
+        tgt = TargetPoint(zero_diagonal, digits=lambda k: 0)
+        v = borel_cantelli_classify(zero_diagonal, lebesgue, tgt, Schedule.depth_log_floor(base))
+        assert v.verdict == "MeasureZero" and not v.heuristic
+        assert v.partial_sums == [(base - 1) / 3] * 3
+
     @pytest.mark.parametrize("chain_measure", [False, True])
     def test_depth_const_word_outside_support(self, zero_diagonal, lebesgue, chain_measure):
         # every term is the one depth-t mass: 0 once the word has used 0 -> 0
@@ -1303,7 +1312,22 @@ class TestLogFloorRate:
     ])
     def test_rate_near_the_period_multiplier(self, m, mu, word, multiplier):
         rate = recurrence._mass_rate(m, mu, TargetPoint.from_word(m, word))
-        assert rate == pytest.approx(math.log(multiplier) / len(word), rel=0.05)
+        assert rate == pytest.approx(math.log(multiplier) / len(word), rel=1e-4)
+
+    def test_word_rate_splits_bases_at_its_threshold(self):
+        # multiplier 8.875 per period 3: the series diverges iff b >= 2.0703
+        tgt = TargetPoint.from_word(_BLASCHKE_TWO, (1, 1, 0))
+        for b, want in ((2.06, "MeasureZero"), (2.08, "FullMeasure")):
+            v = borel_cantelli_classify(_BLASCHKE_TWO, LebesgueMeasure(), tgt,
+                                        Schedule.depth_log_floor(b))
+            assert v.verdict == want and v.heuristic
+
+    def test_mass_below_the_floats_stays_heuristic(self):
+        # the digit 2^600 takes the depth-3 mass below every float: a rate
+        # read as a lower bound, not an exactly zero mass
+        tgt = TargetPoint(_GAUSS, digits=lambda k: 1 if k < 3 else 2 ** 600)
+        v = borel_cantelli_classify(_GAUSS, GaussMeasure(), tgt, Schedule.depth_log_floor(3))
+        assert v.verdict == "MeasureZero" and v.heuristic
 
     def test_blaschke_multipliers(self):
         # the oracle against the cylinder-length ratios per period on zeros [0, 1/2]

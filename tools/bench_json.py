@@ -15,17 +15,22 @@ run.py starts them.  Then it runs the Tier-1 command once with pytest's
 --durations, and records its wall time, its outcome counts and the time of
 each test in tests/test_acceptance.py (setup, call and teardown).  It times
 the digit-stream layer, recurrence._digit_stream on the test suite's three
-chains (measures.sample_chain) and on each D-ary shift of DARY_STREAMS, at
-STREAM_DIGITS digits each, best of 3 runs, and the normalizer
-layer, recurrence.cylinder_mass_by_depth on the depths floor(n^2) of
-n = 1..WALK_N for each target of WALKS, walked to the underflow of its
-masses, best of 3 runs, and the float-orbit layer, the orbit-steps/s of
-measures.float_orbit_blocks for each map of FLOAT_STEPS, best of 3 runs,
-and the verdict sweep: for each log-floor target of SWEEP_TARGETS, which no
-exact rule covers, the verdicts of recurrence.borel_cantelli_classify at
-the 50 bases of SWEEP_BASES, a ``monotone`` flag (no verdict ranks below
-the one at a smaller base, MeasureZero < Inconclusive < FullMeasure) and
-the best-of-3 seconds of the sweep.  Last, it counts the lines of each src/shrinktargets/*.py module and their
+chains (measures.sample_chain), on each D-ary shift of DARY_STREAMS and on
+the Gauss map (its per-digit loop over one float orbit), at STREAM_DIGITS
+digits each, best of 3 runs, and the normalizer layer,
+recurrence.cylinder_mass_by_depth on the depths floor(n^2) of n = 1..WALK_N
+for each target of WALKS, walked to the underflow of its masses, best of 3
+runs, and the float-orbit layer, the orbit-steps/s of
+measures.float_orbit_blocks for each map of FLOAT_STEPS, best of 3 runs;
+the Gauss runs at widths (trials stepped together) 1, 2, 4 and 10 give the
+width at which one stepped row costs less per trial than one digit of the
+Gauss digit stream.  Then the verdict sweep: for each log-floor target of
+SWEEP_TARGETS, which no exact rule covers, the verdicts of
+recurrence.borel_cantelli_classify at the 50 bases of SWEEP_BASES, a
+``monotone`` flag (no verdict ranks below the one at a smaller base,
+MeasureZero < Inconclusive < FullMeasure) and the best-of-3 seconds of the
+sweep.  Every map is measured with its own measure (measures.own_measure).
+Last, it counts the lines of each src/shrinktargets/*.py module and their
 total (src_lines), so that the size of the code is read from the same file
 as its times.  The file also names the commit it measured (git rev-parse
 HEAD) and whether the tree had uncommitted changes (git status --porcelain).
@@ -54,6 +59,7 @@ CHAINS = {          # the chains of tests/conftest.py, row-major
     "zero_diagonal": [["0", "1/2", "1/2"], ["1/2", "0", "1/2"], ["1/2", "1/2", "0"]],
 }
 DARY_STREAMS = (2, 3)   # D of the D-ary shifts whose _digit_stream is timed
+GAUSS_WIDTHS = (1, 2, 4, 10)    # trials of the narrow Gauss float-orbit runs
 WALK_N = 10 ** 4
 WALKS = {           # name -> (map spec, target word)
     "dary2_01": ({"kind": "dary", "D": 2}, (0, 1)),
@@ -69,6 +75,8 @@ FLOAT_STEPS = {     # name -> (map spec, trials, steps)
     # k = (zeros at 0) - (nonzero zeros) = 1: the step normalizes z to |z| = 1
     "blaschke_0_0_03": ({"kind": "blaschke", "zeros": [0, 0, 0.3]}, 10, 10 ** 5),
     "gauss": ({"kind": "gauss"}, 100, 10 ** 5),
+    # narrow Gauss runs, to set against the per-digit loop of _digit_stream
+    **{f"gauss_{w}": ({"kind": "gauss"}, w, 2 * 10 ** 5) for w in GAUSS_WIDTHS},
 }
 SWEEP_BASES = [1.05 * (12 / 1.05) ** (k / 49) for k in range(50)]   # geometric, 1.05 to 12
 SWEEP_TARGETS = {   # name -> (map spec, point x0 or digit function k -> i_k)
@@ -116,19 +124,20 @@ def run_tests() -> dict:
 
 def digit_streams() -> dict:
     """Best-of-3 seconds and digits/s of _digit_stream on each chain (which
-    draws through sample_chain) and on each D-ary shift of DARY_STREAMS
-    (named dary<D>), seed 0."""
+    draws through sample_chain), on each D-ary shift of DARY_STREAMS (named
+    dary<D>) and on the Gauss map, seed 0."""
     sys.path.insert(0, "src")
     from fractions import Fraction
 
     import numpy as np
-    from shrinktargets import DAryShift, MarkovLinear, stationary_vector
+    from shrinktargets import DAryShift, GaussMap, MarkovLinear, stationary_vector
     from shrinktargets.recurrence import _digit_stream
 
     maps = {f"dary{D}": DAryShift(D) for D in DARY_STREAMS}
     for name, rows in CHAINS.items():
         M = [[Fraction(x) for x in row] for row in rows]
         maps[name] = MarkovLinear(M, stationary_vector(M))
+    maps["gauss"] = GaussMap()
     out = {}
     for name, m in maps.items():
         times = []
@@ -143,17 +152,17 @@ def digit_streams() -> dict:
 
 def normalizer_walks() -> dict:
     """Best-of-3 seconds of cylinder_mass_by_depth on floor(n^2), n <= WALK_N,
-    for each target of WALKS under its map's default measure, and the depth
+    for each target of WALKS under its map's own measure, and the depth
     of its first mass that rounds to 0.0."""
     sys.path.insert(0, "src")
-    from shrinktargets import GaussMeasure, LebesgueMeasure, Schedule, Target, make_map
+    from shrinktargets import Schedule, Target, make_map, own_measure
     from shrinktargets.recurrence import cylinder_mass_by_depth
 
     depths = Schedule.depth_power_floor(2).depths_array(WALK_N)
     out = {}
     for name, (spec, word) in WALKS.items():
         m = make_map(spec)
-        mu = GaussMeasure() if spec["kind"] == "gauss" else LebesgueMeasure()
+        mu = own_measure(m)
         times = []
         for _ in range(3):
             target = Target(m, word)        # a fresh target: no walk cached from a run before
@@ -167,16 +176,16 @@ def normalizer_walks() -> dict:
 
 def float_steps() -> dict:
     """Best-of-3 seconds and orbit-steps/s (trials x steps) of every block
-    of float_orbit_blocks for each map of FLOAT_STEPS under its default
-    measure, trial seeds 0, 1, ..."""
+    of float_orbit_blocks for each map of FLOAT_STEPS under its own measure,
+    trial seeds 0, 1, ..."""
     sys.path.insert(0, "src")
-    from shrinktargets import GaussMeasure, LebesgueMeasure, make_map
+    from shrinktargets import make_map, own_measure
     from shrinktargets.measures import float_orbit_blocks
 
     out = {}
     for name, (spec, trials, steps) in FLOAT_STEPS.items():
         m = make_map(spec)
-        mu = GaussMeasure() if spec["kind"] == "gauss" else LebesgueMeasure()
+        mu = own_measure(m)
         times = []
         for _ in range(3):
             t0 = time.perf_counter()
@@ -189,18 +198,18 @@ def float_steps() -> dict:
 
 
 def verdict_sweep() -> dict:
-    """Per target of SWEEP_TARGETS under its map's default measure, the
+    """Per target of SWEEP_TARGETS under its map's own measure, the
     depth_log_floor verdicts at SWEEP_BASES, whether their rank never falls
     as the base grows, and the best-of-3 seconds of the sweep, each run on
     a fresh target."""
     sys.path.insert(0, "src")
-    from shrinktargets import (GaussMeasure, LebesgueMeasure, Schedule, Target,
-                               borel_cantelli_classify, make_map)
+    from shrinktargets import (Schedule, Target, borel_cantelli_classify, make_map,
+                               own_measure)
 
     out = {}
     for name, (spec, x0) in SWEEP_TARGETS.items():
         m = make_map(spec)
-        mu = GaussMeasure() if spec["kind"] == "gauss" else LebesgueMeasure()
+        mu = own_measure(m)
         times = []
         for _ in range(3):
             target = Target(m, digits=x0) if callable(x0) else Target(m, value=x0)
