@@ -455,13 +455,9 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
                 f"(hypothesis of the regular-family mass bound violated)")
         d_j = depth + N_j
 
-        # k_j from the schedule at index d_j
-        if sched.is_radii:
-            r_j = sched.radius(d_j)
-            r_j = Fraction(r_j) if isinstance(r_j, (int, Fraction)) else Fraction(float(r_j))
-            k_j = refine_depth(m, target, r_j)
-        else:
-            k_j = max(int(sched.depth(d_j)), 0)
+        # k_j from the schedule at index d_j, read as every other consumer reads it
+        k_j = refine_depth(m, target, Fraction(float(sched.radii_array(d_j)[-1]))) \
+            if sched.is_radii else int(sched.depths_array(d_j)[-1])
         nested_suffix = walk.digits(k_j)[1:k_j + 1]
 
         # every parent ends at the same base digit, so one family serves all

@@ -84,7 +84,7 @@ def _top(params):
                      lambda x0: None if len(x0) == 1 else "must give exactly one of "
                      f"'rational', 'decimal' or 'word', got {list(x0)}"),
                None),
-        "schedule": (kinds(SCHEDULE_KINDS), None),
+        "schedule": (kinds({k: v[0] for k, v in SCHEDULE_KINDS.items()}), None),
         "horizons": (listof(integer(1), empty=True), []),
         "trials": (integer(1), 1),
         "seed": (integer(), 0),

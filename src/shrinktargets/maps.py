@@ -581,9 +581,8 @@ class BlaschkeBoundary(MapModel):
 
 
 def _chain_rule(spec):
-    D = len(spec["p"])
-    if len(spec["M"]) != D or any(len(row) != D for row in spec["M"]):
-        return "M must be a square matrix with one row per entry of p"
+    return "; ".join(chain_violations([[Fraction(x) for x in row] for row in spec["M"]],
+                                      [Fraction(x) for x in spec["p"]]))
 
 
 def _in_disc(z):

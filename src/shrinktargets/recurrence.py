@@ -28,6 +28,7 @@ from .schema import integer, kinds, listof, number
 DENSE_DIGITS = 3         # leading target digits the symbolic engine matches on every index
 READ_AHEAD = 64          # stream digits past index N in a symbolic trial's first draw
 WINDOW_BLOCK = 1 << 15   # orbit indices per block of the linear metric engine (L2-sized)
+MAX_DEPTH = 1 << 62      # where floor(n^kappa) caps, in int64; cylinders this deep have mass 0.0
 
 
 class ScheduleError(ValueError):
@@ -42,20 +43,6 @@ def _sorted_table(step):
     return rule
 
 
-# kind -> its parameters, by the names its constructor below takes; read by
-# Schedule itself and by the config schema
-SCHEDULE_KINDS = {
-    "radii_power": {"alpha": number(0)},
-    "radii_exp": {"kappa": number(0)},
-    "radii_const": {"r": number(0)},
-    "depth_log_floor": {"base": (number(1), math.e)},
-    "depth_power_floor": {"kappa": number(0)},
-    "depth_const": {"t": integer(0)},
-    "custom_radii": ({"table": listof(number(0))}, _sorted_table(-1)),
-    "custom_depths": ({"table": listof(integer(0))}, _sorted_table(1)),
-}
-
-
 def _floor_log(n: np.ndarray, base) -> np.ndarray:
     """floor(log_base n) of integers n >= 1.  The float quotient of logs can
     fall just below an integer at an exact power of the base, so an integer
@@ -65,6 +52,29 @@ def _floor_log(n: np.ndarray, base) -> np.ndarray:
         powers = [b ** k for k in range(1, top.bit_length() + 1) if b ** k <= top]
         return np.searchsorted(np.asarray(powers, dtype=np.int64), n, side="right")
     return np.floor(np.log(n) / math.log(base)).astype(np.int64)
+
+
+def _table(n, p):
+    """Entry n of a custom table, in the dtype of n; the last entry repeats."""
+    tab = np.asarray(p["table"], dtype=n.dtype)
+    return tab[np.minimum(n, len(tab)).astype(np.int64, copy=False) - 1]
+
+
+# kind -> (its parameters, by the names its constructor below takes, for
+# Schedule itself and the config schema; its values at the indices n = 1..N,
+# float for radii and int64 for depths)
+SCHEDULE_KINDS = {
+    "radii_power": ({"alpha": number(0)}, lambda n, p: np.power(n, -1.0 / p["alpha"], out=n)),
+    "radii_exp": ({"kappa": number(0)},
+                  lambda n, p: np.exp(np.multiply(n, -p["kappa"], out=n), out=n)),
+    "radii_const": ({"r": number(0)}, lambda n, p: np.full_like(n, p["r"])),
+    "depth_log_floor": ({"base": (number(1), math.e)}, lambda n, p: _floor_log(n, p["base"])),
+    "depth_power_floor": ({"kappa": number(0)}, lambda n, p: np.floor(
+        np.minimum(n ** float(p["kappa"]), MAX_DEPTH)).astype(np.int64)),
+    "depth_const": ({"t": integer(0)}, lambda n, p: np.full_like(n, p["t"])),
+    "custom_radii": (({"table": listof(number(0))}, _sorted_table(-1)), _table),
+    "custom_depths": (({"table": listof(integer(0))}, _sorted_table(1)), _table),
+}
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,8 @@ class Schedule:
 
     def __post_init__(self):
         bad = []
-        kinds(SCHEDULE_KINDS)({"kind": self.kind, **self.params}, "schedule", bad, "Schedule")
+        kinds({k: v[0] for k, v in SCHEDULE_KINDS.items()})(
+            {"kind": self.kind, **self.params}, "schedule", bad, "Schedule")
         if bad:
             raise ScheduleError("; ".join(bad))
 
@@ -122,53 +133,24 @@ class Schedule:
     # -- evaluation ------------------------------------------------------
     @property
     def is_radii(self) -> bool:
-        return self.kind.startswith("radii") or self.kind == "custom_radii"
-
-    def radius(self, n: int):
-        if not self.is_radii:
-            raise ScheduleError("not a radii schedule")
-        if self.kind == "radii_power":
-            return n ** (-1.0 / self.params["alpha"])
-        if self.kind == "radii_exp":
-            return math.exp(-self.params["kappa"] * n)
-        if self.kind == "radii_const":
-            return self.params["r"]
-        tab = self.params["table"]
-        return tab[min(n - 1, len(tab) - 1)]
+        return "radii" in self.kind
 
     def radii_array(self, N: int) -> np.ndarray:
-        n = np.arange(1, N + 1, dtype=float)
-        if self.kind == "radii_power":
-            return np.power(n, -1.0 / self.params["alpha"], out=n)
-        if self.kind == "radii_exp":
-            return np.exp(np.multiply(n, -self.params["kappa"], out=n), out=n)
-        if self.kind == "radii_const":
-            return np.full(N, float(self.params["r"]))
-        tab = np.asarray([float(x) for x in self.params["table"]])
-        return tab[np.minimum(np.arange(N), len(tab) - 1)]    # the last entry repeats
-
-    def depth(self, n: int) -> int:
-        if self.is_radii:
-            raise ScheduleError("not a depth schedule")
-        if self.kind == "depth_log_floor":
-            return int(_floor_log(np.array([max(n, 1)]), self.params["base"])[0])
-        if self.kind == "depth_power_floor":
-            return int(math.floor(n ** self.params["kappa"]))
-        if self.kind == "depth_const":
-            return self.params["t"]
-        tab = self.params["table"]
-        return tab[min(n - 1, len(tab) - 1)]
+        """r_1, ..., r_N, floats."""
+        return self._values(N, radii=True)
 
     def depths_array(self, N: int) -> np.ndarray:
-        if self.kind == "depth_log_floor":
-            return _floor_log(np.arange(1, N + 1), self.params["base"])
-        n = np.arange(1, N + 1, dtype=float)
-        if self.kind == "depth_power_floor":
-            return np.floor(n ** self.params["kappa"]).astype(np.int64)
-        if self.kind == "depth_const":
-            return np.full(N, self.params["t"], dtype=np.int64)
-        tab = np.asarray(self.params["table"], dtype=np.int64)
-        return tab[np.minimum(np.arange(N), len(tab) - 1)]
+        """t_1, ..., t_N, int64."""
+        return self._values(N, radii=False)
+
+    def _values(self, N, radii):
+        if self.is_radii != radii:
+            raise ScheduleError(f"{self.kind} is not a {'radii' if radii else 'depth'} schedule")
+        if N < 1:
+            raise ScheduleError(f"a schedule is read at n = 1..N for N >= 1, got N = {N}")
+        n = np.arange(1, N + 1, dtype=float if radii else np.int64)
+        with np.errstate(over="ignore"):        # an n^kappa past the floats caps at MAX_DEPTH
+            return SCHEDULE_KINDS[self.kind][1](n, self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +215,14 @@ class HitSeries:
 
 def _checkpoints(N: int, horizons) -> list:
     return sorted({int(h) for h in horizons or () if h <= N} | {N})
+
+
+def _trial_seeds(m, measure, seed: int, trials: int) -> list:
+    """The trials' seeds, after the checks that both hit engines make."""
+    check_invariant(m, measure)
+    if trials < 1:
+        raise ScheduleError(f"a hit run needs trials >= 1, got {trials}")
+    return [trial_seed(seed, t) for t in range(trials)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +332,9 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
                       collect_hits: bool = False) -> HitSeries:
     """Count visits T^i(x) in P(t_i, x0) by exact word-prefix comparison: a
     hit matches the target through its own t_i, however deep."""
-    check_invariant(m, measure)
-    if sched.is_radii:
-        raise ScheduleError("symbolic runs need a depth schedule")
+    seeds = _trial_seeds(m, measure, seed, trials)
+    depths = sched.depths_array(N)      # first: it checks the kind and N before any target work
     target = Target.of(m, target)
-    depths = sched.depths_array(N)
     t_max = int(depths.max())
     cps = _checkpoints(N, horizons)
     norm = np.cumsum(cylinder_mass_by_depth(m, measure, target, depths))[
@@ -356,7 +344,6 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
     word = list(islice(source, dense))
 
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
-    seeds = [trial_seed(seed, t) for t in range(trials)]
     hit_idx = [] if collect_hits else None
     for t in range(trials):
         rng = np.random.default_rng(seeds[t])
@@ -484,15 +471,12 @@ def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sched
                     collect_hits: bool = False) -> HitSeries:
     """Count visits d(T^i x, x0) <= r_i; returns ratio traces and windowed
     minima of the scaled distance d/r_n between consecutive checkpoints."""
-    check_invariant(m, measure)
-    if not sched.is_radii:
-        raise ScheduleError("metric runs need a radii schedule")
+    seeds = _trial_seeds(m, measure, seed, trials)
+    radii = sched.radii_array(N)        # first: it checks the kind and N before any target work
     target = Target.of(m, target)
     x0f = target.float_value()
     cps = _checkpoints(N, horizons)
-    radii = sched.radii_array(N)
     norm = np.cumsum(ball_mass_array(m, measure, x0f, radii))[np.asarray(cps) - 1]
-    seeds = [trial_seed(seed, t) for t in range(trials)]
 
     if isinstance(m, (DAryShift, MarkovLinear)):
         hits, wmins, amb, hit_idx = _metric_linear(

@@ -648,6 +648,18 @@ class TestConfigFuzz:
         assert len(lines) == 3 and all(line.startswith("config error: ") for line in lines)
         assert [line.split()[2] for line in lines] == ["map.D:", "schedule.alpha:", "trials:"]
 
+    def test_chain_faults_exit_2(self, tmp_path, capsys):
+        # row 0 sums to 3/4, and p M = (1/2, 3/8) is not p
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "experiment": "entropy", "params": {"method": "closed_form"},
+            "map": {"kind": "markov", "M": [["1/2", "1/4"], ["1/2", "1/2"]],
+                    "p": ["1/2", "1/2"]}}))
+        assert cli.main(["entropy", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: map: ") and "Traceback" not in err
+        assert "row 0 of M is not a probability vector" in err and "p is not stationary" in err
+
 
 class TestOutputErrors:
     @pytest.mark.parametrize("name", ["simulate", "cantor"])

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -37,6 +38,7 @@ from shrinktargets.measures import (
     stationary_vector,
 )
 from shrinktargets.recurrence import (
+    MAX_DEPTH,
     READ_AHEAD,
     WINDOW_BLOCK,
     PrefixWalk,
@@ -90,6 +92,16 @@ class TestSchedule:
         s2 = Schedule.depth_power_floor(2)
         assert list(s2.depths_array(4)) == [1, 4, 9, 16]
 
+    def test_power_floor_caps_at_max_depth(self, dary2, lebesgue):
+        # 2^100 passes int64 and 10^400 the floats: both read as MAX_DEPTH
+        sched = Schedule.depth_power_floor(100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = sched.depths_array(10 ** 4)
+        assert t[0] == 1 and (t[1:] == MAX_DEPTH).all()
+        v = borel_cantelli_classify(dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1)), sched)
+        assert v.verdict == "MeasureZero"
+
     @pytest.mark.parametrize("base", [2, 3, 4, 10])
     def test_log_floor_exact_at_powers(self, base):
         # the float log_3 of 243 and log_10 of 1000 fall just below 5 and 3
@@ -99,11 +111,20 @@ class TestSchedule:
         while p <= N:
             want[p - 1:] += 1
             p *= base
-        s = Schedule.depth_log_floor(base)
-        assert np.array_equal(s.depths_array(N), want)
-        powers = [base ** k for k in range(1, 20) if base ** k <= N]
-        for n in {*range(1, 1001), *(q + d for q in powers for d in (-1, 0, 1) if q + d <= N)}:
-            assert s.depth(n) == want[n - 1], n
+        assert np.array_equal(Schedule.depth_log_floor(base).depths_array(N), want)
+
+    @pytest.mark.parametrize("sched", [
+        Schedule.radii_power(2), Schedule.radii_exp(0.5), Schedule.radii_const(0.1),
+        Schedule.custom_radii([0.5, 0.25]), Schedule.depth_log_floor(2),
+        Schedule.depth_power_floor(0.5), Schedule.depth_const(3), Schedule.custom_depths([1, 2])],
+        ids=lambda s: s.kind)
+    def test_arrays_of_the_wrong_kind_or_no_index_rejected(self, sched):
+        right, wrong = ((sched.radii_array, sched.depths_array) if sched.is_radii
+                        else (sched.depths_array, sched.radii_array))
+        with pytest.raises(ScheduleError, match="is not a"):
+            wrong(5)
+        with pytest.raises(ScheduleError, match="N >= 1"):
+            right(0)
 
 
 class TestSymbolicHits:
@@ -135,17 +156,28 @@ class TestSymbolicHits:
                               Schedule.radii_power(1.0), 100, 1, 0)
 
 
+@pytest.mark.parametrize("engine, sched", [(run_symbolic_hits, Schedule.depth_const(1)),
+                                           (run_metric_hits, Schedule.radii_const(0.1))],
+                         ids=["symbolic", "metric"])
+@pytest.mark.parametrize("N, trials, msg", [(0, 2, "N >= 1"), (-3, 2, "N >= 1"),
+                                            (10, 0, "trials >= 1")], ids=["N0", "N-3", "trials0"])
+def test_hit_engines_reject_empty_runs(engine, sched, N, trials, msg, dary2, lebesgue):
+    with pytest.raises(ScheduleError, match=msg):
+        engine(dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1)), sched, N, trials, 0)
+
+
 def _exact_binary_hits(stream, x0, sched, N):
     """Hit indices of the D = 2 metric engine decided exactly from its digit
     stream.  The whole stream is one binary numeral: the window stream[i:]
     is the number formed by its last L - i bits."""
     L = len(stream)
     V = int("".join(map(str, stream.tolist())), 2)
+    radii = sched.radii_array(N)        # the engine's own r_n
     hits = []
     for i in range(1, N + 1):
         lo = F(V % (1 << (L - i)), 1 << (L - i))
         hi = lo + F(1, 1 << (L - i))
-        r = F(float(sched.radius(i)))
+        r = F(float(radii[i - 1]))
         if hi <= x0 + r and lo >= x0 - r:
             hits.append(i)
         else:
@@ -1117,12 +1149,17 @@ class TestClassifier:
     def test_radii_partial_sums_match_per_index_oracle(self, sched, dary2, gauss, lebesgue,
                                                       gauss_measure):
         # the classifier sums the float radii table; the reference evaluates
-        # each radius on its own
+        # each radius on its own, by its formula
+        p = sched.params
+        radius = {"radii_power": lambda k: k ** (-1.0 / p["alpha"]),
+                  "radii_exp": lambda k: math.exp(-p["kappa"] * k),
+                  "radii_const": lambda k: p["r"],
+                  "custom_radii": lambda k: p["table"][min(k, len(p["table"])) - 1]}[sched.kind]
         for m, mu, tgt in ((dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1))),
                            (gauss, gauss_measure, TargetPoint.from_word(gauss, (1,)))):
             want, total, prev = [], 0.0, 0
             for s in (10 ** 3, 10 ** 4, 10 ** 5):
-                r = np.asarray([sched.radius(k) for k in range(prev + 1, s + 1)])
+                r = np.asarray([radius(k) for k in range(prev + 1, s + 1)])
                 total += float(np.sum(ball_mass_array(m, mu, tgt.float_value(), r)))
                 want.append(total)
                 prev = s
