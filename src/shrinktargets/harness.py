@@ -183,7 +183,7 @@ def _run_classify(cfg):
     sched = _schedule(cfg.schedule)
     target = _target(cfg, m)
     v = borel_cantelli_classify(m, measure, target, sched)
-    return {"records": [v.to_json()], "summary": {"verdict": v.verdict},
+    return {"records": [v.to_json()], "summary": {"verdict": v.verdict, "heuristic": v.heuristic},
             "verdicts": {"borel_cantelli": v.verdict}}
 
 

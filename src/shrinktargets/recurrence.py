@@ -28,7 +28,7 @@ from .schema import integer, kinds, listof, number
 DENSE_DIGITS = 3         # leading target digits the symbolic engine matches on every index
 READ_AHEAD = 64          # stream digits past index N in a symbolic trial's first draw
 WINDOW_BLOCK = 1 << 15   # orbit indices per block of the linear metric engine (L2-sized)
-MAX_DEPTH = 1 << 62      # where floor(n^kappa) caps, in int64; cylinders this deep have mass 0.0
+MAX_DEPTH = 1 << 62      # the deepest t_n, in int64, where floor(n^kappa) caps; its mass is 0.0
 
 
 class ScheduleError(ValueError):
@@ -71,9 +71,9 @@ SCHEDULE_KINDS = {
     "depth_log_floor": ({"base": (number(1), math.e)}, lambda n, p: _floor_log(n, p["base"])),
     "depth_power_floor": ({"kappa": number(0)}, lambda n, p: np.floor(
         np.minimum(n ** float(p["kappa"]), MAX_DEPTH)).astype(np.int64)),
-    "depth_const": ({"t": integer(0)}, lambda n, p: np.full_like(n, p["t"])),
+    "depth_const": ({"t": integer(0, MAX_DEPTH)}, lambda n, p: np.full_like(n, p["t"])),
     "custom_radii": (({"table": listof(number(0))}, _sorted_table(-1)), _table),
-    "custom_depths": (({"table": listof(integer(0))}, _sorted_table(1)), _table),
+    "custom_depths": (({"table": listof(integer(0, MAX_DEPTH))}, _sorted_table(1)), _table),
 }
 
 
@@ -84,7 +84,9 @@ class Schedule:
     kinds: radii_power(alpha): r_n = n^(-1/alpha);  radii_exp(kappa):
     r_n = e^(-kappa n);  radii_const(r);  depth_log_floor(base):
     t_n = floor(log_base n);  depth_power_floor(kappa): t_n = floor(n^kappa);
-    depth_const(t);  custom_radii / custom_depths with explicit tables.
+    depth_const(t);  custom_radii / custom_depths with explicit tables,
+    whose last entry repeats for every n past the table, so the classifier
+    reads a table as the constant schedule of that entry.
     """
 
     kind: str
@@ -632,10 +634,11 @@ def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
     (_mass_rate), and log b >= rate, monotone in b, is its verdict, unless
     a forbidden transition makes its masses exactly 0: a finite sum.
 
-    Verdicts are exact unless marked heuristic: those rate verdicts, custom
-    tables, read off the partial sums, and FullMeasure for a Gauss point
-    target under power radii, which assumes tau_bar = 0, which its unknown
-    digits may not give.
+    A custom table repeats its last entry, so it reads as the constant
+    schedule of that entry.  Verdicts are exact unless marked heuristic:
+    those rate verdicts, and FullMeasure for a Gauss point target under
+    power radii, which assumes tau_bar = 0, which its unknown digits may not
+    give.
     """
     check_invariant(m, measure)
     target = Target.of(m, target)
@@ -647,44 +650,42 @@ def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
 def _classify_radii(m, measure, target, sched):
     psums = _partial_sums(ball_mass_array(
         m, measure, target.float_value(), sched.radii_array(PARTIAL_SUM_SCALES[-1])))
-    if sched.kind == "radii_const":
+    if sched.kind in ("radii_const", "custom_radii"):        # a table's last radius repeats
         return BCVerdict("FullMeasure", "sum mu(B(x0,r)) with constant r", None, psums,
                          "constant radii: the mass series diverges linearly and "
                          "the strengthened series diverges for every exponent")
     if sched.kind == "radii_exp":
         return BCVerdict("MeasureZero", "sum mu(B(x0, e^{-kappa n})) (geometric)", None,
                          psums, "geometrically summable ball masses: direct Borel-Cantelli")
-    if sched.kind == "radii_power":
-        alpha = sched.params["alpha"]
-        if alpha < 1:
-            return BCVerdict("MeasureZero", f"sum mu(B(x0, n^-1/alpha)), alpha={alpha}",
-                             None, psums,
-                             "sum n^(-1/alpha) converges for alpha < 1: direct Borel-Cantelli")
-        if alpha > 1:
-            eps = (alpha - 1) / 2
-            n = np.arange(1, PARTIAL_SUM_SCALES[-1] + 1, dtype=float)
-            strengthened = _partial_sums(n ** (-(1 + eps) / alpha))
-            return BCVerdict("FullMeasure", f"sum r_n^(1 + eps), alpha={alpha}",
-                             1.0, strengthened,
-                             f"the strengthened series diverges for eps = {eps:.3g}",
-                             heuristic=isinstance(m, GaussMap) and target.word is None)
-        return BCVerdict("Inconclusive",
-                         "sum mu(B) diverges but sum r_n^(1+eps) converges "
-                         "for every eps > 0", 1.0, psums,
-                         "between the convergence and divergence criteria")
-    # custom radii: numeric heuristic on partial sums
-    return _heuristic_from_partials(psums, "sum mu(B(x0, r_n)) (custom table)")
+    alpha = sched.params["alpha"]       # radii_power
+    if alpha < 1:
+        return BCVerdict("MeasureZero", f"sum mu(B(x0, n^-1/alpha)), alpha={alpha}",
+                         None, psums,
+                         "sum n^(-1/alpha) converges for alpha < 1: direct Borel-Cantelli")
+    if alpha > 1:
+        eps = (alpha - 1) / 2
+        n = np.arange(1, PARTIAL_SUM_SCALES[-1] + 1, dtype=float)
+        strengthened = _partial_sums(n ** (-(1 + eps) / alpha))
+        return BCVerdict("FullMeasure", f"sum r_n^(1 + eps), alpha={alpha}",
+                         1.0, strengthened,
+                         f"the strengthened series diverges for eps = {eps:.3g}",
+                         heuristic=isinstance(m, GaussMap) and target.word is None)
+    return BCVerdict("Inconclusive",
+                     "sum mu(B) diverges but sum r_n^(1+eps) converges "
+                     "for every eps > 0", 1.0, psums,
+                     "between the convergence and divergence criteria")
 
 
 def _classify_depths(m, measure, target, sched):
     depths = sched.depths_array(10 ** 4)
     masses = cylinder_mass_by_depth(m, measure, target, depths)
     psums = [float(v) for v in np.cumsum(masses)[[999, 9999 // 2, 9999]]]
-    if sched.kind == "depth_const":
-        # n copies of one mass, 0 only where the word (one period and its
-        # wrap, for a periodic word) leaves a chain's support; its float also
-        # reads 0 where it underflows, as deep Gauss cylinders do
-        t = sched.params["t"] if target.word is None else min(sched.params["t"], len(target.word))
+    if sched.kind in ("depth_const", "custom_depths"):
+        # n copies of one mass (a table's last entry repeats), 0 only where the
+        # word (one period and its wrap, for a periodic word) leaves a chain's
+        # support; its float also reads 0 where it underflows, as deep Gauss cylinders do
+        t = sched.params["t"] if sched.kind == "depth_const" else sched.params["table"][-1]
+        t = t if target.word is None else min(t, len(target.word))
         word = () if target.value is not None else target.digits(t)
         if all(map(m.admissible, word, word[1:])):
             return BCVerdict("FullMeasure", "sum mu(P(t, x0)) with constant t",
@@ -696,28 +697,26 @@ def _classify_depths(m, measure, target, sched):
         return BCVerdict("MeasureZero",
                          "sum mu(P(floor(n^kappa), x0)) <= sum (max mass ratio)^(n^kappa)",
                          None, psums, "stretched-geometric masses are summable for kappa > 0")
-    if sched.kind == "depth_log_floor":
-        b = sched.params["base"]
-        series = f"sum mu(P(floor(log_{b:g} n), x0))"
-        diverges = _log_floor_diverges(m, target, Fraction(b))
-        if diverges is None:        # one estimated rate, so monotone in b
-            rate = _mass_rate(m, measure, target)
-            if rate is None:
-                return BCVerdict("Inconclusive", series, None, psums, "the masses end or fall "
-                                 "below 2^-40 by depth 1 (heuristic)", heuristic=True)
-            if rate == math.inf:
-                return BCVerdict("MeasureZero", series, None, psums, "a transition the chain "
-                                 "forbids makes the masses exactly 0: the series is a finite sum")
-            verdict = "FullMeasure" if math.log(b) >= rate else "MeasureZero"
-            return BCVerdict(verdict, series, None, psums, f"masses shrink by e^-{rate:.4g} "
-                             f"per digit; log b = {math.log(b):.4g} (heuristic)", heuristic=True)
-        if diverges:
-            return BCVerdict("FullMeasure", series, None, psums,
-                             "about (b-1) b^t terms of depth t, masses shrinking by "
-                             "rho per period p, and b^p rho >= 1: the series diverges")
-        return BCVerdict("MeasureZero", series, None, psums,
-                         "b^p rho < 1: a convergent geometric series bounds it")
-    return _heuristic_from_partials(psums, "sum mu(P(t_n, x0)) (custom table)")
+    b = sched.params["base"]       # depth_log_floor
+    series = f"sum mu(P(floor(log_{b:g} n), x0))"
+    diverges = _log_floor_diverges(m, target, Fraction(b))
+    if diverges is None:        # one estimated rate, so monotone in b
+        rate = _mass_rate(m, measure, target)
+        if rate is None:
+            return BCVerdict("Inconclusive", series, None, psums, "the masses end or fall "
+                             "below 2^-40 by depth 1 (heuristic)", heuristic=True)
+        if rate == math.inf:
+            return BCVerdict("MeasureZero", series, None, psums, "a transition the chain "
+                             "forbids makes the masses exactly 0: the series is a finite sum")
+        verdict = "FullMeasure" if math.log(b) >= rate else "MeasureZero"
+        return BCVerdict(verdict, series, None, psums, f"masses shrink by e^-{rate:.4g} "
+                         f"per digit; log b = {math.log(b):.4g} (heuristic)", heuristic=True)
+    if diverges:
+        return BCVerdict("FullMeasure", series, None, psums,
+                         "about (b-1) b^t terms of depth t, masses shrinking by "
+                         "rho per period p, and b^p rho >= 1: the series diverges")
+    return BCVerdict("MeasureZero", series, None, psums,
+                     "b^p rho < 1: a convergent geometric series bounds it")
 
 
 def _log_floor_diverges(m, target, b: Fraction) -> Optional[bool]:
@@ -772,16 +771,3 @@ def _mass_rate(m, measure, target) -> Optional[float]:
     h = T - p * max(1, (T - T // 2) // p) if 0 < p <= T else T // 2
     # a mass that rounds to 0.0 is below ulp(0.0), so the rate read is a lower bound
     return (math.log(masses[h]) - math.log(masses[T] or math.ulp(0.0))) / (T - h)
-
-
-def _heuristic_from_partials(psums, series):
-    d1, d2 = psums[1] - psums[0], psums[2] - psums[1]
-    if d2 < 0.25 * d1 and d2 < 1e-3:
-        return BCVerdict("MeasureZero", series, None, psums,
-                         "partial sums look Cauchy (heuristic)", heuristic=True)
-    if d2 > 0.5 * d1 and d2 > 1e-6:
-        return BCVerdict("FullMeasure", series, None, psums,
-                         "partial-sum increments are not decaying (heuristic)",
-                         heuristic=True)
-    return BCVerdict("Inconclusive", series, None, psums,
-                     "ambiguous partial sums", heuristic=True)

@@ -401,6 +401,36 @@ class TestCLI:
             record, = json.loads((tmp_path / "o" / "results.json").read_text())["records"]
             assert record["heuristic"] is True
 
+    def test_custom_depths_classify_reads_the_tail(self, tmp_path):
+        # the table [60] repeats depth 60 for ever: 2^-61 per term, a divergent series
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "experiment": "classify", "map": {"kind": "dary", "D": 2}, "x0": {"word": [0, 1]},
+            "schedule": {"kind": "custom_depths", "table": [60]}}))
+        assert cli.main(["classify", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o" / "results.json").read_text())
+        assert doc["records"][0]["heuristic"] is False
+        assert doc["summary"] == {"verdict": "FullMeasure", "heuristic": False}
+        assert "heuristic" in (tmp_path / "o" / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("experiment", ["classify", "simulate"])
+    @pytest.mark.parametrize("schedule, field", [
+        ({"kind": "depth_const", "t": 10 ** 30}, "schedule.t"),
+        ({"kind": "custom_depths", "table": [1, 10 ** 30]}, "schedule.table.1"),
+        ({"kind": "depth_const", "t": 2 ** 62}, None),
+    ])
+    def test_depth_bounded_at_max_depth(self, tmp_path, capsys, experiment, schedule, field):
+        # a depth past int64 is a config error; MAX_DEPTH = 2^62 itself runs
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "experiment": experiment, "map": {"kind": "dary", "D": 2}, "x0": {"word": [0, 1]},
+            "schedule": schedule, "horizons": [100]}))
+        code = cli.main([experiment, "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == (0 if field is None else 2) and "Traceback" not in err
+        if field is not None:
+            assert err.startswith("config error: ") and f"{field}: must be an integer in" in err
+
     @pytest.mark.parametrize("change", [
         {"map": {"kind": "markov", "M": [["1/2", "1/2"], ["1", "0"]], "p": ["2/3", "1/3"]}},
         {"map": {"kind": "gauss"}, "x0": {"word": [1, 2]}},

@@ -70,8 +70,10 @@ class TestSchedule:
             Schedule.radii_power(-1)
 
     @pytest.mark.parametrize("make, msg", [
-        (lambda: Schedule.custom_depths([-1, 2]), ">= 0"),
-        (lambda: Schedule.depth_const(-1), ">= 0"),
+        (lambda: Schedule.custom_depths([-1, 2]), r"table\.0: must be an integer in \[0, "),
+        (lambda: Schedule.depth_const(-1), r"t: must be an integer in \[0, "),
+        (lambda: Schedule.custom_depths([1, 10 ** 30]), r"table\.1: must be an integer in \[0, "),
+        (lambda: Schedule.depth_const(10 ** 30), r"t: must be an integer in \[0, "),
         (lambda: Schedule.custom_depths([]), "empty"),
         (lambda: Schedule.custom_radii([]), "empty"),
     ])
@@ -1140,7 +1142,7 @@ class TestClassifier:
         table = [F(1, k) for k in range(2, 3000)]
         v = borel_cantelli_classify(gauss, gauss_measure, tgt,
                                     Schedule.custom_radii(table))
-        assert v.heuristic and len(v.partial_sums) == 3
+        assert v.verdict == "FullMeasure" and not v.heuristic and len(v.partial_sums) == 3
 
     # schedules whose verdict reports the mass series itself
     @pytest.mark.parametrize("sched", [Schedule.radii_power(1.0), Schedule.radii_power(0.5),
@@ -1182,23 +1184,55 @@ class TestClassifier:
         assert borel_cantelli_classify(
             dary2, lebesgue, tgt, Schedule.depth_const(3)).verdict == "FullMeasure"
 
-    def test_custom_heuristic_flagged(self, dary2, lebesgue):
-        tgt = TargetPoint.from_word(dary2, (0, 1))
-        # long convergent table: increments decay fast enough to call
-        conv = [min(0.4, k ** -2.0) for k in range(1, 10 ** 5 + 1)]
-        v = borel_cantelli_classify(dary2, lebesgue, tgt,
-                                    Schedule.custom_radii(conv))
-        assert v.heuristic and v.verdict == "MeasureZero"
-        # long divergent table
-        div = [min(0.4, k ** -0.5) for k in range(1, 10 ** 5 + 1)]
-        v = borel_cantelli_classify(dary2, lebesgue, tgt,
-                                    Schedule.custom_radii(div))
-        assert v.heuristic and v.verdict == "FullMeasure"
-        # short table padded by a vanishing tail: genuinely ambiguous
-        short = [0.5 ** k for k in range(1, 200)]
-        v = borel_cantelli_classify(dary2, lebesgue, tgt,
-                                    Schedule.custom_radii(short))
-        assert v.heuristic and v.verdict == "Inconclusive"
+    @pytest.mark.parametrize("table", [
+        [min(0.4, k ** -2.0) for k in range(1, 10 ** 5 + 1)],
+        [min(0.4, k ** -0.5) for k in range(1, 10 ** 5 + 1)],
+        [0.5 ** k for k in range(1, 200)],
+    ], ids=["k^-2", "k^-1/2", "2^-k"])
+    def test_custom_radii_read_by_their_tail(self, dary2, lebesgue, table):
+        # the engines repeat the last radius for ever, so every tail term is
+        # one positive ball mass: the series diverges, however the table falls
+        v = borel_cantelli_classify(dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1)),
+                                    Schedule.custom_radii(table))
+        assert v.verdict == "FullMeasure" and not v.heuristic
+
+    @pytest.mark.parametrize("m, mu, x0, sched, want", [
+        ("dary2", "lebesgue", (0, 1), Schedule.custom_depths([60]), "FullMeasure"),
+        ("dary2", "lebesgue", F(1, 3), Schedule.custom_radii([1e-12]), "FullMeasure"),
+        ("dary2", "lebesgue", (0, 1), Schedule.custom_depths([1, 5, 40]), "FullMeasure"),
+        ("gauss", "gauss_measure", (1,), Schedule.custom_depths([1, 10, 30]), "FullMeasure"),
+        # the depth-2 word (0, 0) takes the forbidden 0 -> 0: every tail term is 0
+        ("zero_diagonal", "lebesgue", (0, 0), Schedule.custom_depths([1, 2]), "MeasureZero"),
+    ], ids=["dary-60", "dary-1e-12", "dary-1-5-40", "gauss-1-10-30", "zero-diagonal-1-2"])
+    def test_custom_table_exact_verdicts(self, m, mu, x0, sched, want, request):
+        m, mu = request.getfixturevalue(m), request.getfixturevalue(mu)
+        v = borel_cantelli_classify(m, mu, TargetPoint.of(m, x0), sched)
+        assert v.verdict == want and not v.heuristic
+
+    @given(data=st.data(), radii=st.booleans(), chain=st.booleans())
+    @settings(max_examples=60)
+    def test_table_classified_as_its_last_entry(self, dary2, zero_diagonal, lebesgue,
+                                                data, radii, chain):
+        m = zero_diagonal if chain else dary2
+        digits = st.integers(0, 2 if chain else 1)
+        x0 = data.draw(st.one_of(st.lists(digits, min_size=1, max_size=4).map(tuple),
+                                 st.fractions(0, 1).filter(lambda x: x < 1)))
+        # a ball needs the point of the word, which a word off the support lacks
+        assume(not (radii and isinstance(x0, tuple))
+               or all(map(m.admissible, x0, x0[1:] + x0[:1])))
+        tgt = TargetPoint.of(m, x0)
+        if radii:
+            table = sorted(data.draw(st.lists(st.floats(1e-12, 1), min_size=1, max_size=50)),
+                           reverse=True)
+            sched, tail = Schedule.custom_radii(table), Schedule.radii_const(table[-1])
+        else:
+            table = sorted(data.draw(st.lists(st.integers(0, 200), min_size=1, max_size=50)))
+            sched, tail = Schedule.custom_depths(table), Schedule.depth_const(table[-1])
+        v, want = (borel_cantelli_classify(m, lebesgue, tgt, s) for s in (sched, tail))
+        # the tail term is one ball mass, > 0, or one cylinder mass, 0 only off the support
+        full = radii or cylinder_mass_by_depth(m, lebesgue, tgt, np.asarray(table[-1:]))[0] > 0
+        assert v.verdict == ("FullMeasure" if full else "MeasureZero")
+        assert v.verdict == want.verdict and not v.heuristic and not want.heuristic
 
     def test_reports_series_and_partials(self, gauss, gauss_measure):
         tgt = TargetPoint.from_word(gauss, (1,))
