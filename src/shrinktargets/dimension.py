@@ -20,6 +20,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import pairwise
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -29,6 +31,7 @@ from .measures import (MarkovStationaryMeasure, RegularWords, log_mass, own_chai
                        smb_regular_cylinders)
 from .coding import Target, refine_depth
 from .recurrence import Schedule
+from .schema import block, check, integer, kinds, listof, number, rules, satisfies
 
 
 class DimensionError(ValueError):
@@ -67,12 +70,7 @@ def bound_radii_lower(h: float, delta_bar: float, ell_bar: float,
     The correction factor is evaluated with ell_bar in the squared term;
     this is flagged in the notes since the symbol is not pinned down.
     """
-    if h <= 0:
-        raise DimensionError("entropy must be positive")
-    if log_beta <= 0:
-        raise DimensionError("log beta must be positive")
-    if min(delta_bar, ell_bar, tau_bar) < 0:
-        raise DimensionError("rates must be nonnegative")
+    _check("radii_lower", locals())
     grid = h / (h + delta_bar * ell_bar)
     factor = max(0.0, 1.0 - tau_bar * delta_bar * ell_bar ** 2 / (h ** 2 * log_beta))
     return DimensionBound(
@@ -89,10 +87,7 @@ def bound_doubling(delta_bar: float, ell_bar: float, s: float,
                    log_beta: float) -> DimensionBound:
     """Hausdorff lower bound 1 - delta_bar*ell_bar/(s log beta) for doubling
     reference measures with mass(B(x,r)) <= C r^s."""
-    if s <= 0:
-        raise DimensionError("Ahlfors exponent s must be positive")
-    if log_beta <= 0:
-        raise DimensionError("log beta must be positive")
+    _check("doubling", locals())
     val = _clamp01(1.0 - delta_bar * ell_bar / (s * log_beta))
     return DimensionBound(hausdorff_lower=val,
                           formula="1 - delta*ell/(s log beta)",
@@ -102,18 +97,14 @@ def bound_doubling(delta_bar: float, ell_bar: float, s: float,
 
 def bound_code_lower(h: float, L_bar: float) -> DimensionBound:
     """Grid lower bound h/(h + L_bar) for cylinder targets."""
-    if h <= 0:
-        raise DimensionError("entropy must be positive")
-    if L_bar < 0:
-        raise DimensionError("L_bar must be nonnegative")
+    _check("code_lower", locals())
     return DimensionBound(grid_lower=_clamp01(h / (h + L_bar)),
                           formula="h/(h+L)", inputs={"h": h, "L_bar": L_bar})
 
 
 def bound_code_w(w_bar: float) -> DimensionBound:
     """Grid lower bound 1/(1 + w_bar) from the depth-growth rate alone."""
-    if w_bar < 0:
-        raise DimensionError("w_bar must be nonnegative")
+    _check("code_w", locals())
     return DimensionBound(grid_lower=_clamp01(1.0 / (1.0 + w_bar)),
                           formula="1/(1+w)", inputs={"w_bar": w_bar})
 
@@ -123,18 +114,9 @@ def bound_upper_finite(D: int, h: float, L_lower: Optional[float] = None,
                        ell_lower: Optional[float] = None) -> DimensionBound:
     """Upper bound min(1, log D/(h + rate)) for finite alphabets, where the
     rate is L_lower for cylinder targets or delta_lower*ell_lower for balls."""
-    if D < 2:
-        raise DimensionError("alphabet size must be >= 2")
-    if h <= 0:
-        raise DimensionError("entropy must be positive")
-    if L_lower is not None:
-        rate = L_lower
-        tag = "log D/(h + L_lower)"
-    elif delta_lower is not None and ell_lower is not None:
-        rate = delta_lower * ell_lower
-        tag = "log D/(h + delta_lower*ell_lower)"
-    else:
-        raise DimensionError("need L_lower or (delta_lower, ell_lower)")
+    _check("upper_finite", locals())
+    rate, tag = (L_lower, "log D/(h + L_lower)") if L_lower is not None else \
+        (delta_lower * ell_lower, "log D/(h + delta_lower*ell_lower)")
     return DimensionBound(upper=min(1.0, math.log(D) / (h + rate)),
                           formula=tag,
                           inputs={"D": D, "h": h, "rate": rate})
@@ -147,14 +129,8 @@ def bound_hoeffding(p: Sequence[float], L_lower: float) -> DimensionBound:
         (sqrt((h+L)^2 + 2 L R^2) + h - L) / (sqrt((h+L)^2 + 2 L R^2) + h + L).
     Collapses to h/(h+L) for uniform p.
     """
+    _check("hoeffding", locals())
     p = [float(x) for x in p]
-    if any(x <= 0 for x in p):
-        raise DimensionError("all digit probabilities must be positive "
-                             "(the max/min ratio is undefined otherwise)")
-    if abs(sum(p) - 1) > 1e-12:
-        raise DimensionError("p must sum to 1")
-    if L_lower < 0:
-        raise DimensionError("L_lower must be nonnegative")
     h = -sum(x * math.log(x) for x in p)
     R = math.log(max(p) / min(p))
     root = math.sqrt((h + L_lower) ** 2 + 2 * L_lower * R ** 2)
@@ -172,15 +148,10 @@ def cantor_lambda(a: float, b: float, c: float, delta: float,
     superlinearly growing N_j the true limit is 0 and the value reported
     here is conservative.
     """
-    if a + c <= 0:
-        raise DimensionError("a + c must be positive")
-    if not (0 < delta <= 1):
-        raise DimensionError("delta must lie in (0, 1]")
+    _check("cantor_lambda", locals())
     N_js = [int(n) for n in N_js]
-    if any(n2 < n1 for n1, n2 in zip(N_js, N_js[1:])):
-        raise DimensionError("N_j must be non-decreasing")
     j = len(N_js)
-    lim_term = j / sum(N_js) if N_js else 0.0
+    lim_term = j / sum(N_js)
     ratios = [N_js[k + 1] / N_js[k] for k in range(j - 1)]
     superlinear = bool(j >= 3 and min(ratios) > 1.2)
     val = b / (a + c) - math.log(1.0 / delta) / (a + c) * lim_term
@@ -202,16 +173,9 @@ def grid_transfer(a_n: Sequence[float], b_n: Sequence[float],
 
     The limsup is extrapolated from the tail ratios (Aitken acceleration
     when the tail is monotone)."""
+    _check("grid_transfer", locals())
     a_n = [float(x) for x in a_n]
     b_n = [float(x) for x in b_n]
-    if len(a_n) != len(b_n) or len(a_n) < 3:
-        raise DimensionError("need matched sequences of length >= 3")
-    if any(a > b for a, b in zip(a_n, b_n)):
-        raise DimensionError("need a_n <= b_n")
-    if any(x2 >= x1 for x1, x2 in zip(b_n, b_n[1:])):
-        raise DimensionError("b_n must be strictly decreasing")
-    if not 0 <= grid_dim <= 1:
-        raise DimensionError("grid_dim must lie in [0,1]")
     ratios = [math.log(1 / a_n[k]) / math.log(1 / b_n[k - 1])
               for k in range(1, len(a_n))]
     factor = _extrapolated_limit(ratios)
@@ -221,6 +185,46 @@ def grid_transfer(a_n: Sequence[float], b_n: Sequence[float],
                           inputs={"grid_dim": grid_dim, "levels": len(a_n)},
                           notes={"transfer_factor": factor,
                                  "ratio_tail": ratios[-3:]})
+
+
+REAL, POSITIVE, RATE = number(), number(0), number(0, closed=True)
+RATE_OR_INF = satisfies(lambda v: isinstance(v, Real) and not isinstance(v, bool) and v >= 0,
+                        "a number >= 0, or inf")        # 1/(1 + w) is 0 at w = inf
+
+# formula -> (bound function, its fields by the function's argument names or
+# (fields, rule of the evaluation)); each function checks its arguments through it
+BOUNDS = {
+    "radii_lower": (bound_radii_lower, {"h": POSITIVE, "delta_bar": RATE, "ell_bar": RATE,
+                                        "tau_bar": (RATE, 0.0), "log_beta": POSITIVE}),
+    "doubling": (bound_doubling, {"delta_bar": RATE, "ell_bar": RATE, "s": POSITIVE,
+                                  "log_beta": POSITIVE}),
+    "code_lower": (bound_code_lower, {"h": POSITIVE, "L_bar": RATE}),
+    "code_w": (bound_code_w, {"w_bar": RATE_OR_INF}),
+    "upper_finite": (bound_upper_finite, (
+        {"D": integer(2), "h": POSITIVE, "L_lower": (RATE, None), "delta_lower": (RATE, None),
+         "ell_lower": (RATE, None)}, rules(
+            (lambda e: "L_lower" in e or {"delta_lower", "ell_lower"} <= e.keys(),
+             "upper_finite needs L_lower, or both delta_lower and ell_lower")))),
+    "hoeffding": (bound_hoeffding, ({"p": listof(POSITIVE), "L_lower": RATE}, rules(
+        (lambda e: len(e["p"]) >= 2, "p must have two or more entries, for entropy h > 0"),
+        (lambda e: abs(sum(map(float, e["p"])) - 1) <= 1e-12, "p must sum to 1")))),
+    "cantor_lambda": (cantor_lambda, ({"a": REAL, "b": REAL, "c": REAL, "delta": POSITIVE,
+                                       "N_js": listof(integer(1))}, rules(
+        (lambda e: e["a"] + e["c"] > 0, "a + c must be > 0"),
+        (lambda e: e["delta"] <= 1, "delta must be <= 1"),
+        (lambda e: all(m <= n for m, n in pairwise(e["N_js"])), "N_js must be non-decreasing")))),
+    "grid_transfer": (grid_transfer, ({"a_n": listof(number(0, 1)), "b_n": listof(number(0, 1)),
+                                       "grid_dim": number(0, 1, closed=True)}, rules(
+        (lambda e: len(e["a_n"]) == len(e["b_n"]) >= 3, "a_n and b_n must have one length >= 3"),
+        (lambda e: all(a <= b for a, b in zip(e["a_n"], e["b_n"])), "a_n <= b_n must hold"),
+        (lambda e: all(x > y for x, y in pairwise(e["b_n"])), "b_n must be strictly decreasing")))),
+}
+BOUND_SCHEMA = kinds({k: v[1] for k, v in BOUNDS.items()}, tag="formula")
+
+
+def _check(formula, args):
+    """Check the arguments of a bound function, its locals() on entry, by name."""
+    check(BOUND_SCHEMA, {"formula": formula, **args}, "", formula, DimensionError)
 
 
 def _extrapolated_limit(seq: Sequence[float]) -> float:
@@ -412,6 +416,14 @@ class CantorStage:
             fh.write("]}\n")
 
 
+# the params of a cantor run; build_cantor_stage checks its arguments through it
+CANTOR_PARAMS = block({
+    "levels": (integer(1, 6), 2), "level_sizes": listof(integer(2)),
+    "epsilon": (number(0), 0.3), "c_cap": (number(0), 1e3)},
+    lambda p: None if len(p["level_sizes"]) == p["levels"] else
+    "cantor needs params.level_sizes matching params.levels")
+
+
 def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
                        level_sizes: Sequence[int], epsilon: float = 0.3) -> CantorStage:
     """Finite-depth realization of the two-family nested construction.
@@ -424,12 +436,10 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     proportionally to lambda within each admissible family.  A level keeps
     its family by type, so the cost grows with the types, not the blocks.
     """
+    check(CANTOR_PARAMS, {"levels": levels, "level_sizes": level_sizes, "epsilon": epsilon},
+          "params", "cantor", DimensionError)
     if not isinstance(m, (DAryShift, MarkovLinear)):
         raise DimensionError("stage construction needs a finite-alphabet linear map")
-    if levels != len(level_sizes):
-        raise DimensionError("need one level size per level")
-    if levels < 1 or levels > 6:
-        raise DimensionError("levels must be between 1 and 6")
     measure = MarkovStationaryMeasure(*own_chain(m))
     target = Target.of(m, target)
     walk = target.walk()
@@ -445,9 +455,6 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     base_digit = x0_digits[0]            # block the next family must start from
 
     for j, N_j in enumerate([int(n) for n in level_sizes], start=1):
-        if N_j < 2:
-            raise StageConstructionError(
-                f"level {j}: size {N_j} too small for the regularity window")
         words, _ = smb_regular_cylinders(measure, N_j, epsilon, base_digit, x0_digits[0])
         if not words.size:
             raise StageConstructionError(

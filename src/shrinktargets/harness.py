@@ -3,10 +3,12 @@
 A single JSON document describes one experiment; identical configs produce
 byte-identical outputs (the provenance timestamp aside).  Exact rationals
 are written as "num/den" strings, digit words as integer arrays.  One
-schema, the tables below together with the map and schedule kinds, says
-what each experiment reads, and a map brings its own measure.  parse_config
-checks a document against it once and lists every violation, so a run
-that starts fails only for a reason of the theory.
+schema says what each experiment reads, and a map brings its own measure.
+Its tables of map kinds, schedule kinds, bound formulas and cantor params
+live beside the code that owns them, which checks its arguments through
+them; this module assembles them.  parse_config checks a document against
+it once and lists every violation, so a run that starts fails only for a
+reason of the theory.
 """
 
 from __future__ import annotations
@@ -24,23 +26,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .dimension import (
-    IntervalSplitGrid,
-    ProductSplitGrid,
-    bound_code_lower,
-    bound_code_w,
-    bound_doubling,
-    bound_hoeffding,
-    bound_radii_lower,
-    bound_upper_finite,
-    build_cantor_stage,
-    cantor_lambda,
-    frostman_exponent,
-    grid_regularity_probe,
-    grid_transfer,
-    rectangle_counterexample_balls,
-)
-from .maps import MAP_KINDS, make_map
+from .dimension import (BOUND_SCHEMA, BOUNDS, CANTOR_PARAMS, IntervalSplitGrid, ProductSplitGrid,
+                        build_cantor_stage, frostman_exponent, grid_regularity_probe,
+                        rectangle_counterexample_balls)
+from .maps import MAP_KINDS, MAP_SCHEMA, make_map
 from .measures import entropy_birkhoff, entropy_closed_form, entropy_smb, own_measure
 from .coding import Target
 from .recurrence import (
@@ -77,7 +66,7 @@ def _top(params):
     an experiment does not read is still checked."""
     return block({
         "experiment": enum(EXPERIMENTS),
-        "map": (kinds({k: v[1] for k, v in MAP_KINDS.items()}), None),
+        "map": (MAP_SCHEMA, None),
         "x0": (block({"rational": (rational(0, 1, closed=True), None),
                       "decimal": (number(0, 1, closed=True), None),
                       "word": (listof(integer(0)), None)},
@@ -105,13 +94,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
         needs += ("x0",)
     bad += [f"{k}: {exp} needs a {k} block" for k in needs if doc.get(k) in (None, [])]
     m, x0 = f.get("map"), f.get("x0")
-    if not any(v.startswith(("map", "x0")) for v in bad) and m and x0 and "word" in x0:
-        w, digits = x0["word"], MAP_KINDS[m["kind"]][2](m)
-        bad += [f"x0.word.{i}: {d} is not a digit of map kind {m['kind']}"
-                for i, d in enumerate(w) if d not in digits]
+    if not any(v.startswith(("map", "x0")) for v in bad) and m and x0:
+        (key, w), = x0.items()
+        _, _, digits, domain = MAP_KINDS[m["kind"]]
+        if key != "word":       # a point, in the domain of the map
+            domain(w, f"x0.{key}", bad, m["kind"])
+        else:
+            bad += [f"x0.word.{i}: {d} is not a digit of map kind {m['kind']}"
+                    for i, d in enumerate(w) if d not in digits(m)]
         # radii need the point of itinerary (w)^inf: a forbidden transition leaves none
-        if m["kind"] == "markov" and not any(v.startswith(("x0", "schedule")) for v in bad) \
-                and f.get("schedule") and _schedule(f["schedule"]).is_radii:
+        if key == "word" and m["kind"] == "markov" and f.get("schedule") \
+                and not any(v.startswith(("x0", "schedule")) for v in bad) \
+                and _schedule(f["schedule"]).is_radii:
             bad += [f"x0.word.{i}: the chain forbids {a} -> {b}, so no point has itinerary (w)^inf"
                     for i, (a, b) in enumerate(zip(w, w[1:] + w[:1])) if not Fraction(m["M"][a][b])]
     if bad:
@@ -200,27 +194,6 @@ def _run_entropy(cfg):
     return {"records": [rec], "summary": rec}
 
 
-REAL = number()
-
-# formula -> (bound function, its fields by the function's argument names)
-BOUNDS = {
-    "radii_lower": (bound_radii_lower, {"h": REAL, "delta_bar": REAL, "ell_bar": REAL,
-                                        "tau_bar": (REAL, 0.0), "log_beta": REAL}),
-    "doubling": (bound_doubling, {"delta_bar": REAL, "ell_bar": REAL, "s": REAL,
-                                  "log_beta": REAL}),
-    "code_lower": (bound_code_lower, {"h": REAL, "L_bar": REAL}),
-    "code_w": (bound_code_w, {"w_bar": REAL}),
-    "upper_finite": (bound_upper_finite, {"D": integer(), "h": REAL, "L_lower": (REAL, None),
-                                          "delta_lower": (REAL, None),
-                                          "ell_lower": (REAL, None)}),
-    "hoeffding": (bound_hoeffding, {"p": listof(REAL), "L_lower": REAL}),
-    "cantor_lambda": (cantor_lambda, {"a": REAL, "b": REAL, "c": REAL, "delta": REAL,
-                                      "N_js": listof(integer(1))}),
-    "grid_transfer": (grid_transfer, {"a_n": listof(number(0, 1)), "b_n": listof(number(0, 1)),
-                                      "grid_dim": REAL}),
-}
-
-
 def _run_bounds(cfg):
     records = []
     for ev in cfg.params["evaluations"]:
@@ -295,13 +268,8 @@ EXPERIMENTS = {
     "entropy": (_run_entropy, ("map",), kinds({
         "closed_form": {}, "birkhoff": {"n_iter": (integer(1), 10 ** 5)},
         "smb": {"depth": (integer(1), 20)}}, tag="method", default="closed_form")),
-    "bounds": (_run_bounds, (), block({"evaluations": listof(
-        kinds({k: fields for k, (_, fields) in BOUNDS.items()}, tag="formula"))})),
-    "cantor": (_run_cantor, ("map", "x0"), block({
-        "levels": (integer(1, 6), 2), "level_sizes": listof(integer(2)),
-        "epsilon": (number(0), 0.3), "c_cap": (number(0), 1e3)},
-        lambda p: None if len(p["level_sizes"]) == p["levels"] else
-        "cantor needs params.level_sizes matching params.levels")),
+    "bounds": (_run_bounds, (), block({"evaluations": listof(BOUND_SCHEMA)})),
+    "cantor": (_run_cantor, ("map", "x0"), CANTOR_PARAMS),
     "gridprobe": (_run_gridprobe, (), block({
         "grid": kinds({"interval": {"split": (rational(0, 1), "1/2")},
                        "rectangle": {"a": rational(0, 1), "b": rational(0, 1)},

@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .schema import integer, listof, rational, satisfies
+from .schema import check, integer, kinds, listof, rational, rules, satisfies
 
 Number = Union[int, float, Fraction]
 
@@ -140,8 +140,7 @@ class DAryShift(MapModel):
     kind = "dary"
 
     def __init__(self, D: int):
-        if not isinstance(D, int) or not 2 <= D <= 2 ** 16:
-            raise MapError("D must be an integer in [2, 65536]")
+        _check("dary", D=D)
         self.D = D
         self.branch_count = D
         self.expansion_beta = float(D)
@@ -204,9 +203,8 @@ class MarkovLinear(MapModel):
     def __init__(self, M: Sequence[Sequence[Number]], p: Sequence[Number]):
         M = [[Fraction(x) for x in row] for row in M]
         p = [Fraction(x) for x in p]
+        _check("markov", M=M, p=p)
         D = len(p)
-        if bad := chain_violations(M, p):
-            raise MapError("; ".join(bad))
         self.M = tuple(tuple(row) for row in M)
         self.p = tuple(p)
         self.D = D
@@ -225,8 +223,6 @@ class MarkovLinear(MapModel):
             for i in range(D))
 
         self.mixing_steps = primitivity_exponent(self.M)
-        if self.mixing_steps is None:
-            raise MapError("transition matrix not primitive")
         self.expansion_beta = self._certify_beta()
 
     def key(self):
@@ -406,24 +402,16 @@ class BlaschkeBoundary(MapModel):
     NEWTON_TOL = 1e-14
 
     def __init__(self, zeros: Sequence[complex]):
-        zeros = [complex(*a) if isinstance(a, (list, tuple)) else complex(a) for a in zeros]
-        if len(zeros) < 2:
-            raise MapError("need at least two zeros for an expanding boundary map")
-        if not any(a == 0 for a in zeros):
-            raise MapError("need a zero at the origin (B(0)=0) for Lebesgue invariance")
-        if any(abs(a) >= 1 for a in zeros):
-            raise MapError("all zeros must lie strictly inside the unit disk")
-        self.zeros = tuple(zeros)
+        _check("blaschke", zeros=zeros)
+        self.zeros = zeros = tuple(map(_point, zeros))
         self.N = len(zeros)
         self.branch_count = self.N
-        # |B'| = n0 + sum over the other zeros of (1-|a|^2)/|z-a|^2
-        #      >= n0 + sum (1-|a|)/(1+|a|), with n0 = multiplicity of 0
+        # |B'| = n0 + sum over the other zeros of (1-|a|^2)/|z-a|^2 >= n0 + sum
+        # (1-|a|)/(1+|a|) > 1, with n0 >= 1 the multiplicity of 0 and N >= 2
         n0 = sum(1 for a in zeros if a == 0)
         self.expansion_beta = n0 + sum(
             (1 - abs(a)) / (1 + abs(a)) for a in zeros if a != 0
         )
-        if self.expansion_beta <= 1:
-            raise MapError("could not certify expansion beta > 1")
         self._lift_const = cmath.phase(self._B(1.0 + 0j)) / (2 * math.pi)
         self._boundaries = self._compute_boundaries()
 
@@ -581,31 +569,56 @@ class BlaschkeBoundary(MapModel):
 
 
 def _chain_rule(spec):
-    return "; ".join(chain_violations([[Fraction(x) for x in row] for row in spec["M"]],
-                                      [Fraction(x) for x in spec["p"]]))
+    M = [[Fraction(x) for x in row] for row in spec["M"]]
+    bad = chain_violations(M, [Fraction(x) for x in spec["p"]])
+    if not bad and len(M) < 2:
+        bad = ["M must have two or more states: with one, T is the identity, which does not expand"]
+    elif not bad and not primitivity_exponent(M):
+        bad = ["M must be primitive: some power of M must have every entry > 0"]
+    return "; ".join(bad)
 
 
-def _in_disc(z):
-    xy = z if isinstance(z, list) and len(z) == 2 else [z, 0]
-    return all(isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t)
-               for t in xy) and abs(complex(*xy)) < 1
+def _point(z):
+    """A zero x, [x, y] or x + iy with finite parts as a complex number, else None."""
+    xy = (z.real, z.imag) if isinstance(z, complex) else \
+        z if isinstance(z, (list, tuple)) else (z, 0)
+    if len(xy) == 2 and all(isinstance(t, (int, float)) and not isinstance(t, bool)
+                            and math.isfinite(t) for t in xy):
+        return complex(*xy)
 
 
-_ZERO = satisfies(_in_disc, "a point x or [x, y] inside the unit circle")
+def _domain(want, ok):
+    """Checker of a point, "num/den" or decimal, whose exact value satisfies ok."""
+    return satisfies(lambda x: ok(Fraction(x)), f"a point of {want}")
 
 
-# a stochastic matrix and a distribution, row-major "num/den" entries
-CHAIN = ({"M": listof(listof(rational(0, 1, closed=True))),
-          "p": listof(rational(0, 1, closed=True))}, _chain_rule)
+_ZERO = satisfies(lambda z: (a := _point(z)) is not None and abs(a) < 1,
+                  "a point x or [x, y] inside the unit circle")
+_LINEAR = _domain("[0, 1)", lambda x: 0 <= x < 1)
 
-# kind -> (class, its config fields by constructor argument, the digits of its words)
+# kind -> (class, its config fields by constructor argument or (fields, rule of
+# the block), the digits of its words, the domain of its points); each
+# constructor checks its converted arguments through its entry
 MAP_KINDS = {
-    "dary": (DAryShift, {"D": integer(2, 2 ** 16)}, lambda spec: range(spec["D"])),
-    "markov": (MarkovLinear, CHAIN, lambda spec: range(len(spec["p"]))),
-    "gauss": (GaussMap, {}, lambda spec: range(1, 2 ** 63)),
-    "blaschke": (BlaschkeBoundary, {"zeros": listof(_ZERO)},
-                 lambda spec: range(len(spec["zeros"]))),
+    "dary": (DAryShift, {"D": integer(2, 2 ** 16)}, lambda spec: range(spec["D"]), _LINEAR),
+    # a stochastic matrix and a distribution, row-major "num/den" entries
+    "markov": (MarkovLinear, ({"M": listof(listof(rational(0, 1, closed=True))),
+                               "p": listof(rational(0, 1, closed=True))}, _chain_rule),
+               lambda spec: range(len(spec["p"])), _LINEAR),
+    "gauss": (GaussMap, {}, lambda spec: range(1, 2 ** 63),
+              _domain("(0, 1]", lambda x: 0 < x <= 1)),
+    "blaschke": (BlaschkeBoundary, ({"zeros": listof(_ZERO)}, rules(
+        (lambda spec: len(spec["zeros"]) >= 2 and 0 in map(_point, spec["zeros"]),
+         "zeros must hold two or more points, one the origin: B(0) = 0 keeps Lebesgue "
+         "measure, and a second zero makes B expand"))),
+                 lambda spec: range(len(spec["zeros"])),
+                 _domain("[0, 1]", lambda x: 0 <= x <= 1)),     # angle 1 is angle 0
 }
+MAP_SCHEMA = kinds({k: v[1] for k, v in MAP_KINDS.items()})
+
+
+def _check(kind, **args):
+    check(MAP_SCHEMA, {"kind": kind, **args}, "map", kind, MapError)
 
 
 def make_map(spec: dict) -> MapModel:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count, islice
+from itertools import accumulate, count, islice, pairwise
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ from .coding import (PrefixWalk, Target, ball_holds,  # noqa: F401 (re-exported)
 from .maps import BoundaryHit, DAryShift, GaussMap, MapError, MapModel, MarkovLinear
 from .measures import (GaussMeasure, InvariantMeasure, check_invariant, float_orbit_blocks,
                        own_chain, sample_chain, trial_seed)
-from .schema import integer, kinds, listof, number
+from .schema import check, integer, kinds, listof, number, rules
 
 DENSE_DIGITS = 3         # leading target digits the symbolic engine matches on every index
 READ_AHEAD = 64          # stream digits past index N in a symbolic trial's first draw
@@ -36,11 +36,8 @@ class ScheduleError(ValueError):
 
 
 def _sorted_table(step):
-    def rule(spec):
-        tab = spec["table"]
-        if any(step * (b - a) < 0 for a, b in zip(tab, tab[1:])):
-            return f"table must be non-{'de' if step > 0 else 'in'}creasing"
-    return rule
+    return rules((lambda spec: all(step * (b - a) >= 0 for a, b in pairwise(spec["table"])),
+                  f"table must be non-{'de' if step > 0 else 'in'}creasing"))
 
 
 def _floor_log(n: np.ndarray, base) -> np.ndarray:
@@ -93,11 +90,8 @@ class Schedule:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        bad = []
-        kinds({k: v[0] for k, v in SCHEDULE_KINDS.items()})(
-            {"kind": self.kind, **self.params}, "schedule", bad, "Schedule")
-        if bad:
-            raise ScheduleError("; ".join(bad))
+        check(kinds({k: v[0] for k, v in SCHEDULE_KINDS.items()}),
+              {"kind": self.kind, **self.params}, "schedule", "Schedule", ScheduleError)
 
     # -- constructors ---------------------------------------------------
     @staticmethod

@@ -5,7 +5,8 @@ to ``bad`` per violation, owner naming the experiment or kind whose schema
 holds the field, and returns the value, or a block with its defaults
 filled in.  A block maps each field to a checker, or to (checker, default)
 when the field is optional; null counts as missing, and a default of None
-leaves the field out.
+leaves the field out.  A table lives beside the code that owns it, which
+checks its own arguments through it with check(), as the config does.
 """
 
 from __future__ import annotations
@@ -16,6 +17,15 @@ from functools import partial
 from numbers import Integral, Real
 
 REQUIRED = object()
+
+
+def check(checker, value, path, owner, error):
+    """Run checker on value as the field at path of owner, and raise error
+    listing every violation if there is one."""
+    bad = []
+    checker(value, path, bad, owner)
+    if bad:
+        raise error("; ".join(bad))
 
 
 def satisfies(ok, want):
@@ -47,7 +57,7 @@ def _real(v):
 
 
 def _exact(v):
-    if isinstance(v, str) or isinstance(v, int) and not isinstance(v, bool):
+    if isinstance(v, (str, Fraction)) or isinstance(v, int) and not isinstance(v, bool):
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):
@@ -55,7 +65,7 @@ def _exact(v):
 
 
 # checker(lo, hi, closed) of a value in a range; a rational is exact, given
-# as a "num/den" string or an integer
+# as a "num/den" string, an integer or a Fraction
 integer = partial(_ranged, "an integer", lambda v: _real(v) if isinstance(v, Integral) else None,
                   closed=True)
 number = partial(_ranged, "a finite number", _real)
@@ -70,9 +80,9 @@ obj = satisfies(lambda v: isinstance(v, dict), "an object")
 
 
 def listof(item, empty=False):
-    """A list of values that each pass `item`, non-empty unless `empty`."""
+    """A list or tuple of values that each pass `item`, non-empty unless `empty`."""
     def check(v, path, bad, owner):
-        if not isinstance(v, list) or not (empty or v):
+        if not isinstance(v, (list, tuple)) or not (empty or v):
             bad.append(f"{path}: must be a {'' if empty else 'non-empty '}list "
                        f"for {owner}, got {v!r}")
             return v
@@ -103,6 +113,11 @@ def block(fields, rule=None):
             bad.append(f"{path}: {why}" if path else why)
         return out
     return check
+
+
+def rules(*pairs):
+    """Rule of a block: the reasons of the (holds, reason) pairs that fail."""
+    return lambda b: "; ".join(why for holds, why in pairs if not holds(b)) or None
 
 
 def kinds(table, tag="kind", default=None):

@@ -4,10 +4,12 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,14 @@ from hypothesis import strategies as st
 
 import shrinktargets
 from shrinktargets import cli, harness
+from shrinktargets.dimension import BOUNDS, DimensionError
 from shrinktargets.harness import (
     ConfigError,
     emit_report,
     parse_config,
     run,
 )
+from shrinktargets.maps import MAP_KINDS, MapError
 
 GAUSS_H = math.pi ** 2 / (6 * math.log(2))
 
@@ -484,15 +488,14 @@ class TestCLI:
         assert [c for c, _ in fresh] == [2, 0, 2, 0, 2, 0]
 
     def test_numerical_failure_exit_3(self, tmp_path):
+        # a hypothesis of the construction fails at the given size
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps({
-            "experiment": "entropy",
-            "map": {"kind": "markov", "M": [["0", "1"], ["1", "0"]],
-                    "p": ["1/2", "1/2"]},
-            "params": {"method": "closed_form"}}))
-        r = self._run(["entropy", "--config", str(cfgp)])
+            "experiment": "cantor", "map": {"kind": "dary", "D": 2}, "x0": {"word": [0, 1]},
+            "params": {"levels": 1, "level_sizes": [2]}}))
+        r = self._run(["cantor", "--config", str(cfgp)])
         assert r.returncode == 3
-        assert "primitive" in r.stderr
+        assert "SMB regularity window empty" in r.stderr
 
     def test_zero_diagonal_chain_simulates(self, tmp_path):
         # no self-transitions: 1/2 lies in the block of digit 1, whose branch
@@ -728,3 +731,186 @@ class TestOutputErrors:
         del doc[next(iter(change))]
         resp.write_text(json.dumps(doc))
         assert cli.main(argv) == 0
+
+
+def _bounds(**ev):
+    return {"experiment": "bounds", "params": {"evaluations": [ev]}}
+
+
+def _on_map(kind, x0, schedule, experiment="classify", **params):
+    return {"experiment": experiment, "map": {"kind": kind, **params}, "x0": x0,
+            "schedule": schedule, "horizons": [100]}
+
+
+RADII = {"formula": "radii_lower", "h": 0.7, "delta_bar": 1.0, "ell_bar": 0.5, "log_beta": 0.7}
+LAMBDA = {"formula": "cantor_lambda", "a": 2, "b": 1, "c": 1, "delta": 0.5, "N_js": [2, 4, 8]}
+ENVELOPE = {"formula": "grid_transfer", "a_n": [0.25, 0.0625, 0.015625],
+            "b_n": [0.5, 0.25, 0.125], "grid_dim": 0.5}
+DEPTH3, SQRT = {"kind": "depth_const", "t": 3}, {"kind": "radii_power", "alpha": 2.0}
+CHAIN = {"M": [["3/4", "1/4"], ["1/2", "1/2"]], "p": ["2/3", "1/3"]}
+E0 = "params.evaluations.0"
+
+
+class TestOneCheckPerRule:
+    """Each hypothesis on an input is one rule of its table, so a config that
+    breaks it exits 2 naming the field, and the API raises for the same
+    values with the same field."""
+
+    @pytest.mark.parametrize("doc, field", [
+        (_on_map("blaschke", {"decimal": 0.3}, SQRT, zeros=[[0.5, 0], [0.2, 0]]), "map"),
+        (_on_map("blaschke", {"decimal": 0.3}, SQRT, zeros=[[0, 0]]), "map"),
+        ({"experiment": "entropy",
+          "map": {"kind": "markov", "M": [["0", "1"], ["1", "0"]], "p": ["1/2", "1/2"]}}, "map"),
+        ({"experiment": "entropy", "map": {"kind": "markov", "M": [["1"]], "p": ["1"]}}, "map"),
+        (_bounds(**{**RADII, "h": -1}), f"{E0}.h"),
+        (_bounds(**{**RADII, "log_beta": 0}), f"{E0}.log_beta"),
+        (_bounds(**{**RADII, "tau_bar": -0.5}), f"{E0}.tau_bar"),
+        (_bounds(formula="doubling", delta_bar=1, ell_bar=0.5, s=0, log_beta=0.7), f"{E0}.s"),
+        (_bounds(formula="doubling", delta_bar=-1, ell_bar=0.5, s=1, log_beta=0.7),
+         f"{E0}.delta_bar"),
+        (_bounds(formula="code_lower", h=0.7, L_bar=-0.1), f"{E0}.L_bar"),
+        (_bounds(formula="code_w", w_bar=-1), f"{E0}.w_bar"),
+        (_bounds(formula="upper_finite", D=1, h=0.7, L_lower=0.7), f"{E0}.D"),
+        (_bounds(formula="upper_finite", D=2, h=0.7, L_lower=-0.7), f"{E0}.L_lower"),
+        (_bounds(formula="upper_finite", D=2, h=0.7), E0),
+        (_bounds(formula="upper_finite", D=2, h=0.7, delta_lower=1), E0),
+        (_bounds(formula="hoeffding", p=[0.5, 0.6], L_lower=0.7), E0),
+        (_bounds(formula="hoeffding", p=[1, 0], L_lower=0.7), f"{E0}.p.1"),
+        (_bounds(**{**LAMBDA, "a": -1}), E0),
+        (_bounds(**{**LAMBDA, "delta": 2}), E0),
+        (_bounds(**{**LAMBDA, "delta": 0}), f"{E0}.delta"),
+        (_bounds(**{**LAMBDA, "N_js": [8, 4, 2]}), E0),
+        (_bounds(**{**ENVELOPE, "a_n": [0.25, 0.0625]}), E0),
+        (_bounds(**{**ENVELOPE, "a_n": [0.25, 0.0625], "b_n": [0.5, 0.25]}), E0),
+        (_bounds(**{**ENVELOPE, "a_n": [0.25, 0.5, 0.015625]}), E0),
+        (_bounds(**{**ENVELOPE, "b_n": [0.5, 0.5, 0.125]}), E0),
+        (_bounds(**{**ENVELOPE, "grid_dim": 2}), f"{E0}.grid_dim"),
+        # x0 outside the domain of its map
+        (_on_map("dary", {"rational": "1"}, DEPTH3, D=2), "x0.rational"),
+        (_on_map("dary", {"rational": "1"}, {"kind": "radii_const", "r": 0.1}, D=2),
+         "x0.rational"),
+        (_on_map("dary", {"rational": "1"}, {"kind": "radii_const", "r": 0.1}, "simulate", D=2),
+         "x0.rational"),
+        (_on_map("markov", {"rational": "1"}, DEPTH3, **CHAIN), "x0.rational"),
+        (_on_map("markov", {"decimal": 1.0}, DEPTH3, **CHAIN), "x0.decimal"),
+        (_on_map("gauss", {"decimal": 0.0}, SQRT), "x0.decimal"),
+    ])
+    def test_violated_hypothesis_exits_2(self, tmp_path, capsys, doc, field):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(doc))
+        assert cli.main([doc["experiment"], "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line.split()[2] for line in err.splitlines()] == [f"{field}:"]
+
+    @pytest.mark.parametrize("experiment, schedule", [("classify", DEPTH3), ("simulate", SQRT)])
+    def test_blaschke_angle_one_is_angle_zero(self, tmp_path, experiment, schedule):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(_on_map("blaschke", {"decimal": 1.0}, schedule, experiment,
+                                           zeros=[0, 0.5])))
+        assert cli.main([experiment, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+
+
+# values at and around the edges of every range: 0, negatives, NaN, inf, bools
+EDGES = [0, 0.0, -0.0, 1e-9, -1e-9, 0.5, 1, 1.0, -1, 2, 3, 1.5, math.nan, math.inf, -math.inf,
+         True]
+SIZES = [-1, 0, 1, 2, 3, 4, 8, 1.5, 2.0, math.nan, True]
+RANKS = [1e-9, 0.015625, 0.0625, 0.125, 0.25, 0.5, 0.9, 0, 1, -0.25, math.nan]
+_NUM, _SIZE, _RANK = (st.sampled_from(v) for v in (EDGES, SIZES, RANKS))
+VALID_BOUNDS = {   # a valid evaluation of each formula, fields by argument name
+    "radii_lower": {"h": 0.7, "delta_bar": 1.0, "ell_bar": 0.5, "tau_bar": 0.1, "log_beta": 0.7},
+    "doubling": {"delta_bar": 1.0, "ell_bar": 0.5, "s": 1.0, "log_beta": 0.7},
+    "code_lower": {"h": 0.7, "L_bar": 0.3},
+    "code_w": {"w_bar": 1.0},
+    "upper_finite": {"D": 2, "h": 0.7, "L_lower": 0.7, "delta_lower": 1.0, "ell_lower": 0.5},
+    "hoeffding": {"p": [0.25, 0.75], "L_lower": 0.7},
+    "cantor_lambda": {"a": 2, "b": 1, "c": 1, "delta": 0.5, "N_js": [2, 4, 8]},
+    "grid_transfer": {"a_n": [0.0625, 0.015625, 1e-9], "b_n": [0.5, 0.25, 0.125],
+                      "grid_dim": 0.5},
+}
+LISTS = {"p": _NUM, "N_js": _SIZE, "a_n": _RANK, "b_n": _RANK}
+OPTIONAL = {"L_lower", "delta_lower", "ell_lower"}      # of upper_finite, whose default is None
+FRACTIONS = [Fraction(k, 4) for k in range(-1, 6)] + [Fraction(1, 3), Fraction(2, 3)]
+
+
+@st.composite
+def _evaluation(draw, formula):
+    """(formula, args): each argument valid, an edge value, a list of them
+    (short, unsorted), or for an optional one absent (None)."""
+    args = {}
+    for key, good in VALID_BOUNDS[formula].items():
+        bad = st.lists(LISTS[key], max_size=5) if key in LISTS else _NUM
+        absent = [st.none()] if formula == "upper_finite" and key in OPTIONAL else []
+        args[key] = draw(st.one_of(st.just(good), bad, *absent))
+    return formula, args
+
+
+@st.composite
+def _map_args(draw, kind):
+    """(kind, config fields, the constructor's arguments) of a map, drawn
+    around the edges of its table."""
+    if kind == "dary":
+        D = draw(st.sampled_from([-1, 0, 1, 2, 3, 2 ** 16, 2 ** 16 + 1, 2.0, 1.5, math.nan,
+                                  math.inf, True]))
+        return kind, {"D": D}, {"D": D}
+    if kind == "markov":
+        n = draw(st.integers(1, 3))
+        rows = draw(st.one_of(
+            st.sampled_from([[[Fraction(3, 4), Fraction(1, 4)], [Fraction(1, 2), Fraction(1, 2)]],
+                             [[0, 1], [1, 0]], [[1, 0], [0, 1]], [[0, 1], [Fraction(1, 2)] * 2],
+                             [[Fraction(1, 3)] * 3] * 3]),
+            st.lists(st.lists(st.sampled_from(FRACTIONS), min_size=n, max_size=n),
+                     min_size=n, max_size=n + 1)))
+        p = draw(st.one_of(st.sampled_from([[Fraction(2, 3), Fraction(1, 3)],
+                                            [Fraction(1, 2)] * 2, [Fraction(1, 3)] * 3]),
+                           st.lists(st.sampled_from(FRACTIONS), min_size=1, max_size=3)))
+        return kind, {"M": [[str(x) for x in row] for row in rows], "p": [str(x) for x in p]}, \
+            {"M": rows, "p": p}
+    zeros = draw(st.lists(st.sampled_from(
+        [0, 0.0, [0, 0], [0.5, 0], [0.2, -0.3], 0.5, -0.99, [0, 0.999], 1, [1, 0], [0.8, 0.6],
+         math.nan, [math.nan, 0], math.inf, -1.5]), max_size=4))
+    return kind, {"zeros": zeros}, {"zeros": zeros}
+
+
+def _fields(message, block=""):
+    """Per violation in message, the field it names below the block at path
+    `block` (the text before its first ": "), or for a rule of the whole block
+    its reason."""
+    return [m.removeprefix(block).lstrip(".:").strip().split(": ")[0]
+            for m in message.split("; ")]
+
+
+class TestSchemaMatchesAPI:
+    """parse_config rejects an input exactly when the API call raises, and
+    both name the same field: there is one check, in the table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(VALID_BOUNDS)).flatmap(_evaluation))
+    def test_bounds(self, evaluation):
+        formula, args = evaluation
+        doc = _bounds(formula=formula, **{k: v for k, v in args.items() if v is not None})
+        config = api = None             # the fields named, None when accepted
+        try:
+            parse_config(doc)
+        except ConfigError as e:
+            config = _fields("; ".join(e.violations), E0)
+        try:
+            BOUNDS[formula][0](**args)
+        except DimensionError as e:
+            api = _fields(str(e))
+        assert config == api
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["dary", "markov", "blaschke"]).flatmap(_map_args))
+    def test_maps(self, drawn):
+        kind, fields, args = drawn
+        config = api = None             # the fields named, None when accepted
+        try:
+            parse_config({"experiment": "entropy", "map": {"kind": kind, **fields}})
+        except ConfigError as e:
+            config = re.findall(r"(?:^|; )(map[\w.]*): ", "; ".join(e.violations))
+        try:
+            MAP_KINDS[kind][0](**args)
+        except MapError as e:
+            api = re.findall(r"(?:^|; )(map[\w.]*): ", str(e))
+        assert config == api

@@ -30,21 +30,27 @@ recurrence.borel_cantelli_classify at the 50 bases of SWEEP_BASES, a
 ``monotone`` flag (no verdict ranks below the one at a smaller base,
 MeasureZero < Inconclusive < FullMeasure) and the best-of-3 seconds of the
 sweep.  Every map is measured with its own measure (measures.own_measure).
-Last, it counts the lines of each src/shrinktargets/*.py module and their
-total (src_lines), so that the size of the code is read from the same file
-as its times.  The file also names the commit it measured (git rev-parse
-HEAD) and whether the tree had uncommitted changes (git status --porcelain).
+Then config_exits: the exit code of cli.main on each malformed config of
+MALFORMED, each of which breaks one hypothesis on an input (a map, a bound
+or a point x0) and should exit 2, never 3.  Last, it counts the lines of
+each src/shrinktargets/*.py module and their total (src_lines), so that the
+size of the code is read from the same file as its times.  The file also
+names the commit it measured (git rev-parse HEAD) and whether the tree had
+uncommitted changes (git status --porcelain).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 
 MACHINE = "# machine "
@@ -86,6 +92,43 @@ SWEEP_TARGETS = {   # name -> (map spec, point x0 or digit function k -> i_k)
     "gauss_1+k^2%4": ({"kind": "gauss"}, lambda k: 1 + k * k % 4),
 }
 RANK = {"MeasureZero": 0, "Inconclusive": 1, "FullMeasure": 2}
+SQRT = {"kind": "radii_power", "alpha": 2}
+RADII_LOWER = {"formula": "radii_lower", "h": 0.7, "delta_bar": 1.0, "ell_bar": 0.5,
+               "log_beta": 0.7}
+
+
+def _on(kind, x0, schedule, experiment="classify", **params):
+    return {"experiment": experiment, "map": {"kind": kind, **params}, "x0": x0,
+            "schedule": schedule, "horizons": [100]}
+
+
+def _bound(**evaluation):
+    return {"experiment": "bounds", "params": {"evaluations": [evaluation]}}
+
+
+MALFORMED = {       # name -> config document
+    "blaschke_zeros_without_0": _on("blaschke", {"decimal": 0.3}, SQRT, zeros=[[0.5, 0], [0.2, 0]]),
+    "blaschke_one_zero": _on("blaschke", {"decimal": 0.3}, SQRT, zeros=[[0, 0]]),
+    "chain_not_primitive": {"experiment": "entropy", "map": {
+        "kind": "markov", "M": [["0", "1"], ["1", "0"]], "p": ["1/2", "1/2"]}},
+    "chain_one_state": {"experiment": "entropy", "map": {"kind": "markov", "M": [["1"]],
+                                                         "p": ["1"]}},
+    "bound_h_negative": _bound(**{**RADII_LOWER, "h": -1}),
+    "bound_p_sum": _bound(formula="hoeffding", p=[0.5, 0.6], L_lower=0.7),
+    "bound_upper_without_rate": _bound(formula="upper_finite", D=2, h=0.7),
+    "bound_a_n_short": _bound(formula="grid_transfer", a_n=[0.25, 0.0625], b_n=[0.5, 0.25, 0.125],
+                              grid_dim=0.5),
+    "bound_delta_2": _bound(formula="cantor_lambda", a=2, b=1, c=1, delta=2, N_js=[2, 4, 8]),
+    "bound_N_js_decreasing": _bound(formula="cantor_lambda", a=2, b=1, c=1, delta=0.5,
+                                    N_js=[8, 4, 2]),
+    "x0_1_dary_depth": _on("dary", {"rational": "1"}, {"kind": "depth_const", "t": 3}, D=2),
+    "x0_1_dary_radii": _on("dary", {"rational": "1"}, {"kind": "radii_const", "r": 0.1}, D=2),
+    "x0_1_dary_radii_simulate": _on("dary", {"rational": "1"}, {"kind": "radii_const", "r": 0.1},
+                                    "simulate", D=2),
+    "x0_1_markov_depth": _on("markov", {"rational": "1"}, {"kind": "depth_const", "t": 3},
+                             M=CHAINS["chain"], p=["2/3", "1/3"]),
+    "x0_0_gauss_radii": _on("gauss", {"decimal": 0.0}, SQRT),
+}
 
 
 def run_bench(workload: str, seconds: float, trace: int):
@@ -223,6 +266,23 @@ def verdict_sweep() -> dict:
     return out
 
 
+def config_exits() -> dict:
+    """Exit code of cli.main, in this process, on each config of MALFORMED."""
+    sys.path.insert(0, "src")
+    from shrinktargets import cli
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in MALFORMED.items():
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                out[name] = cli.main([doc["experiment"], "--config", path])
+    return out
+
+
 def src_lines() -> dict:
     """Lines of each source module, by file name, and their total."""
     modules = {}
@@ -274,6 +334,9 @@ def main(argv=None) -> int:
     print("verdict sweep: " + ", ".join(
         f"{k} {'monotone' if v['monotone'] else 'NOT monotone'} {v['best_s']:.3f} s"
         for k, v in doc["verdict_sweep"].items()), file=sys.stderr)
+    doc["config_exits"] = config_exits()
+    print("config exits: " + ", ".join(f"{k} {v}" for k, v in doc["config_exits"].items()),
+          file=sys.stderr)
     doc["tests"] = run_tests()
     print(f"tier-1: {doc['tests']['wall_s']:.1f} s, {doc['tests']['outcome']}", file=sys.stderr)
     doc["src_lines"] = src_lines()
