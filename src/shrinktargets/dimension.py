@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .measures import (MarkovStationaryMeasure, RegularWords, log_mass, own_chai
                        smb_regular_cylinders)
 from .coding import Target, refine_depth
 from .recurrence import Schedule
-from .schema import block, check, integer, kinds, listof, number, rules, satisfies
+from .schema import block, check, integer, kinds, listof, number, rational, rules, satisfies
 
 
 class DimensionError(ValueError):
@@ -62,6 +63,16 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
+def _quotient(num: float, den: float, nums: tuple, dens: tuple) -> float:
+    """num / den, where num and den are the float products of the factors
+    nums >= 0 and dens > 0.  Where a product under- or overflows (a num that
+    is 0 is exact), the quotient of the exact products, capped at 1."""
+    if (num == 0 or sys.float_info.min <= num < math.inf) and \
+            sys.float_info.min <= den < math.inf:
+        return num / den
+    return float(min(1, math.prod(map(Fraction, nums)) / math.prod(map(Fraction, dens))))
+
+
 def bound_radii_lower(h: float, delta_bar: float, ell_bar: float,
                       tau_bar: float, log_beta: float) -> DimensionBound:
     """Grid lower bound h/(h + delta_bar*ell_bar) for metric targets, and
@@ -72,7 +83,8 @@ def bound_radii_lower(h: float, delta_bar: float, ell_bar: float,
     """
     _check("radii_lower", locals())
     grid = h / (h + delta_bar * ell_bar)
-    factor = max(0.0, 1.0 - tau_bar * delta_bar * ell_bar ** 2 / (h ** 2 * log_beta))
+    factor = max(0.0, 1.0 - _quotient(tau_bar * delta_bar * (ell_bar * ell_bar), h * h * log_beta,
+                                      (tau_bar, delta_bar, ell_bar, ell_bar), (h, h, log_beta)))
     return DimensionBound(
         grid_lower=_clamp01(grid),
         hausdorff_lower=_clamp01(grid * factor),
@@ -88,7 +100,8 @@ def bound_doubling(delta_bar: float, ell_bar: float, s: float,
     """Hausdorff lower bound 1 - delta_bar*ell_bar/(s log beta) for doubling
     reference measures with mass(B(x,r)) <= C r^s."""
     _check("doubling", locals())
-    val = _clamp01(1.0 - delta_bar * ell_bar / (s * log_beta))
+    val = _clamp01(1.0 - _quotient(delta_bar * ell_bar, s * log_beta,
+                                   (delta_bar, ell_bar), (s, log_beta)))
     return DimensionBound(hausdorff_lower=val,
                           formula="1 - delta*ell/(s log beta)",
                           inputs={"delta_bar": delta_bar, "ell_bar": ell_bar,
@@ -132,9 +145,15 @@ def bound_hoeffding(p: Sequence[float], L_lower: float) -> DimensionBound:
     _check("hoeffding", locals())
     p = [float(x) for x in p]
     h = -sum(x * math.log(x) for x in p)
-    R = math.log(max(p) / min(p))
-    root = math.sqrt((h + L_lower) ** 2 + 2 * L_lower * R ** 2)
-    val = (root + h - L_lower) / (root + h + L_lower)
+    R = math.log(max(p) / min(p)) if min(p) >= sys.float_info.min else \
+        math.log(max(p)) - math.log(min(p))     # the quotient would overflow
+    if L_lower <= 8:
+        root = math.sqrt((h + L_lower) * (h + L_lower) + 2 * L_lower * (R * R))
+        val = (root + h - L_lower) / (root + h + L_lower)
+    else:   # root + h - L cancels, and root overflows: the value rationalized, over L^2
+        a = h / L_lower
+        u = math.hypot(1 + a, R * math.sqrt(2 / L_lower))       # root / L
+        val = 2 * (2 * h + R * R) / L_lower / ((u + 1 + a) * (u + 1 - a))
     return DimensionBound(upper=_clamp01(val),
                           formula="(sqrt((h+L)^2+2LR^2)+h-L)/(sqrt(..)+h+L)",
                           inputs={"p": p, "h": h, "L_lower": L_lower, "R": R})
@@ -207,6 +226,7 @@ BOUNDS = {
              "upper_finite needs L_lower, or both delta_lower and ell_lower")))),
     "hoeffding": (bound_hoeffding, ({"p": listof(POSITIVE), "L_lower": RATE}, rules(
         (lambda e: len(e["p"]) >= 2, "p must have two or more entries, for entropy h > 0"),
+        (lambda e: max(e["p"]) <= 1, "p must have entries <= 1, for entropy h > 0"),
         (lambda e: abs(sum(map(float, e["p"])) - 1) <= 1e-12, "p must sum to 1")))),
     "cantor_lambda": (cantor_lambda, ({"a": REAL, "b": REAL, "c": REAL, "delta": POSITIVE,
                                        "N_js": listof(integer(1))}, rules(
@@ -550,23 +570,23 @@ def _intermediate_constraints(lvl: StageLevel, parents, log_cap: float):
 # ---------------------------------------------------------------------------
 # grids and regularity probes
 
-class GridSpec:
-    """A nested family of partitions with vanishing diameters; its largest
-    level-n block has measure sup_ratio^(n+1)."""
-    sup_ratio: Fraction
+# grid kind -> its fields, by the constructor's argument names (square is the
+# rectangle at a = b = 1/2); the grids check their arguments through it
+GRIDS = {"interval": {"split": (rational(0, 1), "1/2")},
+         "rectangle": {"a": rational(0, 1), "b": rational(0, 1)}, "square": {}}
 
 
-class IntervalSplitGrid(GridSpec):
+class IntervalSplitGrid:
     """1-D grid on [0,1]: level n splits each level-(n-1) interval at
     ratio ``split`` = p/q; level n has (n+1)-fold splits (level 0 = 2
     blocks), so its endpoints are integers over q^(n+1): a node at depth
     k spans a multiple of q^(n+1-k), and its split lo + p (hi - lo) // q
-    is exact."""
+    is exact.  Its largest level-n block has measure sup_ratio^(n+1)."""
 
     def __init__(self, split=Fraction(1, 2)):
+        check(kinds(GRIDS), {"kind": "interval", "split": split}, "params.grid", "gridprobe",
+              DimensionError)
         self.split = Fraction(split)
-        if not 0 < self.split < 1:
-            raise DimensionError("split ratio must be in (0,1)")
         self.sup_ratio = max(self.split, 1 - self.split)
         self.p, self.q = self.split.numerator, self.split.denominator
 
@@ -582,22 +602,63 @@ class IntervalSplitGrid(GridSpec):
 
     def band(self, a: Fraction, b: Fraction, n: int):
         """Union extent [lo, hi] of the level-n leaves meeting the open
-        interval (a, b), as integers over q^(n+1)."""
+        interval (a, b), which are contiguous, as integers over q^(n+1)."""
         S = self.q ** (n + 1)
         (lo, hi), (left, right) = self.leaf_containing(a, n), self.leaf_containing(b, n)
         return (lo if hi * a.denominator > a.numerator * S else hi,
                 right if left * b.denominator < b.numerator * S else left)
 
 
-class ProductSplitGrid(GridSpec):
+class ProductSplitGrid:
     """2-D grid on the unit square: x-split at ratio a, y-split at ratio b
     (the rectangle grid; 1/2 < b < a < 1 gives the irregular example,
     a = b = 1/2 the square grid)."""
 
-    def __init__(self, a, b):
+    def __init__(self, a=Fraction(1, 2), b=Fraction(1, 2)):
+        check(kinds(GRIDS), {"kind": "rectangle", "a": a, "b": b}, "params.grid", "gridprobe",
+              DimensionError)
         self.a, self.b = Fraction(a), Fraction(b)
         self.gx, self.gy = IntervalSplitGrid(self.a), IntervalSplitGrid(self.b)
         self.sup_ratio = self.gx.sup_ratio * self.gy.sup_ratio
+
+
+def fitting_balls(v, path, bad, owner, dim):
+    """Checker of the rule that balls fit a grid of dimension dim: each is a
+    tuple of rationals (Fraction or int), dim centre coordinates and a
+    radius > 0.  The entries are checked first, as the config checks them."""
+    n = len(bad)
+    listof(listof(satisfies(lambda x: isinstance(x, (int, Fraction)) and not isinstance(x, bool),
+                            "a rational (Fraction or int)")), empty=True)(v, path, bad, owner)
+    for i, ball in enumerate(v if len(bad) == n else ()):
+        if len(ball) != dim + 1:
+            bad.append(f"{path}.{i}: must be {dim} centre coordinate(s) and a radius "
+                       f"for {owner}, got {len(ball)} values")
+        elif ball[-1] <= 0:
+            bad.append(f"{path}.{i}.{dim}: must be a radius > 0 for {owner}, got {ball[-1]}")
+    return v
+
+
+_GRIDPROBE_FIELDS = block({"grid": kinds(GRIDS), "balls": kinds({
+    "corner_discs": {"kmax": (integer(1), 40)},
+    "shrinking_intervals": {"center": (rational(0, 1, closed=True), "1/3"),
+                            "scale": (rational(0), "3/7"), "kmax": (integer(1), 20)},
+    "table": {"balls": listof(listof(rational(0, 1, closed=True)))}})})
+
+
+def GRIDPROBE_PARAMS(v, path, bad, owner):
+    """Checker of the params of a gridprobe run: a grid, the balls, and, once
+    both pass, the rule that the balls fit the grid."""
+    n, p = len(bad), _GRIDPROBE_FIELDS(v, path, bad, owner)
+    if len(bad) == n:
+        grid, balls = p["grid"]["kind"], p["balls"]
+        dim = 1 if grid == "interval" else 2
+        if balls["kind"] == "table":
+            fitting_balls([tuple(map(Fraction, row)) for row in balls["balls"]],
+                          f"{path}.balls.balls", bad, grid, dim)
+        elif balls["kind"] != ("shrinking_intervals" if dim == 1 else "corner_discs"):
+            bad.append(f"{path}.balls.kind: balls of kind {balls['kind']} do not fit "
+                       f"the grid of kind {grid}")
+    return p
 
 
 @dataclass
@@ -612,8 +673,7 @@ class ProbeRecord:
         return self.union_measure / self.ball_measure
 
 
-def _leaves_meeting(grid: IntervalSplitGrid, a: Fraction, b: Fraction, n: int,
-                    cap: int = 10 ** 4):
+def _leaves_meeting(grid: IntervalSplitGrid, a: Fraction, b: Fraction, n: int, cap: int):
     """Level-n leaves meeting the open interval (a, b), as integers over q^(n+1)."""
     S = grid.q ** (n + 1)
     a_num, a_den, b_num, b_den = a.numerator * S, a.denominator, b.numerator * S, b.denominator
@@ -632,30 +692,34 @@ def _leaves_meeting(grid: IntervalSplitGrid, a: Fraction, b: Fraction, n: int,
     return out
 
 
-def grid_regularity_probe(grid: GridSpec, balls, levels=None) -> list:
+def grid_regularity_probe(grid, balls, levels=None) -> list:
     """Ratio trace C_k = lambda(union of level-n(k) blocks meeting B_k) /
     lambda(B_k), with n(k) the smallest level whose largest block does not
     exceed the ball measure.
 
     ``balls``: for 1-D grids a list of (center, radius); for 2-D grids a
-    list of (cx, cy, radius) with Fraction entries (the ball is the open
-    Euclidean disc, lambda = area pi r^2).  Leaf endpoints are exact
-    integers over q^(n+1); the union measure is the nearest float.
+    list of (cx, cy, radius), each ball checked by fitting_balls and of
+    float measure > 0 (the open Euclidean disc, lambda = area pi r^2).  Leaf
+    endpoints are exact integers over q^(n+1); the union is the nearest float.
     """
+    if not isinstance(grid, (IntervalSplitGrid, ProductSplitGrid)):
+        raise DimensionError("unsupported grid type")
+    dim, owner = (1, "interval") if isinstance(grid, IntervalSplitGrid) else (2, "rectangle")
+    check(lambda *args: fitting_balls(*args, dim), balls, "balls", owner, DimensionError)
+    masses = [float(min(b[0] + b[-1], 1) - max(b[0] - b[-1], 0)) if dim == 1 else
+              math.pi * float(b[-1]) ** 2 for b in balls]         # b[-1] is the radius
+    for i, m in enumerate(masses):
+        if not m > 0:
+            raise DimensionError(f"balls.{i}: its measure {m!r} as a float is not > 0")
     out = []
-    for k, ball in enumerate(balls, start=1):
-        if isinstance(grid, IntervalSplitGrid):
+    for k, (ball, bmass) in enumerate(zip(balls, masses), start=1):
+        n = _probe_level(grid, bmass, levels)
+        if dim == 1:
             x, r = ball
-            bmass = float(min(x + r, 1) - max(x - r, 0))
-            n = _probe_level(grid, bmass, levels)
-            leaves = _leaves_meeting(grid, max(x - r, Fraction(0)),
-                                     min(x + r, Fraction(1)), n)
-            union = sum(hi - lo for lo, hi in leaves) / grid.q ** (n + 1)
-            out.append(ProbeRecord(k, n, bmass, union))
-        elif isinstance(grid, ProductSplitGrid):
+            lo, hi = grid.band(max(x - r, Fraction(0)), min(x + r, Fraction(1)), n)
+            out.append(ProbeRecord(k, n, bmass, (hi - lo) / grid.q ** (n + 1)))
+        else:
             cx, cy, r = ball
-            bmass = math.pi * float(r) ** 2
-            n = _probe_level(grid, bmass, levels)
             xlv = _leaves_meeting(grid.gx, max(cx - r, Fraction(0)),
                                   min(cx + r, Fraction(1)), n, cap=512)
             ya, yb = max(cy - r, Fraction(0)), min(cy + r, Fraction(1))
@@ -680,12 +744,10 @@ def grid_regularity_probe(grid: GridSpec, balls, levels=None) -> list:
                            for yl, yh in _leaves_meeting(grid.gy, ya, yb, n, cap=4096)]
                 union += (xh - xl) * sum(h for h, dy2 in ylv if dx2 + dy2 < wr)
             out.append(ProbeRecord(k, n, bmass, union / (Sx * Sy)))
-        else:
-            raise DimensionError("unsupported grid type")
     return out
 
 
-def _probe_level(grid: GridSpec, ball_measure: float, levels) -> int:
+def _probe_level(grid, ball_measure: float, levels) -> int:
     p, q = grid.sup_ratio.numerator, grid.sup_ratio.denominator
     n, num, den = 0, p, q        # num / den = sup_ratio^(n+1), kept exact
     while num / den > ball_measure:     # int / int is correctly rounded

@@ -4,11 +4,11 @@ A single JSON document describes one experiment; identical configs produce
 byte-identical outputs (the provenance timestamp aside).  Exact rationals
 are written as "num/den" strings, digit words as integer arrays.  One
 schema says what each experiment reads, and a map brings its own measure.
-Its tables of map kinds, schedule kinds, bound formulas and cantor params
-live beside the code that owns them, which checks its arguments through
-them; this module assembles them.  parse_config checks a document against
-it once and lists every violation, so a run that starts fails only for a
-reason of the theory.
+Its tables of map kinds, schedule kinds, bound formulas, cantor params and
+gridprobe params live beside the code that owns them, which checks its
+arguments through them; this module assembles them.  parse_config checks a
+document against it once and lists every violation, so a run that starts
+fails only for a reason of the theory.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .dimension import (BOUND_SCHEMA, BOUNDS, CANTOR_PARAMS, IntervalSplitGrid, ProductSplitGrid,
-                        build_cantor_stage, frostman_exponent, grid_regularity_probe,
-                        rectangle_counterexample_balls)
+from .dimension import (BOUND_SCHEMA, BOUNDS, CANTOR_PARAMS, GRIDPROBE_PARAMS, IntervalSplitGrid,
+                        ProductSplitGrid, build_cantor_stage, frostman_exponent,
+                        grid_regularity_probe, rectangle_counterexample_balls)
 from .maps import MAP_KINDS, MAP_SCHEMA, make_map
 from .measures import entropy_birkhoff, entropy_closed_form, entropy_smb, own_measure
 from .coding import Target
@@ -230,22 +230,11 @@ def _run_cantor(cfg):
     return {"records": [summary], "summary": summary}
 
 
-def _balls_fit_grid(p):
-    kind, dim = p["balls"]["kind"], 1 if p["grid"]["kind"] == "interval" else 2
-    rows = p["balls"].get("balls", [])
-    if (kind, dim) in (("corner_discs", 1), ("shrinking_intervals", 2)) or any(
-            len(row) != dim + 1 or Fraction(row[-1]) == 0 for row in rows):
-        return (f"balls of kind {kind} do not fit the grid of kind "
-                f"{p['grid']['kind']}; a table row gives {dim} centre coordinates "
-                "and a radius > 0")
-
-
 def _run_gridprobe(cfg):
     g, b = cfg.params["grid"], cfg.params["balls"]
-    if g["kind"] == "interval":
-        grid = IntervalSplitGrid(Fraction(g["split"]))
-    else:                 # the square grid splits both ways at 1/2
-        grid = ProductSplitGrid(Fraction(g.get("a", "1/2")), Fraction(g.get("b", "1/2")))
+    # each kind's constructor takes the kind's parameters by name
+    grid = (IntervalSplitGrid if g["kind"] == "interval" else ProductSplitGrid)(
+        **{k: v for k, v in g.items() if k != "kind"})
     if b["kind"] == "corner_discs":
         balls = rectangle_counterexample_balls(grid.a, grid.b, b["kmax"])
     elif b["kind"] == "shrinking_intervals":
@@ -270,16 +259,7 @@ EXPERIMENTS = {
         "smb": {"depth": (integer(1), 20)}}, tag="method", default="closed_form")),
     "bounds": (_run_bounds, (), block({"evaluations": listof(BOUND_SCHEMA)})),
     "cantor": (_run_cantor, ("map", "x0"), CANTOR_PARAMS),
-    "gridprobe": (_run_gridprobe, (), block({
-        "grid": kinds({"interval": {"split": (rational(0, 1), "1/2")},
-                       "rectangle": {"a": rational(0, 1), "b": rational(0, 1)},
-                       "square": {}}),
-        "balls": kinds({"corner_discs": {"kmax": (integer(1), 40)},
-                        "shrinking_intervals": {
-                            "center": (rational(0, 1, closed=True), "1/3"),
-                            "scale": (rational(0), "3/7"), "kmax": (integer(1), 20)},
-                        "table": {"balls": listof(listof(rational(0, 1, closed=True)))}}),
-    }, _balls_fit_grid)),
+    "gridprobe": (_run_gridprobe, (), GRIDPROBE_PARAMS),
 }
 
 

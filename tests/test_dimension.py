@@ -27,7 +27,7 @@ from shrinktargets import (
     grid_transfer,
     rectangle_counterexample_balls,
 )
-from shrinktargets.dimension import ProbeRecord, _intermediate_constraints
+from shrinktargets.dimension import BOUNDS, ProbeRecord, _intermediate_constraints
 
 LOG2 = math.log(2)
 GAUSS_H = math.pi ** 2 / (6 * LOG2)
@@ -130,6 +130,56 @@ class TestHoeffding:
     def test_monotone_in_L(self, L, dL):
         p = [0.3, 0.7]
         assert bound_hoeffding(p, L + dL).upper <= bound_hoeffding(p, L).upper + 1e-12
+
+
+# finite floats over the whole double range, its ends and the edges of underflow
+POSITIVE = st.one_of(st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-300, 1e-150, 1.0,
+                                      1e150, 1e200, 1e300, 1.7e308]),
+                     st.floats(min_value=5e-324, max_value=1.7e308))
+RATE = st.one_of(st.just(0.0), POSITIVE)
+REAL = st.one_of(POSITIVE, POSITIVE.map(lambda x: -x), st.just(0.0))
+UNIT = st.floats(min_value=5e-324, max_value=1.0, exclude_max=True)     # (0, 1)
+
+
+@st.composite
+def _envelope(draw):
+    b_n = sorted(draw(st.lists(UNIT, min_size=3, max_size=6, unique=True)), reverse=True)
+    return {"a_n": [b * draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+                    for b in b_n],
+            "b_n": b_n, "grid_dim": draw(st.floats(min_value=0.0, max_value=1.0))}
+
+
+SWEEP = {   # formula -> its arguments drawn over their ranges
+    "radii_lower": st.fixed_dictionaries({"h": POSITIVE, "delta_bar": RATE, "ell_bar": RATE,
+                                          "tau_bar": RATE, "log_beta": POSITIVE}),
+    "doubling": st.fixed_dictionaries({"delta_bar": RATE, "ell_bar": RATE, "s": POSITIVE,
+                                       "log_beta": POSITIVE}),
+    "code_lower": st.fixed_dictionaries({"h": POSITIVE, "L_bar": RATE}),
+    "code_w": st.fixed_dictionaries({"w_bar": st.one_of(RATE, st.just(math.inf))}),
+    "upper_finite": st.fixed_dictionaries(
+        {"D": st.integers(2, 2 ** 80), "h": POSITIVE},
+        optional={"L_lower": RATE, "delta_lower": RATE, "ell_lower": RATE}),
+    "hoeffding": st.fixed_dictionaries({
+        "p": st.one_of(UNIT.map(lambda x: [x, 1 - x]), POSITIVE.map(lambda x: [1 + 5e-13, x])),
+        "L_lower": RATE}),
+    "cantor_lambda": st.fixed_dictionaries({
+        "a": REAL, "b": REAL, "c": REAL, "delta": st.floats(min_value=5e-324, max_value=1.0),
+        "N_js": st.lists(st.integers(1, 10 ** 30), min_size=1, max_size=5).map(sorted)}),
+    "grid_transfer": _envelope(),
+}
+
+
+class TestBoundsAtExtremes:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(list(SWEEP)).flatmap(lambda f: st.tuples(st.just(f), SWEEP[f])))
+    def test_no_arithmetic_error_or_nan(self, drawn):
+        formula, args = drawn
+        try:
+            b = BOUNDS[formula][0](**args)
+        except DimensionError:      # outside the table's ranges or rules
+            return
+        values = [b.grid_lower, b.hausdorff_lower, b.upper]
+        assert not any(math.isnan(v) for v in values if v is not None), (formula, args, b)
 
 
 class TestCantorLambda:
@@ -574,12 +624,24 @@ class TestGridProbes:
         assert g.band(F(4, 25), F(2, 5), 1) == (4, 10)
 
     def test_enumeration_caps_raise(self):
-        with pytest.raises(DimensionError, match="cap"):      # 10^4 leaves
-            grid_regularity_probe(IntervalSplitGrid(F(1, 100)), [(F(1, 2), F(1, 4))])
+        # a 1-D probe measures the band of its leaves, more than 10^4 of them here
+        (rec,) = grid_regularity_probe(IntervalSplitGrid(F(1, 100)), [(F(1, 2), F(1, 4))])
+        lo, hi = _fraction_band(F(1, 100), F(1, 4), F(3, 4), rec.level)
+        assert rec.union_measure == float(hi - lo)
         square, disc = ProductSplitGrid(F(1, 2), F(1, 2)), [(F(1, 2), F(1, 2), F(1, 4))]
         grid_regularity_probe(square, disc, levels=9)          # 512 x-leaves, at the cap
         with pytest.raises(DimensionError, match="cap"):      # 1024 x-leaves
             grid_regularity_probe(square, disc, levels=10)
+
+    def test_balls_checked_before_any_is_probed(self):
+        interval, rect = IntervalSplitGrid(), ProductSplitGrid(F(7, 10), F(6, 10))
+        with pytest.raises(DimensionError, match=r"^balls\.1: must be 1 centre"):
+            grid_regularity_probe(interval, [(F(1, 2), F(1, 4)), (F(1, 2), F(1, 2), F(1, 4))])
+        with pytest.raises(DimensionError, match=r"^balls\.0\.2: must be a radius > 0"):
+            grid_regularity_probe(rect, [(F(1, 2), F(1, 2), F(0))])
+        # pi r^2 of the 406th disc is 0.0 as a float
+        with pytest.raises(DimensionError, match=r"^balls\.405: its measure 0\.0"):
+            grid_regularity_probe(rect, rectangle_counterexample_balls(F(7, 10), F(6, 10), 500))
 
     def test_rectangle_probe_is_fast(self):
         g = ProductSplitGrid(F(7, 10), F(6, 10))

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import shrinktargets
 from shrinktargets import cli, harness
-from shrinktargets.dimension import BOUNDS, DimensionError
+from shrinktargets.dimension import (BOUNDS, DimensionError, IntervalSplitGrid,
+                                     ProductSplitGrid, grid_regularity_probe)
 from shrinktargets.harness import (
     ConfigError,
     emit_report,
@@ -336,6 +337,9 @@ class TestCLI:
         ("entropy", {"params": {"method": "birkhoff", "n_iter": "x"}}, 2),
         ("classify", {"map": {"kind": "dary", "D": math.inf}}, 2),
         ("classify", {"schedule": {"kind": "depth_const", "t": math.inf}}, 2),
+        # 1/100 splits put more than 10^4 level leaves in the ball, measured as one band
+        ("gridprobe", {"params": {"grid": {"kind": "interval", "split": "1/100"},
+                                  "balls": {"kind": "table", "balls": [["1/2", "1/4"]]}}}, 0),
     ])
     def test_domain_of_every_block_checked(self, tmp_path, capsys, experiment, change, code):
         doc = {"experiment": experiment, "map": {"kind": "dary", "D": 2},
@@ -377,9 +381,11 @@ class TestCLI:
         ("cantor", {"map": {"kind": "dary", "D": 2}, "x0": {"word": [0, 1]},
                     "schedule": {"kind": "radii_exp", "kappa": 0.7},
                     "params": {"level_sizes": [8, 1100]}}, 2.0),
-        # 1/100 splits put more than 10^4 level leaves in the ball
-        ("gridprobe", {"params": {"grid": {"kind": "interval", "split": "1/100"},
-                                  "balls": {"kind": "table", "balls": [["1/2", "1/4"]]}}},
+        # pi r^2 is 0.0 in double precision from k = 406 on, the clipped length from k = 1075
+        ("gridprobe", {"params": {"grid": {"kind": "rectangle", "a": "7/10", "b": "6/10"},
+                                  "balls": {"kind": "corner_discs", "kmax": 500}}}, 2.0),
+        ("gridprobe", {"params": {"grid": {"kind": "interval", "split": "1/2"},
+                                  "balls": {"kind": "shrinking_intervals", "kmax": 1100}}},
          2.0),
     ])
     def test_numerical_failure_exits_3_quietly(self, tmp_path, capsys, experiment, doc, seconds):
@@ -390,6 +396,23 @@ class TestCLI:
         assert time.perf_counter() - t0 < seconds
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("evaluation, field, want", [
+        # h^2 underflows, ell^2 overflows, (h + L)^2 overflows
+        ({"formula": "radii_lower", "h": 1e-300, "delta_bar": 1, "ell_bar": 1, "log_beta": 1},
+         ("grid_lower", "hausdorff_lower"), 1e-300),
+        ({"formula": "radii_lower", "h": 1, "delta_bar": 1, "ell_bar": 1e200, "log_beta": 1},
+         ("grid_lower", "hausdorff_lower"), 1e-200),
+        ({"formula": "hoeffding", "p": [0.5, 0.5], "L_lower": 1e300},
+         ("upper",), math.log(2) / (math.log(2) + 1e300)),
+    ])
+    def test_bounds_at_the_ends_of_the_float_range(self, tmp_path, evaluation, field, want):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"experiment": "bounds",
+                                    "params": {"evaluations": [evaluation]}}))
+        assert cli.main(["bounds", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+        rec, = json.loads((tmp_path / "o" / "results.json").read_text())["records"]
+        assert all(rec[f] == pytest.approx(want, rel=1e-12) for f in field)
 
     @pytest.mark.parametrize("base, code", [(2, 3), (3, 0)])
     def test_gauss_decimal_classify_reads_its_exact_digits(self, tmp_path, capsys, base, code):
@@ -872,6 +895,36 @@ def _map_args(draw, kind):
     return kind, {"zeros": zeros}, {"zeros": zeros}
 
 
+# grid ratios at and around 0 and 1, negatives, floats and "num/den" strings
+RATIOS = st.one_of(
+    st.sampled_from([0, 1, -1, 2, "0", "1", "1/2", "3/2", "-1/2", "1/0", "x", 0.5, 0.0, 1.0,
+                     -0.5, True]),
+    st.tuples(st.integers(-2, 12), st.integers(1, 10)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.floats(-1, 2))
+ENTRIES = st.integers(0, 8).map(lambda k: Fraction(k, 8))      # in [0, 1]
+RADII = st.integers(1, 8).map(lambda k: Fraction(k, 8))
+
+
+@st.composite
+def _balls(draw):
+    """(grid kind, balls): valid balls, or one fault in one ball: a wrong
+    arity, a radius 0 or < 0, or an entry that is not a rational."""
+    grid = draw(st.sampled_from(["interval", "square", "rectangle"]))
+    dim = 1 if grid == "interval" else 2
+    balls = draw(st.lists(st.tuples(*[ENTRIES] * dim, RADII), min_size=1, max_size=3))
+    i = draw(st.integers(0, len(balls) - 1))
+    ball = list(balls[i])
+    fault = draw(st.sampled_from(["none", "arity", "radius", "entry"]))
+    if fault == "arity":
+        ball = draw(st.lists(ENTRIES, max_size=4).filter(lambda b: len(b) != dim + 1))
+    elif fault == "radius":
+        ball[-1] = draw(st.sampled_from([Fraction(0), Fraction(-1, 4), -1]))
+    elif fault == "entry":
+        ball[draw(st.integers(0, dim))] = draw(st.sampled_from([0.5, 1.0, True, "x", None]))
+    balls[i] = tuple(ball)
+    return grid, balls
+
+
 def _fields(message, block=""):
     """Per violation in message, the field it names below the block at path
     `block` (the text before its first ": "), or for a rule of the whole block
@@ -913,4 +966,44 @@ class TestSchemaMatchesAPI:
             MAP_KINDS[kind][0](**args)
         except MapError as e:
             api = re.findall(r"(?:^|; )(map[\w.]*): ", str(e))
+        assert config == api
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["interval", "rectangle"]), RATIOS, RATIOS)
+    def test_grids(self, kind, x, y):
+        fields = {"split": x} if kind == "interval" else {"a": x, "b": y}
+        balls = {"kind": "shrinking_intervals" if kind == "interval" else "corner_discs",
+                 "kmax": 3}
+        config = api = None             # the fields named, None when accepted
+        try:
+            parse_config({"experiment": "gridprobe",
+                          "params": {"grid": {"kind": kind, **fields}, "balls": balls}})
+        except ConfigError as e:
+            config = re.findall(r"(?:^|; )(params\.grid[\w.]*): ", "; ".join(e.violations))
+        try:
+            (IntervalSplitGrid if kind == "interval" else ProductSplitGrid)(**fields)
+        except DimensionError as e:
+            api = re.findall(r"(?:^|; )(params\.grid[\w.]*): ", str(e))
+        assert config == api
+
+    @settings(max_examples=200, deadline=None)
+    @given(_balls())
+    def test_balls(self, drawn):
+        kind, balls = drawn
+        rows = [[f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else x
+                 for x in ball] for ball in balls]
+        grid = {"kind": kind, **({"a": "7/10", "b": "6/10"} if kind == "rectangle" else {})}
+        config = api = None             # the fields named below the balls block
+        try:
+            parse_config({"experiment": "gridprobe",
+                          "params": {"grid": grid, "balls": {"kind": "table", "balls": rows}}})
+        except ConfigError as e:
+            config = re.findall(r"(?:^|; )params\.balls\.(balls[\w.]*): ",
+                                "; ".join(e.violations))
+        try:
+            grid_regularity_probe(IntervalSplitGrid() if kind == "interval" else
+                                  ProductSplitGrid(*(Fraction(grid[k]) for k in "ab" if k in grid)),
+                                  balls)
+        except DimensionError as e:
+            api = re.findall(r"(?:^|; )(balls[\w.]*): ", str(e))
         assert config == api

@@ -31,8 +31,12 @@ recurrence.borel_cantelli_classify at the 50 bases of SWEEP_BASES, a
 MeasureZero < Inconclusive < FullMeasure) and the best-of-3 seconds of the
 sweep.  Every map is measured with its own measure (measures.own_measure).
 Then config_exits: the exit code of cli.main on each malformed config of
-MALFORMED, each of which breaks one hypothesis on an input (a map, a bound
-or a point x0) and should exit 2, never 3.  Last, it counts the lines of
+MALFORMED, each of which breaks one hypothesis on an input (a map, a bound,
+a point x0, a gridprobe grid or ball) and should exit 2, never 3; and
+extreme_exits, the same on each config of EXTREME, at the ends of the float
+range, whose bounds should exit 0 and whose gridprobes, with balls below
+the float range, 3; either records "traceback" where cli.main raised.
+Last, it counts the lines of
 each src/shrinktargets/*.py module and their total (src_lines), so that the
 size of the code is read from the same file as its times.  The file also
 names the commit it measured (git rev-parse HEAD) and whether the tree had
@@ -106,6 +110,10 @@ def _bound(**evaluation):
     return {"experiment": "bounds", "params": {"evaluations": [evaluation]}}
 
 
+def _probe(grid, balls):
+    return {"experiment": "gridprobe", "params": {"grid": grid, "balls": balls}}
+
+
 MALFORMED = {       # name -> config document
     "blaschke_zeros_without_0": _on("blaschke", {"decimal": 0.3}, SQRT, zeros=[[0.5, 0], [0.2, 0]]),
     "blaschke_one_zero": _on("blaschke", {"decimal": 0.3}, SQRT, zeros=[[0, 0]]),
@@ -128,6 +136,26 @@ MALFORMED = {       # name -> config document
     "x0_1_markov_depth": _on("markov", {"rational": "1"}, {"kind": "depth_const", "t": 3},
                              M=CHAINS["chain"], p=["2/3", "1/3"]),
     "x0_0_gauss_radii": _on("gauss", {"decimal": 0.0}, SQRT),
+    "gridprobe_3_values_on_interval": _probe({"kind": "interval"},
+                                             {"kind": "table", "balls": [["1/2", "1/2", "1/4"]]}),
+    "gridprobe_2_values_on_square": _probe({"kind": "square"},
+                                           {"kind": "table", "balls": [["1/2", "1/4"]]}),
+    "gridprobe_radius_0": _probe({"kind": "interval"}, {"kind": "table", "balls": [["1/2", "0"]]}),
+    "gridprobe_split_0": _probe({"kind": "interval", "split": "0"},
+                                {"kind": "shrinking_intervals"}),
+    "gridprobe_rectangle_a_3_2": _probe({"kind": "rectangle", "a": "3/2", "b": "6/10"},
+                                        {"kind": "corner_discs"}),
+}
+EXTREME = {         # name -> config document at the ends of the float range
+    "bound_radii_h_1e-300": _bound(formula="radii_lower", h=1e-300, delta_bar=1, ell_bar=1,
+                                   log_beta=1),
+    "bound_radii_ell_1e200": _bound(formula="radii_lower", h=1, delta_bar=1, ell_bar=1e200,
+                                    log_beta=1),
+    "bound_hoeffding_L_1e300": _bound(formula="hoeffding", p=[0.5, 0.5], L_lower=1e300),
+    "gridprobe_discs_underflow": _probe({"kind": "rectangle", "a": "7/10", "b": "6/10"},
+                                        {"kind": "corner_discs", "kmax": 500}),
+    "gridprobe_intervals_underflow": _probe({"kind": "interval", "split": "1/2"},
+                                            {"kind": "shrinking_intervals", "kmax": 1100}),
 }
 
 
@@ -266,20 +294,24 @@ def verdict_sweep() -> dict:
     return out
 
 
-def config_exits() -> dict:
-    """Exit code of cli.main, in this process, on each config of MALFORMED."""
+def config_exits(configs: dict) -> dict:
+    """Exit code of cli.main, in this process, on each config of configs, or
+    "traceback" where cli.main raised."""
     sys.path.insert(0, "src")
     from shrinktargets import cli
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, doc in MALFORMED.items():
+        for name, doc in configs.items():
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w") as fh:
                 json.dump(doc, fh)
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                out[name] = cli.main([doc["experiment"], "--config", path])
+                try:
+                    out[name] = cli.main([doc["experiment"], "--config", path])
+                except Exception:
+                    out[name] = "traceback"
     return out
 
 
@@ -334,9 +366,10 @@ def main(argv=None) -> int:
     print("verdict sweep: " + ", ".join(
         f"{k} {'monotone' if v['monotone'] else 'NOT monotone'} {v['best_s']:.3f} s"
         for k, v in doc["verdict_sweep"].items()), file=sys.stderr)
-    doc["config_exits"] = config_exits()
-    print("config exits: " + ", ".join(f"{k} {v}" for k, v in doc["config_exits"].items()),
-          file=sys.stderr)
+    for key, configs in (("config_exits", MALFORMED), ("extreme_exits", EXTREME)):
+        doc[key] = config_exits(configs)
+        print(f"{key.replace('_', ' ')}: " + ", ".join(f"{k} {v}" for k, v in doc[key].items()),
+              file=sys.stderr)
     doc["tests"] = run_tests()
     print(f"tier-1: {doc['tests']['wall_s']:.1f} s, {doc['tests']['outcome']}", file=sys.stderr)
     doc["src_lines"] = src_lines()
