@@ -624,8 +624,8 @@ class ProductSplitGrid:
 
 def fitting_balls(v, path, bad, owner, dim):
     """Checker of the rule that balls fit a grid of dimension dim: each is a
-    tuple of rationals (Fraction or int), dim centre coordinates and a
-    radius > 0.  The entries are checked first, as the config checks them."""
+    tuple or list of rationals (Fraction or int), dim centre coordinates and a
+    radius > 0; the entries are checked first, as the config checks them."""
     n = len(bad)
     listof(listof(satisfies(lambda x: isinstance(x, (int, Fraction)) and not isinstance(x, bool),
                             "a rational (Fraction or int)")), empty=True)(v, path, bad, owner)
