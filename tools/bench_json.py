@@ -36,11 +36,10 @@ a point x0, a gridprobe grid or ball) and should exit 2, never 3; and
 extreme_exits, the same on each config of EXTREME, at the ends of the float
 range, whose bounds should exit 0 and whose gridprobes, with balls below
 the float range, 3; either records "traceback" where cli.main raised.
-Last, it counts the lines of
-each src/shrinktargets/*.py module and their total (src_lines), so that the
-size of the code is read from the same file as its times.  The file also
-names the commit it measured (git rev-parse HEAD) and whether the tree had
-uncommitted changes (git status --porcelain).
+Last, it counts the lines of each src/shrinktargets/*.py module and their
+total (src_lines), so that the size of the code is read from the same file
+as its times.  The file also names the commit it measured (git rev-parse
+HEAD) and whether the tree had uncommitted changes (git status --porcelain).
 """
 
 from __future__ import annotations
