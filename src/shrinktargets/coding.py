@@ -9,7 +9,6 @@ MarkovLinear and GaussMap; Blaschke endpoints are floats, marked inexact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,31 +23,12 @@ class Cylinder:
     word: tuple
     left: Fraction
     right: Fraction
-    map_id: str
     exact: bool = True
     precision_bits: Optional[int] = None
 
     @property
-    def depth(self) -> int:
-        return len(self.word) - 1
-
-    @property
     def length(self) -> Fraction:
         return self.right - self.left
-
-    def to_json(self) -> dict:
-        rec = {
-            "word": list(self.word),
-            "left": f"{self.left.numerator}/{self.left.denominator}",
-            "right": f"{self.right.numerator}/{self.right.denominator}",
-            "depth": self.depth,
-        }
-        if not self.exact:
-            rec["precision_bits"] = self.precision_bits
-        return rec
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def orbit_digits(m: MapModel, x):
@@ -151,8 +131,8 @@ class PrefixWalk:
 
     def cylinder(self, t: int) -> Cylinder:
         lo, hi = self.bounds(t)
-        return Cylinder(tuple(self.word[:t + 1]), lo, hi, self.map.key(),
-                        exact=self._exact, precision_bits=None if self._exact else 53)
+        return Cylinder(tuple(self.word[:t + 1]), lo, hi, exact=self._exact,
+                        precision_bits=None if self._exact else 53)
 
 
 def cylinder_from_word(m: MapModel, word: Sequence[int]) -> Cylinder:

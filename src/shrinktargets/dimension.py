@@ -63,14 +63,20 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def _quotient(num: float, den: float, nums: tuple, dens: tuple) -> float:
-    """num / den, where num and den are the float products of the factors
-    nums >= 0 and dens > 0.  Where a product under- or overflows (a num that
-    is 0 is exact), the quotient of the exact products, capped at 1."""
-    if (num == 0 or sys.float_info.min <= num < math.inf) and \
-            sys.float_info.min <= den < math.inf:
-        return num / den
-    return float(min(1, math.prod(map(Fraction, nums)) / math.prod(map(Fraction, dens))))
+def _clamped(formula, *args) -> float:
+    """formula(*args) in floats, clamped to [0, 1]; where an intermediate
+    under- or overflows (so the float value may be inf, nan or far off), in
+    Fractions of the float args, clamped, then rounded."""
+    try:
+        with np.errstate(all="raise"):
+            return _clamp01(float(formula(*map(np.float64, args))))
+    except FloatingPointError:
+        return float(min(1, max(0, formula(*map(Fraction, args)))))
+
+
+def _log_inv(x: float) -> float:
+    """log(1/x) of a float 0 < x <= 1; -log(x) where 1/x overflows."""
+    return math.log(inv) if (inv := 1 / x) < math.inf else -math.log(x)
 
 
 def bound_radii_lower(h: float, delta_bar: float, ell_bar: float,
@@ -82,11 +88,11 @@ def bound_radii_lower(h: float, delta_bar: float, ell_bar: float,
     this is flagged in the notes since the symbol is not pinned down.
     """
     _check("radii_lower", locals())
-    grid = h / (h + delta_bar * ell_bar)
-    factor = max(0.0, 1.0 - _quotient(tau_bar * delta_bar * (ell_bar * ell_bar), h * h * log_beta,
-                                      (tau_bar, delta_bar, ell_bar, ell_bar), (h, h, log_beta)))
+    grid = _clamped(lambda h, d, l: h / (h + d * l), h, delta_bar, ell_bar)
+    factor = 1.0 - _clamped(lambda t, d, l, h, b: t * d * (l * l) / (h * h * b),
+                            tau_bar, delta_bar, ell_bar, h, log_beta)
     return DimensionBound(
-        grid_lower=_clamp01(grid),
+        grid_lower=grid,
         hausdorff_lower=_clamp01(grid * factor),
         formula="h/(h+delta*ell) and correction (1 - tau*delta*ell^2/(h^2 log beta))",
         inputs={"h": h, "delta_bar": delta_bar, "ell_bar": ell_bar,
@@ -100,8 +106,7 @@ def bound_doubling(delta_bar: float, ell_bar: float, s: float,
     """Hausdorff lower bound 1 - delta_bar*ell_bar/(s log beta) for doubling
     reference measures with mass(B(x,r)) <= C r^s."""
     _check("doubling", locals())
-    val = _clamp01(1.0 - _quotient(delta_bar * ell_bar, s * log_beta,
-                                   (delta_bar, ell_bar), (s, log_beta)))
+    val = 1.0 - _clamped(lambda d, l, s, b: d * l / (s * b), delta_bar, ell_bar, s, log_beta)
     return DimensionBound(hausdorff_lower=val,
                           formula="1 - delta*ell/(s log beta)",
                           inputs={"delta_bar": delta_bar, "ell_bar": ell_bar,
@@ -111,7 +116,7 @@ def bound_doubling(delta_bar: float, ell_bar: float, s: float,
 def bound_code_lower(h: float, L_bar: float) -> DimensionBound:
     """Grid lower bound h/(h + L_bar) for cylinder targets."""
     _check("code_lower", locals())
-    return DimensionBound(grid_lower=_clamp01(h / (h + L_bar)),
+    return DimensionBound(grid_lower=_clamped(lambda h, L: h / (h + L), h, L_bar),
                           formula="h/(h+L)", inputs={"h": h, "L_bar": L_bar})
 
 
@@ -173,9 +178,9 @@ def cantor_lambda(a: float, b: float, c: float, delta: float,
     lim_term = j / sum(N_js)
     ratios = [N_js[k + 1] / N_js[k] for k in range(j - 1)]
     superlinear = bool(j >= 3 and min(ratios) > 1.2)
-    val = b / (a + c) - math.log(1.0 / delta) / (a + c) * lim_term
     return DimensionBound(
-        grid_lower=_clamp01(val),
+        grid_lower=_clamped(lambda a, b, c, log_inv, lim: b / (a + c) - log_inv / (a + c) * lim,
+                            a, b, c, _log_inv(delta), lim_term),
         formula="b/(a+c) - log(1/delta)/(a+c) * j/sum(N)",
         inputs={"a": a, "b": b, "c": c, "delta": delta, "N_js": N_js},
         notes={"lim_term": lim_term,
@@ -195,7 +200,7 @@ def grid_transfer(a_n: Sequence[float], b_n: Sequence[float],
     _check("grid_transfer", locals())
     a_n = [float(x) for x in a_n]
     b_n = [float(x) for x in b_n]
-    ratios = [math.log(1 / a_n[k]) / math.log(1 / b_n[k - 1])
+    ratios = [_log_inv(a_n[k]) / _log_inv(b_n[k - 1])
               for k in range(1, len(a_n))]
     factor = _extrapolated_limit(ratios)
     val = _clamp01(1.0 - (1.0 - grid_dim) * factor)

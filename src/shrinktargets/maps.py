@@ -130,9 +130,6 @@ class MapModel:
     def inverse_branch(self, digit: int, y):
         raise NotImplementedError
 
-    def key(self) -> str:
-        return self.kind
-
 
 class DAryShift(MapModel):
     """x -> D*x mod 1 on [0,1) with the partition [k/D, (k+1)/D)."""
@@ -147,9 +144,6 @@ class DAryShift(MapModel):
         self.partition0 = tuple(
             (Fraction(k, D), Fraction(k + 1, D)) for k in range(D)
         )
-
-    def key(self):
-        return f"dary({self.D})"
 
     def block_interval(self, digit):
         if not 0 <= digit < self.D:
@@ -224,9 +218,6 @@ class MarkovLinear(MapModel):
 
         self.mixing_steps = primitivity_exponent(self.M)
         self.expansion_beta = self._certify_beta()
-
-    def key(self):
-        return f"markov({self.p},{self.M})"
 
     def slope(self, i: int, j: int) -> Fraction:
         if self.M[i][j] == 0:
@@ -338,9 +329,6 @@ class GaussMap(MapModel):
         self.expansion_beta = 2.0
         self.mixing_steps = 2
 
-    def key(self):
-        return "gauss"
-
     def block_interval(self, digit):
         if digit < 1:
             raise InadmissibleDigit(f"Gauss digit must be >= 1, got {digit}")
@@ -414,9 +402,6 @@ class BlaschkeBoundary(MapModel):
         )
         self._lift_const = cmath.phase(self._B(1.0 + 0j)) / (2 * math.pi)
         self._boundaries = self._compute_boundaries()
-
-    def key(self):
-        return f"blaschke({self.zeros})"
 
     def _B(self, z: complex) -> complex:
         w = 1.0 + 0j

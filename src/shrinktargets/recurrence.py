@@ -163,7 +163,6 @@ class HitSeries:
     resampled: int = 0
     ambiguous_resolved: int = 0
     window_minima: Optional[np.ndarray] = None   # (trials, windows) of min d/r_n
-    hit_indices: Optional[list] = None
 
     @property
     def ratios(self) -> np.ndarray:
@@ -324,8 +323,7 @@ def _digit_stream(m: MapModel, rng, length: int, after=None):
 
 
 def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Schedule,
-                      N: int, trials: int, seed: int, horizons=None,
-                      collect_hits: bool = False) -> HitSeries:
+                      N: int, trials: int, seed: int, horizons=None) -> HitSeries:
     """Count visits T^i(x) in P(t_i, x0) by exact word-prefix comparison: a
     hit matches the target through its own t_i, however deep."""
     seeds = _trial_seeds(m, measure, seed, trials)
@@ -340,7 +338,6 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
     word = list(islice(source, dense))
 
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
-    hit_idx = [] if collect_hits else None
     for t in range(trials):
         rng = np.random.default_rng(seeds[t])
         stream = _digit_stream(m, rng, N + min(t_max, READ_AHEAD) + 2)
@@ -367,10 +364,7 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
             live = live[stream[1 + mm + live] == word[mm]]
         idx = np.concatenate(found) + 1       # ascending, as retired
         hits[t] = np.searchsorted(idx, cps, side="right")
-        if collect_hits:
-            hit_idx.append(idx)
-    return HitSeries(cps, hits, norm, seeds, engine="symbolic", kind="symbolic",
-                     hit_indices=hit_idx)
+    return HitSeries(cps, hits, norm, seeds, engine="symbolic", kind="symbolic")
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +457,7 @@ def _window_positions(m, stream: np.ndarray, N: int, W: int) -> np.ndarray:
 
 
 def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Schedule,
-                    N: int, trials: int, seed: int, horizons=None,
-                    collect_hits: bool = False) -> HitSeries:
+                    N: int, trials: int, seed: int, horizons=None) -> HitSeries:
     """Count visits d(T^i x, x0) <= r_i; returns ratio traces and windowed
     minima of the scaled distance d/r_n between consecutive checkpoints."""
     seeds = _trial_seeds(m, measure, seed, trials)
@@ -475,28 +468,24 @@ def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sched
     norm = np.cumsum(ball_mass_array(m, measure, x0f, radii))[np.asarray(cps) - 1]
 
     if isinstance(m, (DAryShift, MarkovLinear)):
-        hits, wmins, amb, hit_idx = _metric_linear(
-            m, target, radii, N, trials, seeds, cps, collect_hits)
+        hits, wmins, amb = _metric_linear(m, target, radii, N, trials, seeds, cps)
         return HitSeries(cps, hits, norm, seeds, engine="symbolic-window",
-                         kind="metric", ambiguous_resolved=amb,
-                         window_minima=wmins, hit_indices=hit_idx)
-    hits, wmins, resampled, hit_idx = _metric_float_orbit(
-        m, measure, x0f, radii, N, trials, seeds, cps, collect_hits)
+                         kind="metric", ambiguous_resolved=amb, window_minima=wmins)
+    hits, wmins, resampled = _metric_float_orbit(m, measure, x0f, radii, N, trials, seeds, cps)
     return HitSeries(cps, hits, norm, seeds, engine="float-orbit", kind="metric",
-                     resampled=resampled, window_minima=wmins, hit_indices=hit_idx)
+                     resampled=resampled, window_minima=wmins)
 
 
 class _CheckpointTally:
-    """Cumulative hits at the checkpoints, minima of d/r_n over each window
-    (cps[k-1], cps[k]] and, if asked, the hit indices, fed in blocks of
-    consecutive orbit indices: rows are n, columns trials."""
+    """Cumulative hits at the checkpoints and minima of d/r_n over each
+    window (cps[k-1], cps[k]], fed in blocks of consecutive orbit indices:
+    rows are n, columns trials."""
 
-    def __init__(self, cps, trials, collect_hits):
+    def __init__(self, cps, trials):
         self.cps = np.asarray(cps)
         self.count = np.zeros(trials, dtype=np.int64)
         self.hits = np.zeros((trials, len(cps)), dtype=np.int64)
         self.wmins = np.full((trials, len(cps)), np.inf)
-        self.found = [] if collect_hits else None
 
     def add(self, n0, hit, d, r, t0=0):
         """Rows n0, n0+1, ... of the hits and the distances d to radii r, for
@@ -516,27 +505,14 @@ class _CheckpointTally:
         self.count[cols] = cum[-1]
         seg = np.minimum.reduceat(scaled, starts, axis=0)
         np.minimum(self.wmins[cols, k0:k1 + 1], seg.T, out=self.wmins[cols, k0:k1 + 1])
-        if self.found is not None:
-            t, i = np.nonzero(hit.T)
-            self.found.append((t + t0, i + n0))
-
-    def hit_indices(self):
-        """Per trial, the ascending orbit indices of its hits."""
-        if self.found is None:
-            return None
-        t = np.concatenate([t for t, _ in self.found])
-        n = np.concatenate([n for _, n in self.found])
-        # blocks arrive in ascending n, so a stable sort by trial keeps order
-        n = n[np.argsort(t, kind="stable")]
-        return np.split(n, np.cumsum(np.bincount(t, minlength=len(self.count)))[:-1])
 
 
-def _metric_linear(m, target, radii, N, trials, seeds, cps, collect_hits):
+def _metric_linear(m, target, radii, N, trials, seeds, cps):
     W, truncation, rounding = _window_width(m, float(radii[-1]))
     lo_b, hi_b = target.bracket(120)
     margin = truncation + rounding + float(hi_b - lo_b)     # plus the target's bracket
     x0f = float((lo_b + hi_b) / 2)
-    tally = _CheckpointTally(cps, trials, collect_hits)
+    tally = _CheckpointTally(cps, trials)
     reach = W + 193         # digits of T^n x that the exact test may read
     ambiguous = 0
     for t in range(trials):
@@ -556,11 +532,11 @@ def _metric_linear(m, target, radii, N, trials, seeds, cps, collect_hits):
                 hit[i] = ball_holds(point.bounds, target.bracket, Fraction(float(r[i])), W)
                 ambiguous += 1
             tally.add(a + 1, hit[:, None], d[:, None], r[:, None], t0=t)
-    return tally.hits, tally.wmins, ambiguous, tally.hit_indices()
+    return tally.hits, tally.wmins, ambiguous
 
 
-def _metric_float_orbit(m, measure, x0f, radii, N, trials, seeds, cps, collect_hits):
-    tally = _CheckpointTally(cps, trials, collect_hits)
+def _metric_float_orbit(m, measure, x0f, radii, N, trials, seeds, cps):
+    tally = _CheckpointTally(cps, trials)
     resampled = 0
     for n0, xs, restarts in float_orbit_blocks(m, measure, seeds, N):
         resampled += restarts
@@ -571,7 +547,7 @@ def _metric_float_orbit(m, measure, x0f, radii, N, trials, seeds, cps, collect_h
             d = np.minimum(d, 1.0 - d)
         r = radii[n0 - 1:n0 - 1 + len(xs), None]
         tally.add(n0, d <= r, d, r)
-    return tally.hits, tally.wmins, resampled, tally.hit_indices()
+    return tally.hits, tally.wmins, resampled
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import json
 import math
 import time
 from fractions import Fraction as F
@@ -111,11 +110,6 @@ class TestCylinderFromWord:
             refine_depth(gauss, 0.41, 1e-40)
         d3 = DAryShift(3)
         assert WordTarget(d3, value=0.1).digits(60) == itinerary(d3, F(0.1), 60)
-
-    def test_serialization(self, dary2):
-        c = cylinder_from_word(dary2, (0, 1))
-        rec = json.loads(c.dumps())
-        assert rec == {"word": [0, 1], "left": "1/4", "right": "1/2", "depth": 1}
 
 
 class TestPartitionStructure:
@@ -281,9 +275,8 @@ def _oracle_cylinder(m, word):
             a, b = m.inverse_branch(d, lo), m.inverse_branch(d, hi)
             lo, hi = (a, b) if a <= b else (b, a)
     if not (isinstance(lo, F) and isinstance(hi, F)):
-        return Cylinder(word, F(float(lo)), F(float(hi)), m.key(), exact=False,
-                        precision_bits=53)
-    return Cylinder(word, lo, hi, m.key())
+        return Cylinder(word, F(float(lo)), F(float(hi)), exact=False, precision_bits=53)
+    return Cylinder(word, lo, hi)
 
 
 def _oracle_itinerary(m, x, n):

@@ -27,6 +27,7 @@ from shrinktargets import (
     grid_transfer,
     rectangle_counterexample_balls,
 )
+from shrinktargets import dimension
 from shrinktargets.dimension import BOUNDS, ProbeRecord, _intermediate_constraints
 
 LOG2 = math.log(2)
@@ -169,17 +170,46 @@ SWEEP = {   # formula -> its arguments drawn over their ranges
 }
 
 
+# formula -> (its grid_lower in Fractions of the float args, before clamping; the args
+# that replace drawn ones): cantor_lambda's b/(a + c) term alone, at delta = 1
+EXACT = {
+    "code_lower": (lambda h, L_bar: h / (h + L_bar), {}),
+    "code_w": (lambda w_bar: 1 / (1 + w_bar), {}),      # 1/(1 + inf) is 0.0 in floats
+    "radii_lower": (lambda h, delta_bar, ell_bar, **_: h / (h + delta_bar * ell_bar), {}),
+    "cantor_lambda": (lambda a, b, c, **_: b / (a + c), {"delta": 1.0}),
+}
+
+
+def _finite_clamp01(x, clamp=dimension._clamp01):
+    if not math.isfinite(x):
+        raise AssertionError(f"_clamp01 got {x}")
+    return clamp(x)
+
+
 class TestBoundsAtExtremes:
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(list(SWEEP)).flatmap(lambda f: st.tuples(st.just(f), SWEEP[f])))
     def test_no_arithmetic_error_or_nan(self, drawn):
+        """No bound passes an inf or a nan to _clamp01, and each formula of
+        EXACT lies within a relative 1e-12 (or one subnormal step) of its
+        exact value, clamped."""
         formula, args = drawn
-        try:
-            b = BOUNDS[formula][0](**args)
-        except DimensionError:      # outside the table's ranges or rules
-            return
-        values = [b.grid_lower, b.hausdorff_lower, b.upper]
-        assert not any(math.isnan(v) for v in values if v is not None), (formula, args, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dimension, "_clamp01", _finite_clamp01)
+            try:
+                b = BOUNDS[formula][0](**args)
+            except DimensionError:      # outside the table's ranges or rules
+                return
+            values = [b.grid_lower, b.hausdorff_lower, b.upper]
+            assert not any(math.isnan(v) for v in values if v is not None), (formula, args, b)
+            if formula not in EXACT:
+                return
+            exact, at = EXACT[formula]
+            got = BOUNDS[formula][0](**{**args, **at}).grid_lower
+        want = min(1, max(0, exact(**{k: F(v) if isinstance(v, float) and math.isfinite(v)
+                                      else v for k, v in args.items()})))
+        assert abs(F(got) - F(want)) <= F(want) * F(1e-12) + F(math.ulp(0.0)), \
+            (formula, args, got, want)
 
 
 class TestCantorLambda:

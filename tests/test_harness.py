@@ -405,13 +405,23 @@ class TestCLI:
          ("grid_lower", "hausdorff_lower"), 1e-200),
         ({"formula": "hoeffding", "p": [0.5, 0.5], "L_lower": 1e300},
          ("upper",), math.log(2) / (math.log(2) + 1e300)),
+        # 1/a overflows; the sum in the denominator overflows
+        ({"formula": "grid_transfer", "a_n": [0.25, 0.0625, 1e-310], "b_n": [0.5, 0.25, 0.125],
+          "grid_dim": 1.0}, ("hausdorff_lower",), 1.0),
+        ({"formula": "cantor_lambda", "a": 1.7e308, "b": 1.7e308, "c": 1.7e308, "delta": 0.5,
+          "N_js": [1]}, ("grid_lower",), 0.5),
+        ({"formula": "code_lower", "h": 1.7e308, "L_bar": 1.7e308}, ("grid_lower",), 0.5),
+        ({"formula": "radii_lower", "h": 1.7e308, "delta_bar": 1, "ell_bar": 1.7e308,
+          "tau_bar": 0, "log_beta": 1}, ("grid_lower",), 0.5),
     ])
     def test_bounds_at_the_ends_of_the_float_range(self, tmp_path, evaluation, field, want):
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps({"experiment": "bounds",
                                     "params": {"evaluations": [evaluation]}}))
         assert cli.main(["bounds", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
-        rec, = json.loads((tmp_path / "o" / "results.json").read_text())["records"]
+        text = (tmp_path / "o" / "results.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        rec, = json.loads(text)["records"]
         assert all(rec[f] == pytest.approx(want, rel=1e-12) for f in field)
 
     @pytest.mark.parametrize("base, code", [(2, 3), (3, 0)])

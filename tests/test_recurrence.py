@@ -168,6 +168,18 @@ def test_hit_engines_reject_empty_runs(engine, sched, N, trials, msg, dary2, leb
         engine(dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1)), sched, N, trials, 0)
 
 
+def _every_n(N):
+    """Every n = 1..N as a horizon: the checkpoint series is then S_n at each n."""
+    return range(1, N + 1)
+
+
+def _hit_indices(hs):
+    """Per trial, the ascending n at which S_n steps up, as lists, from a run
+    with every n as a horizon."""
+    assert hs.checkpoints == list(_every_n(hs.checkpoints[-1]))
+    return [(np.flatnonzero(np.diff(row, prepend=0)) + 1).tolist() for row in hs.hits]
+
+
 def _exact_binary_hits(stream, x0, sched, N):
     """Hit indices of the D = 2 metric engine decided exactly from its digit
     stream.  The whole stream is one binary numeral: the window stream[i:]
@@ -201,9 +213,9 @@ class TestMetricHits:
         N, seed = 4000, 13
         sched = Schedule.radii_power(1.0)
         hs = run_metric_hits(dary2, lebesgue, TargetPoint.from_point(dary2, F(1, 3)),
-                             sched, N, 1, seed, collect_hits=True)
+                             sched, N, 1, seed, horizons=_every_n(N))
         stream = _digit_stream(dary2, np.random.default_rng(trial_seed(seed, 0)), N + 52 + 2)
-        assert _exact_binary_hits(stream, F(1, 3), sched, N) == hs.hit_indices[0].tolist()
+        assert _exact_binary_hits(stream, F(1, 3), sched, N) == _hit_indices(hs)[0]
 
     def test_borderline_step_resolved_exactly(self, dary2, lebesgue):
         """A constant radius equal to the float distance at step 1 puts that
@@ -217,9 +229,9 @@ class TestMetricHits:
         assert _window_width(dary2, r)[0] == W
         sched = Schedule.radii_const(r)
         hs = run_metric_hits(dary2, lebesgue, TargetPoint.from_point(dary2, x0),
-                             sched, N, 1, seed, collect_hits=True)
-        assert hs.ambiguous_resolved >= 1 and hs.hit_indices[0][0] != 1
-        assert _exact_binary_hits(stream, x0, sched, N) == hs.hit_indices[0].tolist()
+                             sched, N, 1, seed, horizons=_every_n(N))
+        assert hs.ambiguous_resolved >= 1 and _hit_indices(hs)[0][0] != 1
+        assert _exact_binary_hits(stream, x0, sched, N) == _hit_indices(hs)[0]
 
     def test_reciprocal_radii_ratio_near_one(self, dary2, lebesgue):
         # r_n = 1/n at the uniform shift: the quantitative limit is 1
@@ -270,12 +282,12 @@ class TestMetricHits:
         depths = refine_schedule_to_depths(dary2, x0, radii)
         met = run_metric_hits(dary2, lebesgue, TargetPoint.from_point(dary2, x0),
                               Schedule.custom_radii([float(r) for r in radii]),
-                              N, 3, seed, collect_hits=True)
+                              N, 3, seed, horizons=_every_n(N))
         sym = run_symbolic_hits(dary2, lebesgue, TargetPoint.from_point(dary2, x0),
                                 Schedule.custom_depths(depths), N, 3, seed,
-                                collect_hits=True)
-        for t in range(3):
-            assert set(sym.hit_indices[t]).issubset(set(met.hit_indices[t]))
+                                horizons=_every_n(N))
+        for s, m in zip(_hit_indices(sym), _hit_indices(met)):
+            assert set(s).issubset(m)
 
     def test_blaschke_circle_engine(self, blaschke_two, lebesgue):
         tgt = TargetPoint.from_point(blaschke_two, 0.2)
@@ -324,17 +336,17 @@ def _restart_script(seed):
     return {trial_seed(seed, t): d for t, d in enumerate(draws)}
 
 
-def _metric_float_orbit_per_step(m, measure, x0f, radii, N, trials, seeds, cps,
-                                 collect_hits):
+def _metric_float_orbit_per_step(m, measure, x0f, radii, N, trials, seeds, cps):
     """The float-orbit metric engine as one Python step per n: the reference
-    that the block engine must match bit for bit."""
+    that the block engine must match bit for bit.  Also returns each trial's
+    hit indices."""
     rngs, _, state = float_orbit_start_reference(m, measure, seeds)
     resampled = 0
     hitcount = np.zeros(trials, dtype=np.int64)
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
     wmins = np.full((trials, len(cps)), np.inf)
     cp_set = {c: k for k, c in enumerate(cps)}
-    hit_idx = [[] for _ in range(trials)] if collect_hits else None
+    hit_idx = [[] for _ in range(trials)]
     window = 0
     for n in range(1, N + 1):
         state, x, restarts = float_orbit_step_reference(m, measure, state, rngs)
@@ -345,9 +357,8 @@ def _metric_float_orbit_per_step(m, measure, x0f, radii, N, trials, seeds, cps,
         r = radii[n - 1]
         sel = d <= r
         hitcount += sel
-        if collect_hits and sel.any():
-            for t in np.flatnonzero(sel):
-                hit_idx[t].append(n)
+        for t in np.flatnonzero(sel):
+            hit_idx[t].append(n)
         np.minimum(wmins[:, window], d / r, out=wmins[:, window])
         if n in cp_set:
             hits[:, cp_set[n]] = hitcount
@@ -421,15 +432,16 @@ class TestFloatOrbitBlocks:
         tgt = TargetPoint.from_word(m, x0) if isinstance(x0, tuple) \
             else TargetPoint.from_point(m, x0)
         sched = Schedule.radii_power(1.0)
-        hs = run_metric_hits(m, measure(), tgt, sched, N, 4, 5, horizons=horizons,
-                             collect_hits=True)
+        hs = run_metric_hits(m, measure(), tgt, sched, N, 4, 5, horizons=horizons)
         hits, wmins, resampled, hit_idx = _metric_float_orbit_per_step(
             m, measure(), tgt.float_value(), sched.radii_array(N), N, 4,
-            hs.trial_seeds, hs.checkpoints, True)
+            hs.trial_seeds, hs.checkpoints)
         assert hs.hits.tolist() == hits.tolist()
         assert hs.window_minima.tobytes() == wmins.tobytes()
-        assert [h.tolist() for h in hs.hit_indices] == hit_idx
         assert hs.resampled == resampled == self._restarts(kind, N)
+        if horizons is None:        # the hit indices do not depend on the horizons
+            every = run_metric_hits(m, measure(), tgt, sched, N, 4, 5, horizons=_every_n(N))
+            assert _hit_indices(every) == hit_idx
 
     @pytest.mark.parametrize("kind", ["gauss", "blaschke"])
     @pytest.mark.parametrize("n_iter", SIZES)
@@ -539,9 +551,9 @@ class TestExactResolver:
         inside = x0 - R <= c.left and c.right <= x0 + R
         assert inside or c.right < x0 - R or c.left > x0 + R
         hs = run_metric_hits(dary2, lebesgue, TargetPoint.from_point(dary2, x0),
-                             Schedule.custom_radii([r]), N, 1, seed, collect_hits=True)
+                             Schedule.custom_radii([r]), N, 1, seed, horizons=_every_n(N))
         assert hs.ambiguous_resolved >= 1
-        assert (N in hs.hit_indices[0].tolist()) == inside
+        assert (N in _hit_indices(hs)[0]) == inside
 
     def test_chain_reads_on_from_the_last_digit(self, zero_diagonal):
         # the continuation steps through row M[last], never redraws from p
@@ -584,16 +596,16 @@ class TestExactResolver:
         assert more.tolist() == self._bits_of_bytes(clone, 3)[:20]
 
 
-def _symbolic_per_depth(m, measure, target, sched, N, trials, seed, horizons, collect_hits):
+def _symbolic_per_depth(m, measure, target, sched, N, trials, seed, horizons):
     """The symbolic engine as one full-length mask per digit depth, read
     until no index still matches: the reference that the survivor engine
-    must match bit for bit.  A stream reads on from the trial's generator
-    as far as the next depth needs."""
+    must match bit for bit, with each trial's hit indices.  A stream reads
+    on from the trial's generator as far as the next depth needs."""
     depths = sched.depths_array(N)
     cps = _checkpoints(N, horizons)
     norm = np.cumsum(cylinder_mass_by_depth(m, measure, target, depths))[np.asarray(cps) - 1]
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
-    hit_idx = [] if collect_hits else None
+    hit_idx = []
     for t in range(trials):
         rng = np.random.default_rng(trial_seed(seed, t))
         stream = _digit_stream(m, rng, N + min(int(depths.max()), READ_AHEAD) + 2)
@@ -608,15 +620,14 @@ def _symbolic_per_depth(m, measure, target, sched, N, trials, seed, horizons, co
             acc &= stream[1 + mm: 1 + mm + N] == digit
             hit[depths == mm] = acc[depths == mm]
         hits[t] = np.cumsum(hit)[np.asarray(cps) - 1]
-        if collect_hits:
-            hit_idx.append(np.flatnonzero(hit) + 1)
+        hit_idx.append((np.flatnonzero(hit) + 1).tolist())
     return hits, norm, hit_idx
 
 
-def _metric_whole_stream(m, measure, target, sched, N, trials, seed, horizons, collect_hits):
+def _metric_whole_stream(m, measure, target, sched, N, trials, seed, horizons):
     """The linear metric engine as one pass over each trial's whole stream:
     the reference that the block engine must match bit for bit.  Also
-    returns the orbit indices it resolved exactly.  It reads _window_width
+    returns each trial's hit indices and the orbit indices it resolved exactly.  It reads _window_width
     and _digit_stream through the module, so a monkeypatch reaches both."""
     radii = sched.radii_array(N)
     cps = _checkpoints(N, horizons)
@@ -626,9 +637,9 @@ def _metric_whole_stream(m, measure, target, sched, N, trials, seed, horizons, c
     margin = truncation + rounding
     lo_b, hi_b = target.bracket(120)
     x0f = float((lo_b + hi_b) / 2)
-    tally = _CheckpointTally(cps, trials, collect_hits)
+    tally = _CheckpointTally(cps, trials)
     reach = W + 193
-    resolved = []
+    resolved, hit_idx = [], []
     for t in range(trials):
         rng = np.random.default_rng(trial_seed(seed, t))
         stream = recurrence._digit_stream(m, rng, N + W + 2)
@@ -645,7 +656,8 @@ def _metric_whole_stream(m, measure, target, sched, N, trials, seed, horizons, c
             hit[i] = ball_holds(point.bounds, target.bracket, F(float(radii[i])), W)
             resolved.append(n)
         tally.add(1, hit[:, None], d[:, None], radii[:, None], t0=t)
-    return tally.hits, norm, tally.hit_indices(), tally.wmins, len(resolved), resolved
+        hit_idx.append((np.flatnonzero(hit) + 1).tolist())
+    return tally.hits, norm, hit_idx, tally.wmins, len(resolved), resolved
 
 
 def _target_of(m, x0):
@@ -695,14 +707,14 @@ class TestSymbolicFullDepth:
     def test_hits_match_through_their_own_depth(self, sched):
         m, N, trials, seed = _sticky_chain(), 10 ** 6, 2, 3
         hs = run_symbolic_hits(m, LebesgueMeasure(), (0,), sched, N, trials, seed,
-                               collect_hits=True)
+                               horizons=_every_n(N))
         depths = sched.depths_array(N)
         assert depths.max() > READ_AHEAD
-        for t, idx in enumerate(hs.hit_indices):
+        for t, idx in enumerate(_hit_indices(hs)):
             # one long draw: a chain stream that reads on continues it bit for bit
             rng = np.random.default_rng(trial_seed(seed, t))
             stream = _digit_stream(m, rng, N + int(depths.max()) + 2)
-            assert idx.tolist() == self._zero_run_hits(stream, depths).tolist()
+            assert idx == self._zero_run_hits(stream, depths).tolist()
         # a hit run ends with chance q = 1/100 per step, so the count is compound
         # Poisson: about q * sum mu runs of mean length 1/q, variance (2 - q) / q^2
         q = 0.01
@@ -719,32 +731,32 @@ class TestLinearEnginesMatchOracles:
         Schedule.depth_log_floor(2), Schedule.depth_power_floor(2), Schedule.depth_const(0),
         Schedule.custom_depths([0, 0, 1, 3, 3, 7, 12, 12, 20])], ids=lambda s: s.kind)
     @pytest.mark.parametrize("N, horizons", _SIZES)
-    @pytest.mark.parametrize("collect", [True, False])
-    def test_symbolic(self, kind, sched, N, horizons, collect, request):
+    @pytest.mark.parametrize("every_n", [True, False])
+    def test_symbolic(self, kind, sched, N, horizons, every_n, request):
         m, mu, x0 = _oracle_case(kind, request)
         tgt = _target_of(m, x0)
-        hs = run_symbolic_hits(m, mu, tgt, sched, N, 3, 4, horizons=horizons,
-                               collect_hits=collect)
-        hits, norm, hit_idx = _symbolic_per_depth(m, mu, tgt, sched, N, 3, 4, horizons, collect)
+        horizons = _every_n(N) if every_n else horizons
+        hs = run_symbolic_hits(m, mu, tgt, sched, N, 3, 4, horizons=horizons)
+        hits, norm, hit_idx = _symbolic_per_depth(m, mu, tgt, sched, N, 3, 4, horizons)
         assert hs.hits.tolist() == hits.tolist()
         assert hs.normalizer.tolist() == norm.tolist()
-        assert (hs.hit_indices is None) == (not collect)
-        if collect:
-            assert [h.tolist() for h in hs.hit_indices] == [h.tolist() for h in hit_idx]
+        if every_n:
+            assert _hit_indices(hs) == hit_idx
 
     @staticmethod
-    def _check_metric(m, mu, tgt, sched, N, horizons, collect, trials=3, seed=4):
-        hs = run_metric_hits(m, mu, tgt, sched, N, trials, seed, horizons=horizons,
-                             collect_hits=collect)
+    def _check_metric(m, mu, tgt, sched, N, horizons, every_n, trials=3, seed=4):
+        """With every_n, every n is a horizon in place of the given ones, and
+        the differenced series must give the oracle's hit indices."""
+        horizons = _every_n(N) if every_n else horizons
+        hs = run_metric_hits(m, mu, tgt, sched, N, trials, seed, horizons=horizons)
         hits, norm, hit_idx, wmins, amb, resolved = _metric_whole_stream(
-            m, mu, tgt, sched, N, trials, seed, horizons, collect)
+            m, mu, tgt, sched, N, trials, seed, horizons)
         assert hs.hits.tolist() == hits.tolist()
         assert hs.normalizer.tolist() == norm.tolist()
         assert hs.window_minima.tolist() == wmins.tolist()
         assert hs.ambiguous_resolved == amb
-        assert (hs.hit_indices is None) == (not collect)
-        if collect:
-            assert [h.tolist() for h in hs.hit_indices] == [h.tolist() for h in hit_idx]
+        if every_n:
+            assert _hit_indices(hs) == hit_idx
         return resolved
 
     @pytest.mark.parametrize("kind", list(_ORACLE_MAPS))
@@ -753,10 +765,10 @@ class TestLinearEnginesMatchOracles:
         Schedule.custom_radii([0.5, 0.25, 0.125, 2.0 ** -10, 2.0 ** -20])],
         ids=lambda s: s.kind)
     @pytest.mark.parametrize("N, horizons", _SIZES)
-    @pytest.mark.parametrize("collect", [True, False])
-    def test_metric(self, kind, sched, N, horizons, collect, request):
+    @pytest.mark.parametrize("every_n", [True, False])
+    def test_metric(self, kind, sched, N, horizons, every_n, request):
         m, mu, x0 = _oracle_case(kind, request)
-        self._check_metric(m, mu, _target_of(m, x0), sched, N, horizons, collect)
+        self._check_metric(m, mu, _target_of(m, x0), sched, N, horizons, every_n)
 
     def test_binary_windows_equal_the_correlation(self, dary2):
         """D = 2 window values are dyadics of at most W <= 52 bits: doubling
@@ -793,7 +805,7 @@ class TestLinearEnginesMatchOracles:
         m, mu, x0 = _oracle_case(kind, request)
         N = 2 * B + 300
         resolved = self._check_metric(m, mu, _target_of(m, x0), Schedule.radii_const(0.1),
-                                      N, [B, B + 1], True, trials=2)
+                                      N, None, True, trials=2)
         engine_calls, oracle_calls = calls[:len(calls) // 2], calls[len(calls) // 2:]
         assert engine_calls == oracle_calls and len(engine_calls) >= 1
         assert any(n > B for n in resolved)

@@ -36,6 +36,8 @@ a point x0, a gridprobe grid or ball) and should exit 2, never 3; and
 extreme_exits, the same on each config of EXTREME, at the ends of the float
 range, whose bounds should exit 0 and whose gridprobes, with balls below
 the float range, 3; either records "traceback" where cli.main raised.
+extreme_values holds the grid_lower, hausdorff_lower and upper that each
+bounds config of EXTREME wrote to its results.json.
 Last, it counts the lines of each src/shrinktargets/*.py module and their
 total (src_lines), so that the size of the code is read from the same file
 as its times.  The file also names the commit it measured (git rev-parse
@@ -151,6 +153,13 @@ EXTREME = {         # name -> config document at the ends of the float range
     "bound_radii_ell_1e200": _bound(formula="radii_lower", h=1, delta_bar=1, ell_bar=1e200,
                                     log_beta=1),
     "bound_hoeffding_L_1e300": _bound(formula="hoeffding", p=[0.5, 0.5], L_lower=1e300),
+    "bound_transfer_a_1e-310": _bound(formula="grid_transfer", a_n=[0.25, 0.0625, 1e-310],
+                                      b_n=[0.5, 0.25, 0.125], grid_dim=1.0),
+    "bound_lambda_1.7e308": _bound(formula="cantor_lambda", a=1.7e308, b=1.7e308, c=1.7e308,
+                                   delta=0.5, N_js=[1]),
+    "bound_code_1.7e308": _bound(formula="code_lower", h=1.7e308, L_bar=1.7e308),
+    "bound_radii_h_ell_1.7e308": _bound(formula="radii_lower", h=1.7e308, delta_bar=1,
+                                        ell_bar=1.7e308, tau_bar=0, log_beta=1),
     "gridprobe_discs_underflow": _probe({"kind": "rectangle", "a": "7/10", "b": "6/10"},
                                         {"kind": "corner_discs", "kmax": 500}),
     "gridprobe_intervals_underflow": _probe({"kind": "interval", "split": "1/2"},
@@ -293,25 +302,32 @@ def verdict_sweep() -> dict:
     return out
 
 
-def config_exits(configs: dict) -> dict:
-    """Exit code of cli.main, in this process, on each config of configs, or
-    "traceback" where cli.main raised."""
+def config_exits(configs: dict):
+    """(exits, values): the exit code of cli.main, in this process, on each
+    config of configs, or "traceback" where cli.main raised; and the
+    grid_lower, hausdorff_lower and upper of each bounds config that wrote
+    a results.json."""
     sys.path.insert(0, "src")
     from shrinktargets import cli
 
-    out = {}
+    out, values = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in configs.items():
-            path = os.path.join(tmp, f"{name}.json")
+            path, results = os.path.join(tmp, f"{name}.json"), os.path.join(tmp, name)
             with open(path, "w") as fh:
                 json.dump(doc, fh)
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 try:
-                    out[name] = cli.main([doc["experiment"], "--config", path])
+                    out[name] = cli.main([doc["experiment"], "--config", path, "--out", results])
                 except Exception:
                     out[name] = "traceback"
-    return out
+            results = os.path.join(results, "results.json")
+            if doc["experiment"] == "bounds" and os.path.exists(results):
+                with open(results) as fh:
+                    rec, = json.load(fh)["records"]
+                values[name] = {k: rec[k] for k in ("grid_lower", "hausdorff_lower", "upper")}
+    return out, values
 
 
 def src_lines() -> dict:
@@ -366,9 +382,10 @@ def main(argv=None) -> int:
         f"{k} {'monotone' if v['monotone'] else 'NOT monotone'} {v['best_s']:.3f} s"
         for k, v in doc["verdict_sweep"].items()), file=sys.stderr)
     for key, configs in (("config_exits", MALFORMED), ("extreme_exits", EXTREME)):
-        doc[key] = config_exits(configs)
+        doc[key], values = config_exits(configs)
         print(f"{key.replace('_', ' ')}: " + ", ".join(f"{k} {v}" for k, v in doc[key].items()),
               file=sys.stderr)
+    doc["extreme_values"] = values
     doc["tests"] = run_tests()
     print(f"tier-1: {doc['tests']['wall_s']:.1f} s, {doc['tests']['outcome']}", file=sys.stderr)
     doc["src_lines"] = src_lines()
