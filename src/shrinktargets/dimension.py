@@ -132,12 +132,13 @@ def bound_upper_finite(D: int, h: float, L_lower: Optional[float] = None,
                        ell_lower: Optional[float] = None) -> DimensionBound:
     """Upper bound min(1, log D/(h + rate)) for finite alphabets, where the
     rate is L_lower for cylinder targets or delta_lower*ell_lower for balls."""
-    _check("upper_finite", locals())
-    rate, tag = (L_lower, "log D/(h + L_lower)") if L_lower is not None else \
-        (delta_lower * ell_lower, "log D/(h + delta_lower*ell_lower)")
-    return DimensionBound(upper=min(1.0, math.log(D) / (h + rate)),
-                          formula=tag,
-                          inputs={"D": D, "h": h, "rate": rate})
+    given = {k: v for k, v in locals().items() if v is not None}
+    _check("upper_finite", given)
+    # one formula for both rates: L_lower is the product L_lower * 1.0, exact
+    rate, tag = ((L_lower, 1.0), "log D/(h + L_lower)") if L_lower is not None else \
+        ((delta_lower, ell_lower), "log D/(h + delta_lower*ell_lower)")
+    return DimensionBound(upper=_clamped(lambda l, h, d, e: l / (h + d * e), math.log(D), h, *rate),
+                          formula=tag, inputs=given)
 
 
 def bound_hoeffding(p: Sequence[float], L_lower: float) -> DimensionBound:
@@ -524,22 +525,18 @@ def frostman_exponent(stage: CantorStage, c_cap: float = 1e3) -> dict:
     intermediate cylinders between a nested parent and its fine children
     (where nu aggregates over siblings).  Cylinders between a fine block
     and its nested child carry constant nu with shrinking lambda, so only
-    the nested endpoint binds; those are skipped.  The log-log regression
-    slope over the blocks is reported for diagnostics.  Blocks of one
-    (lambda, nu) class give one constraint and one weighted point.
+    the nested endpoint binds; those are skipped.  Blocks of one
+    (lambda, nu) class give one constraint.
     """
     log_cap = math.log(c_cap)
     constraints = []
-    pairs = []       # (log lam, log nu, count) over distinct block classes
     total_blocks = 0
     classes = stage.level_classes()
     for lvl, level_classes in zip(stage.levels, classes):
-        for lam_f, lam_n, nu, cnt in level_classes:
+        for lam_f, lam_n, nu, _ in level_classes:
             ln = log_mass(nu)
             for lam in ((lam_f, lam_n) if lam_n != lam_f else (lam_f,)):
-                ll = log_mass(lam)
-                constraints.append((log_cap - ln) / (-ll))
-                pairs.append((ll, ln, cnt))
+                constraints.append((log_cap - ln) / (-log_mass(lam)))
         total_blocks += lvl.count * (2 if lvl.nested_suffix else 1)
     if total_blocks < 10:
         raise DimensionError("insufficient resolution: fewer than 10 blocks")
@@ -550,18 +547,7 @@ def frostman_exponent(stage: CantorStage, c_cap: float = 1e3) -> dict:
         parents = [(lam_n, nu) for _, lam_n, nu, _ in level_classes]
 
     gamma = min(1.0, min(constraints))
-    xs = np.array([p[0] for p in pairs])
-    ys = np.array([p[1] for p in pairs])
-    # counts scale by an even power of two (1 within the float range): exact, same fit
-    shift = max(0, max(p[2] for p in pairs).bit_length() - 960) & ~1
-    wts = np.array([float(Fraction(p[2], 1 << shift)) for p in pairs])
-    A = np.vstack([xs, np.ones_like(xs)]).T * np.sqrt(wts)[:, None]
-    yw = ys * np.sqrt(wts)
-    sol, res, _, _ = np.linalg.lstsq(A, yw, rcond=None)
-    slope = float(sol[0])
-    resid = float(np.sqrt(res[0] / wts.sum())) if len(res) else 0.0
-    return {"gamma": float(gamma), "cap": c_cap, "blocks": total_blocks,
-            "regression_slope": slope, "regression_rms_residual": resid}
+    return {"gamma": float(gamma), "cap": c_cap, "blocks": total_blocks}
 
 
 def _intermediate_constraints(lvl: StageLevel, parents, log_cap: float):

@@ -209,7 +209,7 @@ class HitSeries:
 
 
 def _checkpoints(N: int, horizons) -> list:
-    return sorted({int(h) for h in horizons or () if h <= N} | {N})
+    return sorted({int(h) for h in (() if horizons is None else horizons) if h <= N} | {N})
 
 
 def _trial_seeds(m, measure, seed: int, trials: int) -> list:
@@ -557,7 +557,6 @@ def _metric_float_orbit(m, measure, x0f, radii, N, trials, seeds, cps):
 class BCVerdict:
     verdict: str                 # "FullMeasure" | "MeasureZero" | "Inconclusive"
     series: str                  # description of the series tested
-    exponent: Optional[float]    # delta + tau_bar/log beta (= 1) of the strengthened series
     partial_sums: list
     reasoning: str
     heuristic: bool = False
@@ -569,30 +568,27 @@ class BCVerdict:
 PARTIAL_SUM_SCALES = (10 ** 3, 10 ** 4, 10 ** 5)
 
 
-def _partial_sums(terms: np.ndarray) -> list:
-    """Partial sums of the series terms[n-1], n = 1.., up to each scale."""
-    ends = (0, *PARTIAL_SUM_SCALES)
-    return list(accumulate(float(np.sum(terms[a:b])) for a, b in zip(ends, ends[1:])))
-
-
 def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
                             sched: Schedule) -> BCVerdict:
     """Measure dichotomy for the "infinitely often" set of the schedule.
 
     Convergent mass series  => MeasureZero (direct Borel-Cantelli).
-    Divergent series        => FullMeasure, via the divergence theorem for
-    cylinder targets, or via the epsilon-strengthened radii series with
-    exponent delta + tau_bar/log(beta) for metric targets.
+    Divergent series        => FullMeasure, by the divergence theorem for
+    cylinder targets and the dynamical Borel-Cantelli lemma for balls.
 
     Every admitted (map, measure) pair (check_invariant) has a density
-    bounded above and below, so the local dimension delta is 1.  tau_bar,
-    the growth rate of |P(t-1)| / |P(t)| about x0, is 0 wherever |T'| is
-    bounded, as on the D-ary, Markov and Blaschke maps: T^(t-1) maps P(t-1)
-    onto the block of digit i_{t-1} and P(t) onto its part whose next digit
-    is i_t, and by bounded distortion the ratio stays within a constant
-    factor of that of the images, one of finitely many.  On the Gauss map
-    the ratio is about a_t^2, bounded for a word target.  So power radii
-    n^(-1/alpha) compare alpha with 1 exactly.
+    bounded above and below, so sum mu(B(x0, r_n)) diverges iff sum r_n
+    does, and then so does sum mu(I_n) for the half I_n of B_n, [x0, x0 +
+    r_n) or (x0 - r_n, x0], with more room in the domain (on the circle, cut
+    at a fixed point p: S(t) - t gains N - 1 >= 1 per turn).  T^n x is in
+    I_n for infinitely many n, for mu-a.e. x, by Philipp ("Some metrical
+    theorems in number theory", Pacific J. Math. 1967) on the Gauss map and
+    x -> Dx mod 1, and by Kim ("The dynamical Borel-Cantelli lemma for
+    interval maps", Discrete Contin. Dyn. Syst. 2007: finitely many C^2
+    expanding branches, a mixing acim) on the Markov maps (affine branches,
+    density 1, mixing as M is primitive; if only T^k expands, Kim for T^k on
+    a class n = j mod k whose sum diverges) and the Blaschke maps cut at p
+    (N full branches, |T'| = |B'| > 1: exact for Lebesgue measure).
 
     Log-floor depths floor(log_b n) give about (b - 1) b^t indices depth t,
     and the masses of a target with period p shrink by rho, the inverse of
@@ -604,11 +600,8 @@ def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
     (_mass_rate), and log b >= rate, monotone in b, is its verdict, unless
     a forbidden transition makes its masses exactly 0: a finite sum.
 
-    A custom table repeats its last entry, so it reads as the constant
-    schedule of that entry.  Verdicts are exact unless marked heuristic:
-    those rate verdicts, and FullMeasure for a Gauss point target under
-    power radii, which assumes tau_bar = 0, which its unknown digits may not
-    give.
+    A custom table reads as the constant schedule of its last entry, which
+    repeats.  Only those rate verdicts are heuristic.
     """
     check_invariant(m, measure)
     target = Target.of(m, target)
@@ -618,32 +611,22 @@ def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
 
 
 def _classify_radii(m, measure, target, sched):
-    psums = _partial_sums(ball_mass_array(
-        m, measure, target.float_value(), sched.radii_array(PARTIAL_SUM_SCALES[-1])))
-    if sched.kind in ("radii_const", "custom_radii"):        # a table's last radius repeats
-        return BCVerdict("FullMeasure", "sum mu(B(x0,r)) with constant r", None, psums,
-                         "constant radii: the mass series diverges linearly and "
-                         "the strengthened series diverges for every exponent")
+    ends = (0, *PARTIAL_SUM_SCALES)     # the mass series summed up to each scale
+    terms = ball_mass_array(m, measure, target.float_value(), sched.radii_array(ends[-1]))
+    psums = list(accumulate(float(np.sum(terms[a:b])) for a, b in pairwise(ends)))
+    alpha = sched.params.get("alpha")       # radii_power
     if sched.kind == "radii_exp":
-        return BCVerdict("MeasureZero", "sum mu(B(x0, e^{-kappa n})) (geometric)", None,
-                         psums, "geometrically summable ball masses: direct Borel-Cantelli")
-    alpha = sched.params["alpha"]       # radii_power
+        return BCVerdict("MeasureZero", "sum mu(B(x0, e^{-kappa n})) (geometric)", psums,
+                         "geometrically summable ball masses: direct Borel-Cantelli")
+    if alpha is None:       # radii_const, custom_radii: a table's last radius repeats
+        return BCVerdict("FullMeasure", "sum mu(B(x0,r)) with constant r", psums,
+                         "constant radii: the mass series diverges linearly")
+    series = f"sum mu(B(x0, n^-1/alpha)), alpha={alpha}"
     if alpha < 1:
-        return BCVerdict("MeasureZero", f"sum mu(B(x0, n^-1/alpha)), alpha={alpha}",
-                         None, psums,
+        return BCVerdict("MeasureZero", series, psums,
                          "sum n^(-1/alpha) converges for alpha < 1: direct Borel-Cantelli")
-    if alpha > 1:
-        eps = (alpha - 1) / 2
-        n = np.arange(1, PARTIAL_SUM_SCALES[-1] + 1, dtype=float)
-        strengthened = _partial_sums(n ** (-(1 + eps) / alpha))
-        return BCVerdict("FullMeasure", f"sum r_n^(1 + eps), alpha={alpha}",
-                         1.0, strengthened,
-                         f"the strengthened series diverges for eps = {eps:.3g}",
-                         heuristic=isinstance(m, GaussMap) and target.word is None)
-    return BCVerdict("Inconclusive",
-                     "sum mu(B) diverges but sum r_n^(1+eps) converges "
-                     "for every eps > 0", 1.0, psums,
-                     "between the convergence and divergence criteria")
+    return BCVerdict("FullMeasure", series, psums,
+                     "sum n^(-1/alpha) diverges for alpha >= 1: dynamical Borel-Cantelli")
 
 
 def _classify_depths(m, measure, target, sched):
@@ -658,34 +641,34 @@ def _classify_depths(m, measure, target, sched):
         t = t if target.word is None else min(t, len(target.word))
         word = () if target.value is not None else target.digits(t)
         if all(map(m.admissible, word, word[1:])):
-            return BCVerdict("FullMeasure", "sum mu(P(t, x0)) with constant t",
-                             None, psums, "constant-depth cylinder masses diverge linearly")
-        return BCVerdict("MeasureZero", "sum mu(P(t, x0)) with constant t", None, psums,
+            return BCVerdict("FullMeasure", "sum mu(P(t, x0)) with constant t", psums,
+                             "constant-depth cylinder masses diverge linearly")
+        return BCVerdict("MeasureZero", "sum mu(P(t, x0)) with constant t", psums,
                          "the depth-t word leaves the support: every term is 0")
     if sched.kind == "depth_power_floor":
         # sum c^(n^kappa) converges for every kappa > 0 and c < 1
         return BCVerdict("MeasureZero",
                          "sum mu(P(floor(n^kappa), x0)) <= sum (max mass ratio)^(n^kappa)",
-                         None, psums, "stretched-geometric masses are summable for kappa > 0")
+                         psums, "stretched-geometric masses are summable for kappa > 0")
     b = sched.params["base"]       # depth_log_floor
     series = f"sum mu(P(floor(log_{b:g} n), x0))"
     diverges = _log_floor_diverges(m, target, Fraction(b))
     if diverges is None:        # one estimated rate, so monotone in b
         rate = _mass_rate(m, measure, target)
         if rate is None:
-            return BCVerdict("Inconclusive", series, None, psums, "the masses end or fall "
+            return BCVerdict("Inconclusive", series, psums, "the masses end or fall "
                              "below 2^-40 by depth 1 (heuristic)", heuristic=True)
         if rate == math.inf:
-            return BCVerdict("MeasureZero", series, None, psums, "a transition the chain "
+            return BCVerdict("MeasureZero", series, psums, "a transition the chain "
                              "forbids makes the masses exactly 0: the series is a finite sum")
         verdict = "FullMeasure" if math.log(b) >= rate else "MeasureZero"
-        return BCVerdict(verdict, series, None, psums, f"masses shrink by e^-{rate:.4g} "
+        return BCVerdict(verdict, series, psums, f"masses shrink by e^-{rate:.4g} "
                          f"per digit; log b = {math.log(b):.4g} (heuristic)", heuristic=True)
     if diverges:
-        return BCVerdict("FullMeasure", series, None, psums,
+        return BCVerdict("FullMeasure", series, psums,
                          "about (b-1) b^t terms of depth t, masses shrinking by "
                          "rho per period p, and b^p rho >= 1: the series diverges")
-    return BCVerdict("MeasureZero", series, None, psums,
+    return BCVerdict("MeasureZero", series, psums,
                      "b^p rho < 1: a convergent geometric series bounds it")
 
 

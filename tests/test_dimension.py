@@ -211,6 +211,19 @@ class TestBoundsAtExtremes:
         assert abs(F(got) - F(want)) <= F(want) * F(1e-12) + F(math.ulp(0.0)), \
             (formula, args, got, want)
 
+    @pytest.mark.parametrize("args", [{"h": 1.7e308, "L_lower": 1.7e308},
+                                      {"h": 1.0, "delta_lower": 1e200, "ell_lower": 1e200}],
+                             ids=["h+L", "delta*ell"])
+    def test_upper_finite_past_the_float_range(self, args):
+        """An overflowing h + L or delta * ell is evaluated in Fractions, and
+        the inputs are the given rates, not their product."""
+        b = bound_upper_finite(2, **args)
+        rate = args.get("L_lower") or F(args["delta_lower"]) * F(args["ell_lower"])
+        assert b.upper == float(F(LOG2) / (F(args["h"]) + F(rate)))
+        assert b.inputs == {"D": 2, **args}
+        if "L_lower" in args:
+            assert b.upper == 2.0386681781174870e-309
+
 
 class TestCantorLambda:
     def test_trivial_one(self):

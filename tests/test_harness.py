@@ -413,6 +413,11 @@ class TestCLI:
         ({"formula": "code_lower", "h": 1.7e308, "L_bar": 1.7e308}, ("grid_lower",), 0.5),
         ({"formula": "radii_lower", "h": 1.7e308, "delta_bar": 1, "ell_bar": 1.7e308,
           "tau_bar": 0, "log_beta": 1}, ("grid_lower",), 0.5),
+        # h + L and delta * ell overflow
+        ({"formula": "upper_finite", "D": 2, "h": 1.7e308, "L_lower": 1.7e308}, ("upper",),
+         2.0386681781174870e-309),
+        ({"formula": "upper_finite", "D": 2, "h": 1, "delta_lower": 1e200, "ell_lower": 1e200},
+         ("upper",), 0.0),
     ])
     def test_bounds_at_the_ends_of_the_float_range(self, tmp_path, evaluation, field, want):
         cfgp = tmp_path / "c.json"
@@ -449,6 +454,26 @@ class TestCLI:
         assert doc["records"][0]["heuristic"] is False
         assert doc["summary"] == {"verdict": "FullMeasure", "heuristic": False}
         assert "heuristic" in (tmp_path / "o" / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("map_spec, x0", [
+        ({"kind": "dary", "D": 2}, {"word": [0, 1]}),
+        ({"kind": "markov", "M": [["3/4", "1/4"], ["1/2", "1/2"]], "p": ["2/3", "1/3"]},
+         {"word": [0, 1]}),
+        ({"kind": "gauss"}, {"word": [1]}),
+        ({"kind": "blaschke", "zeros": [0, 0.5]}, {"decimal": 0.3}),
+    ], ids=["dary2", "chain", "gauss", "blaschke"])
+    def test_reciprocal_radii_classify_full_measure(self, tmp_path, map_spec, x0):
+        # r_n = 1/n: sum r_n diverges, and the dynamical Borel-Cantelli lemma
+        # gives an exact FullMeasure on every map kind
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"experiment": "classify", "map": map_spec, "x0": x0,
+                                    "schedule": {"kind": "radii_power", "alpha": 1}}))
+        assert cli.main(["classify", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o" / "results.json").read_text())
+        record, = doc["records"]
+        assert record["verdict"] == "FullMeasure" and record["heuristic"] is False
+        assert "exponent" not in record
+        assert doc["summary"] == {"verdict": "FullMeasure", "heuristic": False}
 
     @pytest.mark.parametrize("experiment", ["classify", "simulate"])
     @pytest.mark.parametrize("schedule, field", [

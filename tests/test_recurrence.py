@@ -168,6 +168,18 @@ def test_hit_engines_reject_empty_runs(engine, sched, N, trials, msg, dary2, leb
         engine(dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1)), sched, N, trials, 0)
 
 
+@pytest.mark.parametrize("engine, sched", [(run_symbolic_hits, Schedule.depth_const(1)),
+                                           (run_metric_hits, Schedule.radii_const(0.1))],
+                         ids=["symbolic", "metric"])
+def test_hit_engines_read_an_array_of_horizons_as_a_list(engine, sched, dary2, lebesgue):
+    tgt = TargetPoint.from_word(dary2, (0, 1))
+    runs = [engine(dary2, lebesgue, tgt, sched, 20, 2, 0, horizons=h)
+            for h in (np.array([3, 5]), [3, 5])]
+    assert runs[0].checkpoints == runs[1].checkpoints == [3, 5, 20]
+    for name, value in vars(runs[0]).items():
+        np.testing.assert_equal(value, getattr(runs[1], name), err_msg=name)
+
+
 def _every_n(N):
     """Every n = 1..N as a horizon: the checkpoint series is then S_n at each n."""
     return range(1, N + 1)
@@ -1158,6 +1170,7 @@ class TestClassifier:
 
     # schedules whose verdict reports the mass series itself
     @pytest.mark.parametrize("sched", [Schedule.radii_power(1.0), Schedule.radii_power(0.5),
+                                       Schedule.radii_power(2.0),
                                        Schedule.radii_exp(0.5), Schedule.radii_const(0.1),
                                        Schedule.custom_radii([0.4 / k for k in range(1, 500)])])
     def test_radii_partial_sums_match_per_index_oracle(self, sched, dary2, gauss, lebesgue,
@@ -1181,11 +1194,12 @@ class TestClassifier:
 
     @pytest.mark.parametrize("case", ["dary-01", "gauss-1", "gauss-2", "gauss-12",
                                       "blaschke"])
-    def test_borderline_alpha_inconclusive(self, case, request):
+    def test_borderline_alpha_full_measure(self, case, request):
+        # sum 1/n diverges: the dynamical Borel-Cantelli lemma gives FullMeasure
         m, mu, x0 = _ALPHA_CASES[case]
         m, mu = request.getfixturevalue(m), request.getfixturevalue(mu)
         v = borel_cantelli_classify(m, mu, TargetPoint.of(m, x0), Schedule.radii_power(1.0))
-        assert v.verdict == "Inconclusive" and v.exponent == 1.0 and not v.heuristic
+        assert v.verdict == "FullMeasure" and not v.heuristic
 
     def test_const_and_exp(self, dary2, lebesgue):
         tgt = TargetPoint.from_word(dary2, (0, 1))
@@ -1248,10 +1262,15 @@ class TestClassifier:
 
     def test_reports_series_and_partials(self, gauss, gauss_measure):
         tgt = TargetPoint.from_word(gauss, (1,))
-        v = borel_cantelli_classify(gauss, gauss_measure, tgt,
-                                    Schedule.radii_power(2.0))
-        assert "eps" in v.series or "eps" in v.reasoning
-        assert len(v.partial_sums) == 3
+        sched = Schedule.radii_power(2.0)
+        v = borel_cantelli_classify(gauss, gauss_measure, tgt, sched)
+        assert v.series == "sum mu(B(x0, n^-1/alpha)), alpha=2.0"
+        # the ball masses themselves, summed up to 10^3, 10^4 and 10^5
+        masses = ball_mass_array(gauss, gauss_measure, tgt.float_value(),
+                                 sched.radii_array(10 ** 5))
+        chunks = [float(np.sum(masses[a:b])) for a, b in ((0, 10 ** 3), (10 ** 3, 10 ** 4),
+                                                          (10 ** 4, 10 ** 5))]
+        assert v.partial_sums == [sum(chunks[:k]) for k in (1, 2, 3)]
 
 
 # (map fixture, measure fixture, target) of the radii cases, all exact
@@ -1294,7 +1313,7 @@ class TestExactThresholds:
         m, mu, x0 = _ALPHA_CASES[case]
         m, mu = request.getfixturevalue(m), request.getfixturevalue(mu)
         v = borel_cantelli_classify(m, mu, TargetPoint.of(m, x0), Schedule.radii_power(alpha))
-        want = "MeasureZero" if alpha < 1 else "Inconclusive" if alpha == 1 else "FullMeasure"
+        want = "MeasureZero" if alpha < 1 else "FullMeasure"
         assert v.verdict == want and not v.heuristic
 
     @pytest.mark.parametrize("case", sorted(_LOG_FLOOR))
@@ -1325,13 +1344,18 @@ class TestExactThresholds:
     def test_without_a_period_factor_heuristic(self, gauss, gauss_measure, blaschke_two,
                                                lebesgue):
         # no exact period factor: log-floor verdicts on Blaschke maps and Gauss
-        # points, and power-radii FullMeasure on a Gauss point, are flagged
+        # points are flagged
         for m, mu, x0, sched in (
                 (blaschke_two, lebesgue, 0.3, Schedule.depth_log_floor(2)),
-                (gauss, gauss_measure, 0.41, Schedule.depth_log_floor(3)),
-                (gauss, gauss_measure, F(3, 7), Schedule.radii_power(2.0))):
+                (gauss, gauss_measure, 0.41, Schedule.depth_log_floor(3))):
             assert borel_cantelli_classify(m, mu, TargetPoint.from_point(m, x0),
                                            sched).heuristic
+
+    def test_power_radii_on_a_gauss_point_exact(self, gauss, gauss_measure):
+        # the dynamical Borel-Cantelli lemma needs no period factor
+        v = borel_cantelli_classify(gauss, gauss_measure, TargetPoint.from_point(gauss, F(3, 7)),
+                                    Schedule.radii_power(2.0))
+        assert v.verdict == "FullMeasure" and not v.heuristic
 
 
 _BLASCHKE_TWO = BlaschkeBoundary([0, 0.5])

@@ -29,7 +29,10 @@ SWEEP_TARGETS, which no exact rule covers, the verdicts of
 recurrence.borel_cantelli_classify at the 50 bases of SWEEP_BASES, a
 ``monotone`` flag (no verdict ranks below the one at a smaller base,
 MeasureZero < Inconclusive < FullMeasure) and the best-of-3 seconds of the
-sweep.  Every map is measured with its own measure (measures.own_measure).
+sweep.  Then radii_verdicts: for each target of RADII_TARGETS, the verdict
+and the heuristic flag of recurrence.borel_cantelli_classify under
+radii_power(alpha) at each alpha of RADII_ALPHAS.  Every map is measured
+with its own measure (measures.own_measure).
 Then config_exits: the exit code of cli.main on each malformed config of
 MALFORMED, each of which breaks one hypothesis on an input (a map, a bound,
 a point x0, a gridprobe grid or ball) and should exit 2, never 3; and
@@ -57,6 +60,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 MACHINE = "# machine "
 SEED = 1
@@ -95,6 +99,14 @@ SWEEP_TARGETS = {   # name -> (map spec, point x0 or digit function k -> i_k)
     "blaschke_0_half_x0.7": ({"kind": "blaschke", "zeros": [0, 0.5]}, 0.7),
     "chain_x0.3": ({"kind": "markov", "M": CHAINS["chain"], "p": ["2/3", "1/3"]}, 0.3),
     "gauss_1+k^2%4": ({"kind": "gauss"}, lambda k: 1 + k * k % 4),
+}
+RADII_ALPHAS = (0.5, 1.0, 2.0)
+RADII_TARGETS = {   # name -> (map spec, target word or point x0)
+    "dary2_01": ({"kind": "dary", "D": 2}, (0, 1)),
+    "chain_01": ({"kind": "markov", "M": CHAINS["chain"], "p": ["2/3", "1/3"]}, (0, 1)),
+    "gauss_1": ({"kind": "gauss"}, (1,)),
+    "gauss_x0_3/7": ({"kind": "gauss"}, Fraction(3, 7)),
+    "blaschke_0_half_x0.3": ({"kind": "blaschke", "zeros": [0, 0.5]}, 0.3),
 }
 RANK = {"MeasureZero": 0, "Inconclusive": 1, "FullMeasure": 2}
 SQRT = {"kind": "radii_power", "alpha": 2}
@@ -160,6 +172,9 @@ EXTREME = {         # name -> config document at the ends of the float range
     "bound_code_1.7e308": _bound(formula="code_lower", h=1.7e308, L_bar=1.7e308),
     "bound_radii_h_ell_1.7e308": _bound(formula="radii_lower", h=1.7e308, delta_bar=1,
                                         ell_bar=1.7e308, tau_bar=0, log_beta=1),
+    "bound_upper_h_L_1.7e308": _bound(formula="upper_finite", D=2, h=1.7e308, L_lower=1.7e308),
+    "bound_upper_delta_ell_1e200": _bound(formula="upper_finite", D=2, h=1, delta_lower=1e200,
+                                          ell_lower=1e200),
     "gridprobe_discs_underflow": _probe({"kind": "rectangle", "a": "7/10", "b": "6/10"},
                                         {"kind": "corner_discs", "kmax": 500}),
     "gridprobe_intervals_underflow": _probe({"kind": "interval", "split": "1/2"},
@@ -206,8 +221,6 @@ def digit_streams() -> dict:
     draws through sample_chain), on each D-ary shift of DARY_STREAMS (named
     dary<D>) and on the Gauss map, seed 0."""
     sys.path.insert(0, "src")
-    from fractions import Fraction
-
     import numpy as np
     from shrinktargets import DAryShift, GaussMap, MarkovLinear, stationary_vector
     from shrinktargets.recurrence import _digit_stream
@@ -302,6 +315,22 @@ def verdict_sweep() -> dict:
     return out
 
 
+def radii_verdicts() -> dict:
+    """Per target of RADII_TARGETS under its map's own measure, the verdict
+    and heuristic flag of radii_power(alpha), by alpha of RADII_ALPHAS."""
+    sys.path.insert(0, "src")
+    from shrinktargets import Schedule, borel_cantelli_classify, make_map, own_measure
+
+    out = {}
+    for name, (spec, x0) in RADII_TARGETS.items():
+        m = make_map(spec)
+        out[name] = {}
+        for alpha in RADII_ALPHAS:
+            v = borel_cantelli_classify(m, own_measure(m), x0, Schedule.radii_power(alpha))
+            out[name][str(alpha)] = {"verdict": v.verdict, "heuristic": v.heuristic}
+    return out
+
+
 def config_exits(configs: dict):
     """(exits, values): the exit code of cli.main, in this process, on each
     config of configs, or "traceback" where cli.main raised; and the
@@ -381,6 +410,10 @@ def main(argv=None) -> int:
     print("verdict sweep: " + ", ".join(
         f"{k} {'monotone' if v['monotone'] else 'NOT monotone'} {v['best_s']:.3f} s"
         for k, v in doc["verdict_sweep"].items()), file=sys.stderr)
+    doc["radii_verdicts"] = radii_verdicts()
+    print("radii verdicts: " + ", ".join(
+        f"{k} " + "/".join(v["verdict"] + "?" * v["heuristic"] for v in by_alpha.values())
+        for k, by_alpha in doc["radii_verdicts"].items()), file=sys.stderr)
     for key, configs in (("config_exits", MALFORMED), ("extreme_exits", EXTREME)):
         doc[key], values = config_exits(configs)
         print(f"{key.replace('_', ' ')}: " + ", ".join(f"{k} {v}" for k, v in doc[key].items()),
