@@ -274,12 +274,14 @@ def refine_schedule_to_depths(m: MapModel, x0, radii) -> list:
 
     ``x0`` is a point, a digit word or a Target, and all radii share the
     target's one prefix walk.  P(t) = [left, right] lies in B(x0, r) exactly
-    when r >= max(right - x0, x0 - left), one comparison for an x0 with an
-    exact value; else ball_holds decides, against the brackets of x0, that
-    x0 lies in B(midpoint, r - (right - left)/2).  Non-increasing radii give
-    non-decreasing depths, and the scan exploits that.  It raises MapError at
-    a float (Blaschke) cylinder that is empty or leaves the one before it by
-    more than the map's NEWTON_TOL, the float error of its endpoints.
+    when r >= rho(t) = max(right - x0, x0 - left).  Each depth keeps, as
+    integer pairs, the bracket [rho_lo, rho_hi] of rho(t) over x0's depth
+    t + 8 bracket, one value when x0's value is known.  A radius, converted
+    once, fits by cross-multiplication if r >= rho_hi and not if r < rho_lo;
+    in the gap ball_holds asks if x0 is in B(midpoint, r - (right - left)/2).
+    Non-increasing radii give non-decreasing depths, which the scan exploits.
+    It raises MapError at a float (Blaschke) cylinder that is empty or leaves
+    the one before it by more than the map's NEWTON_TOL, its float error.
     """
     target = Target.of(m, x0)
     walk = target.walk()
@@ -290,34 +292,33 @@ def refine_schedule_to_depths(m: MapModel, x0, radii) -> list:
             if not lo - m.NEWTON_TOL <= left < right <= hi + m.NEWTON_TOL:
                 raise MapError(f"float cylinder P({t}) is empty or not nested in P({t - 1})")
             return left, right
-    if target.value is None:
-        balls = {}      # t -> (midpoint, half length) of P(t)
+    reach = []      # depth t -> (rho_lo, rho_hi) of P(t) as numerator, denominator pairs
 
-        def inside(t, r):
-            if t not in balls:
-                left, right = bounds(t)
-                balls[t] = (left + right) / 2, (right - left) / 2
-            mid, half = balls[t]
-            return ball_holds(target.bracket, lambda k: (mid, mid), r - half, t + 8)
-    else:
-        x, reach = target.bracket(0)[0], {}     # t -> max(right - x0, x0 - left) over P(t)
+    def fits(t, rn, rd):
+        if t == len(reach):
+            (left, right), (lo, hi) = bounds(t), target.bracket(t + 8)
+            reach.append(max(right - hi, lo - left).as_integer_ratio()
+                         + max(right - lo, hi - left).as_integer_ratio())
+        lo_n, lo_d, hi_n, hi_d = reach[t]
+        holds = rn * hi_d >= hi_n * rd         # r >= rho_hi
+        if holds or rn * lo_d < lo_n * rd:      # or r < rho_lo
+            return holds
+        left, right = bounds(t)
+        return ball_holds(target.bracket, lambda k: ((left + right) / 2,) * 2,
+                          Fraction(rn, rd) - (right - left) / 2, t + 8)
 
-        def inside(t, r):
-            if t not in reach:
-                left, right = bounds(t)
-                reach[t] = max(right - x, x - left)
-            return reach[t] <= r
-
-    out, t, prev_r = [], 0, None
+    out, t, pn, pd = [], 0, 1, 0        # the radius before as pn/pd; 1/0 before the first
     for r in radii:
-        if r >= 1 or (prev_r is not None and r > prev_r):
+        rn, rd = (1 if r > 0 else -1, 1) if isinstance(r, float) and not math.isfinite(r) \
+            else r.as_integer_ratio()   # inf fits as 1 does; -inf and nan never fit
+        if rn >= rd or rn * pd > pn * rd:
             t = 0   # radii increased; restart the scan
-        while r < 1 and not inside(t, r):
-            if r <= 0:      # no cylinder fits, and no depth would end the scan
+        while rn < rd and not fits(t, rn, rd):
+            if rn <= 0:     # no cylinder fits, and no depth would end the scan
                 raise RuntimeError(f"refinement radius {r} is not positive")
             t += 1
             if t > 100000:
                 raise RuntimeError("max refinement depth exceeded")
         out.append(t)
-        prev_r = r
+        pn, pd = rn, rd
     return out

@@ -137,9 +137,19 @@ class MarkovStationaryMeasure(InvariantMeasure):
         p = [Fraction(x) for x in p]
         return cls(p, [list(p) for _ in p])
 
+    @cached_property
+    def scaled(self) -> tuple:
+        """(Q, S): the lcm Q of the denominators of M and the integer matrix S = Q M."""
+        Q = math.lcm(*(x.denominator for row in self.M for x in row))
+        return Q, tuple(tuple(int(x * Q) for x in row) for row in self.M)
+
+    def weight(self, word: Sequence[int]) -> int:     # prod S_{w_k w_{k+1}} along a word
+        return math.prod(self.scaled[1][a][b] for a, b in zip(word, word[1:]))
+
     def word_mass(self, word: Sequence[int]) -> Fraction:
-        w = tuple(word)
-        return self.p[w[0]] * math.prod(self.M[a][b] for a, b in zip(w, w[1:]))
+        """p_{w_0} weight(w) / Q^(|w|-1), one integer product and one Fraction."""
+        p, Q = self.p[word[0]], self.scaled[0]
+        return Fraction(p.numerator * self.weight(word), p.denominator * Q ** (len(word) - 1))
 
     def cylinder_mass(self, m, word):
         return self.word_mass(word)
@@ -311,7 +321,7 @@ def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int,
         for s in range(m.D):
             g[lo:lo + _SCAN_CHUNK, s] = np.searchsorted(cum[s], u[lo:lo + _SCAN_CHUNK],
                                                         side="right")
-    row, step = np.arange(_SCAN_CHUNK)[:, None] * m.D, 1   # flat offset of each chunk row
+    row, step = np.arange(min(_SCAN_CHUNK, len(g)))[:, None] * m.D, 1   # flat chunk row offsets
     while step < len(g) and not _coalesced(g[step:]):
         for hi in range(len(g), step, -_SCAN_CHUNK):
             lo = max(hi - _SCAN_CHUNK, step)
@@ -435,36 +445,30 @@ def correlation_mass(measure: MarkovStationaryMeasure, word_a: Sequence[int],
     """Exact mu(T^{-ell}(A) cap Q) for cylinders A, Q under the chain measure.
 
     A is the cylinder of word_a (digit positions ell..ell+|a|-1 after the
-    shift), Q the cylinder of word_q (positions 0..|q|-1).
+    shift), Q the cylinder of word_q (positions 0..|q|-1).  Disjoint windows
+    are bridged by (M^{gap+1})[q_last][a_0] = (e_{q_last} S^{gap+1})[a_0] /
+    Q^{gap+1}, M = S/Q (``scaled``): a row vector times powers S^(2^i).
     """
     if ell < 0:
         raise MeasureError("ell must be >= 0")
     a, q = tuple(word_a), tuple(word_q)
-    D = len(measure.p)
     gap = ell - len(q)
     if gap >= 0:
-        # disjoint windows: bridge with gap+1 transitions from q's end to a's start
-        P = _matrix_power(measure.M, gap + 1, D)
-        return measure.word_mass(q) * P[q[-1]][a[0]] * measure.word_mass(a) / measure.p[a[0]]
+        Q, S = measure.scaled
+        row, n = [int(j == q[-1]) for j in range(len(S))], gap + 1
+        while n:
+            if n & 1:
+                row = [sum(x * y for x, y in zip(row, col)) for col in zip(*S)]
+            n >>= 1
+            S = [[sum(x * y for x, y in zip(r, col)) for col in zip(*S)] for r in S] if n else S
+        p = measure.p[q[0]]
+        return Fraction(p.numerator * measure.weight(q) * row[a[0]] * measure.weight(a),
+                        p.denominator * Q ** (ell + len(a) - 1))
     # overlapping windows: the first k digits of a must repeat q's last ones
     k = len(q) - ell
     if q[ell:ell + len(a)] != a[:k]:
         return Fraction(0)
     return measure.word_mass(q + a[k:])
-
-
-def _matrix_power(M, n, D):
-    result = [[Fraction(1) if i == j else Fraction(0) for j in range(D)]
-              for i in range(D)]
-    base = [list(row) for row in M]
-    while n:
-        if n & 1:
-            result = [[sum(result[i][k] * base[k][j] for k in range(D))
-                       for j in range(D)] for i in range(D)]
-        base = [[sum(base[i][k] * base[k][j] for k in range(D))
-                 for j in range(D)] for i in range(D)]
-        n >>= 1
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +477,8 @@ def _matrix_power(M, n, D):
 class RegularWords(Sequence):
     """The words of one SMB-regular family in depth-first (lexicographic)
     order, kept by type (last digit, prod) instead of listed; a word's mass
-    is p_b * prod / Q^N, with prod the product of the entries of M scaled by
-    the lcm Q of their denominators.  ``states[n]`` maps each length-n
+    is p_b * prod / Q^N, with prod its weight in the scaled chain M = S/Q
+    (``MarkovStationaryMeasure.scaled``).  ``states[n]`` maps each length-n
     prefix type to the number of words through it and their summed prod,
     ``finals`` each end type to its number of words, in the order of their
     first words.  Words are unranked on access; ``size`` counts them, as
@@ -541,8 +545,8 @@ def smb_regular_cylinders(measure: MarkovStationaryMeasure, N: int, eps: float,
     window in float logs; its O(N*eps) slack dwarfs their rounding.
     """
     h = _chain_entropy(measure.p, measure.M)
-    Q = math.lcm(*(x.denominator for row in measure.M for x in row))
-    scaled = [[(d, int(x * Q)) for d, x in enumerate(row) if x > 0] for row in measure.M]
+    Q, S = measure.scaled
+    scaled = [[(d, x) for d, x in enumerate(row) if x > 0] for row in S]
     pb = measure.p[block_from]
     # log mass = log prod + log p_b - N log Q, compared against the window
     shift = log_mass(pb) - N * math.log(Q)

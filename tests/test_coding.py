@@ -418,6 +418,53 @@ class TestRefineScan:
         assert [refine_depth(dary2, F(2, 7), r) for r in radii] == \
             [_oracle_refine(dary2, F(2, 7), [r])[0] for r in radii]
 
+    def test_radius_equal_to_the_reach_gives_that_depth(self, dary2, markov):
+        # the ball is closed: P(t) fits a radius equal to max(right - x0, x0 - left)
+        for m, x0 in ((dary2, F(2, 7)), (markov, F(3, 11)), (dary2, WordTarget(dary2, (0, 1)))):
+            x = x0.value if isinstance(x0, WordTarget) else x0
+            walk = WordTarget(m, value=x).walk()
+            for t in (1, 4, 9):
+                left, right = walk.bounds(t)
+                r = max(right - x, x - left)
+                assert r < max(walk.bounds(t - 1)[1] - x, x - walk.bounds(t - 1)[0])
+                assert refine_schedule_to_depths(m, x0, [r]) == [t] == _oracle_refine(m, x0, [r])
+
+    def test_float_and_infinite_radii(self, dary2, gauss, markov):
+        radii = [0.1, 1e-5, math.inf, 0.1, 1e-5]
+        for m, x0 in ((dary2, F(2, 7)), (markov, WordTarget(markov, (0, 1, 1))),
+                      (gauss, WordTarget(gauss, (1, 2))), (dary2, WordTarget(dary2, (0, 1)))):
+            got = refine_schedule_to_depths(m, x0, radii)
+            assert got == _oracle_refine(m, x0, radii) and got[2] == 0
+
+    def test_increasing_radii(self, dary2, gauss, markov):
+        radii = [F(1, 10 ** 6), F(1, 1000), 1e-3, F(1, 100), F(1, 10), F(1, 2), F(1)]
+        for m, x0 in ((dary2, F(2, 7)), (markov, WordTarget(markov, (0, 1, 1))),
+                      (gauss, WordTarget(gauss, (1,))),
+                      (dary2, WordTarget(dary2, lambda k: k % 2))):
+            got = refine_schedule_to_depths(m, x0, radii)
+            assert got == _oracle_refine(m, x0, radii) and got == sorted(got, reverse=True)
+
+    def test_radius_in_the_bracket_gap_asks_the_ball_test(self, dary2, monkeypatch):
+        # (01)^inf read through a digit function: its value 1/3 is known only
+        # through brackets, so rho(t) of P(t) is bracketed by x0's depth t + 8
+        # cylinder [lo, hi]; a radius between rho(t) and the top of that
+        # bracket is decided by ball_holds on deeper brackets
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return ball_holds(*args)
+
+        monkeypatch.setattr("shrinktargets.coding.ball_holds", counted)
+        x0, t = WordTarget(dary2, lambda k: k % 2), 5
+        left, right = x0.walk().bounds(t)
+        lo, hi = x0.bracket(t + 8)
+        rho, rho_hi = max(right - F(1, 3), F(1, 3) - left), max(right - lo, hi - left)
+        r = (rho + rho_hi) / 2
+        assert max(right - hi, lo - left) <= rho < r < rho_hi
+        assert refine_schedule_to_depths(dary2, x0, [r]) == [t] == _oracle_refine(dary2, x0, [r])
+        assert t + 8 in calls
+
     def test_ended_gauss_orbit_raises_the_same_boundary_hit(self, gauss):
         radii = [F(1, k) for k in range(2, 200)]
         with pytest.raises(BoundaryHit) as want:

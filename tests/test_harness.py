@@ -427,7 +427,7 @@ class TestCLI:
         text = (tmp_path / "o" / "results.json").read_text()
         assert "Infinity" not in text and "NaN" not in text
         rec, = json.loads(text)["records"]
-        assert all(rec[f] == pytest.approx(want, rel=1e-12) for f in field)
+        assert all(rec[f] == pytest.approx(want, rel=1e-12, abs=0) for f in field)
 
     @pytest.mark.parametrize("base, code", [(2, 3), (3, 0)])
     def test_gauss_decimal_classify_reads_its_exact_digits(self, tmp_path, capsys, base, code):

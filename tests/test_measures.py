@@ -330,7 +330,43 @@ class TestComparability:
         assert worst <= 2.1
 
 
+MIXED = [[F(1, 3), F(2, 3), F(0)], [F(1, 2), F(0), F(1, 2)], [F(1, 5), F(2, 5), F(2, 5)]]
+
+
+def _matrix_power(M, n, D):
+    """M^n in Fractions, by squaring: the oracle of the integer-scaled chain."""
+    result = [[F(1) if i == j else F(0) for j in range(D)] for i in range(D)]
+    base = [list(row) for row in M]
+    while n:
+        if n & 1:
+            result = [[sum(result[i][k] * base[k][j] for k in range(D))
+                       for j in range(D)] for i in range(D)]
+        base = [[sum(base[i][k] * base[k][j] for k in range(D))
+                 for j in range(D)] for i in range(D)]
+        n >>= 1
+    return result
+
+
+def _fraction_word_mass(mu, w):
+    return mu.p[w[0]] * math.prod(mu.M[a][b] for a, b in zip(w, w[1:]))
+
+
 class TestCorrelation:
+    def test_mixed_denominators_match_the_fraction_oracle(self):
+        mu = MarkovStationaryMeasure(stationary_vector(MIXED), MIXED)
+        assert mu.scaled == (30, ((10, 20, 0), (15, 0, 15), (6, 12, 12)))
+        for w in [(0,), (2, 1), (0, 2), (0, 1, 2), (1, 2, 2, 0), (1, 0, 0, 1, 2, 2, 2)]:
+            assert mu.word_mass(w) == _fraction_word_mass(mu, w)
+        # (0,) then (2,) has no step at gap 0: M[0][2] = 0
+        pairs = [((1, 2, 0), (2, 2, 1)), ((2,), (0,)), ((0, 1), (1, 0)), ((2, 2), (0, 2))]
+        for gap in range(201):
+            P = _matrix_power(mu.M, gap + 1, 3)
+            for A, Q in pairs:
+                want = _fraction_word_mass(mu, Q) * P[Q[-1]][A[0]] * \
+                    _fraction_word_mass(mu, A) / mu.p[A[0]]
+                assert correlation_mass(mu, A, Q, len(Q) + gap) == want
+        assert correlation_mass(mu, (2,), (0,), 1) == 0
+
     def test_uniform_exact_product(self):
         mu = MarkovStationaryMeasure.bernoulli([F(1, 2), F(1, 2)])
         for m in range(1, 7):

@@ -12,8 +12,9 @@ with --trace 1 (per-layer metrics), and records both metric sets, the
 failed and attempted operation counts of each run and the machine that
 run.py reports.  The runs are sequential, one worker process at a time, as
 run.py starts them.  Then it runs the Tier-1 command once with pytest's
---durations, and records its wall time, its outcome counts and the time of
-each test in tests/test_acceptance.py (setup, call and teardown).  It times
+--durations, and records its wall time, its outcome counts, the time of
+each test in tests/test_acceptance.py and, as slowest_s, the ten slowest
+test ids with their times (setup, call and teardown summed).  It times
 the digit-stream layer, recurrence._digit_stream on the test suite's three
 chains (measures.sample_chain), on each D-ary shift of DARY_STREAMS and on
 the Gauss map (its per-digit loop over one float orbit), at STREAM_DIGITS
@@ -66,6 +67,7 @@ MACHINE = "# machine "
 SEED = 1
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 ACCEPTANCE = "tests/test_acceptance.py::"
+SLOWEST = 10        # the slowest tests kept, by their summed seconds
 SRC = "src/shrinktargets/*.py"
 STREAM_DIGITS = 4 * 10 ** 6
 CHAINS = {          # the chains of tests/conftest.py, row-major
@@ -196,8 +198,9 @@ def run_bench(workload: str, seconds: float, trace: int):
 
 
 def run_tests() -> dict:
-    """Wall time and outcome of the Tier-1 command, and the seconds of each
-    acceptance test as pytest's --durations reports them."""
+    """Wall time and outcome of the Tier-1 command, the seconds of each
+    acceptance test and those of the SLOWEST slowest tests, as pytest's
+    --durations reports them (setup, call and teardown summed)."""
     cmd = TIER1 + ["--durations=0", "--durations-min=0"]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in ("src", os.environ.get("PYTHONPATH")) if p)}
@@ -205,15 +208,17 @@ def run_tests() -> dict:
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
-    acceptance = {}
+    seconds = {}            # test id -> its setup, call and teardown seconds summed
     for ln in lines:        # "1.23s call     tests/test_acceptance.py::test_criterion_1_..."
-        m = re.match(r"([\d.]+)s (?:setup|call|teardown) +" + re.escape(ACCEPTANCE) + r"(\S+)", ln)
+        m = re.match(r"([\d.]+)s (?:setup|call|teardown) +(\S+)", ln)
         if m:
-            acceptance[m[2]] = acceptance.get(m[2], 0.0) + float(m[1])
+            seconds[m[2]] = seconds.get(m[2], 0.0) + float(m[1])
+    acceptance = {k[len(ACCEPTANCE):]: v for k, v in seconds.items() if k.startswith(ACCEPTANCE)}
+    slowest = sorted(seconds.items(), key=lambda kv: -kv[1])[:SLOWEST]
     outcome = {k: int(n) for n, k in re.findall(r"(\d+) (\w+)", lines[-1] if lines else "")}
     return {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:]),
             "wall_s": wall, "exit_code": proc.returncode, "outcome": outcome,
-            "acceptance_s": dict(sorted(acceptance.items()))}
+            "acceptance_s": dict(sorted(acceptance.items())), "slowest_s": dict(slowest)}
 
 
 def digit_streams() -> dict:
