@@ -27,9 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import DAryShift, MapModel, MarkovLinear
-from .measures import (MarkovStationaryMeasure, RegularWords, log_mass, own_chain,
-                       smb_regular_cylinders)
+from .maps import MapModel
+from .measures import MarkovStationaryMeasure, RegularWords, log_mass, smb_regular_cylinders
 from .coding import Target, refine_depth
 from .recurrence import Schedule
 from .schema import block, check, integer, kinds, listof, number, rational, rules, satisfies
@@ -332,9 +331,6 @@ class CantorStage:
     root_word: tuple
     root_lam: Fraction
     levels: list                 # list[StageLevel]
-    epsilon: float
-    schedule: Schedule
-    notes: dict = field(default_factory=dict)
 
     # -- iteration ------------------------------------------------------
     def iter_blocks(self, j: int, kind: str = "fine"):
@@ -464,9 +460,9 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     """
     check(CANTOR_PARAMS, {"levels": levels, "level_sizes": level_sizes, "epsilon": epsilon},
           "params", "cantor", DimensionError)
-    if not isinstance(m, (DAryShift, MarkovLinear)):
+    if not hasattr(m, "M"):
         raise DimensionError("stage construction needs a finite-alphabet linear map")
-    measure = MarkovStationaryMeasure(*own_chain(m))
+    measure = MarkovStationaryMeasure(m.p, m.M)
     target = Target.of(m, target)
     walk = target.walk()
     deep = sum(int(n) for n in level_sizes) * 4 + 64
@@ -506,7 +502,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
         base_digit = nested_suffix[-1] if nested_suffix else x0_digits[0]
 
     stage = CantorStage(m, measure, walk.digits(max(deep, depth)), root_word, root_lam,
-                        stage_levels, epsilon, sched)
+                        stage_levels)
     bad = stage.nesting_violations()
     if bad:
         raise StageConstructionError(

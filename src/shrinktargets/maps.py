@@ -11,9 +11,9 @@ Four systems are provided:
 
 All maps expose the same small surface: ``evaluate``, ``log_derivative``,
 ``inverse_branch``, ``digit_of``, ``block_interval``, ``admissible`` and a
-few structural attributes (``branch_count``, ``expansion_beta``, and
-``partition0`` on the linear maps).  Linear maps and the Gauss map are exact on
-``fractions.Fraction`` inputs; Gauss and Blaschke add vectorized float
+few structural attributes (``expansion_beta``; ``partition0`` and the digit
+chain (``p``, ``M``) on the linear maps).  Linear maps and the Gauss map are
+exact on ``fractions.Fraction`` inputs; Gauss and Blaschke add vectorized float
 ``stepper`` (a row stepper with its own buffers; the Blaschke one steps points
 of the unit circle, not angles) / ``log_derivative_array``.
 
@@ -28,8 +28,9 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import accumulate
+from operator import or_
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -66,16 +67,16 @@ def _is_exact(x) -> bool:
 
 
 def primitivity_exponent(M) -> Optional[int]:
-    """Smallest n with M^n strictly positive, or None if M is not primitive."""
+    """Smallest n with M^n strictly positive, or None if M is not primitive.
+    Row i of M^n's pattern is an int bit set: one step ORs the rows i reaches."""
     D = len(M)
-    pos = [[M[i][j] > 0 for j in range(D)] for i in range(D)]
-    cur = pos
+    succ = [[j for j in range(D) if M[i][j] > 0] for i in range(D)]
+    full, cur = (1 << D) - 1, [sum(1 << j for j in row) for row in succ]
     # Wielandt: a primitive matrix has a positive power by (D-1)^2 + 1
     for n in range(1, (D - 1) ** 2 + 2):
-        if all(all(row) for row in cur):
+        if all(row == full for row in cur):
             return n
-        cur = [[any(cur[i][k] and pos[k][j] for k in range(D)) for j in range(D)]
-               for i in range(D)]
+        cur = [reduce(or_, (cur[k] for k in row), 0) for row in succ]
     return None
 
 
@@ -100,7 +101,6 @@ class MapModel:
     """Common interface; see concrete subclasses."""
 
     kind: str = "abstract"
-    branch_count = None          # int, or None for countably many branches
     expansion_beta: float = 1.0  # certified expansion constant, > 1
     mixing_steps: int = 1        # smallest n0 with the n0-step expansion certified
     circle: bool = False
@@ -139,7 +139,8 @@ class DAryShift(MapModel):
     def __init__(self, D: int):
         _check("dary", D=D)
         self.D = D
-        self.branch_count = D
+        self.p = (Fraction(1, D),) * D
+        self.M = (self.p,) * D          # the uniform chain: every row is the one tuple p
         self.expansion_beta = float(D)
         self.partition0 = tuple(
             (Fraction(k, D), Fraction(k + 1, D)) for k in range(D)
@@ -202,7 +203,6 @@ class MarkovLinear(MapModel):
         self.M = tuple(tuple(row) for row in M)
         self.p = tuple(p)
         self.D = D
-        self.branch_count = D
 
         self._cuts = cuts = tuple(accumulate(p, initial=Fraction(0)))
         # sub-block cuts inside each P_i
@@ -216,8 +216,12 @@ class MarkovLinear(MapModel):
                   if M[i][j] > 0 else None for j in range(D))
             for i in range(D))
 
-        self.mixing_steps = primitivity_exponent(self.M)
         self.expansion_beta = self._certify_beta()
+
+    @cached_property
+    def mixing_steps(self) -> int:
+        """The primitivity exponent of M, computed on first read."""
+        return primitivity_exponent(self.M)
 
     def slope(self, i: int, j: int) -> Fraction:
         if self.M[i][j] == 0:
@@ -325,7 +329,6 @@ class GaussMap(MapModel):
     kind = "gauss"
 
     def __init__(self):
-        self.branch_count = None
         self.expansion_beta = 2.0
         self.mixing_steps = 2
 
@@ -393,7 +396,6 @@ class BlaschkeBoundary(MapModel):
         _check("blaschke", zeros=zeros)
         self.zeros = zeros = tuple(map(_point, zeros))
         self.N = len(zeros)
-        self.branch_count = self.N
         # |B'| = n0 + sum over the other zeros of (1-|a|^2)/|z-a|^2 >= n0 + sum
         # (1-|a|)/(1+|a|) > 1, with n0 >= 1 the multiplicity of 0 and N >= 2
         n0 = sum(1 for a in zeros if a == 0)

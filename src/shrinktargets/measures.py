@@ -158,15 +158,6 @@ class MarkovStationaryMeasure(InvariantMeasure):
     interval_mass, sample = LebesgueMeasure.interval_mass, LebesgueMeasure.sample
 
 
-def own_chain(m: MapModel) -> Optional[tuple]:
-    """The chain (p, M) whose law the engines sample for m: the uniform
-    chain on a dary map's D digits, a markov map's own, else None."""
-    if isinstance(m, DAryShift):
-        u = (Fraction(1, m.D),) * m.D
-        return u, (u,) * m.D
-    return (m.p, m.M) if isinstance(m, MarkovLinear) else None
-
-
 def own_measure(m: MapModel) -> InvariantMeasure:
     """The invariant measure of m that the paper measures with and the engines
     sample: the Gauss measure for the gauss map, else Lebesgue measure, which
@@ -176,9 +167,10 @@ def own_measure(m: MapModel) -> InvariantMeasure:
 
 def check_invariant(m: MapModel, measure: InvariantMeasure) -> None:
     """Raise MeasureError unless measure is the law the engines sample for m:
-    of the type of own_measure(m), or a chain equal to the map's own
-    (own_chain)."""
-    ok = (measure.p, measure.M) == own_chain(m) if isinstance(measure, MarkovStationaryMeasure) \
+    of the type of own_measure(m), or a chain equal to the chain (m.p, m.M)
+    that a linear map carries (the uniform chain on a dary map's D digits)."""
+    ok = hasattr(m, "M") and (measure.p, measure.M) == (m.p, m.M) \
+        if isinstance(measure, MarkovStationaryMeasure) \
         else isinstance(measure, type(own_measure(m)))
     if not ok:
         raise MeasureError(f"the {measure.kind} measure is not invariant for the {m.kind} map")
@@ -191,6 +183,8 @@ def stationary_vector(M: Sequence[Sequence]) -> tuple:
     """Unique strictly positive p with pM = p, sum p = 1, in exact arithmetic.
 
     Requires a primitive (some power strictly positive) row-stochastic M.
+    Its balance equations sum_i p_i M_ij = p_j have rank D - 1, so the first
+    D - 1 and sum p = 1 form a nonsingular square system: Gauss-Jordan solves it.
     """
     M = [[Fraction(x) for x in row] for row in M]
     D = len(M)
@@ -199,30 +193,17 @@ def stationary_vector(M: Sequence[Sequence]) -> tuple:
     if primitivity_exponent(M) is None:
         raise MeasureError("transition matrix not primitive")
 
-    # solve (M^T - I) p = 0 with sum p = 1 by exact elimination
-    A = [[M[i][j] - (1 if i == j else 0) for i in range(D)] for j in range(D)]
-    A.append([Fraction(1)] * D)
-    rhs = [Fraction(0)] * D + [Fraction(1)]
-    # Gaussian elimination on the (D+1) x D overdetermined system
-    rows = [A[i] + [rhs[i]] for i in range(D + 1)]
-    piv = 0
+    # rows [coefficients of p_0 .. p_{D-1} | right-hand side]; the leading
+    # (D-1)-block is -(I - M'^T), M' = M without its last state, and M irreducible
+    # makes I - M'^T a nonsingular M-matrix: no pivot is 0, so no rows swap
+    A = [[M[i][j] - (i == j) for i in range(D)] + [0] for j in range(D - 1)]
+    A.append([Fraction(1)] * (D + 1))
     for col in range(D):
-        sel = next((r for r in range(piv, D + 1) if rows[r][col] != 0), None)
-        if sel is None:
-            continue
-        rows[piv], rows[sel] = rows[sel], rows[piv]
-        inv = 1 / rows[piv][col]
-        rows[piv] = [v * inv for v in rows[piv]]
-        for r in range(D + 1):
-            if r != piv and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[piv])]
-        piv += 1
-    p = [Fraction(0)] * D
-    for r in range(piv):
-        lead = next((c for c in range(D) if rows[r][c] == 1), None)
-        if lead is not None:
-            p[lead] = rows[r][D]
+        A[col] = lead = [v / A[col][col] for v in A[col]]
+        for r in range(D):
+            if r != col and (f := A[r][col]):
+                A[r] = [v - f * w for v, w in zip(A[r], lead)]
+    p = [A[j][D] for j in range(D)]
     if any(x <= 0 for x in p) or sum(p) != 1:
         raise MeasureError("failed to find a strictly positive stationary vector")
     return tuple(p)
@@ -235,7 +216,6 @@ def stationary_vector(M: Sequence[Sequence]) -> tuple:
 class EntropyEstimate:
     value: float
     method: str                      # closed_form | birkhoff | smb
-    sample_size: Optional[int] = None
     standard_error: Optional[float] = None
     details: dict = field(default_factory=dict)
 
@@ -411,8 +391,7 @@ def entropy_birkhoff(m: MapModel, measure: InvariantMeasure, n_iter: int,
             s = np.add.accumulate(np.concatenate((s, L)))[-1:]
         vals = s[0] / n_iter
     stderr = float(vals.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else None
-    return EntropyEstimate(float(vals.mean()), "birkhoff",
-                           sample_size=n_iter, standard_error=stderr,
+    return EntropyEstimate(float(vals.mean()), "birkhoff", standard_error=stderr,
                            details={"n_iter": n_iter, "n_trials": n_trials,
                                     "seed": seed, "resampled": resampled})
 
@@ -433,8 +412,7 @@ def entropy_smb(m: MapModel, measure: InvariantMeasure, x, n: int) -> EntropyEst
         logmass = measure.log_interval_mass(*walk.bounds(n))
     else:
         logmass = log_mass(measure.cylinder_mass(m, word))
-    return EntropyEstimate(-logmass / n, "smb", sample_size=n,
-                           details={"depth": n, "word_head": list(word[:8])})
+    return EntropyEstimate(-logmass / n, "smb", details={"depth": n, "word_head": list(word[:8])})
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .coding import (PrefixWalk, Target, ball_holds,  # noqa: F401 (re-exported)
                      cylinder_from_word, period_matrix)
 from .maps import BoundaryHit, DAryShift, GaussMap, MapError, MapModel, MarkovLinear
 from .measures import (GaussMeasure, InvariantMeasure, check_invariant, float_orbit_blocks,
-                       own_chain, sample_chain, trial_seed)
+                       sample_chain, trial_seed)
 from .schema import check, integer, kinds, listof, number, rules
 
 DENSE_DIGITS = 3         # leading target digits the symbolic engine matches on every index
@@ -261,13 +261,12 @@ def cylinder_mass_by_depth(m: MapModel, measure: InvariantMeasure,
 
 
 def _mass_at(m, measure, target):
-    """mass(t) = mu(P(t, x0)) at non-decreasing t, a float: the product of the
-    map's own chain (own_chain) for any admitted measure, else the walk's."""
-    chain = own_chain(m)
-    if chain is None:
+    """mass(t) = mu(P(t, x0)) at non-decreasing t, a float: the product of a
+    linear map's chain (m.p, m.M) for any admitted measure, else the walk's."""
+    if not hasattr(m, "M"):
         walk = target.walk()
         return lambda t: float(measure.interval_mass(*walk.bounds(t)))
-    return _chain_mass(*chain, target.source())
+    return _chain_mass(m.p, m.M, target.source())
 
 
 def _chain_mass(p, M, digits):
@@ -674,15 +673,15 @@ def _classify_depths(m, measure, target, sched):
 
 def _log_floor_diverges(m, target, b: Fraction) -> Optional[bool]:
     """Whether b^p >= the multiplier of the target's period p, or None when
-    no exact rule reads it.  The multiplier is 1/q per digit on a chain whose
-    nonzero entries all equal q (own_chain; 1/D on the D-ary map), at every
-    target in the support, a word target's periodic point included; else it
-    is lambda^2 / |ad - bc| for a word target with the integer period matrix
-    (a, b, c, d) (period_matrix), lambda its Perron root, and a word that
-    leaves the support has masses 0.
+    no exact rule reads it.  The multiplier is 1/q per digit where the nonzero
+    entries of a linear map's M all equal q (1/D on the D-ary map, whose rows
+    are one tuple, read once), at every target in the support, a word
+    target's periodic point included; else it is lambda^2 / |ad - bc| for a
+    word target with the integer period matrix (a, b, c, d) (period_matrix),
+    lambda its Perron root, and a word that leaves the support has masses 0.
     """
-    chain = own_chain(m)
-    entries = set() if chain is None else {x for row in chain[1] for x in row}
+    rows = {id(row): row for row in getattr(m, "M", ())}      # each distinct row once
+    entries = {x for row in rows.values() for x in row}
     if len(entries - {0}) == 1 and (0 not in entries or target.value is not None):
         return b * max(entries) >= 1
     try:

@@ -15,6 +15,7 @@ from shrinktargets import (
     cylinder_from_word,
     make_map,
 )
+from shrinktargets.maps import primitivity_exponent
 from shrinktargets.measures import ORBIT_BLOCK, float_orbit_blocks
 from conftest import (
     blaschke_product_reference,
@@ -210,7 +211,7 @@ class TestBranchConsistency:
     @pytest.mark.parametrize("mapname", ["dary2", "markov", "gauss"])
     def test_exact_roundtrip(self, mapname, request):
         m = request.getfixturevalue(mapname)
-        digits = range(m.D) if m.branch_count else range(1, 8)
+        digits = range(m.D) if hasattr(m, "D") else range(1, 8)
         for d in digits:
             for y in (F(1, 7), F(2, 5), F(9, 11)):
                 x = m.inverse_branch(d, y)
@@ -267,6 +268,51 @@ class TestMarkovStructure:
     def test_mixing_exponent_detected(self, markov, golden_markov):
         assert markov.mixing_steps == 1
         assert golden_markov.mixing_steps == 2
+
+    def test_mixing_exponent_read_on_first_use(self):
+        # every one-step slope of this chain exceeds 1, so construction does
+        # not need the exponent
+        m = MarkovLinear([[F(3, 4), F(1, 4)], [F(1, 2), F(1, 2)]], [F(2, 3), F(1, 3)])
+        assert "mixing_steps" not in vars(m)
+        assert m.mixing_steps == 1 and vars(m)["mixing_steps"] == 1
+
+
+def _boolean_power_exponent(M):
+    """Oracle: the Wielandt loop on boolean matrix powers, entry by entry."""
+    D = len(M)
+    pos = [[M[i][j] > 0 for j in range(D)] for i in range(D)]
+    cur = pos
+    for n in range(1, (D - 1) ** 2 + 2):
+        if all(all(row) for row in cur):
+            return n
+        cur = [[any(cur[i][k] and pos[k][j] for k in range(D)) for j in range(D)]
+               for i in range(D)]
+    return None
+
+
+def _wielandt(D):
+    """i -> i + 1 and D - 1 -> {0, 1}: the primitive pattern of exponent (D-1)^2 + 1."""
+    return [[int(j == i + 1) for j in range(D)] for i in range(D - 1)] + \
+        [[1, 1] + [0] * (D - 2)]
+
+
+class TestPrimitivityExponent:
+    def test_matches_the_boolean_power_oracle(self):
+        rng, seen = np.random.default_rng(33), set()
+        for _ in range(3000):
+            D = int(rng.integers(1, 8))
+            M = (rng.random((D, D)) < rng.uniform(0.1, 0.7)).astype(int).tolist()
+            want = _boolean_power_exponent(M)
+            assert primitivity_exponent(M) == want, M
+            seen.add(want)
+        assert None in seen and len(seen) > 8      # both outcomes, many exponents
+
+    @pytest.mark.parametrize("D", [2, 3, 7, 18])
+    def test_wielandt_bound_is_reached(self, D):
+        M = _wielandt(D)
+        assert primitivity_exponent(M) == (D - 1) ** 2 + 1
+        if D <= 7:
+            assert _boolean_power_exponent(M) == (D - 1) ** 2 + 1
 
 
 class TestDistortion:

@@ -125,6 +125,65 @@ class TestStationaryVector:
         for j in range(3):
             assert sum(p[i] * M[i][j] for i in range(3)) == p[j]
 
+    def test_matches_the_overdetermined_elimination(self):
+        """Random row-stochastic matrices with zero entries, D <= 6, primitive
+        or not: the same tuple or the same MeasureError message as the
+        elimination of the (D + 1) x D system."""
+        rng, solved, refused = random.Random(33), 0, 0
+        for _ in range(2000):
+            D = rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 1, 2, 5)) for _ in range(D)] for _ in range(D)]
+            for row in rows:
+                row[rng.randrange(D)] += not any(row)
+            M = [[F(x, sum(row)) for x in row] for row in rows]
+            try:
+                want = _overdetermined_stationary_vector(M)
+            except MeasureError as e:
+                with pytest.raises(MeasureError) as got:
+                    stationary_vector(M)
+                assert str(got.value) == str(e)
+                refused += 1
+            else:
+                got = stationary_vector(M)
+                assert got == want and all(type(x) is F for x in got)
+                solved += 1
+        assert solved > 500 and refused > 500
+
+
+def _overdetermined_stationary_vector(M) -> tuple:
+    """Oracle: elimination of (M^T - I) p = 0 with sum p = 1, D + 1 rows."""
+    M = [[F(x) for x in row] for row in M]
+    D = len(M)
+    if bad := measures.chain_violations(M):
+        raise MeasureError("; ".join(bad))
+    if measures.primitivity_exponent(M) is None:
+        raise MeasureError("transition matrix not primitive")
+    A = [[M[i][j] - (1 if i == j else 0) for i in range(D)] for j in range(D)]
+    A.append([F(1)] * D)
+    rhs = [F(0)] * D + [F(1)]
+    rows = [A[i] + [rhs[i]] for i in range(D + 1)]
+    piv = 0
+    for col in range(D):
+        sel = next((r for r in range(piv, D + 1) if rows[r][col] != 0), None)
+        if sel is None:
+            continue
+        rows[piv], rows[sel] = rows[sel], rows[piv]
+        inv = 1 / rows[piv][col]
+        rows[piv] = [v * inv for v in rows[piv]]
+        for r in range(D + 1):
+            if r != piv and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[piv])]
+        piv += 1
+    p = [F(0)] * D
+    for r in range(piv):
+        lead = next((c for c in range(D) if rows[r][c] == 1), None)
+        if lead is not None:
+            p[lead] = rows[r][D]
+    if any(x <= 0 for x in p) or sum(p) != 1:
+        raise MeasureError("failed to find a strictly positive stationary vector")
+    return tuple(p)
+
 
 class TestEntropyClosedForm:
     def test_dary(self, dary2, lebesgue):
@@ -261,9 +320,9 @@ class TestCheckInvariant:
 
     @pytest.mark.parametrize("engine", PAIR_ENGINES)
     @pytest.mark.parametrize("pair", ["dary2-skewed-bernoulli", "chain-golden-chain",
-                                      "blaschke-gauss", "dary2-gauss"])
+                                      "blaschke-gauss", "dary2-gauss", "gauss-chain"])
     def test_engine_refuses_foreign_law(self, engine, pair, dary2, markov, golden_markov,
-                                        blaschke_two, gauss_measure):
+                                        blaschke_two, gauss, gauss_measure):
         m, mu, x0 = {
             "dary2-skewed-bernoulli": (dary2, MarkovStationaryMeasure.bernoulli(
                 [F(1, 4), F(3, 4)]), (0, 1)),
@@ -271,6 +330,8 @@ class TestCheckInvariant:
                 golden_markov.p, golden_markov.M), (0, 1)),
             "blaschke-gauss": (blaschke_two, gauss_measure, 0.3),
             "dary2-gauss": (dary2, gauss_measure, (0, 1)),
+            # the Gauss map carries no chain M
+            "gauss-chain": (gauss, MarkovStationaryMeasure.bernoulli([F(1, 2)] * 2), 0.3),
         }[pair]
         with pytest.raises(MeasureError, match=f"the {mu.kind} measure is not invariant "
                                                f"for the {m.kind} map"):

@@ -1074,6 +1074,16 @@ class TestClassifier:
         v = borel_cantelli_classify(m, lebesgue, tgt, Schedule.depth_log_floor(D))
         assert v.verdict == "FullMeasure" and not v.heuristic
 
+    def test_log_floor_on_4096_digits_in_a_second(self, lebesgue):
+        # the uniform-chain rule reads the D-ary map's one shared row of M:
+        # D entries, not D^2; 2 * 4096^-1 < 1, so the series converges
+        m = DAryShift(4096)
+        t0 = time.perf_counter()
+        v = borel_cantelli_classify(m, lebesgue, TargetPoint.from_word(m, (0, 1)),
+                                    Schedule.depth_log_floor(2))
+        elapsed = time.perf_counter() - t0
+        assert v.verdict == "MeasureZero" and not v.heuristic and elapsed < 1.0, f"{elapsed:.2f} s"
+
     @pytest.mark.parametrize("chain_measure", [False, True])
     def test_log_floor_zero_diagonal_exact(self, zero_diagonal, lebesgue, chain_measure):
         # every depth-t cylinder has mass 1/3 * 2^-t: divergent iff base >= 2

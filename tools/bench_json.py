@@ -34,6 +34,11 @@ sweep.  Then radii_verdicts: for each target of RADII_TARGETS, the verdict
 and the heuristic flag of recurrence.borel_cantelli_classify under
 radii_power(alpha) at each alpha of RADII_ALPHAS.  Every map is measured
 with its own measure (measures.own_measure).
+Then chain_checks: the best-of-3 seconds of the exact chain checks on the
+D = 18 Wielandt chain WIELANDT (i -> i + 1, and 17 -> {0, 1}; primitivity
+exponent (D - 1)^2 + 1 = 290), which are harness.parse_config of a classify
+config, MarkovLinear(M, p) and stationary_vector(M), and those of a
+depth_log_floor(2) classify of the word (0, 1) on DAryShift(CHAIN_DARY).
 Then config_exits: the exit code of cli.main on each malformed config of
 MALFORMED, each of which breaks one hypothesis on an input (a map, a bound,
 a point x0, a gridprobe grid or ball) and should exit 2, never 3; and
@@ -110,6 +115,9 @@ RADII_TARGETS = {   # name -> (map spec, target word or point x0)
     "gauss_x0_3/7": ({"kind": "gauss"}, Fraction(3, 7)),
     "blaschke_0_half_x0.3": ({"kind": "blaschke", "zeros": [0, 0.5]}, 0.3),
 }
+WIELANDT = [[str(int(j == i + 1)) for j in range(18)] for i in range(17)] + \
+    [["1/2", "1/2"] + ["0"] * 16]
+CHAIN_DARY = 4096       # D of the D-ary shift of the chain_checks classify
 RANK = {"MeasureZero": 0, "Inconclusive": 1, "FullMeasure": 2}
 SQRT = {"kind": "radii_power", "alpha": 2}
 RADII_LOWER = {"formula": "radii_lower", "h": 0.7, "delta_bar": 1.0, "ell_bar": 0.5,
@@ -336,6 +344,38 @@ def radii_verdicts() -> dict:
     return out
 
 
+def chain_checks() -> dict:
+    """Best-of-3 seconds of parse_config, MarkovLinear and stationary_vector
+    on the WIELANDT chain, and of a log-floor classify on DAryShift(CHAIN_DARY)."""
+    sys.path.insert(0, "src")
+    from shrinktargets import (DAryShift, MarkovLinear, Schedule, borel_cantelli_classify,
+                               own_measure, stationary_vector)
+    from shrinktargets.harness import parse_config
+
+    M = [[Fraction(x) for x in row] for row in WIELANDT]
+    p = stationary_vector(M)
+    doc = {"experiment": "classify", "map": {"kind": "markov", "M": WIELANDT,
+                                             "p": [str(x) for x in p]},
+           "x0": {"word": [0, 1]}, "schedule": {"kind": "depth_log_floor", "base": 2}}
+    dary = DAryShift(CHAIN_DARY)
+    calls = {
+        "parse_config": lambda: parse_config(doc),
+        "markov_linear": lambda: MarkovLinear(M, p),
+        "stationary_vector": lambda: stationary_vector(M),
+        f"classify_dary{CHAIN_DARY}_log_floor": lambda: borel_cantelli_classify(
+            dary, own_measure(dary), (0, 1), Schedule.depth_log_floor(2)),
+    }
+    out = {}
+    for name, call in calls.items():
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
+        out[name] = {"best_s": min(times)}
+    return out
+
+
 def config_exits(configs: dict):
     """(exits, values): the exit code of cli.main, in this process, on each
     config of configs, or "traceback" where cli.main raised; and the
@@ -419,6 +459,9 @@ def main(argv=None) -> int:
     print("radii verdicts: " + ", ".join(
         f"{k} " + "/".join(v["verdict"] + "?" * v["heuristic"] for v in by_alpha.values())
         for k, by_alpha in doc["radii_verdicts"].items()), file=sys.stderr)
+    doc["chain_checks"] = chain_checks()
+    print("chain checks: " + ", ".join(f"{k} {v['best_s']:.4f} s"
+                                       for k, v in doc["chain_checks"].items()), file=sys.stderr)
     for key, configs in (("config_exits", MALFORMED), ("extreme_exits", EXTREME)):
         doc[key], values = config_exits(configs)
         print(f"{key.replace('_', ' ')}: " + ", ".join(f"{k} {v}" for k, v in doc[key].items()),
