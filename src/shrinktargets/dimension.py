@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .maps import MapModel
-from .measures import MarkovStationaryMeasure, RegularWords, log_mass, smb_regular_cylinders
+from .measures import RegularWords, log_mass, smb_regular_cylinders
 from .coding import Target, refine_depth
 from .recurrence import Schedule
 from .schema import block, check, integer, kinds, listof, number, rational, rules, satisfies
@@ -304,13 +304,9 @@ class StageLevel:
     nested_suffix: tuple         # shared x0-digit suffix appended to each fine block
     nested_rel: Fraction         # lam(J)/lam(J~)
     parents: int = 1             # number of parent blocks
-    N_j: int = 0
-    k_j: int = 0
     d_j: int = 0                 # depth of the fine blocks
     alpha_j: Fraction = Fraction(0)  # min lam(J~)/lam(J_parent)
     beta_j: Fraction = Fraction(0)   # max lam(J~)/lam(J_parent)
-    gamma_j: Fraction = Fraction(0)  # min lam(J)/lam(J~)
-    delta_j: Fraction = Fraction(0)  # min_parent lam(family)/lam(parent)
 
     @property
     def count(self) -> int:
@@ -326,7 +322,6 @@ class StageLevel:
 @dataclass
 class CantorStage:
     map: MapModel
-    measure: MarkovStationaryMeasure
     x0_digits: tuple
     root_word: tuple
     root_lam: Fraction
@@ -393,21 +388,21 @@ class CantorStage:
         return bad
 
     def level_params(self) -> list:
-        return [{"N_j": lvl.N_j, "k_j": lvl.k_j, "d_j": lvl.d_j,
+        return [{"N_j": lvl.family.N, "k_j": len(lvl.nested_suffix), "d_j": lvl.d_j,
                  "alpha_j": float(lvl.alpha_j), "beta_j": float(lvl.beta_j),
-                 "gamma_j": float(lvl.gamma_j), "delta_j": float(lvl.delta_j)}
+                 "gamma_j": float(lvl.nested_rel), "delta_j": float(lvl.family.mass)}
                 for lvl in self.levels]
 
     def geometric_rates(self) -> dict:
         """Per-level exponential rates (a_j, b_j, c_j, delta) aggregated
         conservatively for the level-geometric bound; the logs are of the
         exact ratios, finite where their floats underflow."""
-        a = max(-log_mass(lvl.alpha_j) / lvl.N_j for lvl in self.levels)
-        b = min(-log_mass(lvl.beta_j) / lvl.N_j for lvl in self.levels)
-        c = max(-log_mass(lvl.gamma_j) / lvl.N_j for lvl in self.levels)
-        delta = float(min(lvl.delta_j for lvl in self.levels))
+        a = max(-log_mass(lvl.alpha_j) / lvl.family.N for lvl in self.levels)
+        b = min(-log_mass(lvl.beta_j) / lvl.family.N for lvl in self.levels)
+        c = max(-log_mass(lvl.nested_rel) / lvl.family.N for lvl in self.levels)
+        delta = float(min(lvl.family.mass for lvl in self.levels))
         return {"a": a, "b": b, "c": c, "delta": delta,
-                "N_js": [lvl.N_j for lvl in self.levels]}
+                "N_js": [lvl.family.N for lvl in self.levels]}
 
     # -- serialization ----------------------------------------------------
     def dump_json(self, path):
@@ -462,14 +457,13 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
           "params", "cantor", DimensionError)
     if not hasattr(m, "M"):
         raise DimensionError("stage construction needs a finite-alphabet linear map")
-    measure = MarkovStationaryMeasure(m.p, m.M)
     target = Target.of(m, target)
     walk = target.walk()
     deep = sum(int(n) for n in level_sizes) * 4 + 64
     x0_digits = walk.digits(deep)
 
     root_word = (x0_digits[0],)
-    root_lam = measure.word_mass(root_word)
+    root_lam = m.word_mass(root_word)
 
     stage_levels = []
     depth = 0                            # current nested depth d_{j-1} + k_{j-1}
@@ -477,7 +471,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     base_digit = x0_digits[0]            # block the next family must start from
 
     for j, N_j in enumerate([int(n) for n in level_sizes], start=1):
-        words, _ = smb_regular_cylinders(measure, N_j, epsilon, base_digit, x0_digits[0])
+        words, _ = smb_regular_cylinders(m, N_j, epsilon, base_digit, x0_digits[0])
         if not words.size:
             raise StageConstructionError(
                 f"level {j}: SMB regularity window empty at N_j={N_j} "
@@ -491,18 +485,16 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
 
         # every parent ends at the same base digit, so one family serves all
         lams = [lam for lam, _, _ in words.classes.values()]
-        nested_rel = measure.word_mass(x0_digits[:1] + nested_suffix) / measure.p[x0_digits[0]]
+        nested_rel = m.word_mass(x0_digits[:1] + nested_suffix) / m.p[x0_digits[0]]
         lvl = StageLevel(words, nested_suffix, nested_rel, parents,
-                         N_j=N_j, k_j=k_j, d_j=d_j, alpha_j=min(lams), beta_j=max(lams),
-                         gamma_j=nested_rel, delta_j=words.mass)
+                         d_j=d_j, alpha_j=min(lams), beta_j=max(lams))
         stage_levels.append(lvl)
 
         depth = d_j + k_j
         parents = lvl.count
         base_digit = nested_suffix[-1] if nested_suffix else x0_digits[0]
 
-    stage = CantorStage(m, measure, walk.digits(max(deep, depth)), root_word, root_lam,
-                        stage_levels)
+    stage = CantorStage(m, walk.digits(max(deep, depth)), root_word, root_lam, stage_levels)
     bad = stage.nesting_violations()
     if bad:
         raise StageConstructionError(

@@ -216,7 +216,7 @@ def _run_cantor(cfg):
     summary = {
         "levels": p["levels"],
         "level_sizes": [l.count for l in stage.levels],
-        "k_js": [l.k_j for l in stage.levels],
+        "k_js": [len(l.nested_suffix) for l in stage.levels],
         "d_js": [l.d_j for l in stage.levels],
         "nu_level_sums_exact_one": all(s == 1 for s in nu_sums),
         "nesting_violations": stage.nesting_violations(),

@@ -12,10 +12,10 @@ Four systems are provided:
 All maps expose the same small surface: ``evaluate``, ``log_derivative``,
 ``inverse_branch``, ``digit_of``, ``block_interval``, ``admissible`` and a
 few structural attributes (``expansion_beta``; ``partition0`` and the digit
-chain (``p``, ``M``) on the linear maps).  Linear maps and the Gauss map are
-exact on ``fractions.Fraction`` inputs; Gauss and Blaschke add vectorized float
-``stepper`` (a row stepper with its own buffers; the Blaschke one steps points
-of the unit circle, not angles) / ``log_derivative_array``.
+chain (``p``, ``M``), a ``Chain``, on the linear maps).  Linear maps and the
+Gauss map are exact on ``fractions.Fraction`` inputs; Gauss and Blaschke add
+vectorized float ``stepper`` (a row stepper with its own buffers; the Blaschke
+one steps points of the unit circle, not angles) / ``log_derivative_array``.
 
 Digit conventions: interval maps use half-open blocks [left, right) so that
 itineraries are defined everywhere off a countable set.  The Gauss map uses
@@ -97,6 +97,28 @@ def chain_violations(M, p=None) -> list:
     return bad
 
 
+class Chain:
+    """A stationary digit chain (p, M) in integers: the linear maps and the
+    chain measure carry one, and every chain product reads it."""
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """(Q, S): the lcm Q of the denominators of M and the integer matrix S = Q M;
+        each distinct row once, so the D-ary map's D shared rows cost O(D)."""
+        rows = {id(row): row for row in self.M}
+        Q = math.lcm(*(x.denominator for row in rows.values() for x in row))
+        S = {k: tuple(int(x * Q) for x in row) for k, row in rows.items()}
+        return Q, tuple(S[id(row)] for row in self.M)
+
+    def weight(self, word: Sequence[int]) -> int:     # prod S_{w_k w_{k+1}} along a word
+        return math.prod(self.scaled[1][a][b] for a, b in zip(word, word[1:]))
+
+    def word_mass(self, word: Sequence[int]) -> Fraction:
+        """p_{w_0} weight(w) / Q^(|w|-1), one integer product and one Fraction."""
+        p, Q = self.p[word[0]], self.scaled[0]
+        return Fraction(p.numerator * self.weight(word), p.denominator * Q ** (len(word) - 1))
+
+
 class MapModel:
     """Common interface; see concrete subclasses."""
 
@@ -131,7 +153,7 @@ class MapModel:
         raise NotImplementedError
 
 
-class DAryShift(MapModel):
+class DAryShift(MapModel, Chain):
     """x -> D*x mod 1 on [0,1) with the partition [k/D, (k+1)/D)."""
 
     kind = "dary"
@@ -182,7 +204,7 @@ class DAryShift(MapModel):
         return Fraction(d_from, self.D), Fraction(1, self.D)
 
 
-class MarkovLinear(MapModel):
+class MarkovLinear(MapModel, Chain):
     """Piecewise-linear Markov map of a subshift of finite type.
 
     ``[0,1)`` is split into consecutive blocks P_i with lambda(P_i) = p_i;

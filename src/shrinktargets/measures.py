@@ -22,6 +22,7 @@ import numpy as np
 
 from .maps import (
     BlaschkeBoundary,
+    Chain,
     DAryShift,
     GaussMap,
     MapModel,
@@ -51,11 +52,9 @@ class MeasureError(ValueError):
     pass
 
 
-def log_mass(mass) -> float:
-    """log of a mass; exact masses below the float range keep a finite log."""
-    if isinstance(mass, Fraction):
-        return math.log(mass.numerator) - math.log(mass.denominator)
-    return math.log(float(mass))
+def log_mass(mass: Fraction) -> float:
+    """log of an exact mass, finite where its float is below the float range."""
+    return math.log(mass.numerator) - math.log(mass.denominator)
 
 
 class InvariantMeasure:
@@ -120,9 +119,9 @@ class GaussMeasure(InvariantMeasure):
         return np.exp2(rng.random(size)) - 1.0
 
 
-class MarkovStationaryMeasure(InvariantMeasure):
+class MarkovStationaryMeasure(InvariantMeasure, Chain):
     """Stationary Markov-chain measure; on the interval model it agrees
-    with Lebesgue measure, but evaluates digit words directly."""
+    with Lebesgue measure, but evaluates digit words directly, as a ``Chain``."""
 
     kind = "markov"
 
@@ -136,20 +135,6 @@ class MarkovStationaryMeasure(InvariantMeasure):
     def bernoulli(cls, p: Sequence):
         p = [Fraction(x) for x in p]
         return cls(p, [list(p) for _ in p])
-
-    @cached_property
-    def scaled(self) -> tuple:
-        """(Q, S): the lcm Q of the denominators of M and the integer matrix S = Q M."""
-        Q = math.lcm(*(x.denominator for row in self.M for x in row))
-        return Q, tuple(tuple(int(x * Q) for x in row) for row in self.M)
-
-    def weight(self, word: Sequence[int]) -> int:     # prod S_{w_k w_{k+1}} along a word
-        return math.prod(self.scaled[1][a][b] for a, b in zip(word, word[1:]))
-
-    def word_mass(self, word: Sequence[int]) -> Fraction:
-        """p_{w_0} weight(w) / Q^(|w|-1), one integer product and one Fraction."""
-        p, Q = self.p[word[0]], self.scaled[0]
-        return Fraction(p.numerator * self.weight(word), p.denominator * Q ** (len(word) - 1))
 
     def cylinder_mass(self, m, word):
         return self.word_mass(word)
@@ -418,9 +403,9 @@ def entropy_smb(m: MapModel, measure: InvariantMeasure, x, n: int) -> EntropyEst
 # ---------------------------------------------------------------------------
 # exact correlation enumeration (cylinder vs shifted cylinder)
 
-def correlation_mass(measure: MarkovStationaryMeasure, word_a: Sequence[int],
+def correlation_mass(chain: Chain, word_a: Sequence[int],
                      word_q: Sequence[int], ell: int) -> Fraction:
-    """Exact mu(T^{-ell}(A) cap Q) for cylinders A, Q under the chain measure.
+    """Exact mu(T^{-ell}(A) cap Q) for cylinders A, Q under a chain's measure.
 
     A is the cylinder of word_a (digit positions ell..ell+|a|-1 after the
     shift), Q the cylinder of word_q (positions 0..|q|-1).  Disjoint windows
@@ -432,21 +417,21 @@ def correlation_mass(measure: MarkovStationaryMeasure, word_a: Sequence[int],
     a, q = tuple(word_a), tuple(word_q)
     gap = ell - len(q)
     if gap >= 0:
-        Q, S = measure.scaled
+        Q, S = chain.scaled
         row, n = [int(j == q[-1]) for j in range(len(S))], gap + 1
         while n:
             if n & 1:
                 row = [sum(x * y for x, y in zip(row, col)) for col in zip(*S)]
             n >>= 1
             S = [[sum(x * y for x, y in zip(r, col)) for col in zip(*S)] for r in S] if n else S
-        p = measure.p[q[0]]
-        return Fraction(p.numerator * measure.weight(q) * row[a[0]] * measure.weight(a),
+        p = chain.p[q[0]]
+        return Fraction(p.numerator * chain.weight(q) * row[a[0]] * chain.weight(a),
                         p.denominator * Q ** (ell + len(a) - 1))
     # overlapping windows: the first k digits of a must repeat q's last ones
     k = len(q) - ell
     if q[ell:ell + len(a)] != a[:k]:
         return Fraction(0)
-    return measure.word_mass(q + a[k:])
+    return chain.word_mass(q + a[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +441,11 @@ class RegularWords(Sequence):
     """The words of one SMB-regular family in depth-first (lexicographic)
     order, kept by type (last digit, prod) instead of listed; a word's mass
     is p_b * prod / Q^N, with prod its weight in the scaled chain M = S/Q
-    (``MarkovStationaryMeasure.scaled``).  ``states[n]`` maps each length-n
-    prefix type to the number of words through it and their summed prod,
-    ``finals`` each end type to its number of words, in the order of their
-    first words.  Words are unranked on access; ``size`` counts them, as
-    len() fails past sys.maxsize."""
+    (``Chain.scaled``).  ``states[n]`` maps each length-n prefix type to the
+    number of words through it and their summed prod, ``finals`` each end
+    type to its number of words, in the order of their first words.  Words
+    are unranked on access; ``size`` counts them, as len() fails past
+    sys.maxsize."""
 
     def __init__(self, scaled, first: int, Q: int, states: list, finals: dict):
         self.scaled, self.first, self.Q, self.states = scaled, first, Q, states
@@ -510,10 +495,10 @@ class RegularWords(Sequence):
         return tuple(word), P
 
 
-def smb_regular_cylinders(measure: MarkovStationaryMeasure, N: int, eps: float,
+def smb_regular_cylinders(chain: Chain, N: int, eps: float,
                           block_from: int, block_to: int):
     """Depth-N cylinders inside P_block_from mapping onto P_block_to whose
-    mass lies in the SMB window (e^{-N(h+eps)}, e^{-N(h-eps)}).
+    chain mass lies in the SMB window (e^{-N(h+eps)}, e^{-N(h-eps)}).
 
     Returns (words, total_mass): a RegularWords sequence and their exact
     mass.  A dynamic program counts the prefixes of each type (last digit,
@@ -522,10 +507,10 @@ def smb_regular_cylinders(measure: MarkovStationaryMeasure, N: int, eps: float,
     upwards, a layer meets types in first-prefix order.  End types meet the
     window in float logs; its O(N*eps) slack dwarfs their rounding.
     """
-    h = _chain_entropy(measure.p, measure.M)
-    Q, S = measure.scaled
+    h = _chain_entropy(chain.p, chain.M)
+    Q, S = chain.scaled
     scaled = [[(d, x) for d, x in enumerate(row) if x > 0] for row in S]
-    pb = measure.p[block_from]
+    pb = chain.p[block_from]
     # log mass = log prod + log p_b - N log Q, compared against the window
     shift = log_mass(pb) - N * math.log(Q)
     lo, hi = -N * (h + eps) - shift, -N * (h - eps) - shift

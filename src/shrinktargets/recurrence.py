@@ -262,27 +262,26 @@ def cylinder_mass_by_depth(m: MapModel, measure: InvariantMeasure,
 
 def _mass_at(m, measure, target):
     """mass(t) = mu(P(t, x0)) at non-decreasing t, a float: the product of a
-    linear map's chain (m.p, m.M) for any admitted measure, else the walk's."""
+    linear map's own chain for any admitted measure, else the walk's."""
     if not hasattr(m, "M"):
         walk = target.walk()
         return lambda t: float(measure.interval_mass(*walk.bounds(t)))
-    return _chain_mass(m.p, m.M, target.source())
+    return _chain_mass(m, target.source())
 
 
-def _chain_mass(p, M, digits):
+def _chain_mass(chain, digits):
     """mass(t) at non-decreasing t: p_{w_0} M[w_0][w_1] ... M[w_{t-1}][w_t] of
-    the digits w, an integer running product num / den rounded by one int /
-    int division (correctly rounded, 0.0 below 2^-1075), or the int 0 where
-    num is 0: a transition the chain forbids makes the mass exactly 0."""
-    w = next(digits)
-    num, den, at = p[w].numerator, p[w].denominator, 0
+    the digits w, a running product num / den in the chain's integers, rounded
+    by one int / int division (correctly rounded, 0.0 below 2^-1075), or the
+    int 0 where num is 0: a transition the chain forbids makes the mass exactly 0."""
+    w, Q = next(digits), chain.scaled[0]
+    num, den, at = chain.p[w].numerator, chain.p[w].denominator, 0
 
     def mass(t):
         nonlocal num, den, at, w
         seg = [w, *islice(digits, t - at)]
-        f = [M[a][b] for a, b in zip(seg, seg[1:])]
-        num *= math.prod(x.numerator for x in f)
-        den *= math.prod(x.denominator for x in f)
+        num *= chain.weight(seg)
+        den *= Q ** (t - at)
         at, w = t, seg[-1]
         return num / den if num else 0
     return mass

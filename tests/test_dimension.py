@@ -26,8 +26,9 @@ from shrinktargets import (
     grid_regularity_probe,
     grid_transfer,
     rectangle_counterexample_balls,
+    refine_depth,
 )
-from shrinktargets import dimension
+from shrinktargets import dimension, measures
 from shrinktargets.dimension import BOUNDS, ProbeRecord, _intermediate_constraints
 
 LOG2 = math.log(2)
@@ -283,7 +284,7 @@ class TestCantorStage:
 
     def test_family_sizes(self, stage):
         assert [len(l.fine_suffix) for l in stage.levels] == [128, 262144]
-        assert [l.N_j for l in stage.levels] == [8, 12]
+        assert [l.family.N for l in stage.levels] == [8, 12]
         assert [l.d_j for l in stage.levels] == [8, 27]
         lvl = stage.levels[1]
         assert lvl.fine_suffix[-1] == lvl.fine_suffix[lvl.count - 1]
@@ -308,16 +309,16 @@ class TestCantorStage:
                     word, lam, _ = next(blocks)
                     assert word[:len(pword)] == pword
                     assert word[len(pword):] == lvl.fine_suffix[p * F_ + s]
-                    assert lam == stage.measure.word_mass(word)
+                    assert lam == stage.map.word_mass(word)
                     assert lvl.alpha_j <= lam / plam <= lvl.beta_j
             assert lvl.alpha_j <= lvl.beta_j
-            assert lvl.gamma_j > 0 and 0 < lvl.delta_j <= 1
+            assert lvl.nested_rel > 0 and 0 < lvl.family.mass <= 1
 
     def test_return_words_realize_hits(self, stage):
         # every level-1 nested block maps into B(x0, r_{d_1}) after d_1 steps:
         # its word fixes positions d_1..d_1+k_1 to x0's digits
         lvl = stage.levels[0]
-        k1, d1 = lvl.k_j, lvl.d_j
+        k1, d1 = len(lvl.nested_suffix), lvl.d_j
         x0_digits = stage.x0_digits
         words = [w for w, _, _ in stage.iter_blocks(0, "nested")]
         assert len(words) == lvl.count
@@ -336,7 +337,7 @@ class TestCantorStage:
             c = cylinder_from_word(m, word)
             assert c.length == lam      # uniform D=2: lambda is the length
             # image of the leaf under T^{d_1} is P(k_1, x0) inside the ball
-            img = cylinder_from_word(m, stage.x0_digits[:stage.levels[0].k_j + 1])
+            img = cylinder_from_word(m, stage.x0_digits[:len(stage.levels[0].nested_suffix) + 1])
             assert x0 - r <= img.left and img.right <= x0 + r
 
     def test_frostman_exponent_near_half(self, stage):
@@ -355,7 +356,7 @@ class TestCantorStage:
     def test_degenerate_depth_zero(self):
         st2 = build_cantor_stage(DAryShift(2), (0, 1), Schedule.depth_const(0),
                                  2, (4, 5))
-        assert [l.k_j for l in st2.levels] == [0, 0]
+        assert [len(l.nested_suffix) for l in st2.levels] == [0, 0]
         assert st2.nu_level_sums() == [F(1), F(1)]
         # nu is uniform across each level's admissible leaves
         for j in range(len(st2.levels)):
@@ -371,12 +372,23 @@ class TestCantorStage:
     def test_fast_schedule_extends_target_digits(self):
         # radii shrinking at 3x the expansion rate push the refine depth far
         # past the level budget; the suffix must still be full length
-        st = build_cantor_stage(DAryShift(2), (0, 1),
-                                Schedule.radii_exp(3 * LOG2), 2, (8, 10))
+        sched = Schedule.radii_exp(3 * LOG2)
+        st = build_cantor_stage(DAryShift(2), (0, 1), sched, 2, (8, 10))
         for lvl in st.levels:
-            assert len(lvl.nested_suffix) == lvl.k_j
+            r = F(float(sched.radii_array(lvl.d_j)[-1]))
+            assert len(lvl.nested_suffix) == refine_depth(DAryShift(2), (0, 1), r) > 8
         assert st.nesting_violations() == 0
         assert st.nu_level_sums() == [F(1), F(1)]
+
+    def test_stage_reads_the_map_chain(self, monkeypatch):
+        # the stage weighs blocks by the map's own chain: no chain measure is
+        # built, so its O(D^2) chain check never runs
+        def refuse(*args):
+            raise AssertionError("the stage re-checked the map's chain")
+        monkeypatch.setattr(measures, "chain_violations", refuse)
+        st4 = build_cantor_stage(DAryShift(64), (0, 1), Schedule.depth_const(3), 1, [2],
+                                 epsilon=3)
+        assert st4.nu_level_sums() == [F(1)] and st4.levels[0].family.size == 64
 
     def test_insufficient_resolution_error(self):
         tiny = build_cantor_stage(DAryShift(2), (0, 1), Schedule.depth_const(0),
@@ -427,7 +439,7 @@ def _flat_oracle(stage, c_cap=1e3):
     def key(*qs):                       # exact and cheap to hash
         return tuple(x for q in qs for x in (q.numerator, q.denominator))
 
-    M = stage.measure.M
+    M = stage.map.M
     nu_sums, classes, constraints, inter, blocks = [], [], [], set(), 0
     parents = {stage.root_word: stage.root_lam}        # nested word -> lam
     for j, lvl in enumerate(stage.levels):

@@ -462,6 +462,24 @@ class TestCorrelation:
         mu = MarkovStationaryMeasure.bernoulli([F(1, 2), F(1, 2)])
         assert correlation_mass(mu, (0, 0), (1, 1), 1) == 0
 
+    def test_agreeing_overlap_is_the_merged_word(self):
+        # a partial overlap and a containment, under the measure and the map's own chain
+        mu = MarkovStationaryMeasure(stationary_vector(MIXED), MIXED)
+        for chain in (mu, MarkovLinear(MIXED, mu.p)):
+            for Q, A, ell, merged in [((0, 1, 2), (1, 2, 2), 1, (0, 1, 2, 2)),
+                                      ((1, 2, 2, 0), (2, 2), 1, (1, 2, 2, 0))]:
+                assert correlation_mass(chain, A, Q, ell) == _fraction_word_mass(mu, merged) > 0
+
+
+class TestChain:
+    def test_map_and_measure_weigh_words_alike(self):
+        rng = random.Random(7)
+        mu = MarkovStationaryMeasure(stationary_vector(MIXED), MIXED)
+        m = MarkovLinear(MIXED, mu.p)
+        for _ in range(200):
+            w = tuple(rng.randrange(3) for _ in range(rng.randint(1, 12)))
+            assert m.word_mass(w) == mu.word_mass(w) == _fraction_word_mass(mu, w)
+
 
 class TestSMBRegularFamily:
     def test_uniform_every_cylinder_qualifies(self):

@@ -702,7 +702,9 @@ def _sticky_chain():
 
 class TestSymbolicFullDepth:
     """On the sticky chain a run of 0s lasts 100 digits on average, so the
-    target (0)^inf keeps many survivors past the first draw's read-ahead."""
+    target (0)^inf keeps survivors past the first draw's read-ahead.  At
+    seed 4 each case reads on (1, 2, 2 and 2 draws), which the test asserts:
+    not every seed does (at seed 3 none did)."""
 
     @staticmethod
     def _zero_run_hits(stream, depths):
@@ -716,12 +718,19 @@ class TestSymbolicFullDepth:
     @pytest.mark.parametrize("sched", [
         Schedule.depth_const(100), Schedule.depth_const(200), Schedule.depth_const(450),
         Schedule.depth_power_floor(0.5)], ids=lambda s: f"{s.kind}{list(s.params.values())}")
-    def test_hits_match_through_their_own_depth(self, sched):
-        m, N, trials, seed = _sticky_chain(), 10 ** 6, 2, 3
+    def test_hits_match_through_their_own_depth(self, sched, monkeypatch):
+        m, N, trials, seed = _sticky_chain(), 10 ** 6, 2, 4
+        afters = []
+
+        def recording(m, rng, length, after=None):
+            afters.append(after)
+            return _digit_stream(m, rng, length, after)
+        monkeypatch.setattr(recurrence, "_digit_stream", recording)
         hs = run_symbolic_hits(m, LebesgueMeasure(), (0,), sched, N, trials, seed,
                                horizons=_every_n(N))
         depths = sched.depths_array(N)
         assert depths.max() > READ_AHEAD
+        assert any(a is not None for a in afters)       # a survivor read on
         for t, idx in enumerate(_hit_indices(hs)):
             # one long draw: a chain stream that reads on continues it bit for bit
             rng = np.random.default_rng(trial_seed(seed, t))

@@ -6,12 +6,14 @@ Run from the root of a checkout:
 
     python3 tools/bench_json.py --pr N
 
-For each workload in BENCHMARK.json it runs perfbench/run.py twice, for the
-file's run_seconds at seed SEED, with --trace 0 (end-to-end metrics) and
-with --trace 1 (per-layer metrics), and records both metric sets, the
-failed and attempted operation counts of each run and the machine that
-run.py reports.  The runs are sequential, one worker process at a time, as
-run.py starts them.  Then it runs the Tier-1 command once with pytest's
+For each workload in BENCHMARK.json it runs perfbench/run.py for the file's
+run_seconds at seed SEED, once with --trace 0 (end-to-end metrics) and
+TRACED_RUNS times with --trace 1 (per-layer metrics).  Traced runs are not
+speed-calibrated, so one of them can read 1.3-1.5x slow with no code change:
+each per-layer metric is recorded as the median of the traced runs, with
+their values beside it (``runs``).  It also records the failed and attempted
+operation counts of each run and the machine that run.py reports.  The runs
+are sequential, one worker process at a time, as run.py starts them.  Then it runs the Tier-1 command once with pytest's
 --durations, and records its wall time, its outcome counts, the time of
 each test in tests/test_acceptance.py and, as slowest_s, the ten slowest
 test ids with their times (setup, call and teardown summed).  It times
@@ -37,8 +39,10 @@ with its own measure (measures.own_measure).
 Then chain_checks: the best-of-3 seconds of the exact chain checks on the
 D = 18 Wielandt chain WIELANDT (i -> i + 1, and 17 -> {0, 1}; primitivity
 exponent (D - 1)^2 + 1 = 290), which are harness.parse_config of a classify
-config, MarkovLinear(M, p) and stationary_vector(M), and those of a
-depth_log_floor(2) classify of the word (0, 1) on DAryShift(CHAIN_DARY).
+config, MarkovLinear(M, p) and stationary_vector(M), those of a
+depth_log_floor(2) classify of the word (0, 1) on DAryShift(CHAIN_DARY), and
+those of a one-level depth_const(3) Cantor stage build on DAryShift(D), for
+each D of STAGE_DARY, map construction included.
 Then config_exits: the exit code of cli.main on each malformed config of
 MALFORMED, each of which breaks one hypothesis on an input (a map, a bound,
 a point x0, a gridprobe grid or ball) and should exit 2, never 3; and
@@ -62,6 +66,7 @@ import io
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -118,6 +123,8 @@ RADII_TARGETS = {   # name -> (map spec, target word or point x0)
 WIELANDT = [[str(int(j == i + 1)) for j in range(18)] for i in range(17)] + \
     [["1/2", "1/2"] + ["0"] * 16]
 CHAIN_DARY = 4096       # D of the D-ary shift of the chain_checks classify
+STAGE_DARY = (64, 256)  # D of the D-ary shifts of the chain_checks stage builds
+TRACED_RUNS = 3         # --trace 1 runs per workload; a per-layer metric is their median
 RANK = {"MeasureZero": 0, "Inconclusive": 1, "FullMeasure": 2}
 SQRT = {"kind": "radii_power", "alpha": 2}
 RADII_LOWER = {"formula": "radii_lower", "h": 0.7, "delta_bar": 1.0, "ell_bar": 0.5,
@@ -203,6 +210,10 @@ def run_bench(workload: str, seconds: float, trace: int):
     lines = proc.stdout.strip().splitlines()
     machine = next(json.loads(ln[len(MACHINE):]) for ln in lines if ln.startswith(MACHINE))
     return json.loads(lines[-1]), machine
+
+
+def _ops(res) -> dict:
+    return {k: res[k] for k in ("correct", "attempted", "failed")}
 
 
 def run_tests() -> dict:
@@ -346,10 +357,11 @@ def radii_verdicts() -> dict:
 
 def chain_checks() -> dict:
     """Best-of-3 seconds of parse_config, MarkovLinear and stationary_vector
-    on the WIELANDT chain, and of a log-floor classify on DAryShift(CHAIN_DARY)."""
+    on the WIELANDT chain, of a log-floor classify on DAryShift(CHAIN_DARY),
+    and of a Cantor stage build on DAryShift(D) for each D of STAGE_DARY."""
     sys.path.insert(0, "src")
     from shrinktargets import (DAryShift, MarkovLinear, Schedule, borel_cantelli_classify,
-                               own_measure, stationary_vector)
+                               build_cantor_stage, own_measure, stationary_vector)
     from shrinktargets.harness import parse_config
 
     M = [[Fraction(x) for x in row] for row in WIELANDT]
@@ -364,6 +376,9 @@ def chain_checks() -> dict:
         "stationary_vector": lambda: stationary_vector(M),
         f"classify_dary{CHAIN_DARY}_log_floor": lambda: borel_cantelli_classify(
             dary, own_measure(dary), (0, 1), Schedule.depth_log_floor(2)),
+        **{f"stage_dary{D}": (lambda D=D: build_cantor_stage(
+            DAryShift(D), (0, 1), Schedule.depth_const(3), 1, [2], epsilon=3))
+           for D in STAGE_DARY},
     }
     out = {}
     for name, call in calls.items():
@@ -432,12 +447,15 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     doc = {**git_state(), "seed": SEED, "seconds": seconds, "workloads": {}}
     for w in spec["workloads"]:
-        runs = {}
-        for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            res, doc["machine"] = run_bench(w["name"], seconds, trace)
-            runs[key] = res["metrics"]
-            runs[f"{key}_ops"] = {k: res[k] for k in ("correct", "attempted", "failed")}
-        doc["workloads"][w["name"]] = runs
+        res, doc["machine"] = run_bench(w["name"], seconds, 0)
+        traced = [run_bench(w["name"], seconds, 1)[0] for _ in range(TRACED_RUNS)]
+        per_layer = {}
+        for k, v in traced[0]["metrics"].items():
+            vals = [r["metrics"][k]["value"] for r in traced]
+            per_layer[k] = {**v, "value": statistics.median(vals), "runs": vals}
+        doc["workloads"][w["name"]] = runs = {
+            "end_to_end": res["metrics"], "end_to_end_ops": _ops(res),
+            "per_layer": per_layer, "per_layer_ops": [_ops(r) for r in traced]}
         print(f"{w['name']}: wall_s {runs['end_to_end']['wall_s']['value']:.4g} s, "
               f"{runs['end_to_end_ops']['failed']} failed of "
               f"{runs['end_to_end_ops']['attempted']}", file=sys.stderr)
