@@ -338,6 +338,14 @@ class MarkovLinear(MapModel, Chain):
         AB = np.array([[pair or (0, 0) for pair in row] for row in self._affine], dtype=float)
         return AB[..., 0], AB[..., 1]
 
+    @cached_property
+    def float_chain(self):
+        """Float cumulative sums of p and of each row of M, for measures.sample_chain."""
+        cum = np.cumsum([[float(x) for x in row] for row in self.M], axis=1)
+        for i in range(self.D):     # a uniform past a row's float sum takes its last admissible digit
+            cum[i, max(self.branch_targets(i)):] = 1.0
+        return np.cumsum([float(x) for x in self.p]), cum
+
 
 class GaussMap(MapModel):
     """Gauss transformation x -> 1/x - floor(1/x); digits are CF digits.

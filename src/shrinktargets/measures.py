@@ -233,9 +233,12 @@ def _blaschke_entropy_quadrature(m: BlaschkeBoundary, tol: float = 1e-11):
 
 
 def _chain_entropy(p, M) -> float:
-    """sum_ij p_i M_ij log(1/M_ij), the entropy of the stationary chain (p, M)."""
-    return -sum(float(p[i] * M[i][j]) * math.log(float(M[i][j]))
-                for i in range(len(p)) for j in range(len(p)) if M[i][j] > 0)
+    """sum_ij p_i M_ij log(1/M_ij) of the stationary chain (p, M), in O(D) on the D-ary
+    map: each distinct row (by id, as Chain.scaled) once, at the summed p_i that share it."""
+    w = {}
+    for pi, row in zip(p, M):
+        w[id(row)] = (row, w.get(id(row), (row, 0))[1] + pi)
+    return -sum(float(q * x) * math.log(float(x)) for row, q in w.values() for x in row if x > 0)
 
 
 def entropy_closed_form(m: MapModel, measure: InvariantMeasure) -> EntropyEstimate:
@@ -273,13 +276,10 @@ def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int,
     of stride s, row k >= s holds g_k o ... o g_{k-s+1}; once all of those are
     constant, the states have coalesced (Propp-Wilson 1996) and the scan stops.
     """
-    cum = np.cumsum([[float(x) for x in row] for row in m.M], axis=1)
-    # a uniform past a float row sum short of 1 takes the last admissible digit
-    for i in range(m.D):
-        cum[i, max(m.branch_targets(i)):] = 1.0
+    cum_p, cum = m.float_chain
     out = np.empty(length, dtype=np.int64)
     out[0] = start if start is not None else min(
-        np.searchsorted(np.cumsum([float(x) for x in m.p]), rng.random(), side="right"), m.D - 1)
+        np.searchsorted(cum_p, rng.random(), side="right"), m.D - 1)
     u = rng.random(length - 1)
     g = np.empty((length - 1, m.D), dtype=np.min_scalar_type(m.D))
     for lo in range(0, len(g), _SCAN_CHUNK):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count, islice, pairwise
+from itertools import accumulate, chain, count, islice, pairwise
 from typing import Optional
 
 import numpy as np
@@ -28,6 +28,7 @@ from .schema import check, integer, kinds, listof, number, rules
 DENSE_DIGITS = 3         # leading target digits the symbolic engine matches on every index
 READ_AHEAD = 64          # stream digits past index N in a symbolic trial's first draw
 WINDOW_BLOCK = 1 << 15   # orbit indices per block of the linear metric engine (L2-sized)
+DRAW_CHUNK = 1 << 16     # D-ary digits per int32 draw of _digit_stream
 MAX_DEPTH = 1 << 62      # the deepest t_n, in int64, where floor(n^kappa) caps; its mass is 0.0
 
 
@@ -208,8 +209,10 @@ class HitSeries:
                 yield (t, int(n), int(self.hits[t, k]), norm, ratio)
 
 
-def _checkpoints(N: int, horizons) -> list:
-    return sorted({int(h) for h in (() if horizons is None else horizons) if h <= N} | {N})
+def _checkpoints(N: int, horizons) -> np.ndarray:
+    """The distinct horizons h <= N and N, ascending (np.unique hashes int64, 40x slower)."""
+    h = np.sort(np.fromiter(chain(() if horizons is None else horizons, (N,)), np.int64))
+    return h[np.concatenate(([True], h[1:] != h[:-1])) & (h <= N)]
 
 
 def _trial_seeds(m, measure, seed: int, trials: int) -> list:
@@ -291,17 +294,21 @@ def _chain_mass(chain, digits):
 # symbolic engine
 
 def _digit_stream(m: MapModel, rng, length: int, after=None):
-    """length digits of a random orbit; D = 2 digits are the fair bits of
-    uniform bytes, most significant first (uint8).  Reading on past the digit
-    ``after`` draws from the trial's generator: a D-ary stream afresh and a
-    chain stream from that digit's row of M, equal in law to one longer draw.
-    A Gauss stream restarts from a fresh Gauss-distributed point, as at a
-    boundary, and forgets the digits read (the Gauss digit process is not
-    Markov); only a survivor past READ_AHEAD matched digits reaches it."""
+    """length digits of a random orbit; D = 2 digits are the fair bits of uniform
+    bytes, most significant first (uint8), and other D int32 draws, DRAW_CHUNK at a
+    time (one int64 draw's values), held in np.min_scalar_type(D - 1).  Reading on
+    past the digit ``after`` draws from the trial's generator: a D-ary stream afresh
+    and a chain stream from that digit's row of M, equal in law to one longer draw.
+    A Gauss stream restarts from a fresh Gauss-distributed point, as at a boundary,
+    and forgets the digits read (the Gauss digit process is not Markov); only a
+    survivor past READ_AHEAD matched digits reaches it."""
     if isinstance(m, DAryShift):
         if m.D == 2:
             return np.unpackbits(rng.integers(0, 256, size=-(-length // 8), dtype=np.uint8))[:length]
-        return rng.integers(0, m.D, size=length, dtype=np.int64)
+        out = np.empty(length, dtype=np.min_scalar_type(m.D - 1))
+        for lo in range(0, length, DRAW_CHUNK):
+            out[lo:lo + DRAW_CHUNK] = rng.integers(0, m.D, min(DRAW_CHUNK, length - lo), np.int32)
+        return out
     if isinstance(m, MarkovLinear):
         return sample_chain(m, rng, length) if after is None \
             else sample_chain(m, rng, length + 1, start=after)[1:]
@@ -329,8 +336,7 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
     target = Target.of(m, target)
     t_max = int(depths.max())
     cps = _checkpoints(N, horizons)
-    norm = np.cumsum(cylinder_mass_by_depth(m, measure, target, depths))[
-        np.asarray(cps) - 1]
+    norm = np.cumsum(cylinder_mass_by_depth(m, measure, target, depths))[cps - 1]
     dense = min(DENSE_DIGITS, t_max + 1)
     source = target.source()
     word = list(islice(source, dense))
@@ -362,7 +368,7 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
             live = live[stream[1 + mm + live] == word[mm]]
         idx = np.concatenate(found) + 1       # ascending, as retired
         hits[t] = np.searchsorted(idx, cps, side="right")
-    return HitSeries(cps, hits, norm, seeds, engine="symbolic", kind="symbolic")
+    return HitSeries(cps.tolist(), hits, norm, seeds, engine="symbolic", kind="symbolic")
 
 
 # ---------------------------------------------------------------------------
@@ -426,32 +432,34 @@ def _window_margin(m, W):
 def _window_positions(m, stream: np.ndarray, N: int, W: int) -> np.ndarray:
     """Float positions of T^i x, i = 1..N, from the W digits after digit i.
 
-    Window i applies y -> a[i+k] + b[i+k] y for k = W-1, ..., 0 to y0.
-    Each pass composes neighbouring blocks of L branches into blocks of 2L,
-    (A, B) o (A', B') = (A + B A', B B') (a Hillis-Steele doubling scan),
-    and the block at offset `done` joins the result for each binary digit L
-    of W.  The D-ary branches have the one slope 1/D, a scalar.
+    Window i applies y -> a[i+k] + b[i+k] y for k = W-1, ..., 0 to y0.  Each pass
+    composes neighbouring blocks of L branches into blocks of 2L, (A, B) o (A', B') =
+    (A + B A', B B') (a Hillis-Steele doubling scan), and the block at offset `done`
+    joins the result y -> ra + rb y for each binary digit L of W.  The D-ary branches
+    have the one slope 1/D, a scalar.  Passes run in place on the blocks and a scratch
+    t of length N + W, in the order of _window_width's rounding bound.
     """
-    scalar = isinstance(m, DAryShift)
+    n, scalar = N + W, isinstance(m, DAryShift)     # the blocks are a[:n] (and b[:n])
     if scalar:
-        a, b, y0 = stream[1:N + W + 1] / m.D, 1.0 / m.D, 0.0
+        a, b, y0 = stream[1:n + 1] / m.D, 1.0 / m.D, 0.0
     else:
         # pair j is (stream[j+1], stream[j+2]), so the innermost branch of each
         # window leads to a stream digit and is admissible
         A, B = m.float_branches
-        pair = stream[1:N + W + 1] * m.D + stream[2:N + W + 2]
+        pair = stream[1:n + 1] * m.D + stream[2:n + 2]
         a, b, y0 = A.ravel()[pair], B.ravel()[pair], 0.5
-    ra, rb, done, L = 0.0, 1.0, 0, 1        # y -> ra + rb y: the first `done` branches
+    t, ra, rb, done, L = np.empty(n), np.zeros(N), 1.0 if scalar else np.ones(N), 0, 1
     while True:
         if W & L:
-            ra = ra + rb * a[done:done + N]
-            rb = rb * (b if scalar else b[done:done + N])
+            ra += np.multiply(rb, a[done:done + N], out=t[:N])
+            rb = rb * b if scalar else np.multiply(rb, b[done:done + N], out=rb)
             done += L
             if done == W:
-                return ra + rb * y0
-        a = a[:-L] + (b if scalar else b[:-L]) * a[L:]
-        b = b * b if scalar else b[:-L] * b[L:]
-        L *= 2
+                return np.add(ra, rb * y0, out=ra)
+        a[:n - L] += np.multiply(b if scalar else b[:n - L], a[L:n], out=t[:n - L])
+        # a Markov b composes into the scratch, and the old b becomes the scratch
+        b, t = (b * b, t) if scalar else (np.multiply(b[:n - L], b[L:n], out=t[:n - L]), b)
+        n, L = n - L, L * 2
 
 
 def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Schedule,
@@ -463,14 +471,21 @@ def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sched
     target = Target.of(m, target)
     x0f = target.float_value()
     cps = _checkpoints(N, horizons)
-    norm = np.cumsum(ball_mass_array(m, measure, x0f, radii))[np.asarray(cps) - 1]
+    norm, carry = np.zeros(len(cps)), 0.0      # the normalizer, a block at a time: each block's
+    for a in range(0, N, WINDOW_BLOCK):         # cumsum goes on from the total, as one cumsum
+        blk = ball_mass_array(m, measure, x0f, radii[a:a + WINDOW_BLOCK])
+        blk[0] += carry
+        carry = np.cumsum(blk, out=blk)[-1]
+        k0, k1 = cps.searchsorted((a + 1, a + len(blk) + 1))
+        norm[k0:k1] = blk[cps[k0:k1] - (a + 1)]
+    del blk                                     # free the last block before the engine runs
 
     if isinstance(m, (DAryShift, MarkovLinear)):
         hits, wmins, amb = _metric_linear(m, target, radii, N, trials, seeds, cps)
-        return HitSeries(cps, hits, norm, seeds, engine="symbolic-window",
+        return HitSeries(cps.tolist(), hits, norm, seeds, engine="symbolic-window",
                          kind="metric", ambiguous_resolved=amb, window_minima=wmins)
     hits, wmins, resampled = _metric_float_orbit(m, measure, x0f, radii, N, trials, seeds, cps)
-    return HitSeries(cps, hits, norm, seeds, engine="float-orbit", kind="metric",
+    return HitSeries(cps.tolist(), hits, norm, seeds, engine="float-orbit", kind="metric",
                      resampled=resampled, window_minima=wmins)
 
 
@@ -487,10 +502,10 @@ class _CheckpointTally:
 
     def add(self, n0, hit, d, r, t0=0):
         """Rows n0, n0+1, ... of the hits and the distances d to radii r, for
-        trials t0, t0+1, ...  A radius that underflowed to 0 scales to inf
-        (or nan at d = 0) without a numpy warning."""
+        trials t0, t0+1, ...  d is divided by r in place.  A radius that
+        underflowed to 0 scales to inf (or nan at d = 0) without a numpy warning."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            scaled = d / r
+            scaled = np.divide(d, r, out=d)
         cols = slice(t0, t0 + hit.shape[1])
         n1 = n0 + len(hit) - 1
         k0, k1, k2 = np.searchsorted(self.cps, [n0, n1, n1 + 1])
@@ -512,15 +527,17 @@ def _metric_linear(m, target, radii, N, trials, seeds, cps):
     x0f = float((lo_b + hi_b) / 2)
     tally = _CheckpointTally(cps, trials)
     reach = W + 193         # digits of T^n x that the exact test may read
-    ambiguous = 0
+    ambiguous, gap = 0, np.empty(min(N, WINDOW_BLOCK))
     for t in range(trials):
         rng = np.random.default_rng(seeds[t])
         stream = _digit_stream(m, rng, N + W + 2)
         for a in range(0, N, WINDOW_BLOCK):       # orbit indices a+1..a+len(r)
             r = radii[a:a + WINDOW_BLOCK]
-            d = np.abs(_window_positions(m, stream[a:], len(r), W) - x0f)
-            hit = d <= r
-            for i in np.flatnonzero(np.abs(d - r) <= margin):
+            d = _window_positions(m, stream[a:], len(r), W)
+            np.abs(np.subtract(d, x0f, out=d), out=d)
+            hit, g = d <= r, gap[:len(r)]
+            np.abs(np.subtract(d, r, out=g), out=g)
+            for i in np.flatnonzero(g <= margin):
                 n = a + int(i) + 1
                 if len(stream) < n + reach:
                     # the orbit reads on from the trial's own generator, once per trial

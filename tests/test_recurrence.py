@@ -38,6 +38,7 @@ from shrinktargets.measures import (
     stationary_vector,
 )
 from shrinktargets.recurrence import (
+    DRAW_CHUNK,
     MAX_DEPTH,
     READ_AHEAD,
     WINDOW_BLOCK,
@@ -607,6 +608,20 @@ class TestExactResolver:
         assert stream.tolist() == self._bits_of_bytes(clone, 2)[:9]
         assert more.tolist() == self._bits_of_bytes(clone, 3)[:20]
 
+    @pytest.mark.parametrize("D", [3, 5, 255, 256, 257, 2 ** 16])
+    @pytest.mark.parametrize("length", [1000, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 777])
+    def test_dary_stream_is_one_int64_draw_in_the_least_type(self, D, length):
+        """D >= 3 digits, drawn as int32 a chunk at a time and held in the least
+        type for D - 1, are the values of one int64 draw from the same seed,
+        and a read-on that crosses a chunk edge continues that draw."""
+        m, ref = DAryShift(D), np.random.default_rng(length)
+        rng = np.random.default_rng(length)
+        stream = _digit_stream(m, rng, length)
+        more = _digit_stream(m, rng, DRAW_CHUNK + 5, after=int(stream[-1]))
+        assert stream.dtype == np.min_scalar_type(D - 1) == more.dtype
+        assert stream.tolist() == ref.integers(0, D, size=length, dtype=np.int64).tolist()
+        assert more.tolist() == ref.integers(0, D, size=DRAW_CHUNK + 5, dtype=np.int64).tolist()
+
 
 def _symbolic_per_depth(m, measure, target, sched, N, trials, seed, horizons):
     """The symbolic engine as one full-length mask per digit depth, read
@@ -926,6 +941,22 @@ class TestLinearEngineBudgets:
         finally:
             tracemalloc.stop()
         assert peak <= 36e6, f"{peak / 1e6:.1f} MB over the 36 MB budget"
+
+    def test_metric_memory_is_the_radii_and_one_block(self, lebesgue):
+        """Traced peak of the D = 3 metric engine at r_n = n^-1/2, 10^6 steps x
+        2 trials, below the radii array's bytes plus 4 MB: the normalizer, the
+        windows and the decisions work a block at a time and the stream holds
+        a byte per digit, so no N-length temporary is left (3.4 MB over the
+        radii; the whole-length normalizer and int64 digits took 16.9 MB)."""
+        m, sched = DAryShift(3), Schedule.radii_power(2.0)
+        budget = sched.radii_array(10 ** 6).nbytes + 4e6
+        tracemalloc.start()
+        try:
+            run_metric_hits(m, lebesgue, TargetPoint.from_point(m, F(1, 4)), sched, 10 ** 6, 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, f"{peak / 1e6:.1f} MB over the {budget / 1e6:.1f} MB budget"
 
 
 def _ball_mass_bruteforce(m, measure, x0, radii) -> list:

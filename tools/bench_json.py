@@ -20,7 +20,7 @@ test ids with their times (setup, call and teardown summed).  It times
 the digit-stream layer, recurrence._digit_stream on the test suite's three
 chains (measures.sample_chain), on each D-ary shift of DARY_STREAMS and on
 the Gauss map (its per-digit loop over one float orbit), at STREAM_DIGITS
-digits each, best of 3 runs, and the normalizer layer,
+digits each, best of 3 runs, with the bytes that hold each digit, and the normalizer layer,
 recurrence.cylinder_mass_by_depth on the depths floor(n^2) of n = 1..WALK_N
 for each target of WALKS, walked to the underflow of its masses, best of 3
 runs, and the float-orbit layer, the orbit-steps/s of
@@ -241,9 +241,10 @@ def run_tests() -> dict:
 
 
 def digit_streams() -> dict:
-    """Best-of-3 seconds and digits/s of _digit_stream on each chain (which
-    draws through sample_chain), on each D-ary shift of DARY_STREAMS (named
-    dary<D>) and on the Gauss map, seed 0."""
+    """Best-of-3 seconds, digits/s and bytes per digit (the stream's itemsize)
+    of _digit_stream on each chain (which draws through sample_chain), on
+    each D-ary shift of DARY_STREAMS (named dary<D>) and on the Gauss map,
+    seed 0."""
     sys.path.insert(0, "src")
     import numpy as np
     from shrinktargets import DAryShift, GaussMap, MarkovLinear, stationary_vector
@@ -259,10 +260,11 @@ def digit_streams() -> dict:
         times = []
         for _ in range(3):
             t0 = time.perf_counter()
-            _digit_stream(m, np.random.default_rng(0), STREAM_DIGITS)
+            stream = _digit_stream(m, np.random.default_rng(0), STREAM_DIGITS)
             times.append(time.perf_counter() - t0)
         out[name] = {"digits": STREAM_DIGITS, "best_s": min(times),
-                     "digits_per_s": STREAM_DIGITS / min(times)}
+                     "digits_per_s": STREAM_DIGITS / min(times),
+                     "bytes_per_digit": stream.itemsize}
     return out
 
 
