@@ -271,9 +271,6 @@ def _extrapolated_limit(seq: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 # Cantor stage construction
 
-DUMP_BLOCK_BUDGET = 2_000_000    # most blocks per level that dump_json writes
-
-
 class _BlockView(Sequence):
     """Read-only sequence of n per-block values computed on access."""
 
@@ -326,21 +323,6 @@ class CantorStage:
     root_word: tuple
     root_lam: Fraction
     levels: list                 # list[StageLevel]
-
-    # -- iteration ------------------------------------------------------
-    def iter_blocks(self, j: int, kind: str = "fine"):
-        """(word, lam, nu) of the fine or nested blocks of ``levels[j]`` in
-        block order."""
-        lvl = self.levels[j]
-        tail, rel = (lvl.nested_suffix, lvl.nested_rel) if kind == "nested" else ((), 1)
-        classes = lvl.family.classes
-        family = [(word[1:] + tail, classes[P][0] * rel, classes[P][1])
-                  for word, P in map(lvl.family.unrank, range(lvl.family.size))]
-        parents = self.iter_blocks(j - 1, "nested") if j else \
-            [(self.root_word, self.root_lam, Fraction(1))]
-        for w, lam, nu in parents:
-            for suf, s_lam, s_nu in family:
-                yield w + suf, lam * s_lam, nu * s_nu
 
     def level_classes(self) -> list:
         """Per level, the distinct (fine lam, nested lam, nu) of its blocks
@@ -406,31 +388,31 @@ class CantorStage:
 
     # -- serialization ----------------------------------------------------
     def dump_json(self, path):
-        """Write every fine and nested block with its exact lambda and nu.
-
-        The file grows with the number of blocks, so a stage with a level
-        of more than DUMP_BLOCK_BUDGET blocks is refused before writing."""
-        for j, lvl in enumerate(self.levels, start=1):
-            if lvl.count > DUMP_BLOCK_BUDGET:
-                raise DimensionError(
-                    f"level {j}: {lvl.count} blocks exceed the dump budget "
-                    f"{DUMP_BLOCK_BUDGET}")
+        """Write the stage as it is stored: per level its classes (fine lam,
+        nested lam, nu, count), nested suffix, nested_rel, parent count and
+        family type tables (first, N, Q, finals, states), so the file grows
+        with the types, not the blocks.  Each exact number is hex, "0x..." or
+        "0x.../0x...", read back by int(s, 16) whatever its digits.  With the
+        map's integer chain, RegularWords(scaled, first, Q, states,
+        finals).unrank gives each block of a family in block order."""
+        levels = []
+        for lvl, classes in zip(self.levels, self.level_classes()):
+            f = lvl.family
+            levels.append({
+                "classes": [list(map(_hex, c)) for c in classes],
+                "nested_suffix": list(lvl.nested_suffix), "nested_rel": _hex(lvl.nested_rel),
+                "parents": _hex(lvl.parents), "first": f.first, "N": f.N, "Q": _hex(f.Q),
+                "finals": [[d, _hex(P), _hex(m)] for (d, P), m in f.finals.items()],
+                "states": [[[d, _hex(P), _hex(c), _hex(w)] for (d, P), (c, w) in layer.items()]
+                           for layer in f.states]})
         with open(path, "w") as fh:
-            fh.write('{"levels": [\n')
-            for j in range(len(self.levels)):
-                sep = "["
-                for kind in ("fine", "nested"):
-                    for word, lam, nu in self.iter_blocks(j, kind):
-                        fh.write(sep + json.dumps({
-                            "kind": kind,
-                            "word": list(word),
-                            "lambda": f"{lam.numerator}/{lam.denominator}",
-                            "nu": f"{nu.numerator}/{nu.denominator}",
-                        }))
-                        sep = ",\n"
-                fh.write("]")
-                fh.write(",\n" if j + 1 < len(self.levels) else "\n")
-            fh.write("]}\n")
+            json.dump({"root_word": list(self.root_word), "root_lam": _hex(self.root_lam),
+                       "levels": levels}, fh, separators=(",", ":"))
+
+
+def _hex(x) -> str:
+    """An exact int or Fraction in hex, which has no limit on its digits."""
+    return hex(x) if isinstance(x, int) else f"{x.numerator:#x}/{x.denominator:#x}"
 
 
 # the params of a cantor run; build_cantor_stage checks its arguments through it

@@ -215,12 +215,12 @@ def _run_cantor(cfg):
     nu_sums = stage.nu_level_sums()
     summary = {
         "levels": p["levels"],
-        "level_sizes": [l.count for l in stage.levels],
+        "level_sizes": [_count(l.count) for l in stage.levels],
         "k_js": [len(l.nested_suffix) for l in stage.levels],
         "d_js": [l.d_j for l in stage.levels],
         "nu_level_sums_exact_one": all(s == 1 for s in nu_sums),
         "nesting_violations": stage.nesting_violations(),
-        "frostman": fr,
+        "frostman": {**fr, "blocks": _count(fr["blocks"])},
         "level_params": stage.level_params(),
         "geometric_rates": stage.geometric_rates(),
     }
@@ -228,6 +228,16 @@ def _run_cantor(cfg):
         os.makedirs(cfg.out, exist_ok=True)
         stage.dump_json(os.path.join(cfg.out, "stage.json"))
     return {"records": [summary], "summary": summary}
+
+
+def _count(n: int):
+    """n, or its hex "0x..." where its decimal form passes the interpreter's
+    limit on int digits (sys.get_int_max_str_digits); int(s, 16) reads it."""
+    try:
+        str(n)
+        return n
+    except ValueError:
+        return hex(n)
 
 
 def _run_gridprobe(cfg):

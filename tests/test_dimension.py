@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from fractions import Fraction as F
@@ -30,6 +31,7 @@ from shrinktargets import (
 )
 from shrinktargets import dimension, measures
 from shrinktargets.dimension import BOUNDS, ProbeRecord, _intermediate_constraints
+from shrinktargets.measures import RegularWords
 
 LOG2 = math.log(2)
 GAUSS_H = math.pi ** 2 / (6 * LOG2)
@@ -274,6 +276,51 @@ class TestGridTransfer:
             grid_transfer([0.5, 0.6], [0.5, 0.4], 0.5)
 
 
+def _exact(s):
+    """A number of stage.json: "0x..." as an int, "0x.../0x..." as a Fraction."""
+    num, _, den = s.partition("/")
+    return F(int(num, 16), int(den, 16)) if den else int(num, 16)
+
+
+def stage_json_blocks(path, chain):
+    """Per level of a stage.json, its fine and nested (word, lam, nu) in
+    block order and its classes: each family unranked by RegularWords from
+    the file's type tables and the map's integer chain."""
+    doc = json.loads(path.read_text())
+    Q, S = chain.scaled
+    scaled = [[(d, x) for d, x in enumerate(row) if x > 0] for row in S]
+    parents, out = [(tuple(doc["root_word"]), _exact(doc["root_lam"]), F(1))], []
+    for lvl in doc["levels"]:
+        assert _exact(lvl["Q"]) == Q and _exact(lvl["parents"]) == len(parents)
+        fam = RegularWords(scaled, lvl["first"], Q,
+                           [{(d, _exact(P)): (_exact(c), _exact(w)) for d, P, c, w in layer}
+                            for layer in lvl["states"]],
+                           {(d, _exact(P)): _exact(m) for d, P, m in lvl["finals"]})
+        assert fam.N == lvl["N"]
+        words = list(map(fam.unrank, range(fam.size)))
+        fine = [(w + word[1:], lam * F(P, Q ** fam.N), nu * F(P, fam.prod_sum))
+                for w, lam, nu in parents for word, P in words]
+        rel, tail = _exact(lvl["nested_rel"]), tuple(lvl["nested_suffix"])
+        parents = [(w + tail, lam * rel, nu) for w, lam, nu in fine]
+        out.append((fine, parents, [tuple(map(_exact, c)) for c in lvl["classes"]]))
+    return out
+
+
+def iter_blocks(stage, j, kind="fine"):
+    """Oracle: (word, lam, nu) of the fine or nested blocks of
+    ``stage.levels[j]`` in block order, each parent's children in turn."""
+    lvl = stage.levels[j]
+    tail, rel = (lvl.nested_suffix, lvl.nested_rel) if kind == "nested" else ((), 1)
+    classes = lvl.family.classes
+    family = [(word[1:] + tail, classes[P][0] * rel, classes[P][1])
+              for word, P in map(lvl.family.unrank, range(lvl.family.size))]
+    parents = iter_blocks(stage, j - 1, "nested") if j else \
+        [(stage.root_word, stage.root_lam, F(1))]
+    for w, lam, nu in parents:
+        for suf, s_lam, s_nu in family:
+            yield w + suf, lam * s_lam, nu * s_nu
+
+
 @pytest.fixture(scope="module")
 def stage():
     return build_cantor_stage(DAryShift(2), (0, 1),
@@ -301,9 +348,9 @@ class TestCantorStage:
         # the children of the first two parents of each level, block by block
         for j, lvl in enumerate(stage.levels):
             F_ = lvl.family.size
-            parents = stage.iter_blocks(j - 1, "nested") if j else \
+            parents = iter_blocks(stage, j - 1, "nested") if j else \
                 [(stage.root_word, stage.root_lam, F(1))]
-            blocks = stage.iter_blocks(j)
+            blocks = iter_blocks(stage, j)
             for p, (pword, plam, _) in zip(range(2), parents):
                 for s in range(F_):
                     word, lam, _ = next(blocks)
@@ -320,7 +367,7 @@ class TestCantorStage:
         lvl = stage.levels[0]
         k1, d1 = len(lvl.nested_suffix), lvl.d_j
         x0_digits = stage.x0_digits
-        words = [w for w, _, _ in stage.iter_blocks(0, "nested")]
+        words = [w for w, _, _ in iter_blocks(stage, 0, "nested")]
         assert len(words) == lvl.count
         for w in words:
             assert w[d1:] == x0_digits[:k1 + 1]
@@ -331,7 +378,7 @@ class TestCantorStage:
         m = stage.map
         x0 = periodic_point(m, (0, 1))
         r = F(1, 2 ** stage.levels[0].d_j)
-        nested = list(stage.iter_blocks(0, "nested"))
+        nested = list(iter_blocks(stage, 0, "nested"))
         for i in (0, 63, 127):
             word, lam, _ = nested[i]
             c = cylinder_from_word(m, word)
@@ -360,7 +407,7 @@ class TestCantorStage:
         assert st2.nu_level_sums() == [F(1), F(1)]
         # nu is uniform across each level's admissible leaves
         for j in range(len(st2.levels)):
-            assert len({nu for _, _, nu in st2.iter_blocks(j)}) == 1
+            assert len({nu for _, _, nu in iter_blocks(st2, j)}) == 1
         fr = frostman_exponent(st2)
         assert fr["gamma"] == pytest.approx(1.0)
 
@@ -419,11 +466,27 @@ class TestCantorStage:
                                  1, (4,))
         path = tmp_path / "stage.json"
         st2.dump_json(path)
-        import json
         doc = json.loads(path.read_text())
-        recs = doc["levels"][0]
-        assert all("/" in r["lambda"] and "/" in r["nu"] for r in recs)
-        assert {r["kind"] for r in recs} == {"fine", "nested"}
+        assert doc["root_word"] == [0] and _exact(doc["root_lam"]) == F(1, 2)
+        lvl, = doc["levels"]
+        assert [tuple(map(_exact, c)) for c in lvl["classes"]] == st2.level_classes()[0]
+        assert (lvl["first"], lvl["N"], lvl["Q"], lvl["parents"]) == (0, 4, "0x2", "0x1")
+        assert lvl["nested_suffix"] == [] and _exact(lvl["nested_rel"]) == 1
+        assert lvl["finals"] == [[0, "0x1", "0x8"]]
+        assert len(lvl["states"]) == 5 and lvl["states"][0] == [[0, "0x1", "0x8", "0x8"]]
+
+    @pytest.mark.parametrize("chain, sizes", [(False, (4, 5)), (True, (6, 8))])
+    def test_stage_json_rebuilds_every_block(self, markov, tmp_path, chain, sizes):
+        st_ = build_cantor_stage(markov if chain else DAryShift(2), (0, 1),
+                                 Schedule.radii_exp(LOG2), 2, sizes)
+        path = tmp_path / "stage.json"
+        st_.dump_json(path)
+        levels = stage_json_blocks(path, st_.map)
+        for j, (fine, nested, classes) in enumerate(levels):
+            assert fine == list(iter_blocks(st_, j))
+            assert nested == list(iter_blocks(st_, j, "nested"))
+            assert classes == st_.level_classes()[j]
+        assert [len(fine) for fine, _, _ in levels] == [lvl.count for lvl in st_.levels]
 
 
 def _flat_oracle(stage, c_cap=1e3):
@@ -446,8 +509,8 @@ def _flat_oracle(stage, c_cap=1e3):
         plen = len(next(iter(parents)))
         counts, children, nested, nu_by_den = {}, {}, {}, {}
         for (w, lam, nu), (wn, lam_n) in zip(
-                stage.iter_blocks(j),
-                ((wn, lam_n) for wn, lam_n, _ in stage.iter_blocks(j, "nested"))):
+                iter_blocks(stage, j),
+                ((wn, lam_n) for wn, lam_n, _ in iter_blocks(stage, j, "nested"))):
             assert wn[:len(w)] == w
             nu_by_den[nu.denominator] = nu_by_den.get(nu.denominator, 0) + nu.numerator
             k = key(lam, lam_n, nu)
@@ -536,14 +599,6 @@ class TestFactorizedStage:
         assert float(st_.levels[1].alpha_j) == 0.0      # 2^-1100 underflows
         assert st_.geometric_rates()["a"] == pytest.approx(LOG2)
         assert frostman_exponent(st_)["blocks"] == 2 * 128 * (1 + 2 ** 1099)
-
-    def test_dump_budget(self, stage, tmp_path, monkeypatch):
-        from shrinktargets import dimension
-        monkeypatch.setattr(dimension, "DUMP_BLOCK_BUDGET", 1000)
-        path = tmp_path / "stage.json"
-        with pytest.raises(DimensionError, match="dump budget"):
-            stage.dump_json(path)
-        assert not path.exists()
 
 
 def _fraction_leaves(split, a, b, n, cap):

@@ -764,16 +764,6 @@ class TestOutputErrors:
         assert cli.main([name, "--config", str(cfgp), "--out", str(out)]) == 2
         assert "output error: " in capsys.readouterr().err
 
-    def test_deep_cantor_level_reports_and_dump_is_refused(self, tmp_path, capsys):
-        # level 2 holds 2^76 blocks: more than len() can return and than
-        # the dump budget allows
-        doc = {**FUZZ_CONFIGS["cantor"], "params": {"levels": 2, "level_sizes": [8, 70]}}
-        cfgp = tmp_path / "c.json"
-        cfgp.write_text(json.dumps(doc))
-        assert cli.main(["cantor", "--config", str(cfgp)]) == 0
-        assert cli.main(["cantor", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
-        assert "dump budget" in capsys.readouterr().err
-
     @pytest.mark.parametrize("change", [
         {"records": 3}, {"records": [3]}, {"summary": []}, {"config": 3},
         {"verdicts": []}, {"summary": {"value": None}},
@@ -789,6 +779,84 @@ class TestOutputErrors:
         del doc[next(iter(change))]
         resp.write_text(json.dumps(doc))
         assert cli.main(argv) == 0
+
+
+CHAIN_CANTOR = {"experiment": "cantor", "x0": {"word": [0, 1]},
+                "map": {"kind": "markov", "M": [["3/4", "1/4"], ["1/2", "1/2"]],
+                        "p": ["2/3", "1/3"]},
+                "schedule": {"kind": "depth_power_floor", "kappa": 1},
+                "params": {"levels": 2, "level_sizes": [6, 60], "epsilon": 0.05}}
+
+
+def _exact(s):
+    """A number of stage.json: "0x..." as an int, "0x.../0x..." as a Fraction."""
+    num, _, den = s.partition("/")
+    return Fraction(int(num, 16), int(den, 16)) if den else int(num, 16)
+
+
+class TestStageFile:
+    """stage.json lists a stage's classes and type tables, so its size
+    follows the types, and no level is too large to write."""
+
+    def _cantor(self, tmp_path, doc, out=True):
+        tmp_path.mkdir(exist_ok=True)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(doc))
+        argv = ["cantor", "--config", str(cfgp)] + (["--out", str(tmp_path / "o")] if out else [])
+        return cli.main(argv)
+
+    def test_deep_cantor_level_reports_and_dumps(self, tmp_path, capsys):
+        # level 2 holds 2^76 blocks, more than len() can return
+        doc = {**FUZZ_CONFIGS["cantor"], "params": {"levels": 2, "level_sizes": [8, 70]}}
+        assert self._cantor(tmp_path, doc, out=False) == 0
+        assert self._cantor(tmp_path, doc) == 0
+        results = json.loads((tmp_path / "o" / "results.json").read_text())
+        assert results["summary"]["level_sizes"] == [128, 2 ** 76]
+        levels = json.loads((tmp_path / "o" / "stage.json").read_text())["levels"]
+        assert sum(_exact(c[3]) for c in levels[1]["classes"]) == 2 ** 76
+
+    def test_sharp_stages_write_their_results(self, tmp_path):
+        # the chain [[3/4,1/4],[1/2,1/2]] at t_n = n: 2.5e16 level-2 blocks
+        t0 = time.perf_counter()
+        assert self._cantor(tmp_path / "chain", CHAIN_CANTOR) == 0
+        results = json.loads((tmp_path / "chain" / "o" / "results.json").read_text())
+        assert results["summary"]["frostman"]["gamma"] == 0.3444688317797823
+        assert results["summary"]["level_sizes"][1] == 24724286902010975
+        assert os.path.getsize(tmp_path / "chain" / "o" / "stage.json") <= 2 * 10 ** 6
+        # 262,144 level-2 blocks in a few classes
+        doc = {"experiment": "cantor", "map": {"kind": "dary", "D": 2}, "x0": {"word": [0, 1]},
+               "schedule": {"kind": "radii_exp", "kappa": math.log(2)},
+               "params": {"levels": 2, "level_sizes": [8, 12]}}
+        assert self._cantor(tmp_path / "dary", doc) == 0
+        assert os.path.getsize(tmp_path / "dary" / "o" / "stage.json") < 10 ** 5
+        assert time.perf_counter() - t0 < 2
+
+    def test_counts_past_the_int_digit_limit(self, tmp_path, capsys):
+        # level 2 holds 2^2206 blocks, 665 decimal digits: past a limit of 640
+        doc = {"experiment": "cantor", "map": {"kind": "dary", "D": 2}, "x0": {"word": [0, 1]},
+               "schedule": {"kind": "depth_const", "t": 3},
+               "params": {"levels": 2, "level_sizes": [8, 2200]}}
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert self._cantor(tmp_path, doc, out=False) == 0
+            assert f"level_sizes: [128, '{2 ** 2206:#x}']" in capsys.readouterr().out
+            assert self._cantor(tmp_path, doc) == 0
+            results = json.loads((tmp_path / "o" / "results.json").read_text())
+            stage = json.loads((tmp_path / "o" / "stage.json").read_text())
+        finally:
+            sys.set_int_max_str_digits(limit)
+        summary = results["summary"]
+        assert summary["level_sizes"] == [128, hex(2 ** 2206)]
+        assert _exact(summary["frostman"]["blocks"]) == 2 * (128 + 2 ** 2206)
+        built = shrinktargets.build_cantor_stage(
+            shrinktargets.DAryShift(2), (0, 1), shrinktargets.Schedule.depth_const(3), 2, [8, 2200])
+        for lvl, classes, want in zip(stage["levels"], built.level_classes(), built.levels):
+            assert [tuple(map(_exact, c)) for c in lvl["classes"]] == classes
+            assert [{(d, _exact(P)): (_exact(c), _exact(w)) for d, P, c, w in layer}
+                    for layer in lvl["states"]] == want.family.states
+            assert {(d, _exact(P)): _exact(m) for d, P, m in lvl["finals"]} == \
+                want.family.finals
 
 
 def _bounds(**ev):

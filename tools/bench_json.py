@@ -48,7 +48,11 @@ MALFORMED, each of which breaks one hypothesis on an input (a map, a bound,
 a point x0, a gridprobe grid or ball) and should exit 2, never 3; and
 extreme_exits, the same on each config of EXTREME, at the ends of the float
 range, whose bounds should exit 0 and whose gridprobes, with balls below
-the float range, 3; either records "traceback" where cli.main raised.
+the float range, 3, and two large Cantor stages, which should exit 0 and
+write their stage.json: the chain at (6,60), eps 0.05, with 2.5e16 level-2
+blocks, and D = 2 at (8,15000), whose level-2 block count has more decimal
+digits than Python's default int-to-str limit of 4,300; either records
+"traceback" where cli.main raised.
 extreme_values holds the grid_lower, hausdorff_lower and upper that each
 bounds config of EXTREME wrote to its results.json.
 Last, it counts the lines of each src/shrinktargets/*.py module and their
@@ -176,7 +180,7 @@ MALFORMED = {       # name -> config document
     "gridprobe_rectangle_a_3_2": _probe({"kind": "rectangle", "a": "3/2", "b": "6/10"},
                                         {"kind": "corner_discs"}),
 }
-EXTREME = {         # name -> config document at the ends of the float range
+EXTREME = {         # name -> config document at the ends of the float or int range
     "bound_radii_h_1e-300": _bound(formula="radii_lower", h=1e-300, delta_bar=1, ell_bar=1,
                                    log_beta=1),
     "bound_radii_ell_1e200": _bound(formula="radii_lower", h=1, delta_bar=1, ell_bar=1e200,
@@ -196,6 +200,15 @@ EXTREME = {         # name -> config document at the ends of the float range
                                         {"kind": "corner_discs", "kmax": 500}),
     "gridprobe_intervals_underflow": _probe({"kind": "interval", "split": "1/2"},
                                             {"kind": "shrinking_intervals", "kmax": 1100}),
+    "cantor_chain_6_60_eps_0.05": {
+        "experiment": "cantor", "x0": {"word": [0, 1]},
+        "map": {"kind": "markov", "M": CHAINS["chain"], "p": ["2/3", "1/3"]},
+        "schedule": {"kind": "depth_power_floor", "kappa": 1},
+        "params": {"levels": 2, "level_sizes": [6, 60], "epsilon": 0.05}},
+    "cantor_dary2_8_15000": {
+        "experiment": "cantor", "map": {"kind": "dary", "D": 2}, "x0": {"word": [0, 1]},
+        "schedule": {"kind": "depth_const", "t": 3},
+        "params": {"levels": 2, "level_sizes": [8, 15000]}},
 }
 
 
