@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import MapModel
+from .maps import InadmissibleDigit, MapModel
 from .measures import RegularWords, log_mass, smb_regular_cylinders
 from .coding import Target, refine_depth
 from .recurrence import Schedule
@@ -440,9 +440,17 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     if not hasattr(m, "M"):
         raise DimensionError("stage construction needs a finite-alphabet linear map")
     target = Target.of(m, target)
-    walk = target.walk()
+
+    def digits(n):      # x0's digits i_0..i_n, checked as its walk checks them, without matrices
+        word = target.digits(n)
+        m.block_interval(word[0])
+        for a, b in dict.fromkeys(zip(word, word[1:])):
+            if not m.admissible(a, b):
+                raise InadmissibleDigit(f"digit not admissible: transition {a}->{b} forbidden")
+            m.block_interval(b)
+        return word
     deep = sum(int(n) for n in level_sizes) * 4 + 64
-    x0_digits = walk.digits(deep)
+    x0_digits = digits(deep)
 
     root_word = (x0_digits[0],)
     root_lam = m.word_mass(root_word)
@@ -461,9 +469,9 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
         d_j = depth + N_j
 
         # k_j from the schedule at index d_j, read as every other consumer reads it
-        k_j = refine_depth(m, target, Fraction(float(sched.radii_array(d_j)[-1]))) \
-            if sched.is_radii else int(sched.depths_array(d_j)[-1])
-        nested_suffix = walk.digits(k_j)[1:k_j + 1]
+        k_j = refine_depth(m, target, Fraction(float(sched.radii_array(d_j, d_j - 1)[0]))) \
+            if sched.is_radii else int(sched.depths_array(d_j, d_j - 1)[0])
+        nested_suffix = digits(k_j)[1:k_j + 1]
 
         # every parent ends at the same base digit, so one family serves all
         lams = [lam for lam, _, _ in words.classes.values()]
@@ -476,7 +484,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
         parents = lvl.count
         base_digit = nested_suffix[-1] if nested_suffix else x0_digits[0]
 
-    stage = CantorStage(m, walk.digits(max(deep, depth)), root_word, root_lam, stage_levels)
+    stage = CantorStage(m, digits(max(deep, depth)), root_word, root_lam, stage_levels)
     bad = stage.nesting_violations()
     if bad:
         raise StageConstructionError(

@@ -34,7 +34,7 @@ from .coding import Target, cylinder_from_word
 
 LOG2 = math.log(2)
 GAUSS_ENTROPY = math.pi ** 2 / (6 * LOG2)
-_SCAN_CHUNK = 1 << 16    # rows composed per numpy call of the chain scan
+_SCAN_CHUNK = 1 << 16    # transitions per chunk of the chain sampler: its table and scan
 ORBIT_BLOCK = 128        # rows x_n per block of the float-orbit engines
 
 
@@ -263,37 +263,43 @@ def _coalesced(g: np.ndarray) -> bool:    # every row constant: no pass changes 
     return not (g[:, 1:] != g[:, :1]).any()
 
 
+def chain_chunks(m: MarkovLinear, rng: np.random.Generator, length: int, start=None):
+    """sample_chain's digits in chunks: the first alone, then the transitions
+    _SCAN_CHUNK at a time, from the state the chunk before ended in."""
+    cum_p, cum = m.float_chain
+    state = start if start is not None else min(
+        np.searchsorted(cum_p, rng.random(), side="right"), m.D - 1)
+    yield np.array([state], np.min_scalar_type(m.D - 1))
+    for lo in range(1, length, _SCAN_CHUNK):
+        u = rng.random(min(_SCAN_CHUNK, length - lo))
+        g = np.empty((len(u), m.D), dtype=np.min_scalar_type(m.D - 1))
+        for s in range(m.D):
+            g[:, s] = np.searchsorted(cum[s], u, side="right")
+        row, step = np.arange(len(g), dtype=np.int32)[:, None] * m.D, 1    # flat row offsets
+        while step < len(g) and not _coalesced(g[step:]):
+            g[step:] = g[step:].ravel()[g[:-step] + row[:len(g) - step]]
+            step *= 2
+        out = g[:, state].copy()
+        state, u, g, row = out[-1], None, None, None    # a waiting chunk holds only its digits
+        yield out
+
+
 def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int,
                  start=None) -> np.ndarray:
-    """Digits of the stationary chain (p, M): one uniform for the first
-    digit (or the given start digit, without a draw), then one per
-    transition, read against cumulative rows of M.
+    """Digits of the stationary chain (p, M), in np.min_scalar_type(D - 1):
+    one uniform for the first digit (or the given start digit, without a
+    draw), then one per transition, read against cumulative rows of M.
 
-    Row k of the table g is the step map state -> next state of uniform k.
-    A Hillis-Steele doubling scan (Blelloch, "Prefix sums and their
-    applications", 1990) turns row k into g_k o ... o g_0 in place, top chunk
-    first, so a chunk reads rows its pass has not yet updated.  Before the pass
-    of stride s, row k >= s holds g_k o ... o g_{k-s+1}; once all of those are
-    constant, the states have coalesced (Propp-Wilson 1996) and the scan stops.
+    Row k of a chunk's table g is the step map state -> next state of uniform
+    k.  A Hillis-Steele doubling scan (Blelloch, "Prefix sums and their
+    applications", 1990) turns row k into g_k o ... o g_0, one numpy call per
+    pass.  Before the pass of stride s, row k >= s holds g_k o ... o g_{k-s+1};
+    once all of those are constant, the states have coalesced (Propp-Wilson
+    1996) and the scan stops.  Row k at the chunk's start state is digit k.
+    Successive Generator.random calls continue one stream, so the chunks hold
+    the digits of one draw of all the uniforms.
     """
-    cum_p, cum = m.float_chain
-    out = np.empty(length, dtype=np.int64)
-    out[0] = start if start is not None else min(
-        np.searchsorted(cum_p, rng.random(), side="right"), m.D - 1)
-    u = rng.random(length - 1)
-    g = np.empty((length - 1, m.D), dtype=np.min_scalar_type(m.D))
-    for lo in range(0, len(g), _SCAN_CHUNK):
-        for s in range(m.D):
-            g[lo:lo + _SCAN_CHUNK, s] = np.searchsorted(cum[s], u[lo:lo + _SCAN_CHUNK],
-                                                        side="right")
-    row, step = np.arange(min(_SCAN_CHUNK, len(g)))[:, None] * m.D, 1   # flat chunk row offsets
-    while step < len(g) and not _coalesced(g[step:]):
-        for hi in range(len(g), step, -_SCAN_CHUNK):
-            lo = max(hi - _SCAN_CHUNK, step)
-            g[lo:hi] = g[lo:hi].ravel()[g[lo - step:hi - step] + row[:hi - lo]]
-        step *= 2
-    out[1:] = g[:, out[0]]
-    return out
+    return np.concatenate(list(chain_chunks(m, rng, length, start)))
 
 
 def float_orbit_blocks(m: MapModel, measure: InvariantMeasure, seeds, N: int):
@@ -537,60 +543,3 @@ def smb_regular_cylinders(chain: Chain, N: int, eps: float,
         states.append(cur)
     words = RegularWords(scaled, block_from, Q, states[::-1], finals)
     return words, pb * words.mass
-
-
-# ---------------------------------------------------------------------------
-# invariance checks
-
-def _digamma(x: float) -> float:
-    """Asymptotic digamma; accurate to ~1e-16 for x >= 10 (shifted up if not)."""
-    acc = 0.0
-    while x < 10:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    return acc + math.log(x) - 0.5 / x - inv2 * (
-        1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 / 240)))
-
-
-def pushforward_defect(m: MapModel, measure: InvariantMeasure, a, b) -> float:
-    """|sum_d measure(G_d([a,b])) - measure([a,b])|.
-
-    Exact zero for the linear maps; for the Gauss map the first 200,000
-    branches are summed term by term and the tail with an Euler-Maclaurin
-    closed-form remainder, so the defect is resolved well below 1e-12.
-    """
-    if isinstance(m, (DAryShift, MarkovLinear)):
-        total = Fraction(0)
-        a, b = Fraction(a), Fraction(b)
-        D = m.D
-        for d in range(D):
-            targets = m.branch_targets(d)
-            for j in (targets if targets is not None else range(D)):
-                blk = m.block_interval(j)
-                lo, hi = max(a, blk[0]), min(b, blk[1])
-                if hi <= lo:
-                    continue
-                # the branch restricted to block j, so that a block's right
-                # endpoint does not select the next block's branch
-                A, B = m.branch_affine(d, j)
-                total += Fraction(measure.interval_mass(A + B * lo, A + B * hi))
-        return abs(float(total - Fraction(measure.interval_mass(a, b))))
-    if isinstance(m, GaussMap) and isinstance(measure, GaussMeasure):
-        af, bf = float(a), float(b)
-        K = 200000
-        # branch d contributes log1p(u_d), u_d = (b-a)/((d+a)(d+b+1));
-        # summed stably, with the linear tail in closed form via digamma
-        # (the quadratic tail is below 1e-16 for K >= 2e5)
-        head = math.fsum(
-            math.log1p((bf - af) / ((d + af) * (d + bf + 1)))
-            for d in range(1, K + 1)
-        )
-        tail = (bf - af) / (bf + 1 - af) * (
-            _digamma(K + 2 + bf) - _digamma(K + 1 + af))
-        total = (head + tail) / LOG2
-        return abs(total - measure.interval_mass(af, bf))
-    if isinstance(m, BlaschkeBoundary) and isinstance(measure, LebesgueMeasure):
-        total = sum((m.inverse_branch(d, b) - m.inverse_branch(d, a)) % 1.0 for d in range(m.N))
-        return abs(total - (b - a))
-    raise MeasureError(f"no invariance check for ({m.kind}, {measure.kind})")

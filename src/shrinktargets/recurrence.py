@@ -21,8 +21,8 @@ import numpy as np
 from .coding import (PrefixWalk, Target, ball_holds,  # noqa: F401 (re-exported)
                      cylinder_from_word, period_matrix)
 from .maps import BoundaryHit, DAryShift, GaussMap, MapError, MapModel, MarkovLinear
-from .measures import (GaussMeasure, InvariantMeasure, check_invariant, float_orbit_blocks,
-                       sample_chain, trial_seed)
+from .measures import (GaussMeasure, InvariantMeasure, chain_chunks, check_invariant,
+                       float_orbit_blocks, trial_seed)
 from .schema import check, integer, kinds, listof, number, rules
 
 DENSE_DIGITS = 3         # leading target digits the symbolic engine matches on every index
@@ -132,20 +132,28 @@ class Schedule:
     def is_radii(self) -> bool:
         return "radii" in self.kind
 
-    def radii_array(self, N: int) -> np.ndarray:
-        """r_1, ..., r_N, floats."""
-        return self._values(N, radii=True)
+    def radii_array(self, N: int, lo: int = 0) -> np.ndarray:
+        """r_{lo+1}, ..., r_N, floats."""
+        return self._values(N, True, lo)
 
-    def depths_array(self, N: int) -> np.ndarray:
-        """t_1, ..., t_N, int64."""
-        return self._values(N, radii=False)
+    def depths_array(self, N: int, lo: int = 0) -> np.ndarray:
+        """t_{lo+1}, ..., t_N, int64."""
+        return self._values(N, False, lo)
 
-    def _values(self, N, radii):
+    def blocks(self, N: int):
+        """(n0, the values at n = n0, n0 + 1, ...) over n = 1..N, in blocks of the
+        orbit indices kB..kB + B - 1, B = WINDOW_BLOCK.  Each kind maps every n
+        by itself, so the blocks hold the values of one evaluation at 1..N."""
+        ends = [*range(WINDOW_BLOCK - 1, N, WINDOW_BLOCK), N]
+        for lo, hi in pairwise([0, *ends]):
+            yield lo + 1, self._values(hi, self.is_radii, lo)
+
+    def _values(self, N, radii, lo=0):
         if self.is_radii != radii:
             raise ScheduleError(f"{self.kind} is not a {'radii' if radii else 'depth'} schedule")
         if N < 1:
             raise ScheduleError(f"a schedule is read at n = 1..N for N >= 1, got N = {N}")
-        n = np.arange(1, N + 1, dtype=float if radii else np.int64)
+        n = np.arange(lo + 1, N + 1, dtype=float if radii else np.int64)
         with np.errstate(over="ignore"):        # an n^kappa past the floats caps at MAX_DEPTH
             return SCHEDULE_KINDS[self.kind][1](n, self.params)
 
@@ -155,7 +163,7 @@ class Schedule:
 
 @dataclass
 class HitSeries:
-    checkpoints: list                 # sorted horizons
+    checkpoints: np.ndarray           # sorted horizons, int64
     hits: np.ndarray                  # (trials, len(checkpoints)) cumulative
     normalizer: np.ndarray            # (len(checkpoints),)
     trial_seeds: list
@@ -196,9 +204,7 @@ class HitSeries:
             "ambiguous_resolved": self.ambiguous_resolved,
         }
         if self.window_minima is not None:
-            out["window_minima_median"] = [
-                float(np.median(self.window_minima[:, w]))
-                for w in range(self.window_minima.shape[1])]
+            out["window_minima_median"] = np.median(self.window_minima, axis=0).tolist()
         return out
 
     def csv_rows(self):
@@ -238,26 +244,36 @@ def ball_mass_array(m: MapModel, measure: InvariantMeasure, x0: float,
     return width  # Lebesgue / Markov-stationary on the interval model
 
 
+class _Normalizer:
+    """sum_{k <= n} mass_k at the checkpoints n, a block of n at a time: each block's
+    cumsum goes on from the running total, adding left to right as one cumsum."""
+
+    def __init__(self, cps):
+        self.cps, self.sums, self.carry = cps, np.zeros(len(cps)), 0.0
+
+    def add(self, n0, mass):        # the masses of n = n0, n0 + 1, ..., summed in place
+        mass[0] += self.carry
+        self.carry = np.cumsum(mass, out=mass)[-1]
+        k0, k1 = self.cps.searchsorted((n0, n0 + len(mass)))
+        self.sums[k0:k1] = mass[self.cps[k0:k1] - n0]
+
+
 def cylinder_mass_by_depth(m: MapModel, measure: InvariantMeasure,
-                           target: Target, depths: np.ndarray) -> np.ndarray:
+                           target: Target, depths: np.ndarray, mass_at=None) -> np.ndarray:
     """Masses mu(P(t, x0)), each exact and rounded to a float, for each run
     of equal depths t, repeated over the run.
 
     depths must be non-decreasing, as every depth schedule is; a decrease
-    raises ValueError.  Nested cylinders' masses never increase, so the walk
-    stops at the first 0.0, and on the way to a far depth it looks at depths
-    64, 128, 256, ... to stop there (_mass_at reads each mass).
+    raises ValueError.  mass_at, the _mass_at of an earlier call, goes on
+    from that call's depths, so one sequence can be read a block at a time.
     """
     step = np.diff(depths)
     if np.any(step < 0):
         raise ValueError("depths must be non-decreasing")
     starts = np.concatenate(([0], np.flatnonzero(step) + 1))     # first index of each run
-    mass_at = _mass_at(m, measure, target)
-    mass, probe = np.zeros(len(starts)), 64
+    mass_at, mass = mass_at or _mass_at(m, measure, target), np.zeros(len(starts))
     for k, t in enumerate(depths[starts].tolist()):
-        while probe < t and mass_at(probe) > 0:
-            probe *= 2
-        mass[k] = mass_at(t) if probe >= t else 0.0     # else it underflowed at the probe
+        mass[k] = mass_at(t)
         if mass[k] == 0.0:
             break
     return np.repeat(mass, np.diff(starts, append=len(depths)))
@@ -265,11 +281,24 @@ def cylinder_mass_by_depth(m: MapModel, measure: InvariantMeasure,
 
 def _mass_at(m, measure, target):
     """mass(t) = mu(P(t, x0)) at non-decreasing t, a float: the product of a
-    linear map's own chain for any admitted measure, else the walk's."""
-    if not hasattr(m, "M"):
+    linear map's own chain for any admitted measure, else the walk's.  Masses of
+    nested cylinders never increase, so after a 0 all are 0, and on the way to a
+    far depth the walk looks at depths 64, 128, 256, ... to stop at a 0.0 there."""
+    if hasattr(m, "M"):
+        exact = _chain_mass(m, target.source())
+    else:
         walk = target.walk()
-        return lambda t: float(measure.interval_mass(*walk.bounds(t)))
-    return _chain_mass(m, target.source())
+        exact = lambda t: float(measure.interval_mass(*walk.bounds(t)))     # noqa: E731
+    probe, last = 64, None
+
+    def mass(t):
+        nonlocal probe, last
+        if last != 0:
+            while probe < t and exact(probe) > 0:
+                probe *= 2
+            last = exact(t) if probe >= t else 0.0      # else it underflowed at the probe
+        return last
+    return mass
 
 
 def _chain_mass(chain, digits):
@@ -293,38 +322,73 @@ def _chain_mass(chain, digits):
 # ---------------------------------------------------------------------------
 # symbolic engine
 
-def _digit_stream(m: MapModel, rng, length: int, after=None):
-    """length digits of a random orbit; D = 2 digits are the fair bits of uniform
-    bytes, most significant first (uint8), and other D int32 draws, DRAW_CHUNK at a
-    time (one int64 draw's values), held in np.min_scalar_type(D - 1).  Reading on
-    past the digit ``after`` draws from the trial's generator: a D-ary stream afresh
-    and a chain stream from that digit's row of M, equal in law to one longer draw.
-    A Gauss stream restarts from a fresh Gauss-distributed point, as at a boundary,
-    and forgets the digits read (the Gauss digit process is not Markov); only a
-    survivor past READ_AHEAD matched digits reaches it."""
-    if isinstance(m, DAryShift):
-        if m.D == 2:
-            return np.unpackbits(rng.integers(0, 256, size=-(-length // 8), dtype=np.uint8))[:length]
-        out = np.empty(length, dtype=np.min_scalar_type(m.D - 1))
-        for lo in range(0, length, DRAW_CHUNK):
-            out[lo:lo + DRAW_CHUNK] = rng.integers(0, m.D, min(DRAW_CHUNK, length - lo), np.int32)
-        return out
+def _digit_chunks(m: MapModel, rng, length: int, after=None):
+    """The length digits of one draw from a trial's generator, in chunks: D = 2
+    the bits of uniform bytes, most significant first, DRAW_CHUNK / 8 bytes (whole
+    uint32 draws, whose leftover bytes a call drops) a call; other D int32 draws;
+    a chain sample_chain's.  Digits are held in np.min_scalar_type(D - 1).  Past
+    the digit ``after`` a D-ary stream draws afresh and a chain steps from its row."""
     if isinstance(m, MarkovLinear):
-        return sample_chain(m, rng, length) if after is None \
-            else sample_chain(m, rng, length + 1, start=after)[1:]
-    if isinstance(m, GaussMap):
-        # digits of a pseudo-orbit started from a Gauss-distributed point
-        x = float(np.exp2(rng.random()) - 1.0)
-        out = np.empty(length, dtype=np.int64)
-        for k in range(length):
-            inv = 1.0 / x
-            d = int(inv)
-            out[k] = d
-            x = inv - d
-            if not (0 < x < 1):
-                x = float(np.exp2(rng.random()) - 1.0)
-        return out
+        return islice(chain_chunks(m, rng, length + 1, start=after), 1, None) \
+            if after is not None else chain_chunks(m, rng, length)
+    if isinstance(m, DAryShift):
+        return (np.unpackbits(rng.integers(0, 256, -(-k // 8), np.uint8))[:k] if m.D == 2
+                else rng.integers(0, m.D, k, np.int32).astype(np.min_scalar_type(m.D - 1))
+                for k in (min(DRAW_CHUNK, length - lo) for lo in range(0, length, DRAW_CHUNK)))
     raise MapError(f"no digit-stream engine for {m.kind}")
+
+
+def _digit_stream(m: MapModel, rng, length: int, after=None):
+    """length digits of a random orbit: _digit_chunks in one array, or those of
+    a Gauss pseudo-orbit from a Gauss-distributed point, which restarts from a
+    fresh point at a boundary and on a read-on, forgetting the digits read (the
+    Gauss digit process is not Markov); only a survivor past READ_AHEAD matched
+    digits reaches it."""
+    if not isinstance(m, GaussMap):
+        return np.concatenate(list(_digit_chunks(m, rng, length, after)))
+    x = float(np.exp2(rng.random()) - 1.0)
+    out = np.empty(length, dtype=np.int64)
+    for k in range(length):
+        inv = 1.0 / x
+        d = int(inv)
+        out[k] = d
+        x = inv - d
+        if not (0 < x < 1):
+            x = float(np.exp2(rng.random()) - 1.0)
+    return out
+
+
+class _Digits:
+    """A trial's digits from the lowest index still read: its first draw's chunks
+    as reads reach them, then ``more`` at a time, as _digit_stream(..., after=)."""
+
+    def __init__(self, m, rng, length, more):
+        self.m, self.rng, self.more, self.chunks = m, rng, more, _digit_chunks(m, rng, length)
+        self.held, self.base = next(self.chunks), 0         # digits base, base + 1, ...
+
+    def read(self, lo, hi):         # digits lo..hi-1; lo never decreases from read to read
+        while self.base + len(self.held) < hi:
+            if (new := next(self.chunks, None)) is None:    # read on from the trial's generator
+                new = _digit_stream(self.m, self.rng, self.more, after=int(self.held[-1]))
+            self.held, self.base = np.concatenate((self.held[lo - self.base:], new)), lo
+        return self.held[lo - self.base:hi - self.base]
+
+
+def _first_at_depth(sched: Schedule, N: int):
+    """first(mm): the 0-based index of the first t_n >= mm, or N, from one forward
+    scan over the schedule's blocks as deep as asked (depths never decrease)."""
+    blocks, firsts, blk = sched.blocks(N), [], (1, np.empty(0, np.int64))
+
+    def first(mm):
+        nonlocal blk
+        while len(firsts) <= mm:
+            k = int(np.searchsorted(blk[1], len(firsts)))
+            if k == len(blk[1]) and (nxt := next(blocks, None)) is not None:
+                blk = nxt
+            else:
+                firsts.append(blk[0] - 1 + k)
+        return firsts[mm]
+    return first
 
 
 def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Schedule,
@@ -332,11 +396,13 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
     """Count visits T^i(x) in P(t_i, x0) by exact word-prefix comparison: a
     hit matches the target through its own t_i, however deep."""
     seeds = _trial_seeds(m, measure, seed, trials)
-    depths = sched.depths_array(N)      # first: it checks the kind and N before any target work
+    t_max = int(sched.depths_array(N, N - 1)[0])    # t_N first: it checks the kind and N
     target = Target.of(m, target)
-    t_max = int(depths.max())
     cps = _checkpoints(N, horizons)
-    norm = np.cumsum(cylinder_mass_by_depth(m, measure, target, depths))[cps - 1]
+    norm, mass_at = _Normalizer(cps), _mass_at(m, measure, target)
+    for n0, depths in sched.blocks(N):
+        norm.add(n0, cylinder_mass_by_depth(m, measure, target, depths, mass_at))
+    first = _first_at_depth(sched, N)
     dense = min(DENSE_DIGITS, t_max + 1)
     source = target.source()
     word = list(islice(source, dense))
@@ -346,15 +412,15 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
         rng = np.random.default_rng(seeds[t])
         stream = _digit_stream(m, rng, N + min(t_max, READ_AHEAD) + 2)
         # the leading digits on contiguous slices, while most indices match;
-        # depths never decrease in n: the 0-based indices from first on need digit mm
+        # the 0-based indices from first(mm) on need digit mm
         live = stream[1:N + 1] == word[0]
         for mm in range(1, dense):
-            first = np.searchsorted(depths, mm)
-            live[first:] &= stream[1 + mm + first:1 + mm + N] == word[mm]
+            f = first(mm)
+            live[f:] &= stream[1 + mm + f:1 + mm + N] == word[mm]
         live, found = np.flatnonzero(live), []
         # then only the survivors: an index matched through its own depth is a hit
         for mm in count(dense):
-            k = np.searchsorted(live, np.searchsorted(depths, mm))
+            k = np.searchsorted(live, first(mm))
             found.append(live[:k])
             live = live[k:]
             if not len(live):
@@ -368,7 +434,7 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
             live = live[stream[1 + mm + live] == word[mm]]
         idx = np.concatenate(found) + 1       # ascending, as retired
         hits[t] = np.searchsorted(idx, cps, side="right")
-    return HitSeries(cps.tolist(), hits, norm, seeds, engine="symbolic", kind="symbolic")
+    return HitSeries(cps, hits, norm.sums, seeds, engine="symbolic", kind="symbolic")
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +512,7 @@ def _window_positions(m, stream: np.ndarray, N: int, W: int) -> np.ndarray:
         # pair j is (stream[j+1], stream[j+2]), so the innermost branch of each
         # window leads to a stream digit and is admissible
         A, B = m.float_branches
-        pair = stream[1:n + 1] * m.D + stream[2:n + 2]
+        pair = stream[1:n + 1] * np.intp(m.D) + stream[2:n + 2]   # not uint8: digit * D overflows
         a, b, y0 = A.ravel()[pair], B.ravel()[pair], 0.5
     t, ra, rb, done, L = np.empty(n), np.zeros(N), 1.0 if scalar else np.ones(N), 0, 1
     while True:
@@ -467,25 +533,23 @@ def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sched
     """Count visits d(T^i x, x0) <= r_i; returns ratio traces and windowed
     minima of the scaled distance d/r_n between consecutive checkpoints."""
     seeds = _trial_seeds(m, measure, seed, trials)
-    radii = sched.radii_array(N)        # first: it checks the kind and N before any target work
+    r_min = float(sched.radii_array(N, N - 1)[0])   # r_N first: it checks the kind and N
     target = Target.of(m, target)
     x0f = target.float_value()
     cps = _checkpoints(N, horizons)
-    norm, carry = np.zeros(len(cps)), 0.0      # the normalizer, a block at a time: each block's
-    for a in range(0, N, WINDOW_BLOCK):         # cumsum goes on from the total, as one cumsum
-        blk = ball_mass_array(m, measure, x0f, radii[a:a + WINDOW_BLOCK])
-        blk[0] += carry
-        carry = np.cumsum(blk, out=blk)[-1]
-        k0, k1 = cps.searchsorted((a + 1, a + len(blk) + 1))
-        norm[k0:k1] = blk[cps[k0:k1] - (a + 1)]
-    del blk                                     # free the last block before the engine runs
+    norm = _Normalizer(cps)
+
+    def blocks():       # each block's radii, read once by the engine and the normalizer
+        for n0, r in sched.blocks(N):
+            norm.add(n0, ball_mass_array(m, measure, x0f, r))
+            yield n0, r
 
     if isinstance(m, (DAryShift, MarkovLinear)):
-        hits, wmins, amb = _metric_linear(m, target, radii, N, trials, seeds, cps)
-        return HitSeries(cps.tolist(), hits, norm, seeds, engine="symbolic-window",
+        hits, wmins, amb = _metric_linear(m, target, blocks(), r_min, N, trials, seeds, cps)
+        return HitSeries(cps, hits, norm.sums, seeds, engine="symbolic-window",
                          kind="metric", ambiguous_resolved=amb, window_minima=wmins)
-    hits, wmins, resampled = _metric_float_orbit(m, measure, x0f, radii, N, trials, seeds, cps)
-    return HitSeries(cps.tolist(), hits, norm, seeds, engine="float-orbit", kind="metric",
+    hits, wmins, resampled = _metric_float_orbit(m, measure, x0f, blocks(), N, trials, seeds, cps)
+    return HitSeries(cps, hits, norm.sums, seeds, engine="float-orbit", kind="metric",
                      resampled=resampled, window_minima=wmins)
 
 
@@ -520,48 +584,44 @@ class _CheckpointTally:
         np.minimum(self.wmins[cols, k0:k1 + 1], seg.T, out=self.wmins[cols, k0:k1 + 1])
 
 
-def _metric_linear(m, target, radii, N, trials, seeds, cps):
-    W, truncation, rounding = _window_width(m, float(radii[-1]))
+def _metric_linear(m, target, blocks, r_min, N, trials, seeds, cps):
+    W, truncation, rounding = _window_width(m, r_min)
     lo_b, hi_b = target.bracket(120)
     margin = truncation + rounding + float(hi_b - lo_b)     # plus the target's bracket
     x0f = float((lo_b + hi_b) / 2)
     tally = _CheckpointTally(cps, trials)
     reach = W + 193         # digits of T^n x that the exact test may read
     ambiguous, gap = 0, np.empty(min(N, WINDOW_BLOCK))
-    for t in range(trials):
-        rng = np.random.default_rng(seeds[t])
-        stream = _digit_stream(m, rng, N + W + 2)
-        for a in range(0, N, WINDOW_BLOCK):       # orbit indices a+1..a+len(r)
-            r = radii[a:a + WINDOW_BLOCK]
-            d = _window_positions(m, stream[a:], len(r), W)
+    streams = [_Digits(m, np.random.default_rng(s), N + W + 2, reach) for s in seeds]
+    for n0, r in blocks:                    # orbit indices n0..n0+len(r)-1
+        for t, stream in enumerate(streams):
+            d = _window_positions(m, stream.read(n0 - 1, n0 + len(r) + W + 1), len(r), W)
             np.abs(np.subtract(d, x0f, out=d), out=d)
             hit, g = d <= r, gap[:len(r)]
             np.abs(np.subtract(d, r, out=g), out=g)
             for i in np.flatnonzero(g <= margin):
-                n = a + int(i) + 1
-                if len(stream) < n + reach:
-                    # the orbit reads on from the trial's own generator, once per trial
-                    stream = np.concatenate(
-                        (stream, _digit_stream(m, rng, reach, after=int(stream[-1]))))
-                point = PrefixWalk(m, stream[n:n + reach].tolist())
+                n = n0 + int(i)
+                point = PrefixWalk(m, stream.read(n, n + reach).tolist())
                 hit[i] = ball_holds(point.bounds, target.bracket, Fraction(float(r[i])), W)
                 ambiguous += 1
-            tally.add(a + 1, hit[:, None], d[:, None], r[:, None], t0=t)
+            tally.add(n0, hit[:, None], d[:, None], r[:, None], t0=t)
     return tally.hits, tally.wmins, ambiguous
 
 
-def _metric_float_orbit(m, measure, x0f, radii, N, trials, seeds, cps):
+def _metric_float_orbit(m, measure, x0f, blocks, N, trials, seeds, cps):
     tally = _CheckpointTally(cps, trials)
-    resampled = 0
+    resampled, a, r = 0, 1, np.empty(0)
     for n0, xs, restarts in float_orbit_blocks(m, measure, seeds, N):
         resampled += restarts
         if n0 == 0:
             n0, xs = 1, xs[1:]          # x_0 is the start, not a visit
+        if n0 == a + len(r):            # the orbit's blocks of ORBIT_BLOCK rows nest in the radii's
+            a, r = next(blocks)
         d = np.abs(xs - x0f)
         if m.circle:
             d = np.minimum(d, 1.0 - d)
-        r = radii[n0 - 1:n0 - 1 + len(xs), None]
-        tally.add(n0, d <= r, d, r)
+        rb = r[n0 - a:n0 - a + len(xs), None]
+        tally.add(n0, d <= rb, d, rb)
     return tally.hits, tally.wmins, resampled
 
 

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from shrinktargets import (
     DAryShift,
     DimensionError,
+    InadmissibleDigit,
     IntervalSplitGrid,
     ProductSplitGrid,
     Schedule,
     StageConstructionError,
+    TargetPoint,
     bound_code_lower,
     bound_code_w,
     bound_doubling,
@@ -593,6 +595,31 @@ class TestFactorizedStage:
         elapsed = time.perf_counter() - t0
         assert 0 < fr["gamma"] <= 1
         assert elapsed < 1
+
+    def test_target_digits_are_read_without_matrices(self):
+        """The stage reads x0's 60,064 digits as digits: a prefix walk composed
+        an exact matrix per digit, of about t bits at depth t (568 MB traced)."""
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            st_ = build_cantor_stage(DAryShift(2), (0, 1), Schedule.depth_const(3), 2, (8, 15000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(st_.x0_digits) == 4 * 15008 + 65
+        assert peak < 150e6, f"{peak / 1e6:.0f} MB over the 150 MB budget"
+
+    @pytest.mark.parametrize("case", ["forbidden", "out-of-range", "first-out-of-range"])
+    def test_target_digits_keep_the_walk_errors(self, case, golden_markov):
+        """An inadmissible target word fails as its prefix walk fails."""
+        m, word = {"forbidden": (golden_markov, (0, 1, 1)),
+                   "out-of-range": (DAryShift(2), (0, 2)),
+                   "first-out-of-range": (DAryShift(2), (2, 0))}[case]
+        with pytest.raises(InadmissibleDigit) as got:
+            build_cantor_stage(m, word, Schedule.depth_const(3), 1, [4], epsilon=3)
+        with pytest.raises(InadmissibleDigit) as want:
+            TargetPoint.from_word(m, word).walk().digits(10)
+        assert got.value.args == want.value.args
 
     def test_rates_past_float_underflow(self):
         st_ = build_cantor_stage(DAryShift(2), (0, 1), Schedule.depth_const(3), 2, (8, 1100))

@@ -9,6 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shrinktargets import (
+    BlaschkeBoundary,
+    DAryShift,
+    GaussMap,
+    GaussMeasure,
+    LebesgueMeasure,
     MarkovLinear,
     MarkovStationaryMeasure,
     MeasureError,
@@ -22,7 +27,6 @@ from shrinktargets import (
     entropy_birkhoff_batch,
     entropy_closed_form,
     entropy_smb,
-    pushforward_defect,
     run_metric_hits,
     run_symbolic_hits,
     smb_regular_cylinders,
@@ -351,6 +355,60 @@ class TestCheckInvariant:
         assert entropy_closed_form(dary3, mu).value == math.log(3)
 
 
+def _digamma(x: float) -> float:
+    """Asymptotic digamma; accurate to ~1e-16 for x >= 10 (shifted up if not)."""
+    acc = 0.0
+    while x < 10:
+        acc -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    return acc + math.log(x) - 0.5 / x - inv2 * (
+        1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 / 240)))
+
+
+def pushforward_defect(m, measure, a, b) -> float:
+    """Oracle: |sum_d measure(G_d([a,b])) - measure([a,b])|.
+
+    Exact zero for the linear maps; for the Gauss map the first 200,000
+    branches are summed term by term and the tail with an Euler-Maclaurin
+    closed-form remainder, so the defect is resolved well below 1e-12.
+    """
+    if isinstance(m, (DAryShift, MarkovLinear)):
+        total = F(0)
+        a, b = F(a), F(b)
+        D = m.D
+        for d in range(D):
+            targets = m.branch_targets(d)
+            for j in (targets if targets is not None else range(D)):
+                blk = m.block_interval(j)
+                lo, hi = max(a, blk[0]), min(b, blk[1])
+                if hi <= lo:
+                    continue
+                # the branch restricted to block j, so that a block's right
+                # endpoint does not select the next block's branch
+                A, B = m.branch_affine(d, j)
+                total += F(measure.interval_mass(A + B * lo, A + B * hi))
+        return abs(float(total - F(measure.interval_mass(a, b))))
+    if isinstance(m, GaussMap) and isinstance(measure, GaussMeasure):
+        af, bf = float(a), float(b)
+        K = 200000
+        # branch d contributes log1p(u_d), u_d = (b-a)/((d+a)(d+b+1));
+        # summed stably, with the linear tail in closed form via digamma
+        # (the quadratic tail is below 1e-16 for K >= 2e5)
+        head = math.fsum(
+            math.log1p((bf - af) / ((d + af) * (d + bf + 1)))
+            for d in range(1, K + 1)
+        )
+        tail = (bf - af) / (bf + 1 - af) * (
+            _digamma(K + 2 + bf) - _digamma(K + 1 + af))
+        total = (head + tail) / LOG2
+        return abs(total - measure.interval_mass(af, bf))
+    if isinstance(m, BlaschkeBoundary) and isinstance(measure, LebesgueMeasure):
+        total = sum((m.inverse_branch(d, b) - m.inverse_branch(d, a)) % 1.0 for d in range(m.N))
+        return abs(total - (b - a))
+    raise MeasureError(f"no invariance check for ({m.kind}, {measure.kind})")
+
+
 class TestInvariance:
     @pytest.mark.parametrize("pair", ["dary", "markov", "gauss", "blaschke"])
     def test_pushforward(self, pair, dary2, markov, gauss, blaschke_two,
@@ -613,7 +671,8 @@ class TestChainSampler:
             for length in self.LENGTHS:
                 got = sample_chain(m, np.random.default_rng(seed), length)
                 want = _chain_oracle(m, np.random.default_rng(seed), length)
-                assert got.dtype == want.dtype and got.tolist() == want.tolist(), (seed, length)
+                assert got.dtype == np.min_scalar_type(m.D - 1), (seed, length)
+                assert got.tolist() == want.tolist(), (seed, length)
         for seed in (5, 6):
             for length in (2 ** 16 + 1, 2 ** 16 + 2):   # tables of one and two scan chunks
                 got = sample_chain(m, np.random.default_rng(seed), length)
@@ -676,7 +735,7 @@ class TestCoalescingScan:
         monkeypatch.setattr(measures, "_coalesced",
                             lambda g, test=measures._coalesced: checks.append(len(g)) or test(g))
         got = sample_chain(markov, np.random.default_rng(0), 2 ** 17 + 1)
-        assert len(checks) <= 6          # the full scan makes 17 passes
+        assert len(checks) <= 2 * 6      # two table chunks, whose full scans make 16 passes each
         assert np.array_equal(got, _chain_oracle(markov, np.random.default_rng(0), 2 ** 17 + 1))
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 import tracemalloc
@@ -41,11 +42,15 @@ from shrinktargets.recurrence import (
     DRAW_CHUNK,
     MAX_DEPTH,
     READ_AHEAD,
+    SCHEDULE_KINDS,
     WINDOW_BLOCK,
     PrefixWalk,
     _checkpoints,
     _CheckpointTally,
     _digit_stream,
+    _Digits,
+    _first_at_depth,
+    _mass_at,
     _window_margin,
     _window_positions,
     _window_width,
@@ -176,7 +181,7 @@ def test_hit_engines_read_an_array_of_horizons_as_a_list(engine, sched, dary2, l
     tgt = TargetPoint.from_word(dary2, (0, 1))
     runs = [engine(dary2, lebesgue, tgt, sched, 20, 2, 0, horizons=h)
             for h in (np.array([3, 5]), [3, 5])]
-    assert runs[0].checkpoints == runs[1].checkpoints == [3, 5, 20]
+    assert runs[0].checkpoints.tolist() == runs[1].checkpoints.tolist() == [3, 5, 20]
     for name, value in vars(runs[0]).items():
         np.testing.assert_equal(value, getattr(runs[1], name), err_msg=name)
 
@@ -189,7 +194,7 @@ def _every_n(N):
 def _hit_indices(hs):
     """Per trial, the ascending n at which S_n steps up, as lists, from a run
     with every n as a horizon."""
-    assert hs.checkpoints == list(_every_n(hs.checkpoints[-1]))
+    assert hs.checkpoints.tolist() == list(_every_n(hs.checkpoints[-1]))
     return [(np.flatnonzero(np.diff(row, prepend=0)) + 1).tolist() for row in hs.hits]
 
 
@@ -959,6 +964,139 @@ class TestLinearEngineBudgets:
         assert peak < budget, f"{peak / 1e6:.1f} MB over the {budget / 1e6:.1f} MB budget"
 
 
+def _traced_peak(run):
+    """The tracemalloc peak, in bytes, of run()."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockSizedRuns:
+    """Linear hit runs at N = 10^6 hold block-sized arrays and their outputs:
+    no radii, depth, mass or 8-byte digit array of length N (the radii alone
+    take 8 MB)."""
+
+    def test_dary_metric(self, lebesgue):
+        m = DAryShift(3)
+        peak = _traced_peak(lambda: run_metric_hits(
+            m, lebesgue, TargetPoint.from_point(m, F(1, 4)), Schedule.radii_power(2.0),
+            10 ** 6, 2, 0))
+        assert peak < 4e6, f"{peak / 1e6:.1f} MB over the 4 MB budget (11.4 MB with the radii)"
+
+    def test_chain_metric(self, markov, lebesgue):
+        peak = _traced_peak(lambda: run_metric_hits(
+            markov, lebesgue, TargetPoint.from_word(markov, (0, 1)), Schedule.radii_power(2.0),
+            10 ** 6, 2, 0))
+        assert peak < 4e6, f"{peak / 1e6:.1f} MB over the 4 MB budget (36.1 MB with int64 digits)"
+
+    def test_binary_symbolic(self, dary2, lebesgue):
+        """The one-trial stream and mask take a byte a digit; the depths and
+        the normalizer's masses are read a block at a time."""
+        peak = _traced_peak(lambda: run_symbolic_hits(
+            dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1)), Schedule.depth_log_floor(2),
+            10 ** 6, 2, 0))
+        assert peak < 6e6, f"{peak / 1e6:.1f} MB over the 6 MB budget (24.0 MB at full length)"
+
+    def test_every_n_a_horizon(self, dary2, lebesgue):
+        """The four outputs of length N take 32 MB: checkpoints (an int64
+        array, not a list of ints), hits, normalizer and window minima."""
+        N = 10 ** 6
+        peak = _traced_peak(lambda: run_metric_hits(
+            dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1)), Schedule.radii_power(2.0),
+            N, 1, 0, horizons=range(1, N + 1)))
+        assert peak <= 40e6, f"{peak / 1e6:.1f} MB over the 40 MB budget (80.0 MB with a list)"
+
+
+class TestScheduleBlocks:
+    @pytest.mark.parametrize("kind", sorted(SCHEDULE_KINDS))
+    @pytest.mark.parametrize("N", [1, B - 1, B, B + 1, 3 * B + 17])
+    def test_blocks_hold_the_values_of_one_evaluation(self, kind, N):
+        sched = _one_of_each_kind()[kind]
+        whole = sched.radii_array(N) if sched.is_radii else sched.depths_array(N)
+        blocks = list(sched.blocks(N))
+        assert [n0 for n0, _ in blocks] == [1, *range(B, N + 1, B)]
+        got = np.concatenate([v for _, v in blocks])
+        assert got.dtype == whole.dtype and np.array_equal(got, whole)
+        last = sched.radii_array(N, N - 1) if sched.is_radii else sched.depths_array(N, N - 1)
+        assert np.array_equal(last, whole[-1:])
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULE_KINDS))
+    def test_any_split_of_a_million_indices(self, kind):
+        """Blocks of 2^15 and of 777 and single values give one evaluation's values."""
+        sched, N = _one_of_each_kind()[kind], 1_000_003
+        read = sched.radii_array if sched.is_radii else sched.depths_array
+        whole = read(N)
+        for size in (WINDOW_BLOCK, 777):
+            got = np.concatenate([read(min(lo + size, N), lo) for lo in range(0, N, size)])
+            assert np.array_equal(got, whole), size
+        for n in np.random.default_rng(0).integers(1, N + 1, 500).tolist():
+            assert np.array_equal(read(n, n - 1), whole[n - 1:n]), n
+
+    @pytest.mark.parametrize("kind", ["depth_log_floor", "depth_power_floor", "custom_depths"])
+    def test_first_index_at_each_depth(self, kind):
+        sched, N = _one_of_each_kind()[kind], 3 * B + 17
+        depths, first = sched.depths_array(N), _first_at_depth(sched, N)
+        for mm in (*range(40), 0, 5, 200):
+            assert first(mm) == np.searchsorted(depths, mm), mm
+
+
+def _one_of_each_kind():
+    return {"radii_power": Schedule.radii_power(1.5), "radii_exp": Schedule.radii_exp(1e-4),
+            "radii_const": Schedule.radii_const(0.1),
+            "depth_log_floor": Schedule.depth_log_floor(1.5),
+            "depth_power_floor": Schedule.depth_power_floor(0.3),
+            "depth_const": Schedule.depth_const(7),
+            "custom_radii": Schedule.custom_radii([0.5, 0.25, 0.1]),
+            "custom_depths": Schedule.custom_depths([0, 2, 2, 9])}
+
+
+class TestChunkedDigits:
+    """A trial's chunked digit source holds the digits of one _digit_stream
+    call, and past them those of the read-on call after its last digit."""
+
+    @pytest.mark.parametrize("name", ["dary2", "dary3", "dary256", "dary257", "markov",
+                                      "golden_markov", "zero_diagonal"])
+    def test_reads_equal_one_draw_and_a_read_on(self, name, request):
+        m = DAryShift(int(name[4:])) if name.startswith("dary") else request.getfixturevalue(name)
+        L, k = 2 * DRAW_CHUNK + 3, 301
+        ref = np.random.default_rng(5)
+        want = _digit_stream(m, ref, L)
+        want = np.concatenate((want, _digit_stream(m, ref, k, after=int(want[-1]))))
+        source = _Digits(m, np.random.default_rng(5), L, k)
+        # edges off multiples of 8, reads that cross chunk edges and overlap,
+        # and a read past the first draw
+        for lo, hi in ((0, 13), (5, 70_001), (69_999, DRAW_CHUNK + 9), (DRAW_CHUNK + 1, L - 2),
+                       (L - 7, L + 5), (L + 1, L + k)):
+            got = source.read(lo, hi)
+            assert got.dtype == want.dtype and np.array_equal(got, want[lo:hi]), (lo, hi)
+
+
+class TestMassesInBlocks:
+    @pytest.mark.parametrize("split", [1, 7, 40])
+    @pytest.mark.parametrize("case", ["markov-01", "golden-011", "dary-deep"])
+    def test_blocks_go_on_from_one_walk(self, case, split, markov, golden_markov, dary2,
+                                        lebesgue):
+        """Masses read a block at a time through one _mass_at equal one call:
+        runs across block edges, a forbidden transition's exact 0 and a far
+        depth past the underflow included."""
+        m, word, depths = {
+            "markov-01": (markov, (0, 1), np.repeat(np.arange(0, 90), 3)),
+            "golden-011": (golden_markov, (0, 1, 1), np.repeat(np.arange(0, 30), 4)),
+            "dary-deep": (dary2, (0, 1), np.concatenate((np.arange(50), [3000] * 9))),
+        }[case]
+        tgt = TargetPoint.from_word(m, word)
+        mass_at = _mass_at(m, lebesgue, tgt)
+        got = np.concatenate([cylinder_mass_by_depth(m, lebesgue, tgt, depths[lo:lo + split],
+                                                     mass_at)
+                              for lo in range(0, len(depths), split)])
+        want = cylinder_mass_by_depth(m, lebesgue, TargetPoint.from_word(m, word), depths)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (want == 0).any() == (case != "markov-01")
+
+
 def _ball_mass_bruteforce(m, measure, x0, radii) -> list:
     """Per-ball masses one interval_mass call at a time."""
     return [min(2 * float(r), 1.0) if m.circle else
@@ -1520,3 +1658,19 @@ class TestHitSeries:
         assert s["trials"] == 2 and s["checkpoints"] == [100, 1000]
         lo, hi = hs.ci95()
         assert lo <= s["mean_ratio"] <= hi
+
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    def test_window_minima_medians_are_those_of_each_window(self, trials):
+        """One median over the trials axis gives each window's median, inf and
+        nan (a radius that underflowed to 0) included, as JSON writes them;
+        one np.median call per window took 18.6 s at 10^6 windows."""
+        rng = np.random.default_rng(trials)
+        wmins = rng.random((trials, 400))
+        wmins[:, 7] = np.inf
+        wmins[0, 8] = np.inf
+        wmins[-1, 9] = np.nan
+        hs = recurrence.HitSeries(np.arange(1, 401), np.ones((trials, 400), np.int64),
+                                  np.ones(400), [0] * trials, "e", "metric", window_minima=wmins)
+        want = [float(np.median(wmins[:, w])) for w in range(400)]
+        assert json.dumps(hs.summary()["window_minima_median"]) == json.dumps(want)
+        assert hs.summary()["checkpoints"] == list(range(1, 401))

@@ -43,6 +43,11 @@ config, MarkovLinear(M, p) and stationary_vector(M), those of a
 depth_log_floor(2) classify of the word (0, 1) on DAryShift(CHAIN_DARY), and
 those of a one-level depth_const(3) Cantor stage build on DAryShift(D), for
 each D of STAGE_DARY, map construction included.
+Then memory: the tracemalloc peak and the seconds, traced, of each run of
+MEMORY_RUNS in this process, the guard runs of
+tests/test_recurrence.py::TestBlockSizedRuns (linear hit runs at N = 10^6)
+and the D = 2 (8,15000) Cantor stage build of
+tests/test_dimension.py.
 Then config_exits: the exit code of cli.main on each malformed config of
 MALFORMED, each of which breaks one hypothesis on an input (a map, a bound,
 a point x0, a gridprobe grid or ball) and should exit 2, never 3; and
@@ -129,6 +134,7 @@ WIELANDT = [[str(int(j == i + 1)) for j in range(18)] for i in range(17)] + \
 CHAIN_DARY = 4096       # D of the D-ary shift of the chain_checks classify
 STAGE_DARY = (64, 256)  # D of the D-ary shifts of the chain_checks stage builds
 TRACED_RUNS = 3         # --trace 1 runs per workload; a per-layer metric is their median
+MEMORY_N = 10 ** 6      # orbit indices of the memory block's hit runs
 RANK = {"MeasureZero": 0, "Inconclusive": 1, "FullMeasure": 2}
 SQRT = {"kind": "radii_power", "alpha": 2}
 RADII_LOWER = {"formula": "radii_lower", "h": 0.7, "delta_bar": 1.0, "ell_bar": 0.5,
@@ -406,6 +412,44 @@ def chain_checks() -> dict:
     return out
 
 
+def memory() -> dict:
+    """tracemalloc peak (MB) and traced seconds of each guard run: metric
+    DAryShift(3) and the chain at r_n = n^-1/2, symbolic D = 2 at
+    t_n = floor(log2 n), each MEMORY_N x 2 trials; metric D = 2 with every n
+    a horizon, 1 trial; and the D = 2, (0, 1), depth_const(3), (8, 15000)
+    Cantor stage build."""
+    import tracemalloc
+    sys.path.insert(0, "src")
+    from shrinktargets import (DAryShift, MarkovLinear, Schedule, build_cantor_stage,
+                               run_metric_hits, run_symbolic_hits, stationary_vector)
+    from shrinktargets.measures import LebesgueMeasure
+
+    mu, sqrt, N = LebesgueMeasure(), Schedule.radii_power(2.0), MEMORY_N
+    M = [[Fraction(x) for x in row] for row in CHAINS["chain"]]
+    chain, dary2 = MarkovLinear(M, stationary_vector(M)), DAryShift(2)
+    runs = {
+        "metric_dary3": lambda: run_metric_hits(DAryShift(3), mu, Fraction(1, 4), sqrt, N, 2, 0),
+        "metric_chain": lambda: run_metric_hits(chain, mu, (0, 1), sqrt, N, 2, 0),
+        "symbolic_dary2_log2": lambda: run_symbolic_hits(
+            dary2, mu, (0, 1), Schedule.depth_log_floor(2), N, 2, 0),
+        "metric_dary2_every_n": lambda: run_metric_hits(
+            dary2, mu, (0, 1), sqrt, N, 1, 0, horizons=range(1, N + 1)),
+        "cantor_dary2_8_15000": lambda: build_cantor_stage(
+            dary2, (0, 1), Schedule.depth_const(3), 2, (8, 15000)),
+    }
+    out = {}
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            run()
+            out[name] = {"traced_s": time.perf_counter() - t0,
+                         "peak_mb": tracemalloc.get_traced_memory()[1] / 1e6}
+        finally:
+            tracemalloc.stop()
+    return out
+
+
 def config_exits(configs: dict):
     """(exits, values): the exit code of cli.main, in this process, on each
     config of configs, or "traceback" where cli.main raised; and the
@@ -495,6 +539,9 @@ def main(argv=None) -> int:
     doc["chain_checks"] = chain_checks()
     print("chain checks: " + ", ".join(f"{k} {v['best_s']:.4f} s"
                                        for k, v in doc["chain_checks"].items()), file=sys.stderr)
+    doc["memory"] = memory()
+    print("memory: " + ", ".join(f"{k} {v['peak_mb']:.1f} MB"
+                                 for k, v in doc["memory"].items()), file=sys.stderr)
     for key, configs in (("config_exits", MALFORMED), ("extreme_exits", EXTREME)):
         doc[key], values = config_exits(configs)
         print(f"{key.replace('_', ' ')}: " + ", ".join(f"{k} {v}" for k, v in doc[key].items()),
