@@ -166,9 +166,8 @@ def _run_simulate(cfg):
     records = [{"trial": t, "n": n, "hits": h, "normalizer": norm, "ratio": r}
                for (t, n, h, norm, r) in hs.csv_rows()]
     summary = hs.summary()
-    trace = [{"n": int(n), "ratio": float(hs.hits[:, k].mean() / hs.normalizer[k])
-              if hs.normalizer[k] > 0 else math.nan}
-             for k, n in enumerate(hs.checkpoints)]
+    trace = [{"n": n, "ratio": r} for n, r in
+             zip(hs.checkpoints.tolist(), hs.ratio_of(hs.hits.mean(axis=0)).tolist())]
     return {"records": records, "summary": summary, "ratio_trace": trace}
 
 

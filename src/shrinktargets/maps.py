@@ -340,7 +340,7 @@ class MarkovLinear(MapModel, Chain):
 
     @cached_property
     def float_chain(self):
-        """Float cumulative sums of p and of each row of M, for measures.sample_chain."""
+        """Float cumulative sums of p and of each row of M, for measures.digit_draws."""
         cum = np.cumsum([[float(x) for x in row] for row in self.M], axis=1)
         for i in range(self.D):     # a uniform past a row's float sum takes its last admissible digit
             cum[i, max(self.branch_targets(i)):] = 1.0

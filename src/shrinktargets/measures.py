@@ -25,6 +25,7 @@ from .maps import (
     Chain,
     DAryShift,
     GaussMap,
+    MapError,
     MapModel,
     MarkovLinear,
     chain_violations,
@@ -34,7 +35,7 @@ from .coding import Target, cylinder_from_word
 
 LOG2 = math.log(2)
 GAUSS_ENTROPY = math.pi ** 2 / (6 * LOG2)
-_SCAN_CHUNK = 1 << 16    # transitions per chunk of the chain sampler: its table and scan
+DRAW_CHUNK = 1 << 16     # digits per numpy draw of digit_draws (a chain's table and scan)
 ORBIT_BLOCK = 128        # rows x_n per block of the float-orbit engines
 
 
@@ -263,43 +264,78 @@ def _coalesced(g: np.ndarray) -> bool:    # every row constant: no pass changes 
     return not (g[:, 1:] != g[:, :1]).any()
 
 
-def chain_chunks(m: MarkovLinear, rng: np.random.Generator, length: int, start=None):
-    """sample_chain's digits in chunks: the first alone, then the transitions
-    _SCAN_CHUNK at a time, from the state the chunk before ended in."""
+def digit_draws(m: MapModel, rng: np.random.Generator):
+    """draw(k): at least the next k digits of one random orbit of m from the
+    trial's generator rng.  Digit i depends only on rng's seed and i, however
+    the draws split the orbit.  D = 2 draws the bits of uniform bytes, most
+    significant first, in whole uint32 words (numpy drops the rest of a call's
+    last word); other D bounded int32; a chain one uniform per digit
+    (_chain_steps); the Gauss map the digits of a float pseudo-orbit from a
+    Gauss-distributed point, which restarts from a fresh point at a boundary.
+    Digits are held in np.min_scalar_type(D - 1), int64 for the Gauss map."""
+    if isinstance(m, DAryShift) and m.D == 2:
+        return lambda k: np.unpackbits(rng.integers(0, 256, -(-k // 32) * 4, np.uint8))
+    if isinstance(m, DAryShift):
+        steps = lambda c: rng.integers(0, m.D, c, np.int32)     # noqa: E731
+    elif isinstance(m, MarkovLinear):
+        steps = _chain_steps(m, rng)
+    elif isinstance(m, GaussMap):
+        steps = _gauss_steps(rng)
+    else:
+        raise MapError(f"no digit-stream engine for {m.kind}")
+    dtype = np.int64 if isinstance(m, GaussMap) else np.min_scalar_type(m.D - 1)
+
+    def draw(k):
+        out = np.empty(k, dtype)
+        for lo in range(0, k, DRAW_CHUNK):
+            out[lo:lo + DRAW_CHUNK] = steps(min(DRAW_CHUNK, k - lo))
+        return out
+    return draw
+
+
+def _chain_steps(m: MarkovLinear, rng):
+    """steps(c): the chain's next c digits, from the state the steps before
+    ended in.  Row k of the table g is the step map state -> next state of
+    uniform k, read against the cumulative rows of M (the first uniform's row
+    maps every state to the digit it reads against p).  A Hillis-Steele
+    doubling scan (Blelloch, "Prefix sums and their applications", 1990) turns
+    row k into g_k o ... o g_0, one numpy call per pass.  Before the pass of
+    stride s, row k >= s holds g_k o ... o g_{k-s+1}; once all of those are
+    constant, the states have coalesced (Propp-Wilson 1996) and the scan
+    stops.  Row k at the start state is digit k."""
     cum_p, cum = m.float_chain
-    state = start if start is not None else min(
-        np.searchsorted(cum_p, rng.random(), side="right"), m.D - 1)
-    yield np.array([state], np.min_scalar_type(m.D - 1))
-    for lo in range(1, length, _SCAN_CHUNK):
-        u = rng.random(min(_SCAN_CHUNK, length - lo))
-        g = np.empty((len(u), m.D), dtype=np.min_scalar_type(m.D - 1))
+    state = None
+
+    def steps(c):
+        nonlocal state
+        u = rng.random(c)
+        g = np.empty((c, m.D), dtype=np.min_scalar_type(m.D - 1))
         for s in range(m.D):
             g[:, s] = np.searchsorted(cum[s], u, side="right")
-        row, step = np.arange(len(g), dtype=np.int32)[:, None] * m.D, 1    # flat row offsets
-        while step < len(g) and not _coalesced(g[step:]):
-            g[step:] = g[step:].ravel()[g[:-step] + row[:len(g) - step]]
+        if state is None:
+            state, g[0] = 0, min(np.searchsorted(cum_p, u[0], side="right"), m.D - 1)
+        row, step = np.arange(c, dtype=np.int32)[:, None] * m.D, 1    # flat row offsets
+        while step < c and not _coalesced(g[step:]):
+            g[step:] = g[step:].ravel()[g[:-step] + row[:c - step]]
             step *= 2
-        out = g[:, state].copy()
-        state, u, g, row = out[-1], None, None, None    # a waiting chunk holds only its digits
-        yield out
+        out = g[:, state]
+        state = out[-1]
+        return out
+    return steps
 
 
-def sample_chain(m: MarkovLinear, rng: np.random.Generator, length: int,
-                 start=None) -> np.ndarray:
-    """Digits of the stationary chain (p, M), in np.min_scalar_type(D - 1):
-    one uniform for the first digit (or the given start digit, without a
-    draw), then one per transition, read against cumulative rows of M.
+def _gauss_steps(rng):
+    x = 0.0     # the pseudo-orbit's point, drawn afresh at the start and at a boundary
 
-    Row k of a chunk's table g is the step map state -> next state of uniform
-    k.  A Hillis-Steele doubling scan (Blelloch, "Prefix sums and their
-    applications", 1990) turns row k into g_k o ... o g_0, one numpy call per
-    pass.  Before the pass of stride s, row k >= s holds g_k o ... o g_{k-s+1};
-    once all of those are constant, the states have coalesced (Propp-Wilson
-    1996) and the scan stops.  Row k at the chunk's start state is digit k.
-    Successive Generator.random calls continue one stream, so the chunks hold
-    the digits of one draw of all the uniforms.
-    """
-    return np.concatenate(list(chain_chunks(m, rng, length, start)))
+    def steps(c):
+        nonlocal x
+        out = np.empty(c, np.int64)
+        for j in range(c):
+            if not 0 < x < 1:
+                x = float(np.exp2(rng.random()) - 1.0)
+            x, out[j] = math.modf(1.0 / x)
+        return out
+    return steps
 
 
 def float_orbit_blocks(m: MapModel, measure: InvariantMeasure, seeds, N: int):
@@ -370,7 +406,7 @@ def entropy_birkhoff(m: MapModel, measure: InvariantMeasure, n_iter: int,
                 logslope[i, j] = math.log(float(m.slope(i, j)))
         vals = np.empty(n_trials)
         for t, s in enumerate(seeds):
-            chain = sample_chain(m, np.random.default_rng(s), n_iter + 1)
+            chain = digit_draws(m, np.random.default_rng(s))(n_iter + 1)
             vals[t] = float(np.mean(logslope[chain[:-1], chain[1:]]))
     else:               # the float-orbit maps, Gauss and Blaschke
         s = np.zeros((1, n_trials))

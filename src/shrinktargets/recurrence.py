@@ -13,22 +13,20 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, count, islice, pairwise
+from itertools import accumulate, chain, count, islice, pairwise, repeat
 from typing import Optional
 
 import numpy as np
 
 from .coding import (PrefixWalk, Target, ball_holds,  # noqa: F401 (re-exported)
                      cylinder_from_word, period_matrix)
-from .maps import BoundaryHit, DAryShift, GaussMap, MapError, MapModel, MarkovLinear
-from .measures import (GaussMeasure, InvariantMeasure, chain_chunks, check_invariant,
+from .maps import BoundaryHit, DAryShift, MapError, MapModel, MarkovLinear
+from .measures import (GaussMeasure, InvariantMeasure, check_invariant, digit_draws,
                        float_orbit_blocks, trial_seed)
 from .schema import check, integer, kinds, listof, number, rules
 
 DENSE_DIGITS = 3         # leading target digits the symbolic engine matches on every index
-READ_AHEAD = 64          # stream digits past index N in a symbolic trial's first draw
 WINDOW_BLOCK = 1 << 15   # orbit indices per block of the linear metric engine (L2-sized)
-DRAW_CHUNK = 1 << 16     # D-ary digits per int32 draw of _digit_stream
 MAX_DEPTH = 1 << 62      # the deepest t_n, in int64, where floor(n^kappa) caps; its mass is 0.0
 
 
@@ -196,8 +194,8 @@ class HitSeries:
             "kind": self.kind,
             "engine": self.engine,
             "trials": int(self.hits.shape[0]),
-            "checkpoints": [int(c) for c in self.checkpoints],
-            "normalizer": [float(v) for v in self.normalizer],
+            "checkpoints": self.checkpoints.tolist(),
+            "normalizer": self.normalizer.tolist(),
             "mean_ratio": self.mean_final_ratio(),
             "ci95": [lo, hi],
             "resampled": self.resampled,
@@ -207,12 +205,15 @@ class HitSeries:
             out["window_minima_median"] = np.median(self.window_minima, axis=0).tolist()
         return out
 
-    def csv_rows(self):
-        for t in range(self.hits.shape[0]):
-            for k, n in enumerate(self.checkpoints):
-                norm = float(self.normalizer[k])
-                ratio = float(self.hits[t, k] / norm) if norm > 0 else math.nan
-                yield (t, int(n), int(self.hits[t, k]), norm, ratio)
+    def ratio_of(self, hits) -> np.ndarray:
+        """hits / normalizer at each checkpoint, nan where the normalizer is <= 0."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(self.normalizer > 0, hits / self.normalizer, math.nan)
+
+    def csv_rows(self):         # (trial, n, hits, normalizer, ratio)
+        cps, norm, ratios = self.checkpoints.tolist(), self.normalizer.tolist(), self.ratio_of(self.hits)
+        for t, (hits, ratio) in enumerate(zip(self.hits.tolist(), ratios.tolist())):
+            yield from zip(repeat(t), cps, hits, norm, ratio)
 
 
 def _checkpoints(N: int, horizons) -> np.ndarray:
@@ -322,55 +323,17 @@ def _chain_mass(chain, digits):
 # ---------------------------------------------------------------------------
 # symbolic engine
 
-def _digit_chunks(m: MapModel, rng, length: int, after=None):
-    """The length digits of one draw from a trial's generator, in chunks: D = 2
-    the bits of uniform bytes, most significant first, DRAW_CHUNK / 8 bytes (whole
-    uint32 draws, whose leftover bytes a call drops) a call; other D int32 draws;
-    a chain sample_chain's.  Digits are held in np.min_scalar_type(D - 1).  Past
-    the digit ``after`` a D-ary stream draws afresh and a chain steps from its row."""
-    if isinstance(m, MarkovLinear):
-        return islice(chain_chunks(m, rng, length + 1, start=after), 1, None) \
-            if after is not None else chain_chunks(m, rng, length)
-    if isinstance(m, DAryShift):
-        return (np.unpackbits(rng.integers(0, 256, -(-k // 8), np.uint8))[:k] if m.D == 2
-                else rng.integers(0, m.D, k, np.int32).astype(np.min_scalar_type(m.D - 1))
-                for k in (min(DRAW_CHUNK, length - lo) for lo in range(0, length, DRAW_CHUNK)))
-    raise MapError(f"no digit-stream engine for {m.kind}")
-
-
-def _digit_stream(m: MapModel, rng, length: int, after=None):
-    """length digits of a random orbit: _digit_chunks in one array, or those of
-    a Gauss pseudo-orbit from a Gauss-distributed point, which restarts from a
-    fresh point at a boundary and on a read-on, forgetting the digits read (the
-    Gauss digit process is not Markov); only a survivor past READ_AHEAD matched
-    digits reaches it."""
-    if not isinstance(m, GaussMap):
-        return np.concatenate(list(_digit_chunks(m, rng, length, after)))
-    x = float(np.exp2(rng.random()) - 1.0)
-    out = np.empty(length, dtype=np.int64)
-    for k in range(length):
-        inv = 1.0 / x
-        d = int(inv)
-        out[k] = d
-        x = inv - d
-        if not (0 < x < 1):
-            x = float(np.exp2(rng.random()) - 1.0)
-    return out
-
-
 class _Digits:
-    """A trial's digits from the lowest index still read: its first draw's chunks
-    as reads reach them, then ``more`` at a time, as _digit_stream(..., after=)."""
+    """A trial's digits (digit_draws) from the lowest index still read."""
 
-    def __init__(self, m, rng, length, more):
-        self.m, self.rng, self.more, self.chunks = m, rng, more, _digit_chunks(m, rng, length)
-        self.held, self.base = next(self.chunks), 0         # digits base, base + 1, ...
+    def __init__(self, m, rng):
+        self.draw, self.base = digit_draws(m, rng), 0
+        self.held = self.draw(0)                            # digits base, base + 1, ...
 
     def read(self, lo, hi):         # digits lo..hi-1; lo never decreases from read to read
-        while self.base + len(self.held) < hi:
-            if (new := next(self.chunks, None)) is None:    # read on from the trial's generator
-                new = _digit_stream(self.m, self.rng, self.more, after=int(self.held[-1]))
-            self.held, self.base = np.concatenate((self.held[lo - self.base:], new)), lo
+        if self.base + len(self.held) < hi:
+            new = self.draw(hi - self.base - len(self.held))
+            self.held, self.base = np.concatenate((self.held, new))[lo - self.base:], lo
         return self.held[lo - self.base:hi - self.base]
 
 
@@ -409,8 +372,8 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
 
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
     for t in range(trials):
-        rng = np.random.default_rng(seeds[t])
-        stream = _digit_stream(m, rng, N + min(t_max, READ_AHEAD) + 2)
+        digits = _Digits(m, np.random.default_rng(seeds[t]))
+        stream = digits.read(0, N + dense)
         # the leading digits on contiguous slices, while most indices match;
         # the 0-based indices from first(mm) on need digit mm
         live = stream[1:N + 1] == word[0]
@@ -425,10 +388,8 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
             live = live[k:]
             if not len(live):
                 break
-            if len(stream) < 2 + mm + live[-1]:     # read on, by at least the read-ahead
-                more = max(2 + mm + int(live[-1]) - len(stream), len(stream) - N)
-                stream = np.concatenate(
-                    (stream, _digit_stream(m, rng, more, after=int(stream[-1]))))
+            if len(stream) < 2 + mm + live[-1]:     # read on, past N at least twice as far
+                stream = digits.read(0, max(2 + mm + int(live[-1]), 2 * len(stream) - N))
             if mm == len(word):
                 word.append(next(source))
             live = live[stream[1 + mm + live] == word[mm]]
@@ -592,7 +553,7 @@ def _metric_linear(m, target, blocks, r_min, N, trials, seeds, cps):
     tally = _CheckpointTally(cps, trials)
     reach = W + 193         # digits of T^n x that the exact test may read
     ambiguous, gap = 0, np.empty(min(N, WINDOW_BLOCK))
-    streams = [_Digits(m, np.random.default_rng(s), N + W + 2, reach) for s in seeds]
+    streams = [_Digits(m, np.random.default_rng(s)) for s in seeds]
     for n0, r in blocks:                    # orbit indices n0..n0+len(r)-1
         for t, stream in enumerate(streams):
             d = _window_positions(m, stream.read(n0 - 1, n0 + len(r) + W + 1), len(r), W)

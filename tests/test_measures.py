@@ -36,8 +36,8 @@ from shrinktargets import (
 from shrinktargets import measures
 from shrinktargets.measures import (
     GAUSS_ENTROPY,
+    digit_draws,
     float_orbit_blocks,
-    sample_chain,
 )
 from conftest import (
     ScriptedGaussMeasure,
@@ -669,17 +669,17 @@ class TestChainSampler:
         m = request.getfixturevalue(name)
         for seed in (0, 1, 2):
             for length in self.LENGTHS:
-                got = sample_chain(m, np.random.default_rng(seed), length)
+                got = digit_draws(m, np.random.default_rng(seed))(length)
                 want = _chain_oracle(m, np.random.default_rng(seed), length)
                 assert got.dtype == np.min_scalar_type(m.D - 1), (seed, length)
                 assert got.tolist() == want.tolist(), (seed, length)
         for seed in (5, 6):
-            for length in (2 ** 16 + 1, 2 ** 16 + 2):   # tables of one and two scan chunks
-                got = sample_chain(m, np.random.default_rng(seed), length)
+            for length in (2 ** 16, 2 ** 16 + 1, 2 ** 16 + 2):  # tables of one and two chunks
+                got = digit_draws(m, np.random.default_rng(seed))(length)
                 assert np.array_equal(got, _chain_oracle(m, np.random.default_rng(seed), length))
 
     def test_forbidden_transitions_never_drawn(self, zero_diagonal):
-        chain = sample_chain(zero_diagonal, np.random.default_rng(3), 50_000)
+        chain = digit_draws(zero_diagonal, np.random.default_rng(3))(50_000)
         assert not np.any(chain[1:] == chain[:-1])
         assert set(chain.tolist()) == {0, 1, 2}
 
@@ -695,14 +695,14 @@ class TestChainSampler:
             def random(self, size=None):
                 return 1 - 2 ** -53 if size is None else np.full(size, 1 - 2 ** -53)
 
-        assert sample_chain(m, NearOne(), 5).tolist() == [9] * 5
+        assert digit_draws(m, NearOne())(5).tolist() == [9] * 5
 
     def test_million_digits_in_a_few_megabytes(self, markov):
         import tracemalloc
         n = 10 ** 6
         tracemalloc.start()
         try:
-            sample_chain(markov, np.random.default_rng(0), n)
+            digit_draws(markov, np.random.default_rng(0))(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -726,16 +726,18 @@ class TestCoalescingScan:
         for seed in (0, 1, 2):
             for length in (2, 3, 1024, 1025, 10007, 2 ** 16 + 2):
                 checks.clear()
-                got = sample_chain(m, np.random.default_rng(seed), length)
+                got = digit_draws(m, np.random.default_rng(seed))(length)
                 assert np.array_equal(got, _chain_oracle(m, np.random.default_rng(seed), length))
-            assert len(checks) >= 9          # the full scan of 2^16 + 2 digits makes 17 passes
+            assert len(checks) >= 9          # a full scan of 2^16 digits makes 16 passes
 
     def test_scan_stops_once_rows_coalesce(self, markov, monkeypatch):
         checks = []
         monkeypatch.setattr(measures, "_coalesced",
                             lambda g, test=measures._coalesced: checks.append(len(g)) or test(g))
-        got = sample_chain(markov, np.random.default_rng(0), 2 ** 17 + 1)
-        assert len(checks) <= 2 * 6      # two table chunks, whose full scans make 16 passes each
+        got = digit_draws(markov, np.random.default_rng(0))(2 ** 17 + 1)
+        # two full table chunks, whose full scans make 16 passes each; the last
+        # digit's one-row table makes none
+        assert len(checks) <= 2 * 6
         assert np.array_equal(got, _chain_oracle(markov, np.random.default_rng(0), 2 ** 17 + 1))
 
 

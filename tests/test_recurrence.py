@@ -34,20 +34,19 @@ from shrinktargets.measures import (
     GaussMeasure,
     LebesgueMeasure,
     MarkovStationaryMeasure,
+    DRAW_CHUNK,
     MeasureError,
+    digit_draws,
     float_orbit_blocks,
     stationary_vector,
 )
 from shrinktargets.recurrence import (
-    DRAW_CHUNK,
     MAX_DEPTH,
-    READ_AHEAD,
     SCHEDULE_KINDS,
     WINDOW_BLOCK,
     PrefixWalk,
     _checkpoints,
     _CheckpointTally,
-    _digit_stream,
     _Digits,
     _first_at_depth,
     _mass_at,
@@ -64,6 +63,11 @@ from conftest import (
 )
 
 LOG2 = math.log(2)
+
+
+def _first_digits(m, rng, length):
+    """The first length digits of the orbit that rng draws."""
+    return digit_draws(m, rng)(length)[:length]
 
 
 class TestSchedule:
@@ -232,7 +236,7 @@ class TestMetricHits:
         sched = Schedule.radii_power(1.0)
         hs = run_metric_hits(dary2, lebesgue, TargetPoint.from_point(dary2, F(1, 3)),
                              sched, N, 1, seed, horizons=_every_n(N))
-        stream = _digit_stream(dary2, np.random.default_rng(trial_seed(seed, 0)), N + 52 + 2)
+        stream = _first_digits(dary2, np.random.default_rng(trial_seed(seed, 0)), N + 52 + 2)
         assert _exact_binary_hits(stream, F(1, 3), sched, N) == _hit_indices(hs)[0]
 
     def test_borderline_step_resolved_exactly(self, dary2, lebesgue):
@@ -242,7 +246,7 @@ class TestMetricHits:
         alone would call step 1 a hit; the exact point lies outside."""
         N, seed, x0 = 200, 10, F(1, 3)
         W = _window_width(dary2, 0.05)[0]
-        stream = _digit_stream(dary2, np.random.default_rng(trial_seed(seed, 0)), N + W + 2)
+        stream = _first_digits(dary2, np.random.default_rng(trial_seed(seed, 0)), N + W + 2)
         r = abs(float(_window_positions(dary2, stream, N, W)[0]) - float(x0))
         assert _window_width(dary2, r)[0] == W
         sched = Schedule.radii_const(r)
@@ -483,7 +487,7 @@ class TestMarkovFastPath:
     def test_seeded_outputs_pinned(self, markov, markov_measure, golden_markov):
         """Seeded Markov outputs pinned to the values of a digit-by-digit
         chain and of windows composed one Fraction branch at a time."""
-        stream = _digit_stream(markov, np.random.default_rng(11), 40)
+        stream = _first_digits(markov, np.random.default_rng(11), 40)
         assert stream.tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1,
                                    1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]
         alt = TargetPoint.from_word(markov, (0, 1))
@@ -509,7 +513,7 @@ class TestMarkovFastPath:
         start = F(0) if isinstance(m, DAryShift) else F(1, 2)
         worst = worst_cut = F(0)
         for seed in (0, 1, 2):
-            stream = _digit_stream(m, np.random.default_rng(seed),
+            stream = _first_digits(m, np.random.default_rng(seed),
                                    N + W + extra + 2)
             pos = _window_positions(m, stream, N, W)
             s = stream.tolist()
@@ -558,36 +562,19 @@ class TestExactResolver:
         N, seed, x0 = 40, 0, F(1, 3)
         rng = np.random.default_rng(trial_seed(seed, 0))
         W = 30
-        stream = _digit_stream(dary2, rng, N + W + 2)
+        stream = _first_digits(dary2, rng, N + W + 2 + 300)
         r = float(abs(_window_positions(dary2, stream, N, W)[N - 1] - float(x0)))
         assert _window_width(dary2, r)[0] == W
         R = F(r)
-        window = cylinder_from_word(dary2, stream[N:].tolist())
+        window = cylinder_from_word(dary2, stream[N:N + W + 2].tolist())
         assert window.left < x0 - R < window.right or window.left < x0 + R < window.right
-        word = stream[N:].tolist() + _digit_stream(dary2, rng, 300, after=int(stream[-1])).tolist()
-        c = cylinder_from_word(dary2, word)
+        c = cylinder_from_word(dary2, stream[N:].tolist())
         inside = x0 - R <= c.left and c.right <= x0 + R
         assert inside or c.right < x0 - R or c.left > x0 + R
         hs = run_metric_hits(dary2, lebesgue, TargetPoint.from_point(dary2, x0),
                              Schedule.custom_radii([r]), N, 1, seed, horizons=_every_n(N))
         assert hs.ambiguous_resolved >= 1
         assert (N in _hit_indices(hs)[0]) == inside
-
-    def test_chain_reads_on_from_the_last_digit(self, zero_diagonal):
-        # the continuation steps through row M[last], never redraws from p
-        m = zero_diagonal
-        cum = np.cumsum(np.asarray(m.M, dtype=float), axis=1)
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            stream = _digit_stream(m, rng, 50)
-            u = np.random.default_rng()
-            u.bit_generator.state = rng.bit_generator.state
-            more = _digit_stream(m, rng, 30, after=int(stream[-1]))
-            want, prev = [], int(stream[-1])
-            for x in u.random(30):
-                prev = int(np.searchsorted(cum[prev], x, side="right"))
-                want.append(prev)
-            assert more.tolist() == want and want[0] != stream[-1]
 
     @staticmethod
     def _bits_of_bytes(gen, count):
@@ -600,18 +587,18 @@ class TestExactResolver:
         rng = np.random.default_rng(length)
         clone = np.random.default_rng()
         clone.bit_generator.state = rng.bit_generator.state
-        stream = _digit_stream(dary2, rng, length)
-        assert stream.dtype == np.uint8
-        assert stream.tolist() == self._bits_of_bytes(clone, -(-length // 8))[:length]
+        stream = digit_draws(dary2, rng)(length)
+        assert stream.dtype == np.uint8 and len(stream) == -(-length // 32) * 32
+        assert stream.tolist() == self._bits_of_bytes(clone, len(stream) // 8)
 
     def test_binary_read_on_is_the_bits_of_the_next_bytes(self, dary2):
         rng = np.random.default_rng(9)
         clone = np.random.default_rng()
         clone.bit_generator.state = rng.bit_generator.state
-        stream = _digit_stream(dary2, rng, 9)
-        more = _digit_stream(dary2, rng, 20, after=int(stream[-1]))
-        assert stream.tolist() == self._bits_of_bytes(clone, 2)[:9]
-        assert more.tolist() == self._bits_of_bytes(clone, 3)[:20]
+        draw = digit_draws(dary2, rng)
+        stream, more = draw(9), draw(40)
+        assert stream.tolist() == self._bits_of_bytes(clone, 4)
+        assert more.tolist() == self._bits_of_bytes(clone, 8)
 
     @pytest.mark.parametrize("D", [3, 5, 255, 256, 257, 2 ** 16])
     @pytest.mark.parametrize("length", [1000, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 777])
@@ -620,9 +607,8 @@ class TestExactResolver:
         type for D - 1, are the values of one int64 draw from the same seed,
         and a read-on that crosses a chunk edge continues that draw."""
         m, ref = DAryShift(D), np.random.default_rng(length)
-        rng = np.random.default_rng(length)
-        stream = _digit_stream(m, rng, length)
-        more = _digit_stream(m, rng, DRAW_CHUNK + 5, after=int(stream[-1]))
+        draw = digit_draws(m, np.random.default_rng(length))
+        stream, more = draw(length), draw(DRAW_CHUNK + 5)
         assert stream.dtype == np.min_scalar_type(D - 1) == more.dtype
         assert stream.tolist() == ref.integers(0, D, size=length, dtype=np.int64).tolist()
         assert more.tolist() == ref.integers(0, D, size=DRAW_CHUNK + 5, dtype=np.int64).tolist()
@@ -631,24 +617,23 @@ class TestExactResolver:
 def _symbolic_per_depth(m, measure, target, sched, N, trials, seed, horizons):
     """The symbolic engine as one full-length mask per digit depth, read
     until no index still matches: the reference that the survivor engine
-    must match bit for bit, with each trial's hit indices.  A stream reads
-    on from the trial's generator as far as the next depth needs."""
+    must match bit for bit, with each trial's hit indices.  A trial's one
+    digit source (digit_draws) draws as far as the next depth needs."""
     depths = sched.depths_array(N)
     cps = _checkpoints(N, horizons)
     norm = np.cumsum(cylinder_mass_by_depth(m, measure, target, depths))[np.asarray(cps) - 1]
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
     hit_idx = []
     for t in range(trials):
-        rng = np.random.default_rng(trial_seed(seed, t))
-        stream = _digit_stream(m, rng, N + min(int(depths.max()), READ_AHEAD) + 2)
+        draw = digit_draws(m, np.random.default_rng(trial_seed(seed, t)))
+        stream = draw(N + 2)
         acc = np.ones(N, dtype=bool)       # acc[i-1]: prefix match at orbit index i
         hit = np.zeros(N, dtype=bool)
         for mm, digit in enumerate(target.source()):
             if not acc[depths >= mm].any():
                 break
             if len(stream) < 1 + mm + N:
-                stream = np.concatenate((stream, _digit_stream(
-                    m, rng, 1 + mm + N - len(stream), after=int(stream[-1]))))
+                stream = np.concatenate((stream, draw(1 + mm + N - len(stream))))
             acc &= stream[1 + mm: 1 + mm + N] == digit
             hit[depths == mm] = acc[depths == mm]
         hits[t] = np.cumsum(hit)[np.asarray(cps) - 1]
@@ -659,8 +644,8 @@ def _symbolic_per_depth(m, measure, target, sched, N, trials, seed, horizons):
 def _metric_whole_stream(m, measure, target, sched, N, trials, seed, horizons):
     """The linear metric engine as one pass over each trial's whole stream:
     the reference that the block engine must match bit for bit.  Also
-    returns each trial's hit indices and the orbit indices it resolved exactly.  It reads _window_width
-    and _digit_stream through the module, so a monkeypatch reaches both."""
+    returns each trial's hit indices and the orbit indices it resolved exactly.  It reads
+    _window_width through the module, so a monkeypatch reaches it."""
     radii = sched.radii_array(N)
     cps = _checkpoints(N, horizons)
     norm = np.cumsum(ball_mass_array(m, measure, target.float_value(), radii))[
@@ -673,17 +658,13 @@ def _metric_whole_stream(m, measure, target, sched, N, trials, seed, horizons):
     reach = W + 193
     resolved, hit_idx = [], []
     for t in range(trials):
-        rng = np.random.default_rng(trial_seed(seed, t))
-        stream = recurrence._digit_stream(m, rng, N + W + 2)
+        stream = _first_digits(m, np.random.default_rng(trial_seed(seed, t)), N + W + 2 + reach)
         pos = _window_positions(m, stream, N, W)
         d = np.abs(pos - x0f)
         hit = d <= radii
         unsure = np.abs(d - radii) <= margin + (hi_b - lo_b)
         for i in np.flatnonzero(unsure):
             n = int(i) + 1
-            if len(stream) < n + reach:
-                more = recurrence._digit_stream(m, rng, reach, after=int(stream[-1]))
-                stream = np.concatenate((stream, more))
             point = PrefixWalk(m, stream[n:n + reach].tolist())
             hit[i] = ball_holds(point.bounds, target.bracket, F(float(radii[i])), W)
             resolved.append(n)
@@ -722,9 +703,9 @@ def _sticky_chain():
 
 class TestSymbolicFullDepth:
     """On the sticky chain a run of 0s lasts 100 digits on average, so the
-    target (0)^inf keeps survivors past the first draw's read-ahead.  At
-    seed 4 each case reads on (1, 2, 2 and 2 draws), which the test asserts:
-    not every seed does (at seed 3 none did)."""
+    target (0)^inf keeps survivors near index N that read far past it: at
+    seed 4 each case reads up to 192 digits past N, in 8 reads over its two
+    trials, and the test asserts that a survivor read past the first read."""
 
     @staticmethod
     def _zero_run_hits(stream, depths):
@@ -740,21 +721,17 @@ class TestSymbolicFullDepth:
         Schedule.depth_power_floor(0.5)], ids=lambda s: f"{s.kind}{list(s.params.values())}")
     def test_hits_match_through_their_own_depth(self, sched, monkeypatch):
         m, N, trials, seed = _sticky_chain(), 10 ** 6, 2, 4
-        afters = []
-
-        def recording(m, rng, length, after=None):
-            afters.append(after)
-            return _digit_stream(m, rng, length, after)
-        monkeypatch.setattr(recurrence, "_digit_stream", recording)
+        ends, read = [], recurrence._Digits.read
+        monkeypatch.setattr(recurrence._Digits, "read",
+                            lambda self, lo, hi: ends.append(hi) or read(self, lo, hi))
         hs = run_symbolic_hits(m, LebesgueMeasure(), (0,), sched, N, trials, seed,
                                horizons=_every_n(N))
         depths = sched.depths_array(N)
-        assert depths.max() > READ_AHEAD
-        assert any(a is not None for a in afters)       # a survivor read on
+        assert max(ends) > ends[0]      # a survivor read past the first read
         for t, idx in enumerate(_hit_indices(hs)):
-            # one long draw: a chain stream that reads on continues it bit for bit
+            # one long draw: the trial's reads are slices of it
             rng = np.random.default_rng(trial_seed(seed, t))
-            stream = _digit_stream(m, rng, N + int(depths.max()) + 2)
+            stream = _first_digits(m, rng, N + int(depths.max()) + 2)
             assert idx == self._zero_run_hits(stream, depths).tolist()
         # a hit run ends with chance q = 1/100 per step, so the count is compound
         # Poisson: about q * sum mu runs of mean length 1/q, variance (2 - q) / q^2
@@ -826,29 +803,19 @@ class TestLinearEnginesMatchOracles:
     @pytest.mark.parametrize("kind", ["dary2", "golden"])
     def test_exact_resolution_in_later_blocks(self, kind, request, monkeypatch):
         """A margin widened by 2e-3 puts steps in the second block and later,
-        and in the last reach of the stream, so the stream reads on from the
-        trial's generator: verdicts, counts and continuations match."""
-        width, calls = recurrence._window_width, []
+        and in the last reach of the stream, so the exact test reads digits
+        past the last block's windows: verdicts and counts match."""
+        width = recurrence._window_width
 
         def wide(m, r_min):
             W, truncation, rounding = width(m, r_min)
             return W, truncation + 2e-3, rounding
 
-        def recording(m, rng, length, after=None):
-            out = stream_of(m, rng, length, after)
-            if after is not None:
-                calls.append((length, after, out.tolist()))
-            return out
-
-        stream_of = recurrence._digit_stream
         monkeypatch.setattr(recurrence, "_window_width", wide)
-        monkeypatch.setattr(recurrence, "_digit_stream", recording)
         m, mu, x0 = _oracle_case(kind, request)
         N = 2 * B + 300
         resolved = self._check_metric(m, mu, _target_of(m, x0), Schedule.radii_const(0.1),
                                       N, None, True, trials=2)
-        engine_calls, oracle_calls = calls[:len(calls) // 2], calls[len(calls) // 2:]
-        assert engine_calls == oracle_calls and len(engine_calls) >= 1
         assert any(n > B for n in resolved)
         assert max(resolved) > N - wide(m, 0.1)[0] - 193
 
@@ -883,7 +850,7 @@ class TestWindowRoutine:
         a longer word."""
         N, extra = 6, 60
         cap = _window_width(m, 0.0)[0]      # the width at the smallest radius
-        stream = _digit_stream(m, np.random.default_rng(seed), N + cap + extra + 2)
+        stream = _first_digits(m, np.random.default_rng(seed), N + cap + extra + 2)
         s = stream.tolist()
         start = F(0) if isinstance(m, DAryShift) else F(1, 2)
         exact, cyls = [], []                # exact[i][W - 1]: window of W branches
@@ -1053,23 +1020,30 @@ def _one_of_each_kind():
             "custom_depths": Schedule.custom_depths([0, 2, 2, 9])}
 
 
-class TestChunkedDigits:
-    """A trial's chunked digit source holds the digits of one _digit_stream
-    call, and past them those of the read-on call after its last digit."""
+class TestOneDigitSource:
+    """A trial's reads are slices of one long draw of its digit source, however
+    the reads split the draws: digit i depends only on the seed and i."""
 
     @pytest.mark.parametrize("name", ["dary2", "dary3", "dary256", "dary257", "markov",
-                                      "golden_markov", "zero_diagonal"])
-    def test_reads_equal_one_draw_and_a_read_on(self, name, request):
-        m = DAryShift(int(name[4:])) if name.startswith("dary") else request.getfixturevalue(name)
-        L, k = 2 * DRAW_CHUNK + 3, 301
-        ref = np.random.default_rng(5)
-        want = _digit_stream(m, ref, L)
-        want = np.concatenate((want, _digit_stream(m, ref, k, after=int(want[-1]))))
-        source = _Digits(m, np.random.default_rng(5), L, k)
-        # edges off multiples of 8, reads that cross chunk edges and overlap,
-        # and a read past the first draw
-        for lo, hi in ((0, 13), (5, 70_001), (69_999, DRAW_CHUNK + 9), (DRAW_CHUNK + 1, L - 2),
-                       (L - 7, L + 5), (L + 1, L + k)):
+                                      "golden_markov", "zero_diagonal", "gauss"])
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           steps=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1,
+                          max_size=8), scale=st.sampled_from([1, 7, 32, 1000, DRAW_CHUNK]))
+    @settings(max_examples=40, deadline=None)
+    def test_reads_are_slices_of_one_draw(self, name, seed, steps, scale, request):
+        """Windows (lo, hi) with lo non-decreasing from read to read and hi >= lo,
+        at scales that put their edges off multiples of 8 and 32 and across
+        DRAW_CHUNK (the Gauss map, a per-digit loop, at most 1000)."""
+        m = DAryShift(int(name[4:])) if name.startswith("dary") else \
+            GaussMap() if name == "gauss" else request.getfixturevalue(name)
+        scale = min(scale, 1000) if name == "gauss" else scale
+        windows, lo = [], 0
+        for step, width in steps:
+            lo += step * scale + step
+            windows.append((lo, lo + width * scale + width % 3))
+        want = _first_digits(m, np.random.default_rng(seed), max(hi for _, hi in windows))
+        source = _Digits(m, np.random.default_rng(seed))
+        for lo, hi in windows:
             got = source.read(lo, hi)
             assert got.dtype == want.dtype and np.array_equal(got, want[lo:hi]), (lo, hi)
 
@@ -1658,6 +1632,23 @@ class TestHitSeries:
         assert s["trials"] == 2 and s["checkpoints"] == [100, 1000]
         lo, hi = hs.ci95()
         assert lo <= s["mean_ratio"] <= hi
+
+    def test_rows_and_trace_equal_the_per_checkpoint_loop(self):
+        """csv_rows and the ratio trace of simulate (ratio_of the mean hits),
+        built from whole arrays, give the Python ints and floats of one loop per
+        checkpoint, with nan where the normalizer is 0 (radii that underflowed)."""
+        rng = np.random.default_rng(0)
+        hits = np.cumsum(rng.integers(0, 3, (3, 50)), axis=1)
+        norm = np.cumsum(rng.random(50))
+        norm[:4] = 0.0
+        hs = recurrence.HitSeries(np.arange(1, 51) * 7, hits, norm, [0] * 3, "e", "metric")
+        want = [(t, int(n), int(hits[t, k]), float(norm[k]),
+                 float(hits[t, k] / norm[k]) if norm[k] > 0 else math.nan)
+                for t in range(3) for k, n in enumerate(hs.checkpoints)]
+        assert repr(list(hs.csv_rows())) == repr(want)
+        trace = [float(hits[:, k].mean() / norm[k]) if norm[k] > 0 else math.nan
+                 for k in range(50)]
+        assert repr(hs.ratio_of(hits.mean(axis=0)).tolist()) == repr(trace)
 
     @pytest.mark.parametrize("trials", [1, 2, 5])
     def test_window_minima_medians_are_those_of_each_window(self, trials):

@@ -17,10 +17,9 @@ are sequential, one worker process at a time, as run.py starts them.  Then it ru
 --durations, and records its wall time, its outcome counts, the time of
 each test in tests/test_acceptance.py and, as slowest_s, the ten slowest
 test ids with their times (setup, call and teardown summed).  It times
-the digit-stream layer, recurrence._digit_stream on the test suite's three
-chains (measures.sample_chain), on each D-ary shift of DARY_STREAMS and on
-the Gauss map (its per-digit loop over one float orbit), at STREAM_DIGITS
-digits each, best of 3 runs, with the bytes that hold each digit, and the normalizer layer,
+the digit-stream layer, one draw of measures.digit_draws on the test suite's
+three chains, on each D-ary shift of DARY_STREAMS and on the Gauss map (its
+per-digit loop over one float orbit), at STREAM_DIGITS digits each, best of 3 runs, with the bytes that hold each digit, and the normalizer layer,
 recurrence.cylinder_mass_by_depth on the depths floor(n^2) of n = 1..WALK_N
 for each target of WALKS, walked to the underflow of its masses, best of 3
 runs, and the float-orbit layer, the orbit-steps/s of
@@ -94,7 +93,7 @@ CHAINS = {          # the chains of tests/conftest.py, row-major
     "golden_mean": [["1/2", "1/2"], ["1", "0"]],
     "zero_diagonal": [["0", "1/2", "1/2"], ["1/2", "0", "1/2"], ["1/2", "1/2", "0"]],
 }
-DARY_STREAMS = (2, 3)   # D of the D-ary shifts whose _digit_stream is timed
+DARY_STREAMS = (2, 3)   # D of the D-ary shifts whose digit_draws is timed
 GAUSS_WIDTHS = (1, 2, 4, 10)    # trials of the narrow Gauss float-orbit runs
 WALK_N = 10 ** 4
 WALKS = {           # name -> (map spec, target word)
@@ -111,7 +110,7 @@ FLOAT_STEPS = {     # name -> (map spec, trials, steps)
     # k = (zeros at 0) - (nonzero zeros) = 1: the step normalizes z to |z| = 1
     "blaschke_0_0_03": ({"kind": "blaschke", "zeros": [0, 0, 0.3]}, 10, 10 ** 5),
     "gauss": ({"kind": "gauss"}, 100, 10 ** 5),
-    # narrow Gauss runs, to set against the per-digit loop of _digit_stream
+    # narrow Gauss runs, to set against the per-digit loop of digit_draws
     **{f"gauss_{w}": ({"kind": "gauss"}, w, 2 * 10 ** 5) for w in GAUSS_WIDTHS},
 }
 SWEEP_BASES = [1.05 * (12 / 1.05) ** (k / 49) for k in range(50)]   # geometric, 1.05 to 12
@@ -261,13 +260,13 @@ def run_tests() -> dict:
 
 def digit_streams() -> dict:
     """Best-of-3 seconds, digits/s and bytes per digit (the stream's itemsize)
-    of _digit_stream on each chain (which draws through sample_chain), on
+    of one draw of digit_draws(m, rng)(STREAM_DIGITS) on each chain, on
     each D-ary shift of DARY_STREAMS (named dary<D>) and on the Gauss map,
     seed 0."""
     sys.path.insert(0, "src")
     import numpy as np
     from shrinktargets import DAryShift, GaussMap, MarkovLinear, stationary_vector
-    from shrinktargets.recurrence import _digit_stream
+    from shrinktargets.measures import digit_draws
 
     maps = {f"dary{D}": DAryShift(D) for D in DARY_STREAMS}
     for name, rows in CHAINS.items():
@@ -279,7 +278,7 @@ def digit_streams() -> dict:
         times = []
         for _ in range(3):
             t0 = time.perf_counter()
-            stream = _digit_stream(m, np.random.default_rng(0), STREAM_DIGITS)
+            stream = digit_draws(m, np.random.default_rng(0))(STREAM_DIGITS)
             times.append(time.perf_counter() - t0)
         out[name] = {"digits": STREAM_DIGITS, "best_s": min(times),
                      "digits_per_s": STREAM_DIGITS / min(times),
