@@ -51,14 +51,15 @@ def itinerary(m: MapModel, x, n: int):
 class PrefixWalk:
     """The cylinders P(0), P(1), ... of one digit sequence, one factor per digit.
 
-    The state after t digits is the integer matrix (a, b, c, d) of the
-    composed inverse branches y -> (a*y + b)/(c*y + d); P(t) is its image of
-    the block of digit t.  A new digit multiplies in one branch: for affine
-    maps A <- A + B*a, B <- B*b, the branch restricted to the next digit's
-    block so that a block endpoint never selects its neighbour's branch; for
-    the Gauss map the convergent recurrence p_t = a_t p_{t-1} + p_{t-2}, and
-    the same for q_t (Khinchin).  Blaschke maps have no exact forward step
-    and compose their float inverse branches right-to-left per depth.
+    It reads each digit once and checks its block (a Gauss digit's is its
+    admissibility) and its transition.  The inverse branches of t digits,
+    composed only for the depths asked, are the integer matrix (a, b, c, d)
+    of y -> (a*y + b)/(c*y + d); P(t) is its image of the block of digit t.
+    A digit multiplies in one branch: for affine maps A <- A + B*a, B <- B*b,
+    the branch restricted to the next digit's block so that a block endpoint
+    never selects its neighbour's branch; for the Gauss map p_t = a_t p_{t-1}
+    + p_{t-2}, and the same for q_t (Khinchin).  Blaschke maps have no exact
+    forward step and compose float inverse branches right-to-left per depth.
 
     Digits are read, endpoints computed and Cylinders built only on demand.
     A walk takes its depth-0 cylinder from cylinder_from_word, so a tracer
@@ -68,10 +69,11 @@ class PrefixWalk:
     def __init__(self, m: MapModel, digits, seeded: bool = True):
         self.map = m
         self.word = []
+        self.exact = hasattr(m, "branch_affine") or isinstance(m, GaussMap)
         self._next = iter(digits).__next__
         self._seeded = seeded
-        self._exact = hasattr(m, "branch_affine") or isinstance(m, GaussMap)
-        self._mats = []         # composed branches per depth
+        self._blocks = not isinstance(m, GaussMap)
+        self._mats = [(1, 0, 0, 1)]     # composed branches per depth, as far as asked
         self._ends = {}         # depth -> (left, right)
         self._failed = None
 
@@ -82,28 +84,34 @@ class PrefixWalk:
                 raise self._failed
             try:
                 d = self._next()
-                if not word:
-                    if self._seeded:
-                        c = cylinder_from_word(m, (d,))
-                        self._ends[0] = (c.left, c.right)
-                    self._mats.append((1, 0, 0, 1))
-                elif not m.admissible(word[-1], d):
+                if self._blocks:
+                    m.block_interval(d)
+                if word and not m.admissible(word[-1], d):
                     raise InadmissibleDigit(
                         f"digit not admissible: transition {word[-1]}->{d} forbidden")
-                elif self._exact:
-                    e, f, g, h = self._branch(word[-1], d)
-                    a, b, c, k = self._mats[-1]
-                    self._mats.append((a * e + b * g, a * f + b * h, c * e + k * g, c * f + k * h))
+                if not word and self._seeded:
+                    c = cylinder_from_word(m, (d,))
+                    self._ends[0] = (c.left, c.right)
             except (BoundaryHit, MapError) as e:
                 self._failed = e    # the digit is spent: a shared walk fails alike again
                 raise
             word.append(d)
 
+    def matrix(self, t: int):
+        """The branches of digits 0..t composed, as an integer matrix
+        (a, b, c, d), on first use; None without an exact walk."""
+        self._read(t)
+        mats, word = self._mats, self.word
+        while self.exact and len(mats) <= t:
+            e, f, g, h = self._branch(word[len(mats) - 1], word[len(mats)])
+            a, b, c, k = mats[-1]
+            mats.append((a * e + b * g, a * f + b * h, c * e + k * g, c * f + k * h))
+        return mats[t] if self.exact else None
+
     def _branch(self, prev: int, d: int):
         """Integer matrix of the inverse branch from digit prev onto digit d's block."""
         if isinstance(self.map, GaussMap):
             return 0, 1, 1, prev
-        self.map.block_interval(d)
         A, B = self.map.branch_affine(prev, d)
         L = math.lcm(A.denominator, B.denominator)
         return B.numerator * (L // B.denominator), A.numerator * (L // A.denominator), 0, L
@@ -111,10 +119,10 @@ class PrefixWalk:
     def bounds(self, t: int):
         """(left, right) of the depth-t cylinder, computed once."""
         if t not in self._ends:
-            self._read(t)
+            mat = self.matrix(t)
             m, (lo, hi) = self.map, self.map.block_interval(self.word[t])
-            if self._exact:
-                a, b, c, d = self._mats[t]
+            if mat:
+                a, b, c, d = mat
                 lo, hi = sorted(Fraction(a * e.numerator + b * e.denominator,
                                          c * e.numerator + d * e.denominator) for e in (lo, hi))
             else:
@@ -131,8 +139,8 @@ class PrefixWalk:
 
     def cylinder(self, t: int) -> Cylinder:
         lo, hi = self.bounds(t)
-        return Cylinder(tuple(self.word[:t + 1]), lo, hi, exact=self._exact,
-                        precision_bits=None if self._exact else 53)
+        return Cylinder(tuple(self.word[:t + 1]), lo, hi, exact=self.exact,
+                        precision_bits=None if self.exact else 53)
 
 
 def cylinder_from_word(m: MapModel, word: Sequence[int]) -> Cylinder:
@@ -156,11 +164,7 @@ def period_matrix(m: MapModel, period_word: Sequence[int]):
     y -> (a*y + b)/(c*y + d), walked over w + w[:1] so that they close around
     the period (InadmissibleDigit if they do not); None without an exact walk."""
     w = tuple(period_word)
-    walk = PrefixWalk(m, w + w[:1], seeded=False)
-    if not walk._exact:
-        return None
-    walk.digits(len(w))
-    return walk._mats[len(w)]
+    return PrefixWalk(m, w + w[:1], seeded=False).matrix(len(w))
 
 
 def periodic_point(m: MapModel, period_word: Sequence[int]):
@@ -178,14 +182,15 @@ class Target:
 
     It holds its map, one digit source and the exact value when one is
     known.  The source, whose iterator ``source()`` reads afresh and does
-    not check for admissibility, is a finite word repeated periodically (on
-    a map with affine branches its point is the exact periodic point), a
-    digit function k -> i_k, or the itinerary of a given point, read lazily
-    through orbit_digits.  A given point, a float included, is its own exact
-    value, and its digits are those of that value (a float on a circle map
-    steps in floats).  The period word is kept as ``word`` (None for the
-    other sources).  One prefix walk over the source, shared by every
-    caller, gives the cylinders and the brackets of x_0.
+    not check for admissibility, is a finite word repeated periodically (its
+    alphabet checked when built; with affine branches its point is the exact
+    periodic point), a digit function k -> i_k, or the itinerary of a given
+    point, read lazily through orbit_digits.  A given point, a float
+    included, is its own exact value, and its digits are those of that value
+    (a float on a circle map steps in floats).  The period word is kept as
+    ``word`` (None for the other sources).  One prefix walk over the source,
+    shared by every caller, gives the checked digits, the cylinders and the
+    brackets of x_0.
     """
 
     def __init__(self, m: MapModel, digits=None, value=None):
@@ -197,11 +202,13 @@ class Target:
             word = self.word = tuple(digits)
             if not word:
                 raise ValueError("empty target word")
+            for d in dict.fromkeys(word):
+                m.block_interval(d)     # InadmissibleDigit outside the alphabet
             self.source = lambda: cycle(word)
-            if value is None and hasattr(m, "branch_affine"):
+            if hasattr(m, "branch_affine"):
                 try:
                     value = periodic_point(m, word)
-                except (MapError, IndexError):
+                except MapError:
                     pass  # the word does not close into an admissible cycle
         else:
             self.source = lambda: orbit_digits(m, value if m.circle else Fraction(value))
@@ -214,8 +221,8 @@ class Target:
         return cls(m, value=x0)
 
     @classmethod
-    def from_word(cls, m: MapModel, digits, value=None) -> "Target":
-        return cls(m, digits, value)
+    def from_word(cls, m: MapModel, digits) -> "Target":
+        return cls(m, digits)
 
     @classmethod
     def of(cls, m: MapModel, target) -> "Target":
@@ -225,8 +232,8 @@ class Target:
         return cls(m, target) if isinstance(target, (tuple, list)) else cls(m, value=target)
 
     def digits(self, n: int) -> tuple:
-        """(i_0, ..., i_n), read afresh from the source."""
-        return tuple(islice(self.source(), n + 1))
+        """(i_0, ..., i_n), read once and checked by the target's walk."""
+        return self._walk.digits(n)
 
     def walk(self) -> PrefixWalk:
         return self._walk
@@ -286,7 +293,7 @@ def refine_schedule_to_depths(m: MapModel, x0, radii) -> list:
     target = Target.of(m, x0)
     walk = target.walk()
     bounds = walk.bounds
-    if not walk._exact:
+    if not walk.exact:
         def bounds(t):
             (lo, hi), (left, right) = walk.bounds(max(t - 1, 0)), walk.bounds(t)
             if not lo - m.NEWTON_TOL <= left < right <= hi + m.NEWTON_TOL:

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import InadmissibleDigit, MapModel
+from .maps import MapModel
 from .measures import RegularWords, log_mass, smb_regular_cylinders
 from .coding import Target, refine_depth
 from .recurrence import Schedule
@@ -434,23 +434,16 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     (radii schedules) or t_{d_j} (depth schedules).  The mass nu splits
     proportionally to lambda within each admissible family.  A level keeps
     its family by type, so the cost grows with the types, not the blocks.
+    x0's walk reads and checks each digit once and composes branches only
+    for the depths a refinement asks: a deep stage holds digits, no matrices.
     """
     check(CANTOR_PARAMS, {"levels": levels, "level_sizes": level_sizes, "epsilon": epsilon},
           "params", "cantor", DimensionError)
+    target = Target.of(m, target)
     if not hasattr(m, "M"):
         raise DimensionError("stage construction needs a finite-alphabet linear map")
-    target = Target.of(m, target)
-
-    def digits(n):      # x0's digits i_0..i_n, checked as its walk checks them, without matrices
-        word = target.digits(n)
-        m.block_interval(word[0])
-        for a, b in dict.fromkeys(zip(word, word[1:])):
-            if not m.admissible(a, b):
-                raise InadmissibleDigit(f"digit not admissible: transition {a}->{b} forbidden")
-            m.block_interval(b)
-        return word
     deep = sum(int(n) for n in level_sizes) * 4 + 64
-    x0_digits = digits(deep)
+    x0_digits = target.digits(deep)
 
     root_word = (x0_digits[0],)
     root_lam = m.word_mass(root_word)
@@ -471,7 +464,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
         # k_j from the schedule at index d_j, read as every other consumer reads it
         k_j = refine_depth(m, target, Fraction(float(sched.radii_array(d_j, d_j - 1)[0]))) \
             if sched.is_radii else int(sched.depths_array(d_j, d_j - 1)[0])
-        nested_suffix = digits(k_j)[1:k_j + 1]
+        nested_suffix = target.digits(k_j)[1:k_j + 1]
 
         # every parent ends at the same base digit, so one family serves all
         lams = [lam for lam, _, _ in words.classes.values()]
@@ -484,7 +477,7 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
         parents = lvl.count
         base_digit = nested_suffix[-1] if nested_suffix else x0_digits[0]
 
-    stage = CantorStage(m, digits(max(deep, depth)), root_word, root_lam, stage_levels)
+    stage = CantorStage(m, target.digits(max(deep, depth)), root_word, root_lam, stage_levels)
     bad = stage.nesting_violations()
     if bad:
         raise StageConstructionError(

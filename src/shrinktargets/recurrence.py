@@ -20,7 +20,7 @@ import numpy as np
 
 from .coding import (PrefixWalk, Target, ball_holds,  # noqa: F401 (re-exported)
                      cylinder_from_word, period_matrix)
-from .maps import BoundaryHit, DAryShift, MapError, MapModel, MarkovLinear
+from .maps import BoundaryHit, DAryShift, InadmissibleDigit, MapError, MapModel, MarkovLinear
 from .measures import (GaussMeasure, InvariantMeasure, check_invariant, digit_draws,
                        float_orbit_blocks, trial_seed)
 from .schema import check, integer, kinds, listof, number, rules
@@ -171,13 +171,8 @@ class HitSeries:
     ambiguous_resolved: int = 0
     window_minima: Optional[np.ndarray] = None   # (trials, windows) of min d/r_n
 
-    @property
-    def ratios(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return self.hits / self.normalizer[None, :]
-
     def final_ratios(self) -> np.ndarray:
-        return self.ratios[:, -1]
+        return self.ratio_of(self.hits)[:, -1]
 
     def mean_final_ratio(self) -> float:
         return float(self.final_ratios().mean())
@@ -675,12 +670,14 @@ def _classify_depths(m, measure, target, sched):
         # support; its float also reads 0 where it underflows, as deep Gauss cylinders do
         t = sched.params["t"] if sched.kind == "depth_const" else sched.params["table"][-1]
         t = t if target.word is None else min(t, len(target.word))
-        word = () if target.value is not None else target.digits(t)
-        if all(map(m.admissible, word, word[1:])):
-            return BCVerdict("FullMeasure", "sum mu(P(t, x0)) with constant t", psums,
-                             "constant-depth cylinder masses diverge linearly")
-        return BCVerdict("MeasureZero", "sum mu(P(t, x0)) with constant t", psums,
-                         "the depth-t word leaves the support: every term is 0")
+        try:
+            if target.value is None:
+                target.digits(t)
+        except InadmissibleDigit:
+            return BCVerdict("MeasureZero", "sum mu(P(t, x0)) with constant t", psums,
+                             "the depth-t word leaves the support: every term is 0")
+        return BCVerdict("FullMeasure", "sum mu(P(t, x0)) with constant t", psums,
+                         "constant-depth cylinder masses diverge linearly")
     if sched.kind == "depth_power_floor":
         # sum c^(n^kappa) converges for every kappa > 0 and c < 1
         return BCVerdict("MeasureZero",

@@ -15,15 +15,23 @@ from shrinktargets import (
     GaussMap,
     InadmissibleDigit,
     MapError,
+    Schedule,
+    Target,
     WordTarget,
+    borel_cantelli_classify,
+    build_cantor_stage,
     cylinder_from_word,
+    entropy_smb,
     itinerary,
     locate_cylinder,
+    own_measure,
     periodic_point,
     refine_depth,
     refine_schedule_to_depths,
+    run_metric_hits,
+    run_symbolic_hits,
 )
-from shrinktargets.coding import PrefixWalk, ball_holds
+from shrinktargets.coding import PrefixWalk, ball_holds, period_matrix
 
 
 class TestItinerary:
@@ -398,6 +406,120 @@ class TestPrefixWalk:
             for t in range(3 * len(w)):
                 c = cylinder_from_word(m, (w * 3)[:t + 1])
                 assert c.left <= x <= c.right
+
+
+def _oracle_fault(m, digits, alphabet=()):
+    """Eager oracle: the InadmissibleDigit message of the first distinct digit
+    of alphabet outside the map's alphabet (a word Target checks its word so
+    when it is built), else of the first digit of digits outside it (a Gauss
+    digit only as the last, read as a cylinder's block) or entering by a
+    forbidden transition; None if there is none."""
+    def block(d):
+        try:
+            m.block_interval(d)
+        except InadmissibleDigit as e:
+            return str(e)
+
+    gauss = isinstance(m, GaussMap)
+    for d in dict.fromkeys(alphabet):
+        if block(d):
+            return block(d)
+    for k, d in enumerate(digits):
+        if not gauss and block(d):
+            return block(d)
+        if k and not m.admissible(digits[k - 1], d):
+            return f"digit not admissible: transition {digits[k - 1]}->{d} forbidden"
+    return block(digits[-1]) if gauss and digits else None
+
+
+def _outcome(call):
+    """What a call returns, or (class, message) of the MapError it raises."""
+    try:
+        return call()
+    except MapError as e:
+        return type(e), str(e)
+
+
+def _expect(m, digits, value, alphabet=()):
+    """(InadmissibleDigit, the oracle's message) if digits have a fault, else value()."""
+    fault = _oracle_fault(m, digits, alphabet)
+    return (InadmissibleDigit, fault) if fault else value()
+
+
+def _ends(cyl):
+    return cyl.left, cyl.right
+
+
+def _period_image(m, w):
+    """The period matrix's image of the block of w[0], None without a matrix."""
+    mat = period_matrix(m, w)
+    if mat is None:
+        return None
+    a, b, c, d = mat
+    return tuple(sorted(F(a * e + b, c * e + d) for e in m.block_interval(w[0])))
+
+
+class TestLazyWalk:
+    @pytest.mark.parametrize("name", ["dary2", "dary3", "markov", "golden_markov",
+                                      "zero_diagonal", "gauss", "blaschke_two"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reads_against_the_eager_oracle(self, name, data, request):
+        """Words of 1-12 digits, out-of-range digits and forbidden transitions
+        included (Gauss digits 0..5): Target.digits, walk.bounds at every depth
+        on one shared walk, cylinder_from_word and period_matrix each return
+        what the oracle composes eagerly, or raise the oracle's
+        InadmissibleDigit, never an IndexError."""
+        m = request.getfixturevalue(name)
+        lo, hi = (1, 5) if name == "gauss" else (0, (m.N if name == "blaschke_two" else m.D) - 1)
+        digit = st.integers(lo, hi) if data.draw(st.booleans()) else st.integers(lo - 1, hi + 2)
+        w = tuple(data.draw(st.lists(digit, min_size=1, max_size=12)))
+        n = 2 * len(w)
+        long = (w * 3)[:n + 1]
+        target = _outcome(lambda: Target(m, w))
+        if isinstance(target, Target):
+            assert _outcome(lambda: target.digits(n)) == _expect(m, long, lambda: long)
+            for t in range(len(w)):
+                assert _outcome(lambda: target.walk().bounds(t)) == \
+                    _expect(m, w[:t + 1], lambda: _ends(_oracle_cylinder(m, w[:t + 1])))
+        else:
+            assert target == _expect(m, (), lambda: None, alphabet=w)
+        assert _outcome(lambda: cylinder_from_word(m, w)) == \
+            _expect(m, w, lambda: _oracle_cylinder(m, w))
+        closed = w + w[:1]
+        assert _outcome(lambda: _period_image(m, w)) == _expect(
+            m, closed, lambda: None if name == "blaschke_two" else _ends(_oracle_cylinder(m, closed)))
+
+
+INVALID_WORDS = {"chain-05": ("markov", (0, 5)), "dary2-02": ("dary2", (0, 2)),
+                 "gauss-10": ("gauss", (1, 0)), "blaschke-05": ("blaschke_two", (0, 5))}
+ENTRY_POINTS = {
+    "cylinder_from_word": lambda m, mu, w: cylinder_from_word(m, w),
+    "walk_bounds": lambda m, mu, w: Target.of(m, w).walk().bounds(1),
+    "refine_schedule_to_depths": lambda m, mu, w: refine_schedule_to_depths(m, w, [F(1, 10)]),
+    "borel_cantelli_classify": lambda m, mu, w: borel_cantelli_classify(
+        m, mu, w, Schedule.depth_const(3)),
+    "build_cantor_stage": lambda m, mu, w: build_cantor_stage(
+        m, w, Schedule.depth_const(3), 1, [4], epsilon=3),
+    "run_symbolic_hits": lambda m, mu, w: run_symbolic_hits(
+        m, mu, w, Schedule.depth_const(3), 100, 1, 0),
+    "run_metric_hits": lambda m, mu, w: run_metric_hits(
+        m, mu, w, Schedule.radii_power(1.0), 100, 1, 0),
+    "entropy_smb": lambda m, mu, w: entropy_smb(m, mu, w, 5),
+    "period_matrix": lambda m, mu, w: period_matrix(m, w),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("case", list(INVALID_WORDS))
+def test_a_word_outside_the_alphabet_raises_a_map_error(case, entry, request):
+    """A digit outside the map's alphabet fails as a MapError at every entry
+    point, never as a bare IndexError from a chain's transition table."""
+    name, w = INVALID_WORDS[case]
+    m = request.getfixturevalue(name)
+    with pytest.raises(MapError):
+        ENTRY_POINTS[entry](m, own_measure(m), w)
+
 
 class TestRefineScan:
     @pytest.mark.parametrize("case", ["point-third", "gauss-golden-word", "word-01"])

@@ -59,6 +59,8 @@ digits than Python's default int-to-str limit of 4,300; either records
 "traceback" where cli.main raised.
 extreme_values holds the grid_lower, hausdorff_lower and upper that each
 bounds config of EXTREME wrote to its results.json.
+Then api_errors: for each word target of API_WORDS, "ok" or the class of
+the exception that each Python-API entry point of api_errors raised on it.
 Last, it counts the lines of each src/shrinktargets/*.py module and their
 total (src_lines), so that the size of the code is read from the same file
 as its times.  The file also names the commit it measured (git rev-parse
@@ -127,6 +129,11 @@ RADII_TARGETS = {   # name -> (map spec, target word or point x0)
     "gauss_1": ({"kind": "gauss"}, (1,)),
     "gauss_x0_3/7": ({"kind": "gauss"}, Fraction(3, 7)),
     "blaschke_0_half_x0.3": ({"kind": "blaschke", "zeros": [0, 0.5]}, 0.3),
+}
+API_WORDS = {       # name -> (map spec, target word): a digit outside the chain, a forbidden 1->1
+    "chain_05": ({"kind": "markov", "M": CHAINS["chain"], "p": ["2/3", "1/3"]}, (0, 5)),
+    "golden_mean_11": ({"kind": "markov", "M": CHAINS["golden_mean"], "p": ["2/3", "1/3"]},
+                       (1, 1)),
 }
 WIELANDT = [[str(int(j == i + 1)) for j in range(18)] for i in range(17)] + \
     [["1/2", "1/2"] + ["0"] * 16]
@@ -477,6 +484,44 @@ def config_exits(configs: dict):
     return out, values
 
 
+def api_errors() -> dict:
+    """Per word of API_WORDS, by entry point, "ok" or the class name of the
+    exception it raised, under the map's own measure."""
+    sys.path.insert(0, "src")
+    from shrinktargets import (Schedule, Target, borel_cantelli_classify, build_cantor_stage,
+                               cylinder_from_word, entropy_smb, make_map, own_measure,
+                               refine_schedule_to_depths, run_metric_hits, run_symbolic_hits)
+    from shrinktargets.coding import period_matrix
+
+    calls = {
+        "cylinder_from_word": lambda m, mu, w: cylinder_from_word(m, w),
+        "walk_bounds": lambda m, mu, w: Target.of(m, w).walk().bounds(1),
+        "refine_schedule_to_depths": lambda m, mu, w: refine_schedule_to_depths(
+            m, w, [Fraction(1, 10)]),
+        "borel_cantelli_classify": lambda m, mu, w: borel_cantelli_classify(
+            m, mu, w, Schedule.depth_const(3)),
+        "build_cantor_stage": lambda m, mu, w: build_cantor_stage(
+            m, w, Schedule.depth_const(3), 1, [4], epsilon=3),
+        "run_symbolic_hits": lambda m, mu, w: run_symbolic_hits(
+            m, mu, w, Schedule.depth_const(3), 100, 1, 0),
+        "run_metric_hits": lambda m, mu, w: run_metric_hits(
+            m, mu, w, Schedule.radii_power(1.0), 100, 1, 0),
+        "entropy_smb": lambda m, mu, w: entropy_smb(m, mu, w, 5),
+        "period_matrix": lambda m, mu, w: period_matrix(m, w),
+    }
+    out = {}
+    for name, (spec, word) in API_WORDS.items():
+        m = make_map(spec)
+        out[name] = {}
+        for entry, call in calls.items():
+            try:
+                call(m, own_measure(m), word)
+                out[name][entry] = "ok"
+            except Exception as e:
+                out[name][entry] = type(e).__name__
+    return out
+
+
 def src_lines() -> dict:
     """Lines of each source module, by file name, and their total."""
     modules = {}
@@ -546,6 +591,9 @@ def main(argv=None) -> int:
         print(f"{key.replace('_', ' ')}: " + ", ".join(f"{k} {v}" for k, v in doc[key].items()),
               file=sys.stderr)
     doc["extreme_values"] = values
+    doc["api_errors"] = api_errors()
+    print("api errors: " + ", ".join(f"{k} " + "/".join(sorted(set(v.values())))
+                                     for k, v in doc["api_errors"].items()), file=sys.stderr)
     doc["tests"] = run_tests()
     print(f"tier-1: {doc['tests']['wall_s']:.1f} s, {doc['tests']['outcome']}", file=sys.stderr)
     doc["src_lines"] = src_lines()
