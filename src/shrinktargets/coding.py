@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import count, cycle, islice
 from typing import Optional, Sequence
 
-from .maps import BoundaryHit, GaussMap, InadmissibleDigit, MapError, MapModel
+from .maps import BoundaryHit, ForbiddenTransition, GaussMap, MapError, MapModel
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,8 @@ class PrefixWalk:
         self._ends = {}         # depth -> (left, right)
         self._failed = None
 
-    def _read(self, t: int):
+    def read(self, t: int) -> list:
+        """The walk's word list, read and checked through digit t at least."""
         m, word = self.map, self.word
         while len(word) <= t:
             if self._failed:
@@ -87,7 +88,7 @@ class PrefixWalk:
                 if self._blocks:
                     m.block_interval(d)
                 if word and not m.admissible(word[-1], d):
-                    raise InadmissibleDigit(
+                    raise ForbiddenTransition(
                         f"digit not admissible: transition {word[-1]}->{d} forbidden")
                 if not word and self._seeded:
                     c = cylinder_from_word(m, (d,))
@@ -96,12 +97,12 @@ class PrefixWalk:
                 self._failed = e    # the digit is spent: a shared walk fails alike again
                 raise
             word.append(d)
+        return word
 
     def matrix(self, t: int):
         """The branches of digits 0..t composed, as an integer matrix
         (a, b, c, d), on first use; None without an exact walk."""
-        self._read(t)
-        mats, word = self._mats, self.word
+        mats, word = self._mats, self.read(t)
         while self.exact and len(mats) <= t:
             e, f, g, h = self._branch(word[len(mats) - 1], word[len(mats)])
             a, b, c, k = mats[-1]
@@ -134,8 +135,7 @@ class PrefixWalk:
         return self._ends[t]
 
     def digits(self, n: int) -> tuple:
-        self._read(n)
-        return tuple(self.word[:n + 1])
+        return tuple(self.read(n)[:n + 1])
 
     def cylinder(self, t: int) -> Cylinder:
         lo, hi = self.bounds(t)
@@ -180,40 +180,38 @@ def periodic_point(m: MapModel, period_word: Sequence[int]):
 class Target:
     """A target x_0: a point, or a digit word whose point may be irrational.
 
-    It holds its map, one digit source and the exact value when one is
-    known.  The source, whose iterator ``source()`` reads afresh and does
-    not check for admissibility, is a finite word repeated periodically (its
+    It holds its map, one prefix walk over its digits and the exact value when
+    one is known.  The digits are a finite word repeated periodically (its
     alphabet checked when built; with affine branches its point is the exact
     periodic point), a digit function k -> i_k, or the itinerary of a given
-    point, read lazily through orbit_digits.  A given point, a float
-    included, is its own exact value, and its digits are those of that value
-    (a float on a circle map steps in floats).  The period word is kept as
-    ``word`` (None for the other sources).  One prefix walk over the source,
-    shared by every caller, gives the checked digits, the cylinders and the
-    brackets of x_0.
+    point, read lazily through orbit_digits.  A given point, a float included,
+    is its own exact value, and its digits are those of that value (a float on
+    a circle map steps in floats).  The period word is kept as ``word`` (None
+    for the other targets).  The walk, shared by every caller, is the one
+    reader of the digits: it checks them and gives the cylinders and brackets.
     """
 
     def __init__(self, m: MapModel, digits=None, value=None):
         self.map = m
         self.word = None
         if callable(digits):
-            self.source = lambda: map(digits, count())
+            digits = map(digits, count())
         elif digits is not None:
             word = self.word = tuple(digits)
             if not word:
                 raise ValueError("empty target word")
             for d in dict.fromkeys(word):
                 m.block_interval(d)     # InadmissibleDigit outside the alphabet
-            self.source = lambda: cycle(word)
+            digits = cycle(word)
             if hasattr(m, "branch_affine"):
                 try:
                     value = periodic_point(m, word)
                 except MapError:
                     pass  # the word does not close into an admissible cycle
         else:
-            self.source = lambda: orbit_digits(m, value if m.circle else Fraction(value))
+            digits = orbit_digits(m, value if m.circle else Fraction(value))
         self.value = value
-        self._walk = PrefixWalk(m, self.source())
+        self._walk = PrefixWalk(m, digits)
         self._point = None if value is None else (Fraction(value),) * 2
 
     @classmethod

@@ -48,6 +48,10 @@ class InadmissibleDigit(MapError):
     """A symbolic transition forbidden by the Markov structure."""
 
 
+class ForbiddenTransition(InadmissibleDigit):
+    """A digit of the alphabet that the digit before it cannot go to."""
+
+
 class BoundaryHit(Exception):
     """An orbit touched a partition boundary (or left the coded set X_0).
 
@@ -300,8 +304,8 @@ class MarkovLinear(MapModel, Chain):
         # right endpoint of the last nonempty sub-block belongs to the next block
         raise BoundaryHit(0, reason=f"point {x} on a sub-block boundary of P_{i}")
 
-    def admissible(self, d_from, d_to):
-        return self.M[d_from][d_to] > 0
+    def admissible(self, d_from, d_to):     # a built branch, not a Fraction compare
+        return self._affine[d_from][d_to] is not None
 
     def branch_targets(self, digit):
         return tuple(j for j in range(self.D) if self.M[digit][j] > 0)
@@ -340,11 +344,15 @@ class MarkovLinear(MapModel, Chain):
 
     @cached_property
     def float_chain(self):
-        """Float cumulative sums of p and of each row of M, for measures.digit_draws."""
+        """(cum_p, cuts, table) for measures.digit_draws: float cumulative sums of p, the
+        distinct inner cuts of M's rows, and int32 table[b, s] = d - s for the digit d
+        that state s reads from a uniform past exactly b cuts."""
         cum = np.cumsum([[float(x) for x in row] for row in self.M], axis=1)
         for i in range(self.D):     # a uniform past a row's float sum takes its last admissible digit
             cum[i, max(self.branch_targets(i)):] = 1.0
-        return np.cumsum([float(x) for x in self.p]), cum
+        cuts = np.unique(cum[:, :-1])
+        table = [row.searchsorted(np.append(-1.0, cuts), "right") - s for s, row in enumerate(cum)]
+        return np.cumsum([float(x) for x in self.p]), cuts, np.stack(table, 1).astype(np.int32)
 
 
 class GaussMap(MapModel):

@@ -260,8 +260,8 @@ def entropy_closed_form(m: MapModel, measure: InvariantMeasure) -> EntropyEstima
                                     "quadrature_error": err})
 
 
-def _coalesced(g: np.ndarray) -> bool:    # every row constant: no pass changes a row
-    return not (g[:, 1:] != g[:, :1]).any()
+def _coalesced(g: np.ndarray) -> bool:    # every row constant; the end columns first, a cheap test
+    return bool((g[:, -1] == g[:, 0]).all()) and not (g[:, 1:] != g[:, :1]).any()
 
 
 def digit_draws(m: MapModel, rng: np.random.Generator):
@@ -294,31 +294,34 @@ def digit_draws(m: MapModel, rng: np.random.Generator):
 
 
 def _chain_steps(m: MarkovLinear, rng):
-    """steps(c): the chain's next c digits, from the state the steps before
-    ended in.  Row k of the table g is the step map state -> next state of
-    uniform k, read against the cumulative rows of M (the first uniform's row
-    maps every state to the digit it reads against p).  A Hillis-Steele
-    doubling scan (Blelloch, "Prefix sums and their applications", 1990) turns
-    row k into g_k o ... o g_0, one numpy call per pass.  Before the pass of
-    stride s, row k >= s holds g_k o ... o g_{k-s+1}; once all of those are
-    constant, the states have coalesced (Propp-Wilson 1996) and the scan
-    stops.  Row k at the start state is digit k."""
-    cum_p, cum = m.float_chain
-    state = None
+    """steps(c): the chain's next c digits, from the state the steps before ended
+    in.  Row k of the table f is the step map g_k: state -> next state of uniform
+    k, as flat indices f[k, s] = k D + g_k(s): one search of the uniforms among
+    the map's cuts gathers g_k(s) - s from its cut table (the first uniform's row
+    maps every state to the digit it reads against p).  A Hillis-Steele doubling
+    scan (Blelloch, "Prefix sums and their applications", 1990) turns row k into
+    g_k o ... o g_0: the pass of stride s gathers f at f[k - s] + s D into rows
+    k >= s of a second buffer, copies the rows below s and swaps the two.  Before
+    it, row k >= s holds g_k o ... o g_{k-s+1}; once all are constant, the states
+    have coalesced (Propp-Wilson 1996) and the scan stops.  Row k at the start
+    state, less k D, is digit k."""
+    cum_p, cuts, table = m.float_chain
+    state, D = None, m.D
 
     def steps(c):
         nonlocal state
         u = rng.random(c)
-        g = np.empty((c, m.D), dtype=np.min_scalar_type(m.D - 1))
-        for s in range(m.D):
-            g[:, s] = np.searchsorted(cum[s], u, side="right")
+        f = np.take(table, np.searchsorted(cuts, u, side="right"), axis=0)
         if state is None:
-            state, g[0] = 0, min(np.searchsorted(cum_p, u[0], side="right"), m.D - 1)
-        row, step = np.arange(c, dtype=np.int32)[:, None] * m.D, 1    # flat row offsets
-        while step < c and not _coalesced(g[step:]):
-            g[step:] = g[step:].ravel()[g[:-step] + row[:c - step]]
-            step *= 2
-        out = g[:, state]
+            state, f[0] = 0, min(np.searchsorted(cum_p, u[0], side="right"), D - 1) - np.arange(D)
+        del u                                   # freed before the scan's three tables
+        f += (idx := np.arange(c * D).reshape(c, D))    # k D + s; intp, as np.take reads it
+        g, step = np.empty_like(f), 1
+        while step < c and not _coalesced(f[step:]):
+            np.take(f, np.add(f[:-step], step * D, out=idx[:-step]), out=g[step:], mode="clip")
+            g[:step] = f[:step]
+            f, g, step = g, f, 2 * step
+        out = f[:, state] - np.arange(0, c * D, D, dtype=np.int32)
         state = out[-1]
         return out
     return steps
@@ -400,14 +403,18 @@ def entropy_birkhoff(m: MapModel, measure: InvariantMeasure, n_iter: int,
     if isinstance(m, DAryShift):
         vals = np.full(n_trials, math.log(m.D))  # constant integrand: exact every trial
     elif isinstance(m, MarkovLinear):
-        logslope = np.full((m.D, m.D), np.nan)
-        for i in range(m.D):
-            for j in m.branch_targets(i):
-                logslope[i, j] = math.log(float(m.slope(i, j)))
+        logslope = [Fraction(math.log(float(m.slope(i, j)))) if m.M[i][j] else 0     # exact
+                    for i in range(m.D) for j in range(m.D)]    # a forbidden i -> j is never drawn
         vals = np.empty(n_trials)
         for t, s in enumerate(seeds):
-            chain = digit_draws(m, np.random.default_rng(s))(n_iter + 1)
-            vals[t] = float(np.mean(logslope[chain[:-1], chain[1:]]))
+            # the transitions i D + j counted a block at a time; their exact mean log-slope
+            draw, counts = digit_draws(m, np.random.default_rng(s)), 0
+            last = draw(1).astype(np.intp)
+            for lo in range(0, n_iter, DRAW_CHUNK):
+                nxt = draw(min(DRAW_CHUNK, n_iter - lo))
+                counts += np.bincount(np.append(last, nxt[:-1]) * m.D + nxt, minlength=m.D * m.D)
+                last = nxt[-1:].astype(np.intp)
+            vals[t] = float(sum(c * x for c, x in zip(counts.tolist(), logslope) if c) / n_iter)
     else:               # the float-orbit maps, Gauss and Blaschke
         s = np.zeros((1, n_trials))
         for n0, xs, restarts in float_orbit_blocks(m, measure, seeds, n_iter):

@@ -13,14 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, count, islice, pairwise, repeat
+from itertools import accumulate, chain, count, pairwise, repeat
 from typing import Optional
 
 import numpy as np
 
 from .coding import (PrefixWalk, Target, ball_holds,  # noqa: F401 (re-exported)
                      cylinder_from_word, period_matrix)
-from .maps import BoundaryHit, DAryShift, InadmissibleDigit, MapError, MapModel, MarkovLinear
+from .maps import (BoundaryHit, DAryShift, ForbiddenTransition, InadmissibleDigit, MapError,
+                   MapModel, MarkovLinear)
 from .measures import (GaussMeasure, InvariantMeasure, check_invariant, digit_draws,
                        float_orbit_blocks, trial_seed)
 from .schema import check, integer, kinds, listof, number, rules
@@ -280,11 +281,9 @@ def _mass_at(m, measure, target):
     linear map's own chain for any admitted measure, else the walk's.  Masses of
     nested cylinders never increase, so after a 0 all are 0, and on the way to a
     far depth the walk looks at depths 64, 128, 256, ... to stop at a 0.0 there."""
-    if hasattr(m, "M"):
-        exact = _chain_mass(m, target.source())
-    else:
-        walk = target.walk()
-        exact = lambda t: float(measure.interval_mass(*walk.bounds(t)))     # noqa: E731
+    walk = target.walk()
+    exact = _chain_mass(m, walk) if hasattr(m, "M") \
+        else lambda t: float(measure.interval_mass(*walk.bounds(t)))
     probe, last = 64, None
 
     def mass(t):
@@ -297,20 +296,21 @@ def _mass_at(m, measure, target):
     return mass
 
 
-def _chain_mass(chain, digits):
-    """mass(t) at non-decreasing t: p_{w_0} M[w_0][w_1] ... M[w_{t-1}][w_t] of
-    the digits w, a running product num / den in the chain's integers, rounded
-    by one int / int division (correctly rounded, 0.0 below 2^-1075), or the
-    int 0 where num is 0: a transition the chain forbids makes the mass exactly 0."""
-    w, Q = next(digits), chain.scaled[0]
+def _chain_mass(chain, walk):
+    """mass(t) at non-decreasing t: p_{w_0} M[w_0][w_1] ... M[w_{t-1}][w_t] of the
+    walk's digits w (slices of its word list), a running product num / den in the
+    chain's integers, rounded by one int / int division (correctly rounded, 0.0
+    below 2^-1075), or the int 0 past a forbidden transition, where the walk stops."""
+    w, Q = walk.read(0)[0], chain.scaled[0]
     num, den, at = chain.p[w].numerator, chain.p[w].denominator, 0
 
     def mass(t):
-        nonlocal num, den, at, w
-        seg = [w, *islice(digits, t - at)]
-        num *= chain.weight(seg)
-        den *= Q ** (t - at)
-        at, w = t, seg[-1]
+        nonlocal num, den, at
+        try:
+            num *= chain.weight(walk.read(t)[at:t + 1])
+        except ForbiddenTransition:
+            num = 0
+        den, at = den * Q ** (t - at), t
         return num / den if num else 0
     return mass
 
@@ -362,8 +362,12 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
         norm.add(n0, cylinder_mass_by_depth(m, measure, target, depths, mass_at))
     first = _first_at_depth(sched, N)
     dense = min(DENSE_DIGITS, t_max + 1)
-    source = target.source()
-    word = list(islice(source, dense))
+
+    def digit(mm):      # target digit mm; -1 past a forbidden transition, which no orbit takes
+        try:
+            return target.walk().read(mm)[mm]
+        except ForbiddenTransition:
+            return -1
 
     hits = np.zeros((trials, len(cps)), dtype=np.int64)
     for t in range(trials):
@@ -371,10 +375,10 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
         stream = digits.read(0, N + dense)
         # the leading digits on contiguous slices, while most indices match;
         # the 0-based indices from first(mm) on need digit mm
-        live = stream[1:N + 1] == word[0]
+        live = stream[1:N + 1] == digit(0)
         for mm in range(1, dense):
             f = first(mm)
-            live[f:] &= stream[1 + mm + f:1 + mm + N] == word[mm]
+            live[f:] &= stream[1 + mm + f:1 + mm + N] == digit(mm)
         live, found = np.flatnonzero(live), []
         # then only the survivors: an index matched through its own depth is a hit
         for mm in count(dense):
@@ -385,9 +389,7 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
                 break
             if len(stream) < 2 + mm + live[-1]:     # read on, past N at least twice as far
                 stream = digits.read(0, max(2 + mm + int(live[-1]), 2 * len(stream) - N))
-            if mm == len(word):
-                word.append(next(source))
-            live = live[stream[1 + mm + live] == word[mm]]
+            live = live[stream[1 + mm + live] == digit(mm)]
         idx = np.concatenate(found) + 1       # ascending, as retired
         hits[t] = np.searchsorted(idx, cps, side="right")
     return HitSeries(cps, hits, norm.sums, seeds, engine="symbolic", kind="symbolic")

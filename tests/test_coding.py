@@ -32,6 +32,7 @@ from shrinktargets import (
     run_symbolic_hits,
 )
 from shrinktargets.coding import PrefixWalk, ball_holds, period_matrix
+from shrinktargets.maps import ForbiddenTransition
 
 
 class TestItinerary:
@@ -441,9 +442,13 @@ def _outcome(call):
 
 
 def _expect(m, digits, value, alphabet=()):
-    """(InadmissibleDigit, the oracle's message) if digits have a fault, else value()."""
+    """(InadmissibleDigit, the oracle's message) if digits have a fault, its
+    subclass ForbiddenTransition at a forbidden transition, else value()."""
     fault = _oracle_fault(m, digits, alphabet)
-    return (InadmissibleDigit, fault) if fault else value()
+    if not fault:
+        return value()
+    forbidden = fault.startswith("digit not admissible")
+    return (ForbiddenTransition if forbidden else InadmissibleDigit), fault
 
 
 def _ends(cyl):
@@ -519,6 +524,31 @@ def test_a_word_outside_the_alphabet_raises_a_map_error(case, entry, request):
     m = request.getfixturevalue(name)
     with pytest.raises(MapError):
         ENTRY_POINTS[entry](m, own_measure(m), w)
+
+
+# digit functions whose digits fall outside the alphabet, at the first digit or later
+INVALID_DIGIT_FUNCTIONS = {
+    "chain-5": ("markov", lambda k: 5), "chain-minus-1": ("markov", lambda k: -1),
+    "chain-0-then-7": ("markov", lambda k: 7 if k else 0),
+    "dary2-2": ("dary2", lambda k: 2), "gauss-0": ("gauss", lambda k: 0)}
+
+
+@pytest.mark.parametrize("case, entry", [
+    (case, entry) for case, (name, _) in INVALID_DIGIT_FUNCTIONS.items() for entry in ENTRY_POINTS
+    # the entry points that take a target; a Cantor stage refuses the Gauss map before any digit
+    if entry not in ("cylinder_from_word", "period_matrix")
+    and (name, entry) != ("gauss", "build_cantor_stage")])
+def test_a_digit_function_outside_the_alphabet_raises_the_walks_error(case, entry, request):
+    """A digit-function target is checked only by its walk, so every entry
+    point raises the walk's own InadmissibleDigit: never a bare IndexError,
+    nor a run that reads digit -1 as the last digit of a chain's row."""
+    name, digits = INVALID_DIGIT_FUNCTIONS[case]
+    m = request.getfixturevalue(name)
+    with pytest.raises(InadmissibleDigit) as walk_error:
+        Target(m, digits).walk().bounds(2)
+    with pytest.raises(InadmissibleDigit) as got:
+        ENTRY_POINTS[entry](m, own_measure(m), Target(m, digits))
+    assert str(got.value) == str(walk_error.value)
 
 
 class TestRefineScan:

@@ -35,6 +35,7 @@ from shrinktargets import (
 )
 from shrinktargets import measures
 from shrinktargets.measures import (
+    DRAW_CHUNK,
     GAUSS_ENTROPY,
     digit_draws,
     float_orbit_blocks,
@@ -706,9 +707,57 @@ class TestChainSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the uniforms and the int64 output take 16 bytes a digit; the table
-        # (one byte a state) and the scan's chunks must stay within 8 MiB more
+        # the uniforms and the int64 output take 16 bytes a digit; the scan's
+        # chunks (its two int32 tables of flat indices and its intp index
+        # table, one entry a state and digit) must stay within 8 MiB more
         assert peak - 16 * n <= 8 * 2 ** 20
+
+
+def _weighted_chain(W):
+    """The chain whose rows are the integer weights W normalized, after a
+    cycle through every state and a loop at state 0 make it primitive."""
+    D = len(W)
+    for i in range(D):
+        W[i][(i + 1) % D] = max(W[i][(i + 1) % D], 1)
+    W[0][0] = max(W[0][0], 1)
+    M = [[F(w, sum(row)) for w in row] for row in W]
+    return MarkovLinear(M, stationary_vector(M))
+
+
+@st.composite
+def _primitive_chains(draw):
+    """Chains on 2-6 states from weights 0..3, so that zero entries (rows that
+    end in zeros among them) are common and the cut table's thresholds often
+    coincide across rows."""
+    D = draw(st.integers(2, 6))
+    return _weighted_chain([draw(st.lists(st.integers(0, 3), min_size=D, max_size=D))
+                            for _ in range(D)])
+
+
+class TestChainSourceProperty:
+    """The cut-table scan gives the sequential chain's digits on any chain,
+    however the draws split the stream."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=_primitive_chains(), seed=st.integers(0, 2 ** 32 - 1),
+           splits=st.lists(st.one_of(st.integers(1, 3000),
+                                     st.integers(DRAW_CHUNK - 2, DRAW_CHUNK + 2)),
+                           min_size=1, max_size=4))
+    def test_split_draws_equal_sequential_chain(self, m, seed, splits):
+        draw = digit_draws(m, np.random.default_rng(seed))
+        got = np.concatenate([draw(k) for k in splits])
+        want = _chain_oracle(m, np.random.default_rng(seed), sum(splits))
+        assert np.array_equal(got, want)
+
+    def test_thirty_two_states(self):
+        rng = random.Random(5)      # a fixed chain, about a third of its entries 0
+        m = _weighted_chain([[rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(32)]
+                             for _ in range(32)])
+        assert (np.asarray(m.M) == 0).any()
+        splits = (1, 7, 1000, DRAW_CHUNK, 5)
+        draw = digit_draws(m, np.random.default_rng(11))
+        got = np.concatenate([draw(k) for k in splits])
+        assert np.array_equal(got, _chain_oracle(m, np.random.default_rng(11), sum(splits)))
 
 
 class TestCoalescingScan:

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 import warnings
 from fractions import Fraction as F
+from itertools import count
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from shrinktargets import (
     trial_seed,
 )
 from shrinktargets import recurrence
-from shrinktargets.maps import BoundaryHit, MapError
+from shrinktargets.maps import BoundaryHit, InadmissibleDigit, MapError
 from shrinktargets.measures import (
     ORBIT_BLOCK,
     GaussMeasure,
@@ -502,7 +503,7 @@ class TestMarkovFastPath:
                               Schedule.radii_power(2.0), 400, 2, 0)
         assert met.hits.tolist() == [[77], [76]] and met.ambiguous_resolved == 0
         est = entropy_birkhoff(markov, markov_measure, 5000, 8, 5)
-        assert (est.value, est.standard_error) == (0.6040988158870807, 0.0031843492106405666)
+        assert (est.value, est.standard_error) == (0.6040988158870807, 0.0031843492106405887)
 
     @pytest.mark.parametrize("kind", ["dary2", "dary3", "dary10", "chain", "golden"])
     def test_float_positions_within_rounding_term(self, kind, markov, golden_markov):
@@ -629,7 +630,8 @@ def _symbolic_per_depth(m, measure, target, sched, N, trials, seed, horizons):
         stream = draw(N + 2)
         acc = np.ones(N, dtype=bool)       # acc[i-1]: prefix match at orbit index i
         hit = np.zeros(N, dtype=bool)
-        for mm, digit in enumerate(target.source()):
+        for mm in count():
+            digit = target.digits(mm)[mm]
             if not acc[depths >= mm].any():
                 break
             if len(stream) < 1 + mm + N:
@@ -1178,15 +1180,15 @@ class TestNormalizerByDepth:
             cylinder_mass_by_depth(dary2, lebesgue, tgt, np.array([0, 2, 3, 1, 4]))
 
     def test_one_target_word_per_call(self, dary2, lebesgue):
-        # one read of the target's source serves every depth
-        tgt, reads = TargetPoint.from_point(dary2, F(1, 3)), []
-        source, tgt.source = tgt.source, lambda: reads.append(1) or source()
+        # the target's one walk serves every depth of every call: each of
+        # its digits is read from the digit function once, in order
+        reads = []
+        tgt = TargetPoint(dary2, digits=lambda k: reads.append(k) or k * k % 3 % 2)
         for sched, N in ((Schedule.depth_power_floor(2), 10 ** 4),
                          (Schedule.depth_log_floor(2), 10 ** 5),
                          (Schedule.depth_const(3), 10)):
-            before = len(reads)
             cylinder_mass_by_depth(dary2, lebesgue, tgt, sched.depths_array(N))
-            assert len(reads) - before == 1
+        assert reads == list(range(len(tgt.walk().word))) and len(reads) > 1000
 
 
 class TestClassifier:
@@ -1259,6 +1261,30 @@ class TestClassifier:
         assert masses.tolist() == [1 / 3, 0, 0, 0, 0]
         v = borel_cantelli_classify(zero_diagonal, mu, tgt, Schedule.depth_log_floor(3))
         assert v.verdict == "MeasureZero" and not v.heuristic
+
+    @pytest.mark.parametrize("digits, message", [
+        (lambda k: 5, "digit 5 out of range"), (lambda k: -1, "digit -1 out of range"),
+        (lambda k: 7 if k else 0, "digit 7 out of range")], ids=["5", "-1", "0-then-7"])
+    def test_digits_outside_the_alphabet_raise_the_walks_error(self, markov, lebesgue,
+                                                               digits, message):
+        # the chain's masses and the symbolic engine read the digits through
+        # the target's walk: a digit outside the chain raises, at any depth,
+        # and is never read as a forbidden transition's mass 0
+        for run in (lambda tgt: borel_cantelli_classify(markov, lebesgue, tgt,
+                                                        Schedule.depth_log_floor(2)),
+                    lambda tgt: run_symbolic_hits(markov, lebesgue, tgt,
+                                                  Schedule.depth_log_floor(2), 1000, 2, 0)):
+            with pytest.raises(InadmissibleDigit, match=f"^{message}$"):
+                run(TargetPoint(markov, digits=digits))
+
+    @pytest.mark.parametrize("x0", [(0, 0, 1), lambda k: 0], ids=["word", "digits"])
+    def test_symbolic_run_past_a_forbidden_transition(self, zero_diagonal, lebesgue, x0):
+        # no drawn orbit takes 0 -> 0, so no index matches past depth 0 and
+        # every cylinder mass past it is 0: the run ends with no hits
+        tgt = TargetPoint.of(zero_diagonal, x0) if isinstance(x0, tuple) \
+            else TargetPoint(zero_diagonal, digits=x0)
+        hs = run_symbolic_hits(zero_diagonal, lebesgue, tgt, Schedule.depth_const(1), 1000, 2, 0)
+        assert not hs.hits.any() and not hs.normalizer.any()
 
     @pytest.mark.parametrize("base", [2, 3])
     def test_log_floor_digits_outside_support(self, zero_diagonal, lebesgue, base):

@@ -17,8 +17,9 @@ are sequential, one worker process at a time, as run.py starts them.  Then it ru
 --durations, and records its wall time, its outcome counts, the time of
 each test in tests/test_acceptance.py and, as slowest_s, the ten slowest
 test ids with their times (setup, call and teardown summed).  It times
-the digit-stream layer, one draw of measures.digit_draws on the test suite's
-three chains, on each D-ary shift of DARY_STREAMS and on the Gauss map (its
+the digit-stream layer, one draw of measures.digit_draws on each chain of
+STREAM_CHAINS (the test suite's three, the sticky chain and a 16-state
+chain), on each D-ary shift of DARY_STREAMS and on the Gauss map (its
 per-digit loop over one float orbit), at STREAM_DIGITS digits each, best of 3 runs, with the bytes that hold each digit, and the normalizer layer,
 recurrence.cylinder_mass_by_depth on the depths floor(n^2) of n = 1..WALK_N
 for each target of WALKS, walked to the underflow of its masses, best of 3
@@ -44,9 +45,9 @@ those of a one-level depth_const(3) Cantor stage build on DAryShift(D), for
 each D of STAGE_DARY, map construction included.
 Then memory: the tracemalloc peak and the seconds, traced, of each run of
 MEMORY_RUNS in this process, the guard runs of
-tests/test_recurrence.py::TestBlockSizedRuns (linear hit runs at N = 10^6)
-and the D = 2 (8,15000) Cantor stage build of
-tests/test_dimension.py.
+tests/test_recurrence.py::TestBlockSizedRuns (linear hit runs at N = 10^6),
+the D = 2 (8,15000) Cantor stage build of tests/test_dimension.py and the
+Birkhoff entropy of the chain at MEMORY_N steps.
 Then config_exits: the exit code of cli.main on each malformed config of
 MALFORMED, each of which breaks one hypothesis on an input (a map, a bound,
 a point x0, a gridprobe grid or ball) and should exit 2, never 3; and
@@ -59,8 +60,9 @@ digits than Python's default int-to-str limit of 4,300; either records
 "traceback" where cli.main raised.
 extreme_values holds the grid_lower, hausdorff_lower and upper that each
 bounds config of EXTREME wrote to its results.json.
-Then api_errors: for each word target of API_WORDS, "ok" or the class of
-the exception that each Python-API entry point of api_errors raised on it.
+Then api_errors: for each word or digit-function target of API_WORDS, "ok"
+or the class of the exception that each Python-API entry point of
+api_errors raised on it (a digit function only where a target is taken).
 Last, it counts the lines of each src/shrinktargets/*.py module and their
 total (src_lines), so that the size of the code is read from the same file
 as its times.  The file also names the commit it measured (git rev-parse
@@ -94,6 +96,15 @@ CHAINS = {          # the chains of tests/conftest.py, row-major
     "chain": [["3/4", "1/4"], ["1/2", "1/2"]],
     "golden_mean": [["1/2", "1/2"], ["1", "0"]],
     "zero_diagonal": [["0", "1/2", "1/2"], ["1/2", "0", "1/2"], ["1/2", "1/2", "0"]],
+}
+# a 16-state chain's weights from i to j, ((i + 1)(j + 1) - 1) % 4: zero where (i + 1)(j + 1)
+# = 1 mod 4; every state goes to state 3, which goes to every state, so the chain is primitive
+WEIGHTS16 = [[((i + 1) * (j + 1) - 1) % 4 for j in range(16)] for i in range(16)]
+STREAM_CHAINS = {   # the chains whose digit_draws is timed
+    **CHAINS,
+    # the chain scan's slowest to coalesce: rows are constant only for u < 1/100 or u >= 99/100
+    "sticky": [["99/100", "1/100"], ["1/100", "99/100"]],
+    "states16": [[f"{w}/{sum(row)}" for w in row] for row in WEIGHTS16],     # a large D
 }
 DARY_STREAMS = (2, 3)   # D of the D-ary shifts whose digit_draws is timed
 GAUSS_WIDTHS = (1, 2, 4, 10)    # trials of the narrow Gauss float-orbit runs
@@ -130,10 +141,18 @@ RADII_TARGETS = {   # name -> (map spec, target word or point x0)
     "gauss_x0_3/7": ({"kind": "gauss"}, Fraction(3, 7)),
     "blaschke_0_half_x0.3": ({"kind": "blaschke", "zeros": [0, 0.5]}, 0.3),
 }
-API_WORDS = {       # name -> (map spec, target word): a digit outside the chain, a forbidden 1->1
+API_WORDS = {       # name -> (map spec, target word or digit function k -> i_k)
+    # a digit outside the chain, a forbidden 1->1
     "chain_05": ({"kind": "markov", "M": CHAINS["chain"], "p": ["2/3", "1/3"]}, (0, 5)),
     "golden_mean_11": ({"kind": "markov", "M": CHAINS["golden_mean"], "p": ["2/3", "1/3"]},
                        (1, 1)),
+    # digit functions outside the alphabet, read by the target's walk alone
+    "chain_digit_5": ({"kind": "markov", "M": CHAINS["chain"], "p": ["2/3", "1/3"]},
+                      lambda k: 5),
+    "chain_digit_minus_1": ({"kind": "markov", "M": CHAINS["chain"], "p": ["2/3", "1/3"]},
+                            lambda k: -1),
+    "dary2_digit_2": ({"kind": "dary", "D": 2}, lambda k: 2),
+    "gauss_digit_0": ({"kind": "gauss"}, lambda k: 0),
 }
 WIELANDT = [[str(int(j == i + 1)) for j in range(18)] for i in range(17)] + \
     [["1/2", "1/2"] + ["0"] * 16]
@@ -267,7 +286,8 @@ def run_tests() -> dict:
 
 def digit_streams() -> dict:
     """Best-of-3 seconds, digits/s and bytes per digit (the stream's itemsize)
-    of one draw of digit_draws(m, rng)(STREAM_DIGITS) on each chain, on
+    of one draw of digit_draws(m, rng)(STREAM_DIGITS) on each chain of
+    STREAM_CHAINS, on
     each D-ary shift of DARY_STREAMS (named dary<D>) and on the Gauss map,
     seed 0."""
     sys.path.insert(0, "src")
@@ -276,7 +296,7 @@ def digit_streams() -> dict:
     from shrinktargets.measures import digit_draws
 
     maps = {f"dary{D}": DAryShift(D) for D in DARY_STREAMS}
-    for name, rows in CHAINS.items():
+    for name, rows in STREAM_CHAINS.items():
         M = [[Fraction(x) for x in row] for row in rows]
         maps[name] = MarkovLinear(M, stationary_vector(M))
     maps["gauss"] = GaussMap()
@@ -422,12 +442,14 @@ def memory() -> dict:
     """tracemalloc peak (MB) and traced seconds of each guard run: metric
     DAryShift(3) and the chain at r_n = n^-1/2, symbolic D = 2 at
     t_n = floor(log2 n), each MEMORY_N x 2 trials; metric D = 2 with every n
-    a horizon, 1 trial; and the D = 2, (0, 1), depth_const(3), (8, 15000)
-    Cantor stage build."""
+    a horizon, 1 trial; the D = 2, (0, 1), depth_const(3), (8, 15000)
+    Cantor stage build; and entropy_birkhoff of the chain, MEMORY_N steps x
+    2 trials."""
     import tracemalloc
     sys.path.insert(0, "src")
     from shrinktargets import (DAryShift, MarkovLinear, Schedule, build_cantor_stage,
-                               run_metric_hits, run_symbolic_hits, stationary_vector)
+                               entropy_birkhoff, run_metric_hits, run_symbolic_hits,
+                               stationary_vector)
     from shrinktargets.measures import LebesgueMeasure
 
     mu, sqrt, N = LebesgueMeasure(), Schedule.radii_power(2.0), MEMORY_N
@@ -442,6 +464,7 @@ def memory() -> dict:
             dary2, mu, (0, 1), sqrt, N, 1, 0, horizons=range(1, N + 1)),
         "cantor_dary2_8_15000": lambda: build_cantor_stage(
             dary2, (0, 1), Schedule.depth_const(3), 2, (8, 15000)),
+        "birkhoff_chain": lambda: entropy_birkhoff(chain, mu, N, 2, 0),
     }
     out = {}
     for name, run in runs.items():
@@ -485,8 +508,9 @@ def config_exits(configs: dict):
 
 
 def api_errors() -> dict:
-    """Per word of API_WORDS, by entry point, "ok" or the class name of the
-    exception it raised, under the map's own measure."""
+    """Per target of API_WORDS, by entry point, "ok" or the class name of the
+    exception it raised, under the map's own measure.  A digit function goes
+    to the entry points that take a target, as a fresh Target each call."""
     sys.path.insert(0, "src")
     from shrinktargets import (Schedule, Target, borel_cantelli_classify, build_cantor_stage,
                                cylinder_from_word, entropy_smb, make_map, own_measure,
@@ -514,8 +538,10 @@ def api_errors() -> dict:
         m = make_map(spec)
         out[name] = {}
         for entry, call in calls.items():
+            if callable(word) and entry in ("cylinder_from_word", "period_matrix"):
+                continue        # these take a word, not a target
             try:
-                call(m, own_measure(m), word)
+                call(m, own_measure(m), Target(m, word) if callable(word) else word)
                 out[name][entry] = "ok"
             except Exception as e:
                 out[name][entry] = type(e).__name__
