@@ -3,8 +3,8 @@
 A depth-n cylinder is the set of points whose first n+1 digits agree with a
 given word.  One PrefixWalk yields the cylinders of every prefix of a word,
 adding one factor per digit, and every cylinder in the package comes from
-such a walk.  Endpoints are exact rationals at every depth for DAryShift,
-MarkovLinear and GaussMap; Blaschke endpoints are floats, marked inexact.
+such a walk.  Endpoints are exact rationals at every depth for the D-ary,
+Markov and Gauss maps; Blaschke endpoints are floats, marked inexact.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import count, cycle, islice
 from typing import Optional, Sequence
 
-from .maps import BoundaryHit, ForbiddenTransition, GaussMap, MapError, MapModel
+from .maps import BoundaryHit, MapError, MapModel
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,16 @@ def itinerary(m: MapModel, x, n: int):
 class PrefixWalk:
     """The cylinders P(0), P(1), ... of one digit sequence, one factor per digit.
 
-    It reads each digit once and checks its block (a Gauss digit's is its
-    admissibility) and its transition.  The inverse branches of t digits,
-    composed only for the depths asked, are the integer matrix (a, b, c, d)
-    of y -> (a*y + b)/(c*y + d); P(t) is its image of the block of digit t.
-    A digit multiplies in one branch: for affine maps A <- A + B*a, B <- B*b,
-    the branch restricted to the next digit's block so that a block endpoint
-    never selects its neighbour's branch; for the Gauss map p_t = a_t p_{t-1}
-    + p_{t-2}, and the same for q_t (Khinchin).  Blaschke maps have no exact
-    forward step and compose float inverse branches right-to-left per depth.
+    It reads each digit once and checks it against the digit before with one
+    call of the map's branch, which on an exact map also gives the inverse
+    branch onto the digit's block as an integer matrix (a, b, c, d) of
+    y -> (a*y + b)/(c*y + d): (B L, A L, 0, L) for an affine branch A + B*y,
+    restricted to that block so that a block endpoint never selects its
+    neighbour's branch; (0, 1, 1, a) for the Gauss branch 1/(a + y), so
+    p_t = a_t p_{t-1} + p_{t-2} and the same for q_t.  P(t) is the image of
+    digit t's block under the branches of digits 1..t, asked again and
+    composed only for the depths asked.  Blaschke maps have no exact branch
+    and compose float inverse branches right-to-left per depth.
 
     Digits are read, endpoints computed and Cylinders built only on demand.
     A walk takes its depth-0 cylinder from cylinder_from_word, so a tracer
@@ -69,53 +70,41 @@ class PrefixWalk:
     def __init__(self, m: MapModel, digits, seeded: bool = True):
         self.map = m
         self.word = []
-        self.exact = hasattr(m, "branch_affine") or isinstance(m, GaussMap)
+        self.exact = m.exact
         self._next = iter(digits).__next__
         self._seeded = seeded
-        self._blocks = not isinstance(m, GaussMap)
         self._mats = [(1, 0, 0, 1)]     # composed branches per depth, as far as asked
         self._ends = {}         # depth -> (left, right)
         self._failed = None
 
     def read(self, t: int) -> list:
         """The walk's word list, read and checked through digit t at least."""
-        m, word = self.map, self.word
+        m, word, step = self.map, self.word, self._next
+        if self._failed and len(word) <= t:
+            raise self._failed
+        prev = word[-1] if word else None
         while len(word) <= t:
-            if self._failed:
-                raise self._failed
             try:
-                d = self._next()
-                if self._blocks:
-                    m.block_interval(d)
-                if word and not m.admissible(word[-1], d):
-                    raise ForbiddenTransition(
-                        f"digit not admissible: transition {word[-1]}->{d} forbidden")
-                if not word and self._seeded:
+                d = step()
+                m.branch(prev, d)
+                if prev is None and self._seeded:
                     c = cylinder_from_word(m, (d,))
                     self._ends[0] = (c.left, c.right)
             except (BoundaryHit, MapError) as e:
                 self._failed = e    # the digit is spent: a shared walk fails alike again
                 raise
-            word.append(d)
+            word.append(prev := d)
         return word
 
     def matrix(self, t: int):
         """The branches of digits 0..t composed, as an integer matrix
         (a, b, c, d), on first use; None without an exact walk."""
-        mats, word = self._mats, self.read(t)
+        mats, word, branch = self._mats, self.read(t), self.map.branch
         while self.exact and len(mats) <= t:
-            e, f, g, h = self._branch(word[len(mats) - 1], word[len(mats)])
+            e, f, g, h = branch(word[len(mats) - 1], word[len(mats)])
             a, b, c, k = mats[-1]
             mats.append((a * e + b * g, a * f + b * h, c * e + k * g, c * f + k * h))
         return mats[t] if self.exact else None
-
-    def _branch(self, prev: int, d: int):
-        """Integer matrix of the inverse branch from digit prev onto digit d's block."""
-        if isinstance(self.map, GaussMap):
-            return 0, 1, 1, prev
-        A, B = self.map.branch_affine(prev, d)
-        L = math.lcm(A.denominator, B.denominator)
-        return B.numerator * (L // B.denominator), A.numerator * (L // A.denominator), 0, L
 
     def bounds(self, t: int):
         """(left, right) of the depth-t cylinder, computed once."""
@@ -171,7 +160,7 @@ def periodic_point(m: MapModel, period_word: Sequence[int]):
     """Exact point whose itinerary repeats the given word, for maps with
     affine branches (DAryShift, MarkovLinear): the fixed point x = (a*x + b)/d
     of the period's composed branches (period_matrix)."""
-    if not hasattr(m, "branch_affine"):
+    if not hasattr(m, "M"):
         raise MapError(f"periodic points need affine branches, not {m.kind}")
     a, b, _, d = period_matrix(m, period_word)
     return Fraction(b, d - a)
@@ -203,7 +192,7 @@ class Target:
             for d in dict.fromkeys(word):
                 m.block_interval(d)     # InadmissibleDigit outside the alphabet
             digits = cycle(word)
-            if hasattr(m, "branch_affine"):
+            if hasattr(m, "M"):
                 try:
                     value = periodic_point(m, word)
                 except MapError:
@@ -242,7 +231,7 @@ class Target:
         return self._walk.bounds(n) if self._point is None else self._point
 
     def float_value(self) -> float:
-        lo, hi = self.bracket(80 if hasattr(self.map, "branch_affine") else 40)
+        lo, hi = self.bracket(80 if hasattr(self.map, "M") else 40)
         return float((lo + hi) / 2)
 
 

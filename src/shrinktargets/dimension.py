@@ -390,11 +390,11 @@ class CantorStage:
     def dump_json(self, path):
         """Write the stage as it is stored: per level its classes (fine lam,
         nested lam, nu, count), nested suffix, nested_rel, parent count and
-        family type tables (first, N, Q, finals, states), so the file grows
-        with the types, not the blocks.  Each exact number is hex, "0x..." or
-        "0x.../0x...", read back by int(s, 16) whatever its digits.  With the
-        map's integer chain, RegularWords(scaled, first, Q, states,
-        finals).unrank gives each block of a family in block order."""
+        family end types (first, N, Q, finals), so the file grows with the end
+        types, not the blocks.  Each exact number is hex, "0x..." or
+        "0x.../0x...", read back by int(s, 16) whatever its digits.  The map's
+        integer chain gives a family's prefix types by the two passes of
+        smb_regular_cylinders, and RegularWords unranks its blocks."""
         levels = []
         for lvl, classes in zip(self.levels, self.level_classes()):
             f = lvl.family
@@ -402,9 +402,7 @@ class CantorStage:
                 "classes": [list(map(_hex, c)) for c in classes],
                 "nested_suffix": list(lvl.nested_suffix), "nested_rel": _hex(lvl.nested_rel),
                 "parents": _hex(lvl.parents), "first": f.first, "N": f.N, "Q": _hex(f.Q),
-                "finals": [[d, _hex(P), _hex(m)] for (d, P), m in f.finals.items()],
-                "states": [[[d, _hex(P), _hex(c), _hex(w)] for (d, P), (c, w) in layer.items()]
-                           for layer in f.states]})
+                "finals": [[d, _hex(P), _hex(m)] for (d, P), m in f.finals.items()]})
         with open(path, "w") as fh:
             json.dump({"root_word": list(self.root_word), "root_lam": _hex(self.root_lam),
                        "levels": levels}, fh, separators=(",", ":"))

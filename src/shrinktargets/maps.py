@@ -10,8 +10,8 @@ Four systems are provided:
   product with B(0)=0, in angle coordinates on [0,1).
 
 All maps expose the same small surface: ``evaluate``, ``log_derivative``,
-``inverse_branch``, ``digit_of``, ``block_interval``, ``admissible`` and a
-few structural attributes (``expansion_beta``; ``partition0`` and the digit
+``inverse_branch``, ``digit_of``, ``block_interval``, ``branch`` and a few
+structural attributes (``expansion_beta``; ``partition0`` and the digit
 chain (``p``, ``M``), a ``Chain``, on the linear maps).  Linear maps and the
 Gauss map are exact on ``fractions.Fraction`` inputs; Gauss and Blaschke add
 vectorized float ``stepper`` (a row stepper with its own buffers; the Blaschke
@@ -130,6 +130,7 @@ class MapModel:
     expansion_beta: float = 1.0  # certified expansion constant, > 1
     mixing_steps: int = 1        # smallest n0 with the n0-step expansion certified
     circle: bool = False
+    exact: bool = True           # branch gives exact integer branches
 
     # -- geometry -----------------------------------------------------
     def block_interval(self, digit: int):
@@ -139,8 +140,12 @@ class MapModel:
     def digit_of(self, x):
         raise NotImplementedError
 
-    def admissible(self, d_from: int, d_to: int) -> bool:
-        return True
+    def branch(self, prev: Optional[int], d: int):
+        """Check digit d read after prev (None before the first digit): InadmissibleDigit
+        outside the alphabet, ForbiddenTransition if prev cannot go to d.  An exact map
+        returns the inverse branch from prev onto P_d, the integer matrix (a, b, c, e) of
+        y -> (a*y + b)/(c*y + e), None before the first digit."""
+        self.block_interval(d)
 
     def branch_targets(self, digit: int):
         """Digits d such that P_d is covered by T(P_digit)."""
@@ -195,17 +200,15 @@ class DAryShift(MapModel, Chain):
         return math.log(self.D)
 
     def inverse_branch(self, digit, y):
-        if not 0 <= digit < self.D:
-            raise InadmissibleDigit(f"digit {digit} out of range for D={self.D}")
+        self.block_interval(digit)      # InadmissibleDigit outside the alphabet
         if not (0 <= y <= 1):
             raise MapError(f"{y} outside the branch image [0,1)")
         return (digit + y) / Fraction(self.D) if _is_exact(y) else (digit + y) / self.D
 
-    def branch_affine(self, d_from, d_to):
-        """Exact (A, B) with G_{d_from}(y) = A + B*y on the block of d_to."""
-        if not (0 <= d_from < self.D and 0 <= d_to < self.D):
-            raise InadmissibleDigit(f"digits {d_from}->{d_to} out of range for D={self.D}")
-        return Fraction(d_from, self.D), Fraction(1, self.D)
+    def branch(self, prev, d):
+        if not 0 <= d < self.D:
+            raise InadmissibleDigit(f"digit {d} out of range for D={self.D}")
+        return None if prev is None else (1, prev, 0, self.D)
 
 
 class MarkovLinear(MapModel, Chain):
@@ -235,12 +238,13 @@ class MarkovLinear(MapModel, Chain):
         self._subcuts = [tuple(accumulate((p[i] * x for x in M[i]), initial=cuts[i]))
                          for i in range(D)]
         self.partition0 = tuple((cuts[i], cuts[i + 1]) for i in range(D))
-        # exact (A, B) of every admissible branch, built once: the cylinder
-        # compositions and the window engine read them per digit
-        self._affine = tuple(
-            tuple((self._subcuts[i][j] - cuts[j] / self.slope(i, j), 1 / self.slope(i, j))
-                  if M[i][j] > 0 else None for j in range(D))
-            for i in range(D))
+        def branch(i, j):       # y -> A + B*y from i onto P_j, lcm-reduced: (B L, A L, 0, L)
+            B = 1 / self.slope(i, j)
+            A = self._subcuts[i][j] - cuts[j] * B
+            L = math.lcm(A.denominator, B.denominator)
+            return int(B * L), int(A * L), 0, L
+        # built once, None where M forbids i -> j: the walks and the window engine read it
+        self._branches = [[branch(i, j) if M[i][j] else None for j in range(D)] for i in range(D)]
 
         self.expansion_beta = self._certify_beta()
 
@@ -304,9 +308,6 @@ class MarkovLinear(MapModel, Chain):
         # right endpoint of the last nonempty sub-block belongs to the next block
         raise BoundaryHit(0, reason=f"point {x} on a sub-block boundary of P_{i}")
 
-    def admissible(self, d_from, d_to):     # a built branch, not a Fraction compare
-        return self._affine[d_from][d_to] is not None
-
     def branch_targets(self, digit):
         return tuple(j for j in range(self.D) if self.M[digit][j] > 0)
 
@@ -322,24 +323,25 @@ class MarkovLinear(MapModel, Chain):
         return math.log(self.slope(i, j))
 
     def inverse_branch(self, digit, y):
+        self.block_interval(digit)      # InadmissibleDigit outside the alphabet
         if not (0 <= y <= 1):
             raise MapError(f"{y} outside [0,1)")
-        A, B = self.branch_affine(digit, self.digit_of(y) if y < 1 else self.D - 1)
-        return A + B * y
+        b, a, _, L = self.branch(digit, self.digit_of(y) if y < 1 else self.D - 1)
+        return Fraction(a, L) + Fraction(b, L) * y
 
-    def branch_affine(self, d_from, d_to):
-        """Exact (A, B) with G_{d_from}(y) = A + B*y on the block of d_to."""
-        pair = self._affine[d_from][d_to]
-        if pair is None:
-            raise InadmissibleDigit(f"transition {d_from}->{d_to} forbidden "
-                                    f"(M[{d_from}][{d_to}]=0)")
-        return pair
+    def branch(self, prev, d):
+        if not 0 <= d < self.D:
+            raise InadmissibleDigit(f"digit {d} out of range")
+        if prev is not None and (b := self._branches[prev][d]) is None:
+            raise ForbiddenTransition(f"digit not admissible: transition {prev}->{d} forbidden")
+        return None if prev is None else b
 
     @cached_property
     def float_branches(self):
         """Float copies (A, B) of the branches, indexed [digit, next digit];
         0 where the transition is forbidden.  Built on first use."""
-        AB = np.array([[pair or (0, 0) for pair in row] for row in self._affine], dtype=float)
+        AB = np.array([[(b[1] / b[3], b[0] / b[3]) if b else (0, 0) for b in row]
+                       for row in self._branches], dtype=float)
         return AB[..., 0], AB[..., 1]
 
     @cached_property
@@ -384,8 +386,10 @@ class GaussMap(MapModel):
         # floor(1/x); under the right-closed convention 1/d itself has digit d
         return int(inv)
 
-    def admissible(self, d_from, d_to):
-        return d_from >= 1 and d_to >= 1
+    def branch(self, prev, d):
+        if d < 1:
+            raise InadmissibleDigit(f"Gauss digit must be >= 1, got {d}")
+        return None if prev is None else (0, 1, 1, prev)
 
     def branch_targets(self, digit):
         return None  # full: T(I_d) = (0,1)
@@ -409,8 +413,7 @@ class GaussMap(MapModel):
         return -2.0 * np.log(x)
 
     def inverse_branch(self, digit, y):
-        if digit < 1:
-            raise InadmissibleDigit(f"Gauss digit must be >= 1, got {digit}")
+        self.block_interval(digit)      # InadmissibleDigit outside the alphabet
         if not (0 <= y <= 1):
             raise MapError(f"{y} outside [0,1)")
         return 1 / (digit + y) if _is_exact(y) else 1.0 / (digit + y)
@@ -428,6 +431,7 @@ class BlaschkeBoundary(MapModel):
 
     kind = "blaschke"
     circle = True
+    exact = False
     NEWTON_TOL = 1e-14
 
     def __init__(self, zeros: Sequence[complex]):
@@ -581,11 +585,9 @@ class BlaschkeBoundary(MapModel):
         return np.log(tot)
 
     def inverse_branch(self, digit, y):
-        if not 0 <= digit < self.N:
-            raise InadmissibleDigit(f"digit {digit} out of range for N={self.N}")
+        lo, hi = self.block_interval(digit)     # InadmissibleDigit outside the alphabet
         if not (0 <= y <= 1):
             raise MapError(f"angle {y} outside [0,1)")
-        lo, hi = self._boundaries[digit], self._boundaries[digit + 1]
         base = self.lift(lo)
         m = round(base)
         if abs(base - m) > 1e-10:
@@ -657,8 +659,3 @@ def make_map(spec: dict) -> MapModel:
         raise MapError(f"unknown map kind {kind!r}")
     return MAP_KINDS[kind][0](**{k: v for k, v in spec.items() if k != "kind"})
 
-
-def bernoulli_map(weights: Sequence[Number]) -> MarkovLinear:
-    """Full-branch piecewise-linear map with branch weights p (i.i.d. digits)."""
-    p = [Fraction(w) for w in weights]
-    return MarkovLinear([list(p) for _ in p], p)

@@ -21,7 +21,7 @@ import numpy as np
 from .coding import (PrefixWalk, Target, ball_holds,  # noqa: F401 (re-exported)
                      cylinder_from_word, period_matrix)
 from .maps import (BoundaryHit, DAryShift, ForbiddenTransition, InadmissibleDigit, MapError,
-                   MapModel, MarkovLinear)
+                   MapModel)
 from .measures import (GaussMeasure, InvariantMeasure, check_invariant, digit_draws,
                        float_orbit_blocks, trial_seed)
 from .schema import check, integer, kinds, listof, number, rules
@@ -502,7 +502,7 @@ def run_metric_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sched
             norm.add(n0, ball_mass_array(m, measure, x0f, r))
             yield n0, r
 
-    if isinstance(m, (DAryShift, MarkovLinear)):
+    if hasattr(m, "M"):
         hits, wmins, amb = _metric_linear(m, target, blocks(), r_min, N, trials, seeds, cps)
         return HitSeries(cps, hits, norm.sums, seeds, engine="symbolic-window",
                          kind="metric", ambiguous_resolved=amb, window_minima=wmins)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from shrinktargets import (
@@ -182,3 +183,65 @@ class ScriptedGaussMeasure(GaussMeasure):
         if k < len(values) and values[k] is not None:
             return np.array([values[k]])
         return super().sample(rng, size)
+
+
+def affine_branch_reference(m, prev, d):
+    """(A, B) of the inverse branch y -> A + B*y from digit prev onto P_d of a
+    linear map: the increasing affine map of P_d onto P_{prev,d}, the part of
+    P_prev that T maps onto P_d.  A chain gives P_{prev,d} by
+    subblock_interval (InadmissibleDigit where it forbids prev -> d); the
+    D-ary map cuts P_prev as its blocks cut [0, 1)."""
+    lo, hi = m.block_interval(d)
+    if isinstance(m, MarkovLinear):
+        s_lo, s_hi = m.subblock_interval(prev, d)
+    else:
+        a, b = m.block_interval(prev)
+        s_lo, s_hi = a + (b - a) * lo, a + (b - a) * hi
+    B = (s_hi - s_lo) / (hi - lo)
+    return s_lo - B * lo, B
+
+
+def allowed(m, a, b):
+    """Whether digit b may follow digit a: a positive chain entry; off a chain, always."""
+    return not hasattr(m, "M") or m.M[a][b] > 0
+
+
+def regular_states(scaled, first, N, finals):
+    """The prefix-type table (``RegularWords.states``) of a family of N + 1
+    digit words from first, rebuilt from its end types as stage.json's readers
+    do: the forward pass of smb_regular_cylinders gives the types of each
+    prefix length in first-prefix order, and the backward pass from finals
+    the words through each and their summed prod."""
+    layers = [{(first, 1): None}]
+    for _ in range(N):
+        layers.append(dict.fromkeys((d, P * q) for a, P in layers[-1] for d, q in scaled[a]))
+    states = [{s: (1, s[1]) for s in finals}]
+    for layer in reversed(layers[:-1]):
+        nxt, cur = states[-1], {}
+        for a, P in layer:
+            cw = [nxt[d, P * q] for d, q in scaled[a] if (d, P * q) in nxt]
+            if cw:
+                cur[a, P] = sum(c for c, _ in cw), sum(w for _, w in cw)
+        states.append(cur)
+    return states[::-1]
+
+
+def weighted_chain(W):
+    """The chain whose rows are the integer weights W normalized, after a
+    cycle through every state and a loop at state 0 make it primitive."""
+    D = len(W)
+    for i in range(D):
+        W[i][(i + 1) % D] = max(W[i][(i + 1) % D], 1)
+    W[0][0] = max(W[0][0], 1)
+    M = [[F(w, sum(row)) for w in row] for row in W]
+    return MarkovLinear(M, stationary_vector(M))
+
+
+@st.composite
+def primitive_chains(draw):
+    """Chains on 2-6 states from weights 0..3, so that zero entries (rows that
+    end in zeros among them) are common and the cut table's thresholds often
+    coincide across rows."""
+    D = draw(st.integers(2, 6))
+    return weighted_chain([draw(st.lists(st.integers(0, 3), min_size=D, max_size=D))
+                           for _ in range(D)])

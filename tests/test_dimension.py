@@ -34,6 +34,7 @@ from shrinktargets import (
 from shrinktargets import dimension, measures
 from shrinktargets.dimension import BOUNDS, ProbeRecord, _intermediate_constraints
 from shrinktargets.measures import RegularWords
+from conftest import regular_states
 
 LOG2 = math.log(2)
 GAUSS_H = math.pi ** 2 / (6 * LOG2)
@@ -286,25 +287,24 @@ def _exact(s):
 
 def stage_json_blocks(path, chain):
     """Per level of a stage.json, its fine and nested (word, lam, nu) in
-    block order and its classes: each family unranked by RegularWords from
-    the file's type tables and the map's integer chain."""
+    block order, its classes and its family's prefix types: each family
+    unranked by RegularWords from the prefix types that the map's integer
+    chain rebuilds from the file's end types."""
     doc = json.loads(path.read_text())
     Q, S = chain.scaled
     scaled = [[(d, x) for d, x in enumerate(row) if x > 0] for row in S]
     parents, out = [(tuple(doc["root_word"]), _exact(doc["root_lam"]), F(1))], []
     for lvl in doc["levels"]:
         assert _exact(lvl["Q"]) == Q and _exact(lvl["parents"]) == len(parents)
+        finals = {(d, _exact(P)): _exact(m) for d, P, m in lvl["finals"]}
         fam = RegularWords(scaled, lvl["first"], Q,
-                           [{(d, _exact(P)): (_exact(c), _exact(w)) for d, P, c, w in layer}
-                            for layer in lvl["states"]],
-                           {(d, _exact(P)): _exact(m) for d, P, m in lvl["finals"]})
-        assert fam.N == lvl["N"]
+                           regular_states(scaled, lvl["first"], lvl["N"], finals), finals)
         words = list(map(fam.unrank, range(fam.size)))
         fine = [(w + word[1:], lam * F(P, Q ** fam.N), nu * F(P, fam.prod_sum))
                 for w, lam, nu in parents for word, P in words]
         rel, tail = _exact(lvl["nested_rel"]), tuple(lvl["nested_suffix"])
         parents = [(w + tail, lam * rel, nu) for w, lam, nu in fine]
-        out.append((fine, parents, [tuple(map(_exact, c)) for c in lvl["classes"]]))
+        out.append((fine, parents, [tuple(map(_exact, c)) for c in lvl["classes"]], fam.states))
     return out
 
 
@@ -475,7 +475,10 @@ class TestCantorStage:
         assert (lvl["first"], lvl["N"], lvl["Q"], lvl["parents"]) == (0, 4, "0x2", "0x1")
         assert lvl["nested_suffix"] == [] and _exact(lvl["nested_rel"]) == 1
         assert lvl["finals"] == [[0, "0x1", "0x8"]]
-        assert len(lvl["states"]) == 5 and lvl["states"][0] == [[0, "0x1", "0x8", "0x8"]]
+        # no prefix types: the chain rebuilds the five layers from the finals
+        scaled = [[(d, x) for d, x in enumerate(row) if x > 0] for row in st2.map.scaled[1]]
+        states = regular_states(scaled, 0, 4, {(0, 1): 8})
+        assert "states" not in lvl and len(states) == 5 and states[0] == {(0, 1): (8, 8)}
 
     @pytest.mark.parametrize("chain, sizes", [(False, (4, 5)), (True, (6, 8))])
     def test_stage_json_rebuilds_every_block(self, markov, tmp_path, chain, sizes):
@@ -484,11 +487,13 @@ class TestCantorStage:
         path = tmp_path / "stage.json"
         st_.dump_json(path)
         levels = stage_json_blocks(path, st_.map)
-        for j, (fine, nested, classes) in enumerate(levels):
+        for j, (fine, nested, classes, states) in enumerate(levels):
             assert fine == list(iter_blocks(st_, j))
             assert nested == list(iter_blocks(st_, j, "nested"))
             assert classes == st_.level_classes()[j]
-        assert [len(fine) for fine, _, _ in levels] == [lvl.count for lvl in st_.levels]
+            assert list(map(list, states)) == list(map(list, st_.levels[j].family.states))
+            assert states == st_.levels[j].family.states
+        assert [len(fine) for fine, *_ in levels] == [lvl.count for lvl in st_.levels]
 
 
 def _flat_oracle(stage, c_cap=1e3):

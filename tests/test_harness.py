@@ -26,6 +26,7 @@ from shrinktargets.harness import (
     run,
 )
 from shrinktargets.maps import MAP_KINDS, MapError
+from conftest import regular_states
 
 GAUSS_H = math.pi ** 2 / (6 * math.log(2))
 
@@ -853,10 +854,10 @@ class TestStageFile:
             shrinktargets.DAryShift(2), (0, 1), shrinktargets.Schedule.depth_const(3), 2, [8, 2200])
         for lvl, classes, want in zip(stage["levels"], built.level_classes(), built.levels):
             assert [tuple(map(_exact, c)) for c in lvl["classes"]] == classes
-            assert [{(d, _exact(P)): (_exact(c), _exact(w)) for d, P, c, w in layer}
-                    for layer in lvl["states"]] == want.family.states
-            assert {(d, _exact(P)): _exact(m) for d, P, m in lvl["finals"]} == \
-                want.family.finals
+            finals = {(d, _exact(P)): _exact(m) for d, P, m in lvl["finals"]}
+            assert finals == want.family.finals
+            assert regular_states(want.family.scaled, lvl["first"], lvl["N"], finals) == \
+                want.family.states
 
 
 def _bounds(**ev):

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinktargets import (
     BlaschkeBoundary,
@@ -11,17 +13,18 @@ from shrinktargets import (
     InadmissibleDigit,
     MapError,
     MarkovLinear,
-    bernoulli_map,
     cylinder_from_word,
     make_map,
 )
-from shrinktargets.maps import primitivity_exponent
+from shrinktargets.maps import ForbiddenTransition, primitivity_exponent
 from shrinktargets.measures import ORBIT_BLOCK, float_orbit_blocks
 from conftest import (
+    affine_branch_reference,
     blaschke_product_reference,
     blaschke_step_reference,
     circle_angle_reference,
     float_orbit_start_reference,
+    primitive_chains,
 )
 
 LOG2 = math.log(2)
@@ -196,7 +199,7 @@ class TestInverseBranch:
         assert gauss.inverse_branch(2, F(0)) == F(1, 2)
 
     def test_markov_uniform_midpoint(self):
-        m = bernoulli_map([F(1, 2), F(1, 2)])
+        m = MarkovLinear([[F(1, 2)] * 2] * 2, [F(1, 2)] * 2)
         # digit 0 branch inside P_1: midpoint of sub-block P_{1,0}
         x = m.inverse_branch(1, F(1, 4))
         lo, hi = m.subblock_interval(1, 0)
@@ -222,6 +225,61 @@ class TestBranchConsistency:
             for y in (0.12, 0.5, 0.93):
                 x = blaschke_two.inverse_branch(d, y)
                 assert blaschke_two.evaluate(x) == pytest.approx(y, abs=1e-12)
+
+
+class TestIntegerBranches:
+    """branch(prev, d) of every exact map against an oracle built from its
+    blocks, and its one check of a digit read after prev."""
+
+    @given(m=st.one_of(primitive_chains(), st.sampled_from([2, 3, 257]).map(DAryShift)),
+           data=st.data())
+    @settings(max_examples=60)
+    def test_affine_branch_maps_the_block_onto_the_sub_block(self, m, data):
+        """(B L, A L, 0, L) of the increasing affine map y -> A + B*y of P_d onto
+        P_{prev,d}, L the lcm of the denominators of A and B, which
+        inverse_branch reads at the midpoint of P_d; ForbiddenTransition where
+        the chain forbids prev -> d, and InadmissibleDigit with the block's
+        message outside the alphabet, from inverse_branch too (a chain's
+        digit -1 once read the last row of its table)."""
+        digit = st.integers(0, m.D - 1)
+        for prev, d in data.draw(st.lists(st.tuples(digit, digit), min_size=1, max_size=40)):
+            assert m.branch(None, d) is None
+            try:
+                A, B = affine_branch_reference(m, prev, d)
+            except InadmissibleDigit:
+                with pytest.raises(ForbiddenTransition) as got:
+                    m.branch(prev, d)
+                assert str(got.value) == f"digit not admissible: transition {prev}->{d} forbidden"
+                continue
+            e, f, g, h = m.branch(prev, d)
+            assert {type(x) for x in (e, f, g, h)} == {int}
+            assert (g, F(f, h), F(e, h), h) == (0, A, B, math.lcm(A.denominator, B.denominator))
+            mid = sum(m.block_interval(d)) / 2
+            assert m.inverse_branch(prev, mid) == A + B * mid
+        for bad in (-1, m.D):
+            with pytest.raises(InadmissibleDigit) as want:
+                m.block_interval(bad)
+            for call in (lambda: m.branch(None, bad), lambda: m.branch(0, bad),
+                         lambda: m.inverse_branch(bad, F(1, 2))):
+                with pytest.raises(InadmissibleDigit) as got:
+                    call()
+                assert type(got.value) is InadmissibleDigit and str(got.value) == str(want.value)
+
+    @given(prev=st.integers(1, 50), d=st.integers(1, 50), y=st.fractions(0, 1))
+    @settings(max_examples=100)
+    def test_gauss_branch_is_the_reciprocal(self, gauss, prev, d, y):
+        """(0, 1, 1, prev) of y -> 1/(prev + y), which maps P_d into P_prev; a
+        0 after any digit is outside the alphabet, not a forbidden step."""
+        assert gauss.branch(None, d) is None
+        a, b, c, e = gauss.branch(prev, d)
+        assert F(a * y + b, c * y + e) == 1 / (prev + y) == gauss.inverse_branch(prev, y)
+        lo, hi = gauss.block_interval(prev)
+        assert all(lo <= F(a * z + b, c * z + e) <= hi for z in gauss.block_interval(d))
+        for p in (None, prev):
+            with pytest.raises(InadmissibleDigit) as got:
+                gauss.branch(p, 0)
+            assert type(got.value) is InadmissibleDigit
+            assert str(got.value) == "Gauss digit must be >= 1, got 0"
 
 
 class TestExpansion:
@@ -343,7 +401,7 @@ class TestDistortion:
 
     def test_uniform_slopes_ratio_is_one_past_depth(self):
         # with constant slopes the ratio is exactly 1 even at s = n+1
-        m = bernoulli_map([F(1, 2), F(1, 2)])
+        m = MarkovLinear([[F(1, 2)] * 2] * 2, [F(1, 2)] * 2)
         word = (0, 1, 1, 0)
         cyl = cylinder_from_word(m, word)
         xs = [cyl.left + (cyl.right - cyl.left) * t for t in (F(1, 10), F(9, 10))]

@@ -19,7 +19,6 @@ from shrinktargets import (
     MeasureError,
     Schedule,
     TargetPoint,
-    bernoulli_map,
     borel_cantelli_classify,
     correlation_mass,
     cylinder_from_word,
@@ -42,8 +41,11 @@ from shrinktargets.measures import (
 )
 from conftest import (
     ScriptedGaussMeasure,
+    affine_branch_reference,
     float_orbit_start_reference,
     float_orbit_step_reference,
+    primitive_chains,
+    weighted_chain,
 )
 
 LOG2 = math.log(2)
@@ -274,7 +276,7 @@ class TestEntropySMB:
         assert est.value == pytest.approx(11 / 10 * LOG2, abs=1e-14)
 
     def test_uniform_four_symbols(self):
-        m = bernoulli_map([F(1, 4)] * 4)
+        m = MarkovLinear([[F(1, 4)] * 4] * 4, [F(1, 4)] * 4)
         mu = MarkovStationaryMeasure.bernoulli([F(1, 4)] * 4)
         est = entropy_smb(m, mu, F(1, 5), 10)
         assert est.value == pytest.approx(math.log(4) * 11 / 10, abs=1e-14)
@@ -387,7 +389,7 @@ def pushforward_defect(m, measure, a, b) -> float:
                     continue
                 # the branch restricted to block j, so that a block's right
                 # endpoint does not select the next block's branch
-                A, B = m.branch_affine(d, j)
+                A, B = affine_branch_reference(m, d, j)
                 total += F(measure.interval_mass(A + B * lo, A + B * hi))
         return abs(float(total - F(measure.interval_mass(a, b))))
     if isinstance(m, GaussMap) and isinstance(measure, GaussMeasure):
@@ -713,33 +715,12 @@ class TestChainSampler:
         assert peak - 16 * n <= 8 * 2 ** 20
 
 
-def _weighted_chain(W):
-    """The chain whose rows are the integer weights W normalized, after a
-    cycle through every state and a loop at state 0 make it primitive."""
-    D = len(W)
-    for i in range(D):
-        W[i][(i + 1) % D] = max(W[i][(i + 1) % D], 1)
-    W[0][0] = max(W[0][0], 1)
-    M = [[F(w, sum(row)) for w in row] for row in W]
-    return MarkovLinear(M, stationary_vector(M))
-
-
-@st.composite
-def _primitive_chains(draw):
-    """Chains on 2-6 states from weights 0..3, so that zero entries (rows that
-    end in zeros among them) are common and the cut table's thresholds often
-    coincide across rows."""
-    D = draw(st.integers(2, 6))
-    return _weighted_chain([draw(st.lists(st.integers(0, 3), min_size=D, max_size=D))
-                            for _ in range(D)])
-
-
 class TestChainSourceProperty:
     """The cut-table scan gives the sequential chain's digits on any chain,
     however the draws split the stream."""
 
     @settings(max_examples=30, deadline=None)
-    @given(m=_primitive_chains(), seed=st.integers(0, 2 ** 32 - 1),
+    @given(m=primitive_chains(), seed=st.integers(0, 2 ** 32 - 1),
            splits=st.lists(st.one_of(st.integers(1, 3000),
                                      st.integers(DRAW_CHUNK - 2, DRAW_CHUNK + 2)),
                            min_size=1, max_size=4))
@@ -751,7 +732,7 @@ class TestChainSourceProperty:
 
     def test_thirty_two_states(self):
         rng = random.Random(5)      # a fixed chain, about a third of its entries 0
-        m = _weighted_chain([[rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(32)]
+        m = weighted_chain([[rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(32)]
                              for _ in range(32)])
         assert (np.asarray(m.M) == 0).any()
         splits = (1, 7, 1000, DRAW_CHUNK, 5)

@@ -59,6 +59,8 @@ from shrinktargets.recurrence import (
 )
 from conftest import (
     ScriptedGaussMeasure,
+    affine_branch_reference,
+    allowed,
     float_orbit_start_reference,
     float_orbit_step_reference,
 )
@@ -521,7 +523,7 @@ class TestMarkovFastPath:
             for i in range(N):
                 y = start
                 for k in range(i + W, i, -1):
-                    A, B = m.branch_affine(s[k], s[k + 1])
+                    A, B = affine_branch_reference(m, s[k], s[k + 1])
                     y = A + B * y
                 worst = max(worst, abs(F(float(pos[i])) - y))
                 # the true point lies in the cylinder of the longer word
@@ -859,7 +861,7 @@ class TestWindowRoutine:
         for i in range(N):
             A, B, row = F(0), F(1), []
             for k in range(i + 1, i + cap + 1):
-                a, b = m.branch_affine(s[k], s[k + 1])
+                a, b = affine_branch_reference(m, s[k], s[k + 1])
                 A, B = A + B * a, B * b
                 row.append(A + B * start)
             exact.append(row)
@@ -1212,8 +1214,7 @@ class TestClassifier:
 
     def test_log_floor_converges_for_rich_alphabet(self, lebesgue):
         # with D = 4 the log-floor masses sum like n^(-log 4), convergent
-        from shrinktargets import bernoulli_map
-        m4 = bernoulli_map([F(1, 4)] * 4)
+        m4 = MarkovLinear([[F(1, 4)] * 4] * 4, [F(1, 4)] * 4)
         mu4 = MarkovStationaryMeasure.bernoulli([F(1, 4)] * 4)
         tgt = TargetPoint.from_word(m4, (0, 1, 2, 3))
         assert borel_cantelli_classify(
@@ -1433,7 +1434,7 @@ class TestClassifier:
                                  st.fractions(0, 1).filter(lambda x: x < 1)))
         # a ball needs the point of the word, which a word off the support lacks
         assume(not (radii and isinstance(x0, tuple))
-               or all(map(m.admissible, x0, x0[1:] + x0[:1])))
+               or all(allowed(m, a, b) for a, b in zip(x0, x0[1:] + x0[:1])))
         tgt = TargetPoint.of(m, x0)
         if radii:
             table = sorted(data.draw(st.lists(st.floats(1e-12, 1), min_size=1, max_size=50)),

@@ -23,8 +23,11 @@ chain), on each D-ary shift of DARY_STREAMS and on the Gauss map (its
 per-digit loop over one float orbit), at STREAM_DIGITS digits each, best of 3 runs, with the bytes that hold each digit, and the normalizer layer,
 recurrence.cylinder_mass_by_depth on the depths floor(n^2) of n = 1..WALK_N
 for each target of WALKS, walked to the underflow of its masses, best of 3
-runs, and the float-orbit layer, the orbit-steps/s of
-measures.float_orbit_blocks for each map of FLOAT_STEPS, best of 3 runs;
+runs, the cylinder-construction layer, the microseconds per digit of
+coding.PrefixWalk.read and of PrefixWalk.matrix through each depth of
+PREFIX_DEPTHS on each map of PREFIX_MAPS, best of 5 runs, and the float-orbit
+layer, the orbit-steps/s of measures.float_orbit_blocks for each map of
+FLOAT_STEPS, best of 3 runs;
 the Gauss runs at widths (trials stepped together) 1, 2, 4 and 10 give the
 width at which one stepped row costs less per trial than one digit of the
 Gauss digit stream.  Then the verdict sweep: for each log-floor target of
@@ -116,6 +119,13 @@ WALKS = {           # name -> (map spec, target word)
     "sticky_0": ({"kind": "markov", "M": [["99/100", "1/100"], ["1/100", "99/100"]],
                   "p": ["1/2", "1/2"]}, (0,)),
 }
+PREFIX_MAPS = {     # name -> map spec of the prefix_walk timings
+    "dary2": {"kind": "dary", "D": 2}, "dary3": {"kind": "dary", "D": 3},
+    "chain": {"kind": "markov", "M": CHAINS["chain"], "p": ["2/3", "1/3"]},
+    "gauss": {"kind": "gauss"},
+}
+PREFIX_DEPTHS = (80, 2000)      # the depths through which a walk reads and composes
+PREFIX_DIGITS = 40000           # digits read per timed run, over fresh walks
 FLOAT_STEPS = {     # name -> (map spec, trials, steps)
     "blaschke_0_half": ({"kind": "blaschke", "zeros": [0, 0.5]}, 10, 10 ** 5),
     # the width of the Blaschke simulate calls of the cli-batch workload
@@ -153,6 +163,8 @@ API_WORDS = {       # name -> (map spec, target word or digit function k -> i_k)
                             lambda k: -1),
     "dary2_digit_2": ({"kind": "dary", "D": 2}, lambda k: 2),
     "gauss_digit_0": ({"kind": "gauss"}, lambda k: 0),
+    # a Gauss 0 after the first digit: outside the alphabet, not a forbidden step
+    "gauss_late_0": ({"kind": "gauss"}, lambda k: 1 if k < 3 else 0),
 }
 WIELANDT = [[str(int(j == i + 1)) for j in range(18)] for i in range(17)] + \
     [["1/2", "1/2"] + ["0"] * 16]
@@ -334,6 +346,39 @@ def normalizer_walks() -> dict:
             times.append(time.perf_counter() - t0)
         zero = int(depths[masses == 0][0]) if not masses.all() else None
         out[name] = {"n": WALK_N, "best_s": min(times), "first_zero_depth": zero}
+    return out
+
+
+def prefix_walk() -> dict:
+    """Best-of-5 microseconds per digit of PrefixWalk.read(t) (per digit read)
+    and of PrefixWalk.matrix(t) (per branch composed, after the read) at each
+    depth t of PREFIX_DEPTHS, on fresh unseeded walks, so that no depth-0
+    cylinder is built, over the first max(PREFIX_DEPTHS) + 1 digits that
+    digit_draws gives each map of PREFIX_MAPS at seed 0."""
+    sys.path.insert(0, "src")
+    import numpy as np
+    from shrinktargets import make_map
+    from shrinktargets.coding import PrefixWalk
+    from shrinktargets.measures import digit_draws
+
+    out = {}
+    for name, spec in PREFIX_MAPS.items():
+        m = make_map(spec)
+        word = digit_draws(m, np.random.default_rng(0))(max(PREFIX_DEPTHS) + 1).tolist()
+        out[name] = {}
+        for t in PREFIX_DEPTHS:
+            reps, read, matrix = max(1, PREFIX_DIGITS // (t + 1)), [], []
+            for _ in range(5):
+                walks = [PrefixWalk(m, word, seeded=False) for _ in range(reps)]
+                t0 = time.perf_counter()
+                for w in walks:
+                    w.read(t)
+                t1 = time.perf_counter()
+                for w in walks:
+                    w.matrix(t)
+                read.append((t1 - t0) / (reps * (t + 1)))
+                matrix.append((time.perf_counter() - t1) / (reps * t))
+            out[name][str(t)] = {"read_us": min(read) * 1e6, "matrix_us": min(matrix) * 1e6}
     return out
 
 
@@ -595,6 +640,10 @@ def main(argv=None) -> int:
     print("normalizer walks: " + ", ".join(f"{k} {v['best_s'] * 1e3:.2f} ms"
                                            for k, v in doc["normalizer_walks"].items()),
           file=sys.stderr)
+    doc["prefix_walk"] = prefix_walk()
+    print("prefix walk (us/digit read, composed): " + ", ".join(
+        f"{k}@{t} {v['read_us']:.2f}/{v['matrix_us']:.2f}"
+        for k, by_t in doc["prefix_walk"].items() for t, v in by_t.items()), file=sys.stderr)
     doc["float_steps"] = float_steps()
     print("float steps: " + ", ".join(f"{k} {v['steps_per_s']:.3g}/s"
                                       for k, v in doc["float_steps"].items()), file=sys.stderr)
