@@ -10,12 +10,13 @@ Markov and Gauss maps; Blaschke endpoints are floats, marked inexact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, cycle, islice
 from typing import Optional, Sequence
 
-from .maps import BoundaryHit, MapError, MapModel
+from .maps import BoundaryHit, InadmissibleDigit, MapError, MapModel
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,17 @@ class PrefixWalk:
                         precision_bits=None if self.exact else 53)
 
 
+def _digit(d) -> int:
+    """A caller's digit as a Python int, so that branches compose exactly."""
+    try:
+        return operator.index(d)
+    except TypeError:
+        raise InadmissibleDigit(f"digit {d!r} is not an integer") from None
+
+
 def cylinder_from_word(m: MapModel, word: Sequence[int]) -> Cylinder:
     """Exact interval of the cylinder with the given digit word."""
-    word = tuple(word)
+    word = tuple(map(_digit, word))
     if not word:
         raise ValueError("empty word")
     return PrefixWalk(m, word, seeded=False).cylinder(len(word) - 1)
@@ -152,7 +161,7 @@ def period_matrix(m: MapModel, period_word: Sequence[int]):
     """Integer matrix (a, b, c, d) of one period's inverse branches composed,
     y -> (a*y + b)/(c*y + d), walked over w + w[:1] so that they close around
     the period (InadmissibleDigit if they do not); None without an exact walk."""
-    w = tuple(period_word)
+    w = tuple(map(_digit, period_word))
     return PrefixWalk(m, w + w[:1], seeded=False).matrix(len(w))
 
 
@@ -184,9 +193,9 @@ class Target:
         self.map = m
         self.word = None
         if callable(digits):
-            digits = map(digits, count())
+            digits = map(_digit, map(digits, count()))
         elif digits is not None:
-            word = self.word = tuple(digits)
+            word = self.word = tuple(map(_digit, digits))
             if not word:
                 raise ValueError("empty target word")
             for d in dict.fromkeys(word):

@@ -296,18 +296,19 @@ class StageLevel:
     fine blocks (J~): block i is the parent i // F followed by
     ``family[i % F]`` without its entry digit, and its lambda and nu are the
     parent's times that suffix's factors in ``family.classes``.  Each fine
-    block has one nested child (J) that appends the target's digits."""
+    block has one nested child (J) that appends the target's digits.  The
+    builder stores the level's classes once, in the order blocks meet them."""
     family: RegularWords         # the SMB-regular return words, entry digit first
     nested_suffix: tuple         # shared x0-digit suffix appended to each fine block
     nested_rel: Fraction         # lam(J)/lam(J~)
-    parents: int = 1             # number of parent blocks
+    classes: list                # the distinct (fine lam, nested lam, nu) with their counts
     d_j: int = 0                 # depth of the fine blocks
     alpha_j: Fraction = Fraction(0)  # min lam(J~)/lam(J_parent)
     beta_j: Fraction = Fraction(0)   # max lam(J~)/lam(J_parent)
 
     @property
     def count(self) -> int:
-        return self.parents * self.family.size
+        return sum(cnt for *_, cnt in self.classes)
 
     @property
     def fine_suffix(self):
@@ -318,39 +319,16 @@ class StageLevel:
 
 @dataclass
 class CantorStage:
+    """A finished stage: x0's digits through its depth d_J + k_J, the root's lam, the levels."""
     map: MapModel
     x0_digits: tuple
-    root_word: tuple
     root_lam: Fraction
     levels: list                 # list[StageLevel]
 
-    def level_classes(self) -> list:
-        """Per level, the distinct (fine lam, nested lam, nu) of its blocks
-        with their multiplicities, in the order the block list first meets
-        them.
-
-        A block's class is fixed by its parent's class and its suffix's
-        class, so a level costs (parent classes) x (family classes).  Both
-        are visited in order of their first block, and the first block of
-        such a pair is (first parent) * F + (first suffix), so classes
-        enter ``merged`` in block order."""
-        out = []
-        parents = [(self.root_lam, Fraction(1), 1)]      # (lam, nu, count)
-        for lvl in self.levels:
-            merged = {}
-            for p_lam, p_nu, p_cnt in parents:
-                for s_lam, s_nu, s_cnt in lvl.family.classes.values():
-                    key = (p_lam * s_lam, p_nu * s_nu)
-                    merged[key] = merged.get(key, 0) + p_cnt * s_cnt
-            out.append([(lam, lam * lvl.nested_rel, nu, cnt)
-                        for (lam, nu), cnt in merged.items()])
-            parents = [(lam_n, nu, cnt) for _, lam_n, nu, cnt in out[-1]]
-        return out
-
     # -- invariants -----------------------------------------------------
     def nu_level_sums(self) -> list:
-        return [sum((cnt * nu for _, _, nu, cnt in classes), Fraction(0))
-                for classes in self.level_classes()]
+        return [sum((cnt * nu for _, _, nu, cnt in lvl.classes), Fraction(0))
+                for lvl in self.levels]
 
     def nesting_violations(self) -> int:
         """Blocks whose closure is not strictly inside the coarse parent.
@@ -396,15 +374,15 @@ class CantorStage:
         integer chain gives a family's prefix types by the two passes of
         smb_regular_cylinders, and RegularWords unranks its blocks."""
         levels = []
-        for lvl, classes in zip(self.levels, self.level_classes()):
+        for lvl in self.levels:
             f = lvl.family
             levels.append({
-                "classes": [list(map(_hex, c)) for c in classes],
+                "classes": [list(map(_hex, c)) for c in lvl.classes],
                 "nested_suffix": list(lvl.nested_suffix), "nested_rel": _hex(lvl.nested_rel),
-                "parents": _hex(lvl.parents), "first": f.first, "N": f.N, "Q": _hex(f.Q),
+                "parents": _hex(lvl.count // f.size), "first": f.first, "N": f.N, "Q": _hex(f.Q),
                 "finals": [[d, _hex(P), _hex(m)] for (d, P), m in f.finals.items()]})
         with open(path, "w") as fh:
-            json.dump({"root_word": list(self.root_word), "root_lam": _hex(self.root_lam),
+            json.dump({"root_word": list(self.x0_digits[:1]), "root_lam": _hex(self.root_lam),
                        "levels": levels}, fh, separators=(",", ":"))
 
 
@@ -416,7 +394,7 @@ def _hex(x) -> str:
 # the params of a cantor run; build_cantor_stage checks its arguments through it
 CANTOR_PARAMS = block({
     "levels": (integer(1, 6), 2), "level_sizes": listof(integer(2)),
-    "epsilon": (number(0), 0.3), "c_cap": (number(0), 1e3)},
+    "epsilon": (POSITIVE, 0.3), "c_cap": (POSITIVE, 1e3)},
     lambda p: None if len(p["level_sizes"]) == p["levels"] else
     "cantor needs params.level_sizes matching params.levels")
 
@@ -431,28 +409,25 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     x0's digits to depth k_j, where k_j is the refine depth for r_{d_j}
     (radii schedules) or t_{d_j} (depth schedules).  The mass nu splits
     proportionally to lambda within each admissible family.  A level keeps
-    its family by type, so the cost grows with the types, not the blocks.
-    x0's walk reads and checks each digit once and composes branches only
-    for the depths a refinement asks: a deep stage holds digits, no matrices.
+    its family by type and its classes, built once, so the cost grows with the
+    types, not the blocks.  x0's walk reads each digit once, as deep as the stage
+    goes, and composes branches only for the depths a refinement asks.
     """
     check(CANTOR_PARAMS, {"levels": levels, "level_sizes": level_sizes, "epsilon": epsilon},
           "params", "cantor", DimensionError)
     target = Target.of(m, target)
     if not hasattr(m, "M"):
         raise DimensionError("stage construction needs a finite-alphabet linear map")
-    deep = sum(int(n) for n in level_sizes) * 4 + 64
-    x0_digits = target.digits(deep)
-
-    root_word = (x0_digits[0],)
-    root_lam = m.word_mass(root_word)
+    # x0's digits through the current nested depth; the next family starts from the last one's block
+    head = target.digits(0)
+    root, root_lam = head[0], m.word_mass(head)
 
     stage_levels = []
     depth = 0                            # current nested depth d_{j-1} + k_{j-1}
-    parents = 1
-    base_digit = x0_digits[0]            # block the next family must start from
+    parents = [(root_lam, Fraction(1), 1)]   # the classes (nested lam, nu, count) of the parents
 
     for j, N_j in enumerate([int(n) for n in level_sizes], start=1):
-        words, _ = smb_regular_cylinders(m, N_j, epsilon, base_digit, x0_digits[0])
+        words, _ = smb_regular_cylinders(m, N_j, epsilon, head[-1], root)
         if not words.size:
             raise StageConstructionError(
                 f"level {j}: SMB regularity window empty at N_j={N_j} "
@@ -462,20 +437,24 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
         # k_j from the schedule at index d_j, read as every other consumer reads it
         k_j = refine_depth(m, target, Fraction(float(sched.radii_array(d_j, d_j - 1)[0]))) \
             if sched.is_radii else int(sched.depths_array(d_j, d_j - 1)[0])
-        nested_suffix = target.digits(k_j)[1:k_j + 1]
+        head = target.digits(k_j)
+        nested_rel = m.word_mass(head) / m.p[root]
 
-        # every parent ends at the same base digit, so one family serves all
+        # one family serves every parent, as each ends at the base digit; pairs meet in block order
+        merged = {}
+        for p_lam, p_nu, p_cnt in parents:
+            for s_lam, s_nu, s_cnt in words.classes.values():
+                key = (p_lam * s_lam, p_nu * s_nu)
+                merged[key] = merged.get(key, 0) + p_cnt * s_cnt
+        classes = [(lam, lam * nested_rel, nu, cnt) for (lam, nu), cnt in merged.items()]
         lams = [lam for lam, _, _ in words.classes.values()]
-        nested_rel = m.word_mass(x0_digits[:1] + nested_suffix) / m.p[x0_digits[0]]
-        lvl = StageLevel(words, nested_suffix, nested_rel, parents,
-                         d_j=d_j, alpha_j=min(lams), beta_j=max(lams))
-        stage_levels.append(lvl)
+        stage_levels.append(StageLevel(words, head[1:], nested_rel, classes, d_j=d_j,
+                                       alpha_j=min(lams), beta_j=max(lams)))
 
         depth = d_j + k_j
-        parents = lvl.count
-        base_digit = nested_suffix[-1] if nested_suffix else x0_digits[0]
+        parents = [(lam_n, nu, cnt) for _, lam_n, nu, cnt in classes]
 
-    stage = CantorStage(m, target.digits(max(deep, depth)), root_word, root_lam, stage_levels)
+    stage = CantorStage(m, target.digits(depth), root_lam, stage_levels)
     bad = stage.nesting_violations()
     if bad:
         raise StageConstructionError(
@@ -497,24 +476,20 @@ def frostman_exponent(stage: CantorStage, c_cap: float = 1e3) -> dict:
     the nested endpoint binds; those are skipped.  Blocks of one
     (lambda, nu) class give one constraint.
     """
+    check(POSITIVE, c_cap, "params.c_cap", "cantor", DimensionError)   # CANTOR_PARAMS' c_cap
     log_cap = math.log(c_cap)
-    constraints = []
-    total_blocks = 0
-    classes = stage.level_classes()
-    for lvl, level_classes in zip(stage.levels, classes):
-        for lam_f, lam_n, nu, _ in level_classes:
+    constraints, total_blocks = [], 0
+    parents = [(stage.root_lam, Fraction(1))]
+    for lvl in stage.levels:
+        for lam_f, lam_n, nu, _ in lvl.classes:
             ln = log_mass(nu)
             for lam in ((lam_f, lam_n) if lam_n != lam_f else (lam_f,)):
                 constraints.append((log_cap - ln) / (-log_mass(lam)))
+        constraints.extend(_intermediate_constraints(lvl, parents, log_cap))
+        parents = [(lam_n, nu) for _, lam_n, nu, _ in lvl.classes]
         total_blocks += lvl.count * (2 if lvl.nested_suffix else 1)
     if total_blocks < 10:
         raise DimensionError("insufficient resolution: fewer than 10 blocks")
-
-    parents = [(stage.root_lam, Fraction(1))]
-    for lvl, level_classes in zip(stage.levels, classes):
-        constraints.extend(_intermediate_constraints(lvl, parents, log_cap))
-        parents = [(lam_n, nu) for _, lam_n, nu, _ in level_classes]
-
     gamma = min(1.0, min(constraints))
     return {"gamma": float(gamma), "cap": c_cap, "blocks": total_blocks}
 

@@ -226,6 +226,22 @@ def regular_states(scaled, first, N, finals):
     return states[::-1]
 
 
+def level_classes_reference(stage):
+    """Per level, the distinct (fine lam, nested lam, nu, count) of its blocks,
+    merged from the parent classes and the family classes as CantorStage
+    once did on every call, in the order the block list first meets them."""
+    out, parents = [], [(stage.root_lam, F(1), 1)]      # (lam, nu, count)
+    for lvl in stage.levels:
+        merged = {}
+        for p_lam, p_nu, p_cnt in parents:
+            for s_lam, s_nu, s_cnt in lvl.family.classes.values():
+                key = (p_lam * s_lam, p_nu * s_nu)
+                merged[key] = merged.get(key, 0) + p_cnt * s_cnt
+        out.append([(lam, lam * lvl.nested_rel, nu, cnt) for (lam, nu), cnt in merged.items()])
+        parents = [(lam_n, nu, cnt) for _, lam_n, nu, cnt in out[-1]]
+    return out
+
+
 def weighted_chain(W):
     """The chain whose rows are the integer weights W normalized, after a
     cycle through every state and a loop at state 0 make it primitive."""

@@ -496,7 +496,9 @@ class TestLazyWalk:
 
 
 INVALID_WORDS = {"chain-05": ("markov", (0, 5)), "dary2-02": ("dary2", (0, 2)),
-                 "gauss-10": ("gauss", (1, 0)), "blaschke-05": ("blaschke_two", (0, 5))}
+                 "gauss-10": ("gauss", (1, 0)), "blaschke-05": ("blaschke_two", (0, 5)),
+                 # digits that are not integers, inside the alphabet's range
+                 "dary2-half": ("dary2", (0.5, 1)), "gauss-1.5": ("gauss", (1.5, 2))}
 ENTRY_POINTS = {
     "cylinder_from_word": lambda m, mu, w: cylinder_from_word(m, w),
     "walk_bounds": lambda m, mu, w: Target.of(m, w).walk().bounds(1),
@@ -530,7 +532,8 @@ INVALID_DIGIT_FUNCTIONS = {
     "chain-5": ("markov", lambda k: 5), "chain-minus-1": ("markov", lambda k: -1),
     "chain-0-then-7": ("markov", lambda k: 7 if k else 0),
     "dary2-2": ("dary2", lambda k: 2), "gauss-0": ("gauss", lambda k: 0),
-    "gauss-late-0": ("gauss", lambda k: 1 if k < 3 else 0)}
+    "gauss-late-0": ("gauss", lambda k: 1 if k < 3 else 0),
+    "dary2-half": ("dary2", lambda k: 0.5), "dary2-int64-2": ("dary2", lambda k: np.int64(2))}
 
 
 @pytest.mark.parametrize("case, entry", [
@@ -556,6 +559,23 @@ def test_a_digit_function_outside_the_alphabet_raises_the_walks_error(case, entr
     assert str(got.value) == str(walk_error.value)
     if case == "gauss-late-0":
         assert str(got.value) == "Gauss digit must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("name, ints", [("dary2", lambda k: k % 2), ("gauss", lambda k: 1),
+                                         ("markov", lambda k: k % 3 // 2)],
+                         ids=["dary2", "gauss", "markov"])
+def test_numpy_integer_digits_compose_exactly(name, ints, request):
+    """numpy integer digits enter as Python ints, so branches compose exactly
+    at any depth: no int64 matrix overflows, whatever entry point reads them."""
+    m = request.getfixturevalue(name)
+    word = tuple(map(ints, range(101)))
+    numpy_word = tuple(np.array(word, dtype=np.int64))
+    want = Target(m, ints).walk().bounds(100)
+    assert Target(m, lambda k: np.int64(ints(k))).walk().bounds(100) == want
+    assert Target(m, numpy_word).walk().bounds(100) == Target(m, word).walk().bounds(100)
+    assert cylinder_from_word(m, numpy_word) == cylinder_from_word(m, word)
+    assert period_matrix(m, numpy_word) == period_matrix(m, word)
+    assert all(type(d) is int for d in Target(m, numpy_word).digits(100))
 
 
 class TestRefineScan:

@@ -34,7 +34,7 @@ from shrinktargets import (
 from shrinktargets import dimension, measures
 from shrinktargets.dimension import BOUNDS, ProbeRecord, _intermediate_constraints
 from shrinktargets.measures import RegularWords
-from conftest import regular_states
+from conftest import level_classes_reference, regular_states
 
 LOG2 = math.log(2)
 GAUSS_H = math.pi ** 2 / (6 * LOG2)
@@ -317,7 +317,7 @@ def iter_blocks(stage, j, kind="fine"):
     family = [(word[1:] + tail, classes[P][0] * rel, classes[P][1])
               for word, P in map(lvl.family.unrank, range(lvl.family.size))]
     parents = iter_blocks(stage, j - 1, "nested") if j else \
-        [(stage.root_word, stage.root_lam, F(1))]
+        [(stage.x0_digits[:1], stage.root_lam, F(1))]
     for w, lam, nu in parents:
         for suf, s_lam, s_nu in family:
             yield w + suf, lam * s_lam, nu * s_nu
@@ -351,7 +351,7 @@ class TestCantorStage:
         for j, lvl in enumerate(stage.levels):
             F_ = lvl.family.size
             parents = iter_blocks(stage, j - 1, "nested") if j else \
-                [(stage.root_word, stage.root_lam, F(1))]
+                [(stage.x0_digits[:1], stage.root_lam, F(1))]
             blocks = iter_blocks(stage, j)
             for p, (pword, plam, _) in zip(range(2), parents):
                 for s in range(F_):
@@ -471,7 +471,7 @@ class TestCantorStage:
         doc = json.loads(path.read_text())
         assert doc["root_word"] == [0] and _exact(doc["root_lam"]) == F(1, 2)
         lvl, = doc["levels"]
-        assert [tuple(map(_exact, c)) for c in lvl["classes"]] == st2.level_classes()[0]
+        assert [tuple(map(_exact, c)) for c in lvl["classes"]] == st2.levels[0].classes
         assert (lvl["first"], lvl["N"], lvl["Q"], lvl["parents"]) == (0, 4, "0x2", "0x1")
         assert lvl["nested_suffix"] == [] and _exact(lvl["nested_rel"]) == 1
         assert lvl["finals"] == [[0, "0x1", "0x8"]]
@@ -490,7 +490,7 @@ class TestCantorStage:
         for j, (fine, nested, classes, states) in enumerate(levels):
             assert fine == list(iter_blocks(st_, j))
             assert nested == list(iter_blocks(st_, j, "nested"))
-            assert classes == st_.level_classes()[j]
+            assert classes == st_.levels[j].classes
             assert list(map(list, states)) == list(map(list, st_.levels[j].family.states))
             assert states == st_.levels[j].family.states
         assert [len(fine) for fine, *_ in levels] == [lvl.count for lvl in st_.levels]
@@ -511,7 +511,7 @@ def _flat_oracle(stage, c_cap=1e3):
 
     M = stage.map.M
     nu_sums, classes, constraints, inter, blocks = [], [], [], set(), 0
-    parents = {stage.root_word: stage.root_lam}        # nested word -> lam
+    parents = {stage.x0_digits[:1]: stage.root_lam}        # nested word -> lam
     for j, lvl in enumerate(stage.levels):
         plen = len(next(iter(parents)))
         counts, children, nested, nu_by_den = {}, {}, {}, {}
@@ -565,7 +565,7 @@ class TestFactorizedStage:
         }[name]()
         nu_sums, classes, gamma, blocks, inter = _flat_oracle(st_)
         assert st_.nu_level_sums() == nu_sums == [F(1)] * len(st_.levels)
-        assert st_.level_classes() == classes
+        assert [lvl.classes for lvl in st_.levels] == classes
         fr = frostman_exponent(st_)
         assert fr["gamma"] == gamma
         assert fr["blocks"] == blocks
@@ -575,6 +575,25 @@ class TestFactorizedStage:
             factorized.update(_intermediate_constraints(lvl, parents, math.log(1e3)))
             parents = [(lam_n, nu) for _, lam_n, nu, _ in level_classes]
         assert factorized == inter
+
+    @pytest.mark.parametrize("name", ["dary2-8-12", "dary2-8-12-14", "chain-6-30-60-eps-0.05"])
+    def test_classes_are_the_parent_family_merge(self, name, stage, markov):
+        """The classes each level stores at build time are those the merge of
+        its parent classes with its family classes gives."""
+        st_ = {
+            "dary2-8-12": lambda: stage,
+            "dary2-8-12-14": lambda: build_cantor_stage(
+                DAryShift(2), (0, 1), Schedule.radii_exp(LOG2), 3, (8, 12, 14)),
+            "chain-6-30-60-eps-0.05": lambda: build_cantor_stage(
+                markov, (0, 1), Schedule.depth_power_floor(1), 3, (6, 30, 60), epsilon=0.05),
+        }[name]()
+        assert [lvl.classes for lvl in st_.levels] == level_classes_reference(st_)
+
+    @pytest.mark.parametrize("c_cap", [math.nan, math.inf, 0, -1, "1e3"])
+    def test_c_cap_is_checked(self, stage, c_cap):
+        with pytest.raises(DimensionError, match=r"^params\.c_cap: must be a finite number > 0 "
+                                                 r"for cantor, got "):
+            frostman_exponent(stage, c_cap)
 
     def test_three_levels(self):
         t0 = time.perf_counter()
@@ -611,8 +630,17 @@ class TestFactorizedStage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(st_.x0_digits) == 4 * 15008 + 65
+        # x0's digits through the stage's depth d_2 + k_2 = (8 + 3 + 15000) + 3, and no further
+        assert len(st_.x0_digits) == 15015
         assert peak < 150e6, f"{peak / 1e6:.0f} MB over the 150 MB budget"
+
+    def test_target_digits_are_read_only_as_deep_as_the_stage(self):
+        """A digit fault past the stage's depth d_1 + k_1 = 4 + 3 is never read."""
+        x0 = TargetPoint(DAryShift(2), lambda k: k % 2 if k < 20 else 2)
+        st_ = build_cantor_stage(DAryShift(2), x0, Schedule.depth_const(3), 1, [4], epsilon=3)
+        assert st_.x0_digits == (0, 1) * 4
+        with pytest.raises(InadmissibleDigit):
+            x0.digits(20)
 
     @pytest.mark.parametrize("case", ["forbidden", "out-of-range", "first-out-of-range"])
     def test_target_digits_keep_the_walk_errors(self, case, golden_markov):

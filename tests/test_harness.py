@@ -852,8 +852,8 @@ class TestStageFile:
         assert _exact(summary["frostman"]["blocks"]) == 2 * (128 + 2 ** 2206)
         built = shrinktargets.build_cantor_stage(
             shrinktargets.DAryShift(2), (0, 1), shrinktargets.Schedule.depth_const(3), 2, [8, 2200])
-        for lvl, classes, want in zip(stage["levels"], built.level_classes(), built.levels):
-            assert [tuple(map(_exact, c)) for c in lvl["classes"]] == classes
+        for lvl, want in zip(stage["levels"], built.levels):
+            assert [tuple(map(_exact, c)) for c in lvl["classes"]] == want.classes
             finals = {(d, _exact(P)): _exact(m) for d, P, m in lvl["finals"]}
             assert finals == want.family.finals
             assert regular_states(want.family.scaled, lvl["first"], lvl["N"], finals) == \

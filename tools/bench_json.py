@@ -46,6 +46,13 @@ config, MarkovLinear(M, p) and stationary_vector(M), those of a
 depth_log_floor(2) classify of the word (0, 1) on DAryShift(CHAIN_DARY), and
 those of a one-level depth_const(3) Cantor stage build on DAryShift(D), for
 each D of STAGE_DARY, map construction included.
+Then sharpness: for each stage of SHARPNESS, the paper's bound beside the
+Frostman exponent gamma of the stage (dimension.frostman_exponent at its
+default c_cap), gamma - bound, the seconds of the build and of the score,
+the Frostman block count and the class count of each level, or the
+exception that the build raised.  The bounds are hand values: h/(h + L) at
+t_n = n and h/(h + ell) at radii_exp(log 2), from the map's entropy h, the
+target's mass decay L per digit and the radii rate ell.
 Then memory: the tracemalloc peak and the seconds, traced, of each run of
 MEMORY_RUNS in this process, the guard runs of
 tests/test_recurrence.py::TestBlockSizedRuns (linear hit runs at N = 10^6),
@@ -79,6 +86,7 @@ import contextlib
 import glob
 import io
 import json
+import math
 import os
 import re
 import statistics
@@ -170,6 +178,19 @@ WIELANDT = [[str(int(j == i + 1)) for j in range(18)] for i in range(17)] + \
     [["1/2", "1/2"] + ["0"] * 16]
 CHAIN_DARY = 4096       # D of the D-ary shift of the chain_checks classify
 STAGE_DARY = (64, 256)  # D of the D-ary shifts of the chain_checks stage builds
+T_N = ("depth_power_floor", {"kappa": 1})          # t_n = n
+RADII_LOG2 = ("radii_exp", {"kappa": math.log(2)})  # r_n = 2^-n
+SHARPNESS = {       # name -> (map spec, target word, schedule, level sizes, epsilon, bound)
+    "dary2_tn_8_64_4096": ({"kind": "dary", "D": 2}, (0, 1), T_N, (8, 64, 4096), 0.3, 0.5),
+    "dary2_tn_8_32_512_8192": ({"kind": "dary", "D": 2}, (0, 1), T_N, (8, 32, 512, 8192), 0.3,
+                               0.5),
+    "dary2_radii_8_12": ({"kind": "dary", "D": 2}, (0, 1), RADII_LOG2, (8, 12), 0.3, 0.5),
+    # a refinement radius underflows to 0 at level 3
+    "dary2_radii_8_64_4096": ({"kind": "dary", "D": 2}, (0, 1), RADII_LOG2, (8, 64, 4096), 0.3,
+                              0.5),
+    **{f"chain_tn_6_{n}_eps0.05": ({"kind": "markov", "M": CHAINS["chain"], "p": ["2/3", "1/3"]},
+                                   (0, 1), T_N, (6, n), 0.05, 0.3682) for n in (30, 60, 120)},
+}
 TRACED_RUNS = 3         # --trace 1 runs per workload; a per-layer metric is their median
 MEMORY_N = 10 ** 6      # orbit indices of the memory block's hit runs
 RANK = {"MeasureZero": 0, "Inconclusive": 1, "FullMeasure": 2}
@@ -483,6 +504,32 @@ def chain_checks() -> dict:
     return out
 
 
+def sharpness() -> dict:
+    """Per stage of SHARPNESS: gamma, the bound, gamma - bound, the build and
+    score seconds, the block count (hex past the int-digit limit) and the
+    classes per level; or the exception the build raised."""
+    sys.path.insert(0, "src")
+    from shrinktargets import Schedule, build_cantor_stage, frostman_exponent, make_map
+    from shrinktargets.harness import _count
+
+    out = {}
+    for name, (spec, word, (kind, params), sizes, eps, bound) in SHARPNESS.items():
+        m, sched = make_map(spec), getattr(Schedule, kind)(**params)
+        t0 = time.perf_counter()
+        try:
+            stage = build_cantor_stage(m, word, sched, len(sizes), sizes, epsilon=eps)
+        except Exception as e:
+            out[name] = {"bound": bound, "error": f"{type(e).__name__}: {e}"}
+            continue
+        t1 = time.perf_counter()
+        fr = frostman_exponent(stage)
+        t2 = time.perf_counter()
+        out[name] = {"gamma": fr["gamma"], "bound": bound, "gap": fr["gamma"] - bound,
+                     "build_s": t1 - t0, "score_s": t2 - t1, "blocks": _count(fr["blocks"]),
+                     "classes": [len(lvl.classes) for lvl in stage.levels]}
+    return out
+
+
 def memory() -> dict:
     """tracemalloc peak (MB) and traced seconds of each guard run: metric
     DAryShift(3) and the chain at r_n = n^-1/2, symbolic D = 2 at
@@ -658,6 +705,10 @@ def main(argv=None) -> int:
     doc["chain_checks"] = chain_checks()
     print("chain checks: " + ", ".join(f"{k} {v['best_s']:.4f} s"
                                        for k, v in doc["chain_checks"].items()), file=sys.stderr)
+    doc["sharpness"] = sharpness()
+    print("sharpness: " + ", ".join(
+        f"{k} " + (f"gamma {v['gamma']:.4f}" if "gamma" in v else v["error"].split(":")[0])
+        for k, v in doc["sharpness"].items()), file=sys.stderr)
     doc["memory"] = memory()
     print("memory: " + ", ".join(f"{k} {v['peak_mb']:.1f} MB"
                                  for k, v in doc["memory"].items()), file=sys.stderr)
