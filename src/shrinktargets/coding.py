@@ -222,10 +222,11 @@ class Target:
 
     @classmethod
     def of(cls, m: MapModel, target) -> "Target":
-        """target itself, or the target of a digit word or of a point."""
+        """target itself, or the target of a digit word (tuple, list, 1-D array) or point."""
         if isinstance(target, Target):
             return target
-        return cls(m, target) if isinstance(target, (tuple, list)) else cls(m, value=target)
+        word = isinstance(target, (tuple, list)) or getattr(target, "ndim", 0) == 1
+        return cls(m, target) if word else cls(m, value=target)
 
     def digits(self, n: int) -> tuple:
         """(i_0, ..., i_n), read once and checked by the target's walk."""

@@ -346,15 +346,23 @@ class MarkovLinear(MapModel, Chain):
 
     @cached_property
     def float_chain(self):
-        """(cum_p, cuts, table) for measures.digit_draws: float cumulative sums of p, the
-        distinct inner cuts of M's rows, and int32 table[b, s] = d - s for the digit d
-        that state s reads from a uniform past exactly b cuts."""
+        """(cum_p, guide, table) for measures.digit_draws: float cumulative sums of p, a
+        guide table (Chen & Asau 1974) of the distinct inner cuts of M's rows, and int32
+        table[b, s] = d - s for the digit d that state s reads from a uniform past exactly
+        b cuts.  The guide (G, base, slots) cuts [0, 1) into G = 2^p cells no wider than the
+        gaps between the cuts below 1 and 1 (G <= 2^12); u in cell k = floor(u G) lies past
+        the base[k] cuts <= k/G and each next cut slots[r, k] <= u, r < R, R the most in a cell."""
         cum = np.cumsum([[float(x) for x in row] for row in self.M], axis=1)
         for i in range(self.D):     # a uniform past a row's float sum takes its last admissible digit
             cum[i, max(self.branch_targets(i)):] = 1.0
         cuts = np.unique(cum[:, :-1])
         table = [row.searchsorted(np.append(-1.0, cuts), "right") - s for s, row in enumerate(cum)]
-        return np.cumsum([float(x) for x in self.p]), cuts, np.stack(table, 1).astype(np.int32)
+        G = 2 ** min(12, 1 - math.frexp(np.diff(cuts[cuts < 1], append=1.0).min())[1])
+        base = cuts.searchsorted(np.arange(G) / G, "right")
+        R = (cuts.searchsorted(np.arange(1, G + 1) / G) - base).max()
+        slots = np.append(cuts, [np.inf] * R)[base + np.arange(R)[:, None]]    # past cell k: > u
+        return (np.cumsum([float(x) for x in self.p]), (G, base, slots),
+                np.stack(table, 1).astype(np.int32))
 
 
 class GaussMap(MapModel):

@@ -260,8 +260,8 @@ def entropy_closed_form(m: MapModel, measure: InvariantMeasure) -> EntropyEstima
                                     "quadrature_error": err})
 
 
-def _coalesced(g: np.ndarray) -> bool:    # every row constant; the end columns first, a cheap test
-    return bool((g[:, -1] == g[:, 0]).all()) and not (g[:, 1:] != g[:, :1]).any()
+def _coalesced(g: np.ndarray) -> bool:    # every row constant; end columns, every 64th row first
+    return all((h[:, -1] == h[:, 0]).all() for h in (g[::64], g)) and (g[:, 1:-1] == g[:, :1]).all()
 
 
 def digit_draws(m: MapModel, rng: np.random.Generator):
@@ -296,8 +296,8 @@ def digit_draws(m: MapModel, rng: np.random.Generator):
 def _chain_steps(m: MarkovLinear, rng):
     """steps(c): the chain's next c digits, from the state the steps before ended
     in.  Row k of the table f is the step map g_k: state -> next state of uniform
-    k, as flat indices f[k, s] = k D + g_k(s): one search of the uniforms among
-    the map's cuts gathers g_k(s) - s from its cut table (the first uniform's row
+    k, as flat indices f[k, s] = k D + g_k(s): each uniform's count of cuts, from
+    the map's guide, gathers g_k(s) - s from its cut table (the first uniform's row
     maps every state to the digit it reads against p).  A Hillis-Steele doubling
     scan (Blelloch, "Prefix sums and their applications", 1990) turns row k into
     g_k o ... o g_0: the pass of stride s gathers f at f[k - s] + s D into rows
@@ -305,18 +305,21 @@ def _chain_steps(m: MarkovLinear, rng):
     it, row k >= s holds g_k o ... o g_{k-s+1}; once all are constant, the states
     have coalesced (Propp-Wilson 1996) and the scan stops.  Row k at the start
     state, less k D, is digit k."""
-    cum_p, cuts, table = m.float_chain
+    cum_p, (G, base, slots), table = m.float_chain
     state, D = None, m.D
 
     def steps(c):
         nonlocal state
         u = rng.random(c)
-        f = np.take(table, np.searchsorted(cuts, u, side="right"), axis=0)
+        b = np.take(base, cell := (u * G).astype(np.intp))
+        for cut in slots:
+            b += u >= np.take(cut, cell)
+        f = np.take(table, b, axis=0)
         if state is None:
             state, f[0] = 0, min(np.searchsorted(cum_p, u[0], side="right"), D - 1) - np.arange(D)
-        del u                                   # freed before the scan's three tables
-        f += (idx := np.arange(c * D).reshape(c, D))    # k D + s; intp, as np.take reads it
-        g, step = np.empty_like(f), 1
+        del u, cell, b                          # freed before the scan's three tables
+        f += (g := np.arange(c * D, dtype=np.int32).reshape(c, D))  # k D + s, then a scan buffer
+        idx, step = np.empty(f.shape, np.intp), 1                   # intp, as np.take reads it
         while step < c and not _coalesced(f[step:]):
             np.take(f, np.add(f[:-step], step * D, out=idx[:-step]), out=g[step:], mode="clip")
             g[:step] = f[:step]
@@ -408,12 +411,10 @@ def entropy_birkhoff(m: MapModel, measure: InvariantMeasure, n_iter: int,
         vals = np.empty(n_trials)
         for t, s in enumerate(seeds):
             # the transitions i D + j counted a block at a time; their exact mean log-slope
-            draw, counts = digit_draws(m, np.random.default_rng(s)), 0
-            last = draw(1).astype(np.intp)
-            for lo in range(0, n_iter, DRAW_CHUNK):
-                nxt = draw(min(DRAW_CHUNK, n_iter - lo))
-                counts += np.bincount(np.append(last, nxt[:-1]) * m.D + nxt, minlength=m.D * m.D)
-                last = nxt[-1:].astype(np.intp)
+            draw, counts, d = digit_draws(m, np.random.default_rng(s)), 0, np.empty(0, np.uint8)
+            for lo in range(0, n_iter + 1, DRAW_CHUNK):     # digits 0..n_iter, one draw a chunk
+                d = np.append(d[-1:], draw(min(DRAW_CHUNK, n_iter + 1 - lo)))
+                counts += np.bincount(d[:-1].astype(np.intp) * m.D + d[1:], minlength=m.D * m.D)
             vals[t] = float(sum(c * x for c, x in zip(counts.tolist(), logslope) if c) / n_iter)
     else:               # the float-orbit maps, Gauss and Blaschke
         s = np.zeros((1, n_trials))

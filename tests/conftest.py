@@ -254,10 +254,10 @@ def weighted_chain(W):
 
 
 @st.composite
-def primitive_chains(draw):
-    """Chains on 2-6 states from weights 0..3, so that zero entries (rows that
-    end in zeros among them) are common and the cut table's thresholds often
-    coincide across rows."""
-    D = draw(st.integers(2, 6))
+def primitive_chains(draw, max_states=6):
+    """Chains on 2 to max_states states from weights 0..3, so that zero entries
+    (rows that end in zeros among them) are common and the cut table's
+    thresholds often coincide across rows."""
+    D = draw(st.integers(2, max_states))
     return weighted_chain([draw(st.lists(st.integers(0, 3), min_size=D, max_size=D))
                            for _ in range(D)])

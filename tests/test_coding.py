@@ -578,6 +578,20 @@ def test_numpy_integer_digits_compose_exactly(name, ints, request):
     assert all(type(d) is int for d in Target(m, numpy_word).digits(100))
 
 
+def test_numpy_word_is_a_word_target(dary2):
+    """A 1-D numpy integer array is a digit word wherever a target is read,
+    as in cylinder_from_word, not a point handed to Fraction."""
+    word = np.array([0, 1])
+    assert Target.of(dary2, word).word == (0, 1)
+    assert refine_depth(dary2, word, 0.1) == refine_depth(dary2, (0, 1), 0.1)
+    got, want = ((stage.x0_digits, stage.root_lam,
+                  [(lvl.nested_suffix, lvl.classes, lvl.d_j) for lvl in stage.levels])
+                 for stage in (build_cantor_stage(dary2, w, Schedule.depth_const(3), 1, [4], epsilon=3)
+                               for w in (word, (0, 1))))
+    assert got == want
+    assert Target.of(dary2, np.float64(0.25)).value == 0.25      # a numpy scalar stays a point
+
+
 class TestRefineScan:
     @pytest.mark.parametrize("case", ["point-third", "gauss-golden-word", "word-01"])
     def test_bench_radii_families(self, case, dary2, gauss):

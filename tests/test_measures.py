@@ -741,6 +741,86 @@ class TestChainSourceProperty:
         assert np.array_equal(got, _chain_oracle(m, np.random.default_rng(11), sum(splits)))
 
 
+class _Uniforms:
+    """A generator stand-in that serves the given uniforms in order."""
+
+    def __init__(self, u):
+        self.u, self.at = np.asarray(u, dtype=float), 0
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        out, self.at = self.u[self.at:self.at + n], self.at + n
+        return float(out[0]) if size is None else out
+
+
+def _guide_buckets(m, u):
+    """The cut count of each uniform u read from the map's guide table: its
+    cell's count and one compare with each of the R cuts that follow it."""
+    G, base, slots = m.float_chain[1]
+    cell = (u * G).astype(np.intp)
+    return base[cell] + (u >= slots[:, cell]).sum(axis=0)
+
+
+def _edge_uniforms(m, seed):
+    """Random uniforms, every cut and its float neighbours, the guide's cell
+    edges k/G, 0 and the largest double below 1: those in [0, 1)."""
+    cuts, G = _cuts(m), m.float_chain[1][0]
+    u = np.concatenate((np.random.default_rng(seed).random(200), cuts, np.nextafter(cuts, -1),
+                        np.nextafter(cuts, 2), np.arange(G) / G, [0.0, 1 - 2 ** -53]))
+    return u[(0 <= u) & (u < 1)]
+
+
+def _oracle_uniforms(m, u):
+    """The uniforms u below the float sums of p and of every row of M: past
+    one, the sequential oracle reads digit D."""
+    return u[u < min(np.cumsum([float(x) for x in row])[-1] for row in [*m.M, m.p])]
+
+
+def _cuts(m):
+    """The distinct inner cuts of M's rows, as float_chain makes them."""
+    cum = np.cumsum([[float(x) for x in row] for row in m.M], axis=1)
+    for i in range(m.D):
+        cum[i, max(m.branch_targets(i)):] = 1.0
+    return np.unique(cum[:, :-1])
+
+
+def _assert_guide_gives_searchsorted(m, seed):
+    """At _edge_uniforms, the guide's buckets are searchsorted's and the chain's
+    digits those of the sequential oracle."""
+    u = _edge_uniforms(m, seed)
+    assert np.array_equal(_guide_buckets(m, u), np.searchsorted(_cuts(m), u, side="right"))
+    u = _oracle_uniforms(m, u)
+    assert np.array_equal(digit_draws(m, _Uniforms(u))(len(u)),
+                          _chain_oracle(m, _Uniforms(u), len(u)))
+
+
+class TestGuideTable:
+    """The guide table gives each uniform the bucket np.searchsorted gives
+    among the cuts, so the chain's digits stay those of the sequential chain."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=primitive_chains(max_states=16), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bucket_equals_searchsorted(self, m, seed):
+        _assert_guide_gives_searchsorted(m, seed)
+        G, _, slots = m.float_chain[1]
+        assert len(slots) <= 1 or G == 2 ** 12     # a cell holds two cuts only at the cap
+
+    def test_several_cuts_in_one_cell(self):
+        # cuts 1/5003, 1/5002 and 1/5001 lie within 2^-12 of each other, so even
+        # the finest guide holds all three in its first cell, past the cut at 0
+        m = weighted_chain([[1, 5000, 0], [0, 1, 5001], [1, 0, 5002]])
+        G, _, slots = m.float_chain[1]
+        cuts = _cuts(m)
+        assert G == 2 ** 12 and len(slots) == 3 and cuts[0] == 0.0 and cuts[-1] == 1.0
+        _assert_guide_gives_searchsorted(m, 0)
+
+    @pytest.mark.parametrize("name, G", [("markov", 4), ("golden_markov", 2), ("zero_diagonal", 2)])
+    def test_dyadic_cuts_are_cell_edges(self, request, name, G):
+        # every cut is a multiple of 1/G, so the cell's count alone places u: R = 0
+        m = request.getfixturevalue(name)
+        assert m.float_chain[1][0] == G and len(m.float_chain[1][2]) == 0
+
+
 class TestCoalescingScan:
     """The chain scan stops before the first pass whose rows have all
     coalesced, and its streams stay those of the sequential chain."""

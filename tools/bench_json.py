@@ -20,7 +20,8 @@ test ids with their times (setup, call and teardown summed).  It times
 the digit-stream layer, one draw of measures.digit_draws on each chain of
 STREAM_CHAINS (the test suite's three, the sticky chain and a 16-state
 chain), on each D-ary shift of DARY_STREAMS and on the Gauss map (its
-per-digit loop over one float orbit), at STREAM_DIGITS digits each, best of 3 runs, with the bytes that hold each digit, and the normalizer layer,
+per-digit loop over one float orbit), at STREAM_DIGITS digits each, best of 3 runs, with the bytes that hold each digit
+(and each chain's cut count and guide table size G and R), and the normalizer layer,
 recurrence.cylinder_mass_by_depth on the depths floor(n^2) of n = 1..WALK_N
 for each target of WALKS, walked to the underflow of its masses, best of 3
 runs, the cylinder-construction layer, the microseconds per digit of
@@ -322,7 +323,8 @@ def digit_streams() -> dict:
     of one draw of digit_draws(m, rng)(STREAM_DIGITS) on each chain of
     STREAM_CHAINS, on
     each D-ary shift of DARY_STREAMS (named dary<D>) and on the Gauss map,
-    seed 0."""
+    seed 0.  A chain's row also holds its cut count and its guide table's cell
+    count G (guide_cells) and most cuts inside one cell R (guide_most_in_cell)."""
     sys.path.insert(0, "src")
     import numpy as np
     from shrinktargets import DAryShift, GaussMap, MarkovLinear, stationary_vector
@@ -343,6 +345,9 @@ def digit_streams() -> dict:
         out[name] = {"digits": STREAM_DIGITS, "best_s": min(times),
                      "digits_per_s": STREAM_DIGITS / min(times),
                      "bytes_per_digit": stream.itemsize}
+        if isinstance(m, MarkovLinear):     # the cut table has a row past each cut
+            _, (G, _, slots), table = m.float_chain
+            out[name].update(cuts=len(table) - 1, guide_cells=G, guide_most_in_cell=len(slots))
     return out
 
 
