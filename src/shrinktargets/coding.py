@@ -226,7 +226,7 @@ class Target:
         if isinstance(target, Target):
             return target
         word = isinstance(target, (tuple, list)) or getattr(target, "ndim", 0) == 1
-        return cls(m, target) if word else cls(m, value=target)
+        return cls(m, target) if word else cls(m, value=getattr(target, "item", lambda: target)())
 
     def digits(self, n: int) -> tuple:
         """(i_0, ..., i_n), read once and checked by the target's walk."""

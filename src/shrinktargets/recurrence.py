@@ -461,7 +461,8 @@ def _window_positions(m, stream: np.ndarray, N: int, W: int) -> np.ndarray:
     (A + B A', B B') (a Hillis-Steele doubling scan), and the block at offset `done`
     joins the result y -> ra + rb y for each binary digit L of W.  The D-ary branches
     have the one slope 1/D, a scalar.  Passes run in place on the blocks and a scratch
-    t of length N + W, in the order of _window_width's rounding bound.
+    t of length N + W, in the order of _window_width's rounding bound.  The rows of a
+    2-D stream are digits and its columns streams, each column's floats its own.
     """
     n, scalar = N + W, isinstance(m, DAryShift)     # the blocks are a[:n] (and b[:n])
     if scalar:
@@ -472,7 +473,8 @@ def _window_positions(m, stream: np.ndarray, N: int, W: int) -> np.ndarray:
         A, B = m.float_branches
         pair = stream[1:n + 1] * np.intp(m.D) + stream[2:n + 2]   # not uint8: digit * D overflows
         a, b, y0 = A.ravel()[pair], B.ravel()[pair], 0.5
-    t, ra, rb, done, L = np.empty(n), np.zeros(N), 1.0 if scalar else np.ones(N), 0, 1
+    t, ra, done, L = np.empty(a.shape), np.zeros(a[:N].shape), 0, 1
+    rb = 1.0 if scalar else np.ones(ra.shape)
     while True:
         if W & L:
             ra += np.multiply(rb, a[done:done + N], out=t[:N])
@@ -522,18 +524,20 @@ class _CheckpointTally:
         self.hits = np.zeros((trials, len(cps)), dtype=np.int64)
         self.wmins = np.full((trials, len(cps)), np.inf)
 
-    def add(self, n0, hit, d, r, t0=0):
+    def add(self, n0, hit, d, r, t0=0, rows=None, n=None):
         """Rows n0, n0+1, ... of the hits and the distances d to radii r, for
-        trials t0, t0+1, ...  d is divided by r in place.  A radius that
+        trials t0, t0+1, ..., or the rows n0 + rows of n, one in each window and
+        every other a miss above their d/r.  d is divided by r in place.  A radius that
         underflowed to 0 scales to inf (or nan at d = 0) without a numpy warning."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             scaled = np.divide(d, r, out=d)
         cols = slice(t0, t0 + hit.shape[1])
-        n1 = n0 + len(hit) - 1
+        n1 = n0 + (len(hit) if rows is None else n) - 1
         k0, k1, k2 = np.searchsorted(self.cps, [n0, n1, n1 + 1])
         # windows k0..k1 meet the block; window k > k0 starts at row cps[k-1]+1,
         # and checkpoints k0..k2-1 close the first k2-k0 of them
         starts = np.concatenate(([0], self.cps[k0:k1] + 1 - n0))
+        starts = starts if rows is None else np.searchsorted(rows, starts)
         cum = np.add.reduceat(hit, starts, axis=0, dtype=np.int64).cumsum(axis=0)
         cum += self.count[cols]
         self.hits[cols, k0:k2] = cum[:k2 - k0].T
@@ -543,6 +547,21 @@ class _CheckpointTally:
 
 
 def _metric_linear(m, target, blocks, r_min, N, trials, seeds, cps):
+    """(hits, window minima, steps resolved exactly), a block at a time: d =
+    |window position - x0f|, a hit if d <= r_n, the exact test if |d - r_n| <= margin.
+    D-ary blocks past the first position only the indices near x0.  The code c of
+    the k digits after index n (the largest power of two k with D^k <= 2^16) puts
+    its window value (W >= 30 > k digits) in [c, c + 1] / D^k, its float within
+    rounding < 2^-40.  With R = r + 3 margin (r the block's first, largest radius),
+    v± = fl(fl(x0f ± R) D^k) is within 2^-35 of (x0f ± R) D^k (two roundings below
+    2^17), so a code outside [floor(v-) - 1, floor(v+) + 1] puts the position beyond
+    x0f ± R: by monotone rounding d >= R, d - r_n >= 2 margin - ulp, d / r_n > 1, a
+    certain miss, not ambiguous.  The rest get positions from their W + 2 digits as
+    columns of a 2-D stream (the same floats); the window minima are the full scan's
+    if each window holds a kept d <= r_n.  If not, if fewer than half are expected
+    to (2 r_n hits an index), if R >= 1/32, in the first block and on chains
+    (depth-k cylinders are not intervals c / D^k): the full scan.
+    """
     W, truncation, rounding = _window_width(m, r_min)
     lo_b, hi_b = target.bracket(120)
     margin = truncation + rounding + float(hi_b - lo_b)     # plus the target's bracket
@@ -551,19 +570,40 @@ def _metric_linear(m, target, blocks, r_min, N, trials, seeds, cps):
     reach = W + 193         # digits of T^n x that the exact test may read
     ambiguous, gap = 0, np.empty(min(N, WINDOW_BLOCK))
     streams = [_Digits(m, np.random.default_rng(s)) for s in seeds]
+    k = isinstance(m, DAryShift) and m.D <= 1 << 16 and 1 << int(math.log2(16 / math.log2(m.D)))
     for n0, r in blocks:                    # orbit indices n0..n0+len(r)-1
+        R, (k0, k1) = r[0] + 3 * margin, np.searchsorted(tally.cps, [n0, n0 + len(r) - 1])
+        edges, w = np.concatenate(([0], tally.cps[k0:k1] + 1 - n0, [len(r)])), k1 - k0 + 1
+        near = (k and n0 > 1 and 32 * R < 1 and 2 * r.sum() >= w * math.log(2 * w)    # Jensen,
+                and np.exp(-2 * np.add.reduceat(r, edges[:-1])).sum() <= 0.5)   # then each window
         for t, stream in enumerate(streams):
-            d = _window_positions(m, stream.read(n0 - 1, n0 + len(r) + W + 1), len(r), W)
-            np.abs(np.subtract(d, x0f, out=d), out=d)
-            hit, g = d <= r, gap[:len(r)]
-            np.abs(np.subtract(d, r, out=g), out=g)
+            digits = stream.read(n0 - 1, n0 + len(r) + W + 1)
+            rows, d = near and _near_rows(m, digits, r, W, x0f, k, R, edges) or (
+                None, _window_positions(m, digits, len(r), W))
+            if rows is None:
+                np.abs(np.subtract(d, x0f, out=d), out=d)
+            rr = r if rows is None else r[rows]
+            hit, g = d <= rr, gap[:len(d)]
+            np.abs(np.subtract(d, rr, out=g), out=g)
             for i in np.flatnonzero(g <= margin):
-                n = n0 + int(i)
+                n = n0 + int(i if rows is None else rows[i])
                 point = PrefixWalk(m, stream.read(n, n + reach).tolist())
-                hit[i] = ball_holds(point.bounds, target.bracket, Fraction(float(r[i])), W)
+                hit[i] = ball_holds(point.bounds, target.bracket, Fraction(float(rr[i])), W)
                 ambiguous += 1
-            tally.add(n0, hit[:, None], d[:, None], r[:, None], t0=t)
+            tally.add(n0, hit[:, None], d[:, None], rr[:, None], t0=t, rows=rows, n=len(r))
+            del rr          # so the block's radii are freed as the next block replaces r
     return tally.hits, tally.wmins, ambiguous
+
+
+def _near_rows(m, digits, r, W, x0f, k, R, edges):
+    """(rows, d) of the rows whose k-digit code is near x0, or None (_metric_linear)."""
+    c = digits[1:len(r) + k].astype(np.uint16)
+    for L in (1 << j for j in range(k.bit_length() - 1)):   # c[i]: digits i + 1..i + 2L
+        c[:-L] = c[:-L] * m.D ** L + c[L:]
+    lo, hi = math.floor((x0f - R) * m.D ** k) - 1, math.floor((x0f + R) * m.D ** k) + 1
+    rows = np.flatnonzero((c[:len(r)] >= lo) & (c[:len(r)] <= hi))
+    d = np.abs(_window_positions(m, digits[rows + np.arange(W + 2)[:, None]], 1, W)[0] - x0f)
+    return (rows, d) if np.all(np.diff(np.searchsorted(rows[d <= r[rows]], edges)) > 0) else None
 
 
 def _metric_float_orbit(m, measure, x0f, blocks, N, trials, seeds, cps):

@@ -592,6 +592,14 @@ def test_numpy_word_is_a_word_target(dary2):
     assert Target.of(dary2, np.float64(0.25)).value == 0.25      # a numpy scalar stays a point
 
 
+def test_numpy_0d_array_is_a_point(dary2):
+    """A 0-d numpy array is read as its scalar, the point it holds, as a numpy
+    scalar is: both give the depth of the point 1/4, not a TypeError."""
+    assert refine_depth(dary2, np.array(0.25), 0.1) == 3
+    assert refine_depth(dary2, np.float64(0.25), 0.1) == 3
+    assert Target.of(dary2, np.array(0.25)).value == 0.25
+
+
 class TestRefineScan:
     @pytest.mark.parametrize("case", ["point-third", "gauss-golden-word", "word-01"])
     def test_bench_radii_families(self, case, dary2, gauss):

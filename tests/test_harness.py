@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shrinktargets
-from shrinktargets import cli, harness
+from shrinktargets import cli, harness, recurrence
 from shrinktargets.dimension import (BOUNDS, DimensionError, IntervalSplitGrid,
                                      ProductSplitGrid, grid_regularity_probe)
 from shrinktargets.harness import (
@@ -143,6 +143,27 @@ class TestDeterminism:
             csv_text = (d / "records.csv").read_text()
             out.append((json.dumps(js, sort_keys=True), csv_text))
         assert out[0] == out[1]
+
+    def test_cylinder_code_filter_leaves_results_bytes(self, tmp_path, monkeypatch):
+        """An in-process D = 2 simulate with horizons past one WINDOW_BLOCK writes
+        the same results.json bytes, the provenance timestamp aside, with the
+        cylinder-code filter of the metric engine as with it off (every block on
+        the full scan); the filter keeps its rows in each block past the first."""
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({
+            "experiment": "simulate", "map": {"kind": "dary", "D": 2}, "x0": {"word": [0, 1]},
+            "schedule": {"kind": "radii_power", "alpha": 2.0}, "horizons": [40000, 70000],
+            "trials": 2, "seed": 5}))
+        near, kept = recurrence._near_rows, []
+        monkeypatch.setattr(recurrence, "_near_rows", lambda *a: kept.append(near(*a)) or kept[-1])
+        out = []
+        for _ in ("on", "off"):         # one --out, which the config records
+            assert cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+            text = (tmp_path / "o" / "results.json").read_bytes()
+            out.append(re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', text))
+            monkeypatch.setattr(recurrence, "_near_rows", lambda *a: None)
+        assert len(kept) == 4 and all(rows is not None for rows in kept)
+        assert out[0] == out[1] and b'"timestamp": ""' in out[0]
 
     def test_seed_changes_output(self):
         doc = {"experiment": "simulate", "map": {"kind": "dary", "D": 2},

@@ -775,7 +775,7 @@ class TestLinearEnginesMatchOracles:
             m, mu, tgt, sched, N, trials, seed, horizons)
         assert hs.hits.tolist() == hits.tolist()
         assert hs.normalizer.tolist() == norm.tolist()
-        assert hs.window_minima.tolist() == wmins.tolist()
+        assert hs.window_minima.tobytes() == wmins.tobytes()      # bit for bit, nan included
         assert hs.ambiguous_resolved == amb
         if every_n:
             assert _hit_indices(hs) == hit_idx
@@ -803,6 +803,87 @@ class TestLinearEnginesMatchOracles:
             assert _window_positions(dary2, stream, 4000, W).tolist() == want.tolist(), W
             small = _window_positions(dary2, stream.astype(np.uint8), 4000, W)
             assert small.tolist() == want.tolist(), W
+
+    @staticmethod
+    def _spy_paths(monkeypatch):
+        """Counts, over the blocks of the metric runs that follow, "filtered" where
+        _near_rows kept the rows near x0, "fallback" where it found a window
+        without a kept hit, and "full" for each full scan, the first block's
+        included."""
+        paths = {"filtered": 0, "fallback": 0, "full": 0}
+        near, positions = recurrence._near_rows, recurrence._window_positions
+
+        def near_rows(*args):
+            got = near(*args)
+            paths["fallback" if got is None else "filtered"] += 1
+            return got
+
+        def window_positions(m, stream, N, W):
+            paths["full"] += N > 1      # a filtered block's columns are one window each
+            return positions(m, stream, N, W)
+
+        monkeypatch.setattr(recurrence, "_near_rows", near_rows)
+        monkeypatch.setattr(recurrence, "_window_positions", window_positions)
+        return paths
+
+    # D, x0: generic points, the depth-k cylinder boundaries 1/2 (D = 2) and 1/3
+    # (D = 3), and points near 0 and 1, where the code range clamps
+    _FILTER_TARGETS = {"dary2": (2, (0, 1)), "dary2-half": (2, F(1, 2)),
+                       "dary3": (3, F(1, 4)), "dary3-third": (3, F(1, 3)), "dary5": (5, F(2, 7)),
+                       "dary2-near0": (2, F(1, 10 ** 6)), "dary3-near1": (3, 1 - F(1, 10 ** 6))}
+    _FILTER_N = 3 * B + 7          # two filtered blocks and a short one
+    _INSIDE = [B + 1000, 2 * B - 1, 2 * B + 20000, 3 * B + 3, 3 * B + 7]   # horizons in blocks
+
+    def _check_filter(self, name, sched, horizons, monkeypatch, trials=3, seed=4):
+        D, x0 = self._FILTER_TARGETS[name]
+        m = DAryShift(D)
+        paths = self._spy_paths(monkeypatch)
+        self._check_metric(m, LebesgueMeasure(), _target_of(m, x0), sched, self._FILTER_N,
+                           horizons, horizons is None, trials, seed)
+        return paths
+
+    @pytest.mark.parametrize("name", list(_FILTER_TARGETS))
+    @pytest.mark.parametrize("horizons", [None, _INSIDE], ids=["final", "inside"])
+    def test_filtered_blocks(self, name, horizons, monkeypatch):
+        """r_n = n^-1/2: every block past the first takes the cylinder-code
+        filter, at the final horizon and with horizons inside blocks."""
+        paths = self._check_filter(name, Schedule.radii_power(2.0), horizons or [self._FILTER_N],
+                                   monkeypatch)
+        assert paths == {"filtered": 6, "fallback": 0, "full": 6}     # block 4 is 8 indices
+
+    @pytest.mark.parametrize("name", ["dary2", "dary3-third", "dary5"])
+    @pytest.mark.parametrize("sched, horizons", [
+        (Schedule.radii_power(0.5), _INSIDE), (Schedule.radii_exp(0.02), _INSIDE),
+        (Schedule.radii_power(0.5), None), (Schedule.radii_exp(0.02), None),
+        (Schedule.radii_power(2.0), None)],
+        ids=["n^-2", "underflow", "n^-2-every_n", "underflow-every_n", "sqrt-every_n"])
+    def test_full_scan_blocks(self, name, sched, horizons, monkeypatch):
+        """Rare hits (r_n = n^-2, and radii that underflow to 0, whose minima
+        read inf) and every n a horizon (horizons None): the blocks past the
+        first would find a window without a kept hit, so they take the full scan."""
+        paths = self._check_filter(name, sched, horizons, monkeypatch)
+        assert paths == {"filtered": 0, "fallback": 0, "full": 12}
+
+    def test_filter_falls_back(self, monkeypatch):
+        """r_n = 1/n: about 2 log((j + 1) / j) hits are expected in block j, so
+        the filter is tried in blocks 2 and 3, and where a trial's block holds no
+        kept hit it falls back to the full scan."""
+        paths = self._check_filter("dary3", Schedule.radii_power(1.0), [self._FILTER_N],
+                                   monkeypatch, trials=4, seed=1)
+        assert paths["filtered"] > 0 and paths["fallback"] > 0
+        assert paths["full"] == 4 + paths["fallback"] + 4      # block 4 is 8 indices
+
+    def test_nan_minima(self, monkeypatch):
+        """With 8-digit windows a D = 2 position hits x0 = 1/2 exactly once in
+        256 indices, so where r_n has underflowed to 0, d / r_n reads nan."""
+        monkeypatch.setattr(recurrence, "_window_width",
+                            lambda m, r_min: (8, *_window_margin(m, 8)))
+        m = DAryShift(2)
+        hs = run_metric_hits(m, LebesgueMeasure(), F(1, 2), Schedule.radii_exp(0.03),
+                             self._FILTER_N, 2, 4, horizons=self._INSIDE)
+        assert np.isnan(hs.window_minima).any() and np.isinf(hs.window_minima).any()
+        self._check_filter("dary2-half", Schedule.radii_exp(0.03), self._INSIDE, monkeypatch,
+                           trials=2)
 
     @pytest.mark.parametrize("kind", ["dary2", "golden"])
     def test_exact_resolution_in_later_blocks(self, kind, request, monkeypatch):

@@ -31,7 +31,10 @@ layer, the orbit-steps/s of measures.float_orbit_blocks for each map of
 FLOAT_STEPS, best of 3 runs;
 the Gauss runs at widths (trials stepped together) 1, 2, 4 and 10 give the
 width at which one stepped row costs less per trial than one digit of the
-Gauss digit stream.  Then the verdict sweep: for each log-floor target of
+Gauss digit stream.  Then metric_windows: the seconds and orbit-steps/s of
+recurrence.run_metric_hits for each run of METRIC_WINDOWS, METRIC_N indices,
+best of 3 runs (the D-ary runs at n^-1/2 take the cylinder-code filter, the
+n^-2, every-n and chain runs the full window scan).  Then the verdict sweep: for each log-floor target of
 SWEEP_TARGETS, which no exact rule covers, the verdicts of
 recurrence.borel_cantelli_classify at the 50 bases of SWEEP_BASES, a
 ``monotone`` flag (no verdict ranks below the one at a smaller base,
@@ -196,6 +199,19 @@ TRACED_RUNS = 3         # --trace 1 runs per workload; a per-layer metric is the
 MEMORY_N = 10 ** 6      # orbit indices of the memory block's hit runs
 RANK = {"MeasureZero": 0, "Inconclusive": 1, "FullMeasure": 2}
 SQRT = {"kind": "radii_power", "alpha": 2}
+METRIC_N = 10 ** 6      # orbit indices of each metric_windows run
+METRIC_WINDOWS = {  # name -> (map spec, target word or point x0, radii kind and params, trials,
+    # whether every n is a horizon); the D-ary runs at n^-1/2 take the cylinder-code filter past
+    # the first block, the others the full scan of every block
+    "dary2_01_sqrt": ({"kind": "dary", "D": 2}, (0, 1), ("radii_power", {"alpha": 2}), 2, False),
+    "dary3_quarter_sqrt": ({"kind": "dary", "D": 3}, Fraction(1, 4),
+                           ("radii_power", {"alpha": 2}), 2, False),
+    "chain_01_sqrt": ({"kind": "markov", "M": CHAINS["chain"], "p": ["2/3", "1/3"]}, (0, 1),
+                      ("radii_power", {"alpha": 2}), 2, False),
+    "dary2_01_n^-2": ({"kind": "dary", "D": 2}, (0, 1), ("radii_power", {"alpha": 0.5}), 2, False),
+    "dary2_01_sqrt_every_n": ({"kind": "dary", "D": 2}, (0, 1), ("radii_power", {"alpha": 2}),
+                              1, True),
+}
 RADII_LOWER = {"formula": "radii_lower", "h": 0.7, "delta_bar": 1.0, "ell_bar": 0.5,
                "log_beta": 0.7}
 
@@ -428,6 +444,29 @@ def float_steps() -> dict:
             times.append(time.perf_counter() - t0)
         out[name] = {"trials": trials, "steps": steps, "best_s": min(times),
                      "steps_per_s": trials * steps / min(times)}
+    return out
+
+
+def metric_windows() -> dict:
+    """Best-of-3 seconds and orbit-steps/s (trials x METRIC_N) of
+    run_metric_hits for each run of METRIC_WINDOWS under its map's own
+    measure, seed 0: the window-position and hit-decision layers of the
+    linear metric engine, digit draws and the normalizer included."""
+    sys.path.insert(0, "src")
+    from shrinktargets import Schedule, make_map, own_measure, run_metric_hits
+
+    out = {}
+    for name, (spec, x0, (kind, params), trials, every_n) in METRIC_WINDOWS.items():
+        m = make_map(spec)
+        mu, sched = own_measure(m), Schedule(kind, params)
+        horizons = range(1, METRIC_N + 1) if every_n else None
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            run_metric_hits(m, mu, x0, sched, METRIC_N, trials, 0, horizons=horizons)
+            times.append(time.perf_counter() - t0)
+        out[name] = {"trials": trials, "steps": METRIC_N, "every_n": every_n,
+                     "best_s": min(times), "steps_per_s": trials * METRIC_N / min(times)}
     return out
 
 
@@ -699,6 +738,10 @@ def main(argv=None) -> int:
     doc["float_steps"] = float_steps()
     print("float steps: " + ", ".join(f"{k} {v['steps_per_s']:.3g}/s"
                                       for k, v in doc["float_steps"].items()), file=sys.stderr)
+    doc["metric_windows"] = metric_windows()
+    print("metric windows: " + ", ".join(f"{k} {v['best_s'] * 1e3:.1f} ms"
+                                         for k, v in doc["metric_windows"].items()),
+          file=sys.stderr)
     doc["verdict_sweep"] = verdict_sweep()
     print("verdict sweep: " + ", ".join(
         f"{k} {'monotone' if v['monotone'] else 'NOT monotone'} {v['best_s']:.3f} s"
