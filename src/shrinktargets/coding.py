@@ -16,7 +16,8 @@ from fractions import Fraction
 from itertools import count, cycle, islice
 from typing import Optional, Sequence
 
-from .maps import BoundaryHit, InadmissibleDigit, MapError, MapModel
+from .maps import MAP_KINDS, BoundaryHit, InadmissibleDigit, MapError, MapModel
+from .schema import check
 
 
 @dataclass(frozen=True)
@@ -207,6 +208,7 @@ class Target:
                 except MapError:
                     pass  # the word does not close into an admissible cycle
         else:
+            check(MAP_KINDS[m.kind][3], value, "x0", m.kind, MapError)     # its map's domain
             digits = orbit_digits(m, value if m.circle else Fraction(value))
         self.value = value
         self._walk = PrefixWalk(m, digits)

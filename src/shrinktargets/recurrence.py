@@ -215,6 +215,8 @@ class HitSeries:
 def _checkpoints(N: int, horizons) -> np.ndarray:
     """The distinct horizons h <= N and N, ascending (np.unique hashes int64, 40x slower)."""
     h = np.sort(np.fromiter(chain(() if horizons is None else horizons, (N,)), np.int64))
+    if h[0] < 1:
+        raise ScheduleError(f"a horizon is an index n >= 1, got {h[0]}")
     return h[np.concatenate(([True], h[1:] != h[:-1])) & (h <= N)]
 
 

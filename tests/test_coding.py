@@ -12,6 +12,7 @@ from shrinktargets import (
     BoundaryHit,
     Cylinder,
     DAryShift,
+    DimensionError,
     GaussMap,
     InadmissibleDigit,
     MapError,
@@ -498,7 +499,9 @@ class TestLazyWalk:
 INVALID_WORDS = {"chain-05": ("markov", (0, 5)), "dary2-02": ("dary2", (0, 2)),
                  "gauss-10": ("gauss", (1, 0)), "blaschke-05": ("blaschke_two", (0, 5)),
                  # digits that are not integers, inside the alphabet's range
-                 "dary2-half": ("dary2", (0.5, 1)), "gauss-1.5": ("gauss", (1.5, 2))}
+                 "dary2-half": ("dary2", (0.5, 1)), "gauss-1.5": ("gauss", (1.5, 2)),
+                 # a forbidden 1 -> 1: its subclass ForbiddenTransition
+                 "golden-11": ("golden_markov", (1, 1))}
 ENTRY_POINTS = {
     "cylinder_from_word": lambda m, mu, w: cylinder_from_word(m, w),
     "walk_bounds": lambda m, mu, w: Target.of(m, w).walk().bounds(1),
@@ -520,11 +523,39 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("case", list(INVALID_WORDS))
 def test_a_word_outside_the_alphabet_raises_a_map_error(case, entry, request):
     """A digit outside the map's alphabet fails as a MapError at every entry
-    point, never as a bare IndexError from a chain's transition table."""
+    point, never as a bare IndexError from a chain's transition table.  A
+    forbidden transition is the end of the support for the classifier and the
+    symbolic engine: mass 0 and no hit, not an error."""
     name, w = INVALID_WORDS[case]
     m = request.getfixturevalue(name)
-    with pytest.raises(MapError):
+    if case == "golden-11" and entry in ("borel_cantelli_classify", "run_symbolic_hits"):
+        out = ENTRY_POINTS[entry](m, own_measure(m), w)
+        assert out.verdict == "MeasureZero" if entry == "borel_cantelli_classify" \
+            else not out.hits.any()
+        return
+    with pytest.raises(ForbiddenTransition if case == "golden-11" else MapError):
         ENTRY_POINTS[entry](m, own_measure(m), w)
+
+
+# points outside the domain of their map: [0, 1) for a linear map, (0, 1] for Gauss,
+# the angles [0, 1] for a Blaschke map
+OUTSIDE_POINTS = {"dary2-1": ("dary2", 1), "dary2-3/2": ("dary2", F(3, 2)),
+                  "chain-1": ("markov", 1), "chain-3/2": ("markov", F(3, 2)),
+                  "gauss-3/2": ("gauss", F(3, 2)), "blaschke-1.5": ("blaschke_two", 1.5)}
+
+
+@pytest.mark.parametrize("entry", [e for e in ENTRY_POINTS
+                                   if e not in ("cylinder_from_word", "period_matrix")])
+@pytest.mark.parametrize("case", list(OUTSIDE_POINTS))
+def test_a_point_outside_the_domain_raises_when_built(case, entry, request):
+    """A point target is checked by the domain rule of its map's kind, the rule
+    that a config's x0 passes: no entry point runs on it."""
+    name, x0 = OUTSIDE_POINTS[case]
+    m = request.getfixturevalue(name)
+    with pytest.raises(MapError, match=f"^x0: must be a point of .* for {m.kind}, got "):
+        Target(m, value=x0)
+    with pytest.raises(MapError, match="^x0: "):
+        ENTRY_POINTS[entry](m, own_measure(m), x0)
 
 
 # digit functions whose digits fall outside the alphabet, at the first digit or later
@@ -537,20 +568,25 @@ INVALID_DIGIT_FUNCTIONS = {
 
 
 @pytest.mark.parametrize("case, entry", [
-    (case, entry) for case, (name, _) in INVALID_DIGIT_FUNCTIONS.items() for entry in ENTRY_POINTS
-    # the entry points that take a target; a Cantor stage refuses the Gauss map before any
-    # digit, and walk_bounds reads two digits, short of the late 0
-    if entry not in ("cylinder_from_word", "period_matrix")
-    and (name, entry) != ("gauss", "build_cantor_stage")
-    and (case, entry) != ("gauss-late-0", "walk_bounds")])
+    (case, entry) for case in INVALID_DIGIT_FUNCTIONS for entry in ENTRY_POINTS
+    # the entry points that take a target
+    if entry not in ("cylinder_from_word", "period_matrix")])
 def test_a_digit_function_outside_the_alphabet_raises_the_walks_error(case, entry, request):
     """A digit-function target is checked only by its walk, so every entry
     point raises the walk's own InadmissibleDigit: never a bare IndexError,
     nor a run that reads digit -1 as the last digit of a chain's row, nor a
     ForbiddenTransition, which the symbolic engine reads as the end of the
-    support."""
+    support.  A Cantor stage refuses the Gauss map before any digit, and
+    walk_bounds reads two digits, short of the late 0."""
     name, digits = INVALID_DIGIT_FUNCTIONS[case]
     m = request.getfixturevalue(name)
+    if (name, entry) == ("gauss", "build_cantor_stage"):
+        with pytest.raises(DimensionError, match="finite-alphabet linear map"):
+            ENTRY_POINTS[entry](m, own_measure(m), Target(m, digits))
+        return
+    if (case, entry) == ("gauss-late-0", "walk_bounds"):
+        ENTRY_POINTS[entry](m, own_measure(m), Target(m, digits))
+        return
     with pytest.raises(InadmissibleDigit) as walk_error:
         Target(m, digits).walk().bounds(3)
     with pytest.raises(InadmissibleDigit) as got:

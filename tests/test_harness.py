@@ -885,6 +885,10 @@ def _bounds(**ev):
     return {"experiment": "bounds", "params": {"evaluations": [ev]}}
 
 
+def _probe(grid, balls):
+    return {"experiment": "gridprobe", "params": {"grid": grid, "balls": balls}}
+
+
 def _on_map(kind, x0, schedule, experiment="classify", **params):
     return {"experiment": experiment, "map": {"kind": kind, **params}, "x0": x0,
             "schedule": schedule, "horizons": [100]}
@@ -942,6 +946,17 @@ class TestOneCheckPerRule:
         (_on_map("markov", {"rational": "1"}, DEPTH3, **CHAIN), "x0.rational"),
         (_on_map("markov", {"decimal": 1.0}, DEPTH3, **CHAIN), "x0.decimal"),
         (_on_map("gauss", {"decimal": 0.0}, SQRT), "x0.decimal"),
+        # a gridprobe ball or grid outside its table
+        (_probe({"kind": "interval"}, {"kind": "table", "balls": [["1/2", "1/2", "1/4"]]}),
+         "params.balls.balls.0"),
+        (_probe({"kind": "square"}, {"kind": "table", "balls": [["1/2", "1/4"]]}),
+         "params.balls.balls.0"),
+        (_probe({"kind": "interval"}, {"kind": "table", "balls": [["1/2", "0"]]}),
+         "params.balls.balls.0.1"),
+        (_probe({"kind": "interval", "split": "0"}, {"kind": "shrinking_intervals"}),
+         "params.grid.split"),
+        (_probe({"kind": "rectangle", "a": "3/2", "b": "6/10"}, {"kind": "corner_discs"}),
+         "params.grid.a"),
     ])
     def test_violated_hypothesis_exits_2(self, tmp_path, capsys, doc, field):
         cfgp = tmp_path / "c.json"

@@ -184,6 +184,17 @@ def test_hit_engines_reject_empty_runs(engine, sched, N, trials, msg, dary2, leb
 @pytest.mark.parametrize("engine, sched", [(run_symbolic_hits, Schedule.depth_const(1)),
                                            (run_metric_hits, Schedule.radii_const(0.1))],
                          ids=["symbolic", "metric"])
+@pytest.mark.parametrize("horizons", [[0], [-5], [3, 0]], ids=["0", "-5", "3-0"])
+def test_hit_engines_reject_horizons_below_1(engine, sched, horizons, dary2, lebesgue):
+    # a checkpoint is an orbit index n >= 1, as the config schema's horizons are
+    with pytest.raises(ScheduleError, match=r"^a horizon is an index n >= 1, got -?\d+$"):
+        engine(dary2, lebesgue, TargetPoint.from_word(dary2, (0, 1)), sched, 100, 1, 0,
+               horizons=horizons)
+
+
+@pytest.mark.parametrize("engine, sched", [(run_symbolic_hits, Schedule.depth_const(1)),
+                                           (run_metric_hits, Schedule.radii_const(0.1))],
+                         ids=["symbolic", "metric"])
 def test_hit_engines_read_an_array_of_horizons_as_a_list(engine, sched, dary2, lebesgue):
     tgt = TargetPoint.from_word(dary2, (0, 1))
     runs = [engine(dary2, lebesgue, tgt, sched, 20, 2, 0, horizons=h)
@@ -1552,6 +1563,7 @@ _ALPHA_CASES = {
     "gauss-12": ("gauss", "gauss_measure", (1, 2)),
     "gauss-40": ("gauss", "gauss_measure", (40,)),
     "blaschke": ("blaschke_two", "lebesgue", 0.3),
+    "gauss-3/7": ("gauss", "gauss_measure", F(3, 7)),
 }
 
 _CHAIN = MarkovLinear([[F(3, 4), F(1, 4)], [F(1, 2), F(1, 2)]], [F(2, 3), F(1, 3)])
@@ -1578,7 +1590,7 @@ class TestExactThresholds:
     oracle written here apart from the classifier."""
 
     @pytest.mark.parametrize("case", sorted(_ALPHA_CASES))
-    @pytest.mark.parametrize("alpha", [1 - 2 ** -20, 1.0, 1 + 2 ** -20, 1.001])
+    @pytest.mark.parametrize("alpha", [1 - 2 ** -20, 1.0, 1 + 2 ** -20, 1.001, 0.5, 2.0])
     def test_alpha_sweep(self, case, alpha, request):
         m, mu, x0 = _ALPHA_CASES[case]
         m, mu = request.getfixturevalue(m), request.getfixturevalue(mu)
