@@ -251,16 +251,19 @@ class Target:
 TargetPoint = WordTarget = Target
 
 
+EXACT_READ = 192        # the most depths past its first that ball_holds reads
+
+
 def ball_holds(point, centre, r, depth: int) -> bool:
     """Whether a point lies in the closed ball of radius r about a centre.
 
     point(k) and centre(k) are exact brackets [lo, hi] of the two, nested in
     k.  "Inside" must hold for every position of the centre in its bracket
     and "outside" for every position of the point in its bracket.  The test
-    reads depths depth, depth + 8, ..., depth + 192 until one certifies the
-    verdict, and raises RuntimeError if none does.
+    reads depths depth, depth + 8, ..., depth + EXACT_READ until one certifies
+    the verdict, and raises RuntimeError if none does.
     """
-    for k in range(depth, depth + 193, 8):
+    for k in range(depth, depth + EXACT_READ + 1, 8):
         lo, hi = point(k)
         c_lo, c_hi = centre(k)
         if c_hi - r <= lo and hi <= c_lo + r:

@@ -11,8 +11,12 @@ Four systems are provided:
 
 All maps expose the same small surface: ``evaluate``, ``log_derivative``,
 ``inverse_branch``, ``digit_of``, ``block_interval``, ``branch`` and a few
-structural attributes (``expansion_beta``; ``partition0`` and the digit
-chain (``p``, ``M``), a ``Chain``, on the linear maps).  Linear maps and the
+structural attributes (``expansion_beta``; ``partition0`` on the finite
+alphabets; the digit chain (``p``, ``M``), a ``Chain``, on the linear maps).
+``branch(prev, d)`` is the one check of a digit and of a transition, and
+``MapModel.inverse_branch`` the one check of a branch image y in [0, 1]:
+``block_interval``, ``slope``, ``subblock_interval`` and ``inverse_branch``
+check through them, and raise their errors.  Linear maps and the
 Gauss map are exact on ``fractions.Fraction`` inputs; Gauss and Blaschke add
 vectorized float ``stepper`` (a row stepper with its own buffers; the Blaschke
 one steps points of the unit circle, not angles) / ``log_derivative_array``.
@@ -135,7 +139,8 @@ class MapModel:
     # -- geometry -----------------------------------------------------
     def block_interval(self, digit: int):
         """Endpoints (left, right) of the partition block P_digit."""
-        raise NotImplementedError
+        self.branch(None, digit)
+        return self.partition0[digit]
 
     def digit_of(self, x):
         raise NotImplementedError
@@ -145,7 +150,7 @@ class MapModel:
         outside the alphabet, ForbiddenTransition if prev cannot go to d.  An exact map
         returns the inverse branch from prev onto P_d, the integer matrix (a, b, c, e) of
         y -> (a*y + b)/(c*y + e), None before the first digit."""
-        self.block_interval(d)
+        raise NotImplementedError
 
     def branch_targets(self, digit: int):
         """Digits d such that P_d is covered by T(P_digit)."""
@@ -159,7 +164,11 @@ class MapModel:
         raise NotImplementedError
 
     def inverse_branch(self, digit: int, y):
-        raise NotImplementedError
+        """The point of P_digit that T maps to y, for y in the branch image [0, 1]."""
+        self.branch(None, digit)
+        if not 0 <= y <= 1:
+            raise MapError(f"{y} outside the branch image [0, 1]")
+        return self._inverse(digit, y)
 
 
 class DAryShift(MapModel, Chain):
@@ -177,32 +186,21 @@ class DAryShift(MapModel, Chain):
             (Fraction(k, D), Fraction(k + 1, D)) for k in range(D)
         )
 
-    def block_interval(self, digit):
-        if not 0 <= digit < self.D:
-            raise InadmissibleDigit(f"digit {digit} out of range for D={self.D}")
-        return self.partition0[digit]
-
     def digit_of(self, x):
         if not (0 <= x < 1):
             raise MapError(f"point {x} outside [0,1)")
-        return int(x * self.D) if _is_exact(x * self.D) else int(math.floor(x * self.D))
+        return math.floor(x * self.D)
 
     def branch_targets(self, digit):
         return range(self.D)
 
     def evaluate(self, x):
-        if not (0 <= x < 1):
-            raise MapError(f"point {x} outside [0,1)")
-        y = x * self.D
-        return y - math.floor(y)
+        return x * self.D - self.digit_of(x)
 
     def log_derivative(self, x) -> float:
         return math.log(self.D)
 
-    def inverse_branch(self, digit, y):
-        self.block_interval(digit)      # InadmissibleDigit outside the alphabet
-        if not (0 <= y <= 1):
-            raise MapError(f"{y} outside the branch image [0,1)")
+    def _inverse(self, digit, y):
         return (digit + y) / Fraction(self.D) if _is_exact(y) else (digit + y) / self.D
 
     def branch(self, prev, d):
@@ -239,7 +237,7 @@ class MarkovLinear(MapModel, Chain):
                          for i in range(D)]
         self.partition0 = tuple((cuts[i], cuts[i + 1]) for i in range(D))
         def branch(i, j):       # y -> A + B*y from i onto P_j, lcm-reduced: (B L, A L, 0, L)
-            B = 1 / self.slope(i, j)
+            B = p[i] * M[i][j] / p[j]
             A = self._subcuts[i][j] - cuts[j] * B
             L = math.lcm(A.denominator, B.denominator)
             return int(B * L), int(A * L), 0, L
@@ -254,9 +252,9 @@ class MarkovLinear(MapModel, Chain):
         return primitivity_exponent(self.M)
 
     def slope(self, i: int, j: int) -> Fraction:
-        if self.M[i][j] == 0:
-            raise InadmissibleDigit(f"transition {i}->{j} forbidden (M[{i}][{j}]=0)")
-        return self.p[j] / (self.p[i] * self.M[i][j])
+        """T' = p_j / (p_i M_ij) on P_{i,j}: 1/B of the branch A + B*y from i onto P_j."""
+        b, _, _, L = self.branch(i, j)
+        return Fraction(L, b)
 
     def _certify_beta(self) -> float:
         # min over n0-step branch compositions of the slope product, rooted
@@ -281,14 +279,8 @@ class MarkovLinear(MapModel, Chain):
             raise MapError("could not certify expansion beta > 1")
         return best
 
-    def block_interval(self, digit):
-        if not 0 <= digit < self.D:
-            raise InadmissibleDigit(f"digit {digit} out of range")
-        return self.partition0[digit]
-
     def subblock_interval(self, i: int, j: int):
-        if self.M[i][j] == 0:
-            raise InadmissibleDigit(f"transition {i}->{j} forbidden (M[{i}][{j}]=0)")
+        self.branch(i, j)
         return self._subcuts[i][j], self._subcuts[i][j + 1]
 
     def digit_of(self, x):
@@ -322,10 +314,7 @@ class MarkovLinear(MapModel, Chain):
         j = self._subdigit_of(i, x)
         return math.log(self.slope(i, j))
 
-    def inverse_branch(self, digit, y):
-        self.block_interval(digit)      # InadmissibleDigit outside the alphabet
-        if not (0 <= y <= 1):
-            raise MapError(f"{y} outside [0,1)")
+    def _inverse(self, digit, y):
         b, a, _, L = self.branch(digit, self.digit_of(y) if y < 1 else self.D - 1)
         return Fraction(a, L) + Fraction(b, L) * y
 
@@ -381,8 +370,7 @@ class GaussMap(MapModel):
         self.mixing_steps = 2
 
     def block_interval(self, digit):
-        if digit < 1:
-            raise InadmissibleDigit(f"Gauss digit must be >= 1, got {digit}")
+        self.branch(None, digit)
         return Fraction(1, digit + 1), Fraction(1, digit)
 
     def digit_of(self, x):
@@ -420,10 +408,7 @@ class GaussMap(MapModel):
     def log_derivative_array(self, x: np.ndarray) -> np.ndarray:
         return -2.0 * np.log(x)
 
-    def inverse_branch(self, digit, y):
-        self.block_interval(digit)      # InadmissibleDigit outside the alphabet
-        if not (0 <= y <= 1):
-            raise MapError(f"{y} outside [0,1)")
+    def _inverse(self, digit, y):
         return 1 / (digit + y) if _is_exact(y) else 1.0 / (digit + y)
 
 
@@ -453,7 +438,8 @@ class BlaschkeBoundary(MapModel):
             (1 - abs(a)) / (1 + abs(a)) for a in zeros if a != 0
         )
         self._lift_const = cmath.phase(self._B(1.0 + 0j)) / (2 * math.pi)
-        self._boundaries = self._compute_boundaries()
+        self._boundaries = b = self._compute_boundaries()
+        self.partition0 = tuple(zip(b, b[1:]))
 
     def _B(self, z: complex) -> complex:
         w = 1.0 + 0j
@@ -513,10 +499,9 @@ class BlaschkeBoundary(MapModel):
         taus.append(taus[0] + 1.0)  # wrap arc closes back at the first boundary
         return tuple(taus)
 
-    def block_interval(self, digit):
-        if not 0 <= digit < self.N:
-            raise InadmissibleDigit(f"digit {digit} out of range for N={self.N}")
-        return self._boundaries[digit], self._boundaries[digit + 1]
+    def branch(self, prev, d):
+        if not 0 <= d < self.N:
+            raise InadmissibleDigit(f"digit {d} out of range for N={self.N}")
 
     def digit_of(self, t):
         t = float(t) % 1.0
@@ -592,10 +577,8 @@ class BlaschkeBoundary(MapModel):
             tot += (1 - abs(a) ** 2) / np.abs(z - a) ** 2
         return np.log(tot)
 
-    def inverse_branch(self, digit, y):
-        lo, hi = self.block_interval(digit)     # InadmissibleDigit outside the alphabet
-        if not (0 <= y <= 1):
-            raise MapError(f"angle {y} outside [0,1)")
+    def _inverse(self, digit, y):
+        lo, hi = self.partition0[digit]
         base = self.lift(lo)
         m = round(base)
         if abs(base - m) > 1e-10:
@@ -623,8 +606,10 @@ def _point(z):
 
 
 def _domain(want, ok):
-    """Checker of a point, "num/den" or decimal, whose exact value satisfies ok."""
-    return satisfies(lambda x: ok(Fraction(x)), f"a point of {want}")
+    """Checker of a point, "num/den" or decimal, whose exact value satisfies ok;
+    a float nan or infinity has none."""
+    return satisfies(lambda x: (not isinstance(x, float) or math.isfinite(x)) and ok(Fraction(x)),
+                     f"a point of {want}")
 
 
 _ZERO = satisfies(lambda z: (a := _point(z)) is not None and abs(a) < 1,

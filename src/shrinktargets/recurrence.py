@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coding import (PrefixWalk, Target, ball_holds,  # noqa: F401 (re-exported)
+from .coding import (EXACT_READ, PrefixWalk, Target, ball_holds,  # noqa: F401 (re-exported)
                      cylinder_from_word, period_matrix)
 from .maps import (BoundaryHit, DAryShift, ForbiddenTransition, InadmissibleDigit, MapError,
                    MapModel)
@@ -569,7 +569,7 @@ def _metric_linear(m, target, blocks, r_min, N, trials, seeds, cps):
     margin = truncation + rounding + float(hi_b - lo_b)     # plus the target's bracket
     x0f = float((lo_b + hi_b) / 2)
     tally = _CheckpointTally(cps, trials)
-    reach = W + 193         # digits of T^n x that the exact test may read
+    reach = W + EXACT_READ + 1      # digits of T^n x that the exact test may read
     ambiguous, gap = 0, np.empty(min(N, WINDOW_BLOCK))
     streams = [_Digits(m, np.random.default_rng(s)) for s in seeds]
     k = isinstance(m, DAryShift) and m.D <= 1 << 16 and 1 << int(math.log2(16 / math.log2(m.D)))

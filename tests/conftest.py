@@ -189,7 +189,7 @@ def affine_branch_reference(m, prev, d):
     """(A, B) of the inverse branch y -> A + B*y from digit prev onto P_d of a
     linear map: the increasing affine map of P_d onto P_{prev,d}, the part of
     P_prev that T maps onto P_d.  A chain gives P_{prev,d} by
-    subblock_interval (InadmissibleDigit where it forbids prev -> d); the
+    subblock_interval (ForbiddenTransition where it forbids prev -> d); the
     D-ary map cuts P_prev as its blocks cut [0, 1)."""
     lo, hi = m.block_interval(d)
     if isinstance(m, MarkovLinear):

@@ -538,10 +538,12 @@ def test_a_word_outside_the_alphabet_raises_a_map_error(case, entry, request):
 
 
 # points outside the domain of their map: [0, 1) for a linear map, (0, 1] for Gauss,
-# the angles [0, 1] for a Blaschke map
+# the angles [0, 1] for a Blaschke map; nan and the infinities are in no domain
 OUTSIDE_POINTS = {"dary2-1": ("dary2", 1), "dary2-3/2": ("dary2", F(3, 2)),
                   "chain-1": ("markov", 1), "chain-3/2": ("markov", F(3, 2)),
-                  "gauss-3/2": ("gauss", F(3, 2)), "blaschke-1.5": ("blaschke_two", 1.5)}
+                  "gauss-3/2": ("gauss", F(3, 2)), "blaschke-1.5": ("blaschke_two", 1.5),
+                  **{f"{name}-{x}": (name, x) for name in ("dary2", "blaschke_two")
+                     for x in (math.nan, math.inf, -math.inf)}}
 
 
 @pytest.mark.parametrize("entry", [e for e in ENTRY_POINTS

@@ -206,8 +206,28 @@ class TestInverseBranch:
         assert lo < x < hi and x == lo + (hi - lo) * F(1, 2)
 
     def test_forbidden_transition(self, golden_markov):
-        with pytest.raises(InadmissibleDigit, match="forbidden"):
-            golden_markov.inverse_branch(1, F(3, 4))  # y in P_1, branch from 1
+        """Every method that meets the forbidden step 1 -> 1 raises branch's error."""
+        m = golden_markov
+        for call in (lambda: m.branch(1, 1), lambda: m.slope(1, 1),
+                     lambda: m.subblock_interval(1, 1),
+                     lambda: m.inverse_branch(1, F(3, 4))):    # y in P_1, branch from 1
+            with pytest.raises(ForbiddenTransition) as got:
+                call()
+            assert str(got.value) == "digit not admissible: transition 1->1 forbidden"
+
+    @pytest.mark.parametrize("mapname, digit", [("dary2", 0), ("golden_markov", 0),
+                                                ("gauss", 1), ("blaschke_two", 0)])
+    def test_one_image_check(self, mapname, digit, request):
+        """y in the branch image [0, 1], ends included, or one MapError on every map."""
+        m = request.getfixturevalue(mapname)
+        for y in (1.5, -0.5, F(3, 2)):
+            with pytest.raises(MapError) as got:
+                m.inverse_branch(digit, y)
+            assert type(got.value) is MapError
+            assert str(got.value) == f"{y} outside the branch image [0, 1]"
+        lo, hi = m.block_interval(digit)
+        assert lo <= m.inverse_branch(digit, 1) <= hi
+        assert lo <= m.inverse_branch(digit, 0) <= hi
 
 
 class TestBranchConsistency:
@@ -234,13 +254,15 @@ class TestIntegerBranches:
     @given(m=st.one_of(primitive_chains(), st.sampled_from([2, 3, 257]).map(DAryShift)),
            data=st.data())
     @settings(max_examples=60)
-    def test_affine_branch_maps_the_block_onto_the_sub_block(self, m, data):
+    def test_affine_branch_maps_the_block_onto_the_sub_block(self, m, data, gauss,
+                                                             blaschke_two):
         """(B L, A L, 0, L) of the increasing affine map y -> A + B*y of P_d onto
         P_{prev,d}, L the lcm of the denominators of A and B, which
         inverse_branch reads at the midpoint of P_d; ForbiddenTransition where
         the chain forbids prev -> d, and InadmissibleDigit with the block's
         message outside the alphabet, from inverse_branch too (a chain's
-        digit -1 once read the last row of its table)."""
+        digit -1 once read the last row of its table), on the Gauss and
+        Blaschke maps as well."""
         digit = st.integers(0, m.D - 1)
         for prev, d in data.draw(st.lists(st.tuples(digit, digit), min_size=1, max_size=40)):
             assert m.branch(None, d) is None
@@ -256,10 +278,11 @@ class TestIntegerBranches:
             assert (g, F(f, h), F(e, h), h) == (0, A, B, math.lcm(A.denominator, B.denominator))
             mid = sum(m.block_interval(d)) / 2
             assert m.inverse_branch(prev, mid) == A + B * mid
-        for bad in (-1, m.D):
+        for m, first, bad in [(m, 0, -1), (m, 0, m.D), (gauss, 1, 0), (gauss, 1, -1),
+                              (blaschke_two, 0, -1), (blaschke_two, 0, 2)]:
             with pytest.raises(InadmissibleDigit) as want:
                 m.block_interval(bad)
-            for call in (lambda: m.branch(None, bad), lambda: m.branch(0, bad),
+            for call in (lambda: m.branch(None, bad), lambda: m.branch(first, bad),
                          lambda: m.inverse_branch(bad, F(1, 2))):
                 with pytest.raises(InadmissibleDigit) as got:
                     call()

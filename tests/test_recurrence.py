@@ -42,6 +42,7 @@ from shrinktargets.measures import (
     stationary_vector,
 )
 from shrinktargets.recurrence import (
+    EXACT_READ,
     MAX_DEPTH,
     SCHEDULE_KINDS,
     WINDOW_BLOCK,
@@ -670,7 +671,7 @@ def _metric_whole_stream(m, measure, target, sched, N, trials, seed, horizons):
     lo_b, hi_b = target.bracket(120)
     x0f = float((lo_b + hi_b) / 2)
     tally = _CheckpointTally(cps, trials)
-    reach = W + 193
+    reach = W + EXACT_READ + 1
     resolved, hit_idx = [], []
     for t in range(trials):
         stream = _first_digits(m, np.random.default_rng(trial_seed(seed, t)), N + W + 2 + reach)
@@ -913,7 +914,7 @@ class TestLinearEnginesMatchOracles:
         resolved = self._check_metric(m, mu, _target_of(m, x0), Schedule.radii_const(0.1),
                                       N, None, True, trials=2)
         assert any(n > B for n in resolved)
-        assert max(resolved) > N - wide(m, 0.1)[0] - 193
+        assert max(resolved) > N - wide(m, 0.1)[0] - EXACT_READ - 1
 
 
 @st.composite
