@@ -142,18 +142,24 @@ def _digit(d) -> int:
         raise InadmissibleDigit(f"digit {d!r} is not an integer") from None
 
 
+def _word(digits) -> tuple:
+    """A caller's digit word as Python ints; MapError if it is empty."""
+    if not (word := tuple(map(_digit, digits))):
+        raise MapError("empty word")
+    return word
+
+
 def cylinder_from_word(m: MapModel, word: Sequence[int]) -> Cylinder:
     """Exact interval of the cylinder with the given digit word."""
-    word = tuple(map(_digit, word))
-    if not word:
-        raise ValueError("empty word")
+    word = _word(word)
     return PrefixWalk(m, word, seeded=False).cylinder(len(word) - 1)
 
 
 def locate_cylinder(m: MapModel, x, n: int) -> Cylinder:
-    """P(n, x): the depth-n cylinder containing x; MapError if it misses x."""
-    cyl = Target.of(m, x).walk().cylinder(n)
-    if not cyl.left <= x <= cyl.right:
+    """P(n, x): the depth-n cylinder of x; MapError if it misses x's exact value, where known."""
+    target = Target.of(m, x)
+    cyl, (lo, hi) = target.walk().cylinder(n), target.bracket(n)
+    if not cyl.left <= lo <= hi <= cyl.right:
         raise MapError(f"P({n}) = [{float(cyl.left)}, {float(cyl.right)}] misses x = {x}")
     return cyl
 
@@ -162,7 +168,7 @@ def period_matrix(m: MapModel, period_word: Sequence[int]):
     """Integer matrix (a, b, c, d) of one period's inverse branches composed,
     y -> (a*y + b)/(c*y + d), walked over w + w[:1] so that they close around
     the period (InadmissibleDigit if they do not); None without an exact walk."""
-    w = tuple(map(_digit, period_word))
+    w = _word(period_word)
     return PrefixWalk(m, w + w[:1], seeded=False).matrix(len(w))
 
 
@@ -196,9 +202,7 @@ class Target:
         if callable(digits):
             digits = map(_digit, map(digits, count()))
         elif digits is not None:
-            word = self.word = tuple(map(_digit, digits))
-            if not word:
-                raise ValueError("empty target word")
+            word = self.word = _word(digits)
             for d in dict.fromkeys(word):
                 m.block_interval(d)     # InadmissibleDigit outside the alphabet
             digits = cycle(word)

@@ -469,22 +469,19 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
 def frostman_exponent(stage: CantorStage, c_cap: float = 1e3) -> dict:
     """Largest gamma with nu(Q) <= c_cap * lambda(Q)^gamma over the stage.
 
-    Constraints come from every fine and nested block and from the
-    intermediate cylinders between a nested parent and its fine children
-    (where nu aggregates over siblings).  Cylinders between a fine block
-    and its nested child carry constant nu with shrinking lambda, so only
-    the nested endpoint binds; those are skipped.  Blocks of one
-    (lambda, nu) class give one constraint.
+    Constraints come from every nested block and every family prefix below
+    a nested parent, lengths 1..N_j, the fine blocks at N_j (nu sums over the
+    children through a prefix).  Cylinders between a fine block and its
+    nested child carry constant nu with shrinking lambda, so only the nested
+    endpoint binds; those are skipped.  One (lambda, nu) class, one constraint.
     """
     check(POSITIVE, c_cap, "params.c_cap", "cantor", DimensionError)   # CANTOR_PARAMS' c_cap
     log_cap = math.log(c_cap)
     constraints, total_blocks = [], 0
     parents = [(stage.root_lam, Fraction(1))]
     for lvl in stage.levels:
-        for lam_f, lam_n, nu, _ in lvl.classes:
-            ln = log_mass(nu)
-            for lam in ((lam_f, lam_n) if lam_n != lam_f else (lam_f,)):
-                constraints.append((log_cap - ln) / (-log_mass(lam)))
+        constraints.extend((log_cap - log_mass(nu)) / (-log_mass(lam_n))
+                           for _, lam_n, nu, _ in lvl.classes)
         constraints.extend(_intermediate_constraints(lvl, parents, log_cap))
         parents = [(lam_n, nu) for _, lam_n, nu, _ in lvl.classes]
         total_blocks += lvl.count * (2 if lvl.nested_suffix else 1)
@@ -495,9 +492,9 @@ def frostman_exponent(stage: CantorStage, c_cap: float = 1e3) -> dict:
 
 
 def _intermediate_constraints(lvl: StageLevel, parents, log_cap: float):
-    """Constraints from prefixes strictly between a parent and its fine
-    children (nu sums over the children sharing the prefix): the family's
-    distinct prefix classes scaled by each distinct parent (lam, nu)."""
+    """Constraints from the prefixes of lengths 1..N below a parent (nu sums
+    over the children sharing the prefix; length N are the fine blocks): one
+    product per distinct parent (lam, nu) and family prefix class."""
     return [(log_cap - log_mass(p_nu * nu)) / (-log_mass(p_lam * lam))
             for lam, nu in lvl.family.prefix_classes() for p_lam, p_nu in parents]
 

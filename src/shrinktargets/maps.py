@@ -33,7 +33,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import or_
 from typing import Optional, Sequence, Union
 
@@ -146,8 +146,8 @@ class MapModel:
         raise NotImplementedError
 
     def branch(self, prev: Optional[int], d: int):
-        """Check digit d read after prev (None before the first digit): InadmissibleDigit
-        outside the alphabet, ForbiddenTransition if prev cannot go to d.  An exact map
+        """Check digit d read after prev (None before the first digit): InadmissibleDigit if
+        either is outside the alphabet, ForbiddenTransition if prev cannot go to d.  An exact map
         returns the inverse branch from prev onto P_d, the integer matrix (a, b, c, e) of
         y -> (a*y + b)/(c*y + e), None before the first digit."""
         raise NotImplementedError
@@ -204,8 +204,9 @@ class DAryShift(MapModel, Chain):
         return (digit + y) / Fraction(self.D) if _is_exact(y) else (digit + y) / self.D
 
     def branch(self, prev, d):
-        if not 0 <= d < self.D:
-            raise InadmissibleDigit(f"digit {d} out of range for D={self.D}")
+        if not 0 <= d < self.D or prev is not None and not 0 <= prev < self.D:
+            bad = prev if 0 <= d < self.D else d
+            raise InadmissibleDigit(f"digit {bad} out of range for D={self.D}")
         return None if prev is None else (1, prev, 0, self.D)
 
 
@@ -257,24 +258,19 @@ class MarkovLinear(MapModel, Chain):
         return Fraction(L, b)
 
     def _certify_beta(self) -> float:
-        # min over n0-step branch compositions of the slope product, rooted
+        # n-th roots of the least n-step slope products, n = 1.. until one is > 1 or n = n0
         slopes = {(i, j): self.slope(i, j) for i in range(self.D) for j in self.branch_targets(i)}
-        one_step = min(slopes.values())
-        if one_step > 1:
-            return float(one_step)
         best, prod = 0.0, slopes
-        for n in range(2, self.mixing_steps + 1):
+        for n in count(1):
+            worst = min(prod.values())
+            best = max(best, float(worst) ** (1.0 / n))
+            if worst > 1 or n >= self.mixing_steps:
+                break
             nxt = {}
             for (i, k), s1 in prod.items():
                 for j in self.branch_targets(k):
-                    v = s1 * slopes[k, j]
-                    if v < nxt.get((i, j), math.inf):
-                        nxt[i, j] = v
+                    nxt[i, j] = min(nxt.get((i, j), math.inf), s1 * slopes[k, j])
             prod = nxt
-            worst = min(prod.values())
-            best = max(best, float(worst) ** (1.0 / n))
-            if worst > 1:
-                break
         if best <= 1:
             raise MapError("could not certify expansion beta > 1")
         return best
@@ -290,7 +286,6 @@ class MarkovLinear(MapModel, Chain):
         for i in range(self.D):
             if x < self._cuts[i + 1]:
                 return i
-        return self.D - 1
 
     def _subdigit_of(self, i, x):
         sc = self._subcuts[i]
@@ -319,8 +314,8 @@ class MarkovLinear(MapModel, Chain):
         return Fraction(a, L) + Fraction(b, L) * y
 
     def branch(self, prev, d):
-        if not 0 <= d < self.D:
-            raise InadmissibleDigit(f"digit {d} out of range")
+        if not 0 <= d < self.D or prev is not None and not 0 <= prev < self.D:
+            raise InadmissibleDigit(f"digit {prev if 0 <= d < self.D else d} out of range")
         if prev is not None and (b := self._branches[prev][d]) is None:
             raise ForbiddenTransition(f"digit not admissible: transition {prev}->{d} forbidden")
         return None if prev is None else b
@@ -383,8 +378,8 @@ class GaussMap(MapModel):
         return int(inv)
 
     def branch(self, prev, d):
-        if d < 1:
-            raise InadmissibleDigit(f"Gauss digit must be >= 1, got {d}")
+        if d < 1 or prev is not None and prev < 1:
+            raise InadmissibleDigit(f"Gauss digit must be >= 1, got {prev if d >= 1 else d}")
         return None if prev is None else (0, 1, 1, prev)
 
     def branch_targets(self, digit):
@@ -485,23 +480,19 @@ class BlaschkeBoundary(MapModel):
 
     def _compute_boundaries(self):
         c = self._lift_const
-        # S maps [0,1] onto [c, c+N]; find the N integer crossings in (c, c+N]
-        if abs(c) < 1e-13:
-            taus = [0.0]
-            for m in range(1, self.N):
-                taus.append(self._solve_lift(float(m), taus[-1], 1.0))
-            return (*taus, 1.0)
-        # wraparound case: first boundary is the smallest crossing in (0,1)
-        m0 = math.ceil(c)
-        taus = [self._solve_lift(float(m0), 0.0, 1.0)]
+        # S maps [0,1] onto [c, c+N]; its N integer crossings m0.. start the arcs, the first
+        # at t = 0 if c = 0, and the last arc closes at the first boundary + 1 (wraps if c != 0)
+        at_zero = abs(c) < 1e-13
+        m0 = 0 if at_zero else math.ceil(c)
+        taus = [0.0 if at_zero else self._solve_lift(float(m0), 0.0, 1.0)]
         for m in range(m0 + 1, m0 + self.N):
             taus.append(self._solve_lift(float(m), taus[-1], 1.0))
-        taus.append(taus[0] + 1.0)  # wrap arc closes back at the first boundary
-        return tuple(taus)
+        return (*taus, taus[0] + 1.0)
 
     def branch(self, prev, d):
-        if not 0 <= d < self.N:
-            raise InadmissibleDigit(f"digit {d} out of range for N={self.N}")
+        if not 0 <= d < self.N or prev is not None and not 0 <= prev < self.N:
+            bad = prev if 0 <= d < self.N else d
+            raise InadmissibleDigit(f"digit {bad} out of range for N={self.N}")
 
     def digit_of(self, t):
         t = float(t) % 1.0
@@ -607,9 +598,8 @@ def _point(z):
 
 def _domain(want, ok):
     """Checker of a point, "num/den" or decimal, whose exact value satisfies ok;
-    a float nan or infinity has none."""
-    return satisfies(lambda x: (not isinstance(x, float) or math.isfinite(x)) and ok(Fraction(x)),
-                     f"a point of {want}")
+    what Fraction cannot read (a float nan or infinity, "abc") has none."""
+    return satisfies(lambda x: ok(Fraction(x)), f"a point of {want}")
 
 
 _ZERO = satisfies(lambda z: (a := _point(z)) is not None and abs(a) < 1,

@@ -522,9 +522,9 @@ class RegularWords(Sequence):
                 for (_, P), m in self.finals.items()}
 
     def prefix_classes(self) -> list:
-        """Distinct (lam, share) of the prefix types of lengths 1..N-1, as in
-        ``classes``; a prefix's share is that of the words through it."""
-        seen = dict.fromkeys((n, P, w) for n in range(1, self.N)
+        """Distinct (lam, share) of the prefix types of lengths 1..N, as in ``classes``
+        (length N are the fine blocks); a prefix's share is that of the words through it."""
+        seen = dict.fromkeys((n, P, w) for n in range(1, self.N + 1)
                              for (_, P), (_, w) in self.states[n].items())
         return [(Fraction(P, self.Q ** n), Fraction(w, self.prod_sum)) for n, P, w in seen]
 

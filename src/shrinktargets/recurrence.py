@@ -401,9 +401,10 @@ def run_symbolic_hits(m: MapModel, measure: InvariantMeasure, target, sched: Sch
 # metric engines
 
 def _window_width(m, r_min):
-    """(W, truncation, rounding): window width for radii down to r_min and
-    the two parts of the certified margin of a window position at that
-    width (_window_margin).
+    """(W, truncation, rounding): the window width W = ceil(log(1/r_min) / log beta)
+    + 25 for radii down to r_min >= 1e-18, within 30 and 52 (D = 2), 40 (D > 2)
+    or 60 (chains), and the two parts of the certified margin of a window
+    position at that width (_window_margin).
 
     Position i composes the W branches G_k(y) = alpha_k + beta_k y after
     digit i and applies the result to a start point y0 (0 for the D-ary map,
@@ -431,12 +432,8 @@ def _window_width(m, r_min):
     the float test |d - r| <= margin flags every step whose computed d is
     within margin of r.
     """
-    if isinstance(m, DAryShift):
-        need = int(math.ceil(-math.log(max(r_min, 1e-18)) / math.log(m.D))) + 25
-        W = int(min(52 if m.D == 2 else 40, max(need, 30)))
-    else:
-        need = int(math.ceil(math.log(max(r_min, 1e-18)) / math.log(1.0 / m.expansion_beta))) + 25
-        W = int(min(60, max(need, 30)))
+    need = math.ceil(-math.log(max(r_min, 1e-18)) / math.log(m.expansion_beta)) + 25
+    W = min(60 if not isinstance(m, DAryShift) else 52 if m.D == 2 else 40, max(need, 30))
     return (W, *_window_margin(m, W))
 
 

@@ -29,9 +29,14 @@ def check(checker, value, path, owner, error):
 
 
 def satisfies(ok, want):
-    """Checker of one value: ok(value) says whether it is `want`."""
+    """Checker of one value: ok(value) says whether it is `want`; a value that ok
+    cannot read (TypeError, ValueError, ArithmeticError) is not."""
     def check(v, path, bad, owner):
-        if not ok(v):
+        try:
+            good = ok(v)
+        except (TypeError, ValueError, ArithmeticError):
+            good = False
+        if not good:
             bad.append(f"{path}: must be {want} for {owner}, got {v!r}")
         return v
     return check
@@ -58,10 +63,7 @@ def _real(v):
 
 def _exact(v):
     if isinstance(v, (str, Fraction)) or isinstance(v, int) and not isinstance(v, bool):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            return None
+        return Fraction(v)
 
 
 # checker(lo, hi, closed) of a value in a range; a rational is exact, given

@@ -101,6 +101,19 @@ class TestCylinderFromWord:
         assert c.word == (2, 2)
         assert c == cylinder_from_word(gauss, (2, 2))
 
+    def test_locate_reads_every_target_once(self, dary2, golden_markov):
+        """A "num/den" point and a digit word are targets like any other: the
+        cylinder is checked against the target's exact value, the point 1/3 or
+        the periodic point of the word, not against the raw argument."""
+        third = locate_cylinder(dary2, F(1, 3), 3)
+        assert third.word == (0, 1, 0, 1) and (third.left, third.right) == (F(5, 16), F(3, 8))
+        assert locate_cylinder(dary2, "1/3", 3) == third
+        assert locate_cylinder(dary2, (0, 1), 3) == third
+        assert locate_cylinder(dary2, np.array([0, 1]), 3) == third
+        assert locate_cylinder(dary2, Target(dary2, (0, 1)), 3) == third
+        # a word without a periodic point: its cylinders, with nothing to miss
+        assert locate_cylinder(golden_markov, (1, 1), 0) == cylinder_from_word(golden_markov, (1,))
+
     def test_locate_raises_where_the_float_cylinder_misses(self):
         # the float endpoints of P(10) of 1/2 under z^2 lie about 4e-15 right of 1/2
         with pytest.raises(MapError, match=r"P\(10\)"):
@@ -501,7 +514,9 @@ INVALID_WORDS = {"chain-05": ("markov", (0, 5)), "dary2-02": ("dary2", (0, 2)),
                  # digits that are not integers, inside the alphabet's range
                  "dary2-half": ("dary2", (0.5, 1)), "gauss-1.5": ("gauss", (1.5, 2)),
                  # a forbidden 1 -> 1: its subclass ForbiddenTransition
-                 "golden-11": ("golden_markov", (1, 1))}
+                 "golden-11": ("golden_markov", (1, 1)),
+                 # no digit at all
+                 "dary2-empty": ("dary2", ()), "chain-empty": ("markov", [])}
 ENTRY_POINTS = {
     "cylinder_from_word": lambda m, mu, w: cylinder_from_word(m, w),
     "walk_bounds": lambda m, mu, w: Target.of(m, w).walk().bounds(1),
@@ -516,14 +531,16 @@ ENTRY_POINTS = {
         m, mu, w, Schedule.radii_power(1.0), 100, 1, 0),
     "entropy_smb": lambda m, mu, w: entropy_smb(m, mu, w, 5),
     "period_matrix": lambda m, mu, w: period_matrix(m, w),
+    "locate_cylinder": lambda m, mu, w: locate_cylinder(m, w, 3),
 }
 
 
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 @pytest.mark.parametrize("case", list(INVALID_WORDS))
 def test_a_word_outside_the_alphabet_raises_a_map_error(case, entry, request):
-    """A digit outside the map's alphabet fails as a MapError at every entry
-    point, never as a bare IndexError from a chain's transition table.  A
+    """A digit outside the map's alphabet, or a word without a digit, fails as
+    a MapError at every entry point, never as a bare IndexError from a chain's
+    transition table or a StopIteration from an empty walk.  A
     forbidden transition is the end of the support for the classifier and the
     symbolic engine: mass 0 and no hit, not an error."""
     name, w = INVALID_WORDS[case]
@@ -538,12 +555,15 @@ def test_a_word_outside_the_alphabet_raises_a_map_error(case, entry, request):
 
 
 # points outside the domain of their map: [0, 1) for a linear map, (0, 1] for Gauss,
-# the angles [0, 1] for a Blaschke map; nan and the infinities are in no domain
+# the angles [0, 1] for a Blaschke map; nan and the infinities are in no domain,
+# nor is a string that Fraction cannot read
 OUTSIDE_POINTS = {"dary2-1": ("dary2", 1), "dary2-3/2": ("dary2", F(3, 2)),
                   "chain-1": ("markov", 1), "chain-3/2": ("markov", F(3, 2)),
                   "gauss-3/2": ("gauss", F(3, 2)), "blaschke-1.5": ("blaschke_two", 1.5),
                   **{f"{name}-{x}": (name, x) for name in ("dary2", "blaschke_two")
-                     for x in (math.nan, math.inf, -math.inf)}}
+                     for x in (math.nan, math.inf, -math.inf)},
+                  **{f"{name}-str-{x}": (name, x) for name in ("dary2", "gauss", "blaschke_two")
+                     for x in ("abc", "nan", "1/0")}}
 
 
 @pytest.mark.parametrize("entry", [e for e in ENTRY_POINTS

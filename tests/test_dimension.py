@@ -499,8 +499,8 @@ class TestCantorStage:
 def _flat_oracle(stage, c_cap=1e3):
     """Block-by-block recomputation over iter_blocks: nu level sums, the
     (fine lam, nested lam, nu) classes in first-occurrence order, the
-    Frostman gamma, the block count and the set of intermediate-prefix
-    constraints."""
+    Frostman gamma, the block count and the set of prefix constraints,
+    lengths 1..N_j below each parent (length N_j: the fine blocks)."""
     log_cap = math.log(c_cap)
 
     def lg(q):
@@ -539,7 +539,7 @@ def _flat_oracle(stage, c_cap=1e3):
             if cls in seen:
                 continue
             seen.add(cls)
-            for n in range(1, len(kids[0][0])):
+            for n in range(1, len(kids[0][0]) + 1):
                 groups = {}
                 for suf, nu in kids:
                     groups[suf[:n]] = groups.get(suf[:n], 0) + nu

@@ -409,6 +409,10 @@ class TestCLI:
         ("gridprobe", {"params": {"grid": {"kind": "interval", "split": "1/2"},
                                   "balls": {"kind": "shrinking_intervals", "kmax": 1100}}},
          2.0),
+        # a depth schedule needs a digit stream, which a Blaschke map does not have
+        ("simulate", {"map": {"kind": "blaschke", "zeros": [0, 0.5]}, "x0": {"word": [0, 1]},
+                      "schedule": {"kind": "depth_const", "t": 3}, "horizons": [100],
+                      "trials": 2}, 2.0),
     ])
     def test_numerical_failure_exits_3_quietly(self, tmp_path, capsys, experiment, doc, seconds):
         cfgp = tmp_path / "c.json"
@@ -732,7 +736,10 @@ class TestConfigFuzz:
         assert codes[0] and codes[2] and codes[3]     # the sweep reaches every outcome
 
     @pytest.mark.parametrize("name, path, value", [
-        *[("classify", ("map", "D"), v) for v in (-1, 0, 1.5, True)],
+        # an int past the float range is refused, not an OverflowError
+        *[("classify", ("map", "D"), v) for v in (-1, 0, 1.5, True, 10 ** 400)],
+        ("classify", ("schedule",), {"kind": "depth_const", "t": 10 ** 400}),
+        ("classify", ("schedule",), {"kind": "radii_power", "alpha": 10 ** 400}),
         ("simulate", ("map", "M"), [["3/4", "1/4"], ["1/2"]]),
         ("simulate", ("map", "M"), [["3/4", "1/4", "0"], ["1/2", "1/2", "0"]]),
         ("entropy", ("params",), {"method": "birkhoff", "n_iter": 0}),

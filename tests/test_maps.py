@@ -206,7 +206,9 @@ class TestInverseBranch:
         assert lo < x < hi and x == lo + (hi - lo) * F(1, 2)
 
     def test_forbidden_transition(self, golden_markov):
-        """Every method that meets the forbidden step 1 -> 1 raises branch's error."""
+        """Every method that meets the forbidden step 1 -> 1 raises branch's error;
+        a step from a digit outside the alphabet is refused as that digit, not
+        read as row -1 of the table or as a bare IndexError."""
         m = golden_markov
         for call in (lambda: m.branch(1, 1), lambda: m.slope(1, 1),
                      lambda: m.subblock_interval(1, 1),
@@ -214,6 +216,13 @@ class TestInverseBranch:
             with pytest.raises(ForbiddenTransition) as got:
                 call()
             assert str(got.value) == "digit not admissible: transition 1->1 forbidden"
+        for prev in (-1, 2):
+            for call in (lambda: m.branch(prev, 0), lambda: m.slope(prev, 0),
+                         lambda: m.subblock_interval(prev, 0)):
+                with pytest.raises(InadmissibleDigit) as got:
+                    call()
+                assert type(got.value) is InadmissibleDigit
+                assert str(got.value) == f"digit {prev} out of range"
 
     @pytest.mark.parametrize("mapname, digit", [("dary2", 0), ("golden_markov", 0),
                                                 ("gauss", 1), ("blaschke_two", 0)])
@@ -278,12 +287,15 @@ class TestIntegerBranches:
             assert (g, F(f, h), F(e, h), h) == (0, A, B, math.lcm(A.denominator, B.denominator))
             mid = sum(m.block_interval(d)) / 2
             assert m.inverse_branch(prev, mid) == A + B * mid
-        for m, first, bad in [(m, 0, -1), (m, 0, m.D), (gauss, 1, 0), (gauss, 1, -1),
-                              (blaschke_two, 0, -1), (blaschke_two, 0, 2)]:
+        for m, first, bad in [(m, 0, -1), (m, 0, m.D), (DAryShift(2), 0, 5), (gauss, 1, 0),
+                              (gauss, 1, -1), (blaschke_two, 0, -1), (blaschke_two, 0, 2)]:
             with pytest.raises(InadmissibleDigit) as want:
                 m.block_interval(bad)
+            # the digit is checked as the step's end and as its start
             for call in (lambda: m.branch(None, bad), lambda: m.branch(first, bad),
-                         lambda: m.inverse_branch(bad, F(1, 2))):
+                         lambda: m.branch(bad, first), lambda: m.inverse_branch(bad, F(1, 2)),
+                         *((lambda: m.slope(bad, first), lambda: m.subblock_interval(bad, first))
+                           if isinstance(m, MarkovLinear) else ())):
                 with pytest.raises(InadmissibleDigit) as got:
                     call()
                 assert type(got.value) is InadmissibleDigit and str(got.value) == str(want.value)
@@ -476,6 +488,19 @@ class TestBlaschkeStructure:
         assert bounds[0] == pytest.approx(0.0, abs=1e-13)
         assert bounds[-1] == pytest.approx(1.0, abs=1e-13)
         assert all(a < b for a, b in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("zeros", [[0, 0.5 + 0.3j, -0.2j], [0, 0.3j]], ids=["c>0", "c<0"])
+    def test_wrapped_arc_holds_the_angles_below_the_first_boundary(self, zeros):
+        """A nonzero lift constant puts the first boundary inside (0, 1): the
+        last arc runs past 1 to that boundary + 1, and an angle below the first
+        boundary is read one turn on, in the last arc."""
+        m = BlaschkeBoundary(zeros)
+        (lo, _), (_, hi) = m.partition0[0], m.partition0[-1]
+        assert 0 < lo < 1 and hi == lo + 1.0
+        assert m.digit_of(lo / 2) == m.N - 1 and m.digit_of(lo) == 0
+        if zeros[1] == 0.5 + 0.3j:
+            assert m.partition0[0] == pytest.approx((0.2094304, 0.6412644), abs=1e-7)
+            assert m.digit_of(0.1047) == 2
 
     def test_needs_zero_at_origin(self):
         with pytest.raises(MapError, match="origin"):

@@ -26,6 +26,7 @@ from shrinktargets import (
     entropy_birkhoff_batch,
     entropy_closed_form,
     entropy_smb,
+    own_measure,
     run_metric_hits,
     run_symbolic_hits,
     smb_regular_cylinders,
@@ -268,6 +269,17 @@ class TestEntropyBirkhoff:
         est = entropy_birkhoff_batch(gauss, gauss_measure, 10 ** 5, 12, 3)
         assert abs(est.value - GAUSS_ENTROPY) <= 3 * est.standard_error
         assert est.details["resampled"] < 5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: entropy_smb(m, own_measure(m), (0, 1), 0), "n must be >= 1"),
+    (lambda m: entropy_birkhoff(m, own_measure(m), 0, 2, 1), "n_iter and n_trials must be >= 1"),
+    (lambda m: correlation_mass(m, (0,), (1,), -1), "ell must be >= 0"),
+], ids=["smb-n-0", "birkhoff-n_iter-0", "correlation-ell-minus-1"])
+def test_a_length_below_its_least_raises_measure_error(call, message):
+    with pytest.raises(MeasureError) as got:
+        call(DAryShift(2))
+    assert str(got.value) == message
 
 
 class TestEntropySMB:

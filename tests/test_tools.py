@@ -1,9 +1,11 @@
 """tools/bench_json.py stays runnable: every name it imports from the package
 exists, private ones included, and its --help exits 0.  A rename in src then
 fails here, not in the next bench recording.  The same holds for every name
-that the benchmark's workloads and tracer (perfbench/) read from the package."""
+that the benchmark's workloads and tracer (perfbench/) read from the package.
+And the package keeps no private helper that only tests would keep alive."""
 
 import ast
+import glob
 import importlib
 import os
 import subprocess
@@ -13,6 +15,7 @@ import types
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "bench_json.py")
 PERFBENCH = [os.path.join(ROOT, "perfbench", f) for f in ("workloads.py", "spans.py")]
+SRC = os.path.join(ROOT, "src", "shrinktargets")
 
 
 def _package(module):
@@ -121,3 +124,56 @@ def test_perfbench_names_resolve():
                         missing.append(f"{ast.unparse(owner)}.__dict__[{method!r}]")
     assert spans and counts, "no W(...) span or count_method(...) call found"
     assert missing == []
+
+
+def dead_private_names(src_dir):
+    """The module-level _names (functions, classes, constants) of the .py files
+    in src_dir that no code in src_dir reads outside their own definition: no
+    name, attribute or import of it."""
+    trees = []
+    for path in sorted(glob.glob(os.path.join(src_dir, "*.py"))):
+        with open(path) as fh:
+            trees.append((os.path.basename(path), ast.parse(fh.read())))
+    defined = []        # (file, name, the definition's node)
+    for file, tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(file, name, node) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    dead = []
+    for file, name, definition in defined:
+        inside = {id(n) for n in ast.walk(definition)}
+        if not any(id(n) not in inside and name in (
+                getattr(n, "id", None) if isinstance(n, ast.Name) else
+                getattr(n, "attr", None) if isinstance(n, ast.Attribute) else
+                n.name if isinstance(n, ast.alias) else None,)
+                for _, tree in trees for n in ast.walk(tree)):
+            dead.append(f"{file}:{name}")
+    return dead
+
+
+def test_no_dead_private_helpers():
+    """Every module-level _name of the package is read in src/ outside its own
+    definition, so a deletion cannot leave behind a helper that only tests
+    keep alive."""
+    assert dead_private_names(SRC) == []
+
+
+def test_an_unused_private_helper_is_found(tmp_path):
+    """A copy of the package with one unread _helper fails the check, and only
+    that helper is named; a helper read by another module, or by an assignment,
+    is not."""
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path) as fh:
+            (tmp_path / os.path.basename(path)).write_text(fh.read())
+    (tmp_path / "extra.py").write_text(
+        "def _helper(x):\n    return _helper(x - 1) if x else 0\n\n\n"
+        "def _used():\n    return 1\n\n\n_TABLE = {'f': _used}\n_LIMIT = 3\n")
+    (tmp_path / "reader.py").write_text("from .extra import _LIMIT\n")
+    assert sorted(dead_private_names(str(tmp_path))) == ["extra.py:_TABLE", "extra.py:_helper"]
