@@ -37,7 +37,6 @@ from .measures import (  # noqa: F401
     entropy_birkhoff,
     entropy_birkhoff_batch,
     entropy_closed_form,
-    entropy_smb,
     own_measure,
     smb_regular_cylinders,
     stationary_vector,

@@ -30,7 +30,7 @@ from .dimension import (BOUND_SCHEMA, BOUNDS, CANTOR_PARAMS, GRIDPROBE_PARAMS, I
                         ProductSplitGrid, build_cantor_stage, frostman_exponent,
                         grid_regularity_probe, rectangle_counterexample_balls)
 from .maps import MAP_KINDS, MAP_SCHEMA, make_map
-from .measures import entropy_birkhoff, entropy_closed_form, entropy_smb, own_measure
+from .measures import ENTROPY_METHODS, entropy_birkhoff, entropy_closed_form, own_measure
 from .coding import Target
 from .recurrence import (
     SCHEDULE_KINDS,
@@ -90,8 +90,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _, needs, params = EXPERIMENTS[exp] if known else (None, (), obj)
     doc = {**doc, "params": {}} if doc.get("params") is None else doc
     f = _top(params)(doc, "", bad, exp if known else "the config")
-    if exp == "entropy" and isinstance(f["params"], dict) and f["params"].get("method") == "smb":
-        needs += ("x0",)
     bad += [f"{k}: {exp} needs a {k} block" for k in needs if doc.get(k) in (None, [])]
     m, x0 = f.get("map"), f.get("x0")
     if not any(v.startswith(("map", "x0")) for v in bad) and m and x0:
@@ -185,8 +183,6 @@ def _run_entropy(cfg):
     p = cfg.params
     if p["method"] == "birkhoff":
         est = entropy_birkhoff(m, measure, p["n_iter"], cfg.trials, cfg.seed)
-    elif p["method"] == "smb":
-        est = entropy_smb(m, measure, _target(cfg, m), p["depth"])
     else:
         est = entropy_closed_form(m, measure)
     rec = est.to_json()
@@ -263,9 +259,7 @@ def _run_gridprobe(cfg):
 EXPERIMENTS = {
     "simulate": (_run_simulate, ("map", "schedule", "x0", "horizons"), block({})),
     "classify": (_run_classify, ("map", "schedule", "x0"), block({})),
-    "entropy": (_run_entropy, ("map",), kinds({
-        "closed_form": {}, "birkhoff": {"n_iter": (integer(1), 10 ** 5)},
-        "smb": {"depth": (integer(1), 20)}}, tag="method", default="closed_form")),
+    "entropy": (_run_entropy, ("map",), kinds(ENTROPY_METHODS, "method", "closed_form")),
     "bounds": (_run_bounds, (), block({"evaluations": listof(BOUND_SCHEMA)})),
     "cantor": (_run_cantor, ("map", "x0"), CANTOR_PARAMS),
     "gridprobe": (_run_gridprobe, (), GRIDPROBE_PARAMS),

@@ -224,13 +224,10 @@ class MarkovLinear(MapModel, Chain):
     kind = "markov"
 
     def __init__(self, M: Sequence[Sequence[Number]], p: Sequence[Number]):
-        M = [[Fraction(x) for x in row] for row in M]
-        p = [Fraction(x) for x in p]
         _check("markov", M=M, p=p)
-        D = len(p)
-        self.M = tuple(tuple(row) for row in M)
-        self.p = tuple(p)
-        self.D = D
+        self.M = M = tuple(tuple(Fraction(x) for x in row) for row in M)
+        self.p = p = tuple(Fraction(x) for x in p)
+        self.D = D = len(p)
 
         self._cuts = cuts = tuple(accumulate(p, initial=Fraction(0)))
         # sub-block cuts inside each P_i

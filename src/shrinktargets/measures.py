@@ -1,17 +1,15 @@
 """Invariant measures, stationary vectors, and entropy estimators.
 
 Three measures: Lebesgue, the Gauss measure (density 1/((1+x) log 2)), and
-the stationary Markov-chain measure on digit words.  Three entropy
-estimators: closed form, Birkhoff averages of log|T'| along sampled
-orbits, and finite-depth Shannon-McMillan-Breiman quotients on exact
-cylinder masses.  Everything is in nats.
+the stationary Markov-chain measure on digit words.  Two entropy
+estimators: closed form, and Birkhoff averages of log|T'| along sampled
+orbits.  Everything is in nats.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,13 +23,15 @@ from .maps import (
     Chain,
     DAryShift,
     GaussMap,
+    MAP_KINDS,
     MapError,
     MapModel,
     MarkovLinear,
     chain_violations,
     primitivity_exponent,
 )
-from .coding import Target, cylinder_from_word
+from .coding import cylinder_from_word
+from .schema import block, check, integer
 
 LOG2 = math.log(2)
 GAUSS_ENTROPY = math.pi ** 2 / (6 * LOG2)
@@ -103,14 +103,6 @@ class GaussMeasure(InvariantMeasure):
             else (b - a) / (1 + a)
         return math.log1p(t) / LOG2
 
-    def log_interval_mass(self, a, b) -> float:
-        """log mu([a,b]) computed stably for very short intervals."""
-        t = Fraction(b - a) / (1 + Fraction(a))
-        # below the normal floats log1p(t) = t, and t keeps its exact log
-        tf = float(t)
-        log_t = math.log(math.log1p(tf)) if tf >= sys.float_info.min else log_mass(t)
-        return log_t - math.log(LOG2)
-
     def cylinder_mass(self, m, word):
         c = cylinder_from_word(m, word)
         return self.interval_mass(c.left, c.right)
@@ -127,6 +119,8 @@ class MarkovStationaryMeasure(InvariantMeasure, Chain):
     kind = "markov"
 
     def __init__(self, p: Sequence, M: Sequence[Sequence]):
+        check(block(MAP_KINDS["markov"][1][0]), {"p": p, "M": M}, "measure", "markov",
+              MeasureError)       # the entries of a markov map's chain
         self.p = tuple(Fraction(x) for x in p)
         self.M = tuple(tuple(Fraction(x) for x in row) for row in M)
         if bad := chain_violations(self.M, self.p):
@@ -134,7 +128,6 @@ class MarkovStationaryMeasure(InvariantMeasure, Chain):
 
     @classmethod
     def bernoulli(cls, p: Sequence):
-        p = [Fraction(x) for x in p]
         return cls(p, [list(p) for _ in p])
 
     def cylinder_mass(self, m, word):
@@ -201,7 +194,7 @@ def stationary_vector(M: Sequence[Sequence]) -> tuple:
 @dataclass
 class EntropyEstimate:
     value: float
-    method: str                      # closed_form | birkhoff | smb
+    method: str                      # a key of ENTROPY_METHODS
     standard_error: Optional[float] = None
     details: dict = field(default_factory=dict)
 
@@ -435,19 +428,8 @@ def entropy_birkhoff(m: MapModel, measure: InvariantMeasure, n_iter: int,
 entropy_birkhoff_batch = entropy_birkhoff
 
 
-def entropy_smb(m: MapModel, measure: InvariantMeasure, x, n: int) -> EntropyEstimate:
-    """Finite-depth SMB quotient (1/n) log(1/mu(P(n,x))); x is a point or a
-    target with its own prefix walk."""
-    check_invariant(m, measure)
-    if n < 1:
-        raise MeasureError("n must be >= 1")
-    walk = Target.of(m, x).walk()
-    word = walk.digits(n)
-    if isinstance(measure, GaussMeasure):
-        logmass = measure.log_interval_mass(*walk.bounds(n))
-    else:
-        logmass = log_mass(measure.cylinder_mass(m, word))
-    return EntropyEstimate(-logmass / n, "smb", details={"depth": n, "word_head": list(word[:8])})
+# method -> the schema of its params, for the entropy experiment
+ENTROPY_METHODS = {"closed_form": {}, "birkhoff": {"n_iter": (integer(1), 10 ** 5)}}
 
 
 # ---------------------------------------------------------------------------

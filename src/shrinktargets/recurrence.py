@@ -59,18 +59,25 @@ def _table(n, p):
 
 # kind -> (its parameters, by the names its constructor below takes, for
 # Schedule itself and the config schema; its values at the indices n = 1..N,
-# float for radii and int64 for depths)
+# float for radii and int64 for depths; its growth (g, e), which the classifier
+# reads: r_n ~ e^(-g n) n^(-e), or t_n ~ n^e, or log_g n where g > 0)
 SCHEDULE_KINDS = {
-    "radii_power": ({"alpha": number(0)}, lambda n, p: np.power(n, -1.0 / p["alpha"], out=n)),
+    "radii_power": ({"alpha": number(0)}, lambda n, p: np.power(n, -1.0 / p["alpha"], out=n),
+                    lambda p: (0, 1 / p["alpha"])),
     "radii_exp": ({"kappa": number(0)},
-                  lambda n, p: np.exp(np.multiply(n, -p["kappa"], out=n), out=n)),
-    "radii_const": ({"r": number(0)}, lambda n, p: np.full_like(n, p["r"])),
-    "depth_log_floor": ({"base": (number(1), math.e)}, lambda n, p: _floor_log(n, p["base"])),
+                  lambda n, p: np.exp(np.multiply(n, -p["kappa"], out=n), out=n),
+                  lambda p: (p["kappa"], 0)),
+    "radii_const": ({"r": number(0)}, lambda n, p: np.full_like(n, p["r"]), lambda p: (0, 0)),
+    "depth_log_floor": ({"base": (number(1), math.e)}, lambda n, p: _floor_log(n, p["base"]),
+                        lambda p: (p["base"], 0)),
     "depth_power_floor": ({"kappa": number(0)}, lambda n, p: np.floor(
-        np.minimum(n ** float(p["kappa"]), MAX_DEPTH)).astype(np.int64)),
-    "depth_const": ({"t": integer(0, MAX_DEPTH)}, lambda n, p: np.full_like(n, p["t"])),
-    "custom_radii": (({"table": listof(number(0))}, _sorted_table(-1)), _table),
-    "custom_depths": (({"table": listof(integer(0, MAX_DEPTH))}, _sorted_table(1)), _table),
+        np.minimum(n ** float(p["kappa"]), MAX_DEPTH)).astype(np.int64),
+        lambda p: (0, p["kappa"])),
+    "depth_const": ({"t": integer(0, MAX_DEPTH)}, lambda n, p: np.full_like(n, p["t"]),
+                    lambda p: (0, 0)),
+    "custom_radii": (({"table": listof(number(0))}, _sorted_table(-1)), _table, lambda p: (0, 0)),
+    "custom_depths": (({"table": listof(integer(0, MAX_DEPTH))}, _sorted_table(1)), _table,
+                      lambda p: (0, 0)),
 }
 
 
@@ -130,6 +137,11 @@ class Schedule:
     @property
     def is_radii(self) -> bool:
         return "radii" in self.kind
+
+    @property
+    def growth(self) -> tuple:
+        """(g, e) of its kind's row in SCHEDULE_KINDS."""
+        return SCHEDULE_KINDS[self.kind][2](self.params)
 
     def radii_array(self, N: int, lo: int = 0) -> np.ndarray:
         """r_{lo+1}, ..., r_N, floats."""
@@ -672,8 +684,9 @@ def borel_cantelli_classify(m: MapModel, measure: InvariantMeasure, target,
     (_mass_rate), and log b >= rate, monotone in b, is its verdict, unless
     a forbidden transition makes its masses exactly 0: a finite sum.
 
-    A custom table reads as the constant schedule of its last entry, which
-    repeats.  Only those rate verdicts are heuristic.
+    The kind's growth (g, e) in SCHEDULE_KINDS picks the rule, and a custom
+    table grows as the constant schedule of its last entry, which repeats.
+    Only those rate verdicts are heuristic.
     """
     check_invariant(m, measure)
     target = Target.of(m, target)
@@ -686,30 +699,30 @@ def _classify_radii(m, measure, target, sched):
     ends = (0, *PARTIAL_SUM_SCALES)     # the mass series summed up to each scale
     terms = ball_mass_array(m, measure, target.float_value(), sched.radii_array(ends[-1]))
     psums = list(accumulate(float(np.sum(terms[a:b])) for a, b in pairwise(ends)))
-    alpha = sched.params.get("alpha")       # radii_power
-    if sched.kind == "radii_exp":
-        return BCVerdict("MeasureZero", "sum mu(B(x0, e^{-kappa n})) (geometric)", psums,
-                         "geometrically summable ball masses: direct Borel-Cantelli")
-    if alpha is None:       # radii_const, custom_radii: a table's last radius repeats
-        return BCVerdict("FullMeasure", "sum mu(B(x0,r)) with constant r", psums,
-                         "constant radii: the mass series diverges linearly")
-    series = f"sum mu(B(x0, n^-1/alpha)), alpha={alpha}"
-    if alpha < 1:
+    g, e = sched.growth
+    series = f"sum mu(B(x0, r_n)), r_n ~ e^(-g n) n^(-e), (g, e) = ({g}, {e})"
+    if g > 0 or e > 1:
         return BCVerdict("MeasureZero", series, psums,
-                         "sum n^(-1/alpha) converges for alpha < 1: direct Borel-Cantelli")
+                         "sum r_n converges for g > 0 or e > 1: direct Borel-Cantelli")
     return BCVerdict("FullMeasure", series, psums,
-                     "sum n^(-1/alpha) diverges for alpha >= 1: dynamical Borel-Cantelli")
+                     "sum r_n diverges for g = 0 and e <= 1: dynamical Borel-Cantelli")
 
 
 def _classify_depths(m, measure, target, sched):
     depths = sched.depths_array(10 ** 4)
     masses = cylinder_mass_by_depth(m, measure, target, depths)
     psums = [float(v) for v in np.cumsum(masses)[[999, 9999 // 2, 9999]]]
-    if sched.kind in ("depth_const", "custom_depths"):
+    g, e = sched.growth
+    if e > 0:
+        # sum c^(n^e) converges for every e > 0 and c < 1
+        return BCVerdict("MeasureZero",
+                         "sum mu(P(floor(n^kappa), x0)) <= sum (max mass ratio)^(n^kappa)",
+                         psums, "stretched-geometric masses are summable for kappa > 0")
+    if g == 0:
         # n copies of one mass (a table's last entry repeats), 0 only where the
         # word (one period and its wrap, for a periodic word) leaves a chain's
         # support; its float also reads 0 where it underflows, as deep Gauss cylinders do
-        t = sched.params["t"] if sched.kind == "depth_const" else sched.params["table"][-1]
+        t = int(sched.depths_array(MAX_DEPTH, MAX_DEPTH - 1)[0])
         t = t if target.word is None else min(t, len(target.word))
         try:
             if target.value is None:
@@ -719,15 +732,9 @@ def _classify_depths(m, measure, target, sched):
                              "the depth-t word leaves the support: every term is 0")
         return BCVerdict("FullMeasure", "sum mu(P(t, x0)) with constant t", psums,
                          "constant-depth cylinder masses diverge linearly")
-    if sched.kind == "depth_power_floor":
-        # sum c^(n^kappa) converges for every kappa > 0 and c < 1
-        return BCVerdict("MeasureZero",
-                         "sum mu(P(floor(n^kappa), x0)) <= sum (max mass ratio)^(n^kappa)",
-                         psums, "stretched-geometric masses are summable for kappa > 0")
-    b = sched.params["base"]       # depth_log_floor
-    series = f"sum mu(P(floor(log_{b:g} n), x0))"
-    diverges = _log_floor_diverges(m, target, Fraction(b))
-    if diverges is None:        # one estimated rate, so monotone in b
+    series = f"sum mu(P(floor(log_{g:g} n), x0))"       # g > 0 is the base
+    diverges = _log_floor_diverges(m, target, Fraction(g))
+    if diverges is None:        # one estimated rate, so monotone in g
         rate = _mass_rate(m, measure, target)
         if rate is None:
             return BCVerdict("Inconclusive", series, psums, "the masses end or fall "
@@ -735,9 +742,9 @@ def _classify_depths(m, measure, target, sched):
         if rate == math.inf:
             return BCVerdict("MeasureZero", series, psums, "a transition the chain "
                              "forbids makes the masses exactly 0: the series is a finite sum")
-        verdict = "FullMeasure" if math.log(b) >= rate else "MeasureZero"
+        verdict = "FullMeasure" if math.log(g) >= rate else "MeasureZero"
         return BCVerdict(verdict, series, psums, f"masses shrink by e^-{rate:.4g} "
-                         f"per digit; log b = {math.log(b):.4g} (heuristic)", heuristic=True)
+                         f"per digit; log b = {math.log(g):.4g} (heuristic)", heuristic=True)
     if diverges:
         return BCVerdict("FullMeasure", series, psums,
                          "about (b-1) b^t terms of depth t, masses shrinking by "

@@ -22,7 +22,6 @@ from shrinktargets import (
     borel_cantelli_classify,
     build_cantor_stage,
     cylinder_from_word,
-    entropy_smb,
     itinerary,
     locate_cylinder,
     own_measure,
@@ -34,6 +33,7 @@ from shrinktargets import (
 )
 from shrinktargets.coding import PrefixWalk, ball_holds, period_matrix
 from shrinktargets.maps import ForbiddenTransition
+from shrinktargets.recurrence import cylinder_mass_by_depth
 from conftest import affine_branch_reference, allowed
 
 
@@ -529,7 +529,9 @@ ENTRY_POINTS = {
         m, mu, w, Schedule.depth_const(3), 100, 1, 0),
     "run_metric_hits": lambda m, mu, w: run_metric_hits(
         m, mu, w, Schedule.radii_power(1.0), 100, 1, 0),
-    "entropy_smb": lambda m, mu, w: entropy_smb(m, mu, w, 5),
+    # mu(P(t, x0)) at t = 0..5, the masses behind every normalizer
+    "cylinder_mass_by_depth": lambda m, mu, w: cylinder_mass_by_depth(
+        m, mu, Target.of(m, w), np.arange(6)),
     "period_matrix": lambda m, mu, w: period_matrix(m, w),
     "locate_cylinder": lambda m, mu, w: locate_cylinder(m, w, 3),
 }
@@ -541,10 +543,14 @@ def test_a_word_outside_the_alphabet_raises_a_map_error(case, entry, request):
     """A digit outside the map's alphabet, or a word without a digit, fails as
     a MapError at every entry point, never as a bare IndexError from a chain's
     transition table or a StopIteration from an empty walk.  A
-    forbidden transition is the end of the support for the classifier and the
-    symbolic engine: mass 0 and no hit, not an error."""
+    forbidden transition is the end of the support for the classifier, the
+    symbolic engine and the cylinder masses: mass 0 and no hit, not an error."""
     name, w = INVALID_WORDS[case]
     m = request.getfixturevalue(name)
+    if case == "golden-11" and entry == "cylinder_mass_by_depth":
+        # mu(P(0)) is the stationary weight of digit 1; P(1) is empty
+        assert ENTRY_POINTS[entry](m, own_measure(m), w).tolist() == [float(m.p[1])] + [0.0] * 5
+        return
     if case == "golden-11" and entry in ("borel_cantelli_classify", "run_symbolic_hits"):
         out = ENTRY_POINTS[entry](m, own_measure(m), w)
         assert out.verdict == "MeasureZero" if entry == "borel_cantelli_classify" \

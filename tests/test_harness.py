@@ -343,17 +343,12 @@ class TestCLI:
         ("classify", {"schedule": {"kind": "depth_power_floor", "kappa": -1}}, 2),
         ("classify", {"schedule": {"kind": "depth_log_floor", "base": math.inf}}, 2),
         ("entropy", {"measure": {"kind": "foo"}}, 2),
-        ("entropy", {"params": {"method": "smb"}}, 0),
-        ("entropy", {"params": {"method": "smb"}, "x0": None}, 2),
         ("cantor", {"x0": {"word": [7, 1]}, "params": {"levels": 2, "level_sizes": [4, 5]}}, 2),
         ("cantor", {"schedule": {"kind": "radii_exp", "kappa": math.log(2)},
                     "params": {"levels": 2, "level_sizes": [4, 5]}}, 0),
         ("classify", {"x0": {"word": 3}}, 2),
         ("classify", {"x0": {"word": None}}, 2),
         ("classify", {"x0": {"word": []}}, 2),
-        ("entropy", {"x0": {"word": []}, "params": {"method": "smb"}}, 2),
-        *[("entropy", {"params": {"method": "smb", "depth": v}}, 2)
-          for v in ("x", math.nan, math.inf)],
         *[("cantor", {"params": {"levels": v, "level_sizes": [4, 5]}}, 2)
           for v in ("x", math.nan, math.inf)],
         ("entropy", {"params": {"method": "birkhoff", "n_iter": "x"}}, 2),
@@ -371,6 +366,13 @@ class TestCLI:
         cfgp.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
         assert cli.main([experiment, "--config", str(cfgp)]) == code
         assert ("config error: " in capsys.readouterr().err) == (code == 2)
+
+    def test_entropy_method_outside_the_table_exits_2(self, tmp_path, capsys):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"map": {"kind": "dary", "D": 2}, "params": {"method": "smb"}}))
+        assert cli.main(["entropy", "--config", str(cfgp)]) == 2
+        assert "params.method: must be one of ('closed_form', 'birkhoff')" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment, block, needs", [
         ("classify", "map", "classify needs a map block"),
@@ -532,12 +534,6 @@ class TestCLI:
         assert cli.main(["simulate", "--config", str(cfgp)]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_smb_word_matches_its_point(self):
-        def value(x0):
-            return run(parse_config({"experiment": "entropy", "map": {"kind": "dary", "D": 2},
-                                     "x0": x0, "params": {"method": "smb"}})).summary
-        assert value({"word": [0, 1]}) == value({"rational": "1/3"})
-
     def test_in_process_calls_match_fresh_runs(self, tmp_path, capsys):
         # main builds its parser once per process; repeated calls, also
         # right after an argparse exit, behave as fresh processes do
@@ -629,20 +625,6 @@ class TestCLI:
         assert r2.returncode == 0
         assert (tmp_path / "o2" / "summary.txt").exists()
 
-    @pytest.mark.parametrize("depth", [200, 1000])
-    def test_deep_gauss_smb_entropy(self, tmp_path, depth):
-        # the golden word's cylinder leaves the float range near depth 740;
-        # P(n) holds n + 1 digits 1, each of Gauss mass about phi^-2
-        cfgp = tmp_path / "c.json"
-        cfgp.write_text(json.dumps({
-            "map": {"kind": "gauss"}, "x0": {"word": [1]},
-            "params": {"method": "smb", "depth": depth}}))
-        out = tmp_path / "o"
-        assert cli.main(["entropy", "--config", str(cfgp), "--out", str(out)]) == 0
-        value = json.loads((out / "results.json").read_text())["summary"]["value"]
-        golden = 2 * math.log((1 + math.sqrt(5)) / 2)
-        assert abs(value * depth / (depth + 1) - golden) < 0.002
-
 
 FUZZ_CONFIGS = {
     "simulate": {"experiment": "simulate",
@@ -653,7 +635,7 @@ FUZZ_CONFIGS = {
     "classify": {"experiment": "classify", "map": {"kind": "dary", "D": 2},
                  "x0": {"rational": "1/3"}, "schedule": {"kind": "depth_log_floor", "base": 2}},
     "entropy": {"experiment": "entropy", "map": {"kind": "dary", "D": 3},
-                "x0": {"word": [0, 2]}, "params": {"method": "smb", "depth": 8}},
+                "x0": {"word": [0, 2]}, "params": {"method": "birkhoff", "n_iter": 8}},
     "bounds": {"experiment": "bounds", "params": {"evaluations": [
         {"formula": "radii_lower", "h": 0.7, "delta_bar": 1.0, "ell_bar": 0.5,
          "log_beta": 0.7},

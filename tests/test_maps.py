@@ -523,10 +523,17 @@ class TestConfigConstruction:
         with pytest.raises(MapError):
             make_map({"kind": "horseshoe"})
 
-    def test_invalid_stochastic(self):
-        with pytest.raises(MapError, match="sum to 1"):
-            MarkovLinear([[F(1, 2), F(1, 3)], [F(1, 2), F(1, 2)]],
-                         [F(1, 2), F(1, 2)])
+    @pytest.mark.parametrize("M, p, match", [
+        ([[F(1, 2), F(1, 3)], [F(1, 2), F(1, 2)]], [F(1, 2), F(1, 2)], "sum to 1"),
+        # entries that Fraction cannot read are refused before any is read
+        ([["1/0", "1"], ["1/2", "1/2"]], ["1/2", "1/2"], r"map\.M\.0\.0: must be a rational"),
+        ([["1/2", "1/2"], ["abc", "1/2"]], ["1/2", "1/2"], r"map\.M\.1\.0: must be a rational"),
+        ([["1/2", "1/2"], ["1/2", "1/2"]], [math.nan, "1/2"], r"map\.p\.0: must be a rational"),
+    ], ids=["row-sum", "1/0", "abc", "nan"])
+    def test_invalid_stochastic(self, M, p, match):
+        with pytest.raises(MapError, match=match) as got:
+            MarkovLinear(M, p)
+        assert type(got.value) is MapError
 
     def test_not_stationary(self):
         with pytest.raises(MapError, match="stationary"):

@@ -25,7 +25,6 @@ from shrinktargets import (
     entropy_birkhoff,
     entropy_birkhoff_batch,
     entropy_closed_form,
-    entropy_smb,
     own_measure,
     run_metric_hits,
     run_symbolic_hits,
@@ -40,6 +39,7 @@ from shrinktargets.measures import (
     digit_draws,
     float_orbit_blocks,
 )
+from shrinktargets.recurrence import cylinder_mass_by_depth
 from conftest import (
     ScriptedGaussMeasure,
     affine_branch_reference,
@@ -103,10 +103,19 @@ class TestStationaryVector:
         with pytest.raises(MeasureError, match="not primitive"):
             stationary_vector([[0, 1], [1, 0]])
 
-    def test_measure_rows_must_be_stochastic(self):
+    @pytest.mark.parametrize("make, match", [
         # pM = p holds here, though the rows sum to 2 and 0
-        with pytest.raises(MeasureError, match="probability vector"):
-            MarkovStationaryMeasure([F(1, 2), F(1, 2)], [[1, 1], [0, 0]])
+        (lambda: MarkovStationaryMeasure([F(1, 2), F(1, 2)], [[1, 1], [0, 0]]),
+         "probability vector"),
+        # entries that Fraction cannot read are refused before any is read
+        (lambda: MarkovStationaryMeasure(["1/0", "1"], [["1/2", "1/2"], ["1/2", "1/2"]]),
+         r"^measure\.p\.0: must be a rational"),
+        (lambda: MarkovStationaryMeasure.bernoulli(["abc", "1/2"]),
+         r"^measure\.M\.0\.0: must be a rational"),
+    ], ids=["rows-sum-2-and-0", "1/0", "bernoulli-abc"])
+    def test_measure_rows_must_be_stochastic(self, make, match):
+        with pytest.raises(MeasureError, match=match):
+            make()
 
     def test_measure_needs_one_row_per_state(self):
         with pytest.raises(MeasureError, match="one row and one column per state"):
@@ -272,51 +281,37 @@ class TestEntropyBirkhoff:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda m: entropy_smb(m, own_measure(m), (0, 1), 0), "n must be >= 1"),
     (lambda m: entropy_birkhoff(m, own_measure(m), 0, 2, 1), "n_iter and n_trials must be >= 1"),
     (lambda m: correlation_mass(m, (0,), (1,), -1), "ell must be >= 0"),
-], ids=["smb-n-0", "birkhoff-n_iter-0", "correlation-ell-minus-1"])
+], ids=["birkhoff-n_iter-0", "correlation-ell-minus-1"])
 def test_a_length_below_its_least_raises_measure_error(call, message):
     with pytest.raises(MeasureError) as got:
         call(DAryShift(2))
     assert str(got.value) == message
 
 
-class TestEntropySMB:
-    def test_dary_exact(self, dary2, lebesgue):
-        est = entropy_smb(dary2, lebesgue, F(1, 3), 10)
-        assert est.value == pytest.approx(11 / 10 * LOG2, abs=1e-14)
+UNIFORM_FOUR = MarkovLinear([[F(1, 4)] * 4] * 4, [F(1, 4)] * 4)
 
-    def test_uniform_four_symbols(self):
-        m = MarkovLinear([[F(1, 4)] * 4] * 4, [F(1, 4)] * 4)
-        mu = MarkovStationaryMeasure.bernoulli([F(1, 4)] * 4)
-        est = entropy_smb(m, mu, F(1, 5), 10)
-        assert est.value == pytest.approx(math.log(4) * 11 / 10, abs=1e-14)
 
-    def test_gauss_spread(self, gauss, gauss_measure):
-        """Finite-depth SMB quotients at n=30 over 100 random rationals.
-
-        Oracle-frozen behavior: the mean sits within the (n+1)/n inflation
-        of the true entropy, but the per-seed spread is wide (sd ~ 0.29),
-        so only ~42/100 seeds land within 0.15 of the entropy.
-        """
-        rng = random.Random(0)
-        vals = []
-        within = 0
-        for _ in range(100):
-            while True:
-                x = F(rng.getrandbits(64), 2 ** 64)
-                try:
-                    est = entropy_smb(gauss, gauss_measure, x, 30)
-                    break
-                except Exception:
-                    continue
-            vals.append(est.value)
-            within += abs(est.value - GAUSS_ENTROPY) <= 0.15
-        mean = sum(vals) / len(vals)
-        assert mean == pytest.approx(2.3937234573931536, abs=1e-9)
-        assert abs(mean - GAUSS_ENTROPY) < 0.1
-        assert within == 42
+@pytest.mark.parametrize("m, mu", [
+    (DAryShift(2), LebesgueMeasure()), (DAryShift(3), LebesgueMeasure()),
+    (DAryShift(10), LebesgueMeasure()),
+    (DAryShift(2), MarkovStationaryMeasure.bernoulli([F(1, 2)] * 2)),
+    (DAryShift(3), MarkovStationaryMeasure.bernoulli([F(1, 3)] * 3)),
+    (UNIFORM_FOUR, MarkovStationaryMeasure.bernoulli([F(1, 4)] * 4)),
+], ids=["dary2", "dary3", "dary10", "dary2-uniform-chain", "dary3-uniform-chain",
+        "uniform-four-symbols"])
+def test_uniform_cylinder_masses_give_the_closed_form_entropy(m, mu):
+    """Under a uniform law every depth-n cylinder has mass D^-(n+1), so the
+    SMB quotient (1/(n+1)) log(1/mu(P(n, x))) is log D at every depth, the
+    closed form's entropy: the masses are exact before rounding."""
+    D = m.D
+    masses = cylinder_mass_by_depth(m, mu, TargetPoint.of(m, F(1, 5)), np.arange(40))
+    assert masses.tolist() == [float(F(1, D ** (n + 1))) for n in range(40)]
+    h = entropy_closed_form(m, mu).value
+    assert h == pytest.approx(math.log(D), abs=1e-15)
+    for n in (0, 9, 39):
+        assert -math.log(masses[n]) / (n + 1) == pytest.approx(h, rel=1e-14)
 
 
 # every public engine that takes a (map, measure) pair, on tiny inputs
@@ -329,7 +324,6 @@ PAIR_ENGINES = {
         m, mu, x, Schedule.depth_const(1)),
     "entropy_closed_form": lambda m, mu, x: entropy_closed_form(m, mu),
     "entropy_birkhoff": lambda m, mu, x: entropy_birkhoff(m, mu, 50, 1, 0),
-    "entropy_smb": lambda m, mu, x: entropy_smb(m, mu, x, 5),
 }
 
 

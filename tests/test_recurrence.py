@@ -143,6 +143,49 @@ class TestSchedule:
             right(0)
 
 
+# two schedules of each kind of SCHEDULE_KINDS
+GROWTH_SAMPLES = {
+    "radii_power": (Schedule.radii_power(0.5), Schedule.radii_power(3)),
+    "radii_exp": (Schedule.radii_exp(0.01), Schedule.radii_exp(0.7)),
+    "radii_const": (Schedule.radii_const(0.1), Schedule.radii_const(F(1, 7))),
+    "custom_radii": (Schedule.custom_radii([0.4, 0.2]),
+                     Schedule.custom_radii([0.5 ** k for k in range(1, 60)])),
+    "depth_log_floor": (Schedule.depth_log_floor(1.5), Schedule.depth_log_floor(10)),
+    "depth_power_floor": (Schedule.depth_power_floor(0.5), Schedule.depth_power_floor(2)),
+    "depth_const": (Schedule.depth_const(0), Schedule.depth_const(7)),
+    "custom_depths": (Schedule.custom_depths([1, 3]), Schedule.custom_depths([0, 2, 5, 9])),
+}
+
+
+@pytest.mark.parametrize("kind", list(SCHEDULE_KINDS))
+def test_growth_is_read_from_the_values(kind):
+    """The (g, e) that the classifier reads is the growth of the schedule's
+    own values: log(1/r_n) = g n + e log n + c for radii, solved from two
+    differences at three indices where r_n is a normal float; for depths
+    t_n steps from k - 1 to k at the first n >= g^k where g > 0, t_n =
+    floor(n^e) where e > 0, and t_n is constant where both are 0."""
+    for sched in GROWTH_SAMPLES[kind]:
+        g, e = sched.growth
+        if sched.is_radii:
+            n = np.array([100, 200, 400])
+            r = sched.radii_array(400)[n - 1]
+            assert (r >= np.finfo(float).tiny).all()
+            A = [[n[1] - n[0], math.log(n[1] / n[0])], [n[2] - n[1], math.log(n[2] / n[1])]]
+            assert np.linalg.solve(A, np.diff(-np.log(r))) == pytest.approx([g, e], abs=1e-9)
+            continue
+        t = sched.depths_array(10 ** 5)
+        if g > 0:
+            assert e == 0
+            for k in (2, 3, 4):
+                n = math.ceil(g ** k)
+                assert (t[n - 2], t[n - 1]) == (k - 1, k)
+        elif e > 0:
+            n = np.array([10, 1000, 10 ** 5])
+            assert (t[n - 1] <= n ** e).all() and (n ** e < t[n - 1] + 1).all()
+        else:
+            assert t[999] == t[9999] == t[-1]
+
+
 class TestSymbolicHits:
     def test_const_zero_depth_frequency(self, dary2, lebesgue):
         # hit iff the leading digit matches: ratio -> 1 with normalizer n/2
@@ -1546,7 +1589,7 @@ class TestClassifier:
         tgt = TargetPoint.from_word(gauss, (1,))
         sched = Schedule.radii_power(2.0)
         v = borel_cantelli_classify(gauss, gauss_measure, tgt, sched)
-        assert v.series == "sum mu(B(x0, n^-1/alpha)), alpha=2.0"
+        assert v.series == "sum mu(B(x0, r_n)), r_n ~ e^(-g n) n^(-e), (g, e) = (0, 0.5)"
         # the ball masses themselves, summed up to 10^3, 10^4 and 10^5
         masses = ball_mass_array(gauss, gauss_measure, tgt.float_value(),
                                  sched.radii_array(10 ** 5))

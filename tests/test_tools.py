@@ -2,20 +2,27 @@
 exists, private ones included, and its --help exits 0.  A rename in src then
 fails here, not in the next bench recording.  The same holds for every name
 that the benchmark's workloads and tracer (perfbench/) read from the package.
-And the package keeps no private helper that only tests would keep alive."""
+And the package keeps no private helper that only tests would keep alive, and
+the README's config table names the kinds of the tables the schema reads."""
 
 import ast
 import glob
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
+
+from shrinktargets.maps import MAP_KINDS
+from shrinktargets.measures import ENTROPY_METHODS
+from shrinktargets.recurrence import SCHEDULE_KINDS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "bench_json.py")
 PERFBENCH = [os.path.join(ROOT, "perfbench", f) for f in ("workloads.py", "spans.py")]
 SRC = os.path.join(ROOT, "src", "shrinktargets")
+README = os.path.join(ROOT, "README.md")
 
 
 def _package(module):
@@ -177,3 +184,30 @@ def test_an_unused_private_helper_is_found(tmp_path):
         "def _used():\n    return 1\n\n\n_TABLE = {'f': _used}\n_LIMIT = 3\n")
     (tmp_path / "reader.py").write_text("from .extra import _LIMIT\n")
     assert sorted(dead_private_names(str(tmp_path))) == ["extra.py:_TABLE", "extra.py:_helper"]
+
+
+def readme_config_kinds(path):
+    """{block: the backticked names of its kind column} of the config table
+    (the one headed | block | kind | ...) of the README at path."""
+    names, block, inside = {}, None, False
+    with open(path) as fh:
+        for line in fh:
+            cells = [c.strip() for c in line.strip().split("|")[1:-1]]
+            if cells[:2] == ["block", "kind"]:
+                inside = True
+            elif inside and not line.startswith("|"):
+                break
+            elif inside and not cells[0].startswith("---"):
+                block = cells[0] or block
+                names.setdefault(block, []).extend(re.findall(r"`([^`]+)`", cells[1]))
+    return names
+
+
+def test_readme_config_table_names_every_kind():
+    """The README's config table names exactly the map kinds, the schedule
+    kinds and the entropy methods of the tables the schema reads."""
+    names = readme_config_kinds(README)
+    assert sorted(names["`map`"]) == sorted(MAP_KINDS)
+    assert sorted(names["`schedule`"]) == sorted(SCHEDULE_KINDS)
+    method, *methods = names["`params` of `entropy`"]
+    assert method == "method" and sorted(methods) == sorted(ENTROPY_METHODS)
