@@ -297,7 +297,8 @@ class StageLevel:
     ``family[i % F]`` without its entry digit, and its lambda and nu are the
     parent's times that suffix's factors in ``family.classes``.  Each fine
     block has one nested child (J) that appends the target's digits.  The
-    builder stores the level's classes once, in the order blocks meet them."""
+    builder stores the level's classes once, in the order blocks meet them;
+    nu splits in proportion to lambda, so every class has one nu / fine lam."""
     family: RegularWords         # the SMB-regular return words, entry digit first
     nested_suffix: tuple         # shared x0-digit suffix appended to each fine block
     nested_rel: Fraction         # lam(J)/lam(J~)
@@ -408,10 +409,12 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     onto P(0, x0); each fine block gains one nested child by appending
     x0's digits to depth k_j, where k_j is the refine depth for r_{d_j}
     (radii schedules) or t_{d_j} (depth schedules).  The mass nu splits
-    proportionally to lambda within each admissible family.  A level keeps
-    its family by type and its classes, built once, so the cost grows with the
-    types, not the blocks.  x0's walk reads each digit once, as deep as the stage
-    goes, and composes branches only for the depths a refinement asks.
+    proportionally to lambda within each admissible family, so a class is one
+    integer weight W, the product of its suffixes' prods: its fine lam, nested
+    lam and nu are the level's units times W.  A level keeps its family by type
+    and its classes, built once, so the cost grows with the types, not the
+    blocks.  x0's walk reads each digit once, as deep as the stage goes, and
+    composes branches only for the depths a refinement asks.
     """
     check(CANTOR_PARAMS, {"levels": levels, "level_sizes": level_sizes, "epsilon": epsilon},
           "params", "cantor", DimensionError)
@@ -422,9 +425,9 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
     head = target.digits(0)
     root, root_lam = head[0], m.word_mass(head)
 
-    stage_levels = []
-    depth = 0                            # current nested depth d_{j-1} + k_{j-1}
-    parents = [(root_lam, Fraction(1), 1)]   # the classes (nested lam, nu, count) of the parents
+    stage_levels, depth = [], 0          # depth: the nested depth d_{j-1} + k_{j-1}
+    # the parents' classes, weight W -> count; a parent's nested lam and nu are the units times W
+    parents, lam_unit, nu_unit = {1: 1}, root_lam, Fraction(1)
 
     for j, N_j in enumerate([int(n) for n in level_sizes], start=1):
         words, _ = smb_regular_cylinders(m, N_j, epsilon, head[-1], root)
@@ -440,19 +443,19 @@ def build_cantor_stage(m: MapModel, target, sched: Schedule, levels: int,
         head = target.digits(k_j)
         nested_rel = m.word_mass(head) / m.p[root]
 
-        # one family serves every parent, as each ends at the base digit; pairs meet in block order
-        merged = {}
-        for p_lam, p_nu, p_cnt in parents:
-            for s_lam, s_nu, s_cnt in words.classes.values():
-                key = (p_lam * s_lam, p_nu * s_nu)
-                merged[key] = merged.get(key, 0) + p_cnt * s_cnt
-        classes = [(lam, lam * nested_rel, nu, cnt) for (lam, nu), cnt in merged.items()]
+        # one family serves every parent, as each ends at the base digit; a suffix of prod P
+        # has lam P/Q^N and nu P/prod_sum, so a child's weight is its parent's times P
+        lam_unit, nu_unit = lam_unit / words.Q ** N_j, nu_unit / words.prod_sum
+        nested_unit, merged = lam_unit * nested_rel, {}          # pairs meet in block order
+        for W, p_cnt in parents.items():
+            for P, (_, _, s_cnt) in words.classes.items():
+                merged[W * P] = merged.get(W * P, 0) + p_cnt * s_cnt
+        classes = [(lam_unit * W, nested_unit * W, nu_unit * W, cnt) for W, cnt in merged.items()]
         lams = [lam for lam, _, _ in words.classes.values()]
         stage_levels.append(StageLevel(words, head[1:], nested_rel, classes, d_j=d_j,
                                        alpha_j=min(lams), beta_j=max(lams)))
 
-        depth = d_j + k_j
-        parents = [(lam_n, nu, cnt) for _, lam_n, nu, cnt in classes]
+        depth, parents, lam_unit = d_j + k_j, merged, nested_unit
 
     stage = CantorStage(m, target.digits(depth), root_lam, stage_levels)
     bad = stage.nesting_violations()
@@ -474,29 +477,25 @@ def frostman_exponent(stage: CantorStage, c_cap: float = 1e3) -> dict:
     children through a prefix).  Cylinders between a fine block and its
     nested child carry constant nu with shrinking lambda, so only the nested
     endpoint binds; those are skipped.  One (lambda, nu) class, one constraint.
+    A level's parents share one nu/lambda, so a prefix's constraint is monotone in its
+    parent's lambda: only parents within a factor 1 + 1e-9 of the least or greatest bind.
     """
     check(POSITIVE, c_cap, "params.c_cap", "cantor", DimensionError)   # CANTOR_PARAMS' c_cap
-    log_cap = math.log(c_cap)
-    constraints, total_blocks = [], 0
+    log_cap, tie = math.log(c_cap), Fraction(10 ** 9 + 1, 10 ** 9)
+    gamma, total_blocks = 1.0, 0
     parents = [(stage.root_lam, Fraction(1))]
     for lvl in stage.levels:
-        constraints.extend((log_cap - log_mass(nu)) / (-log_mass(lam_n))
-                           for _, lam_n, nu, _ in lvl.classes)
-        constraints.extend(_intermediate_constraints(lvl, parents, log_cap))
+        lo, hi = min(lam for lam, _ in parents), max(lam for lam, _ in parents)
+        ends = [(lam, nu) for lam, nu in parents if lam <= lo * tie or hi <= lam * tie]
+        gamma = min(gamma, *((log_cap - log_mass(nu)) / (-log_mass(lam_n))
+                             for _, lam_n, nu, _ in lvl.classes),
+                    *((log_cap - log_mass(p_nu * nu)) / (-log_mass(p_lam * lam))
+                      for lam, nu in lvl.family.prefix_classes() for p_lam, p_nu in ends))
         parents = [(lam_n, nu) for _, lam_n, nu, _ in lvl.classes]
         total_blocks += lvl.count * (2 if lvl.nested_suffix else 1)
     if total_blocks < 10:
         raise DimensionError("insufficient resolution: fewer than 10 blocks")
-    gamma = min(1.0, min(constraints))
     return {"gamma": float(gamma), "cap": c_cap, "blocks": total_blocks}
-
-
-def _intermediate_constraints(lvl: StageLevel, parents, log_cap: float):
-    """Constraints from the prefixes of lengths 1..N below a parent (nu sums
-    over the children sharing the prefix; length N are the fine blocks): one
-    product per distinct parent (lam, nu) and family prefix class."""
-    return [(log_cap - log_mass(p_nu * nu)) / (-log_mass(p_lam * lam))
-            for lam, nu in lvl.family.prefix_classes() for p_lam, p_nu in parents]
 
 
 # ---------------------------------------------------------------------------

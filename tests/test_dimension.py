@@ -13,6 +13,7 @@ from shrinktargets import (
     DimensionError,
     InadmissibleDigit,
     IntervalSplitGrid,
+    MarkovLinear,
     ProductSplitGrid,
     Schedule,
     StageConstructionError,
@@ -32,8 +33,8 @@ from shrinktargets import (
     refine_depth,
 )
 from shrinktargets import dimension, measures
-from shrinktargets.dimension import BOUNDS, ProbeRecord, _intermediate_constraints
-from shrinktargets.measures import RegularWords
+from shrinktargets.dimension import BOUNDS, ProbeRecord
+from shrinktargets.measures import RegularWords, log_mass
 from conftest import level_classes_reference, regular_states
 
 LOG2 = math.log(2)
@@ -499,8 +500,8 @@ class TestCantorStage:
 def _flat_oracle(stage, c_cap=1e3):
     """Block-by-block recomputation over iter_blocks: nu level sums, the
     (fine lam, nested lam, nu) classes in first-occurrence order, the
-    Frostman gamma, the block count and the set of prefix constraints,
-    lengths 1..N_j below each parent (length N_j: the fine blocks)."""
+    Frostman gamma over the nested blocks and the prefixes of lengths 1..N_j
+    below each parent (length N_j: the fine blocks), and the block count."""
     log_cap = math.log(c_cap)
 
     def lg(q):
@@ -549,7 +550,46 @@ def _flat_oracle(stage, c_cap=1e3):
                         lam, last = lam * M[last][d], d
                     inter.add((log_cap - lg(nu)) / -lg(lam))
         parents = nested
-    return nu_sums, classes, min(1.0, min(constraints), min(inter)), blocks, inter
+    return nu_sums, classes, min(1.0, min(constraints), min(inter)), blocks
+
+
+def _pairwise_gamma(stage, c_cap=1e3):
+    """Frostman gamma over every nested class and every family prefix class
+    below every parent class, one exact product per pair."""
+    log_cap, constraints = math.log(c_cap), []
+    parents = [(stage.root_lam, F(1))]
+    for lvl in stage.levels:
+        constraints += [(log_cap - log_mass(nu)) / (-log_mass(lam_n))
+                        for _, lam_n, nu, _ in lvl.classes]
+        constraints += [(log_cap - log_mass(p_nu * nu)) / (-log_mass(p_lam * lam))
+                        for lam, nu in lvl.family.prefix_classes() for p_lam, p_nu in parents]
+        parents = [(lam_n, nu) for _, lam_n, nu, _ in lvl.classes]
+    return min(1.0, min(constraints))
+
+
+@pytest.fixture(scope="module")
+def sticky():
+    """A chain that stays at digit 0 with probability 9/10."""
+    return MarkovLinear([[F(9, 10), F(1, 10)], [F(1, 2), F(1, 2)]], [F(5, 6), F(1, 6)])
+
+
+@pytest.fixture(scope="module")
+def built(stage, markov, sticky):
+    """Stage builders by name."""
+    tn, skewed = Schedule.depth_power_floor(1), [[F(1, 5), F(4, 5)], [F(8, 15), F(7, 15)]]
+    return {
+        "dary2-8-12": lambda: stage,
+        "dary2-8-12-14": lambda: build_cantor_stage(
+            DAryShift(2), (0, 1), Schedule.radii_exp(LOG2), 3, (8, 12, 14)),
+        "chain-6-30-60-eps-0.05": lambda: build_cantor_stage(
+            markov, (0, 1), tn, 3, (6, 30, 60), epsilon=0.05),
+        "sticky-6-20-40": lambda: build_cantor_stage(sticky, (0, 1), tn, 3, (6, 20, 40)),
+        "dary3-4-8-16": lambda: build_cantor_stage(
+            DAryShift(3), (0, 2), Schedule.radii_exp(math.log(3)), 3, (4, 8, 16)),
+        "skewed-5-8-eps-0.2": lambda: build_cantor_stage(
+            MarkovLinear(skewed, [F(2, 5), F(3, 5)]), (0, 1), Schedule.depth_const(0), 2, (5, 8),
+            epsilon=0.2),
+    }
 
 
 class TestFactorizedStage:
@@ -563,31 +603,34 @@ class TestFactorizedStage:
             "depthconst-4-5": lambda: build_cantor_stage(
                 DAryShift(2), (0, 1), Schedule.depth_const(0), 2, (4, 5)),
         }[name]()
-        nu_sums, classes, gamma, blocks, inter = _flat_oracle(st_)
+        nu_sums, classes, gamma, blocks = _flat_oracle(st_)
         assert st_.nu_level_sums() == nu_sums == [F(1)] * len(st_.levels)
         assert [lvl.classes for lvl in st_.levels] == classes
         fr = frostman_exponent(st_)
         assert fr["gamma"] == gamma
         assert fr["blocks"] == blocks
-        # every intermediate constraint, not only the binding one
-        parents, factorized = [(st_.root_lam, F(1))], set()
-        for lvl, level_classes in zip(st_.levels, classes):
-            factorized.update(_intermediate_constraints(lvl, parents, math.log(1e3)))
-            parents = [(lam_n, nu) for _, lam_n, nu, _ in level_classes]
-        assert factorized == inter
 
-    @pytest.mark.parametrize("name", ["dary2-8-12", "dary2-8-12-14", "chain-6-30-60-eps-0.05"])
-    def test_classes_are_the_parent_family_merge(self, name, stage, markov):
+    @pytest.mark.parametrize("name", ["dary2-8-12", "dary2-8-12-14", "chain-6-30-60-eps-0.05",
+                                      "sticky-6-20-40", "dary3-4-8-16", "skewed-5-8-eps-0.2"])
+    def test_classes_are_the_parent_family_merge(self, name, built):
         """The classes each level stores at build time are those the merge of
-        its parent classes with its family classes gives."""
-        st_ = {
-            "dary2-8-12": lambda: stage,
-            "dary2-8-12-14": lambda: build_cantor_stage(
-                DAryShift(2), (0, 1), Schedule.radii_exp(LOG2), 3, (8, 12, 14)),
-            "chain-6-30-60-eps-0.05": lambda: build_cantor_stage(
-                markov, (0, 1), Schedule.depth_power_floor(1), 3, (6, 30, 60), epsilon=0.05),
-        }[name]()
+        its parent classes with its family classes gives, and they share one
+        nu / fine lam, as nu splits in proportion to lam."""
+        st_ = built[name]()
         assert [lvl.classes for lvl in st_.levels] == level_classes_reference(st_)
+        for lvl in st_.levels:
+            assert len({nu / lam for lam, _, nu, _ in lvl.classes}) == 1
+
+    @pytest.mark.parametrize("name, c_cap", [("chain-6-30-60-eps-0.05", 1e3),
+                                             ("sticky-6-20-40", 1e3), ("dary3-4-8-16", 1e3),
+                                             ("skewed-5-8-eps-0.2", 3)])
+    def test_gamma_is_the_pairwise_minimum(self, name, c_cap, built):
+        """Frostman scores each level's prefixes below the parents of extreme
+        lam only; its gamma is the minimum over every (parent class, prefix
+        class) pair.  In the skewed chain's stage a level-2 prefix below the
+        parent of greatest lam binds."""
+        st_ = built[name]()
+        assert frostman_exponent(st_, c_cap)["gamma"] == _pairwise_gamma(st_, c_cap)
 
     @pytest.mark.parametrize("c_cap", [math.nan, math.inf, 0, -1, "1e3"])
     def test_c_cap_is_checked(self, stage, c_cap):
@@ -617,6 +660,17 @@ class TestFactorizedStage:
         assert st_.nu_level_sums() == [F(1)] * len(sizes)
         fr = frostman_exponent(st_)
         elapsed = time.perf_counter() - t0
+        assert 0 < fr["gamma"] <= 1
+        assert elapsed < 1
+
+    def test_sticky_chain_builds_and_scores_within_a_second(self, sticky):
+        # its third level holds 368 classes below 48 parent classes; scoring
+        # every (parent class, prefix class) pair took 2-3 s
+        t0 = time.perf_counter()
+        st_ = build_cantor_stage(sticky, (0, 1), Schedule.depth_power_floor(1), 3, (6, 20, 40))
+        fr = frostman_exponent(st_)
+        elapsed = time.perf_counter() - t0
+        assert [len(lvl.classes) for lvl in st_.levels] == [2, 48, 368]
         assert 0 < fr["gamma"] <= 1
         assert elapsed < 1
 

@@ -159,6 +159,7 @@ SHARPNESS = {       # name -> (map spec, target word, schedule, level sizes, eps
                               0.5),
     **{f"chain_tn_6_{n}_eps0.05": (CHAIN, (0, 1), T_N, (6, n), 0.05, 0.3682)
        for n in (30, 60, 120)},
+    "chain_tn_6_30_120_eps0.05": (CHAIN, (0, 1), T_N, (6, 30, 120), 0.05, 0.3682),
 }
 TRACED_RUNS = 3         # --trace 1 runs per workload; a per-layer metric is their median
 MEMORY_N = 10 ** 6      # orbit indices of the memory block's hit runs
