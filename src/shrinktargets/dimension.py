@@ -371,9 +371,8 @@ class CantorStage:
         nested lam, nu, count), nested suffix, nested_rel, parent count and
         family end types (first, N, Q, finals), so the file grows with the end
         types, not the blocks.  Each exact number is hex, "0x..." or
-        "0x.../0x...", read back by int(s, 16) whatever its digits.  The map's
-        integer chain gives a family's prefix types by the two passes of
-        smb_regular_cylinders, and RegularWords unranks its blocks."""
+        "0x.../0x...", read back by int(s, 16) whatever its digits.  With the
+        map's scaled chain, RegularWords(scaled, first, Q, N, finals) unranks its blocks."""
         levels = []
         for lvl in self.levels:
             f = lvl.family
@@ -477,16 +476,17 @@ def frostman_exponent(stage: CantorStage, c_cap: float = 1e3) -> dict:
     children through a prefix).  Cylinders between a fine block and its
     nested child carry constant nu with shrinking lambda, so only the nested
     endpoint binds; those are skipped.  One (lambda, nu) class, one constraint.
-    A level's parents share one nu/lambda, so a prefix's constraint is monotone in its
-    parent's lambda: only parents within a factor 1 + 1e-9 of the least or greatest bind.
+    A level's parents share one nu/lambda, so with x = -log lambda_p a prefix's constraint
+    is (A + x)/(B + x): least at the greatest lambda_p if A <= B, above 1 (gamma's start)
+    at every parent if A > B; only parents within a factor 1 + 1e-9 of the greatest bind.
     """
     check(POSITIVE, c_cap, "params.c_cap", "cantor", DimensionError)   # CANTOR_PARAMS' c_cap
     log_cap, tie = math.log(c_cap), Fraction(10 ** 9 + 1, 10 ** 9)
     gamma, total_blocks = 1.0, 0
     parents = [(stage.root_lam, Fraction(1))]
     for lvl in stage.levels:
-        lo, hi = min(lam for lam, _ in parents), max(lam for lam, _ in parents)
-        ends = [(lam, nu) for lam, nu in parents if lam <= lo * tie or hi <= lam * tie]
+        hi = max(lam for lam, _ in parents)
+        ends = [(lam, nu) for lam, nu in parents if hi <= lam * tie]
         gamma = min(gamma, *((log_cap - log_mass(nu)) / (-log_mass(lam_n))
                              for _, lam_n, nu, _ in lvl.classes),
                     *((log_cap - log_mass(p_nu * nu)) / (-log_mass(p_lam * lam))

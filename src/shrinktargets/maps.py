@@ -118,6 +118,14 @@ class Chain:
         S = {k: tuple(int(x * Q) for x in row) for k, row in rows.items()}
         return Q, tuple(S[id(row)] for row in self.M)
 
+    @cached_property
+    def entropy(self) -> float:
+        """sum_ij p_i M_ij log(1/M_ij) in nats, each distinct row once (as ``scaled``)."""
+        w = {}
+        for pi, row in zip(self.p, self.M):
+            w[id(row)] = (row, w.get(id(row), (row, 0))[1] + pi)
+        return -sum(float(q * x) * math.log(float(x)) for row, q in w.values() for x in row if x)
+
     def weight(self, word: Sequence[int]) -> int:     # prod S_{w_k w_{k+1}} along a word
         return math.prod(self.scaled[1][a][b] for a, b in zip(word, word[1:]))
 

@@ -23,6 +23,7 @@ from .maps import (
     Chain,
     DAryShift,
     GaussMap,
+    InadmissibleDigit,
     MAP_KINDS,
     MapError,
     MapModel,
@@ -31,12 +32,13 @@ from .maps import (
     primitivity_exponent,
 )
 from .coding import cylinder_from_word
-from .schema import block, check, integer
+from .schema import block, check, integer, number
 
 LOG2 = math.log(2)
 GAUSS_ENTROPY = math.pi ** 2 / (6 * LOG2)
 DRAW_CHUNK = 1 << 16     # digits per numpy draw of digit_draws (a chain's table and scan)
 ORBIT_BLOCK = 128        # rows x_n per block of the float-orbit engines
+SMB_PARAMS = block({"N": integer(1), "eps": number(0, closed=True)})  # of an SMB family
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -226,15 +228,6 @@ def _blaschke_entropy_quadrature(m: BlaschkeBoundary, tol: float = 1e-11):
     raise MeasureError("Blaschke entropy quadrature did not converge")
 
 
-def _chain_entropy(p, M) -> float:
-    """sum_ij p_i M_ij log(1/M_ij) of the stationary chain (p, M), in O(D) on the D-ary
-    map: each distinct row (by id, as Chain.scaled) once, at the summed p_i that share it."""
-    w = {}
-    for pi, row in zip(p, M):
-        w[id(row)] = (row, w.get(id(row), (row, 0))[1] + pi)
-    return -sum(float(q * x) * math.log(float(x)) for row, q in w.values() for x in row if x > 0)
-
-
 def entropy_closed_form(m: MapModel, measure: InvariantMeasure) -> EntropyEstimate:
     """Exact (or quadrature) entropy of the map's invariant measure."""
     check_invariant(m, measure)
@@ -245,7 +238,7 @@ def entropy_closed_form(m: MapModel, measure: InvariantMeasure) -> EntropyEstima
         return EntropyEstimate(GAUSS_ENTROPY, "closed_form",
                                details={"formula": "pi^2/(6 log 2)"})
     if isinstance(m, MarkovLinear):
-        return EntropyEstimate(_chain_entropy(m.p, m.M), "closed_form",
+        return EntropyEstimate(m.entropy, "closed_form",
                                details={"formula": "sum p_i M_ij log(1/M_ij)"})
     h, err = _blaschke_entropy_quadrature(m)
     return EntropyEstimate(h, "closed_form",
@@ -473,17 +466,37 @@ class RegularWords(Sequence):
     """The words of one SMB-regular family in depth-first (lexicographic)
     order, kept by type (last digit, prod) instead of listed; a word's mass
     is p_b * prod / Q^N, with prod its weight in the scaled chain M = S/Q
-    (``Chain.scaled``).  ``states[n]`` maps each length-n prefix type to the
-    number of words through it and their summed prod, ``finals`` each end
-    type to its number of words, in the order of their first words.  Words
-    are unranked on access; ``size`` counts them, as len() fails past
-    sys.maxsize."""
+    (``Chain.scaled``).  The family is its end types: ``finals`` maps each to
+    its number of words, in the order of their first words.  ``states[n]``,
+    built on the first word walk, maps each length-n prefix type to the
+    number of words through it and their summed prod.  Words are unranked on
+    access; ``size`` counts them, as len() fails past sys.maxsize."""
 
-    def __init__(self, scaled, first: int, Q: int, states: list, finals: dict):
-        self.scaled, self.first, self.Q, self.states = scaled, first, Q, states
-        self.N, self.finals, self.size = len(states) - 1, finals, sum(finals.values())
+    def __init__(self, scaled, first: int, Q: int, N: int, finals: dict):
+        self.scaled, self.first, self.Q, self.N, self.finals = scaled, first, Q, N, finals
+        self.size = sum(finals.values())
         self.prod_sum = sum(m * P for (_, P), m in finals.items())
-        self.mass = Fraction(self.prod_sum, Q ** self.N)    # relative to the entry block
+        self.mass = Fraction(self.prod_sum, Q ** N)    # relative to the entry block
+
+    @cached_property
+    def states(self) -> list:
+        """The type sets of lengths 0..N-1 forward in first-prefix order, then back from finals."""
+        layers, scaled = [{(self.first, 1): None}], self.scaled
+        for _ in range(self.N - 1):
+            layers.append(dict.fromkeys((d, P * q) for a, P in layers[-1] for d, q in scaled[a]))
+        states = [{s: (1, s[1]) for s in self.finals}]     # from the end: words, summed prod
+        for layer in reversed(layers):
+            nxt, cur = states[-1], {}
+            for a, P in layer:
+                c = w = 0
+                for d, q in scaled[a]:
+                    cw = nxt.get((d, P * q))
+                    if cw:
+                        c, w = c + cw[0], w + cw[1]
+                if c:
+                    cur[a, P] = c, w
+            states.append(cur)
+        return states[::-1]
 
     def __len__(self) -> int:
         return self.size
@@ -533,39 +546,30 @@ def smb_regular_cylinders(chain: Chain, N: int, eps: float,
     chain mass lies in the SMB window (e^{-N(h+eps)}, e^{-N(h-eps)}).
 
     Returns (words, total_mass): a RegularWords sequence and their exact
-    mass.  A dynamic program counts the prefixes of each type (last digit,
+    mass.  One forward pass counts the prefixes of each type (last digit,
     integer prod), so the cost grows with the types, not the words (method
     of types, Csiszar-Korner).  Walking the previous layer in order, digits
     upwards, a layer meets types in first-prefix order.  End types meet the
-    window in float logs; its O(N*eps) slack dwarfs their rounding.
+    window in float logs; its O(N*eps) slack dwarfs their rounding.  N must be an integer >= 1
+    and eps a finite number >= 0 (MeasureError), each block a digit (InadmissibleDigit).
     """
-    h = _chain_entropy(chain.p, chain.M)
-    Q, S = chain.scaled
+    check(SMB_PARAMS, {"N": N, "eps": eps}, "", "smb_regular_cylinders", MeasureError)
+    for path, b in (("block_from", block_from), ("block_to", block_to)):
+        check(integer(0, len(chain.p) - 1), b, path, "smb_regular_cylinders", InadmissibleDigit)
+    h, (Q, S) = chain.entropy, chain.scaled
     scaled = [[(d, x) for d, x in enumerate(row) if x > 0] for row in S]
     pb = chain.p[block_from]
     # log mass = log prod + log p_b - N log Q, compared against the window
     shift = log_mass(pb) - N * math.log(Q)
     lo, hi = -N * (h + eps) - shift, -N * (h - eps) - shift
-    layers = [{(block_from, 1): 1}]        # prefix type -> number of prefixes
+    layer = {(block_from, 1): 1}        # prefix type -> number of prefixes
     for _ in range(N):
         nxt = {}
-        for (a, P), m in layers[-1].items():
+        for (a, P), m in layer.items():
             for d, q in scaled[a]:
-                nxt[d, P * q] = nxt.get((d, P * q), 0) + m
-        layers.append(nxt)
-    finals = {(a, P): m for (a, P), m in layers.pop().items()
+                nxt[s] = nxt.get(s := (d, P * q), 0) + m
+        layer = nxt
+    finals = {(a, P): m for (a, P), m in layer.items()
               if a == block_to and lo < math.log(P) < hi}
-    states = [{s: (1, s[1]) for s in finals}]       # from the end: words, summed prod
-    for layer in reversed(layers):
-        nxt, cur = states[-1], {}
-        for a, P in layer:
-            c = w = 0
-            for d, q in scaled[a]:
-                cw = nxt.get((d, P * q))
-                if cw:
-                    c, w = c + cw[0], w + cw[1]
-            if c:
-                cur[a, P] = c, w
-        states.append(cur)
-    words = RegularWords(scaled, block_from, Q, states[::-1], finals)
+    words = RegularWords(scaled, block_from, Q, N, finals)
     return words, pb * words.mass

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import time
@@ -31,6 +32,7 @@ from shrinktargets import (
     grid_transfer,
     rectangle_counterexample_balls,
     refine_depth,
+    stationary_vector,
 )
 from shrinktargets import dimension, measures
 from shrinktargets.dimension import BOUNDS, ProbeRecord
@@ -289,8 +291,8 @@ def _exact(s):
 def stage_json_blocks(path, chain):
     """Per level of a stage.json, its fine and nested (word, lam, nu) in
     block order, its classes and its family's prefix types: each family
-    unranked by RegularWords from the prefix types that the map's integer
-    chain rebuilds from the file's end types."""
+    unranked by RegularWords from the file's end types alone, its prefix
+    types those that the map's integer chain rebuilds from them."""
     doc = json.loads(path.read_text())
     Q, S = chain.scaled
     scaled = [[(d, x) for d, x in enumerate(row) if x > 0] for row in S]
@@ -298,8 +300,8 @@ def stage_json_blocks(path, chain):
     for lvl in doc["levels"]:
         assert _exact(lvl["Q"]) == Q and _exact(lvl["parents"]) == len(parents)
         finals = {(d, _exact(P)): _exact(m) for d, P, m in lvl["finals"]}
-        fam = RegularWords(scaled, lvl["first"], Q,
-                           regular_states(scaled, lvl["first"], lvl["N"], finals), finals)
+        fam = RegularWords(scaled, lvl["first"], Q, lvl["N"], finals)
+        assert fam.states == regular_states(scaled, lvl["first"], lvl["N"], finals)
         words = list(map(fam.unrank, range(fam.size)))
         fine = [(w + word[1:], lam * F(P, Q ** fam.N), nu * F(P, fam.prod_sum))
                 for w, lam, nu in parents for word, P in words]
@@ -553,18 +555,22 @@ def _flat_oracle(stage, c_cap=1e3):
     return nu_sums, classes, min(1.0, min(constraints), min(inter)), blocks
 
 
-def _pairwise_gamma(stage, c_cap=1e3):
-    """Frostman gamma over every nested class and every family prefix class
-    below every parent class, one exact product per pair."""
-    log_cap, constraints = math.log(c_cap), []
-    parents = [(stage.root_lam, F(1))]
+def _pairwise_logs(stage):
+    """(log nu, log lam) of every nested class and of every family prefix
+    class below every parent class, one exact product per pair."""
+    logs, parents = [], [(stage.root_lam, F(1))]
     for lvl in stage.levels:
-        constraints += [(log_cap - log_mass(nu)) / (-log_mass(lam_n))
-                        for _, lam_n, nu, _ in lvl.classes]
-        constraints += [(log_cap - log_mass(p_nu * nu)) / (-log_mass(p_lam * lam))
-                        for lam, nu in lvl.family.prefix_classes() for p_lam, p_nu in parents]
+        logs += [(log_mass(nu), log_mass(lam_n)) for _, lam_n, nu, _ in lvl.classes]
+        logs += [(log_mass(p_nu * nu), log_mass(p_lam * lam))
+                 for lam, nu in lvl.family.prefix_classes() for p_lam, p_nu in parents]
         parents = [(lam_n, nu) for _, lam_n, nu, _ in lvl.classes]
-    return min(1.0, min(constraints))
+    return logs
+
+
+def _pairwise_gamma(logs, c_cap=1e3):
+    """Frostman gamma over the constraints of the (log nu, log lam) pairs of _pairwise_logs."""
+    log_cap = math.log(c_cap)
+    return min(1.0, min((log_cap - log_nu) / (-log_lam) for log_nu, log_lam in logs))
 
 
 @pytest.fixture(scope="module")
@@ -575,9 +581,10 @@ def sticky():
 
 @pytest.fixture(scope="module")
 def built(stage, markov, sticky):
-    """Stage builders by name."""
+    """Stage builders by name, each building its stage once."""
     tn, skewed = Schedule.depth_power_floor(1), [[F(1, 5), F(4, 5)], [F(8, 15), F(7, 15)]]
-    return {
+    M3 = [[F(1, 5), F(3, 5), F(1, 5)], [F(1, 2), F(1, 4), F(1, 4)], [F(1, 3), F(1, 3), F(1, 3)]]
+    return {name: functools.cache(build) for name, build in {
         "dary2-8-12": lambda: stage,
         "dary2-8-12-14": lambda: build_cantor_stage(
             DAryShift(2), (0, 1), Schedule.radii_exp(LOG2), 3, (8, 12, 14)),
@@ -589,7 +596,15 @@ def built(stage, markov, sticky):
         "skewed-5-8-eps-0.2": lambda: build_cantor_stage(
             MarkovLinear(skewed, [F(2, 5), F(3, 5)]), (0, 1), Schedule.depth_const(0), 2, (5, 8),
             epsilon=0.2),
-    }
+        "three-4-8-eps-0.3": lambda: build_cantor_stage(
+            MarkovLinear(M3, stationary_vector(M3)), (0, 1), tn, 2, (4, 8)),
+    }.items()}
+
+
+@pytest.fixture(scope="module")
+def pairwise_logs(built):
+    """Stage name -> _pairwise_logs of its built stage, each formed once."""
+    return functools.cache(lambda name: _pairwise_logs(built[name]()))
 
 
 class TestFactorizedStage:
@@ -621,16 +636,17 @@ class TestFactorizedStage:
         for lvl in st_.levels:
             assert len({nu / lam for lam, _, nu, _ in lvl.classes}) == 1
 
-    @pytest.mark.parametrize("name, c_cap", [("chain-6-30-60-eps-0.05", 1e3),
-                                             ("sticky-6-20-40", 1e3), ("dary3-4-8-16", 1e3),
-                                             ("skewed-5-8-eps-0.2", 3)])
-    def test_gamma_is_the_pairwise_minimum(self, name, c_cap, built):
-        """Frostman scores each level's prefixes below the parents of extreme
+    @pytest.mark.parametrize("name, c_cap", [
+        *((name, c_cap) for name in ("chain-6-30-60-eps-0.05", "sticky-6-20-40")
+          for c_cap in (1, 10, 1e3, 1e6)),
+        ("dary3-4-8-16", 1e3), ("skewed-5-8-eps-0.2", 3), ("three-4-8-eps-0.3", 1e3)])
+    def test_gamma_is_the_pairwise_minimum(self, name, c_cap, built, pairwise_logs):
+        """Frostman scores each level's prefixes below the parents of greatest
         lam only; its gamma is the minimum over every (parent class, prefix
         class) pair.  In the skewed chain's stage a level-2 prefix below the
         parent of greatest lam binds."""
         st_ = built[name]()
-        assert frostman_exponent(st_, c_cap)["gamma"] == _pairwise_gamma(st_, c_cap)
+        assert frostman_exponent(st_, c_cap)["gamma"] == _pairwise_gamma(pairwise_logs(name), c_cap)
 
     @pytest.mark.parametrize("c_cap", [math.nan, math.inf, 0, -1, "1e3"])
     def test_c_cap_is_checked(self, stage, c_cap):

@@ -13,6 +13,7 @@ from shrinktargets import (
     DAryShift,
     GaussMap,
     GaussMeasure,
+    InadmissibleDigit,
     LebesgueMeasure,
     MarkovLinear,
     MarkovStationaryMeasure,
@@ -20,11 +21,13 @@ from shrinktargets import (
     Schedule,
     TargetPoint,
     borel_cantelli_classify,
+    build_cantor_stage,
     correlation_mass,
     cylinder_from_word,
     entropy_birkhoff,
     entropy_birkhoff_batch,
     entropy_closed_form,
+    frostman_exponent,
     own_measure,
     run_metric_hits,
     run_symbolic_hits,
@@ -656,6 +659,42 @@ class TestSMBTypeCounting:
         assert words[:2] == [(0,) * 71, (0,) * 69 + (1, 0)]
         with pytest.raises(OverflowError):
             len(words)
+
+    def test_prefix_table_waits_for_a_word_walk(self, markov, markov_measure):
+        """A mass query reads the end types alone: the prefix-type table is
+        built by the first word walk (unrank, prefix_classes), not by the
+        family's len, mass or classes, nor by a stage build without Frostman."""
+        for walk in (lambda w: w.unrank(0), lambda w: w.prefix_classes()):
+            words, _ = smb_regular_cylinders(markov_measure, 11, 0.3, 0, 1)
+            assert "states" not in words.__dict__
+            assert len(words) and words.mass and words.classes
+            assert "states" not in words.__dict__
+            walk(words)
+            assert "states" in words.__dict__
+        stage = build_cantor_stage(markov, (0, 1), Schedule.radii_exp(LOG2), 2, (6, 8))
+        assert not any("states" in lvl.family.__dict__ for lvl in stage.levels)
+        frostman_exponent(stage)
+        assert all("states" in lvl.family.__dict__ for lvl in stage.levels)
+
+    # case -> (the arguments changed, the error, the start of its message)
+    BAD_ARGS = {**{f"{k}={v}": ({k: v}, InadmissibleDigit, rf"{k}: must be an integer in \[0, 1\]")
+                   for k, v in (("block_from", 5), ("block_from", -1), ("block_to", 7),
+                                ("block_to", 0.5))},
+                **{f"N={v}": ({"N": v}, MeasureError, "N: must be an integer >= 1")
+                   for v in (-3, 0, 2.5)},
+                **{f"eps={v}": ({"eps": v}, MeasureError, "eps: must be a finite number >= 0")
+                   for v in (math.nan, math.inf, -0.1)}}
+
+    @pytest.mark.parametrize("case", list(BAD_ARGS))
+    def test_arguments_are_checked(self, case):
+        """A block digit outside the chain fails as InadmissibleDigit, an N that is
+        not an integer >= 1 or an eps that is not a finite number >= 0 as a
+        MeasureError: never a bare IndexError or TypeError, nor an empty family."""
+        args, error, message = self.BAD_ARGS[case]
+        skew = MarkovStationaryMeasure.bernoulli([F(1, 3), F(2, 3)])
+        with pytest.raises(error, match=f"^{message} for smb_regular_cylinders, got "):
+            smb_regular_cylinders(skew, **{"N": 14, "eps": 0.3, "block_from": 0, "block_to": 1,
+                                           **args})
 
 
 def _chain_oracle(m, rng, length):

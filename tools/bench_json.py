@@ -44,6 +44,11 @@ asserted by the Tier-1 suite.  Its blocks, in the order they are made:
   at t_n = n, h/(h + ell) at radii_exp(log 2)), gamma - bound, the build and
   score seconds, the block count and the class count of each level, or the
   exception that the build raised.
+- smb_families: for each family of SMB_FAMILIES, the seconds of one
+  measures.smb_regular_cylinders call (the counting pass, the end types
+  alone), the seconds of the first read of its prefix-type table
+  (RegularWords.states, built on the first word walk), its word count
+  (size, hex past the int-digit limit) and its prefix-type count.
 - memory: the tracemalloc peak and traced seconds of each guard run of
   memory(): the linear hit runs of tests/test_recurrence.py::TestBlockSizedRuns
   at N = MEMORY_N, the D = 2 (8,15000) Cantor stage build of
@@ -80,10 +85,11 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 import numpy as np  # noqa: E402
-from shrinktargets import (DAryShift, GaussMap, MarkovLinear, Schedule, Target,  # noqa: E402
-                           borel_cantelli_classify, build_cantor_stage, entropy_birkhoff,
-                           frostman_exponent, make_map, own_measure, run_metric_hits,
-                           run_symbolic_hits, stationary_vector)
+from shrinktargets import (DAryShift, GaussMap, MarkovLinear,  # noqa: E402
+                           MarkovStationaryMeasure, Schedule, Target, borel_cantelli_classify,
+                           build_cantor_stage, entropy_birkhoff, frostman_exponent, make_map,
+                           own_measure, run_metric_hits, run_symbolic_hits,
+                           smb_regular_cylinders, stationary_vector)
 from shrinktargets.coding import PrefixWalk  # noqa: E402
 from shrinktargets.harness import _count, parse_config  # noqa: E402
 from shrinktargets.measures import LebesgueMeasure, digit_draws, float_orbit_blocks  # noqa: E402
@@ -160,6 +166,11 @@ SHARPNESS = {       # name -> (map spec, target word, schedule, level sizes, eps
     **{f"chain_tn_6_{n}_eps0.05": (CHAIN, (0, 1), T_N, (6, n), 0.05, 0.3682)
        for n in (30, 60, 120)},
     "chain_tn_6_30_120_eps0.05": (CHAIN, (0, 1), T_N, (6, 30, 120), 0.05, 0.3682),
+}
+SKEW = [["1/3", "2/3"], ["1/3", "2/3"]]      # Bernoulli(1/3, 2/3)
+SMB_FAMILIES = {    # name -> (chain rows, N, epsilon, block_from, block_to)
+    **{f"bernoulli_14_eps0.3_{b1}{b2}": (SKEW, 14, 0.3, b1, b2) for b1 in (0, 1) for b2 in (0, 1)},
+    "chain_120_eps0.05_00": (CHAINS["chain"], 120, 0.05, 0, 0),
 }
 TRACED_RUNS = 3         # --trace 1 runs per workload; a per-layer metric is their median
 MEMORY_N = 10 ** 6      # orbit indices of the memory block's hit runs
@@ -389,6 +400,24 @@ def sharpness() -> dict:
     return out
 
 
+def smb_families() -> dict:
+    """Per family of SMB_FAMILIES: the seconds of smb_regular_cylinders and
+    of the first read of the returned family's states, each on a fresh chain
+    (MarkovStationaryMeasure, so no chain property carries over between
+    runs), its size and its prefix-type count."""
+    out = {}
+    for name, (rows, N, eps, b1, b2) in SMB_FAMILIES.items():
+        M = [[Fraction(x) for x in row] for row in rows]
+        p = stationary_vector(M)
+        call_s, (words, _) = best(lambda mu: smb_regular_cylinders(mu, N, eps, b1, b2),
+                                  lambda: (MarkovStationaryMeasure(p, M),))
+        states_s, states = best(lambda w: w.states, lambda: (smb_regular_cylinders(
+            MarkovStationaryMeasure(p, M), N, eps, b1, b2)[0],))
+        out[name] = {"N": N, "eps": eps, "call_s": call_s, "states_s": states_s,
+                     "size": _count(words.size), "prefix_types": sum(map(len, states))}
+    return out
+
+
 def memory() -> dict:
     """tracemalloc peak (MB) and traced seconds of each guard run: metric
     DAryShift(3) and the chain at r_n = n^-1/2, symbolic D = 2 at
@@ -458,7 +487,7 @@ def workloads(spec: dict) -> tuple:
 
 
 BLOCKS = (digit_streams, normalizer_walks, prefix_walk, float_steps, metric_windows,
-          verdict_sweep, chain_checks, sharpness, memory, tests, src_lines)
+          verdict_sweep, chain_checks, sharpness, smb_families, memory, tests, src_lines)
 
 
 def main(argv=None) -> int:
